@@ -4,6 +4,7 @@ period-3 similarity bookkeeping, and the cyclic center-role recurrences."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DegenerateStepError, GeometryError
@@ -25,11 +26,20 @@ from .triads import (
 CHAIN_DETECT_TOL = Tolerance(angle_eps=1e-9, length_eps_rel=1e-6)
 
 
-class ChainStep(NamedTuple):
+@dataclass(frozen=True)
+class ChainStep:
+    """One nesting step. ``role`` is the role ``point`` plays in
+    ``triangle``, detected with ``detect_tol`` on first read and cached."""
+
     triangle: Triangle
     triad: Triad
     result: MiquelResult
-    role: SpecialRole
+    point: Point
+    detect_tol: Tolerance
+
+    @cached_property
+    def role(self) -> SpecialRole:
+        return detect_special_role(self.triangle, self.point, self.detect_tol)
 
 
 @dataclass(frozen=True)
@@ -38,17 +48,26 @@ class ChainRecord:
 
     ``steps[k].triangle`` is the triangle after k+1 steps; its vertices are
     the triad points relabeled A = point on the old BC, B = on CA, C = on AB.
+
+    Roles are detected on first read (``seed_role``, ``roles``,
+    ``steps[k].role``) and cached, so a chain whose roles go unread costs no
+    detection. A ``GeometryError`` from detection therefore surfaces at
+    that read, not when the chain is built.
     """
 
     seed: Triangle
     point: Point
     thetas: tuple[float, ...]
-    seed_role: SpecialRole
     steps: tuple[ChainStep, ...]
+    detect_tol: Tolerance
 
     @property
     def triangles(self) -> list[Triangle]:
         return [self.seed] + [s.triangle for s in self.steps]
+
+    @cached_property
+    def seed_role(self) -> SpecialRole:
+        return detect_special_role(self.seed, self.point, self.detect_tol)
 
     @property
     def roles(self) -> list[SpecialRole]:
@@ -90,13 +109,17 @@ def iterate_chain(
     line and circumcircle along the way. Pedal steps lose roughly a digit
     each on ill-conditioned hosts, hence the default cap; raise
     ``max_steps`` deliberately to go deeper.
+
+    No role is detected here: the record detects each role with
+    ``detect_tol`` on first read, and a ``GeometryError`` from detection
+    (such as a ``CollinearError`` from ``brocard_point``) is raised by that
+    read rather than by this call.
     """
     if k < 1:
         raise ValueError("a chain needs at least one step")
     if k > max_steps:
         raise ValueError(f"chain length {k} exceeds the cap of {max_steps} steps")
     schedule = _normalize_thetas(thetas, k)
-    seed_role = detect_special_role(t0, p, detect_tol)
     steps: list[ChainStep] = []
     current = t0
     for i, theta in enumerate(schedule):
@@ -115,10 +138,9 @@ def iterate_chain(
             raise DegenerateStepError(
                 f"concurrency point drifted off the fixed point at step {i}"
             )
-        role = detect_special_role(nxt, p, detect_tol)
-        steps.append(ChainStep(nxt, triad, result, role))
+        steps.append(ChainStep(nxt, triad, result, p, detect_tol))
         current = nxt
-    return ChainRecord(t0, p, schedule, seed_role, tuple(steps))
+    return ChainRecord(t0, p, schedule, tuple(steps), detect_tol)
 
 
 class Mod3Report(NamedTuple):

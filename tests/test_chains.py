@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+import miquel.chains
 from miquel.centers import brocard_point, circumcenter, incenter, orthocenter, s_point
 from miquel.chains import (
+    CHAIN_DETECT_TOL,
     check_mod3_similarity,
     detect_role_cycle,
     follows_role_cycle,
@@ -19,7 +21,7 @@ from miquel.sampling import (
     random_triangle,
     rng_for,
 )
-from miquel.triads import classify_similarity
+from miquel.triads import classify_similarity, detect_special_role
 
 SQ3 = math.sqrt(3.0)
 TSCA = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
@@ -150,3 +152,44 @@ class TestRoleCycles:
                 kind = CenterKind(step.role.role, step.role.vertex)
                 center = classic_center(step.triangle, kind)
                 assert center.dist(o) < 1e-6 * step.triangle.circumradius
+
+
+class TestLazyRoles:
+    @pytest.fixture
+    def detect_calls(self, monkeypatch):
+        calls = []
+
+        def counted(t, p, tol):
+            calls.append(tol)
+            return detect_special_role(t, p, tol)
+
+        monkeypatch.setattr(miquel.chains, "detect_special_role", counted)
+        return calls
+
+    def test_unread_roles_cost_no_detection(self, detect_calls):
+        rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
+        check_mod3_similarity(rec, LOOSE)
+        assert len(rec.triangles) == 7
+        assert detect_calls == []
+
+    def test_roles_detected_once_on_first_read(self, detect_calls):
+        k = 5
+        rec = iterate_chain(TSCA, circumcenter(TSCA), k)
+        first = rec.roles
+        assert len(detect_calls) == k + 1
+        assert rec.roles == first
+        assert rec.seed_role == first[0]
+        assert [s.role for s in rec.steps] == first[1:]
+        assert len(detect_calls) == k + 1
+
+    def test_lazy_roles_match_explicit_detection(self):
+        for p in (circumcenter(TSCA), s_point(TSCA, "A"), Point(1.31, 0.87)):
+            rec = iterate_chain(TSCA, p, 4)
+            expect = [detect_special_role(t, p, CHAIN_DETECT_TOL) for t in rec.triangles]
+            assert rec.roles == expect
+
+    def test_detect_tol_reaches_lazy_detection(self, detect_calls):
+        tight = Tolerance(angle_eps=1e-9, length_eps_rel=1e-12)
+        rec = iterate_chain(TSCA, circumcenter(TSCA), 3, detect_tol=tight)
+        assert len(rec.roles) == 4
+        assert detect_calls == [tight] * 4

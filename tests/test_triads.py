@@ -337,6 +337,14 @@ class TestDetectSpecialRole:
     def test_generic_point_is_none(self):
         assert detect_special_role(TSCA, Point(1.31, 0.87)) == SpecialRole("none")
 
+    def test_equilateral_tie_goes_to_circumcenter(self):
+        # every classic center of an equilateral host coincides; the
+        # nearest-wins rule keeps the first candidate, the circumcenter
+        circ = SpecialRole("circumcenter")
+        assert detect_special_role(EQUI, Point(0, 0)) == circ
+        for center in (circumcenter, incenter, orthocenter):
+            assert detect_special_role(EQUI, center(EQUI)) == circ
+
     def test_q_role_on_incenter_arc(self):
         rng = rng_for(0, "qrole", 0)
         from miquel.sampling import random_arc_point
