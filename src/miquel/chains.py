@@ -143,33 +143,50 @@ def iterate_chain(
     return ChainRecord(t0, p, schedule, tuple(steps), detect_tol)
 
 
-class Mod3Report(NamedTuple):
+@dataclass(frozen=True)
+class Mod3Report:
+    """Outcome of the mod-3 check on ``triangles``. ``cross_class_similar``
+    classifies the pairs across residue classes with ``tol`` on first read
+    and caches them."""
+
     ok: bool
     worst_residual: float
     failures: list[tuple[int, int]]
-    cross_class_similar: list[tuple[int, int, SimilarityClass]]
+    triangles: tuple[Triangle, ...]
+    tol: Tolerance
+
+    @cached_property
+    def cross_class_similar(self) -> list[tuple[int, int, SimilarityClass]]:
+        tris = self.triangles
+        cross: list[tuple[int, int, SimilarityClass]] = []
+        for i in range(len(tris)):
+            for j in range(i + 1, len(tris)):
+                if (j - i) % 3 == 0:
+                    continue
+                match = classify_similarity(tris[i], tris[j], self.tol)
+                if match is not None:
+                    cross.append((i, j, match))
+        return cross
 
 
 def check_mod3_similarity(rec: ChainRecord, tol: Tolerance = DEFAULT_TOL) -> Mod3Report:
-    """Every index pair congruent mod 3 must be similar; pairs across
-    residue classes are reported when they happen to match as well."""
-    tris = rec.triangles
+    """Every index pair congruent mod 3 must be similar. Only those pairs
+    are classified here; pairs across residue classes are classified when
+    the report's ``cross_class_similar`` is first read, which lists the
+    ones that happen to match as well."""
+    tris = tuple(rec.triangles)
     if len(tris) < 4:
         raise ValueError("need at least four triangles to compare mod-3 classes")
     failures: list[tuple[int, int]] = []
-    cross: list[tuple[int, int, SimilarityClass]] = []
     worst = 0.0
     for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
+        for j in range(i + 3, len(tris), 3):
             match = classify_similarity(tris[i], tris[j], tol)
-            if (i - j) % 3 == 0:
-                if match is None:
-                    failures.append((i, j))
-                else:
-                    worst = max(worst, match.residual)
-            elif match is not None:
-                cross.append((i, j, match))
-    return Mod3Report(not failures, worst, failures, cross)
+            if match is None:
+                failures.append((i, j))
+            else:
+                worst = max(worst, match.residual)
+    return Mod3Report(not failures, worst, failures, tris, tol)
 
 
 def detect_role_cycle(rec: ChainRecord) -> RoleCycle:

@@ -1,8 +1,8 @@
 """Command-line surface: center tables, point classification, concurrency
 checks, family and chain runs, the verification suites, and SVG figures.
 
-Exit codes: 0 success, 1 geometric error on degenerate input, 2 usage or
-scene-schema error, 3 verification failure.
+Exit codes: 0 success, 1 geometric error on degenerate input or stdout
+closed by its reader, 2 usage or scene-schema error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -406,7 +406,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`miquel verify ... | head -1`): point
+        # stdout at devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

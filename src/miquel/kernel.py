@@ -48,7 +48,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """Cartesian position; doubles as a 2-vector for arithmetic."""
 
@@ -207,14 +207,16 @@ class Line:
         return self.anchor + t * self.direction
 
     def param_of(self, p: Point) -> float:
-        return (p - self.anchor).dot(self.direction)
+        a, d = self.anchor, self.direction
+        return (p.x - a.x) * d.x + (p.y - a.y) * d.y
 
     def project(self, p: Point) -> Point:
         return self.at(self.param_of(p))
 
     def offset(self, p: Point) -> float:
         """Signed perpendicular distance of ``p`` from the line."""
-        return self.direction.cross(p - self.anchor)
+        a, d = self.anchor, self.direction
+        return d.x * (p.y - a.y) - d.y * (p.x - a.x)
 
     def side(self, p: Point) -> int:
         off = self.offset(p)
@@ -443,9 +445,17 @@ class Triangle:
         i = VERTEX_LABELS.index(label)
         return (self.vertices[(i + 1) % 3], self.vertices[(i + 2) % 3])
 
+    @cached_property
+    def side_lines(self) -> tuple[Line, Line, Line]:
+        """Lines BC, CA, AB: the side lines opposite A, B, C."""
+        return (
+            Line.through(self.b, self.c),
+            Line.through(self.c, self.a),
+            Line.through(self.a, self.b),
+        )
+
     def side_line(self, label: str) -> Line:
-        p, q = self.opposite(label)
-        return Line.through(p, q)
+        return self.side_lines[VERTEX_LABELS.index(label)]
 
     def side_length(self, label: str) -> float:
         return self.side_lengths[VERTEX_LABELS.index(label)]
@@ -475,4 +485,4 @@ class Triangle:
         return abs(lens[(i + 1) % 3] - lens[(i + 2) % 3]) < tol.length_eps(self.circumradius)
 
     def min_side_line_distance(self, p: Point) -> float:
-        return min(abs(self.side_line(v).offset(p)) for v in VERTEX_LABELS)
+        return min(abs(side.offset(p)) for side in self.side_lines)

@@ -105,6 +105,44 @@ class TestMod3Similarity:
             assert rep.ok
 
 
+def eager_cross_class(rec, tol):
+    """Cross-class similar pairs, classified all at once."""
+    tris = rec.triangles
+    cross = []
+    for i in range(len(tris)):
+        for j in range(i + 1, len(tris)):
+            if (j - i) % 3 != 0:
+                match = classify_similarity(tris[i], tris[j], tol)
+                if match is not None:
+                    cross.append((i, j, match))
+    return cross
+
+
+class TestLazyCrossClass:
+    def test_only_same_class_pairs_classified_until_read(self, monkeypatch):
+        calls = []
+
+        def counted(t1, t2, tol):
+            calls.append((t1, t2))
+            return classify_similarity(t1, t2, tol)
+
+        monkeypatch.setattr(miquel.chains, "classify_similarity", counted)
+        rec = iterate_chain(TSCA, Point(1.31, 0.87), 9)
+        rep = check_mod3_similarity(rec, LOOSE)
+        assert rep.ok and rep.failures == [] and rep.worst_residual < 1e-6
+        assert len(calls) == 12
+        cross = rep.cross_class_similar
+        assert len(calls) == 45
+        assert rep.cross_class_similar is cross
+        assert len(calls) == 45
+
+    def test_cross_class_matches_eager_pairs(self):
+        for p in (circumcenter(TSCA), Point(1.31, 0.87)):
+            rec = iterate_chain(TSCA, p, 9)
+            rep = check_mod3_similarity(rec, LOOSE)
+            assert rep.cross_class_similar == eager_cross_class(rec, LOOSE)
+
+
 class TestRoleCycles:
     def test_circumcenter_cycle(self):
         rec = iterate_chain(TSCA, circumcenter(TSCA), 4)

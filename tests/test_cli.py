@@ -17,16 +17,20 @@ def tri_file(tmp_path):
     return str(path)
 
 
-def run_cli(*argv, env_extra=None):
+def cli_env(env_extra=None):
     env = dict(os.environ)
     env.pop("MIQUEL_SEED", None)
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*argv, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "miquel.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(env_extra),
     )
 
 
@@ -127,6 +131,36 @@ def test_exit_code_usage_error(tmp_path):
     assert res.returncode == 2
     res = run_cli("centers", "--no-such-flag")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["centers", "miquel"])
+@pytest.mark.parametrize(
+    "scene",
+    [
+        '{"A": [0, 0], "B": [4, 0], "C": [NaN, 3]}',
+        '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [Infinity, 1]}',
+    ],
+)
+def test_non_finite_scene_is_usage_error(tmp_path, command, scene):
+    path = tmp_path / "scene.json"
+    path.write_text(scene)
+    res = run_cli(command, "--in", str(path))
+    assert res.returncode == 2
+    assert "non-finite coordinates" in res.stderr
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader goes away before any output, as with `miquel verify | head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "miquel.cli", "verify", "--suite", "all", "--trials", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_figure_output_and_determinism(tri_file, tmp_path):

@@ -1,5 +1,6 @@
 """Kernel primitives: examples with known values plus algebraic invariants."""
 
+import dataclasses
 import math
 import random
 
@@ -30,6 +31,26 @@ from miquel.kernel import (
 )
 
 SQ3 = math.sqrt(3.0)
+
+
+class TestPoint:
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            Point(math.nan, 0.0)
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            Point(0.0, math.inf)
+
+    def test_frozen(self):
+        p = Point(0.5, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x = 1.0
+        assert p == Point(0.5, 2.0)
+
+    def test_equal_points_hash_equal(self):
+        p, q = Point(1.5, -2.0), Point(1.5, -2.0)
+        assert p == q and p is not q
+        assert hash(p) == hash(q)
+        assert len({p, q, Point(-2.0, 1.5)}) == 2
 
 
 class TestCircumcircle:
@@ -248,11 +269,29 @@ class TestTriangle:
         assert iso.is_isosceles_at("A")
         assert not iso.is_isosceles_at("B")
 
+    def test_side_lines_cached(self):
+        t = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
+        for v in "ABC":
+            line = t.side_line(v)
+            fresh = Line.through(*t.opposite(v))
+            assert (line.anchor, line.direction) == (fresh.anchor, fresh.direction)
+            assert t.side_line(v) is line
+
     def test_orientation_sign(self):
         ccw = Triangle(Point(0, 0), Point(1, 0), Point(0, 1))
         cw = Triangle(Point(0, 0), Point(0, 1), Point(1, 0))
         assert ccw.orientation == 1
         assert cw.orientation == -1
+
+
+def test_line_offset_and_param_match_vector_form():
+    # the scalar forms do the vector forms' float operations in their order
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b, p = (Point(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(3))
+        line = Line.through(a, b)
+        assert line.offset(p) == line.direction.cross(p - line.anchor)
+        assert line.param_of(p) == (p - line.anchor).dot(line.direction)
 
 
 def test_line_circle_intersections_on_circle():
