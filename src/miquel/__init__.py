@@ -1,111 +1,16 @@
 """Plane-geometry toolkit for Miquel-point constructions and verification."""
 
 from .errors import GeometryError
-from .kernel import (
-    DEFAULT_TOL,
-    Circle,
-    DirectedAngle,
-    Line,
-    Point,
-    Tolerance,
-    Triangle,
-    circle_circle_intersections,
-    circumcircle,
-    directed_angle,
-    invert_point,
-    reflect_over_line,
-    second_intersection,
-    triangle_contains,
-)
-from .centers import (
-    CatalogEntry,
-    CenterKind,
-    brocard_point,
-    classic_center,
-    eleven_point_catalog,
-    inverse_in_circumcircle,
-    isogonal_conjugate,
-    m_point,
-    s_point,
-    symmedian_foot,
-)
-from .triads import (
-    AngleSextet,
-    MiquelResult,
-    SimilarityClass,
-    SimsonLine,
-    SpecialRole,
-    Triad,
-    all_similarities,
-    angle_sextet,
-    classify_similarity,
-    containment_parity,
-    detect_special_role,
-    family_member,
-    miquel_point,
-    miquel_triangle_angles,
-    pedal_feet,
-    pedal_triad,
-    verify_miquel_equations,
-)
-from .chains import (
-    ChainRecord,
-    RoleCycle,
-    check_mod3_similarity,
-    detect_role_cycle,
-    follows_role_cycle,
-    iterate_chain,
-)
+from .kernel import Point, Triangle
+from .triads import Triad, miquel_point, pedal_triad
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleSextet",
-    "CatalogEntry",
-    "CenterKind",
-    "ChainRecord",
-    "Circle",
-    "DEFAULT_TOL",
-    "DirectedAngle",
     "GeometryError",
-    "Line",
-    "MiquelResult",
     "Point",
-    "RoleCycle",
-    "SimilarityClass",
-    "SimsonLine",
-    "SpecialRole",
-    "Tolerance",
     "Triad",
     "Triangle",
-    "all_similarities",
-    "angle_sextet",
-    "brocard_point",
-    "check_mod3_similarity",
-    "circle_circle_intersections",
-    "circumcircle",
-    "classic_center",
-    "classify_similarity",
-    "containment_parity",
-    "detect_role_cycle",
-    "detect_special_role",
-    "directed_angle",
-    "eleven_point_catalog",
-    "family_member",
-    "follows_role_cycle",
-    "invert_point",
-    "inverse_in_circumcircle",
-    "isogonal_conjugate",
-    "iterate_chain",
-    "m_point",
     "miquel_point",
-    "miquel_triangle_angles",
-    "pedal_feet",
     "pedal_triad",
-    "reflect_over_line",
-    "s_point",
-    "second_intersection",
-    "symmedian_foot",
-    "triangle_contains",
-    "verify_miquel_equations",
 ]

@@ -35,25 +35,26 @@ from .kernel import (
 )
 
 CLASSIC_KINDS = ("circumcenter", "orthocenter", "centroid", "incenter", "excenter")
-_KINDS_WITH_VERTEX = ("excenter", "s_point", "m_point")
+_ROLES_WITH_VERTEX = ("excenter", "s_role", "m_role", "q_role")
 
 
 @dataclass(frozen=True)
-class CenterKind:
-    """A named center, optionally attached to a vertex label."""
+class SpecialRole:
+    """A named point of a triangle, with a vertex label for the names that
+    come one per vertex."""
 
-    name: str
+    role: str
     vertex: str | None = None
 
     def __post_init__(self) -> None:
-        wants_vertex = self.name in _KINDS_WITH_VERTEX
+        wants_vertex = self.role in _ROLES_WITH_VERTEX
         if wants_vertex and self.vertex not in VERTEX_LABELS:
-            raise ValueError(f"{self.name} requires a vertex label A, B or C")
+            raise ValueError(f"{self.role} requires a vertex label A, B or C")
         if not wants_vertex and self.vertex is not None:
-            raise ValueError(f"{self.name} does not take a vertex label")
+            raise ValueError(f"{self.role} does not take a vertex label")
 
     def __str__(self) -> str:
-        return f"{self.name}({self.vertex})" if self.vertex else self.name
+        return f"{self.role}({self.vertex})" if self.vertex else self.role
 
 
 def circumcenter(t: Triangle) -> Point:
@@ -83,17 +84,17 @@ def excenter(t: Triangle, vertex: str) -> Point:
     return (wa * t.a + wb * t.b + wc * t.c) / (wa + wb + wc)
 
 
-def classic_center(t: Triangle, kind: CenterKind) -> Point:
-    if kind.name not in CLASSIC_KINDS:
-        raise ValueError(f"not a classic center kind: {kind}")
-    if kind.name == "excenter":
-        return excenter(t, kind.vertex)
+def classic_center(t: Triangle, role: SpecialRole) -> Point:
+    if role.role not in CLASSIC_KINDS:
+        raise ValueError(f"not a classic center kind: {role}")
+    if role.role == "excenter":
+        return excenter(t, role.vertex)
     return {
         "circumcenter": circumcenter,
         "orthocenter": orthocenter,
         "centroid": centroid,
         "incenter": incenter,
-    }[kind.name](t)
+    }[role.role](t)
 
 
 def symmedian_foot(t: Triangle, vertex: str) -> Point:
@@ -234,7 +235,7 @@ class CatalogEntry:
     angle.
     """
 
-    kind: CenterKind
+    kind: SpecialRole
     location: Point
     expected_similarity: str
     inverse: bool = False
@@ -244,9 +245,9 @@ _CATALOG_PERMS = {
     "circumcenter": "XYZ",
     "first_brocard": "ZXY",
     "second_brocard": "YZX",
-    ("s_point", "A"): "XZY",
-    ("s_point", "B"): "ZYX",
-    ("s_point", "C"): "YXZ",
+    ("s_role", "A"): "XZY",
+    ("s_role", "B"): "ZYX",
+    ("s_role", "C"): "YXZ",
 }
 
 
@@ -262,16 +263,16 @@ def eleven_point_catalog(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> list[Cata
     if t.is_right(tol):
         raise RightTriangleError("the catalog requires a non-right triangle")
     interior = [
-        CatalogEntry(CenterKind("circumcenter"), circumcenter(t), _CATALOG_PERMS["circumcenter"]),
-        CatalogEntry(CenterKind("first_brocard"), brocard_point(t, "first", tol),
+        CatalogEntry(SpecialRole("circumcenter"), circumcenter(t), _CATALOG_PERMS["circumcenter"]),
+        CatalogEntry(SpecialRole("first_brocard"), brocard_point(t, "first", tol),
                      _CATALOG_PERMS["first_brocard"]),
-        CatalogEntry(CenterKind("second_brocard"), brocard_point(t, "second", tol),
+        CatalogEntry(SpecialRole("second_brocard"), brocard_point(t, "second", tol),
                      _CATALOG_PERMS["second_brocard"]),
     ]
     for v in VERTEX_LABELS:
         interior.append(
-            CatalogEntry(CenterKind("s_point", v), s_point(t, v, tol),
-                         _CATALOG_PERMS[("s_point", v)])
+            CatalogEntry(SpecialRole("s_role", v), s_point(t, v, tol),
+                         _CATALOG_PERMS[("s_role", v)])
         )
     exterior = [
         CatalogEntry(e.kind, inverse_in_circumcircle(t, e.location, tol),

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DegenerateStepError, GeometryError
 from .kernel import DEFAULT_TOL, DirectedAngle, Point, Tolerance, Triangle
@@ -74,10 +74,6 @@ class ChainRecord:
         return [self.seed_role] + [s.role for s in self.steps]
 
 
-class RoleCycle(NamedTuple):
-    roles: tuple[SpecialRole, ...]
-
-
 def _normalize_thetas(thetas, k: int) -> tuple[float, ...]:
     if thetas is None:
         return (0.0,) * k
@@ -124,11 +120,9 @@ def iterate_chain(
     current = t0
     for i, theta in enumerate(schedule):
         r = current.circumradius
-        if current.min_side_line_distance(p) < tol.length_eps(r):
-            raise DegenerateStepError(f"point hits a side line at step {i}")
         if abs(current.circumcircle.offset_of(p)) < CIRCUMCIRCLE_BAND * r:
             raise DegenerateStepError(f"collinear collapse on the circumcircle at step {i}")
-        try:
+        try:  # family_member rejects a point on a side line
             triad = family_member(current, p, theta, tol)
             result = miquel_point(current, triad, tol)
             nxt = triad.triangle()
@@ -189,10 +183,6 @@ def check_mod3_similarity(rec: ChainRecord, tol: Tolerance = DEFAULT_TOL) -> Mod
     return Mod3Report(not failures, worst, failures, tris, tol)
 
 
-def detect_role_cycle(rec: ChainRecord) -> RoleCycle:
-    return RoleCycle(tuple(rec.roles))
-
-
 # cyclic successor of a role name along a chain; the incircle/excircle role
 # and the three arc/median/symmedian roles advance together
 _ROLE_SUCCESSOR = {
@@ -208,9 +198,9 @@ _ROLE_SUCCESSOR = {
 }
 
 
-def follows_role_cycle(cycle: RoleCycle) -> bool:
+def follows_role_cycle(roles: Sequence[SpecialRole]) -> bool:
     """True when every consecutive role pair matches the cyclic recurrence."""
-    names = [r.role for r in cycle.roles]
+    names = [r.role for r in roles]
     if any(n not in _ROLE_SUCCESSOR for n in names):
         return False
     return all(

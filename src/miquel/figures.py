@@ -148,12 +148,12 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
             for q in sim.feet:
                 canvas.point(q, None, _ACCENT)
         elif element == "centers":
-            for kind, text in (
+            for role, text in (
                 ("circumcenter", "O"),
                 ("orthocenter", "H"),
                 ("incenter", "L"),
             ):
-                loc = centers.classic_center(t, centers.CenterKind(kind))
+                loc = centers.classic_center(t, centers.SpecialRole(role))
                 canvas.point(loc, name(loc, text), _ACCENT)
             for which, text in (("first", "Ω₁"), ("second", "Ω₂")):
                 loc = centers.brocard_point(t, which)

@@ -198,10 +198,8 @@ class Line:
 
     @classmethod
     def through(cls, p: Point, q: Point) -> Line:
-        d = q - p
-        if d.norm() == 0.0:
-            raise ValueError("cannot span a line by two coincident points")
-        return cls(p, d)
+        # coincident points give a zero direction, which __post_init__ rejects
+        return cls(p, q - p)
 
     def at(self, t: float) -> Point:
         return self.anchor + t * self.direction

@@ -11,6 +11,7 @@ from functools import cached_property
 from typing import NamedTuple, Union
 
 from . import centers
+from .centers import SpecialRole
 from .errors import (
     AtVertexError,
     CollinearError,
@@ -161,15 +162,6 @@ class SimilarityClass:
     def triad_letters(self) -> str:
         """Rewrite the permutation with X on BC, Y on CA, Z on AB letters."""
         return self.permutation.translate(str.maketrans("ABC", "XYZ"))
-
-
-@dataclass(frozen=True)
-class SpecialRole:
-    role: str
-    vertex: str | None = None
-
-    def __str__(self) -> str:
-        return f"{self.role}({self.vertex})" if self.vertex else self.role
 
 
 NONE_ROLE = SpecialRole("none")

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import centers
-from .chains import check_mod3_similarity, iterate_chain
+from .chains import check_mod3_similarity, follows_role_cycle, iterate_chain
 from .kernel import (
     Line,
     Point,
@@ -254,10 +254,6 @@ def suite_theorem4(seed: int, trials: int = 50) -> SuiteReport:
     return report
 
 
-def _pedal_triangle(t: Triangle, p: Point) -> Triangle:
-    return Triangle(*pedal_feet(t, p))
-
-
 def suite_theorem5(seed: int, trials: int = 100) -> SuiteReport:
     """Circumcenter hosts: the point is the orthocenter of its pedal triangle."""
     report = SuiteReport("theorem5", seed, trials)
@@ -267,7 +263,7 @@ def suite_theorem5(seed: int, trials: int = 100) -> SuiteReport:
         t = random_triangle(rng)
         o = centers.circumcenter(t)
         claim.add(
-            centers.orthocenter(_pedal_triangle(t, o)).dist(o) / t.circumradius,
+            centers.orthocenter(Triangle(*pedal_feet(t, o))).dist(o) / t.circumradius,
             _witness(i, t, o),
         )
     return report
@@ -285,13 +281,13 @@ def suite_theorem6(seed: int, trials: int = 100) -> SuiteReport:
         if i % 2 == 0:
             t = random_acute_triangle(rng)
             h = centers.orthocenter(t)
-            target = centers.incenter(_pedal_triangle(t, h))
+            target = centers.incenter(Triangle(*pedal_feet(t, h)))
             acute.add(target.dist(h) / t.circumradius, _witness(i, t, h))
         else:
             v = VERTEXES[(i // 2) % 3]
             t = random_obtuse_at(rng, v)
             h = centers.orthocenter(t)
-            target = centers.excenter(_pedal_triangle(t, h), v)
+            target = centers.excenter(Triangle(*pedal_feet(t, h)), v)
             obtuse.add(target.dist(h) / t.circumradius, _witness(i, t, h))
     return report
 
@@ -307,12 +303,12 @@ def suite_theorem7(seed: int, trials: int = 100) -> SuiteReport:
         t = random_triangle(rng)
         l = centers.incenter(t)
         from_in.add(
-            centers.circumcenter(_pedal_triangle(t, l)).dist(l) / t.circumradius,
+            centers.circumcenter(Triangle(*pedal_feet(t, l))).dist(l) / t.circumradius,
             _witness(i, t, l),
         )
         ex = centers.excenter(t, VERTEXES[i % 3])
         from_ex.add(
-            centers.circumcenter(_pedal_triangle(t, ex)).dist(ex) / t.circumradius,
+            centers.circumcenter(Triangle(*pedal_feet(t, ex))).dist(ex) / t.circumradius,
             _witness(i, t, ex),
         )
     return report
@@ -328,7 +324,7 @@ def suite_theorem8(seed: int, trials: int = 100) -> SuiteReport:
         t = random_triangle(rng)
         which = "first" if i % 2 == 0 else "second"
         p = centers.brocard_point(t, which)
-        shape = _pedal_triangle(t, p)
+        shape = Triangle(*pedal_feet(t, p))
         position.add(
             centers.brocard_point(shape, which).dist(p) / t.circumradius,
             _witness(i, t, p),
@@ -344,7 +340,7 @@ def suite_theorem8(seed: int, trials: int = 100) -> SuiteReport:
 
 def _theorem9_case(t: Triangle, v: str, report_median, report_midpoint, report_match, wit):
     p = centers.s_point(t, v)
-    shape = _pedal_triangle(t, p)
+    shape = Triangle(*pedal_feet(t, p))
     apex = shape.vertex(v)
     b2, c2 = shape.opposite(v)
     e = midpoint(b2, c2)
@@ -396,7 +392,7 @@ def suite_theorem10(seed: int, trials: int = 100) -> SuiteReport:
         obtuse_case = bool(i % 2)
         t = random_obtuse_at(rng, v) if obtuse_case else random_acute_triangle(rng)
         p = centers.m_point(t, v)
-        shape = _pedal_triangle(t, p)
+        shape = Triangle(*pedal_feet(t, p))
         b2, c2 = shape.opposite(v)
         host_dir = t.directed_angle_at(v)
         worst = max(
@@ -425,7 +421,7 @@ def suite_theorem11(seed: int, trials: int = 100) -> SuiteReport:
         b, c = t.opposite(v)
         circ = circumcircle(b, c, l)
         p = random_arc_point(rng, circ.center, circ.radius, c, b, l)
-        shape = _pedal_triangle(t, p)
+        shape = Triangle(*pedal_feet(t, p))
         wit = _witness(i, t, p)
         s_match.add(centers.s_point(shape, v).dist(p) / t.circumradius, wit)
         b2, c2 = shape.opposite(v)
@@ -569,19 +565,6 @@ def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
     return report
 
 
-_CENTER_CYCLE = ("circumcenter", "orthocenter", ("incenter", "excenter"))
-_SYMMEDIAN_CYCLE = ("s_role", "m_role", "q_role")
-
-
-def _matches_cycle(roles, cycle) -> bool:
-    for idx, role in enumerate(roles):
-        expect = cycle[idx % len(cycle)]
-        names = expect if isinstance(expect, tuple) else (expect,)
-        if role.role not in names:
-            return False
-    return True
-
-
 def suite_corollary4(seed: int, trials: int = 50) -> SuiteReport:
     """Detected role sequences along chains: circumcenter -> orthocenter ->
     in/excenter repeating, symmedian -> median -> arc role repeating, and
@@ -597,12 +580,15 @@ def suite_corollary4(seed: int, trials: int = 50) -> SuiteReport:
         v = VERTEXES[i % 3]
         wit = _witness(i, t)
 
-        rec = iterate_chain(t, centers.circumcenter(t), k)
-        center_cycle.add_bool(_matches_cycle(rec.roles, _CENTER_CYCLE), wit + " [O]")
+        roles = iterate_chain(t, centers.circumcenter(t), k).roles
+        ok = roles[0].role == "circumcenter" and follows_role_cycle(roles)
+        center_cycle.add_bool(ok, wit + " [O]")
 
-        rec = iterate_chain(t, centers.s_point(t, v), k)
-        ok = _matches_cycle(rec.roles, _SYMMEDIAN_CYCLE) and all(
-            r.vertex == v for r in rec.roles
+        roles = iterate_chain(t, centers.s_point(t, v), k).roles
+        ok = (
+            roles[0].role == "s_role"
+            and follows_role_cycle(roles)
+            and all(r.vertex == v for r in roles)
         )
         symmedian_cycle.add_bool(ok, wit + f" [S_{v}]")
 

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from miquel.centers import (
-    CenterKind,
+    SpecialRole,
     brocard_point,
     centroid,
     circumcenter,
@@ -54,14 +54,14 @@ EQUI = Triangle(Point(0, 1), Point(-SQ3 / 2, -0.5), Point(SQ3 / 2, -0.5))
 
 class TestClassicCenters:
     def test_345_circumcenter(self):
-        assert classic_center(T345, CenterKind("circumcenter")).dist(Point(2, 1.5)) < 1e-12
+        assert classic_center(T345, SpecialRole("circumcenter")).dist(Point(2, 1.5)) < 1e-12
 
     def test_345_orthocenter_is_right_vertex(self):
-        assert classic_center(T345, CenterKind("orthocenter")).dist(Point(0, 0)) < 1e-12
+        assert classic_center(T345, SpecialRole("orthocenter")).dist(Point(0, 0)) < 1e-12
 
     def test_345_incenter(self):
         # inradius (3+4-5)/2 = 1 with the legs on the axes
-        assert classic_center(T345, CenterKind("incenter")).dist(Point(1, 1)) < 1e-12
+        assert classic_center(T345, SpecialRole("incenter")).dist(Point(1, 1)) < 1e-12
 
     def test_circumcenter_equidistant(self):
         rng = rng_for(0, "classic", 0)
@@ -93,7 +93,20 @@ class TestClassicCenters:
 
     def test_classic_center_rejects_other_kinds(self):
         with pytest.raises(ValueError):
-            classic_center(T345, CenterKind("s_point", "A"))
+            classic_center(T345, SpecialRole("s_role", "A"))
+
+    def test_role_vertex_labels_checked(self):
+        # per-vertex names need a vertex label, every other name takes none
+        for role, vertex in (
+            ("excenter", None),
+            ("q_role", None),
+            ("s_role", "D"),
+            ("circumcenter", "A"),
+            ("none", "B"),
+        ):
+            with pytest.raises(ValueError):
+                SpecialRole(role, vertex)
+        assert str(SpecialRole("m_role", "C")) == "m_role(C)"
 
 
 def _median_reflection_foot(t: Triangle, vertex: str) -> Point:
@@ -419,14 +432,14 @@ class TestElevenPointCatalog:
 
     def test_expected_permutations_recorded(self):
         cat = eleven_point_catalog(TSCA)
-        byname = {(e.kind.name, e.kind.vertex, e.inverse): e.expected_similarity for e in cat}
+        byname = {(e.kind.role, e.kind.vertex, e.inverse): e.expected_similarity for e in cat}
         assert byname[("circumcenter", None, False)] == "XYZ"
         assert byname[("first_brocard", None, False)] == "ZXY"
         assert byname[("second_brocard", None, False)] == "YZX"
-        assert byname[("s_point", "A", False)] == "XZY"
-        assert byname[("s_point", "B", False)] == "ZYX"
-        assert byname[("s_point", "C", False)] == "YXZ"
-        assert byname[("s_point", "A", True)] == "XZY"
+        assert byname[("s_role", "A", False)] == "XZY"
+        assert byname[("s_role", "B", False)] == "ZYX"
+        assert byname[("s_role", "C", False)] == "YXZ"
+        assert byname[("s_role", "A", True)] == "XZY"
 
     def test_distinctness(self):
         rng = rng_for(0, "catalog", 0)

@@ -5,16 +5,22 @@ import math
 import pytest
 
 import miquel.chains
-from miquel.centers import brocard_point, circumcenter, incenter, orthocenter, s_point
+from miquel.centers import (
+    SpecialRole,
+    brocard_point,
+    circumcenter,
+    incenter,
+    orthocenter,
+    s_point,
+)
 from miquel.chains import (
     CHAIN_DETECT_TOL,
     check_mod3_similarity,
-    detect_role_cycle,
     follows_role_cycle,
     iterate_chain,
 )
-from miquel.errors import DegenerateStepError
-from miquel.kernel import Point, Tolerance, Triangle
+from miquel.errors import DegenerateStepError, OnSideLineError
+from miquel.kernel import Point, Tolerance, Triangle, midpoint
 from miquel.sampling import (
     random_circumcircle_point,
     random_interior_point,
@@ -49,6 +55,12 @@ class TestIterateChain:
         p = random_circumcircle_point(rng, TSCA)
         with pytest.raises(DegenerateStepError):
             iterate_chain(TSCA, p, 2)
+
+    def test_side_line_point_degenerates(self):
+        # the midpoint of BC lies on a side line of the seed
+        with pytest.raises(DegenerateStepError, match="step 0") as info:
+            iterate_chain(TSCA, midpoint(TSCA.b, TSCA.c), 3)
+        assert isinstance(info.value.__cause__, OnSideLineError)
 
     def test_miquel_point_fixed_along_chain(self):
         p = Point(1.4, 0.9)
@@ -145,35 +157,37 @@ class TestLazyCrossClass:
 
 class TestRoleCycles:
     def test_circumcenter_cycle(self):
-        rec = iterate_chain(TSCA, circumcenter(TSCA), 4)
-        names = [r.role for r in detect_role_cycle(rec).roles]
+        roles = iterate_chain(TSCA, circumcenter(TSCA), 4).roles
+        names = [r.role for r in roles]
         assert names == ["circumcenter", "orthocenter", "incenter", "circumcenter", "orthocenter"]
-        assert follows_role_cycle(detect_role_cycle(rec))
+        assert follows_role_cycle(roles)
+        assert not follows_role_cycle([roles[0], roles[2], roles[1]])
+        assert not follows_role_cycle(roles[:2] + [SpecialRole("none")])
 
     def test_symmedian_point_cycle(self):
         rec = iterate_chain(TSCA, s_point(TSCA, "A"), 4)
-        roles = detect_role_cycle(rec).roles
+        roles = rec.roles
         assert [r.role for r in roles] == ["s_role", "m_role", "q_role", "s_role", "m_role"]
         assert all(r.vertex == "A" for r in roles)
 
     def test_brocard_fixed_role(self):
         rec = iterate_chain(TSCA, brocard_point(TSCA, "first"), 4)
-        assert all(r.role == "first_brocard" for r in detect_role_cycle(rec).roles)
+        assert all(r.role == "first_brocard" for r in rec.roles)
         rec2 = iterate_chain(TSCA, brocard_point(TSCA, "second"), 4)
-        assert all(r.role == "second_brocard" for r in detect_role_cycle(rec2).roles)
+        assert all(r.role == "second_brocard" for r in rec2.roles)
 
     def test_orthocenter_seed_includes_excenter_leg(self):
         tob = Triangle(Point(0, 0), Point(4, 0), Point(1.6, 0.9))
         rec = iterate_chain(tob, orthocenter(tob), 5)
-        names = [r.role for r in detect_role_cycle(rec).roles]
+        names = [r.role for r in rec.roles]
         assert names[0] == "orthocenter"
         assert names[1] in ("incenter", "excenter")
         assert names[2] == "circumcenter"
-        assert follows_role_cycle(detect_role_cycle(rec))
+        assert follows_role_cycle(rec.roles)
 
     def test_incenter_seed(self):
         rec = iterate_chain(TSCA, incenter(TSCA), 4)
-        names = [r.role for r in detect_role_cycle(rec).roles]
+        names = [r.role for r in rec.roles]
         assert names == ["incenter", "circumcenter", "orthocenter", "incenter", "circumcenter"]
 
     def test_role_positions_track_detected_centers(self):
@@ -182,13 +196,12 @@ class TestRoleCycles:
             t = random_triangle(rng)
             o = circumcenter(t)
             rec = iterate_chain(t, o, 6)
-            from miquel.centers import classic_center, CenterKind
+            from miquel.centers import classic_center
 
             expect = {"circumcenter", "orthocenter", "incenter", "excenter"}
             for step in rec.steps:
                 assert step.role.role in expect
-                kind = CenterKind(step.role.role, step.role.vertex)
-                center = classic_center(step.triangle, kind)
+                center = classic_center(step.triangle, step.role)
                 assert center.dist(o) < 1e-6 * step.triangle.circumradius
 
 

@@ -292,6 +292,8 @@ def test_line_offset_and_param_match_vector_form():
         line = Line.through(a, b)
         assert line.offset(p) == line.direction.cross(p - line.anchor)
         assert line.param_of(p) == (p - line.anchor).dot(line.direction)
+    with pytest.raises(ValueError):
+        Line.through(a, a)
 
 
 def test_line_circle_intersections_on_circle():
