@@ -197,17 +197,17 @@ def m_point(t: Triangle, vertex: str, tol: Tolerance = DEFAULT_TOL) -> Point:
     return second_intersection(median, k, f, tol).point
 
 
-def isogonal_conjugate(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) -> Point:
+def isogonal_conjugate(t: Triangle, p: Point) -> Point:
     """Point whose cevian rays mirror those of ``p`` over the angle bisectors.
 
     Computed in barycentric coordinates: weights (x:y:z) map to
     (a^2/x : b^2/y : c^2/z). Involutive away from the side lines and the
     circumcircle.
     """
-    r = t.circumradius
-    if t.min_side_line_distance(p) < tol.length_eps(r):
+    eps = DEFAULT_TOL.length_eps(t.circumradius)
+    if t.min_side_line_distance(p) < eps:
         raise OnSideLineError("the point lies on a side line")
-    if abs(t.circumcircle.offset_of(p)) < tol.length_eps(r):
+    if abs(t.circumcircle.offset_of(p)) < eps:
         raise NoFiniteConjugateError("the point lies on the circumcircle")
     x = (t.b - p).cross(t.c - p)
     y = (t.c - p).cross(t.a - p)
@@ -222,8 +222,8 @@ def isogonal_conjugate(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) -> P
     return (wa * t.a + wb * t.b + wc * t.c) / s
 
 
-def inverse_in_circumcircle(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) -> Point:
-    return invert_point(t.circumcircle, p, tol)
+def inverse_in_circumcircle(t: Triangle, p: Point) -> Point:
+    return invert_point(t.circumcircle, p)
 
 
 @dataclass(frozen=True)
@@ -251,31 +251,31 @@ _CATALOG_PERMS = {
 }
 
 
-def eleven_point_catalog(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> list[CatalogEntry]:
+def eleven_point_catalog(t: Triangle) -> list[CatalogEntry]:
     """The eleven points with shape-preserving pedal triangles.
 
     Six sit inside the circumcircle (circumcenter, both Brocard points and
     the three symmedian points); the other five are their circumcircle
     inverses, the circumcenter having none.
     """
-    if not t.is_scalene(tol):
+    if not t.is_scalene():
         raise NotScaleneError("the catalog requires a scalene triangle")
-    if t.is_right(tol):
+    if t.is_right():
         raise RightTriangleError("the catalog requires a non-right triangle")
     interior = [
         CatalogEntry(SpecialRole("circumcenter"), circumcenter(t), _CATALOG_PERMS["circumcenter"]),
-        CatalogEntry(SpecialRole("first_brocard"), brocard_point(t, "first", tol),
+        CatalogEntry(SpecialRole("first_brocard"), brocard_point(t, "first"),
                      _CATALOG_PERMS["first_brocard"]),
-        CatalogEntry(SpecialRole("second_brocard"), brocard_point(t, "second", tol),
+        CatalogEntry(SpecialRole("second_brocard"), brocard_point(t, "second"),
                      _CATALOG_PERMS["second_brocard"]),
     ]
     for v in VERTEX_LABELS:
         interior.append(
-            CatalogEntry(SpecialRole("s_role", v), s_point(t, v, tol),
+            CatalogEntry(SpecialRole("s_role", v), s_point(t, v),
                          _CATALOG_PERMS[("s_role", v)])
         )
     exterior = [
-        CatalogEntry(e.kind, inverse_in_circumcircle(t, e.location, tol),
+        CatalogEntry(e.kind, inverse_in_circumcircle(t, e.location),
                      e.expected_similarity, inverse=True)
         for e in interior[1:]
     ]

@@ -10,7 +10,6 @@ from typing import Sequence, Union
 from .errors import DegenerateStepError, GeometryError
 from .kernel import DEFAULT_TOL, DirectedAngle, Point, Tolerance, Triangle
 from .triads import (
-    CIRCUMCIRCLE_BAND,
     MiquelResult,
     SimilarityClass,
     SpecialRole,
@@ -19,6 +18,7 @@ from .triads import (
     detect_special_role,
     family_member,
     miquel_point,
+    on_circumcircle,
 )
 
 # role positions drift along a chain as numeric error compounds; detection
@@ -29,17 +29,17 @@ CHAIN_DETECT_TOL = Tolerance(angle_eps=1e-9, length_eps_rel=1e-6)
 @dataclass(frozen=True)
 class ChainStep:
     """One nesting step. ``role`` is the role ``point`` plays in
-    ``triangle``, detected with ``detect_tol`` on first read and cached."""
+    ``triangle``, detected with ``CHAIN_DETECT_TOL`` on first read and
+    cached."""
 
     triangle: Triangle
     triad: Triad
     result: MiquelResult
     point: Point
-    detect_tol: Tolerance
 
     @cached_property
     def role(self) -> SpecialRole:
-        return detect_special_role(self.triangle, self.point, self.detect_tol)
+        return detect_special_role(self.triangle, self.point, CHAIN_DETECT_TOL)
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,16 @@ class ChainRecord:
     ``steps[k].triangle`` is the triangle after k+1 steps; its vertices are
     the triad points relabeled A = point on the old BC, B = on CA, C = on AB.
 
-    Roles are detected on first read (``seed_role``, ``roles``,
-    ``steps[k].role``) and cached, so a chain whose roles go unread costs no
-    detection. A ``GeometryError`` from detection therefore surfaces at
-    that read, not when the chain is built.
+    Roles are detected with ``CHAIN_DETECT_TOL`` on first read
+    (``seed_role``, ``roles``, ``steps[k].role``) and cached, so a chain
+    whose roles go unread costs no detection. A ``GeometryError`` from
+    detection therefore surfaces at that read, not when the chain is built.
     """
 
     seed: Triangle
     point: Point
     thetas: tuple[float, ...]
     steps: tuple[ChainStep, ...]
-    detect_tol: Tolerance
 
     @property
     def triangles(self) -> list[Triangle]:
@@ -67,7 +66,7 @@ class ChainRecord:
 
     @cached_property
     def seed_role(self) -> SpecialRole:
-        return detect_special_role(self.seed, self.point, self.detect_tol)
+        return detect_special_role(self.seed, self.point, CHAIN_DETECT_TOL)
 
     @property
     def roles(self) -> list[SpecialRole]:
@@ -93,8 +92,6 @@ def iterate_chain(
     p: Point,
     k: int,
     thetas: Union[None, float, Sequence[float]] = None,
-    tol: Tolerance = DEFAULT_TOL,
-    detect_tol: Tolerance = CHAIN_DETECT_TOL,
     max_steps: int = 12,
 ) -> ChainRecord:
     """Run ``k`` nesting steps from ``t0`` with fixed point ``p``.
@@ -107,7 +104,7 @@ def iterate_chain(
     ``max_steps`` deliberately to go deeper.
 
     No role is detected here: the record detects each role with
-    ``detect_tol`` on first read, and a ``GeometryError`` from detection
+    ``CHAIN_DETECT_TOL`` on first read, and a ``GeometryError`` from detection
     (such as a ``CollinearError`` from ``brocard_point``) is raised by that
     read rather than by this call.
     """
@@ -119,22 +116,21 @@ def iterate_chain(
     steps: list[ChainStep] = []
     current = t0
     for i, theta in enumerate(schedule):
-        r = current.circumradius
-        if abs(current.circumcircle.offset_of(p)) < CIRCUMCIRCLE_BAND * r:
+        if on_circumcircle(current, p):
             raise DegenerateStepError(f"collinear collapse on the circumcircle at step {i}")
         try:  # family_member rejects a point on a side line
-            triad = family_member(current, p, theta, tol)
-            result = miquel_point(current, triad, tol)
+            triad = family_member(current, p, theta)
+            result = miquel_point(current, triad)
             nxt = triad.triangle()
         except GeometryError as exc:
             raise DegenerateStepError(f"step {i} degenerated: {exc}") from exc
-        if result.point.dist(p) > 1e-6 * r:
+        if result.point.dist(p) > 1e-6 * current.circumradius:
             raise DegenerateStepError(
                 f"concurrency point drifted off the fixed point at step {i}"
             )
-        steps.append(ChainStep(nxt, triad, result, p, detect_tol))
+        steps.append(ChainStep(nxt, triad, result, p))
         current = nxt
-    return ChainRecord(t0, p, schedule, tuple(steps), detect_tol)
+    return ChainRecord(t0, p, schedule, tuple(steps))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import sys
 
 from . import centers
 from .chains import check_mod3_similarity, iterate_chain
-from .errors import EmptySelectionError, GeometryError, OnSideLineError, SceneError
+from .errors import GeometryError, OnSideLineError, SceneError
 from .figures import ELEMENTS, render_figure
 from .kernel import Point, Tolerance, Triangle
 from .scene import SceneSpec, parse_scene
@@ -394,9 +394,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except EmptySelectionError as exc:
-        print(f"usage error: --elements: {exc}", file=sys.stderr)
-        return 2
     except (SceneError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -73,9 +73,5 @@ class DegenerateStepError(GeometryError):
     """An iteration step hit a side line or the circumcircle of its triangle."""
 
 
-class EmptySelectionError(GeometryError):
-    """No drawable elements were selected."""
-
-
 class SceneError(Exception):
     """A scene document is malformed (schema problem, not a geometric one)."""

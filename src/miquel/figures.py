@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 
 from . import centers
-from .errors import EmptySelectionError, OnCircumcircleError, SceneError
+from .errors import OnCircumcircleError, SceneError
 from .kernel import Circle, Line, Point, Triangle, circumcircle, midpoint, second_intersection
 from .scene import SceneSpec
 from .triads import SimsonLine, Triad, miquel_point, pedal_triad
@@ -101,7 +101,7 @@ class _Canvas:
 def render_figure(scene: SceneSpec, elements: list[str]) -> str:
     """Standalone SVG for the scene with the selected construction layers."""
     if not elements:
-        raise EmptySelectionError("no elements selected")
+        raise SceneError("no elements selected")
     unknown = [e for e in elements if e not in ELEMENTS]
     if unknown:
         raise SceneError(f"unknown elements: {unknown} (choose from {', '.join(ELEMENTS)})")

@@ -155,9 +155,6 @@ class DirectedAngle:
         """Circular distance modulo pi, in [0, pi/2]."""
         return abs(math.remainder(self.value - other.value, math.pi))
 
-    def isclose(self, other: DirectedAngle, eps: float = DEFAULT_TOL.angle_eps) -> bool:
-        return self.distance(other) < eps
-
 
 @dataclass(frozen=True)
 class Circle:
@@ -177,9 +174,6 @@ class Circle:
     def offset_of(self, p: Point) -> float:
         """Signed radial offset of ``p``: distance to center minus radius."""
         return self.center.dist(p) - self.radius
-
-    def contains(self, p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return abs(self.offset_of(p)) < tol.length_eps(self.radius)
 
 
 @dataclass(frozen=True)
@@ -230,12 +224,14 @@ def line_line_intersection(l1: Line, l2: Line, tol: Tolerance = DEFAULT_TOL) -> 
     return l1.at(t)
 
 
-def directed_angle(p: Point, q: Point, r: Point, tol: Tolerance = DEFAULT_TOL) -> DirectedAngle:
+def directed_angle(p: Point, q: Point, r: Point) -> DirectedAngle:
     """Directed angle from line qp to line qr, modulo a half turn."""
     qp = p - q
     qr = r - q
-    scale = max(qp.norm(), qr.norm())
-    if scale == 0.0 or min(qp.norm(), qr.norm()) < tol.length_eps(scale):
+    n_qp = qp.norm()
+    n_qr = qr.norm()
+    scale = max(n_qp, n_qr)
+    if scale == 0.0 or min(n_qp, n_qr) < DEFAULT_TOL.length_eps(scale):
         raise DegenerateRayError("angle leg collapses onto the apex")
     return DirectedAngle(qr.angle() - qp.angle())
 
@@ -306,11 +302,11 @@ def line_circle_intersections(l: Line, c: Circle, tol: Tolerance = DEFAULT_TOL) 
     return [foot + h * l.direction, foot - h * l.direction]
 
 
-def invert_point(c: Circle, p: Point, tol: Tolerance = DEFAULT_TOL) -> Point:
+def invert_point(c: Circle, p: Point) -> Point:
     """Image of ``p`` under inversion in ``c``; involutive on its domain."""
     offset = p - c.center
     d2 = offset.dot(offset)
-    if math.sqrt(d2) < tol.length_eps(c.radius):
+    if math.sqrt(d2) < DEFAULT_TOL.length_eps(c.radius):
         raise CenterInversionError("the center inverts to an infinite point")
     return c.center + (c.radius * c.radius / d2) * offset
 
@@ -356,14 +352,14 @@ def _segment_distance(p: Point, a: Point, b: Point) -> float:
     return p.dist(a + t * ab)
 
 
-def triangle_contains(t: "Triangle", p: Point, tol: Tolerance = DEFAULT_TOL) -> Containment:
+def triangle_contains(t: "Triangle", p: Point) -> Containment:
     """Strict interior test with an on-boundary flag for near-side points."""
     sign = t.orientation
     strict = all(
         sign * (q2 - q1).cross(p - q1) > 0.0
         for q1, q2 in ((t.a, t.b), (t.b, t.c), (t.c, t.a))
     )
-    eps = tol.length_eps(t.circumradius)
+    eps = DEFAULT_TOL.length_eps(t.circumradius)
     near = min(
         _segment_distance(p, t.a, t.b),
         _segment_distance(p, t.b, t.c),
@@ -455,9 +451,6 @@ class Triangle:
     def side_line(self, label: str) -> Line:
         return self.side_lines[VERTEX_LABELS.index(label)]
 
-    def side_length(self, label: str) -> float:
-        return self.side_lengths[VERTEX_LABELS.index(label)]
-
     def angle(self, label: str) -> float:
         return self.angles[VERTEX_LABELS.index(label)]
 
@@ -468,13 +461,13 @@ class Triangle:
         # at A the legs go to B and C in that order
         return directed_angle(p, apex, q)
 
-    def is_scalene(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def is_scalene(self) -> bool:
         la, lb, lc = self.side_lengths
-        eps = tol.length_eps(self.circumradius)
+        eps = DEFAULT_TOL.length_eps(self.circumradius)
         return abs(la - lb) > eps and abs(lb - lc) > eps and abs(lc - la) > eps
 
-    def is_right(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return any(abs(ang - HALF_PI) < tol.angle_eps for ang in self.angles)
+    def is_right(self) -> bool:
+        return any(abs(ang - HALF_PI) < DEFAULT_TOL.angle_eps for ang in self.angles)
 
     def is_isosceles_at(self, label: str, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True when the two sides adjacent to ``label`` have equal length."""

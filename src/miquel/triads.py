@@ -167,12 +167,13 @@ class SimilarityClass:
 NONE_ROLE = SpecialRole("none")
 
 
-def _reject_side_lines(t: Triangle, p: Point, tol: Tolerance) -> None:
-    if t.min_side_line_distance(p) < tol.length_eps(t.circumradius):
+def _reject_side_lines(t: Triangle, p: Point) -> None:
+    if t.min_side_line_distance(p) < DEFAULT_TOL.length_eps(t.circumradius):
         raise OnSideLineError("the point lies on a side line of the triangle")
 
 
-def _on_circumcircle(t: Triangle, p: Point) -> bool:
+def on_circumcircle(t: Triangle, p: Point) -> bool:
+    """True when ``p`` is inside the circumcircle's degeneration band."""
     return abs(t.circumcircle.offset_of(p)) < CIRCUMCIRCLE_BAND * t.circumradius
 
 
@@ -187,15 +188,15 @@ def pedal_feet(t: Triangle, p: Point) -> tuple[Point, Point, Point]:
     return tuple(t.side_line(v).project(p) for v in VERTEX_LABELS)
 
 
-def pedal_triad(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) -> Union[Triad, SimsonLine]:
+def pedal_triad(t: Triangle, p: Point) -> Union[Triad, SimsonLine]:
     """Perpendicular feet of ``p`` on the three side lines.
 
     Points on the circumcircle (within the degeneration band) yield the
     collapsed collinear triple instead of a triad.
     """
-    _reject_side_lines(t, p, tol)
+    _reject_side_lines(t, p)
     feet = pedal_feet(t, p)
-    if _on_circumcircle(t, p):
+    if on_circumcircle(t, p):
         anchor, far = max(
             ((feet[i], feet[j]) for i in range(3) for j in range(i + 1, 3)),
             key=lambda pair: pair[0].dist(pair[1]),
@@ -204,7 +205,7 @@ def pedal_triad(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) -> Union[Tr
     return Triad.from_points(t, *feet)
 
 
-def miquel_point(t: Triangle, triad: Triad, tol: Tolerance = DEFAULT_TOL) -> MiquelResult:
+def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
     """Common point of the three circles through each vertex and the triad
     points on its adjacent sides.
 
@@ -214,13 +215,13 @@ def miquel_point(t: Triangle, triad: Triad, tol: Tolerance = DEFAULT_TOL) -> Miq
     """
     x, y, z = triad.points
     try:
-        circle_a = circumcircle(t.a, y, z, tol)
-        circle_b = circumcircle(t.b, z, x, tol)
-        circle_c = circumcircle(t.c, x, y, tol)
+        circle_a = circumcircle(t.a, y, z)
+        circle_b = circumcircle(t.b, z, x)
+        circle_c = circumcircle(t.c, x, y)
     except CollinearError as exc:
         raise DegenerateCircleError(f"a defining triple is collinear: {exc}") from None
     try:
-        hits = circle_circle_intersections(circle_a, circle_b, tol)
+        hits = circle_circle_intersections(circle_a, circle_b)
     except IdenticalCirclesError:
         raise DegenerateCircleError("two construction circles coincide") from None
     if not hits:
@@ -233,12 +234,7 @@ def miquel_point(t: Triangle, triad: Triad, tol: Tolerance = DEFAULT_TOL) -> Miq
     return MiquelResult(point, (circle_a, circle_b, circle_c), residual, tangent)
 
 
-def family_member(
-    t: Triangle,
-    p: Point,
-    theta: Union[float, DirectedAngle],
-    tol: Tolerance = DEFAULT_TOL,
-) -> Triad:
+def family_member(t: Triangle, p: Point, theta: Union[float, DirectedAngle]) -> Triad:
     """Member of the one-parameter family of triads whose common circle
     point is ``p``.
 
@@ -247,44 +243,44 @@ def family_member(
     triangle scales by 1/cos(theta) relative to it.
     """
     th = theta.value if isinstance(theta, DirectedAngle) else float(theta)
-    if abs(th) >= HALF_PI - tol.angle_eps:
+    if abs(th) >= HALF_PI - DEFAULT_TOL.angle_eps:
         raise ThetaOutOfRangeError(f"rotation {th} not inside (-pi/2, pi/2)")
-    _reject_side_lines(t, p, tol)
+    _reject_side_lines(t, p)
     feet = []
     for v in VERTEX_LABELS:
         side = t.side_line(v)
         spoke = (side.project(p) - p).rotated(th)
-        feet.append(line_line_intersection(Line(p, spoke), side, tol))
+        feet.append(line_line_intersection(Line(p, spoke), side))
     return Triad.from_points(t, *feet)
 
 
-def _reject_vertices(t: Triangle, p: Point, tol: Tolerance) -> None:
-    eps = tol.length_eps(t.circumradius)
+def _reject_vertices(t: Triangle, p: Point) -> None:
+    eps = DEFAULT_TOL.length_eps(t.circumradius)
     if any(p.dist(q) < eps for q in t.vertices):
         raise AtVertexError("the point coincides with a vertex")
 
 
-def angle_sextet(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) -> AngleSextet:
+def angle_sextet(t: Triangle, p: Point) -> AngleSextet:
     """Directed angles of the cevian rays of ``p`` at the three vertices."""
-    _reject_vertices(t, p, tol)
+    _reject_vertices(t, p)
     a, b, c = t.a, t.b, t.c
     return AngleSextet(
-        alpha1=directed_angle(p, a, c, tol),
-        alpha2=directed_angle(b, a, p, tol),
-        beta1=directed_angle(p, b, a, tol),
-        beta2=directed_angle(c, b, p, tol),
-        gamma1=directed_angle(p, c, b, tol),
-        gamma2=directed_angle(a, c, p, tol),
+        alpha1=directed_angle(p, a, c),
+        alpha2=directed_angle(b, a, p),
+        beta1=directed_angle(p, b, a),
+        beta2=directed_angle(c, b, p),
+        gamma1=directed_angle(p, c, b),
+        gamma2=directed_angle(a, c, p),
     )
 
 
-def miquel_triangle_angles(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) -> MiquelAngles:
+def miquel_triangle_angles(t: Triangle, p: Point) -> MiquelAngles:
     """Angles of any triad triangle of ``p``, from the sextet decomposition.
 
     Valid for points inside the circumcircle; outside, the same directed
     formulas are evaluated but flagged as extrapolated.
     """
-    s = angle_sextet(t, p, tol)
+    s = angle_sextet(t, p)
     extrapolated = t.circumcircle.offset_of(p) > 0.0
     return MiquelAngles(
         x=s.beta1 + s.gamma2,
@@ -294,28 +290,25 @@ def miquel_triangle_angles(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) 
     )
 
 
-def verify_miquel_equations(
-    t: Triangle, p: Point, triad: Triad, tol: Tolerance = DEFAULT_TOL
-) -> EquationResiduals:
+def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> EquationResiduals:
     """Residuals of the three angle identities tying the host and triad
     angles to the angles subtended at the concurrency point:
     A + X = BPC, B + Y = CPA, C + Z = APB (all directed).
     """
-    result = miquel_point(t, triad, tol)
-    r = t.circumradius
-    if result.point.dist(p) > max(tol.length_eps(r), 1e-6 * r):
+    result = miquel_point(t, triad)
+    if result.point.dist(p) > 1e-6 * t.circumradius:
         raise NotAMiquelTriadError("the triad's concurrency point is not the given point")
     x, y, z = triad.points
     ang_a = t.directed_angle_at("A")
     ang_b = t.directed_angle_at("B")
     ang_c = t.directed_angle_at("C")
-    ang_x = directed_angle(y, x, z, tol)
-    ang_y = directed_angle(z, y, x, tol)
-    ang_z = directed_angle(x, z, y, tol)
+    ang_x = directed_angle(y, x, z)
+    ang_y = directed_angle(z, y, x)
+    ang_z = directed_angle(x, z, y)
     return EquationResiduals(
-        bpc=(ang_a + ang_x).distance(directed_angle(t.b, p, t.c, tol)),
-        cpa=(ang_b + ang_y).distance(directed_angle(t.c, p, t.a, tol)),
-        apb=(ang_c + ang_z).distance(directed_angle(t.a, p, t.b, tol)),
+        bpc=(ang_a + ang_x).distance(directed_angle(t.b, p, t.c)),
+        cpa=(ang_b + ang_y).distance(directed_angle(t.c, p, t.a)),
+        apb=(ang_c + ang_z).distance(directed_angle(t.a, p, t.b)),
     )
 
 
@@ -410,18 +403,17 @@ class ParityReport(NamedTuple):
     ray_angle_sum: float | None
 
 
-def containment_parity(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) -> ParityReport:
+def containment_parity(t: Triangle, p: Point) -> ParityReport:
     """Whether ``p`` is inside the host and inside its pedal triangle.
 
     For interior points also reports the full turn of the three rays toward
     the pedal feet (2*pi exactly when the point is enclosed by them).
     """
-    _reject_side_lines(t, p, tol)
-    if _on_circumcircle(t, p):
+    triad = pedal_triad(t, p)  # rejects a point on a side line first
+    if isinstance(triad, SimsonLine):
         raise OnCircumcircleError("the pedal triple degenerates on the circumcircle")
-    triad = pedal_triad(t, p, tol)
-    inside_host = triangle_contains(t, p, tol).inside
-    inside_miquel = triangle_contains(triad.triangle(), p, tol).inside
+    inside_host = triangle_contains(t, p).inside
+    inside_miquel = triangle_contains(triad.triangle(), p).inside
     ray_sum = None
     if inside_host:
         dirs = sorted((q - p).angle() for q in triad.points)

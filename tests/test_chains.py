@@ -228,6 +228,7 @@ class TestLazyRoles:
         rec = iterate_chain(TSCA, circumcenter(TSCA), k)
         first = rec.roles
         assert len(detect_calls) == k + 1
+        assert all(tol is CHAIN_DETECT_TOL for tol in detect_calls)
         assert rec.roles == first
         assert rec.seed_role == first[0]
         assert [s.role for s in rec.steps] == first[1:]
@@ -238,9 +239,3 @@ class TestLazyRoles:
             rec = iterate_chain(TSCA, p, 4)
             expect = [detect_special_role(t, p, CHAIN_DETECT_TOL) for t in rec.triangles]
             assert rec.roles == expect
-
-    def test_detect_tol_reaches_lazy_detection(self, detect_calls):
-        tight = Tolerance(angle_eps=1e-9, length_eps_rel=1e-12)
-        rec = iterate_chain(TSCA, circumcenter(TSCA), 3, detect_tol=tight)
-        assert len(rec.roles) == 4
-        assert detect_calls == [tight] * 4

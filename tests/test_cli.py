@@ -179,6 +179,7 @@ def test_figure_output_and_determinism(tri_file, tmp_path):
 def test_figure_empty_elements(tri_file):
     res = run_cli("figure", "--in", tri_file, "--elements", "")
     assert res.returncode == 2
+    assert res.stderr.startswith("usage error:")
 
 
 def test_point_required_when_missing(tri_file):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from miquel.errors import EmptySelectionError, OnCircumcircleError, SceneError
+from miquel.errors import OnCircumcircleError, SceneError
 from miquel.figures import render_figure
 from miquel.scene import parse_scene
 
@@ -41,7 +41,7 @@ def test_simson_requires_circle_point():
 
 
 def test_empty_selection_rejected():
-    with pytest.raises(EmptySelectionError):
+    with pytest.raises(SceneError, match="no elements selected"):
         render_figure(SCENE, [])
 
 

@@ -21,7 +21,15 @@ from miquel.errors import (
     OnSideLineError,
     ThetaOutOfRangeError,
 )
-from miquel.kernel import DirectedAngle, Point, Tolerance, Triangle, circumcircle, directed_angle
+from miquel.kernel import (
+    DirectedAngle,
+    Point,
+    Tolerance,
+    Triangle,
+    circumcircle,
+    directed_angle,
+    midpoint,
+)
 from miquel.sampling import (
     random_catalog_triangle,
     random_circumcircle_point,
@@ -396,6 +404,16 @@ class TestContainmentParity:
         t = random_triangle(rng)
         with pytest.raises(OnCircumcircleError):
             containment_parity(t, random_circumcircle_point(rng, t))
+
+    def test_side_line_point_rejected(self):
+        with pytest.raises(OnSideLineError):
+            containment_parity(TSCA, midpoint(TSCA.b, TSCA.c))
+
+    def test_vertex_rejected_as_side_line_point(self):
+        # a vertex is on two side lines and on the circumcircle: the side-line
+        # check runs first
+        with pytest.raises(OnSideLineError):
+            containment_parity(TSCA, TSCA.a)
 
 
 class TestSimson:
