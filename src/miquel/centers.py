@@ -8,33 +8,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    CollinearError,
     NoFiniteConjugateError,
     NotScaleneError,
     OnSideLineError,
-    ParallelLinesError,
     RightAngleDegenerateError,
     RightTriangleError,
 )
-from .kernel import (
-    DEFAULT_TOL,
-    HALF_PI,
-    VERTEX_LABELS,
-    Circle,
-    Line,
-    Point,
-    Tolerance,
-    Triangle,
-    circle_circle_intersections,
-    circumcircle,
-    invert_point,
-    line_circle_intersections,
-    line_line_intersection,
-    midpoint,
-    second_intersection,
-)
+from .kernel import DEFAULT_TOL, HALF_PI, VERTEX_LABELS, Point, Triangle, invert_point
 
-CLASSIC_KINDS = ("circumcenter", "orthocenter", "centroid", "incenter", "excenter")
 _ROLES_WITH_VERTEX = ("excenter", "s_role", "m_role", "q_role")
 
 
@@ -71,30 +52,21 @@ def centroid(t: Triangle) -> Point:
     return (t.a + t.b + t.c) / 3.0
 
 
-def incenter(t: Triangle) -> Point:
-    la, lb, lc = t.side_lengths
-    return (la * t.a + lb * t.b + lc * t.c) / (la + lb + lc)
-
-
-def excenter(t: Triangle, vertex: str) -> Point:
-    """Center of the excircle opposite ``vertex``."""
-    weights = list(t.side_lengths)
-    weights[VERTEX_LABELS.index(vertex)] *= -1.0
-    wa, wb, wc = weights
+def _from_barycentric(t: Triangle, wa: float, wb: float, wc: float) -> Point:
+    """The point with barycentric weights (wa : wb : wc) over A, B, C."""
     return (wa * t.a + wb * t.b + wc * t.c) / (wa + wb + wc)
 
 
-def classic_center(t: Triangle, role: SpecialRole) -> Point:
-    if role.role not in CLASSIC_KINDS:
-        raise ValueError(f"not a classic center kind: {role}")
-    if role.role == "excenter":
-        return excenter(t, role.vertex)
-    return {
-        "circumcenter": circumcenter,
-        "orthocenter": orthocenter,
-        "centroid": centroid,
-        "incenter": incenter,
-    }[role.role](t)
+def incenter(t: Triangle) -> Point:
+    """L = (a : b : c)."""
+    return _from_barycentric(t, *t.side_lengths)
+
+
+def excenter(t: Triangle, vertex: str) -> Point:
+    """Center of the excircle opposite ``vertex``: (−a : b : c) for A."""
+    weights = list(t.side_lengths)
+    weights[VERTEX_LABELS.index(vertex)] *= -1.0
+    return _from_barycentric(t, *weights)
 
 
 def symmedian_foot(t: Triangle, vertex: str) -> Point:
@@ -109,92 +81,114 @@ def symmedian_foot(t: Triangle, vertex: str) -> Point:
     return b + (ab2 / (ab2 + ac2)) * (c - b)
 
 
-def _circle_tangent_at(at: Point, through: Point, tangent: Line, tol: Tolerance) -> Circle:
-    """Circle through ``at`` and ``through`` tangent to ``tangent`` at ``at``."""
-    normal_at = Line(at, tangent.direction.perp())
-    chord = through - at
-    bisector = Line(midpoint(at, through), chord.perp())
-    try:
-        center = line_line_intersection(normal_at, bisector, tol)
-    except ParallelLinesError:
-        raise CollinearError("tangency point, chord and line are degenerate") from None
-    return Circle(center, center.dist(at))
+def _squared_sides(t: Triangle) -> tuple[float, float, float]:
+    """a^2, b^2, c^2: the squared lengths of BC, CA, AB."""
+    a, b, c = t.a, t.b, t.c
+    return ((c - b).dot(c - b), (a - c).dot(a - c), (b - a).dot(b - a))
 
 
-def brocard_point(t: Triangle, which: str, tol: Tolerance = DEFAULT_TOL) -> Point:
-    """First or second Brocard point via tangent-circle intersection.
+def brocard_point(t: Triangle, which: str) -> Point:
+    """First or second Brocard point.
 
-    The first point equalizes the directed angles from each side to the
-    cevian at its tail vertex; the second mirrors the condition. Both come
-    out as the non-vertex intersection of two tangent circles through B.
+    The first point Ω₁ = (c²a² : a²b² : b²c²) equalizes the directed angles
+    from each side to the cevian at its tail vertex; the second,
+    Ω₂ = (a²b² : b²c² : c²a²), mirrors the condition.
     """
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
-    a, b, c = t.a, t.b, t.c
+    a2, b2, c2 = _squared_sides(t)
     if which == "first":
-        c1 = _circle_tangent_at(b, a, Line.through(b, c), tol)
-        c2 = _circle_tangent_at(c, b, Line.through(c, a), tol)
-    else:
-        c1 = _circle_tangent_at(a, b, Line.through(a, c), tol)
-        c2 = _circle_tangent_at(b, c, Line.through(a, b), tol)
-    candidates = circle_circle_intersections(c1, c2, tol)
-    if not candidates:
-        raise CollinearError("tangent circles failed to intersect")
-    return max(candidates, key=lambda p: p.dist(b))
+        return _from_barycentric(t, c2 * a2, a2 * b2, b2 * c2)
+    return _from_barycentric(t, a2 * b2, b2 * c2, c2 * a2)
 
 
-def s_point(t: Triangle, vertex: str, tol: Tolerance = DEFAULT_TOL) -> Point:
+def _reject_right_angle(t: Triangle, vertex: str) -> None:
+    if abs(t.angle(vertex) - HALF_PI) < DEFAULT_TOL.angle_eps:
+        raise RightAngleDegenerateError(f"vertex angle at {vertex} is right")
+
+
+def s_point(t: Triangle, vertex: str) -> Point:
     """Intersection of the symmedian from ``vertex`` with the arc through the
     opposite side's endpoints that contains the circumcenter.
 
-    Seen from the result P (vertex A), the side BC subtends twice the vertex
-    angle and the other two sides subtend its supplement, all as directed
-    angles.
+    For vertex A this is S_A = (b²+c²−a² : b² : c²), the midpoint of the
+    A-symmedian chord (the A-"Dumpty" point). Seen from S_A, the side BC
+    subtends twice the vertex angle and the other two sides subtend its
+    supplement, all as directed angles. At a right vertex angle the
+    circumcenter lies on the opposite side, the arc degenerates, and the
+    point is rejected.
     """
-    if abs(t.angle(vertex) - HALF_PI) < tol.angle_eps:
-        raise RightAngleDegenerateError(f"vertex angle at {vertex} is right")
-    o = circumcenter(t)
-    b, c = t.opposite(vertex)
-    try:
-        k = circumcircle(b, c, o, tol)
-    except CollinearError:
-        raise RightAngleDegenerateError(
-            f"opposite side endpoints and circumcenter are collinear at {vertex}"
-        ) from None
-    sym = Line.through(t.vertex(vertex), symmedian_foot(t, vertex))
-    base = Line.through(b, c)
-    want = base.side(o)
-    hits = line_circle_intersections(sym, k, tol)
-    for p in hits:
-        if base.side(p) == want:
-            return p
-    raise RightAngleDegenerateError(
-        f"no symmedian intersection on the circumcenter side at {vertex}"
-    )
+    _reject_right_angle(t, vertex)
+    i = VERTEX_LABELS.index(vertex)
+    sq = _squared_sides(t)
+    weights = list(sq)
+    weights[i] = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
+    return _from_barycentric(t, *weights)
 
 
-def m_point(t: Triangle, vertex: str, tol: Tolerance = DEFAULT_TOL) -> Point:
+def m_point(t: Triangle, vertex: str) -> Point:
     """Special point on the median from ``vertex``.
 
-    Acute vertex angle: let E be the opposite side midpoint and F the second
-    hit of the median on the circumcircle; the point mirrors F in E. Obtuse
-    vertex angle: complete the parallelogram over E, then take the second
-    hit of the median on the circle through the parallelogram point and the
-    opposite side's endpoints.
+    For vertex A this is M_A = (a² : b²+c²−a² : b²+c²−a²), the A-"Humpty"
+    point: on the A-median and on circle BHC. Acute vertex angle: the
+    mirror, in the midpoint E of the opposite side, of the median's second
+    hit on the circumcircle. Obtuse vertex angle: the median's second hit on
+    the circle through the opposite side's endpoints and the parallelogram
+    point B + C − A. At a right vertex angle the two constructions meet at
+    the vertex itself, and the point is rejected.
     """
-    ang = t.angle(vertex)
-    if abs(ang - HALF_PI) < tol.angle_eps:
-        raise RightAngleDegenerateError(f"vertex angle at {vertex} is right")
-    apex = t.vertex(vertex)
-    b, c = t.opposite(vertex)
-    e = midpoint(b, c)
-    median = Line.through(apex, e)
-    if ang < HALF_PI:
-        f = second_intersection(median, t.circumcircle, apex, tol).point
-        return 2.0 * e - f
-    f = b + c - apex
-    k = circumcircle(f, b, c, tol)
-    return second_intersection(median, k, f, tol).point
+    _reject_right_angle(t, vertex)
+    i = VERTEX_LABELS.index(vertex)
+    sq = _squared_sides(t)
+    k = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
+    weights = [k, k, k]
+    weights[i] = sq[i]
+    return _from_barycentric(t, *weights)
+
+
+_LOCATORS = {
+    # each call looks the function up by name, so a wrapper installed on the
+    # module attribute sees it
+    "circumcenter": lambda t, v: circumcenter(t),
+    "orthocenter": lambda t, v: orthocenter(t),
+    "centroid": lambda t, v: centroid(t),
+    "incenter": lambda t, v: incenter(t),
+    "excenter": lambda t, v: excenter(t, v),
+    "first_brocard": lambda t, v: brocard_point(t, "first"),
+    "second_brocard": lambda t, v: brocard_point(t, "second"),
+    "s_role": lambda t, v: s_point(t, v),
+    "m_role": lambda t, v: m_point(t, v),
+}
+
+NAMED_POINTS: tuple[tuple[SpecialRole, str], ...] = (
+    (SpecialRole("circumcenter"), "O"),
+    (SpecialRole("orthocenter"), "H"),
+    (SpecialRole("centroid"), "G"),
+    (SpecialRole("incenter"), "L"),
+    *((SpecialRole("excenter", v), f"excenter_{v}") for v in VERTEX_LABELS),
+    (SpecialRole("first_brocard"), "Ω₁"),
+    (SpecialRole("second_brocard"), "Ω₂"),
+    *(
+        (SpecialRole(role, v), f"{label}_{v}")
+        for v in VERTEX_LABELS
+        for role, label in (("s_role", "S"), ("m_role", "M"))
+    ),
+)
+"""Every named point with a fixed location, with its row label, in the
+order of the ``miquel centers`` table."""
+
+
+def locate(t: Triangle, role: SpecialRole) -> Point:
+    """Where ``role`` sits in ``t``.
+
+    Raises ``ValueError`` for a role with no single location (``none``, and
+    ``q_role``, which is a whole arc), and ``RightAngleDegenerateError`` for
+    ``s_role``/``m_role`` at a right vertex.
+    """
+    locator = _LOCATORS.get(role.role)
+    if locator is None:
+        raise ValueError(f"{role} has no single location")
+    return locator(t, role.vertex)
 
 
 def isogonal_conjugate(t: Triangle, p: Point) -> Point:
@@ -242,12 +236,12 @@ class CatalogEntry:
 
 
 _CATALOG_PERMS = {
-    "circumcenter": "XYZ",
-    "first_brocard": "ZXY",
-    "second_brocard": "YZX",
-    ("s_role", "A"): "XZY",
-    ("s_role", "B"): "ZYX",
-    ("s_role", "C"): "YXZ",
+    SpecialRole("circumcenter"): "XYZ",
+    SpecialRole("first_brocard"): "ZXY",
+    SpecialRole("second_brocard"): "YZX",
+    SpecialRole("s_role", "A"): "XZY",
+    SpecialRole("s_role", "B"): "ZYX",
+    SpecialRole("s_role", "C"): "YXZ",
 }
 
 
@@ -263,17 +257,10 @@ def eleven_point_catalog(t: Triangle) -> list[CatalogEntry]:
     if t.is_right():
         raise RightTriangleError("the catalog requires a non-right triangle")
     interior = [
-        CatalogEntry(SpecialRole("circumcenter"), circumcenter(t), _CATALOG_PERMS["circumcenter"]),
-        CatalogEntry(SpecialRole("first_brocard"), brocard_point(t, "first"),
-                     _CATALOG_PERMS["first_brocard"]),
-        CatalogEntry(SpecialRole("second_brocard"), brocard_point(t, "second"),
-                     _CATALOG_PERMS["second_brocard"]),
+        CatalogEntry(role, locate(t, role), _CATALOG_PERMS[role])
+        for role, _ in NAMED_POINTS
+        if role in _CATALOG_PERMS
     ]
-    for v in VERTEX_LABELS:
-        interior.append(
-            CatalogEntry(SpecialRole("s_role", v), s_point(t, v),
-                         _CATALOG_PERMS[("s_role", v)])
-        )
     exterior = [
         CatalogEntry(e.kind, inverse_in_circumcircle(t, e.location),
                      e.expected_similarity, inverse=True)

@@ -104,9 +104,7 @@ def iterate_chain(
     ``max_steps`` deliberately to go deeper.
 
     No role is detected here: the record detects each role with
-    ``CHAIN_DETECT_TOL`` on first read, and a ``GeometryError`` from detection
-    (such as a ``CollinearError`` from ``brocard_point``) is raised by that
-    read rather than by this call.
+    ``CHAIN_DETECT_TOL`` on first read.
     """
     if k < 1:
         raise ValueError("a chain needs at least one step")

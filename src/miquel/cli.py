@@ -14,7 +14,7 @@ import sys
 
 from . import centers
 from .chains import check_mod3_similarity, iterate_chain
-from .errors import GeometryError, OnSideLineError, SceneError
+from .errors import GeometryError, OnSideLineError, RightAngleDegenerateError, SceneError
 from .figures import ELEMENTS, render_figure
 from .kernel import Point, Tolerance, Triangle
 from .scene import SceneSpec, parse_scene
@@ -80,25 +80,12 @@ def _require_point(scene: SceneSpec, override: str | None) -> Point:
 # ---------------------------------------------------------------- centers
 
 def _center_table(t: Triangle) -> list[tuple[str, str]]:
-    rows = [
-        ("O", _point_str(centers.circumcenter(t))),
-        ("H", _point_str(centers.orthocenter(t))),
-        ("G", _point_str(centers.centroid(t))),
-        ("L", _point_str(centers.incenter(t))),
-    ]
-    for v in "ABC":
-        rows.append((f"excenter_{v}", _point_str(centers.excenter(t, v))))
-    rows.append(("Ω₁", _point_str(centers.brocard_point(t, "first"))))
-    rows.append(("Ω₂", _point_str(centers.brocard_point(t, "second"))))
-    for v in "ABC":
+    rows = []
+    for role, label in centers.NAMED_POINTS:
         try:
-            rows.append((f"S_{v}", _point_str(centers.s_point(t, v))))
-        except GeometryError as exc:
-            rows.append((f"S_{v}", f"degenerate: {type(exc).__name__}"))
-        try:
-            rows.append((f"M_{v}", _point_str(centers.m_point(t, v))))
-        except GeometryError as exc:
-            rows.append((f"M_{v}", f"degenerate: {type(exc).__name__}"))
+            rows.append((label, _point_str(centers.locate(t, role))))
+        except RightAngleDegenerateError as exc:
+            rows.append((label, f"degenerate: {type(exc).__name__}"))
     return rows
 
 

@@ -25,6 +25,8 @@ ELEMENTS = (
 _STROKE = "#1a1a1a"
 _AUX = "#5577bb"
 _ACCENT = "#bb3344"
+# the named points the "centers" element marks, drawn in table order
+_DRAWN_CENTERS = ("circumcenter", "orthocenter", "incenter", "first_brocard", "second_brocard")
 
 
 def _fmt(v: float) -> str:
@@ -148,16 +150,10 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
             for q in sim.feet:
                 canvas.point(q, None, _ACCENT)
         elif element == "centers":
-            for role, text in (
-                ("circumcenter", "O"),
-                ("orthocenter", "H"),
-                ("incenter", "L"),
-            ):
-                loc = centers.classic_center(t, centers.SpecialRole(role))
-                canvas.point(loc, name(loc, text), _ACCENT)
-            for which, text in (("first", "Ω₁"), ("second", "Ω₂")):
-                loc = centers.brocard_point(t, which)
-                canvas.point(loc, name(loc, text), _ACCENT)
+            for role, text in centers.NAMED_POINTS:
+                if role.role in _DRAWN_CENTERS:
+                    loc = centers.locate(t, role)
+                    canvas.point(loc, name(loc, text), _ACCENT)
         elif element == "median-symmedian":
             _median_symmedian_layer(canvas, t, scene.options.get("vertex", "A"), name)
 

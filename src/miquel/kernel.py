@@ -38,8 +38,9 @@ class Tolerance:
     length_eps_rel: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.angle_eps <= 0.0 or self.length_eps_rel <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        # rejects NaN too: every comparison with NaN is false
+        if not (0.0 < self.angle_eps < math.inf and 0.0 < self.length_eps_rel < math.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
 
     def length_eps(self, scale: float) -> float:
         return self.length_eps_rel * scale
@@ -215,10 +216,10 @@ class Line:
         return (off > 0.0) - (off < 0.0)
 
 
-def line_line_intersection(l1: Line, l2: Line, tol: Tolerance = DEFAULT_TOL) -> Point:
+def line_line_intersection(l1: Line, l2: Line) -> Point:
     den = l1.direction.cross(l2.direction)
     # unit directions: |den| = sin of the angle between the lines
-    if abs(den) < tol.angle_eps:
+    if abs(den) < DEFAULT_TOL.angle_eps:
         raise ParallelLinesError("lines are parallel within tolerance")
     t = (l2.anchor - l1.anchor).cross(l2.direction) / den
     return l1.at(t)
@@ -252,9 +253,7 @@ def circumcircle(p1: Point, p2: Point, p3: Point, tol: Tolerance = DEFAULT_TOL) 
     return Circle(center, math.hypot(ux, uy))
 
 
-def circle_circle_intersections(
-    c1: Circle, c2: Circle, tol: Tolerance = DEFAULT_TOL
-) -> list[Point]:
+def circle_circle_intersections(c1: Circle, c2: Circle) -> list[Point]:
     """0, 1 or 2 intersection points via the radical-line decomposition.
 
     Candidates closer than the length tolerance collapse to a single
@@ -263,7 +262,7 @@ def circle_circle_intersections(
     delta = c2.center - c1.center
     d = delta.norm()
     scale = max(c1.radius, c2.radius, d)
-    eps = tol.length_eps(scale)
+    eps = DEFAULT_TOL.length_eps(scale)
     if d < eps and abs(c1.radius - c2.radius) < eps:
         raise IdenticalCirclesError("the circles coincide within tolerance")
     if d == 0.0:
@@ -286,11 +285,11 @@ def circle_circle_intersections(
     return [foot + h * v, foot - h * v]
 
 
-def line_circle_intersections(l: Line, c: Circle, tol: Tolerance = DEFAULT_TOL) -> list[Point]:
+def line_circle_intersections(l: Line, c: Circle) -> list[Point]:
     """0, 1 or 2 intersection points, with the same tangency collapse rule."""
     foot = l.project(c.center)
     h2 = c.radius * c.radius - (foot - c.center).dot(foot - c.center)
-    eps = tol.length_eps(c.radius)
+    eps = DEFAULT_TOL.length_eps(c.radius)
     band = 0.25 * eps * eps
     if h2 < -band:
         return []
@@ -321,16 +320,14 @@ class SecondIntersection(NamedTuple):
     tangent: bool
 
 
-def second_intersection(
-    l: Line, c: Circle, known: Point, tol: Tolerance = DEFAULT_TOL
-) -> SecondIntersection:
+def second_intersection(l: Line, c: Circle, known: Point) -> SecondIntersection:
     """Other intersection of a line and circle already meeting at ``known``.
 
     Both intersection points are mirror images in the perpendicular foot of
     the center, so no square root is needed. Tangency returns ``known``
     itself with the flag set.
     """
-    eps = tol.length_eps(c.radius)
+    eps = DEFAULT_TOL.length_eps(c.radius)
     if abs(l.offset(known)) > eps or abs(c.offset_of(known)) > eps:
         raise NotOnBothError("the known point is not on both the line and the circle")
     foot = l.project(c.center)

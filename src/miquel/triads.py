@@ -352,32 +352,22 @@ def classify_similarity(
 def detect_special_role(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) -> SpecialRole:
     """Which named center of ``t`` the point is, within tolerance.
 
-    Candidate centers are compared by distance and the nearest within the
-    band wins; the arc role (isosceles host, point on the circle through
-    the base vertices and the incenter) is only tried when no center fits.
+    Every point of ``centers.NAMED_POINTS`` but the centroid is a candidate.
+    The nearest within the band wins, the first in table order on a tie; the
+    arc role (isosceles host, point on the circle through the base vertices
+    and the incenter) is only tried when no center fits.
     """
     eps = tol.length_eps(t.circumradius)
-    candidates: list[tuple[SpecialRole, Point]] = [
-        (SpecialRole("circumcenter"), centers.circumcenter(t)),
-        (SpecialRole("orthocenter"), centers.orthocenter(t)),
-        (SpecialRole("incenter"), centers.incenter(t)),
-    ]
-    for v in VERTEX_LABELS:
-        candidates.append((SpecialRole("excenter", v), centers.excenter(t, v)))
-    candidates.append((SpecialRole("first_brocard"), centers.brocard_point(t, "first", tol)))
-    candidates.append((SpecialRole("second_brocard"), centers.brocard_point(t, "second", tol)))
-    for v in VERTEX_LABELS:
-        try:
-            candidates.append((SpecialRole("s_role", v), centers.s_point(t, v, tol)))
-        except RightAngleDegenerateError:
-            pass
-        try:
-            candidates.append((SpecialRole("m_role", v), centers.m_point(t, v, tol)))
-        except RightAngleDegenerateError:
-            pass
     best_role, best_dist = NONE_ROLE, math.inf
-    for role, location in candidates:
-        d = location.dist(p)
+    for role, _ in centers.NAMED_POINTS:
+        # the centroid plays no role in the paper; when b² + c² = 2a² it
+        # coincides with M_A, which must win
+        if role.role == "centroid":
+            continue
+        try:
+            d = centers.locate(t, role).dist(p)
+        except RightAngleDegenerateError:
+            continue
         if d < best_dist:
             best_role, best_dist = role, d
     if best_dist < eps:

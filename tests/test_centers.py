@@ -1,9 +1,13 @@
-"""Center constructions checked against independent oracles and known values.
+"""Named points checked against independent oracles and known values.
 
-The oracles deliberately avoid the construction paths: the symmedian foot is
-cross-checked by reflecting the median over the bisector, the Brocard point
-by a grid search minimizing the spread of its three angles, and the
-symmedian arc point by scanning the arc for the symmedian crossing.
+The library computes the Brocard, symmedian arc and median points from their
+barycentric closed forms. The oracles avoid those formulas: the symmedian
+foot is cross-checked by reflecting the median over the bisector, the
+Brocard point by a grid search minimizing the spread of its three angles,
+the symmedian arc point by scanning the arc for the symmedian crossing, and
+all three by their classical constructions from kernel primitives (tangent
+circles, the arc through the opposite side and the circumcenter, the second
+hit of the median), on acute and obtuse hosts at every vertex.
 """
 
 import math
@@ -11,16 +15,17 @@ import math
 import pytest
 
 from miquel.centers import (
+    NAMED_POINTS,
     SpecialRole,
     brocard_point,
     centroid,
     circumcenter,
-    classic_center,
     eleven_point_catalog,
     excenter,
     incenter,
     inverse_in_circumcircle,
     isogonal_conjugate,
+    locate,
     m_point,
     orthocenter,
     s_point,
@@ -35,15 +40,27 @@ from miquel.errors import (
     RightTriangleError,
 )
 from miquel.kernel import (
+    Circle,
     Line,
     Point,
     Triangle,
+    circle_circle_intersections,
     circumcircle,
     directed_angle,
+    line_circle_intersections,
+    line_line_intersection,
+    midpoint,
     reflect_over_line,
+    second_intersection,
     triangle_contains,
 )
-from miquel.sampling import random_isosceles, random_obtuse_at, random_triangle, rng_for
+from miquel.sampling import (
+    random_acute_triangle,
+    random_isosceles,
+    random_obtuse_at,
+    random_triangle,
+    rng_for,
+)
 
 SQ3 = math.sqrt(3.0)
 T345 = Triangle(Point(0, 0), Point(4, 0), Point(0, 3))
@@ -54,14 +71,14 @@ EQUI = Triangle(Point(0, 1), Point(-SQ3 / 2, -0.5), Point(SQ3 / 2, -0.5))
 
 class TestClassicCenters:
     def test_345_circumcenter(self):
-        assert classic_center(T345, SpecialRole("circumcenter")).dist(Point(2, 1.5)) < 1e-12
+        assert locate(T345, SpecialRole("circumcenter")).dist(Point(2, 1.5)) < 1e-12
 
     def test_345_orthocenter_is_right_vertex(self):
-        assert classic_center(T345, SpecialRole("orthocenter")).dist(Point(0, 0)) < 1e-12
+        assert locate(T345, SpecialRole("orthocenter")).dist(Point(0, 0)) < 1e-12
 
     def test_345_incenter(self):
         # inradius (3+4-5)/2 = 1 with the legs on the axes
-        assert classic_center(T345, SpecialRole("incenter")).dist(Point(1, 1)) < 1e-12
+        assert locate(T345, SpecialRole("incenter")).dist(Point(1, 1)) < 1e-12
 
     def test_circumcenter_equidistant(self):
         rng = rng_for(0, "classic", 0)
@@ -91,9 +108,27 @@ class TestClassicCenters:
     def test_centroid(self):
         assert centroid(T345).dist(Point(4 / 3, 1)) < 1e-12
 
-    def test_classic_center_rejects_other_kinds(self):
-        with pytest.raises(ValueError):
-            classic_center(T345, SpecialRole("s_role", "A"))
+    def test_locate_covers_table_and_rejects_roles_without_location(self):
+        functions = {
+            "circumcenter": lambda t, v: circumcenter(t),
+            "orthocenter": lambda t, v: orthocenter(t),
+            "centroid": lambda t, v: centroid(t),
+            "incenter": lambda t, v: incenter(t),
+            "excenter": excenter,
+            "first_brocard": lambda t, v: brocard_point(t, "first"),
+            "second_brocard": lambda t, v: brocard_point(t, "second"),
+            "s_role": s_point,
+            "m_role": m_point,
+        }
+        roles = [role for role, _ in NAMED_POINTS]
+        assert len(set(roles)) == len(roles) == 15
+        for role in roles:
+            assert locate(TSCA, role) == functions[role.role](TSCA, role.vertex)
+        for role in (SpecialRole("none"), SpecialRole("q_role", "A")):
+            with pytest.raises(ValueError):
+                locate(TSCA, role)
+        with pytest.raises(RightAngleDegenerateError):
+            locate(T345, SpecialRole("s_role", "A"))
 
     def test_role_vertex_labels_checked(self):
         # per-vertex names need a vertex label, every other name takes none
@@ -350,6 +385,69 @@ class TestMPoint:
     def test_right_angle_degenerates(self):
         with pytest.raises(RightAngleDegenerateError):
             m_point(T345, "A")
+
+
+def _tangent_circle(at: Point, through: Point, tangent: Line) -> Circle:
+    """Circle through ``at`` and ``through`` tangent to ``tangent`` at ``at``."""
+    normal = Line(at, tangent.direction.perp())
+    bisector = Line(midpoint(at, through), (through - at).perp())
+    center = line_line_intersection(normal, bisector)
+    return Circle(center, center.dist(at))
+
+
+def _brocard_by_tangent_circles(t: Triangle, which: str) -> Point:
+    """Oracle: the non-vertex meet of two circles through B, each tangent to
+    a side at a vertex."""
+    a, b, c = t.vertices
+    if which == "first":
+        c1 = _tangent_circle(b, a, Line.through(b, c))
+        c2 = _tangent_circle(c, b, Line.through(c, a))
+    else:
+        c1 = _tangent_circle(a, b, Line.through(a, c))
+        c2 = _tangent_circle(b, c, Line.through(a, b))
+    return max(circle_circle_intersections(c1, c2), key=lambda p: p.dist(b))
+
+
+def _s_point_by_arc(t: Triangle, vertex: str) -> Point:
+    """Oracle: the symmedian's hit on the arc through the opposite side's
+    endpoints on the circumcenter's side."""
+    o = circumcenter(t)
+    b, c = t.opposite(vertex)
+    sym = Line.through(t.vertex(vertex), symmedian_foot(t, vertex))
+    base = Line.through(b, c)
+    hits = line_circle_intersections(sym, circumcircle(b, c, o))
+    (hit,) = [p for p in hits if base.side(p) == base.side(o)]
+    return hit
+
+
+def _m_point_by_median(t: Triangle, vertex: str) -> Point:
+    """Oracle: acute vertex, the mirror in the side midpoint E of the
+    median's second circumcircle hit; obtuse vertex, the median's second hit
+    on the circle through the opposite side and the parallelogram point."""
+    apex = t.vertex(vertex)
+    b, c = t.opposite(vertex)
+    e = midpoint(b, c)
+    median = Line.through(apex, e)
+    if t.angle(vertex) < math.pi / 2:
+        return 2.0 * e - second_intersection(median, t.circumcircle, apex).point
+    f = b + c - apex
+    return second_intersection(median, circumcircle(f, b, c), f).point
+
+
+class TestClosedFormsAgainstConstructions:
+    def test_acute_and_obtuse_hosts_every_vertex(self):
+        rng = rng_for(0, "closed-forms", 0)
+        hosts = []
+        for _ in range(100):
+            hosts.append(random_acute_triangle(rng))
+            hosts.extend(random_obtuse_at(rng, v) for v in "ABC")
+        for t in hosts:
+            r = t.circumradius
+            for which in ("first", "second"):
+                assert brocard_point(t, which).dist(_brocard_by_tangent_circles(t, which)) < 1e-12 * r
+            for v in "ABC":
+                assert s_point(t, v).dist(_s_point_by_arc(t, v)) < 1e-12 * r
+                assert m_point(t, v).dist(_m_point_by_median(t, v)) < 1e-12 * r
 
 
 class TestIsogonalConjugate:

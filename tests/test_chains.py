@@ -196,12 +196,12 @@ class TestRoleCycles:
             t = random_triangle(rng)
             o = circumcenter(t)
             rec = iterate_chain(t, o, 6)
-            from miquel.centers import classic_center
+            from miquel.centers import locate
 
             expect = {"circumcenter", "orthocenter", "incenter", "excenter"}
             for step in rec.steps:
                 assert step.role.role in expect
-                center = classic_center(step.triangle, step.role)
+                center = locate(step.triangle, step.role)
                 assert center.dist(o) < 1e-6 * step.triangle.circumradius
 
 

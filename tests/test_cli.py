@@ -47,6 +47,21 @@ def test_centers_json(tri_file):
     assert doc["O"] == "(2.0, 1.0)"
 
 
+def test_centers_rows_in_order_with_right_angle_rows_degenerate(tmp_path):
+    path = tmp_path / "right.json"
+    path.write_text('{"A": [0, 0], "B": [4, 0], "C": [0, 3]}')
+    res = run_cli("centers", "--in", str(path), "--json")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert list(doc) == [
+        "O", "H", "G", "L", "excenter_A", "excenter_B", "excenter_C", "Ω₁", "Ω₂",
+        "S_A", "M_A", "S_B", "M_B", "S_C", "M_C",
+    ]
+    degenerate = "degenerate: RightAngleDegenerateError"
+    assert doc["S_A"] == doc["M_A"] == degenerate
+    assert sum(value == degenerate for value in doc.values()) == 2
+
+
 def test_classify_circumcenter(tri_file):
     res = run_cli("classify", "--in", tri_file, "--point", "2.0,1.0")
     assert res.returncode == 0
@@ -122,6 +137,13 @@ def test_exit_code_geometric_error(tmp_path):
     res = run_cli("centers", "--in", str(bad))
     assert res.returncode == 1
     assert "CollinearError" in res.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9"])
+def test_classify_tolerance_must_be_finite_and_positive(tri_file, value):
+    res = run_cli("classify", "--in", tri_file, "--point", "3.3,0.2", f"--tolerance={value}")
+    assert res.returncode == 2
+    assert "finite and strictly positive" in res.stderr
 
 
 def test_exit_code_usage_error(tmp_path):

@@ -304,10 +304,11 @@ def test_line_circle_intersections_on_circle():
         assert abs(c.offset_of(p)) < 1e-12
 
 
-def test_near_tangent_candidates_collapse():
-    # circles whose candidates sit closer than the tolerance band
-    tol = Tolerance(length_eps_rel=1e-6)
-    c1 = Circle(Point(0, 0), 1.0)
-    c2 = Circle(Point(2.0 - 1e-16, 0), 1.0)
-    hits = circle_circle_intersections(c1, c2, tol)
-    assert len(hits) == 1
+
+@pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+def test_tolerance_must_be_finite_and_positive(value):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        Tolerance(angle_eps=value)
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        Tolerance(length_eps_rel=value)
+    Tolerance(angle_eps=1e300, length_eps_rel=1e300)  # large but finite is allowed

@@ -342,6 +342,13 @@ class TestDetectSpecialRole:
         assert detect_special_role(TSCA, m_point(TSCA, "C"), tol) == SpecialRole("m_role", "C")
         assert detect_special_role(TSCA, excenter(TSCA, "A"), tol) == SpecialRole("excenter", "A")
 
+    def test_automedian_centroid_is_median_role(self):
+        # b² + c² = 2a² puts M_A on the centroid; the centroid is no candidate
+        t = Triangle(Point(0, 0), Point(4, 0), Point(3, math.sqrt(23)))
+        g = (t.a + t.b + t.c) / 3.0
+        assert m_point(t, "A").dist(g) < 1e-12 * t.circumradius
+        assert detect_special_role(t, g) == SpecialRole("m_role", "A")
+
     def test_generic_point_is_none(self):
         assert detect_special_role(TSCA, Point(1.31, 0.87)) == SpecialRole("none")
 
