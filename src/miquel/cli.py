@@ -19,6 +19,7 @@ from .figures import ELEMENTS, render_figure
 from .kernel import Point, Tolerance, Triangle
 from .scene import SceneSpec, parse_scene
 from .triads import (
+    PEDAL_SIMILARITY_TOL,
     SimsonLine,
     Triad,
     classify_similarity,
@@ -124,7 +125,7 @@ def cmd_classify(args) -> int:
         doc["pedal"] = "simson-line"
         doc["collinearity_deviation"] = simson.max_deviation()
     else:
-        match = classify_similarity(t, shape, Tolerance(angle_eps=1e-7))
+        match = classify_similarity(t, shape, PEDAL_SIMILARITY_TOL)
         if match is None:
             doc["similar_to_host"] = False
         else:
@@ -219,22 +220,22 @@ def cmd_chain(args) -> int:
     if args.thetas:
         thetas = [float(x) for x in args.thetas.split(",")]
     rec = iterate_chain(t, p, args.steps, thetas=thetas)
-    rep = check_mod3_similarity(rec, Tolerance(angle_eps=1e-6)) if args.steps >= 3 else None
+    ok, worst = check_mod3_similarity(rec) if args.steps >= 3 else (None, None)
     doc = {
         "steps": args.steps,
         "roles": [str(r) for r in rec.roles],
         "circumradii": [tri.circumradius for tri in rec.triangles],
-        "mod3_similar": None if rep is None else rep.ok,
-        "mod3_worst_residual": None if rep is None else rep.worst_residual,
+        "mod3_similar": ok,
+        "mod3_worst_residual": worst,
     }
     if args.json:
         print(json.dumps(doc))
     else:
         for k, (role, r) in enumerate(zip(doc["roles"], doc["circumradii"])):
             print(f"step {k:<3d} role={role:<18s} circumradius={_num(r)}")
-        if rep is not None:
-            print(f"mod3 similarity {'holds' if rep.ok else 'FAILS'} "
-                  f"(worst residual {rep.worst_residual:.3e})")
+        if ok is not None:
+            print(f"mod3 similarity {'holds' if ok else 'FAILS'} "
+                  f"(worst residual {worst:.3e})")
     return 0
 
 

@@ -193,7 +193,7 @@ def _median_symmedian_layer(canvas: _Canvas, t: Triangle, vertex: str, name) -> 
     canvas.line(apex, s_loc, _ACCENT)
     median = Line.through(apex, e)
     if t.angle(vertex) < math.pi / 2.0:
-        f = second_intersection(median, t.circumcircle, apex).point
+        f = second_intersection(median, t.circumcircle, apex)
     else:
         f = b + c - apex
     canvas.circle(circumcircle(b, c, centers.circumcenter(t)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import (
     CenterInversionError,
@@ -237,14 +237,20 @@ def directed_angle(p: Point, q: Point, r: Point) -> DirectedAngle:
     return DirectedAngle(qr.angle() - qp.angle())
 
 
+def _collinear(cross: float, span: float, tol: Tolerance) -> bool:
+    """The collinearity test of ``circumcircle``: ``cross`` is twice the
+    signed area of three points, ``span`` the longest of their distances."""
+    return abs(2.0 * cross) <= 2.0 * tol.length_eps_rel * span * span
+
+
 def circumcircle(p1: Point, p2: Point, p3: Point, tol: Tolerance = DEFAULT_TOL) -> Circle:
     """Circle through three pairwise distinct, non-collinear points."""
     q2 = p2 - p1
     q3 = p3 - p1
-    span = max(q2.norm(), q3.norm(), p3.dist(p2))
-    d = 2.0 * q2.cross(q3)
-    if abs(d) <= 2.0 * tol.length_eps_rel * span * span:
+    cross = q2.cross(q3)
+    if _collinear(cross, max(q2.norm(), q3.norm(), p3.dist(p2)), tol):
         raise CollinearError("the three points are collinear within tolerance")
+    d = 2.0 * cross
     m2 = q2.dot(q2)
     m3 = q3.dot(q3)
     ux = (m2 * q3.y - m3 * q2.y) / d
@@ -315,54 +321,28 @@ def reflect_over_line(l: Line, p: Point) -> Point:
     return 2.0 * foot - p
 
 
-class SecondIntersection(NamedTuple):
-    point: Point
-    tangent: bool
-
-
-def second_intersection(l: Line, c: Circle, known: Point) -> SecondIntersection:
+def second_intersection(l: Line, c: Circle, known: Point) -> Point:
     """Other intersection of a line and circle already meeting at ``known``.
 
     Both intersection points are mirror images in the perpendicular foot of
     the center, so no square root is needed. Tangency returns ``known``
-    itself with the flag set.
+    itself.
     """
     eps = DEFAULT_TOL.length_eps(c.radius)
     if abs(l.offset(known)) > eps or abs(c.offset_of(known)) > eps:
         raise NotOnBothError("the known point is not on both the line and the circle")
     foot = l.project(c.center)
     other = 2.0 * foot - known
-    if other.dist(known) < eps:
-        return SecondIntersection(known, True)
-    return SecondIntersection(other, False)
+    return known if other.dist(known) < eps else other
 
 
-class Containment(NamedTuple):
-    inside: bool
-    on_boundary: bool
-
-
-def _segment_distance(p: Point, a: Point, b: Point) -> float:
-    ab = b - a
-    t = (p - a).dot(ab) / ab.dot(ab)
-    t = min(1.0, max(0.0, t))
-    return p.dist(a + t * ab)
-
-
-def triangle_contains(t: "Triangle", p: Point) -> Containment:
-    """Strict interior test with an on-boundary flag for near-side points."""
+def triangle_contains(t: "Triangle", p: Point) -> bool:
+    """True when ``p`` is strictly inside ``t``."""
     sign = t.orientation
-    strict = all(
+    return all(
         sign * (q2 - q1).cross(p - q1) > 0.0
         for q1, q2 in ((t.a, t.b), (t.b, t.c), (t.c, t.a))
     )
-    eps = DEFAULT_TOL.length_eps(t.circumradius)
-    near = min(
-        _segment_distance(p, t.a, t.b),
-        _segment_distance(p, t.b, t.c),
-        _segment_distance(p, t.c, t.a),
-    )
-    return Containment(strict, near < eps)
 
 
 @dataclass(frozen=True)
@@ -370,7 +350,9 @@ class Triangle:
     """Three labeled, non-collinear vertices with orientation.
 
     Construction rejects triples whose area is negligible at the scale of
-    the circumradius (equivalently, some angle is vanishingly thin).
+    the circumradius (equivalently, some angle is vanishingly thin) and
+    triples ``circumcircle`` would call collinear, so every triangle has a
+    circumcircle.
     """
 
     a: Point
@@ -387,6 +369,10 @@ class Triangle:
         r = la * lb * lc / (2.0 * abs(area2))
         if abs(area2) <= 2.0 * DEFAULT_TOL.length_eps_rel * r * r:
             raise CollinearError("degenerate triangle: area below tolerance")
+        if _collinear(area2, max(la, lb, lc), DEFAULT_TOL):
+            raise CollinearError("degenerate triangle: collinear within tolerance")
+        # seed the cache: these are the floats side_lengths would compute
+        self.__dict__["side_lengths"] = (la, lb, lc)
 
     @cached_property
     def signed_area(self) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .kernel import HALF_PI, Point, Triangle
+from .kernel import HALF_PI, VERTEX_LABELS, Point, Triangle
 
 
 def rng_for(seed: int, suite: str, index: int) -> random.Random:
@@ -20,13 +20,9 @@ def rng_for(seed: int, suite: str, index: int) -> random.Random:
 
 
 def _angles(
-    rng: random.Random,
-    min_angle: float,
-    pairwise_gap: float,
-    right_gap: float,
-    max_tries: int = 1000,
+    rng: random.Random, min_angle: float, pairwise_gap: float, right_gap: float
 ) -> tuple[float, float, float]:
-    for _ in range(max_tries):
+    for _ in range(1000):
         a = rng.uniform(min_angle, math.pi - 2.0 * min_angle)
         b = rng.uniform(min_angle, math.pi - a - min_angle)
         c = math.pi - a - b
@@ -61,13 +57,11 @@ def triangle_from_angles(
 
 
 def random_triangle(
-    rng: random.Random,
-    min_angle: float = 0.30,
-    pairwise_gap: float = 0.02,
-    right_gap: float = 0.05,
+    rng: random.Random, min_angle: float = 0.30, right_gap: float = 0.05
 ) -> Triangle:
-    """A scalene triangle with margins from degeneracy and right angles."""
-    return triangle_from_angles(rng, _angles(rng, min_angle, pairwise_gap, right_gap))
+    """A scalene triangle (angles pairwise 0.02 apart) with margins from
+    degeneracy and right angles."""
+    return triangle_from_angles(rng, _angles(rng, min_angle, 0.02, right_gap))
 
 
 def random_catalog_triangle(rng: random.Random) -> Triangle:
@@ -79,27 +73,24 @@ def random_catalog_triangle(rng: random.Random) -> Triangle:
     )
 
 
-def random_acute_triangle(
-    rng: random.Random, min_angle: float = 0.35, right_gap: float = 0.05
-) -> Triangle:
+def random_acute_triangle(rng: random.Random) -> Triangle:
+    """Every angle at least 0.35 and more than 0.05 short of a right angle."""
     while True:
-        angles = _angles(rng, min_angle, 0.02, right_gap)
-        if max(angles) < HALF_PI - right_gap:
+        angles = _angles(rng, 0.35, 0.02, 0.05)
+        if max(angles) < HALF_PI - 0.05:
             return triangle_from_angles(rng, angles)
 
 
-def random_obtuse_at(
-    rng: random.Random, vertex: str, min_angle: float = 0.25, right_gap: float = 0.08
-) -> Triangle:
-    """Obtuse exactly at the requested vertex label."""
+def random_obtuse_at(rng: random.Random, vertex: str) -> Triangle:
+    """Obtuse exactly at the requested vertex label, by more than 0.08."""
     while True:
-        angles = _angles(rng, min_angle, 0.02, right_gap)
+        angles = _angles(rng, 0.25, 0.02, 0.08)
         big = max(angles)
-        if big < HALF_PI + right_gap:
+        if big < HALF_PI + 0.08:
             continue
         order = sorted(range(3), key=lambda i: angles[i])
         rolled = [0.0, 0.0, 0.0]
-        target = "ABC".index(vertex)
+        target = VERTEX_LABELS.index(vertex)
         rolled[target] = big
         rest = [angles[i] for i in order[:2]]
         slots = [i for i in range(3) if i != target]
@@ -107,17 +98,16 @@ def random_obtuse_at(
         return triangle_from_angles(rng, tuple(rolled))
 
 
-def random_isosceles(
-    rng: random.Random, apex: str = "A", min_base: float = 0.30
-) -> Triangle:
-    """Isosceles at ``apex`` (the two adjacent sides equal), never equilateral."""
+def random_isosceles(rng: random.Random, apex: str = "A") -> Triangle:
+    """Isosceles at ``apex`` (the two adjacent sides equal), never
+    equilateral, base angles at least 0.30."""
     while True:
-        base = rng.uniform(min_base, HALF_PI - 0.05)
+        base = rng.uniform(0.30, HALF_PI - 0.05)
         apex_angle = math.pi - 2.0 * base
         if apex_angle < 0.2 or abs(apex_angle - base) < 0.05:
             continue
         angles = [0.0, 0.0, 0.0]
-        i = "ABC".index(apex)
+        i = VERTEX_LABELS.index(apex)
         angles[i] = apex_angle
         for j in range(3):
             if j != i:
@@ -125,13 +115,13 @@ def random_isosceles(
         return triangle_from_angles(rng, tuple(angles))
 
 
-def random_interior_point(rng: random.Random, t: Triangle, margin: float = 0.05) -> Point:
-    """Point strictly inside, with a barycentric margin from the sides."""
+def random_interior_point(rng: random.Random, t: Triangle) -> Point:
+    """Point strictly inside, every barycentric weight at least 0.05."""
     while True:
         w = [-math.log(rng.random()) for _ in range(3)]
         s = sum(w)
         w = [x / s for x in w]
-        if min(w) < margin:
+        if min(w) < 0.05:
             continue
         return (w[0] * t.a + w[1] * t.b + w[2] * t.c)
 
@@ -155,29 +145,28 @@ def random_exterior_point(
     t: Triangle,
     min_factor: float = 1.1,
     max_factor: float = 5.0,
-    line_margin: float = 0.02,
 ) -> Point:
-    """Point outside the circumcircle at a bounded distance from its center."""
+    """Point outside the circumcircle at a bounded distance from its center,
+    off the side lines by 0.02 R."""
     circ = t.circumcircle
     while True:
         r = circ.radius * rng.uniform(min_factor, max_factor)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         p = Point(circ.center.x + r * math.cos(phi), circ.center.y + r * math.sin(phi))
-        if t.min_side_line_distance(p) < line_margin * circ.radius:
+        if t.min_side_line_distance(p) < 0.02 * circ.radius:
             continue
         return p
 
 
-def random_circumcircle_point(
-    rng: random.Random, t: Triangle, vertex_margin: float = 0.05
-) -> Point:
-    """Point exactly on the circumcircle, away from the vertices."""
+def random_circumcircle_point(rng: random.Random, t: Triangle) -> Point:
+    """Point exactly on the circumcircle, over 0.05 rad of arc from the
+    vertices."""
     circ = t.circumcircle
     vertex_angles = [(v - circ.center).angle() for v in t.vertices]
     while True:
         phi = rng.uniform(0.0, 2.0 * math.pi)
         if any(
-            abs(math.remainder(phi - va, 2.0 * math.pi)) < vertex_margin
+            abs(math.remainder(phi - va, 2.0 * math.pi)) < 0.05
             for va in vertex_angles
         ):
             continue
@@ -191,15 +180,15 @@ def random_arc_point(
     end1: Point,
     end2: Point,
     via: Point,
-    margin: float = 0.08,
 ) -> Point:
-    """Point on the arc from ``end1`` to ``end2`` passing through ``via``."""
+    """Point on the arc from ``end1`` to ``end2`` passing through ``via``,
+    off its ends by 8% of the arc."""
     a1 = (end1 - center).angle()
     a2 = (end2 - center).angle()
     av = (via - center).angle()
     sweep = (a2 - a1) % (2.0 * math.pi)
     via_off = (av - a1) % (2.0 * math.pi)
-    t = rng.uniform(margin, 1.0 - margin)
+    t = rng.uniform(0.08, 0.92)
     if via_off <= sweep:
         ang = a1 + sweep * t
     else:

@@ -1,9 +1,8 @@
 """Strict JSON scene documents for the command-line tools.
 
 A scene is a single object with vertex keys "A", "B", "C" and optional
-"P", "triad", "theta" and "options"; anything else is rejected. Emission is
-canonical (fixed key order, full-precision floats) so parse -> emit -> parse
-is a fixed point.
+"P", "triad", "theta" and "options"; anything else is rejected. Numbers are
+read at full float precision.
 """
 
 from __future__ import annotations
@@ -97,19 +96,3 @@ def parse_scene(text: str) -> SceneSpec:
 
     return SceneSpec(triangle, point, triad, theta, options)
 
-
-def emit_scene(spec: SceneSpec) -> str:
-    doc: dict = {
-        "A": [spec.triangle.a.x, spec.triangle.a.y],
-        "B": [spec.triangle.b.x, spec.triangle.b.y],
-        "C": [spec.triangle.c.x, spec.triangle.c.y],
-    }
-    if spec.point is not None:
-        doc["P"] = [spec.point.x, spec.point.y]
-    if spec.triad_params is not None:
-        doc["triad"] = list(spec.triad_params)
-    if spec.theta is not None:
-        doc["theta"] = spec.theta
-    if spec.options:
-        doc["options"] = {k: spec.options[k] for k in _OPTION_KEYS if k in spec.options}
-    return json.dumps(doc)

@@ -44,6 +44,9 @@ from .kernel import (
 # collinear pedal triple; the band keeps near-degenerate triads out.
 CIRCUMCIRCLE_BAND = 1e-7
 
+# the angle band within which a pedal shape counts as similar to its host
+PEDAL_SIMILARITY_TOL = Tolerance(angle_eps=1e-7)
+
 
 @dataclass(frozen=True)
 class Triad:
@@ -133,7 +136,6 @@ class MiquelAngles(NamedTuple):
     x: DirectedAngle
     y: DirectedAngle
     z: DirectedAngle
-    extrapolated: bool
 
 
 class EquationResiduals(NamedTuple):
@@ -234,7 +236,7 @@ def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
     return MiquelResult(point, (circle_a, circle_b, circle_c), residual, tangent)
 
 
-def family_member(t: Triangle, p: Point, theta: Union[float, DirectedAngle]) -> Triad:
+def family_member(t: Triangle, p: Point, theta: float) -> Triad:
     """Member of the one-parameter family of triads whose common circle
     point is ``p``.
 
@@ -242,14 +244,13 @@ def family_member(t: Triangle, p: Point, theta: Union[float, DirectedAngle]) -> 
     with its side line; theta = 0 reproduces the pedal triad, and the triad
     triangle scales by 1/cos(theta) relative to it.
     """
-    th = theta.value if isinstance(theta, DirectedAngle) else float(theta)
-    if abs(th) >= HALF_PI - DEFAULT_TOL.angle_eps:
-        raise ThetaOutOfRangeError(f"rotation {th} not inside (-pi/2, pi/2)")
+    if abs(theta) >= HALF_PI - DEFAULT_TOL.angle_eps:
+        raise ThetaOutOfRangeError(f"rotation {theta} not inside (-pi/2, pi/2)")
     _reject_side_lines(t, p)
     feet = []
     for v in VERTEX_LABELS:
         side = t.side_line(v)
-        spoke = (side.project(p) - p).rotated(th)
+        spoke = (side.project(p) - p).rotated(theta)
         feet.append(line_line_intersection(Line(p, spoke), side))
     return Triad.from_points(t, *feet)
 
@@ -277,16 +278,14 @@ def angle_sextet(t: Triangle, p: Point) -> AngleSextet:
 def miquel_triangle_angles(t: Triangle, p: Point) -> MiquelAngles:
     """Angles of any triad triangle of ``p``, from the sextet decomposition.
 
-    Valid for points inside the circumcircle; outside, the same directed
-    formulas are evaluated but flagged as extrapolated.
+    Valid for points inside the circumcircle; outside it the same directed
+    formulas are evaluated as they stand.
     """
     s = angle_sextet(t, p)
-    extrapolated = t.circumcircle.offset_of(p) > 0.0
     return MiquelAngles(
         x=s.beta1 + s.gamma2,
         y=s.gamma1 + s.alpha2,
         z=s.alpha1 + s.beta2,
-        extrapolated=extrapolated,
     )
 
 
@@ -402,8 +401,8 @@ def containment_parity(t: Triangle, p: Point) -> ParityReport:
     triad = pedal_triad(t, p)  # rejects a point on a side line first
     if isinstance(triad, SimsonLine):
         raise OnCircumcircleError("the pedal triple degenerates on the circumcircle")
-    inside_host = triangle_contains(t, p).inside
-    inside_miquel = triangle_contains(triad.triangle(), p).inside
+    inside_host = triangle_contains(t, p)
+    inside_miquel = triangle_contains(triad.triangle(), p)
     ray_sum = None
     if inside_host:
         dirs = sorted((q - p).angle() for q in triad.points)

@@ -13,8 +13,14 @@ import time
 from dataclasses import dataclass, field
 
 from . import centers
-from .chains import check_mod3_similarity, follows_role_cycle, iterate_chain
+from .chains import (
+    CHAIN_SIMILARITY_TOL,
+    check_mod3_similarity,
+    follows_role_cycle,
+    iterate_chain,
+)
 from .kernel import (
+    VERTEX_LABELS,
     Line,
     Point,
     Tolerance,
@@ -40,6 +46,7 @@ from .sampling import (
     rng_for,
 )
 from .triads import (
+    PEDAL_SIMILARITY_TOL,
     SimsonLine,
     SpecialRole,
     Triad,
@@ -54,9 +61,6 @@ from .triads import (
     pedal_triad,
     verify_miquel_equations,
 )
-
-VERTEXES = ("A", "B", "C")
-
 
 @dataclass
 class ClaimResult:
@@ -156,7 +160,7 @@ def suite_lemma1(seed: int, trials: int = 400) -> SuiteReport:
         elif i % 4 == 1:
             while True:  # inside the circumcircle but outside the triangle
                 p = random_point_in_circumdisk(rng, t, line_margin=0.03)
-                if not triangle_contains(t, p).inside:
+                if not triangle_contains(t, p):
                     break
         else:
             p = random_exterior_point(rng, t, min_factor=1.05, max_factor=5.0)
@@ -231,7 +235,7 @@ def suite_theorem4(seed: int, trials: int = 50) -> SuiteReport:
             for b in range(a + 1, len(cat))
         )
         distinct.add_bool(min_pair > 1e-6 * t.circumradius, _witness(i, t))
-        host_angles = {v: t.angle(v) for v in VERTEXES}
+        host_angles = {v: t.angle(v) for v in VERTEX_LABELS}
         orientations = []
         for e in cat:
             shape = Triangle(*pedal_feet(t, e.location))
@@ -239,13 +243,13 @@ def suite_theorem4(seed: int, trials: int = 50) -> SuiteReport:
             slot = {"X": "A", "Y": "B", "Z": "C"}
             worst = max(
                 abs(host_angles[v] - shape.angle(slot[ch]))
-                for v, ch in zip(VERTEXES, perm)
+                for v, ch in zip(VERTEX_LABELS, perm)
             )
             if e.inverse:
                 exterior_sim.add(worst, _witness(i, t, e.location))
             else:
                 interior_perm.add(worst, _witness(i, t, e.location))
-                match = classify_similarity(t, shape, Tolerance(angle_eps=1e-7))
+                match = classify_similarity(t, shape, PEDAL_SIMILARITY_TOL)
                 orientations.append(match.orientation if match else "?")
         orientation_note.add_bool(
             orientations.count("direct") == 3 and orientations.count("inverse") == 3,
@@ -284,7 +288,7 @@ def suite_theorem6(seed: int, trials: int = 100) -> SuiteReport:
             target = centers.incenter(Triangle(*pedal_feet(t, h)))
             acute.add(target.dist(h) / t.circumradius, _witness(i, t, h))
         else:
-            v = VERTEXES[(i // 2) % 3]
+            v = VERTEX_LABELS[(i // 2) % 3]
             t = random_obtuse_at(rng, v)
             h = centers.orthocenter(t)
             target = centers.excenter(Triangle(*pedal_feet(t, h)), v)
@@ -306,7 +310,7 @@ def suite_theorem7(seed: int, trials: int = 100) -> SuiteReport:
             centers.circumcenter(Triangle(*pedal_feet(t, l))).dist(l) / t.circumradius,
             _witness(i, t, l),
         )
-        ex = centers.excenter(t, VERTEXES[i % 3])
+        ex = centers.excenter(t, VERTEX_LABELS[i % 3])
         from_ex.add(
             centers.circumcenter(Triangle(*pedal_feet(t, ex))).dist(ex) / t.circumradius,
             _witness(i, t, ex),
@@ -348,18 +352,18 @@ def _theorem9_case(t: Triangle, v: str, report_median, report_midpoint, report_m
     r = t.circumradius
     report_median.add(abs(median.offset(p)) / r, wit)
     if t.angle(v) < math.pi / 2.0:
-        f = second_intersection(median, shape.circumcircle, apex).point
+        f = second_intersection(median, shape.circumcircle, apex)
         report_midpoint.add(abs(e.dist(p) - e.dist(f)) / r, wit)
     else:
         host_circle = circumcircle(t.vertex(v), *(pedal_feet(t, p)[i] for i in _adjacent(v)))
-        f = second_intersection(median, host_circle, p).point
+        f = second_intersection(median, host_circle, p)
         report_midpoint.add(abs(apex.dist(e) - e.dist(f)) / r, wit)
     report_match.add(centers.m_point(shape, v).dist(p) / r, wit)
 
 
 def _adjacent(v: str) -> tuple[int, int]:
     """Indices into the (X, Y, Z) feet adjacent to host vertex v."""
-    i = VERTEXES.index(v)
+    i = VERTEX_LABELS.index(v)
     return ((i + 1) % 3, (i + 2) % 3)
 
 
@@ -372,7 +376,7 @@ def suite_theorem9(seed: int, trials: int = 100) -> SuiteReport:
     m_match = report.claim("median-point-match", 1e-7)
     for i in range(trials):
         rng = rng_for(seed, "theorem9", i)
-        v = VERTEXES[i % 3]
+        v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         _theorem9_case(t, v, on_median, midpoint_rel, m_match, _witness(i, t))
     return report
@@ -388,7 +392,7 @@ def suite_theorem10(seed: int, trials: int = 100) -> SuiteReport:
     parity = report.claim("containment-parity", 0.5)
     for i in range(trials):
         rng = rng_for(seed, "theorem10", i)
-        v = VERTEXES[i % 3]
+        v = VERTEX_LABELS[i % 3]
         obtuse_case = bool(i % 2)
         t = random_obtuse_at(rng, v) if obtuse_case else random_acute_triangle(rng)
         p = centers.m_point(t, v)
@@ -396,12 +400,12 @@ def suite_theorem10(seed: int, trials: int = 100) -> SuiteReport:
         b2, c2 = shape.opposite(v)
         host_dir = t.directed_angle_at(v)
         worst = max(
-            shape.directed_angle_at(u).distance(host_dir) for u in VERTEXES if u != v
+            shape.directed_angle_at(u).distance(host_dir) for u in VERTEX_LABELS if u != v
         )
         base_angles.add(worst, _witness(i, t, p))
         circ = circumcircle(b2, c2, centers.incenter(shape))
         arc.add(abs(circ.offset_of(p)) / t.circumradius, _witness(i, t, p))
-        inside = triangle_contains(shape, p).inside
+        inside = triangle_contains(shape, p)
         parity.add_bool(inside != obtuse_case, _witness(i, t, p))
     return report
 
@@ -415,7 +419,7 @@ def suite_theorem11(seed: int, trials: int = 100) -> SuiteReport:
     role = report.claim("role-detected", 0.5)
     for i in range(trials):
         rng = rng_for(seed, "theorem11", i)
-        v = VERTEXES[i % 3]
+        v = VERTEX_LABELS[i % 3]
         t = random_isosceles(rng, v)
         l = centers.incenter(t)
         b, c = t.opposite(v)
@@ -440,7 +444,7 @@ def suite_theorem12(seed: int, trials: int = 200) -> SuiteReport:
     pair = report.claim("isogonal-pair", 1e-8)
     for i in range(trials):
         rng = rng_for(seed, "theorem12", i)
-        v = VERTEXES[i % 3]
+        v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         conj = centers.isogonal_conjugate(t, centers.s_point(t, v))
         pair.add(conj.dist(centers.m_point(t, v)) / t.circumradius, _witness(i, t))
@@ -472,9 +476,6 @@ def suite_theorem13(seed: int, trials: int = 100) -> SuiteReport:
     return report
 
 
-_CHAIN_TOL = Tolerance(angle_eps=1e-6, length_eps_rel=1e-9)
-
-
 def _chain_points(rng, t: Triangle) -> list[tuple[str, Point]]:
     return [
         ("O", centers.circumcenter(t)),
@@ -496,16 +497,11 @@ def suite_theorem14(seed: int, trials: int = 50) -> SuiteReport:
         rng = rng_for(seed, "theorem14", i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         for name, p in _chain_points(rng, t):
-            rec = iterate_chain(t, p, k)
-            rep = check_mod3_similarity(rec, _CHAIN_TOL)
-            default_sched.add(
-                rep.worst_residual if rep.ok else 1.0, _witness(i, t, p) + f" [{name}]"
-            )
+            ok, worst = check_mod3_similarity(iterate_chain(t, p, k))
+            default_sched.add(worst if ok else 1.0, _witness(i, t, p) + f" [{name}]")
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(k)]
-            rep2 = check_mod3_similarity(iterate_chain(t, p, k, thetas=thetas), _CHAIN_TOL)
-            random_sched.add(
-                rep2.worst_residual if rep2.ok else 1.0, _witness(i, t, p) + f" [{name}]"
-            )
+            ok, worst = check_mod3_similarity(iterate_chain(t, p, k, thetas=thetas))
+            random_sched.add(worst if ok else 1.0, _witness(i, t, p) + f" [{name}]")
     return report
 
 
@@ -523,14 +519,14 @@ def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
     for i in range(trials):
         rng = rng_for(seed, "theorem15", i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
-        v = VERTEXES[i % 3]
+        v = VERTEX_LABELS[i % 3]
         wit = _witness(i, t)
 
         for which in ("first", "second"):
             p = centers.brocard_point(t, which)
             rec = iterate_chain(t, p, k)
             for tri in rec.triangles[1:]:
-                match = classify_similarity(t, tri, _CHAIN_TOL)
+                match = classify_similarity(t, tri, CHAIN_SIMILARITY_TOL)
                 brocard_all.add(match.residual if match else 1.0, wit + f" [{which}]")
             for step_t in rec.triangles:
                 s = angle_sextet(step_t, p)
@@ -546,19 +542,19 @@ def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
         for p in (centers.circumcenter(t), centers.s_point(t, v)):
             rec = iterate_chain(t, p, k)
             for step_idx in (1, 3, 4, 6):
-                match = classify_similarity(t, rec.triangles[step_idx], _CHAIN_TOL)
+                match = classify_similarity(t, rec.triangles[step_idx], CHAIN_SIMILARITY_TOL)
                 o_s_steps.add(match.residual if match else 1.0, wit + f" [k={step_idx}]")
 
         for p in (centers.orthocenter(t), centers.m_point(t, v)):
             rec = iterate_chain(t, p, k)
             for step_idx in (2, 3, 5, 6):
-                match = classify_similarity(t, rec.triangles[step_idx], _CHAIN_TOL)
+                match = classify_similarity(t, rec.triangles[step_idx], CHAIN_SIMILARITY_TOL)
                 h_m_steps.add(match.residual if match else 1.0, wit + f" [k={step_idx}]")
 
         p = random_interior_point(rng, t)
         rec = iterate_chain(t, p, 3)
         dissimilar = all(
-            classify_similarity(t, rec.triangles[step_idx], _CHAIN_TOL) is None
+            classify_similarity(t, rec.triangles[step_idx], CHAIN_SIMILARITY_TOL) is None
             for step_idx in (1, 2)
         )
         generic.add_bool(dissimilar, wit + " [random]")
@@ -577,7 +573,7 @@ def suite_corollary4(seed: int, trials: int = 50) -> SuiteReport:
     for i in range(trials):
         rng = rng_for(seed, "corollary4", i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
-        v = VERTEXES[i % 3]
+        v = VERTEX_LABELS[i % 3]
         wit = _witness(i, t)
 
         roles = iterate_chain(t, centers.circumcenter(t), k).roles

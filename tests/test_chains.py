@@ -15,39 +15,49 @@ from miquel.centers import (
 )
 from miquel.chains import (
     CHAIN_DETECT_TOL,
+    CHAIN_SIMILARITY_TOL,
+    MAX_CHAIN_STEPS,
     check_mod3_similarity,
     follows_role_cycle,
     iterate_chain,
 )
 from miquel.errors import DegenerateStepError, OnSideLineError
-from miquel.kernel import Point, Tolerance, Triangle, midpoint
+from miquel.kernel import Point, Triangle, midpoint
 from miquel.sampling import (
     random_circumcircle_point,
     random_interior_point,
     random_triangle,
     rng_for,
 )
-from miquel.triads import classify_similarity, detect_special_role
+from miquel.triads import (
+    classify_similarity,
+    detect_special_role,
+    family_member,
+    miquel_point,
+)
 
 SQ3 = math.sqrt(3.0)
 TSCA = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
 EQUI = Triangle(Point(0, 1), Point(-SQ3 / 2, -0.5), Point(SQ3 / 2, -0.5))
-LOOSE = Tolerance(angle_eps=1e-6, length_eps_rel=1e-9)
 
 
 class TestIterateChain:
     def test_equilateral_medial_chain(self):
         rec = iterate_chain(EQUI, Point(0, 0), 3)
-        for step in rec.steps:
-            assert abs(step.triad.u - 0.5) < 1e-12
+        for host, step in zip(rec.triangles, rec.steps):
+            # the pedal feet of the center are the side midpoints
+            for v in "ABC":
+                assert step.vertex(v).dist(midpoint(*host.opposite(v))) < 1e-12
         for i in range(3):
-            match = classify_similarity(rec.triangles[i], rec.triangles[i + 1], LOOSE)
+            match = classify_similarity(
+                rec.triangles[i], rec.triangles[i + 1], CHAIN_SIMILARITY_TOL
+            )
             assert match is not None
             assert abs(match.ratio - 0.5) < 1e-12
 
     def test_scalene_mod3_seed_similarity(self):
         rec = iterate_chain(TSCA, circumcenter(TSCA), 3)
-        match = classify_similarity(rec.triangles[0], rec.triangles[3], LOOSE)
+        match = classify_similarity(rec.triangles[0], rec.triangles[3], CHAIN_SIMILARITY_TOL)
         assert match is not None
 
     def test_circumcircle_point_collapses(self):
@@ -65,47 +75,51 @@ class TestIterateChain:
     def test_miquel_point_fixed_along_chain(self):
         p = Point(1.4, 0.9)
         rec = iterate_chain(TSCA, p, 5)
-        for step in rec.steps:
-            assert step.result.point.dist(p) < 1e-8 * step.triangle.circumradius
+        for host, step in zip(rec.triangles, rec.steps):
+            point = miquel_point(host, family_member(host, p, 0.0)).point
+            assert point.dist(p) < 1e-8 * step.circumradius
 
     def test_bad_schedule_length_rejected(self):
         with pytest.raises(ValueError):
             iterate_chain(TSCA, Point(1.4, 0.9), 3, thetas=[0.1, 0.2])
 
     def test_step_cap(self):
-        with pytest.raises(ValueError):
+        assert MAX_CHAIN_STEPS == 12
+        rec = iterate_chain(TSCA, Point(1.4, 0.9), 12)
+        assert len(rec.steps) == 12
+        with pytest.raises(ValueError, match="cap of 12 steps"):
             iterate_chain(TSCA, Point(1.4, 0.9), 13)
-        rec = iterate_chain(TSCA, Point(1.4, 0.9), 13, max_steps=13)
-        assert len(rec.steps) == 13
 
 
 class TestMod3Similarity:
     def test_classes_partition(self):
         rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
-        rep = check_mod3_similarity(rec, LOOSE)
-        assert rep.ok
-        assert rep.worst_residual < 1e-6
+        ok, worst = check_mod3_similarity(rec)
+        assert ok
+        assert worst < 1e-6
 
     def test_brocard_chain_everything_similar(self):
         p = brocard_point(TSCA, "first")
         rec = iterate_chain(TSCA, p, 6)
         tris = rec.triangles
         for i in range(len(tris) - 1):
-            assert classify_similarity(tris[i], tris[i + 1], LOOSE) is not None
+            assert classify_similarity(tris[i], tris[i + 1], CHAIN_SIMILARITY_TOL) is not None
 
     def test_circumcenter_chain_merges_first_two_classes(self):
         # the pedal triangle of the circumcenter is the medial triangle,
         # so classes k=0 and k=1 coincide
         rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
-        rep = check_mod3_similarity(rec, LOOSE)
-        cross = {(i, j) for i, j, _ in rep.cross_class_similar}
-        assert (0, 1) in cross
+        tris = rec.triangles
+        assert classify_similarity(tris[0], tris[1], CHAIN_SIMILARITY_TOL) is not None
 
     def test_generic_point_classes_distinct(self):
         rec = iterate_chain(TSCA, Point(1.31, 0.87), 9)
-        rep = check_mod3_similarity(rec, LOOSE)
-        assert rep.ok
-        assert not rep.cross_class_similar
+        assert check_mod3_similarity(rec)[0]
+        tris = rec.triangles
+        for i in range(len(tris)):
+            for j in range(i + 1, len(tris)):
+                if (j - i) % 3:
+                    assert classify_similarity(tris[i], tris[j], CHAIN_SIMILARITY_TOL) is None
 
     def test_theta_schedule_invariance(self):
         rng = rng_for(0, "chains", 1)
@@ -113,46 +127,24 @@ class TestMod3Similarity:
             t = random_triangle(rng)
             p = random_interior_point(rng, t)
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(6)]
-            rep = check_mod3_similarity(iterate_chain(t, p, 6, thetas=thetas), LOOSE)
-            assert rep.ok
+            assert check_mod3_similarity(iterate_chain(t, p, 6, thetas=thetas))[0]
 
-
-def eager_cross_class(rec, tol):
-    """Cross-class similar pairs, classified all at once."""
-    tris = rec.triangles
-    cross = []
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            if (j - i) % 3 != 0:
-                match = classify_similarity(tris[i], tris[j], tol)
-                if match is not None:
-                    cross.append((i, j, match))
-    return cross
-
-
-class TestLazyCrossClass:
-    def test_only_same_class_pairs_classified_until_read(self, monkeypatch):
-        calls = []
+    def test_only_same_class_pairs_classified(self, monkeypatch):
+        tols = []
 
         def counted(t1, t2, tol):
-            calls.append((t1, t2))
+            tols.append(tol)
             return classify_similarity(t1, t2, tol)
 
         monkeypatch.setattr(miquel.chains, "classify_similarity", counted)
-        rec = iterate_chain(TSCA, Point(1.31, 0.87), 9)
-        rep = check_mod3_similarity(rec, LOOSE)
-        assert rep.ok and rep.failures == [] and rep.worst_residual < 1e-6
-        assert len(calls) == 12
-        cross = rep.cross_class_similar
-        assert len(calls) == 45
-        assert rep.cross_class_similar is cross
-        assert len(calls) == 45
+        check_mod3_similarity(iterate_chain(TSCA, Point(1.31, 0.87), 9))
+        # of the 45 index pairs of ten triangles, 12 differ by a multiple of 3
+        assert len(tols) == 12
+        assert all(tol is CHAIN_SIMILARITY_TOL for tol in tols)
 
-    def test_cross_class_matches_eager_pairs(self):
-        for p in (circumcenter(TSCA), Point(1.31, 0.87)):
-            rec = iterate_chain(TSCA, p, 9)
-            rep = check_mod3_similarity(rec, LOOSE)
-            assert rep.cross_class_similar == eager_cross_class(rec, LOOSE)
+    def test_needs_four_triangles(self):
+        with pytest.raises(ValueError):
+            check_mod3_similarity(iterate_chain(TSCA, Point(1.31, 0.87), 2))
 
 
 class TestRoleCycles:
@@ -162,7 +154,7 @@ class TestRoleCycles:
         assert names == ["circumcenter", "orthocenter", "incenter", "circumcenter", "orthocenter"]
         assert follows_role_cycle(roles)
         assert not follows_role_cycle([roles[0], roles[2], roles[1]])
-        assert not follows_role_cycle(roles[:2] + [SpecialRole("none")])
+        assert not follows_role_cycle([*roles[:2], SpecialRole("none")])
 
     def test_symmedian_point_cycle(self):
         rec = iterate_chain(TSCA, s_point(TSCA, "A"), 4)
@@ -199,10 +191,9 @@ class TestRoleCycles:
             from miquel.centers import locate
 
             expect = {"circumcenter", "orthocenter", "incenter", "excenter"}
-            for step in rec.steps:
-                assert step.role.role in expect
-                center = locate(step.triangle, step.role)
-                assert center.dist(o) < 1e-6 * step.triangle.circumradius
+            for step, role in zip(rec.steps, rec.roles[1:]):
+                assert role.role in expect
+                assert locate(step, role).dist(o) < 1e-6 * step.circumradius
 
 
 class TestLazyRoles:
@@ -219,23 +210,23 @@ class TestLazyRoles:
 
     def test_unread_roles_cost_no_detection(self, detect_calls):
         rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
-        check_mod3_similarity(rec, LOOSE)
+        check_mod3_similarity(rec)
         assert len(rec.triangles) == 7
         assert detect_calls == []
 
     def test_roles_detected_once_on_first_read(self, detect_calls):
         k = 5
         rec = iterate_chain(TSCA, circumcenter(TSCA), k)
+        assert detect_calls == []
         first = rec.roles
+        assert len(first) == k + 1
         assert len(detect_calls) == k + 1
         assert all(tol is CHAIN_DETECT_TOL for tol in detect_calls)
-        assert rec.roles == first
-        assert rec.seed_role == first[0]
-        assert [s.role for s in rec.steps] == first[1:]
+        assert rec.roles is first
         assert len(detect_calls) == k + 1
 
     def test_lazy_roles_match_explicit_detection(self):
         for p in (circumcenter(TSCA), s_point(TSCA, "A"), Point(1.31, 0.87)):
             rec = iterate_chain(TSCA, p, 4)
             expect = [detect_special_role(t, p, CHAIN_DETECT_TOL) for t in rec.triangles]
-            assert rec.roles == expect
+            assert list(rec.roles) == expect

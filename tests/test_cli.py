@@ -139,6 +139,17 @@ def test_exit_code_geometric_error(tmp_path):
     assert "CollinearError" in res.stderr
 
 
+def test_thin_scene_rejected_while_parsing(tmp_path):
+    thin = tmp_path / "thin.json"
+    thin.write_text('{"A": [0, 0], "B": [1, 0], "C": [1, 7e-10]}')
+    res = run_cli("centers", "--in", str(thin))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == (
+        "geometric error: CollinearError: degenerate triangle: collinear within tolerance\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9"])
 def test_classify_tolerance_must_be_finite_and_positive(tri_file, value):
     res = run_cli("classify", "--in", tri_file, "--point", "3.3,0.2", f"--tolerance={value}")

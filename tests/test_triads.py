@@ -235,7 +235,6 @@ class TestMiquelTriangleAngles:
         assert angs.x.distance(TSCA.directed_angle_at("A")) < 1e-12
         assert angs.y.distance(TSCA.directed_angle_at("B")) < 1e-12
         assert angs.z.distance(TSCA.directed_angle_at("C")) < 1e-12
-        assert not angs.extrapolated
 
     def test_equilateral_circumcenter(self):
         angs = miquel_triangle_angles(EQUI, Point(0, 0))
@@ -263,12 +262,6 @@ class TestMiquelTriangleAngles:
             # the three formulas sum to the host angle sum: zero mod half turn
             total = angs.x + angs.y + angs.z
             assert total.distance(DirectedAngle(0.0)) < 1e-12
-
-    def test_exterior_points_flagged(self):
-        rng = rng_for(0, "lemma-angles", 1)
-        t = random_triangle(rng)
-        p = random_exterior_point(rng, t)
-        assert miquel_triangle_angles(t, p).extrapolated
 
 
 class TestMiquelEquations:
