@@ -14,7 +14,7 @@ from .errors import (
     RightAngleDegenerateError,
     RightTriangleError,
 )
-from .kernel import DEFAULT_TOL, HALF_PI, VERTEX_LABELS, Point, Triangle, invert_point
+from .kernel import ANGLE_EPS, HALF_PI, LENGTH_EPS, VERTEX_LABELS, Point, Triangle, invert_point
 
 _ROLES_WITH_VERTEX = ("excenter", "s_role", "m_role", "q_role")
 
@@ -103,7 +103,7 @@ def brocard_point(t: Triangle, which: str) -> Point:
 
 
 def _reject_right_angle(t: Triangle, vertex: str) -> None:
-    if abs(t.angle(vertex) - HALF_PI) < DEFAULT_TOL.angle_eps:
+    if abs(t.angle(vertex) - HALF_PI) < ANGLE_EPS:
         raise RightAngleDegenerateError(f"vertex angle at {vertex} is right")
 
 
@@ -198,7 +198,7 @@ def isogonal_conjugate(t: Triangle, p: Point) -> Point:
     (a^2/x : b^2/y : c^2/z). Involutive away from the side lines and the
     circumcircle.
     """
-    eps = DEFAULT_TOL.length_eps(t.circumradius)
+    eps = LENGTH_EPS * t.circumradius
     if t.min_side_line_distance(p) < eps:
         raise OnSideLineError("the point lies on a side line")
     if abs(t.circumcircle.offset_of(p)) < eps:

@@ -8,8 +8,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import DegenerateStepError, GeometryError
-from .kernel import Point, Tolerance, Triangle
+from .kernel import Point, Triangle
 from .triads import (
+    CONCURRENCY_BAND,
     SpecialRole,
     classify_similarity,
     detect_special_role,
@@ -19,11 +20,11 @@ from .triads import (
 )
 
 # role positions drift along a chain as numeric error compounds; detection
-# therefore uses a looser relative band than one-shot constructions
-CHAIN_DETECT_TOL = Tolerance(angle_eps=1e-9, length_eps_rel=1e-6)
+# therefore uses a looser relative length band than one-shot constructions
+CHAIN_DETECT_TOL = 1e-6
 
 # the angle band of the mod-3 similarity claims, for the same reason
-CHAIN_SIMILARITY_TOL = Tolerance(angle_eps=1e-6)
+CHAIN_SIMILARITY_TOL = 1e-6
 
 # pedal steps lose roughly a digit each on ill-conditioned hosts
 MAX_CHAIN_STEPS = 12
@@ -92,7 +93,7 @@ def iterate_chain(
             nxt = triad.triangle()
         except GeometryError as exc:
             raise DegenerateStepError(f"step {i} degenerated: {exc}") from exc
-        if result.point.dist(p) > 1e-6 * current.circumradius:
+        if result.point.dist(p) > CONCURRENCY_BAND * current.circumradius:
             raise DegenerateStepError(
                 f"concurrency point drifted off the fixed point at step {i}"
             )

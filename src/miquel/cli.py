@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -16,7 +17,7 @@ from . import centers
 from .chains import check_mod3_similarity, iterate_chain
 from .errors import GeometryError, OnSideLineError, RightAngleDegenerateError, SceneError
 from .figures import ELEMENTS, render_figure
-from .kernel import Point, Tolerance, Triangle
+from .kernel import Point, Triangle
 from .scene import SceneSpec, parse_scene
 from .triads import (
     PEDAL_SIMILARITY_TOL,
@@ -50,29 +51,19 @@ def _load_scene(path: str) -> SceneSpec:
         raise SceneError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_pair(text: str, flag: str) -> Point:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise SceneError(f"{flag} expects 'x,y', got {text!r}")
+def _parse_numbers(text: str, flag: str, n: int) -> tuple[float, ...]:
     try:
-        return Point(float(parts[0]), float(parts[1]))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise SceneError(f"{flag} expects numbers, got {text!r}") from None
-
-
-def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise SceneError(f"{flag} expects 'u,v,w', got {text!r}")
-    try:
-        return (float(parts[0]), float(parts[1]), float(parts[2]))
-    except ValueError:
-        raise SceneError(f"{flag} expects numbers, got {text!r}") from None
+        values = ()
+    if len(values) != n:
+        raise SceneError(f"{flag} expects {n} comma-separated numbers, got {text!r}")
+    return values
 
 
 def _require_point(scene: SceneSpec, override: str | None) -> Point:
     if override is not None:
-        return _parse_pair(override, "--point")
+        return Point(*_parse_numbers(override, "--point", 2))
     if scene.point is None:
         raise SceneError("no point given: add \"P\" to the scene or pass --point")
     return scene.point
@@ -108,7 +99,10 @@ def cmd_classify(args) -> int:
     scene = _load_scene(args.infile)
     t = scene.triangle
     p = _require_point(scene, args.point)
-    role = detect_special_role(t, p, Tolerance(length_eps_rel=args.tolerance))
+    # rejects NaN too: every comparison with NaN is false
+    if not 0.0 < args.tolerance < math.inf:
+        raise ValueError("--tolerance must be finite and strictly positive")
+    role = detect_special_role(t, p, args.tolerance)
     doc: dict = {"role": str(role)}
     simson = None
     try:
@@ -152,7 +146,7 @@ def cmd_classify(args) -> int:
 def cmd_miquel(args) -> int:
     scene = _load_scene(args.infile)
     t = scene.triangle
-    params = _parse_triple(args.triad, "--triad") if args.triad else scene.triad_params
+    params = _parse_numbers(args.triad, "--triad", 3) if args.triad else scene.triad_params
     if params is None:
         raise SceneError("no triad given: add \"triad\" to the scene or pass --triad")
     res = miquel_point(t, Triad(t, *params))
@@ -216,9 +210,7 @@ def cmd_chain(args) -> int:
     scene = _load_scene(args.infile)
     t = scene.triangle
     p = _require_point(scene, args.point)
-    thetas = None
-    if args.thetas:
-        thetas = [float(x) for x in args.thetas.split(",")]
+    thetas = _parse_numbers(args.thetas, "--thetas", args.steps) if args.thetas else None
     rec = iterate_chain(t, p, args.steps, thetas=thetas)
     ok, worst = check_mod3_similarity(rec) if args.steps >= 3 else (None, None)
     doc = {

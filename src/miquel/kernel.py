@@ -26,27 +26,12 @@ HALF_PI = 0.5 * math.pi
 VERTEX_LABELS = ("A", "B", "C")
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute angle tolerance plus a relative length tolerance.
+# absolute angle tolerance, in radians
+ANGLE_EPS = 1e-9
 
-    ``length_eps_rel`` is dimensionless and gets multiplied by a context
-    scale, typically the circumradius of the working triangle.
-    """
-
-    angle_eps: float = 1e-9
-    length_eps_rel: float = 1e-9
-
-    def __post_init__(self) -> None:
-        # rejects NaN too: every comparison with NaN is false
-        if not (0.0 < self.angle_eps < math.inf and 0.0 < self.length_eps_rel < math.inf):
-            raise ValueError("tolerances must be finite and strictly positive")
-
-    def length_eps(self, scale: float) -> float:
-        return self.length_eps_rel * scale
-
-
-DEFAULT_TOL = Tolerance()
+# relative length tolerance: multiplied by the scale of the figure at hand,
+# typically the circumradius of the working triangle
+LENGTH_EPS = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,7 +204,7 @@ class Line:
 def line_line_intersection(l1: Line, l2: Line) -> Point:
     den = l1.direction.cross(l2.direction)
     # unit directions: |den| = sin of the angle between the lines
-    if abs(den) < DEFAULT_TOL.angle_eps:
+    if abs(den) < ANGLE_EPS:
         raise ParallelLinesError("lines are parallel within tolerance")
     t = (l2.anchor - l1.anchor).cross(l2.direction) / den
     return l1.at(t)
@@ -232,23 +217,24 @@ def directed_angle(p: Point, q: Point, r: Point) -> DirectedAngle:
     n_qp = qp.norm()
     n_qr = qr.norm()
     scale = max(n_qp, n_qr)
-    if scale == 0.0 or min(n_qp, n_qr) < DEFAULT_TOL.length_eps(scale):
+    if scale == 0.0 or min(n_qp, n_qr) < LENGTH_EPS * scale:
         raise DegenerateRayError("angle leg collapses onto the apex")
     return DirectedAngle(qr.angle() - qp.angle())
 
 
-def _collinear(cross: float, span: float, tol: Tolerance) -> bool:
+def _collinear(cross: float, span: float, length_eps: float) -> bool:
     """The collinearity test of ``circumcircle``: ``cross`` is twice the
-    signed area of three points, ``span`` the longest of their distances."""
-    return abs(2.0 * cross) <= 2.0 * tol.length_eps_rel * span * span
+    signed area of three points, ``span`` the longest of their distances,
+    ``length_eps`` a relative length tolerance."""
+    return abs(2.0 * cross) <= 2.0 * length_eps * span * span
 
 
-def circumcircle(p1: Point, p2: Point, p3: Point, tol: Tolerance = DEFAULT_TOL) -> Circle:
+def circumcircle(p1: Point, p2: Point, p3: Point, length_eps: float = LENGTH_EPS) -> Circle:
     """Circle through three pairwise distinct, non-collinear points."""
     q2 = p2 - p1
     q3 = p3 - p1
     cross = q2.cross(q3)
-    if _collinear(cross, max(q2.norm(), q3.norm(), p3.dist(p2)), tol):
+    if _collinear(cross, max(q2.norm(), q3.norm(), p3.dist(p2)), length_eps):
         raise CollinearError("the three points are collinear within tolerance")
     d = 2.0 * cross
     m2 = q2.dot(q2)
@@ -268,7 +254,7 @@ def circle_circle_intersections(c1: Circle, c2: Circle) -> list[Point]:
     delta = c2.center - c1.center
     d = delta.norm()
     scale = max(c1.radius, c2.radius, d)
-    eps = DEFAULT_TOL.length_eps(scale)
+    eps = LENGTH_EPS * scale
     if d < eps and abs(c1.radius - c2.radius) < eps:
         raise IdenticalCirclesError("the circles coincide within tolerance")
     if d == 0.0:
@@ -295,7 +281,7 @@ def line_circle_intersections(l: Line, c: Circle) -> list[Point]:
     """0, 1 or 2 intersection points, with the same tangency collapse rule."""
     foot = l.project(c.center)
     h2 = c.radius * c.radius - (foot - c.center).dot(foot - c.center)
-    eps = DEFAULT_TOL.length_eps(c.radius)
+    eps = LENGTH_EPS * c.radius
     band = 0.25 * eps * eps
     if h2 < -band:
         return []
@@ -311,7 +297,7 @@ def invert_point(c: Circle, p: Point) -> Point:
     """Image of ``p`` under inversion in ``c``; involutive on its domain."""
     offset = p - c.center
     d2 = offset.dot(offset)
-    if math.sqrt(d2) < DEFAULT_TOL.length_eps(c.radius):
+    if math.sqrt(d2) < LENGTH_EPS * c.radius:
         raise CenterInversionError("the center inverts to an infinite point")
     return c.center + (c.radius * c.radius / d2) * offset
 
@@ -328,7 +314,7 @@ def second_intersection(l: Line, c: Circle, known: Point) -> Point:
     the center, so no square root is needed. Tangency returns ``known``
     itself.
     """
-    eps = DEFAULT_TOL.length_eps(c.radius)
+    eps = LENGTH_EPS * c.radius
     if abs(l.offset(known)) > eps or abs(c.offset_of(known)) > eps:
         raise NotOnBothError("the known point is not on both the line and the circle")
     foot = l.project(c.center)
@@ -349,10 +335,9 @@ def triangle_contains(t: "Triangle", p: Point) -> bool:
 class Triangle:
     """Three labeled, non-collinear vertices with orientation.
 
-    Construction rejects triples whose area is negligible at the scale of
-    the circumradius (equivalently, some angle is vanishingly thin) and
-    triples ``circumcircle`` would call collinear, so every triangle has a
-    circumcircle.
+    Construction rejects exactly the triples ``circumcircle`` would call
+    collinear, so every triangle has a circumcircle. Thin triangles whose
+    circumcircle is well conditioned are accepted.
     """
 
     a: Point
@@ -361,15 +346,11 @@ class Triangle:
 
     def __post_init__(self) -> None:
         area2 = (self.b - self.a).cross(self.c - self.a)
-        if area2 == 0.0:
-            raise CollinearError("degenerate triangle: zero signed area")
         la = self.b.dist(self.c)
         lb = self.c.dist(self.a)
         lc = self.a.dist(self.b)
-        r = la * lb * lc / (2.0 * abs(area2))
-        if abs(area2) <= 2.0 * DEFAULT_TOL.length_eps_rel * r * r:
-            raise CollinearError("degenerate triangle: area below tolerance")
-        if _collinear(area2, max(la, lb, lc), DEFAULT_TOL):
+        # also rejects area2 == 0.0, coincident vertices included
+        if _collinear(area2, max(la, lb, lc), LENGTH_EPS):
             raise CollinearError("degenerate triangle: collinear within tolerance")
         # seed the cache: these are the floats side_lengths would compute
         self.__dict__["side_lengths"] = (la, lb, lc)
@@ -446,17 +427,18 @@ class Triangle:
 
     def is_scalene(self) -> bool:
         la, lb, lc = self.side_lengths
-        eps = DEFAULT_TOL.length_eps(self.circumradius)
+        eps = LENGTH_EPS * self.circumradius
         return abs(la - lb) > eps and abs(lb - lc) > eps and abs(lc - la) > eps
 
     def is_right(self) -> bool:
-        return any(abs(ang - HALF_PI) < DEFAULT_TOL.angle_eps for ang in self.angles)
+        return any(abs(ang - HALF_PI) < ANGLE_EPS for ang in self.angles)
 
-    def is_isosceles_at(self, label: str, tol: Tolerance = DEFAULT_TOL) -> bool:
-        """True when the two sides adjacent to ``label`` have equal length."""
+    def is_isosceles_at(self, label: str, length_eps: float) -> bool:
+        """True when the two sides adjacent to ``label`` differ by less than
+        ``length_eps`` (relative) times the circumradius."""
         i = VERTEX_LABELS.index(label)
         lens = self.side_lengths
-        return abs(lens[(i + 1) % 3] - lens[(i + 2) % 3]) < tol.length_eps(self.circumradius)
+        return abs(lens[(i + 1) % 3] - lens[(i + 2) % 3]) < length_eps * self.circumradius
 
     def min_side_line_distance(self, p: Point) -> float:
         return min(abs(side.offset(p)) for side in self.side_lines)

@@ -26,14 +26,14 @@ class SceneSpec:
     options: dict = field(default_factory=dict)
 
 
-def _pair(value, key: str) -> tuple[float, float]:
+def _numbers(value, key: str, n: int) -> tuple[float, ...]:
     if (
         not isinstance(value, (list, tuple))
-        or len(value) != 2
+        or len(value) != n
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        raise SceneError(f"{key!r} must be a pair of numbers")
-    return (float(value[0]), float(value[1]))
+        raise SceneError(f"{key!r} must be a list of {n} numbers")
+    return tuple(float(v) for v in value)
 
 
 def parse_scene(text: str) -> SceneSpec:
@@ -49,23 +49,14 @@ def parse_scene(text: str) -> SceneSpec:
     for key in ("A", "B", "C"):
         if key not in doc:
             raise SceneError(f"missing vertex {key!r}")
-    a = Point(*_pair(doc["A"], "A"))
-    b = Point(*_pair(doc["B"], "B"))
-    c = Point(*_pair(doc["C"], "C"))
+    a = Point(*_numbers(doc["A"], "A", 2))
+    b = Point(*_numbers(doc["B"], "B", 2))
+    c = Point(*_numbers(doc["C"], "C", 2))
     triangle = Triangle(a, b, c)  # degenerate input raises the geometric error
 
-    point = Point(*_pair(doc["P"], "P")) if "P" in doc else None
+    point = Point(*_numbers(doc["P"], "P", 2)) if "P" in doc else None
 
-    triad = None
-    if "triad" in doc:
-        raw = doc["triad"]
-        if (
-            not isinstance(raw, (list, tuple))
-            or len(raw) != 3
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-        ):
-            raise SceneError("'triad' must be a triple of numbers")
-        triad = (float(raw[0]), float(raw[1]), float(raw[2]))
+    triad = _numbers(doc["triad"], "triad", 3) if "triad" in doc else None
 
     theta = None
     if "theta" in doc:

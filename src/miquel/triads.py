@@ -24,14 +24,14 @@ from .errors import (
     ThetaOutOfRangeError,
 )
 from .kernel import (
-    DEFAULT_TOL,
+    ANGLE_EPS,
     HALF_PI,
+    LENGTH_EPS,
     VERTEX_LABELS,
     Circle,
     DirectedAngle,
     Line,
     Point,
-    Tolerance,
     Triangle,
     circle_circle_intersections,
     circumcircle,
@@ -45,7 +45,11 @@ from .kernel import (
 CIRCUMCIRCLE_BAND = 1e-7
 
 # the angle band within which a pedal shape counts as similar to its host
-PEDAL_SIMILARITY_TOL = Tolerance(angle_eps=1e-7)
+PEDAL_SIMILARITY_TOL = 1e-7
+
+# largest drift (relative to R) of a triad's concurrency point from the point
+# it was built around; chain steps and the angle equations reject more
+CONCURRENCY_BAND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -138,16 +142,6 @@ class MiquelAngles(NamedTuple):
     z: DirectedAngle
 
 
-class EquationResiduals(NamedTuple):
-    bpc: float
-    cpa: float
-    apb: float
-
-    @property
-    def max(self) -> float:
-        return max(self.bpc, self.cpa, self.apb)
-
-
 @dataclass(frozen=True)
 class SimilarityClass:
     """A vertex correspondence under which two triangles are similar.
@@ -170,7 +164,7 @@ NONE_ROLE = SpecialRole("none")
 
 
 def _reject_side_lines(t: Triangle, p: Point) -> None:
-    if t.min_side_line_distance(p) < DEFAULT_TOL.length_eps(t.circumradius):
+    if t.min_side_line_distance(p) < LENGTH_EPS * t.circumradius:
         raise OnSideLineError("the point lies on a side line of the triangle")
 
 
@@ -244,7 +238,7 @@ def family_member(t: Triangle, p: Point, theta: float) -> Triad:
     with its side line; theta = 0 reproduces the pedal triad, and the triad
     triangle scales by 1/cos(theta) relative to it.
     """
-    if abs(theta) >= HALF_PI - DEFAULT_TOL.angle_eps:
+    if abs(theta) >= HALF_PI - ANGLE_EPS:
         raise ThetaOutOfRangeError(f"rotation {theta} not inside (-pi/2, pi/2)")
     _reject_side_lines(t, p)
     feet = []
@@ -256,7 +250,7 @@ def family_member(t: Triangle, p: Point, theta: float) -> Triad:
 
 
 def _reject_vertices(t: Triangle, p: Point) -> None:
-    eps = DEFAULT_TOL.length_eps(t.circumradius)
+    eps = LENGTH_EPS * t.circumradius
     if any(p.dist(q) < eps for q in t.vertices):
         raise AtVertexError("the point coincides with a vertex")
 
@@ -289,13 +283,13 @@ def miquel_triangle_angles(t: Triangle, p: Point) -> MiquelAngles:
     )
 
 
-def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> EquationResiduals:
-    """Residuals of the three angle identities tying the host and triad
+def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
+    """Worst residual of the three angle identities tying the host and triad
     angles to the angles subtended at the concurrency point:
     A + X = BPC, B + Y = CPA, C + Z = APB (all directed).
     """
     result = miquel_point(t, triad)
-    if result.point.dist(p) > 1e-6 * t.circumradius:
+    if result.point.dist(p) > CONCURRENCY_BAND * t.circumradius:
         raise NotAMiquelTriadError("the triad's concurrency point is not the given point")
     x, y, z = triad.points
     ang_a = t.directed_angle_at("A")
@@ -304,10 +298,10 @@ def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> EquationResi
     ang_x = directed_angle(y, x, z)
     ang_y = directed_angle(z, y, x)
     ang_z = directed_angle(x, z, y)
-    return EquationResiduals(
-        bpc=(ang_a + ang_x).distance(directed_angle(t.b, p, t.c)),
-        cpa=(ang_b + ang_y).distance(directed_angle(t.c, p, t.a)),
-        apb=(ang_c + ang_z).distance(directed_angle(t.a, p, t.b)),
+    return max(
+        (ang_a + ang_x).distance(directed_angle(t.b, p, t.c)),
+        (ang_b + ang_y).distance(directed_angle(t.c, p, t.a)),
+        (ang_c + ang_z).distance(directed_angle(t.a, p, t.b)),
     )
 
 
@@ -315,48 +309,43 @@ _PERMUTATIONS = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
 _PARITY = {"ABC": 1, "BCA": 1, "CAB": 1, "ACB": -1, "BAC": -1, "CBA": -1}
 
 
-def all_similarities(
-    t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL
-) -> list[SimilarityClass]:
-    """Every vertex correspondence matching the angle triples within
-    tolerance, ranked by angle residual. Isosceles and equilateral inputs
-    legitimately return several."""
+def classify_similarity(t1: Triangle, t2: Triangle, angle_eps: float) -> SimilarityClass | None:
+    """Best vertex correspondence whose angle triples match within
+    ``angle_eps``, or None when none fits.
+
+    Ranked by angle residual plus side-ratio spread; isosceles and
+    equilateral inputs fit several, and the first minimal one in
+    ``_PERMUTATIONS`` order wins.
+    """
     angles1 = t1.angles
     angles2 = t2.angles
     sides1 = t1.side_lengths
     sides2 = t2.side_lengths
-    found = []
+    best = None
     for perm in _PERMUTATIONS:
         idx = tuple(VERTEX_LABELS.index(ch) for ch in perm)
         residual = max(abs(angles1[i] - angles2[idx[i]]) for i in range(3))
-        if residual >= tol.angle_eps:
+        if residual >= angle_eps:
             continue
         ratios = [sides2[idx[i]] / sides1[i] for i in range(3)]
         ratio = sum(ratios) / 3.0
-        spread = (max(ratios) - min(ratios)) / ratio
-        orientation = "direct" if t1.orientation == t2.orientation * _PARITY[perm] else "inverse"
-        found.append(SimilarityClass(perm, orientation, ratio, residual + spread))
-    found.sort(key=lambda s: s.residual)
-    return found
+        score = residual + (max(ratios) - min(ratios)) / ratio
+        if best is None or score < best.residual:
+            orientation = "direct" if t1.orientation == t2.orientation * _PARITY[perm] else "inverse"
+            best = SimilarityClass(perm, orientation, ratio, score)
+    return best
 
 
-def classify_similarity(
-    t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL
-) -> SimilarityClass | None:
-    """Best-matching similarity, or None when no correspondence fits."""
-    matches = all_similarities(t1, t2, tol)
-    return matches[0] if matches else None
-
-
-def detect_special_role(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) -> SpecialRole:
-    """Which named center of ``t`` the point is, within tolerance.
+def detect_special_role(t: Triangle, p: Point, length_eps: float) -> SpecialRole:
+    """Which named center of ``t`` the point is, within ``length_eps``
+    (relative) times the circumradius.
 
     Every point of ``centers.NAMED_POINTS`` but the centroid is a candidate.
     The nearest within the band wins, the first in table order on a tie; the
     arc role (isosceles host, point on the circle through the base vertices
     and the incenter) is only tried when no center fits.
     """
-    eps = tol.length_eps(t.circumradius)
+    eps = length_eps * t.circumradius
     best_role, best_dist = NONE_ROLE, math.inf
     for role, _ in centers.NAMED_POINTS:
         # the centroid plays no role in the paper; when b² + c² = 2a² it
@@ -373,11 +362,11 @@ def detect_special_role(t: Triangle, p: Point, tol: Tolerance = DEFAULT_TOL) -> 
         return best_role
     incenter = centers.incenter(t)
     for v in VERTEX_LABELS:
-        if not t.is_isosceles_at(v, tol):
+        if not t.is_isosceles_at(v, length_eps):
             continue
         b, c = t.opposite(v)
         try:
-            arc = circumcircle(b, c, incenter, tol)
+            arc = circumcircle(b, c, incenter, length_eps)
         except CollinearError:
             continue
         if abs(arc.offset_of(p)) < eps:

@@ -23,7 +23,6 @@ from .kernel import (
     VERTEX_LABELS,
     Line,
     Point,
-    Tolerance,
     Triangle,
     circumcircle,
     directed_angle,
@@ -141,8 +140,8 @@ def suite_theorem2(seed: int, trials: int = 500) -> SuiteReport:
         t = random_triangle(rng)
         p = random_point_in_circumdisk(rng, t)
         theta = rng.uniform(-1.2, 1.2)
-        res = verify_miquel_equations(t, p, family_member(t, p, theta))
-        equations.add(res.max, _witness(i, t, p))
+        worst = verify_miquel_equations(t, p, family_member(t, p, theta))
+        equations.add(worst, _witness(i, t, p))
     return report
 
 
@@ -342,31 +341,6 @@ def suite_theorem8(seed: int, trials: int = 100) -> SuiteReport:
     return report
 
 
-def _theorem9_case(t: Triangle, v: str, report_median, report_midpoint, report_match, wit):
-    p = centers.s_point(t, v)
-    shape = Triangle(*pedal_feet(t, p))
-    apex = shape.vertex(v)
-    b2, c2 = shape.opposite(v)
-    e = midpoint(b2, c2)
-    median = Line.through(apex, e)
-    r = t.circumradius
-    report_median.add(abs(median.offset(p)) / r, wit)
-    if t.angle(v) < math.pi / 2.0:
-        f = second_intersection(median, shape.circumcircle, apex)
-        report_midpoint.add(abs(e.dist(p) - e.dist(f)) / r, wit)
-    else:
-        host_circle = circumcircle(t.vertex(v), *(pedal_feet(t, p)[i] for i in _adjacent(v)))
-        f = second_intersection(median, host_circle, p)
-        report_midpoint.add(abs(apex.dist(e) - e.dist(f)) / r, wit)
-    report_match.add(centers.m_point(shape, v).dist(p) / r, wit)
-
-
-def _adjacent(v: str) -> tuple[int, int]:
-    """Indices into the (X, Y, Z) feet adjacent to host vertex v."""
-    i = VERTEX_LABELS.index(v)
-    return ((i + 1) % 3, (i + 2) % 3)
-
-
 def suite_theorem9(seed: int, trials: int = 100) -> SuiteReport:
     """Symmedian arc points land on the median of their pedal triangle, at
     the mirrored-chord position, i.e. they take the median special role."""
@@ -378,7 +352,22 @@ def suite_theorem9(seed: int, trials: int = 100) -> SuiteReport:
         rng = rng_for(seed, "theorem9", i)
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
-        _theorem9_case(t, v, on_median, midpoint_rel, m_match, _witness(i, t))
+        wit = _witness(i, t)
+        p = centers.s_point(t, v)
+        shape = Triangle(*pedal_feet(t, p))
+        apex = shape.vertex(v)
+        b2, c2 = shape.opposite(v)
+        e = midpoint(b2, c2)
+        median = Line.through(apex, e)
+        r = t.circumradius
+        on_median.add(abs(median.offset(p)) / r, wit)
+        if t.angle(v) < math.pi / 2.0:
+            f = second_intersection(median, shape.circumcircle, apex)
+            midpoint_rel.add(abs(e.dist(p) - e.dist(f)) / r, wit)
+        else:
+            f = second_intersection(median, circumcircle(t.vertex(v), b2, c2), p)
+            midpoint_rel.add(abs(apex.dist(e) - e.dist(f)) / r, wit)
+        m_match.add(centers.m_point(shape, v).dist(p) / r, wit)
     return report
 
 
@@ -432,7 +421,7 @@ def suite_theorem11(seed: int, trials: int = 100) -> SuiteReport:
         double_angle.add(
             directed_angle(b2, p, c2).distance(2 * shape.directed_angle_at(v)), wit
         )
-        detected = detect_special_role(shape, p, Tolerance(length_eps_rel=1e-7))
+        detected = detect_special_role(shape, p, 1e-7)
         role.add_bool(detected == SpecialRole("s_role", v), wit)
     return report
 

@@ -140,7 +140,7 @@ class TestMod3Similarity:
         check_mod3_similarity(iterate_chain(TSCA, Point(1.31, 0.87), 9))
         # of the 45 index pairs of ten triangles, 12 differ by a multiple of 3
         assert len(tols) == 12
-        assert all(tol is CHAIN_SIMILARITY_TOL for tol in tols)
+        assert all(tol == CHAIN_SIMILARITY_TOL for tol in tols)
 
     def test_needs_four_triangles(self):
         with pytest.raises(ValueError):
@@ -221,7 +221,7 @@ class TestLazyRoles:
         first = rec.roles
         assert len(first) == k + 1
         assert len(detect_calls) == k + 1
-        assert all(tol is CHAIN_DETECT_TOL for tol in detect_calls)
+        assert all(tol == CHAIN_DETECT_TOL for tol in detect_calls)
         assert rec.roles is first
         assert len(detect_calls) == k + 1
 

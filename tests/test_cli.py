@@ -150,6 +150,15 @@ def test_thin_scene_rejected_while_parsing(tmp_path):
     )
 
 
+def test_thin_well_conditioned_scene_accepted(tmp_path):
+    # base angles of 6e-4 rad; the circumradius is 416.67
+    flat = tmp_path / "flat.json"
+    flat.write_text('{"A": [0, 0], "B": [1, 0], "C": [0.5, 3e-4]}')
+    res = run_cli("centers", "--in", str(flat))
+    assert res.returncode == 0
+    assert len(res.stdout.splitlines()) == 15
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9"])
 def test_classify_tolerance_must_be_finite_and_positive(tri_file, value):
     res = run_cli("classify", "--in", tri_file, "--point", "3.3,0.2", f"--tolerance={value}")

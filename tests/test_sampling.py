@@ -2,7 +2,7 @@
 
 import math
 
-from miquel.kernel import HALF_PI, Triangle, triangle_contains
+from miquel.kernel import HALF_PI, LENGTH_EPS, Triangle, triangle_contains
 from miquel.sampling import (
     random_acute_triangle,
     random_arc_point,
@@ -59,7 +59,7 @@ def test_isosceles_generator():
     for v in "ABC":
         for _ in range(20):
             t = random_isosceles(rng, v)
-            assert t.is_isosceles_at(v)
+            assert t.is_isosceles_at(v, LENGTH_EPS)
             others = [u for u in "ABC" if u != v]
             assert abs(t.angle(others[0]) - t.angle(others[1])) < 1e-12
 
