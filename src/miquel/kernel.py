@@ -222,19 +222,18 @@ def directed_angle(p: Point, q: Point, r: Point) -> DirectedAngle:
     return DirectedAngle(qr.angle() - qp.angle())
 
 
-def _collinear(cross: float, span: float, length_eps: float) -> bool:
+def _collinear(cross: float, span: float) -> bool:
     """The collinearity test of ``circumcircle``: ``cross`` is twice the
-    signed area of three points, ``span`` the longest of their distances,
-    ``length_eps`` a relative length tolerance."""
-    return abs(2.0 * cross) <= 2.0 * length_eps * span * span
+    signed area of three points, ``span`` the longest of their distances."""
+    return abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span
 
 
-def circumcircle(p1: Point, p2: Point, p3: Point, length_eps: float = LENGTH_EPS) -> Circle:
+def circumcircle(p1: Point, p2: Point, p3: Point) -> Circle:
     """Circle through three pairwise distinct, non-collinear points."""
     q2 = p2 - p1
     q3 = p3 - p1
     cross = q2.cross(q3)
-    if _collinear(cross, max(q2.norm(), q3.norm(), p3.dist(p2)), length_eps):
+    if _collinear(cross, max(q2.norm(), q3.norm(), p3.dist(p2))):
         raise CollinearError("the three points are collinear within tolerance")
     d = 2.0 * cross
     m2 = q2.dot(q2)
@@ -350,7 +349,7 @@ class Triangle:
         lb = self.c.dist(self.a)
         lc = self.a.dist(self.b)
         # also rejects area2 == 0.0, coincident vertices included
-        if _collinear(area2, max(la, lb, lc), LENGTH_EPS):
+        if _collinear(area2, max(la, lb, lc)):
             raise CollinearError("degenerate triangle: collinear within tolerance")
         # seed the cache: these are the floats side_lengths would compute
         self.__dict__["side_lengths"] = (la, lb, lc)

@@ -16,7 +16,6 @@ from .errors import (
     AtVertexError,
     CollinearError,
     DegenerateCircleError,
-    IdenticalCirclesError,
     NotAMiquelTriadError,
     OnCircumcircleError,
     OnSideLineError,
@@ -33,10 +32,9 @@ from .kernel import (
     Line,
     Point,
     Triangle,
-    circle_circle_intersections,
     circumcircle,
     directed_angle,
-    line_line_intersection,
+    reflect_over_line,
     triangle_contains,
 )
 
@@ -205,8 +203,10 @@ def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
     """Common point of the three circles through each vertex and the triad
     points on its adjacent sides.
 
-    The point is cut as the second intersection of the first two circles
-    (both pass through Z); the residual against the third circle is the
+    The circles through A and through B both pass through Z, so their other
+    common point is Z mirrored in the line of their centers. The centers
+    project onto line AB at the midpoints of AZ and ZB, |AB|/2 apart, so the
+    line is always defined. The residual against all three circles is the
     numeric witness of the concurrency.
     """
     x, y, z = triad.points
@@ -216,14 +216,8 @@ def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
         circle_c = circumcircle(t.c, x, y)
     except CollinearError as exc:
         raise DegenerateCircleError(f"a defining triple is collinear: {exc}") from None
-    try:
-        hits = circle_circle_intersections(circle_a, circle_b)
-    except IdenticalCirclesError:
-        raise DegenerateCircleError("two construction circles coincide") from None
-    if not hits:
-        raise DegenerateCircleError("construction circles unexpectedly disjoint")
-    point = max(hits, key=lambda q: q.dist(z))
-    tangent = len(hits) == 1
+    point = reflect_over_line(Line.through(circle_a.center, circle_b.center), z)
+    tangent = point.dist(z) < LENGTH_EPS * max(circle_a.radius, circle_b.radius)
     residual = max(
         abs(k.offset_of(point)) for k in (circle_a, circle_b, circle_c)
     )
@@ -234,18 +228,17 @@ def family_member(t: Triangle, p: Point, theta: float) -> Triad:
     """Member of the one-parameter family of triads whose common circle
     point is ``p``.
 
-    Each foot line from ``p`` is rotated by ``theta`` and re-intersected
-    with its side line; theta = 0 reproduces the pedal triad, and the triad
-    triangle scales by 1/cos(theta) relative to it.
+    Each spoke from ``p`` to its pedal foot is rotated by ``theta``; the
+    rotated spoke meets the side line 1/cos(theta) times as far from ``p``.
+    theta = 0 reproduces the pedal triad, and the triad triangle scales by
+    1/cos(theta) relative to it.
     """
-    if abs(theta) >= HALF_PI - ANGLE_EPS:
+    # rejects NaN too: every comparison with NaN is false
+    if not abs(theta) < HALF_PI - ANGLE_EPS:
         raise ThetaOutOfRangeError(f"rotation {theta} not inside (-pi/2, pi/2)")
     _reject_side_lines(t, p)
-    feet = []
-    for v in VERTEX_LABELS:
-        side = t.side_line(v)
-        spoke = (side.project(p) - p).rotated(theta)
-        feet.append(line_line_intersection(Line(p, spoke), side))
+    stretch = 1.0 / math.cos(theta)
+    feet = (p + (f - p).rotated(theta) * stretch for f in pedal_feet(t, p))
     return Triad.from_points(t, *feet)
 
 
@@ -343,7 +336,8 @@ def detect_special_role(t: Triangle, p: Point, length_eps: float) -> SpecialRole
     Every point of ``centers.NAMED_POINTS`` but the centroid is a candidate.
     The nearest within the band wins, the first in table order on a tie; the
     arc role (isosceles host, point on the circle through the base vertices
-    and the incenter) is only tried when no center fits.
+    and the incenter) is only tried when no center fits. That circle is
+    built with the kernel's own collinearity band, not with ``length_eps``.
     """
     eps = length_eps * t.circumradius
     best_role, best_dist = NONE_ROLE, math.inf
@@ -366,7 +360,7 @@ def detect_special_role(t: Triangle, p: Point, length_eps: float) -> SpecialRole
             continue
         b, c = t.opposite(v)
         try:
-            arc = circumcircle(b, c, incenter, length_eps)
+            arc = circumcircle(b, c, incenter)
         except CollinearError:
             continue
         if abs(arc.offset_of(p)) < eps:

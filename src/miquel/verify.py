@@ -1,14 +1,16 @@
 """Seeded randomized verification suites, one per numbered claim.
 
-Every suite draws its randomness through ``sampling.rng_for`` keyed by
-(suite, seed, trial index), so reports are deterministic and trials could be
-evaluated in any order. A claim aggregates the worst residual over all
-trials and keeps the worst offending instance for reproduction.
+Every suite draws its randomness through ``SuiteReport.rng``, which keys
+``sampling.rng_for`` by (suite, seed, trial index), so reports are
+deterministic and trials could be evaluated in any order. A claim
+aggregates the worst residual over all trials and keeps the worst offending
+instance for reproduction.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -101,6 +103,10 @@ class SuiteReport:
         self.claims.append(c)
         return c
 
+    def rng(self, trial: int) -> random.Random:
+        """The generator of one trial, keyed by (suite, seed, trial)."""
+        return rng_for(self.seed, self.suite, trial)
+
 
 def _witness(i: int, t: Triangle, p: Point | None = None) -> str:
     core = (
@@ -118,7 +124,7 @@ def suite_theorem1(seed: int, trials: int = 1000) -> SuiteReport:
     report = SuiteReport("theorem1", seed, trials)
     concurrency = report.claim("circle-concurrency", 1e-8)
     for i in range(trials):
-        rng = rng_for(seed, "theorem1", i)
+        rng = report.rng(i)
         t = random_triangle(rng)
         params = []
         while len(params) < 3:
@@ -136,7 +142,7 @@ def suite_theorem2(seed: int, trials: int = 500) -> SuiteReport:
     report = SuiteReport("theorem2", seed, trials)
     equations = report.claim("angle-equations", 1e-9)
     for i in range(trials):
-        rng = rng_for(seed, "theorem2", i)
+        rng = report.rng(i)
         t = random_triangle(rng)
         p = random_point_in_circumdisk(rng, t)
         theta = rng.uniform(-1.2, 1.2)
@@ -152,7 +158,7 @@ def suite_lemma1(seed: int, trials: int = 400) -> SuiteReport:
     parity = report.claim("containment-parity", 0.5)
     ray_sum = report.claim("interior-ray-turn", 1e-9)
     for i in range(trials):
-        rng = rng_for(seed, "lemma1", i)
+        rng = report.rng(i)
         t = random_triangle(rng)
         if i % 2 == 0:
             p = random_interior_point(rng, t)
@@ -176,7 +182,7 @@ def suite_lemma2(seed: int, trials: int = 500) -> SuiteReport:
     report = SuiteReport("lemma2", seed, trials)
     formulas = report.claim("sextet-angle-formulas", 1e-8)
     for i in range(trials):
-        rng = rng_for(seed, "lemma2", i)
+        rng = report.rng(i)
         t = random_triangle(rng)
         p = random_point_in_circumdisk(rng, t)
         angs = miquel_triangle_angles(t, p)
@@ -196,7 +202,7 @@ def suite_theorem3(seed: int, trials: int = 200) -> SuiteReport:
     report = SuiteReport("theorem3", seed, trials)
     similar = report.claim("inverse-pedal-similarity", 1e-7)
     for i in range(trials):
-        rng = rng_for(seed, "theorem3", i)
+        rng = report.rng(i)
         t = random_triangle(rng)
         circ = t.circumcircle
         while True:
@@ -222,7 +228,7 @@ def suite_theorem4(seed: int, trials: int = 50) -> SuiteReport:
     distinct = report.claim("pairwise-distinct", 0.5)
     orientation_note = report.claim("orientation-split-observed", 0.5, informational=True)
     for i in range(trials):
-        rng = rng_for(seed, "theorem4", i)
+        rng = report.rng(i)
         t = random_catalog_triangle(rng)
         cat = centers.eleven_point_catalog(t)
         inside = [e for e in cat if t.circumcircle.offset_of(e.location) < 0.0]
@@ -262,7 +268,7 @@ def suite_theorem5(seed: int, trials: int = 100) -> SuiteReport:
     report = SuiteReport("theorem5", seed, trials)
     claim = report.claim("orthocenter-of-pedal", 1e-8)
     for i in range(trials):
-        rng = rng_for(seed, "theorem5", i)
+        rng = report.rng(i)
         t = random_triangle(rng)
         o = centers.circumcenter(t)
         claim.add(
@@ -280,7 +286,7 @@ def suite_theorem6(seed: int, trials: int = 100) -> SuiteReport:
     acute = report.claim("acute-incenter", 1e-8)
     obtuse = report.claim("obtuse-excenter", 1e-8)
     for i in range(trials):
-        rng = rng_for(seed, "theorem6", i)
+        rng = report.rng(i)
         if i % 2 == 0:
             t = random_acute_triangle(rng)
             h = centers.orthocenter(t)
@@ -302,7 +308,7 @@ def suite_theorem7(seed: int, trials: int = 100) -> SuiteReport:
     from_in = report.claim("incenter-to-circumcenter", 1e-8)
     from_ex = report.claim("excenter-to-circumcenter", 1e-8)
     for i in range(trials):
-        rng = rng_for(seed, "theorem7", i)
+        rng = report.rng(i)
         t = random_triangle(rng)
         l = centers.incenter(t)
         from_in.add(
@@ -317,13 +323,22 @@ def suite_theorem7(seed: int, trials: int = 100) -> SuiteReport:
     return report
 
 
+def _brocard_angle_spread(t: Triangle, p: Point, which: str) -> float:
+    """How far apart the three angles of the Brocard condition are at ``p``
+    in ``t``: alpha2, beta2, gamma2 for the first point, alpha1, beta1,
+    gamma1 for the second."""
+    s = angle_sextet(t, p)
+    trio = (s.alpha2, s.beta2, s.gamma2) if which == "first" else (s.alpha1, s.beta1, s.gamma1)
+    return max(trio[0].distance(trio[1]), trio[1].distance(trio[2]))
+
+
 def suite_theorem8(seed: int, trials: int = 100) -> SuiteReport:
     """Brocard points stay Brocard points of their pedal triangles."""
     report = SuiteReport("theorem8", seed, trials)
     position = report.claim("brocard-position", 1e-8)
     angles = report.claim("brocard-angle-condition", 1e-8)
     for i in range(trials):
-        rng = rng_for(seed, "theorem8", i)
+        rng = report.rng(i)
         t = random_triangle(rng)
         which = "first" if i % 2 == 0 else "second"
         p = centers.brocard_point(t, which)
@@ -332,12 +347,7 @@ def suite_theorem8(seed: int, trials: int = 100) -> SuiteReport:
             centers.brocard_point(shape, which).dist(p) / t.circumradius,
             _witness(i, t, p),
         )
-        s = angle_sextet(shape, p)
-        trio = (s.alpha2, s.beta2, s.gamma2) if which == "first" else (s.alpha1, s.beta1, s.gamma1)
-        angles.add(
-            max(trio[0].distance(trio[1]), trio[1].distance(trio[2])),
-            _witness(i, t, p),
-        )
+        angles.add(_brocard_angle_spread(shape, p, which), _witness(i, t, p))
     return report
 
 
@@ -349,7 +359,7 @@ def suite_theorem9(seed: int, trials: int = 100) -> SuiteReport:
     midpoint_rel = report.claim("median-chord-midpoint", 1e-7)
     m_match = report.claim("median-point-match", 1e-7)
     for i in range(trials):
-        rng = rng_for(seed, "theorem9", i)
+        rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         wit = _witness(i, t)
@@ -380,7 +390,7 @@ def suite_theorem10(seed: int, trials: int = 100) -> SuiteReport:
     arc = report.claim("on-base-incenter-circle", 1e-8)
     parity = report.claim("containment-parity", 0.5)
     for i in range(trials):
-        rng = rng_for(seed, "theorem10", i)
+        rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         obtuse_case = bool(i % 2)
         t = random_obtuse_at(rng, v) if obtuse_case else random_acute_triangle(rng)
@@ -407,7 +417,7 @@ def suite_theorem11(seed: int, trials: int = 100) -> SuiteReport:
     double_angle = report.claim("double-angle-at-point", 1e-8)
     role = report.claim("role-detected", 0.5)
     for i in range(trials):
-        rng = rng_for(seed, "theorem11", i)
+        rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         t = random_isosceles(rng, v)
         l = centers.incenter(t)
@@ -432,7 +442,7 @@ def suite_theorem12(seed: int, trials: int = 200) -> SuiteReport:
     report = SuiteReport("theorem12", seed, trials)
     pair = report.claim("isogonal-pair", 1e-8)
     for i in range(trials):
-        rng = rng_for(seed, "theorem12", i)
+        rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         conj = centers.isogonal_conjugate(t, centers.s_point(t, v))
@@ -447,7 +457,7 @@ def suite_theorem13(seed: int, trials: int = 100) -> SuiteReport:
     equations = report.claim("mirror-angle-equations", 1e-8)
     conj = report.claim("conjugate-position", 1e-8)
     for i in range(trials):
-        rng = rng_for(seed, "theorem13", i)
+        rng = report.rng(i)
         t = random_isosceles(rng, "A")
         l = centers.incenter(t)
         circ = circumcircle(t.b, t.c, l)
@@ -483,7 +493,7 @@ def suite_theorem14(seed: int, trials: int = 50) -> SuiteReport:
     random_sched = report.claim("mod3-random-schedule", 1e-6)
     k = 9
     for i in range(trials):
-        rng = rng_for(seed, "theorem14", i)
+        rng = report.rng(i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         for name, p in _chain_points(rng, t):
             ok, worst = check_mod3_similarity(iterate_chain(t, p, k))
@@ -506,7 +516,7 @@ def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
     generic = report.claim("generic-steps-1-2-dissimilar", 0.5, informational=True)
     k = 6
     for i in range(trials):
-        rng = rng_for(seed, "theorem15", i)
+        rng = report.rng(i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         v = VERTEX_LABELS[i % 3]
         wit = _witness(i, t)
@@ -518,15 +528,7 @@ def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
                 match = classify_similarity(t, tri, CHAIN_SIMILARITY_TOL)
                 brocard_all.add(match.residual if match else 1.0, wit + f" [{which}]")
             for step_t in rec.triangles:
-                s = angle_sextet(step_t, p)
-                trio = (
-                    (s.alpha2, s.beta2, s.gamma2) if which == "first"
-                    else (s.alpha1, s.beta1, s.gamma1)
-                )
-                brocard_angles.add(
-                    max(trio[0].distance(trio[1]), trio[1].distance(trio[2])),
-                    wit + f" [{which}]",
-                )
+                brocard_angles.add(_brocard_angle_spread(step_t, p, which), wit + f" [{which}]")
 
         for p in (centers.circumcenter(t), centers.s_point(t, v)):
             rec = iterate_chain(t, p, k)
@@ -560,7 +562,7 @@ def suite_corollary4(seed: int, trials: int = 50) -> SuiteReport:
     brocard_fixed = report.claim("brocard-role-fixed", 0.5)
     k = 6
     for i in range(trials):
-        rng = rng_for(seed, "corollary4", i)
+        rng = report.rng(i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         v = VERTEX_LABELS[i % 3]
         wit = _witness(i, t)
@@ -590,7 +592,7 @@ def suite_simson(seed: int, trials: int = 200) -> SuiteReport:
     report = SuiteReport("simson", seed, trials)
     collinear = report.claim("feet-collinear", 1e-9)
     for i in range(trials):
-        rng = rng_for(seed, "simson", i)
+        rng = report.rng(i)
         t = random_triangle(rng)
         p = random_circumcircle_point(rng, t)
         sim = pedal_triad(t, p)

@@ -87,10 +87,30 @@ def test_miquel_subcommand(tri_file):
     assert abs(doc["point"][0] - 1.7023121387283235) < 1e-9
 
 
+def test_miquel_tangency_line(tri_file):
+    res = run_cli("miquel", "--in", tri_file, "--triad", "0.2,0.8,0.1716117818584988")
+    assert res.returncode == 0
+    assert "tangency       the two defining circles touch at the point" in res.stdout
+
+
 def test_family_roundtrip(tri_file):
     res = run_cli("family", "--in", tri_file, "--point", "1.4,0.9", "--theta", "0.5", "--json")
     doc = json.loads(res.stdout)
     assert doc["roundtrip_residual"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "--point", "2,1", "--theta", "nan"),
+        ("family", "--point", "2,1", "--theta", "inf"),
+        ("chain", "--point", "2,1", "--steps", "3", "--thetas", "nan,0,0"),
+    ],
+)
+def test_non_finite_rotation_is_geometric_error(tri_file, argv):
+    res = run_cli(argv[0], "--in", tri_file, *argv[1:])
+    assert res.returncode == 1
+    assert "not inside (-pi/2, pi/2)" in res.stderr
 
 
 def test_chain_roles(tri_file):

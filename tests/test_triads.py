@@ -14,6 +14,7 @@ from miquel.centers import (
     orthocenter,
     s_point,
 )
+from miquel.chains import CHAIN_DETECT_TOL
 from miquel.errors import (
     AtVertexError,
     NotAMiquelTriadError,
@@ -25,18 +26,23 @@ from miquel.kernel import (
     ANGLE_EPS,
     LENGTH_EPS,
     DirectedAngle,
+    Line,
     Point,
     Triangle,
+    circle_circle_intersections,
     circumcircle,
     directed_angle,
+    line_line_intersection,
     midpoint,
 )
 from miquel.sampling import (
+    random_acute_triangle,
     random_catalog_triangle,
     random_circumcircle_point,
     random_exterior_point,
     random_interior_point,
     random_isosceles,
+    random_obtuse_at,
     random_point_in_circumdisk,
     random_triangle,
     rng_for,
@@ -145,6 +151,14 @@ class TestMiquelPoint:
             for q in pts:
                 assert abs(circ.offset_of(q)) < 1e-12
 
+    def test_tangent_when_the_point_is_z(self):
+        # README's triangle: circles AYZ and BZX touch at Z
+        triad = Triad(TSCA, 0.2, 0.8, 0.1716117818584988)
+        res = miquel_point(TSCA, triad)
+        assert res.tangent
+        assert res.point.dist(triad.z) < 1e-12 * TSCA.circumradius
+        assert not miquel_point(TSCA, Triad(TSCA, 0.2, 0.8, 0.3)).tangent
+
 
 class TestFamilyMember:
     def test_zero_theta_reproduces_pedal(self):
@@ -179,6 +193,11 @@ class TestFamilyMember:
         with pytest.raises(ThetaOutOfRangeError):
             family_member(TSCA, Point(1.2, 0.8), math.pi / 2)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_out_of_range(self, theta):
+        with pytest.raises(ThetaOutOfRangeError):
+            family_member(TSCA, Point(1.2, 0.8), theta)
+
     def test_family_members_mutually_similar(self):
         p = Point(1.2, 0.8)
         tol = 1e-8
@@ -192,6 +211,43 @@ class TestFamilyMember:
         for i in range(len(tris) - 1):
             match = classify_similarity(tris[i], tris[i + 1], tol)
             assert match is not None and match.permutation == "ABC"
+
+
+def _family_member_by_spoke_lines(t, p, theta):
+    """Each spoke from p to its pedal foot, rotated and cut with its side line."""
+    feet = []
+    for v in "ABC":
+        side = t.side_line(v)
+        spoke = (side.project(p) - p).rotated(theta)
+        feet.append(line_line_intersection(Line(p, spoke), side))
+    return feet
+
+
+def _miquel_point_by_radical_line(t, triad):
+    """The hit of circles AYZ and BZX farther from Z, where both meet."""
+    x, y, z = triad.points
+    hits = circle_circle_intersections(circumcircle(t.a, y, z), circumcircle(t.b, z, x))
+    return max(hits, key=lambda q: q.dist(z))
+
+
+class TestClosedFormsAgainstConstructions:
+    def test_acute_and_obtuse_hosts(self):
+        rng = rng_for(0, "chain-step-oracles", 0)
+        hosts = []
+        for _ in range(100):
+            hosts.append(random_acute_triangle(rng))
+            hosts.extend(random_obtuse_at(rng, v) for v in "ABC")
+        for t in hosts:
+            r = t.circumradius
+            p = random_point_in_circumdisk(rng, t)
+            theta = rng.uniform(-1.2, 1.2)
+            fam = family_member(t, p, theta)
+            for foot, oracle in zip(fam.points, _family_member_by_spoke_lines(t, p, theta)):
+                assert foot.dist(oracle) < 1e-12 * r
+            params = [rng.uniform(-1.0, 2.0) for _ in range(3)]
+            for triad in (fam, Triad(t, *params)):
+                point = miquel_point(t, triad).point
+                assert point.dist(_miquel_point_by_radical_line(t, triad)) < 1e-12 * r
 
 
 class TestAngleSextet:
@@ -367,6 +423,21 @@ class TestDetectSpecialRole:
             p = random_arc_point(rng, arc.center, arc.radius, t.c, t.b, l)
             role = detect_special_role(t, p, 1e-7)
             assert role == SpecialRole("q_role", "A")
+
+    def test_q_role_when_base_and_incenter_are_nearly_collinear(self):
+        # B, C and the incenter are collinear within the chain band but not
+        # within LENGTH_EPS (circumcircle's test: |cross| against eps * span²);
+        # the arc circle is built all the same
+        t = Triangle(Point(0, 3e-6), Point(-1, 0), Point(1, 0))
+        l = incenter(t)
+        cross, span = (t.c - t.b).cross(l - t.b), t.b.dist(t.c)
+        assert LENGTH_EPS * span**2 < abs(cross) <= CHAIN_DETECT_TOL * span**2
+        arc = circumcircle(t.b, t.c, l)
+        # on the arc, away from every named point (the nearest, at x = 1/3,
+        # is 0.27 from it; the band is 0.17)
+        p = Point(0.6, arc.center.y + math.sqrt(arc.radius**2 - 0.36))
+        assert abs(arc.offset_of(p)) < LENGTH_EPS * t.circumradius
+        assert detect_special_role(t, p, CHAIN_DETECT_TOL) == SpecialRole("q_role", "A")
 
 
 class TestContainmentParity:
