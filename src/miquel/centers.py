@@ -45,7 +45,8 @@ def circumcenter(t: Triangle) -> Point:
 def orthocenter(t: Triangle) -> Point:
     # vector identity: H = A + B + C - 2*O
     o = circumcenter(t)
-    return t.a + t.b + t.c - 2.0 * o
+    a, b, c = t.a, t.b, t.c
+    return Point(a.x + b.x + c.x - 2.0 * o.x, a.y + b.y + c.y - 2.0 * o.y)
 
 
 def centroid(t: Triangle) -> Point:
@@ -54,7 +55,9 @@ def centroid(t: Triangle) -> Point:
 
 def _from_barycentric(t: Triangle, wa: float, wb: float, wc: float) -> Point:
     """The point with barycentric weights (wa : wb : wc) over A, B, C."""
-    return (wa * t.a + wb * t.b + wc * t.c) / (wa + wb + wc)
+    a, b, c = t.a, t.b, t.c
+    s = wa + wb + wc
+    return Point((wa * a.x + wb * b.x + wc * c.x) / s, (wa * a.y + wb * b.y + wc * c.y) / s)
 
 
 def incenter(t: Triangle) -> Point:
@@ -84,7 +87,10 @@ def symmedian_foot(t: Triangle, vertex: str) -> Point:
 def _squared_sides(t: Triangle) -> tuple[float, float, float]:
     """a^2, b^2, c^2: the squared lengths of BC, CA, AB."""
     a, b, c = t.a, t.b, t.c
-    return ((c - b).dot(c - b), (a - c).dot(a - c), (b - a).dot(b - a))
+    bcx, bcy = c.x - b.x, c.y - b.y
+    cax, cay = a.x - c.x, a.y - c.y
+    abx, aby = b.x - a.x, b.y - a.y
+    return (bcx * bcx + bcy * bcy, cax * cax + cay * cay, abx * abx + aby * aby)
 
 
 def brocard_point(t: Triangle, which: str) -> Point:
@@ -213,7 +219,7 @@ def isogonal_conjugate(t: Triangle, p: Point) -> Point:
     s = wa + wb + wc
     if abs(s) < 1e-13 * max(abs(wa), abs(wb), abs(wc)):
         raise NoFiniteConjugateError("conjugate weights cancel: point at infinity")
-    return (wa * t.a + wb * t.b + wc * t.c) / s
+    return _from_barycentric(t, wa, wb, wc)
 
 
 def inverse_in_circumcircle(t: Triangle, p: Point) -> Point:

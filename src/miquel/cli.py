@@ -18,7 +18,7 @@ from .chains import check_mod3_similarity, iterate_chain
 from .errors import GeometryError, OnSideLineError, RightAngleDegenerateError, SceneError
 from .figures import ELEMENTS, render_figure
 from .kernel import Point, Triangle
-from .scene import SceneSpec, parse_scene
+from .scene import SceneSpec, parse_scene, point_in_range
 from .triads import (
     PEDAL_SIMILARITY_TOL,
     SimsonLine,
@@ -63,7 +63,7 @@ def _parse_numbers(text: str, flag: str, n: int) -> tuple[float, ...]:
 
 def _require_point(scene: SceneSpec, override: str | None) -> Point:
     if override is not None:
-        return Point(*_parse_numbers(override, "--point", 2))
+        return point_in_range(*_parse_numbers(override, "--point", 2), "--point")
     if scene.point is None:
         raise SceneError("no point given: add \"P\" to the scene or pass --point")
     return scene.point

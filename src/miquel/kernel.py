@@ -182,7 +182,8 @@ class Line:
         return cls(p, q - p)
 
     def at(self, t: float) -> Point:
-        return self.anchor + t * self.direction
+        a, d = self.anchor, self.direction
+        return Point(a.x + t * d.x, a.y + t * d.y)
 
     def param_of(self, p: Point) -> float:
         a, d = self.anchor, self.direction
@@ -212,14 +213,14 @@ def line_line_intersection(l1: Line, l2: Line) -> Point:
 
 def directed_angle(p: Point, q: Point, r: Point) -> DirectedAngle:
     """Directed angle from line qp to line qr, modulo a half turn."""
-    qp = p - q
-    qr = r - q
-    n_qp = qp.norm()
-    n_qr = qr.norm()
+    qpx, qpy = p.x - q.x, p.y - q.y
+    qrx, qry = r.x - q.x, r.y - q.y
+    n_qp = math.hypot(qpx, qpy)
+    n_qr = math.hypot(qrx, qry)
     scale = max(n_qp, n_qr)
     if scale == 0.0 or min(n_qp, n_qr) < LENGTH_EPS * scale:
         raise DegenerateRayError("angle leg collapses onto the apex")
-    return DirectedAngle(qr.angle() - qp.angle())
+    return DirectedAngle(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
 
 
 def _collinear(cross: float, span: float) -> bool:
@@ -230,16 +231,16 @@ def _collinear(cross: float, span: float) -> bool:
 
 def circumcircle(p1: Point, p2: Point, p3: Point) -> Circle:
     """Circle through three pairwise distinct, non-collinear points."""
-    q2 = p2 - p1
-    q3 = p3 - p1
-    cross = q2.cross(q3)
-    if _collinear(cross, max(q2.norm(), q3.norm(), p3.dist(p2))):
+    q2x, q2y = p2.x - p1.x, p2.y - p1.y
+    q3x, q3y = p3.x - p1.x, p3.y - p1.y
+    cross = q2x * q3y - q2y * q3x
+    if _collinear(cross, max(math.hypot(q2x, q2y), math.hypot(q3x, q3y), p3.dist(p2))):
         raise CollinearError("the three points are collinear within tolerance")
     d = 2.0 * cross
-    m2 = q2.dot(q2)
-    m3 = q3.dot(q3)
-    ux = (m2 * q3.y - m3 * q2.y) / d
-    uy = (m3 * q2.x - m2 * q3.x) / d
+    m2 = q2x * q2x + q2y * q2y
+    m3 = q3x * q3x + q3y * q3y
+    ux = (m2 * q3y - m3 * q2y) / d
+    uy = (m3 * q2x - m2 * q3x) / d
     center = Point(p1.x + ux, p1.y + uy)
     return Circle(center, math.hypot(ux, uy))
 
@@ -302,8 +303,9 @@ def invert_point(c: Circle, p: Point) -> Point:
 
 
 def reflect_over_line(l: Line, p: Point) -> Point:
-    foot = l.project(p)
-    return 2.0 * foot - p
+    a, d = l.anchor, l.direction
+    t = l.param_of(p)
+    return Point(2.0 * (a.x + t * d.x) - p.x, 2.0 * (a.y + t * d.y) - p.y)
 
 
 def second_intersection(l: Line, c: Circle, known: Point) -> Point:
@@ -356,7 +358,8 @@ class Triangle:
 
     @cached_property
     def signed_area(self) -> float:
-        return 0.5 * (self.b - self.a).cross(self.c - self.a)
+        a, b, c = self.a, self.b, self.c
+        return 0.5 * ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
 
     @property
     def orientation(self) -> int:
@@ -378,9 +381,9 @@ class Triangle:
 
     @staticmethod
     def _interior(apex: Point, p: Point, q: Point) -> float:
-        u = p - apex
-        v = q - apex
-        return math.atan2(abs(u.cross(v)), u.dot(v))
+        ux, uy = p.x - apex.x, p.y - apex.y
+        vx, vy = q.x - apex.x, q.y - apex.y
+        return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
     @cached_property
     def circumcircle(self) -> Circle:

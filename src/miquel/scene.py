@@ -2,7 +2,9 @@
 
 A scene is a single object with vertex keys "A", "B", "C" and optional
 "P", "triad", "theta" and "options"; anything else is rejected. Numbers are
-read at full float precision.
+read at full float precision. Coordinates must lie within
+±``MAX_COORDINATE`` and the triangle's longest side must be at least
+``MIN_LONGEST_SIDE``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,13 @@ from .kernel import Point, Triangle
 
 _TOP_KEYS = ("A", "B", "C", "P", "triad", "theta", "options")
 _OPTION_KEYS = ("width", "labels", "vertex")
+
+# Inside this range the constructions on the scene's triangle neither
+# overflow nor underflow: the Brocard weights are quartic in the sides and
+# the collinearity test squares the longest side, and both stay far from the
+# float limits (1e308, 1e-308).
+MAX_COORDINATE = 1e50
+MIN_LONGEST_SIDE = 1e-50
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,17 @@ def _numbers(value, key: str, n: int) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
+def point_in_range(x: float, y: float, key: str) -> Point:
+    """The point (x, y), rejected unless both coordinates lie within
+    ±``MAX_COORDINATE``."""
+    p = Point(x, y)  # rejects non-finite coordinates first
+    if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
+        raise SceneError(
+            f"{key} is out of range: coordinates must lie within ±{MAX_COORDINATE:.0e}"
+        )
+    return p
+
+
 def parse_scene(text: str) -> SceneSpec:
     try:
         doc = json.loads(text)
@@ -49,12 +69,14 @@ def parse_scene(text: str) -> SceneSpec:
     for key in ("A", "B", "C"):
         if key not in doc:
             raise SceneError(f"missing vertex {key!r}")
-    a = Point(*_numbers(doc["A"], "A", 2))
-    b = Point(*_numbers(doc["B"], "B", 2))
-    c = Point(*_numbers(doc["C"], "C", 2))
+    a, b, c = (point_in_range(*_numbers(doc[key], key, 2), key) for key in ("A", "B", "C"))
+    if max(a.dist(b), b.dist(c), c.dist(a)) < MIN_LONGEST_SIDE:
+        raise SceneError(
+            f"the triangle is out of range: its longest side must be at least {MIN_LONGEST_SIDE:.0e}"
+        )
     triangle = Triangle(a, b, c)  # degenerate input raises the geometric error
 
-    point = Point(*_numbers(doc["P"], "P", 2)) if "P" in doc else None
+    point = point_in_range(*_numbers(doc["P"], "P", 2), "P") if "P" in doc else None
 
     triad = _numbers(doc["triad"], "triad", 3) if "triad" in doc else None
 

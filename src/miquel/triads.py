@@ -50,6 +50,11 @@ PEDAL_SIMILARITY_TOL = 1e-7
 CONCURRENCY_BAND = 1e-6
 
 
+def _along(tail: Point, head: Point, s: float) -> Point:
+    """tail + s·(head − tail)."""
+    return Point(tail.x + s * (head.x - tail.x), tail.y + s * (head.y - tail.y))
+
+
 @dataclass(frozen=True)
 class Triad:
     """Three points bound to the side lines of a host triangle.
@@ -69,15 +74,15 @@ class Triad:
 
     @cached_property
     def x(self) -> Point:
-        return self.host.b + self.u * (self.host.c - self.host.b)
+        return _along(self.host.b, self.host.c, self.u)
 
     @cached_property
     def y(self) -> Point:
-        return self.host.c + self.v * (self.host.a - self.host.c)
+        return _along(self.host.c, self.host.a, self.v)
 
     @cached_property
     def z(self) -> Point:
-        return self.host.a + self.w * (self.host.b - self.host.a)
+        return _along(self.host.a, self.host.b, self.w)
 
     @property
     def points(self) -> tuple[Point, Point, Point]:
@@ -89,8 +94,8 @@ class Triad:
     @classmethod
     def from_points(cls, host: Triangle, x: Point, y: Point, z: Point) -> Triad:
         def param(p: Point, tail: Point, head: Point) -> float:
-            d = head - tail
-            return (p - tail).dot(d) / d.dot(d)
+            dx, dy = head.x - tail.x, head.y - tail.y
+            return ((p.x - tail.x) * dx + (p.y - tail.y) * dy) / (dx * dx + dy * dy)
 
         return cls(
             host,
@@ -237,8 +242,13 @@ def family_member(t: Triangle, p: Point, theta: float) -> Triad:
     if not abs(theta) < HALF_PI - ANGLE_EPS:
         raise ThetaOutOfRangeError(f"rotation {theta} not inside (-pi/2, pi/2)")
     _reject_side_lines(t, p)
-    stretch = 1.0 / math.cos(theta)
-    feet = (p + (f - p).rotated(theta) * stretch for f in pedal_feet(t, p))
+    c, s = math.cos(theta), math.sin(theta)
+    stretch = 1.0 / c
+    feet = []
+    for f in pedal_feet(t, p):
+        # the spoke f - p, rotated by theta and stretched
+        dx, dy = f.x - p.x, f.y - p.y
+        feet.append(Point(p.x + (c * dx - s * dy) * stretch, p.y + (s * dx + c * dy) * stretch))
     return Triad.from_points(t, *feet)
 
 
@@ -298,8 +308,16 @@ def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
     )
 
 
-_PERMUTATIONS = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
-_PARITY = {"ABC": 1, "BCA": 1, "CAB": 1, "ACB": -1, "BAC": -1, "CBA": -1}
+# each vertex correspondence: its name, the indices of the matched vertices of
+# the second triangle, and its parity (+1 even, -1 odd)
+_PERMUTATIONS = (
+    ("ABC", (0, 1, 2), 1),
+    ("ACB", (0, 2, 1), -1),
+    ("BAC", (1, 0, 2), -1),
+    ("BCA", (1, 2, 0), 1),
+    ("CAB", (2, 0, 1), 1),
+    ("CBA", (2, 1, 0), -1),
+)
 
 
 def classify_similarity(t1: Triangle, t2: Triangle, angle_eps: float) -> SimilarityClass | None:
@@ -315,16 +333,17 @@ def classify_similarity(t1: Triangle, t2: Triangle, angle_eps: float) -> Similar
     sides1 = t1.side_lengths
     sides2 = t2.side_lengths
     best = None
-    for perm in _PERMUTATIONS:
-        idx = tuple(VERTEX_LABELS.index(ch) for ch in perm)
-        residual = max(abs(angles1[i] - angles2[idx[i]]) for i in range(3))
+    for perm, (i, j, k), parity in _PERMUTATIONS:
+        residual = max(
+            abs(angles1[0] - angles2[i]), abs(angles1[1] - angles2[j]), abs(angles1[2] - angles2[k])
+        )
         if residual >= angle_eps:
             continue
-        ratios = [sides2[idx[i]] / sides1[i] for i in range(3)]
+        ratios = (sides2[i] / sides1[0], sides2[j] / sides1[1], sides2[k] / sides1[2])
         ratio = sum(ratios) / 3.0
         score = residual + (max(ratios) - min(ratios)) / ratio
         if best is None or score < best.residual:
-            orientation = "direct" if t1.orientation == t2.orientation * _PARITY[perm] else "inverse"
+            orientation = "direct" if t1.orientation == t2.orientation * parity else "inverse"
             best = SimilarityClass(perm, orientation, ratio, score)
     return best
 

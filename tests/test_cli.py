@@ -211,6 +211,41 @@ def test_non_finite_scene_is_usage_error(tmp_path, command, scene):
     assert "non-finite coordinates" in res.stderr
 
 
+def _scaled_scene(k: int) -> str:
+    return f'{{"A": [0, 0], "B": [4e{k}, 0], "C": [1e{k}, 3e{k}]}}'
+
+
+@pytest.mark.parametrize(
+    "scene",
+    [
+        _scaled_scene(-80),  # the Brocard weights underflow: Ω₁ printed as (0.0, 0.0)
+        _scaled_scene(80),  # the Brocard weights overflow
+        _scaled_scene(160),  # the collinearity test's squared span overflows
+        '{"A": [-1e308, -1e308], "B": [1e308, -1e308], "C": [0, 1e308]}',
+    ],
+)
+def test_out_of_range_scene_is_usage_error(tmp_path, scene):
+    path = tmp_path / "scene.json"
+    path.write_text(scene)
+    res = run_cli("centers", "--in", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "out of range" in res.stderr
+
+
+def test_scene_inside_the_range_is_accepted(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(_scaled_scene(40))
+    res = run_cli("centers", "--in", str(path), "--json")
+    assert res.returncode == 0
+    x, y = json.loads(res.stdout)["Ω₁"].strip("()").split(", ")
+    assert abs(float(x) / 1e40 - 1.4012738853503184) < 1e-12
+    assert abs(float(y) / 1e40 - 0.7643312101910829) < 1e-12
+    res = run_cli("classify", "--in", str(path), "--point", "1e51,0")
+    assert res.returncode == 2
+    assert "--point is out of range" in res.stderr
+
+
 def test_closed_stdout_exits_without_traceback():
     # the reader goes away before any output, as with `miquel verify | head -1`
     proc = subprocess.Popen(

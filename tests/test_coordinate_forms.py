@@ -1,0 +1,246 @@
+"""The coordinate forms of the hot paths against their Point-operator forms.
+
+`kernel`, `centers` and `triads` spell their vector expressions coordinate by
+coordinate, so only the Points callers keep are built. Each form must do the
+operator form's float operations in the same order, so the two agree with
+`==`, not within a tolerance. The operator forms below are those oracles; a
+later edit that reassociates a sum or a product fails here.
+"""
+
+import math
+
+import pytest
+
+from miquel import centers, kernel
+from miquel.centers import NAMED_POINTS, locate
+from miquel.chains import iterate_chain
+from miquel.errors import RightAngleDegenerateError
+from miquel.kernel import (
+    LENGTH_EPS,
+    Line,
+    Point,
+    circumcircle,
+    directed_angle,
+    reflect_over_line,
+)
+from miquel.sampling import (
+    random_acute_triangle,
+    random_exterior_point,
+    random_interior_point,
+    random_obtuse_at,
+    rng_for,
+)
+from miquel.triads import Triad, classify_similarity, family_member, pedal_feet
+
+
+def _hosts_and_points():
+    """1000 acute and obtuse hosts, each with an interior and an exterior
+    point and a rotation in (-1.2, 1.2)."""
+    rng = rng_for(0, "coordinate-forms", 0)
+    cases = []
+    for _ in range(250):
+        for t in (random_acute_triangle(rng), *(random_obtuse_at(rng, v) for v in "ABC")):
+            points = (random_interior_point(rng, t), random_exterior_point(rng, t))
+            cases.append((t, points, rng.uniform(-1.2, 1.2)))
+    return cases
+
+
+CASES = _hosts_and_points()
+
+
+# ---------------------------------------------------------------- the operator forms
+
+def _circumcircle_by_operators(p1, p2, p3):
+    q2 = p2 - p1
+    q3 = p3 - p1
+    cross = q2.cross(q3)
+    span = max(q2.norm(), q3.norm(), p3.dist(p2))
+    assert not abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span
+    d = 2.0 * cross
+    m2 = q2.dot(q2)
+    m3 = q3.dot(q3)
+    ux = (m2 * q3.y - m3 * q2.y) / d
+    uy = (m3 * q2.x - m2 * q3.x) / d
+    return Point(p1.x + ux, p1.y + uy), math.hypot(ux, uy)
+
+
+def _at_by_operators(line, t):
+    return line.anchor + t * line.direction
+
+
+def _project_by_operators(line, p):
+    return _at_by_operators(line, (p - line.anchor).dot(line.direction))
+
+
+def _reflect_by_operators(line, p):
+    return 2.0 * _project_by_operators(line, p) - p
+
+
+def _directed_angle_by_operators(p, q, r):
+    return kernel.DirectedAngle((r - q).angle() - (p - q).angle())
+
+
+def _interior_by_operators(apex, p, q):
+    u = p - apex
+    v = q - apex
+    return math.atan2(abs(u.cross(v)), u.dot(v))
+
+
+def _from_barycentric_by_operators(t, wa, wb, wc):
+    return (wa * t.a + wb * t.b + wc * t.c) / (wa + wb + wc)
+
+
+def _squared_sides_by_operators(t):
+    a, b, c = t.a, t.b, t.c
+    return ((c - b).dot(c - b), (a - c).dot(a - c), (b - a).dot(b - a))
+
+
+def _isogonal_conjugate_by_operators(t, p):
+    x = (t.b - p).cross(t.c - p)
+    y = (t.c - p).cross(t.a - p)
+    z = (t.a - p).cross(t.b - p)
+    la, lb, lc = t.side_lengths
+    wa = la * la / x
+    wb = lb * lb / y
+    wc = lc * lc / z
+    return (wa * t.a + wb * t.b + wc * t.c) / (wa + wb + wc)
+
+
+def _orthocenter_by_operators(t):
+    return t.a + t.b + t.c - 2.0 * centers.circumcenter(t)
+
+
+def _family_feet_by_operators(t, p, theta):
+    stretch = 1.0 / math.cos(theta)
+    return [p + (f - p).rotated(theta) * stretch for f in pedal_feet(t, p)]
+
+
+def _param_by_operators(p, tail, head):
+    d = head - tail
+    return (p - tail).dot(d) / d.dot(d)
+
+
+def _triad_points_by_operators(triad):
+    h = triad.host
+    return (
+        h.b + triad.u * (h.c - h.b),
+        h.c + triad.v * (h.a - h.c),
+        h.a + triad.w * (h.b - h.a),
+    )
+
+
+_PERMUTATIONS = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
+_PARITY = {"ABC": 1, "BCA": 1, "CAB": 1, "ACB": -1, "BAC": -1, "CBA": -1}
+
+
+def _classify_by_label_lookup(t1, t2, angle_eps):
+    best = None
+    for perm in _PERMUTATIONS:
+        idx = tuple("ABC".index(ch) for ch in perm)
+        residual = max(abs(t1.angles[i] - t2.angles[idx[i]]) for i in range(3))
+        if residual >= angle_eps:
+            continue
+        ratios = [t2.side_lengths[idx[i]] / t1.side_lengths[i] for i in range(3)]
+        ratio = sum(ratios) / 3.0
+        score = residual + (max(ratios) - min(ratios)) / ratio
+        if best is None or score < best[3]:
+            direct = t1.orientation == t2.orientation * _PARITY[perm]
+            best = (perm, "direct" if direct else "inverse", ratio, score)
+    return best
+
+
+# ---------------------------------------------------------------- kernel
+
+def test_circumcircle():
+    for t, points, theta in CASES:
+        triad = family_member(t, points[0], theta)
+        for triple in ((t.a, t.b, t.c), (t.a, triad.y, triad.z), (t.b, triad.z, triad.x)):
+            circle = circumcircle(*triple)
+            assert (circle.center, circle.radius) == _circumcircle_by_operators(*triple)
+
+
+def test_line_at_project_and_reflect():
+    for t, points, theta in CASES:
+        for line in (*t.side_lines, Line.through(*points)):
+            for p in points:
+                assert line.at(theta) == _at_by_operators(line, theta)
+                assert line.project(p) == _project_by_operators(line, p)
+                assert reflect_over_line(line, p) == _reflect_by_operators(line, p)
+
+
+def test_triangle_angles_area_and_directed_angles():
+    for t, points, _ in CASES:
+        a, b, c = t.vertices
+        expected = (
+            _interior_by_operators(a, b, c),
+            _interior_by_operators(b, c, a),
+            _interior_by_operators(c, a, b),
+        )
+        assert t.angles == expected
+        assert t.signed_area == 0.5 * (b - a).cross(c - a)
+        for p in points:
+            for q, r in ((a, b), (b, c), (c, a)):
+                assert directed_angle(p, q, r) == _directed_angle_by_operators(p, q, r)
+
+
+# ---------------------------------------------------------------- centers
+
+def test_squared_sides_isogonal_conjugate_and_every_named_point(monkeypatch):
+    located = []
+    for t, points, _ in CASES:
+        assert centers._squared_sides(t) == _squared_sides_by_operators(t)
+        p = points[0]
+        assert centers.isogonal_conjugate(t, p) == _isogonal_conjugate_by_operators(t, p)
+        row = []
+        for role, _ in NAMED_POINTS:
+            try:
+                row.append(locate(t, role))
+            except RightAngleDegenerateError:
+                row.append(None)
+        located.append(row)
+    monkeypatch.setattr(centers, "_from_barycentric", _from_barycentric_by_operators)
+    monkeypatch.setattr(centers, "_squared_sides", _squared_sides_by_operators)
+    monkeypatch.setattr(centers, "orthocenter", _orthocenter_by_operators)
+    for (t, _, _), row in zip(CASES, located):
+        for (role, _), point in zip(NAMED_POINTS, row):
+            if point is not None:
+                assert point == locate(t, role), role
+
+
+# ---------------------------------------------------------------- triads
+
+def test_family_member_feet_and_triad_forms(monkeypatch):
+    real = Triad.from_points.__func__
+    feet_seen = []
+
+    def recording(cls, host, *feet):
+        feet_seen.append(feet)
+        return real(cls, host, *feet)
+
+    monkeypatch.setattr(Triad, "from_points", classmethod(recording))
+    for t, points, theta in CASES:
+        for p in points:
+            triad = family_member(t, p, theta)
+            feet = _family_feet_by_operators(t, p, theta)
+            assert list(feet_seen.pop()) == feet
+            params = (
+                _param_by_operators(feet[0], t.b, t.c),
+                _param_by_operators(feet[1], t.c, t.a),
+                _param_by_operators(feet[2], t.a, t.b),
+            )
+            assert (triad.u, triad.v, triad.w) == params
+            assert triad.points == _triad_points_by_operators(triad)
+
+
+@pytest.mark.parametrize("thetas", [None, (0.3, -0.5, 0.7, 0.1, -0.9, 0.4)])
+def test_classify_similarity_along_chains(thetas):
+    for t, points, _ in CASES[:200]:
+        tris = iterate_chain(t, points[0], 6, thetas).triangles
+        for i in range(len(tris)):
+            for j in range(i + 1, len(tris)):
+                match = classify_similarity(tris[i], tris[j], 1e-6)
+                expected = _classify_by_label_lookup(tris[i], tris[j], 1e-6)
+                if expected is None:
+                    assert match is None
+                else:
+                    assert (match.permutation, match.orientation, match.ratio, match.residual) == expected

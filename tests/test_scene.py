@@ -3,7 +3,7 @@
 import pytest
 
 from miquel.errors import CollinearError, SceneError
-from miquel.scene import parse_scene
+from miquel.scene import MAX_COORDINATE, MIN_LONGEST_SIDE, parse_scene
 
 GOOD = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2.0, 1.0], "triad": [0.3, 0.4, 0.5], "theta": 0.25}'
 
@@ -60,3 +60,26 @@ def test_options_validated():
     assert spec.options == {"width": 800, "labels": False, "vertex": "B"}
     with pytest.raises(SceneError):
         parse_scene('{"A": [0,0], "B": [4,0], "C": [1,3], "options": {"width": -2}}')
+
+
+def test_range_limits_are_inclusive():
+    m = MAX_COORDINATE
+    spec = parse_scene(f'{{"A": [{-m!r}, {-m!r}], "B": [{m!r}, {-m!r}], "C": [0, {m!r}], "P": [0, 0]}}')
+    assert spec.triangle.b.x == m
+    side = MIN_LONGEST_SIDE
+    spec = parse_scene(f'{{"A": [0, 0], "B": [{side!r}, 0], "C": [{side / 2!r}, {side / 2!r}]}}')
+    assert max(spec.triangle.side_lengths) == side
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2, 1.5e50]}',
+        '{"A": [0, 0], "B": [-1.5e50, 0], "C": [1, 3]}',
+        '{"A": [0, 0], "B": [4e-51, 0], "C": [1e-51, 3e-51]}',
+        '{"A": [1, 1], "B": [1, 1], "C": [1, 1]}',
+    ],
+)
+def test_out_of_range_rejected(text):
+    with pytest.raises(SceneError, match="out of range"):
+        parse_scene(text)
