@@ -3,19 +3,21 @@ period-3 similarity bookkeeping, and the cyclic center-role recurrences."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .errors import DegenerateStepError, GeometryError
-from .kernel import Point, Triangle
+from .kernel import MAX_COORDINATE, MIN_LONGEST_SIDE, Point, Triangle
 from .triads import (
     CONCURRENCY_BAND,
     SpecialRole,
+    along_xy,
     classify_similarity,
     detect_special_role,
-    family_member,
-    miquel_point,
+    family_params,
+    miquel_xy,
     on_circumcircle,
 )
 
@@ -59,6 +61,34 @@ class ChainRecord:
         )
 
 
+def _step(t: Triangle, p: Point, theta: float) -> tuple[Triangle, float, float]:
+    """``family_member(t, p, theta).triangle()`` and the coordinates of the
+    triad's ``miquel_point``, with the same floats. Only the returned
+    triangle's Points are built.
+
+    Raises what ``family_member`` and ``miquel_point`` raise, and
+    ``DegenerateStepError`` when the triangle leaves the coordinate range, where
+    later constructions on it (the Brocard weights) overflow.
+    """
+    u, v, w = family_params(t, p, theta)
+    a, b, c = t.a, t.b, t.c
+    xx, xy = along_xy(b.x, b.y, c.x, c.y, u)
+    yx, yy = along_xy(c.x, c.y, a.x, a.y, v)
+    zx, zy = along_xy(a.x, a.y, b.x, b.y, w)
+    # every comparison with NaN is false, so NaN is out of range too
+    in_range = all(abs(q) <= MAX_COORDINATE for q in (xx, xy, yx, yy, zx, zy)) and max(
+        math.hypot(yx - xx, yy - xy), math.hypot(zx - yx, zy - yy), math.hypot(xx - zx, xy - zy)
+    ) >= MIN_LONGEST_SIDE
+    if not in_range:
+        raise DegenerateStepError(
+            "the triangle is out of range: its coordinates must lie within"
+            f" ±{MAX_COORDINATE:.0e} and its longest side must be at least"
+            f" {MIN_LONGEST_SIDE:.0e}"
+        )
+    *_, (mx, my) = miquel_xy(t, xx, xy, yx, yy, zx, zy)
+    return Triangle(Point(xx, xy), Point(yx, yy), Point(zx, zy)), mx, my
+
+
 def iterate_chain(
     t0: Triangle, p: Point, k: int, thetas: Sequence[float] | None = None
 ) -> ChainRecord:
@@ -69,7 +99,8 @@ def iterate_chain(
     ``thetas[i]`` (default all zero: the pedal chain) and promotes its triad
     triangle to the next host. The point must stay off every side line and
     circumcircle along the way, and each step's concurrency point must stay
-    on it.
+    on it. Each step triangle must stay inside the coordinate range that
+    scenes are held to (``MAX_COORDINATE``, ``MIN_LONGEST_SIDE``).
 
     No role is detected here: the record detects each role with
     ``CHAIN_DETECT_TOL`` on first read.
@@ -87,13 +118,11 @@ def iterate_chain(
     for i, theta in enumerate(thetas):
         if on_circumcircle(current, p):
             raise DegenerateStepError(f"collinear collapse on the circumcircle at step {i}")
-        try:  # family_member rejects a point on a side line
-            triad = family_member(current, p, theta)
-            result = miquel_point(current, triad)
-            nxt = triad.triangle()
+        try:  # family_params rejects a point on a side line
+            nxt, mx, my = _step(current, p, theta)
         except GeometryError as exc:
             raise DegenerateStepError(f"step {i} degenerated: {exc}") from exc
-        if result.point.dist(p) > CONCURRENCY_BAND * current.circumradius:
+        if math.hypot(mx - p.x, my - p.y) > CONCURRENCY_BAND * current.circumradius:
             raise DegenerateStepError(
                 f"concurrency point drifted off the fixed point at step {i}"
             )

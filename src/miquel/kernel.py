@@ -33,6 +33,13 @@ ANGLE_EPS = 1e-9
 # typically the circumradius of the working triangle
 LENGTH_EPS = 1e-9
 
+# Inside this range the constructions on a triangle neither overflow nor
+# underflow: the Brocard weights are quartic in the sides and the
+# collinearity test squares the longest side, and both stay far from the
+# float limits (1e308, 1e-308). Scenes and chain steps are held to it.
+MAX_COORDINATE = 1e50
+MIN_LONGEST_SIDE = 1e-50
+
 
 @dataclass(frozen=True, slots=True)
 class Point:
@@ -162,6 +169,74 @@ class Circle:
         return self.center.dist(p) - self.radius
 
 
+# Coordinate forms. Each is the one body of its formula: the Point-level
+# functions and methods call it, and so does the chain step, which keeps
+# only the Points it returns. Their float operations and their order are
+# pinned with == in tests/test_coordinate_forms.py.
+
+def unit_direction(dx: float, dy: float) -> tuple[float, float]:
+    """Line's normalization rule: (dx, dy) divided by its length, or as it
+    is when that length is within 1e-14 of 1."""
+    n = math.hypot(dx, dy)
+    if n == 0.0 or not math.isfinite(n):
+        raise ValueError("line direction must be a nonzero finite vector")
+    if abs(n - 1.0) > 1e-14:
+        return dx / n, dy / n
+    return dx, dy
+
+
+def offset_xy(ax: float, ay: float, dx: float, dy: float, px: float, py: float) -> float:
+    """Signed distance of (px, py) from the line through (ax, ay) along the
+    unit direction (dx, dy)."""
+    return dx * (py - ay) - dy * (px - ax)
+
+
+def project_xy(
+    ax: float, ay: float, dx: float, dy: float, px: float, py: float
+) -> tuple[float, float]:
+    """Foot of (px, py) on the line through (ax, ay) along the unit direction
+    (dx, dy)."""
+    t = (px - ax) * dx + (py - ay) * dy
+    return ax + t * dx, ay + t * dy
+
+
+def reflect_xy(
+    ax: float, ay: float, dx: float, dy: float, px: float, py: float
+) -> tuple[float, float]:
+    """Mirror image of (px, py) in the line through (ax, ay) along the unit
+    direction (dx, dy)."""
+    fx, fy = project_xy(ax, ay, dx, dy, px, py)
+    return 2.0 * fx - px, 2.0 * fy - py
+
+
+def _collinear(cross: float, span: float) -> bool:
+    """The collinearity test of ``circumcircle``: ``cross`` is twice the
+    signed area of three points, ``span`` the longest of their distances."""
+    return abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span
+
+
+# a circle on coordinates: (center x, center y, radius)
+CircleXY = tuple[float, float, float]
+
+
+def circle_xy(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) -> CircleXY:
+    """Center and radius of the circle through three points, as
+    (center x, center y, radius); raises ``CollinearError`` when the points
+    are collinear within tolerance."""
+    q2x, q2y = x2 - x1, y2 - y1
+    q3x, q3y = x3 - x1, y3 - y1
+    cross = q2x * q3y - q2y * q3x
+    span = max(math.hypot(q2x, q2y), math.hypot(q3x, q3y), math.hypot(x3 - x2, y3 - y2))
+    if _collinear(cross, span):
+        raise CollinearError("the three points are collinear within tolerance")
+    d = 2.0 * cross
+    m2 = q2x * q2x + q2y * q2y
+    m3 = q3x * q3x + q3y * q3y
+    ux = (m2 * q3y - m3 * q2y) / d
+    uy = (m3 * q2x - m2 * q3x) / d
+    return x1 + ux, y1 + uy, math.hypot(ux, uy)
+
+
 @dataclass(frozen=True)
 class Line:
     """Undirected line given by an anchor and a unit direction."""
@@ -170,11 +245,11 @@ class Line:
     direction: Point
 
     def __post_init__(self) -> None:
-        n = self.direction.norm()
-        if n == 0.0 or not math.isfinite(n):
-            raise ValueError("line direction must be a nonzero finite vector")
-        if abs(n - 1.0) > 1e-14:
-            object.__setattr__(self, "direction", self.direction / n)
+        d = self.direction
+        ux, uy = unit_direction(d.x, d.y)
+        # unit_direction returns its input unless it normalizes
+        if ux != d.x or uy != d.y:
+            object.__setattr__(self, "direction", Point(ux, uy))
 
     @classmethod
     def through(cls, p: Point, q: Point) -> Line:
@@ -190,12 +265,13 @@ class Line:
         return (p.x - a.x) * d.x + (p.y - a.y) * d.y
 
     def project(self, p: Point) -> Point:
-        return self.at(self.param_of(p))
+        a, d = self.anchor, self.direction
+        return Point(*project_xy(a.x, a.y, d.x, d.y, p.x, p.y))
 
     def offset(self, p: Point) -> float:
         """Signed perpendicular distance of ``p`` from the line."""
         a, d = self.anchor, self.direction
-        return d.x * (p.y - a.y) - d.y * (p.x - a.x)
+        return offset_xy(a.x, a.y, d.x, d.y, p.x, p.y)
 
     def side(self, p: Point) -> int:
         off = self.offset(p)
@@ -223,26 +299,10 @@ def directed_angle(p: Point, q: Point, r: Point) -> DirectedAngle:
     return DirectedAngle(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
 
 
-def _collinear(cross: float, span: float) -> bool:
-    """The collinearity test of ``circumcircle``: ``cross`` is twice the
-    signed area of three points, ``span`` the longest of their distances."""
-    return abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span
-
-
 def circumcircle(p1: Point, p2: Point, p3: Point) -> Circle:
     """Circle through three pairwise distinct, non-collinear points."""
-    q2x, q2y = p2.x - p1.x, p2.y - p1.y
-    q3x, q3y = p3.x - p1.x, p3.y - p1.y
-    cross = q2x * q3y - q2y * q3x
-    if _collinear(cross, max(math.hypot(q2x, q2y), math.hypot(q3x, q3y), p3.dist(p2))):
-        raise CollinearError("the three points are collinear within tolerance")
-    d = 2.0 * cross
-    m2 = q2x * q2x + q2y * q2y
-    m3 = q3x * q3x + q3y * q3y
-    ux = (m2 * q3y - m3 * q2y) / d
-    uy = (m3 * q2x - m2 * q3x) / d
-    center = Point(p1.x + ux, p1.y + uy)
-    return Circle(center, math.hypot(ux, uy))
+    cx, cy, r = circle_xy(p1.x, p1.y, p2.x, p2.y, p3.x, p3.y)
+    return Circle(Point(cx, cy), r)
 
 
 def circle_circle_intersections(c1: Circle, c2: Circle) -> list[Point]:
@@ -304,8 +364,7 @@ def invert_point(c: Circle, p: Point) -> Point:
 
 def reflect_over_line(l: Line, p: Point) -> Point:
     a, d = l.anchor, l.direction
-    t = l.param_of(p)
-    return Point(2.0 * (a.x + t * d.x) - p.x, 2.0 * (a.y + t * d.y) - p.y)
+    return Point(*reflect_xy(a.x, a.y, d.x, d.y, p.x, p.y))
 
 
 def second_intersection(l: Line, c: Circle, known: Point) -> Point:

@@ -13,17 +13,10 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import SceneError
-from .kernel import Point, Triangle
+from .kernel import MAX_COORDINATE, MIN_LONGEST_SIDE, Point, Triangle
 
 _TOP_KEYS = ("A", "B", "C", "P", "triad", "theta", "options")
 _OPTION_KEYS = ("width", "labels", "vertex")
-
-# Inside this range the constructions on the scene's triangle neither
-# overflow nor underflow: the Brocard weights are quartic in the sides and
-# the collinearity test squares the longest side, and both stay far from the
-# float limits (1e308, 1e-308).
-MAX_COORDINATE = 1e50
-MIN_LONGEST_SIDE = 1e-50
 
 
 @dataclass(frozen=True)

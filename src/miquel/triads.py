@@ -28,14 +28,19 @@ from .kernel import (
     LENGTH_EPS,
     VERTEX_LABELS,
     Circle,
+    CircleXY,
     DirectedAngle,
     Line,
     Point,
     Triangle,
+    circle_xy,
     circumcircle,
     directed_angle,
-    reflect_over_line,
+    offset_xy,
+    project_xy,
+    reflect_xy,
     triangle_contains,
+    unit_direction,
 )
 
 # Points this close to the circumcircle (relative to R) degenerate to a
@@ -50,9 +55,25 @@ PEDAL_SIMILARITY_TOL = 1e-7
 CONCURRENCY_BAND = 1e-6
 
 
-def _along(tail: Point, head: Point, s: float) -> Point:
-    """tail + s·(head − tail)."""
-    return Point(tail.x + s * (head.x - tail.x), tail.y + s * (head.y - tail.y))
+def along_xy(tx: float, ty: float, hx: float, hy: float, s: float) -> tuple[float, float]:
+    """tail + s·(head − tail), on coordinates."""
+    return tx + s * (hx - tx), ty + s * (hy - ty)
+
+
+def _param(px: float, py: float, tx: float, ty: float, hx: float, hy: float) -> float:
+    """The affine parameter s of the foot of (px, py) on the line through tail
+    and head, so that the foot is tail + s·(head − tail)."""
+    dx, dy = hx - tx, hy - ty
+    return ((px - tx) * dx + (py - ty) * dy) / (dx * dx + dy * dy)
+
+
+def _spoke(
+    px: float, py: float, fx: float, fy: float, c: float, s: float, stretch: float
+) -> tuple[float, float]:
+    """p + (f − p) rotated by the angle with cosine c and sine s, times
+    ``stretch``."""
+    dx, dy = fx - px, fy - py
+    return px + (c * dx - s * dy) * stretch, py + (s * dx + c * dy) * stretch
 
 
 @dataclass(frozen=True)
@@ -74,15 +95,18 @@ class Triad:
 
     @cached_property
     def x(self) -> Point:
-        return _along(self.host.b, self.host.c, self.u)
+        b, c = self.host.b, self.host.c
+        return Point(*along_xy(b.x, b.y, c.x, c.y, self.u))
 
     @cached_property
     def y(self) -> Point:
-        return _along(self.host.c, self.host.a, self.v)
+        c, a = self.host.c, self.host.a
+        return Point(*along_xy(c.x, c.y, a.x, a.y, self.v))
 
     @cached_property
     def z(self) -> Point:
-        return _along(self.host.a, self.host.b, self.w)
+        a, b = self.host.a, self.host.b
+        return Point(*along_xy(a.x, a.y, b.x, b.y, self.w))
 
     @property
     def points(self) -> tuple[Point, Point, Point]:
@@ -93,15 +117,12 @@ class Triad:
 
     @classmethod
     def from_points(cls, host: Triangle, x: Point, y: Point, z: Point) -> Triad:
-        def param(p: Point, tail: Point, head: Point) -> float:
-            dx, dy = head.x - tail.x, head.y - tail.y
-            return ((p.x - tail.x) * dx + (p.y - tail.y) * dy) / (dx * dx + dy * dy)
-
+        a, b, c = host.a, host.b, host.c
         return cls(
             host,
-            param(x, host.b, host.c),
-            param(y, host.c, host.a),
-            param(z, host.a, host.b),
+            _param(x.x, x.y, b.x, b.y, c.x, c.y),
+            _param(y.x, y.y, c.x, c.y, a.x, a.y),
+            _param(z.x, z.y, a.x, a.y, b.x, b.y),
         )
 
 
@@ -166,8 +187,9 @@ class SimilarityClass:
 NONE_ROLE = SpecialRole("none")
 
 
-def _reject_side_lines(t: Triangle, p: Point) -> None:
-    if t.min_side_line_distance(p) < LENGTH_EPS * t.circumradius:
+def _reject_side_lines(distance: float, t: Triangle) -> None:
+    """Reject a point ``distance`` away from the nearest side line of ``t``."""
+    if distance < LENGTH_EPS * t.circumradius:
         raise OnSideLineError("the point lies on a side line of the triangle")
 
 
@@ -193,7 +215,7 @@ def pedal_triad(t: Triangle, p: Point) -> Union[Triad, SimsonLine]:
     Points on the circumcircle (within the degeneration band) yield the
     collapsed collinear triple instead of a triad.
     """
-    _reject_side_lines(t, p)
+    _reject_side_lines(t.min_side_line_distance(p), t)
     feet = pedal_feet(t, p)
     if on_circumcircle(t, p):
         anchor, far = max(
@@ -215,18 +237,33 @@ def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
     numeric witness of the concurrency.
     """
     x, y, z = triad.points
-    try:
-        circle_a = circumcircle(t.a, y, z)
-        circle_b = circumcircle(t.b, z, x)
-        circle_c = circumcircle(t.c, x, y)
-    except CollinearError as exc:
-        raise DegenerateCircleError(f"a defining triple is collinear: {exc}") from None
-    point = reflect_over_line(Line.through(circle_a.center, circle_b.center), z)
+    *rows, (mx, my) = miquel_xy(t, x.x, x.y, y.x, y.y, z.x, z.y)
+    circle_a, circle_b, circle_c = (Circle(Point(cx, cy), r) for cx, cy, r in rows)
+    point = Point(mx, my)
     tangent = point.dist(z) < LENGTH_EPS * max(circle_a.radius, circle_b.radius)
     residual = max(
         abs(k.offset_of(point)) for k in (circle_a, circle_b, circle_c)
     )
     return MiquelResult(point, (circle_a, circle_b, circle_c), residual, tangent)
+
+
+def miquel_xy(
+    t: Triangle, xx: float, xy: float, yx: float, yy: float, zx: float, zy: float
+) -> tuple[CircleXY, CircleXY, CircleXY, tuple[float, float]]:
+    """``miquel_point`` on coordinates, for the triad points (xx, xy),
+    (yx, yy), (zx, zy): the circles AYZ, BZX and CXY as (center x, center y,
+    radius), then their common point."""
+    a, b, c = t.a, t.b, t.c
+    try:
+        circle_a = circle_xy(a.x, a.y, yx, yy, zx, zy)
+        circle_b = circle_xy(b.x, b.y, zx, zy, xx, xy)
+        circle_c = circle_xy(c.x, c.y, xx, xy, yx, yy)
+    except CollinearError as exc:
+        raise DegenerateCircleError(f"a defining triple is collinear: {exc}") from None
+    ax, ay, _ = circle_a
+    bx, by, _ = circle_b
+    dx, dy = unit_direction(bx - ax, by - ay)
+    return circle_a, circle_b, circle_c, reflect_xy(ax, ay, dx, dy, zx, zy)
 
 
 def family_member(t: Triangle, p: Point, theta: float) -> Triad:
@@ -238,18 +275,31 @@ def family_member(t: Triangle, p: Point, theta: float) -> Triad:
     theta = 0 reproduces the pedal triad, and the triad triangle scales by
     1/cos(theta) relative to it.
     """
+    return Triad(t, *family_params(t, p, theta))
+
+
+def family_params(t: Triangle, p: Point, theta: float) -> tuple[float, float, float]:
+    """The parameters u, v, w of ``family_member(t, p, theta)``, computed on
+    coordinates: per side line, the pedal foot of ``p``, its spoke rotated
+    and stretched, and that point's parameter along the side."""
     # rejects NaN too: every comparison with NaN is false
     if not abs(theta) < HALF_PI - ANGLE_EPS:
         raise ThetaOutOfRangeError(f"rotation {theta} not inside (-pi/2, pi/2)")
-    _reject_side_lines(t, p)
     c, s = math.cos(theta), math.sin(theta)
     stretch = 1.0 / c
-    feet = []
-    for f in pedal_feet(t, p):
-        # the spoke f - p, rotated by theta and stretched
-        dx, dy = f.x - p.x, f.y - p.y
-        feet.append(Point(p.x + (c * dx - s * dy) * stretch, p.y + (s * dx + c * dy) * stretch))
-    return Triad.from_points(t, *feet)
+    px, py = p.x, p.y
+    distances = []
+    params = []
+    for tail, head in ((t.b, t.c), (t.c, t.a), (t.a, t.b)):
+        tx, ty, hx, hy = tail.x, tail.y, head.x, head.y
+        dx, dy = unit_direction(hx - tx, hy - ty)  # the side line's direction
+        distances.append(abs(offset_xy(tx, ty, dx, dy, px, py)))
+        fx, fy = project_xy(tx, ty, dx, dy, px, py)
+        sx, sy = _spoke(px, py, fx, fy, c, s, stretch)
+        params.append(_param(sx, sy, tx, ty, hx, hy))
+    _reject_side_lines(min(distances), t)
+    u, v, w = params
+    return u, v, w
 
 
 def _reject_vertices(t: Triangle, p: Point) -> None:

@@ -76,14 +76,20 @@ class ClaimResult:
     def passed(self) -> bool:
         return self.max_residual < self.tol
 
-    def add(self, residual: float, witness: str) -> None:
+    def add(
+        self, residual: float, i: int, t: Triangle, p: Point | None = None, note: str = ""
+    ) -> None:
+        """Count trial ``i`` on host ``t`` (and point ``p``); its witness is
+        formatted only when it is the new worst."""
         self.trials += 1
         if residual > self.max_residual:
             self.max_residual = residual
-            self.worst = witness
+            self.worst = _witness(i, t, p) + note
 
-    def add_bool(self, ok: bool, witness: str) -> None:
-        self.add(0.0 if ok else 1.0, witness)
+    def add_bool(
+        self, ok: bool, i: int, t: Triangle, p: Point | None = None, note: str = ""
+    ) -> None:
+        self.add(0.0 if ok else 1.0, i, t, p, note)
 
 
 @dataclass
@@ -132,7 +138,7 @@ def suite_theorem1(seed: int, trials: int = 1000) -> SuiteReport:
             if abs(s) > 0.05 and abs(s - 1.0) > 0.05:
                 params.append(s)
         res = miquel_point(t, Triad(t, *params))
-        concurrency.add(res.residual / t.circumradius, _witness(i, t, res.point))
+        concurrency.add(res.residual / t.circumradius, i, t, res.point)
     return report
 
 
@@ -147,7 +153,7 @@ def suite_theorem2(seed: int, trials: int = 500) -> SuiteReport:
         p = random_point_in_circumdisk(rng, t)
         theta = rng.uniform(-1.2, 1.2)
         worst = verify_miquel_equations(t, p, family_member(t, p, theta))
-        equations.add(worst, _witness(i, t, p))
+        equations.add(worst, i, t, p)
     return report
 
 
@@ -170,9 +176,9 @@ def suite_lemma1(seed: int, trials: int = 400) -> SuiteReport:
         else:
             p = random_exterior_point(rng, t, min_factor=1.05, max_factor=5.0)
         rep = containment_parity(t, p)
-        parity.add_bool(rep.agree, _witness(i, t, p))
+        parity.add_bool(rep.agree, i, t, p)
         if rep.ray_angle_sum is not None:
-            ray_sum.add(abs(rep.ray_angle_sum - 2.0 * math.pi), _witness(i, t, p))
+            ray_sum.add(abs(rep.ray_angle_sum - 2.0 * math.pi), i, t, p)
     return report
 
 
@@ -192,7 +198,7 @@ def suite_lemma2(seed: int, trials: int = 500) -> SuiteReport:
             angs.y.distance(directed_angle(z, y, x)),
             angs.z.distance(directed_angle(x, z, y)),
         )
-        formulas.add(worst, _witness(i, t, p))
+        formulas.add(worst, i, t, p)
     return report
 
 
@@ -213,7 +219,7 @@ def suite_theorem3(seed: int, trials: int = 200) -> SuiteReport:
         shape_p = Triangle(*pedal_feet(t, p))
         shape_q = Triangle(*pedal_feet(t, q))
         worst = max(abs(a1 - a2) for a1, a2 in zip(shape_p.angles, shape_q.angles))
-        similar.add(worst, _witness(i, t, p))
+        similar.add(worst, i, t, p)
     return report
 
 
@@ -233,13 +239,13 @@ def suite_theorem4(seed: int, trials: int = 50) -> SuiteReport:
         cat = centers.eleven_point_catalog(t)
         inside = [e for e in cat if t.circumcircle.offset_of(e.location) < 0.0]
         outside = [e for e in cat if t.circumcircle.offset_of(e.location) > 0.0]
-        counts.add_bool(len(inside) == 6 and len(outside) == 5, _witness(i, t))
+        counts.add_bool(len(inside) == 6 and len(outside) == 5, i, t)
         min_pair = min(
             cat[a].location.dist(cat[b].location)
             for a in range(len(cat))
             for b in range(a + 1, len(cat))
         )
-        distinct.add_bool(min_pair > 1e-6 * t.circumradius, _witness(i, t))
+        distinct.add_bool(min_pair > 1e-6 * t.circumradius, i, t)
         host_angles = {v: t.angle(v) for v in VERTEX_LABELS}
         orientations = []
         for e in cat:
@@ -251,14 +257,14 @@ def suite_theorem4(seed: int, trials: int = 50) -> SuiteReport:
                 for v, ch in zip(VERTEX_LABELS, perm)
             )
             if e.inverse:
-                exterior_sim.add(worst, _witness(i, t, e.location))
+                exterior_sim.add(worst, i, t, e.location)
             else:
-                interior_perm.add(worst, _witness(i, t, e.location))
+                interior_perm.add(worst, i, t, e.location)
                 match = classify_similarity(t, shape, PEDAL_SIMILARITY_TOL)
                 orientations.append(match.orientation if match else "?")
         orientation_note.add_bool(
             orientations.count("direct") == 3 and orientations.count("inverse") == 3,
-            _witness(i, t),
+            i, t,
         )
     return report
 
@@ -273,7 +279,7 @@ def suite_theorem5(seed: int, trials: int = 100) -> SuiteReport:
         o = centers.circumcenter(t)
         claim.add(
             centers.orthocenter(Triangle(*pedal_feet(t, o))).dist(o) / t.circumradius,
-            _witness(i, t, o),
+            i, t, o,
         )
     return report
 
@@ -291,13 +297,13 @@ def suite_theorem6(seed: int, trials: int = 100) -> SuiteReport:
             t = random_acute_triangle(rng)
             h = centers.orthocenter(t)
             target = centers.incenter(Triangle(*pedal_feet(t, h)))
-            acute.add(target.dist(h) / t.circumradius, _witness(i, t, h))
+            acute.add(target.dist(h) / t.circumradius, i, t, h)
         else:
             v = VERTEX_LABELS[(i // 2) % 3]
             t = random_obtuse_at(rng, v)
             h = centers.orthocenter(t)
             target = centers.excenter(Triangle(*pedal_feet(t, h)), v)
-            obtuse.add(target.dist(h) / t.circumradius, _witness(i, t, h))
+            obtuse.add(target.dist(h) / t.circumradius, i, t, h)
     return report
 
 
@@ -313,12 +319,12 @@ def suite_theorem7(seed: int, trials: int = 100) -> SuiteReport:
         l = centers.incenter(t)
         from_in.add(
             centers.circumcenter(Triangle(*pedal_feet(t, l))).dist(l) / t.circumradius,
-            _witness(i, t, l),
+            i, t, l,
         )
         ex = centers.excenter(t, VERTEX_LABELS[i % 3])
         from_ex.add(
             centers.circumcenter(Triangle(*pedal_feet(t, ex))).dist(ex) / t.circumradius,
-            _witness(i, t, ex),
+            i, t, ex,
         )
     return report
 
@@ -345,9 +351,9 @@ def suite_theorem8(seed: int, trials: int = 100) -> SuiteReport:
         shape = Triangle(*pedal_feet(t, p))
         position.add(
             centers.brocard_point(shape, which).dist(p) / t.circumradius,
-            _witness(i, t, p),
+            i, t, p,
         )
-        angles.add(_brocard_angle_spread(shape, p, which), _witness(i, t, p))
+        angles.add(_brocard_angle_spread(shape, p, which), i, t, p)
     return report
 
 
@@ -362,7 +368,6 @@ def suite_theorem9(seed: int, trials: int = 100) -> SuiteReport:
         rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
-        wit = _witness(i, t)
         p = centers.s_point(t, v)
         shape = Triangle(*pedal_feet(t, p))
         apex = shape.vertex(v)
@@ -370,14 +375,14 @@ def suite_theorem9(seed: int, trials: int = 100) -> SuiteReport:
         e = midpoint(b2, c2)
         median = Line.through(apex, e)
         r = t.circumradius
-        on_median.add(abs(median.offset(p)) / r, wit)
+        on_median.add(abs(median.offset(p)) / r, i, t)
         if t.angle(v) < math.pi / 2.0:
             f = second_intersection(median, shape.circumcircle, apex)
-            midpoint_rel.add(abs(e.dist(p) - e.dist(f)) / r, wit)
+            midpoint_rel.add(abs(e.dist(p) - e.dist(f)) / r, i, t)
         else:
             f = second_intersection(median, circumcircle(t.vertex(v), b2, c2), p)
-            midpoint_rel.add(abs(apex.dist(e) - e.dist(f)) / r, wit)
-        m_match.add(centers.m_point(shape, v).dist(p) / r, wit)
+            midpoint_rel.add(abs(apex.dist(e) - e.dist(f)) / r, i, t)
+        m_match.add(centers.m_point(shape, v).dist(p) / r, i, t)
     return report
 
 
@@ -401,11 +406,11 @@ def suite_theorem10(seed: int, trials: int = 100) -> SuiteReport:
         worst = max(
             shape.directed_angle_at(u).distance(host_dir) for u in VERTEX_LABELS if u != v
         )
-        base_angles.add(worst, _witness(i, t, p))
+        base_angles.add(worst, i, t, p)
         circ = circumcircle(b2, c2, centers.incenter(shape))
-        arc.add(abs(circ.offset_of(p)) / t.circumradius, _witness(i, t, p))
+        arc.add(abs(circ.offset_of(p)) / t.circumradius, i, t, p)
         inside = triangle_contains(shape, p)
-        parity.add_bool(inside != obtuse_case, _witness(i, t, p))
+        parity.add_bool(inside != obtuse_case, i, t, p)
     return report
 
 
@@ -425,14 +430,13 @@ def suite_theorem11(seed: int, trials: int = 100) -> SuiteReport:
         circ = circumcircle(b, c, l)
         p = random_arc_point(rng, circ.center, circ.radius, c, b, l)
         shape = Triangle(*pedal_feet(t, p))
-        wit = _witness(i, t, p)
-        s_match.add(centers.s_point(shape, v).dist(p) / t.circumradius, wit)
+        s_match.add(centers.s_point(shape, v).dist(p) / t.circumradius, i, t, p)
         b2, c2 = shape.opposite(v)
         double_angle.add(
-            directed_angle(b2, p, c2).distance(2 * shape.directed_angle_at(v)), wit
+            directed_angle(b2, p, c2).distance(2 * shape.directed_angle_at(v)), i, t, p
         )
         detected = detect_special_role(shape, p, 1e-7)
-        role.add_bool(detected == SpecialRole("s_role", v), wit)
+        role.add_bool(detected == SpecialRole("s_role", v), i, t, p)
     return report
 
 
@@ -446,7 +450,7 @@ def suite_theorem12(seed: int, trials: int = 200) -> SuiteReport:
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         conj = centers.isogonal_conjugate(t, centers.s_point(t, v))
-        pair.add(conj.dist(centers.m_point(t, v)) / t.circumradius, _witness(i, t))
+        pair.add(conj.dist(centers.m_point(t, v)) / t.circumradius, i, t)
     return report
 
 
@@ -464,14 +468,13 @@ def suite_theorem13(seed: int, trials: int = 100) -> SuiteReport:
         q = random_arc_point(rng, circ.center, circ.radius, t.c, t.b, l)
         axis = Line.through(t.a, midpoint(t.b, t.c))
         tpt = reflect_over_line(axis, q)
-        wit = _witness(i, t, q)
         worst = max(
             directed_angle(t.c, t.b, tpt).distance(directed_angle(q, t.b, t.a)),
             directed_angle(t.b, t.a, q).distance(directed_angle(tpt, t.a, t.c)),
             directed_angle(t.a, t.c, tpt).distance(directed_angle(q, t.c, t.b)),
         )
-        equations.add(worst, wit)
-        conj.add(centers.isogonal_conjugate(t, q).dist(tpt) / t.circumradius, wit)
+        equations.add(worst, i, t, q)
+        conj.add(centers.isogonal_conjugate(t, q).dist(tpt) / t.circumradius, i, t, q)
     return report
 
 
@@ -497,10 +500,10 @@ def suite_theorem14(seed: int, trials: int = 50) -> SuiteReport:
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         for name, p in _chain_points(rng, t):
             ok, worst = check_mod3_similarity(iterate_chain(t, p, k))
-            default_sched.add(worst if ok else 1.0, _witness(i, t, p) + f" [{name}]")
+            default_sched.add(worst if ok else 1.0, i, t, p, note=f" [{name}]")
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(k)]
             ok, worst = check_mod3_similarity(iterate_chain(t, p, k, thetas=thetas))
-            random_sched.add(worst if ok else 1.0, _witness(i, t, p) + f" [{name}]")
+            random_sched.add(worst if ok else 1.0, i, t, p, note=f" [{name}]")
     return report
 
 
@@ -519,28 +522,29 @@ def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
         rng = report.rng(i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         v = VERTEX_LABELS[i % 3]
-        wit = _witness(i, t)
 
         for which in ("first", "second"):
             p = centers.brocard_point(t, which)
             rec = iterate_chain(t, p, k)
             for tri in rec.triangles[1:]:
                 match = classify_similarity(t, tri, CHAIN_SIMILARITY_TOL)
-                brocard_all.add(match.residual if match else 1.0, wit + f" [{which}]")
+                brocard_all.add(match.residual if match else 1.0, i, t, note=f" [{which}]")
             for step_t in rec.triangles:
-                brocard_angles.add(_brocard_angle_spread(step_t, p, which), wit + f" [{which}]")
+                brocard_angles.add(
+                    _brocard_angle_spread(step_t, p, which), i, t, note=f" [{which}]"
+                )
 
         for p in (centers.circumcenter(t), centers.s_point(t, v)):
             rec = iterate_chain(t, p, k)
             for step_idx in (1, 3, 4, 6):
                 match = classify_similarity(t, rec.triangles[step_idx], CHAIN_SIMILARITY_TOL)
-                o_s_steps.add(match.residual if match else 1.0, wit + f" [k={step_idx}]")
+                o_s_steps.add(match.residual if match else 1.0, i, t, note=f" [k={step_idx}]")
 
         for p in (centers.orthocenter(t), centers.m_point(t, v)):
             rec = iterate_chain(t, p, k)
             for step_idx in (2, 3, 5, 6):
                 match = classify_similarity(t, rec.triangles[step_idx], CHAIN_SIMILARITY_TOL)
-                h_m_steps.add(match.residual if match else 1.0, wit + f" [k={step_idx}]")
+                h_m_steps.add(match.residual if match else 1.0, i, t, note=f" [k={step_idx}]")
 
         p = random_interior_point(rng, t)
         rec = iterate_chain(t, p, 3)
@@ -548,7 +552,7 @@ def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
             classify_similarity(t, rec.triangles[step_idx], CHAIN_SIMILARITY_TOL) is None
             for step_idx in (1, 2)
         )
-        generic.add_bool(dissimilar, wit + " [random]")
+        generic.add_bool(dissimilar, i, t, note=" [random]")
     return report
 
 
@@ -565,11 +569,10 @@ def suite_corollary4(seed: int, trials: int = 50) -> SuiteReport:
         rng = report.rng(i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         v = VERTEX_LABELS[i % 3]
-        wit = _witness(i, t)
 
         roles = iterate_chain(t, centers.circumcenter(t), k).roles
         ok = roles[0].role == "circumcenter" and follows_role_cycle(roles)
-        center_cycle.add_bool(ok, wit + " [O]")
+        center_cycle.add_bool(ok, i, t, note=" [O]")
 
         roles = iterate_chain(t, centers.s_point(t, v), k).roles
         ok = (
@@ -577,12 +580,12 @@ def suite_corollary4(seed: int, trials: int = 50) -> SuiteReport:
             and follows_role_cycle(roles)
             and all(r.vertex == v for r in roles)
         )
-        symmedian_cycle.add_bool(ok, wit + f" [S_{v}]")
+        symmedian_cycle.add_bool(ok, i, t, note=f" [S_{v}]")
 
         for which, role_name in (("first", "first_brocard"), ("second", "second_brocard")):
             rec = iterate_chain(t, centers.brocard_point(t, which), k)
             brocard_fixed.add_bool(
-                all(r.role == role_name for r in rec.roles), wit + f" [{which}]"
+                all(r.role == role_name for r in rec.roles), i, t, note=f" [{which}]"
             )
     return report
 
@@ -597,9 +600,9 @@ def suite_simson(seed: int, trials: int = 200) -> SuiteReport:
         p = random_circumcircle_point(rng, t)
         sim = pedal_triad(t, p)
         if not isinstance(sim, SimsonLine):
-            collinear.add(1.0, _witness(i, t, p))
+            collinear.add(1.0, i, t, p)
             continue
-        collinear.add(sim.max_deviation() / t.circumradius, _witness(i, t, p))
+        collinear.add(sim.max_deviation() / t.circumradius, i, t, p)
     return report
 
 

@@ -79,6 +79,24 @@ class TestIterateChain:
             point = miquel_point(host, family_member(host, p, 0.0)).point
             assert point.dist(p) < 1e-8 * step.circumradius
 
+    def test_chain_leaving_the_coordinate_range_degenerates(self):
+        # each step at theta = 1.57 stretches the triangle about 1256 times;
+        # the fourth step triangle is past 1e50, where the Brocard weights of
+        # later steps would overflow
+        t = Triangle(Point(0, 0), Point(4e40, 0), Point(1e40, 3e40))
+        p = Point(2e40, 1e40)
+        assert len(iterate_chain(t, p, 3, [1.57] * 3).steps) == 3
+        with pytest.raises(DegenerateStepError, match="step 3 degenerated: .* out of range"):
+            iterate_chain(t, p, 12, [1.57] * 12)
+
+    def test_chain_shrinking_below_the_coordinate_range_degenerates(self):
+        # the medial chain halves the sides; step 4's longest side is
+        # sqrt(3)·1e-49 / 32 < 1e-50
+        tiny = Triangle(*(v * 1e-49 for v in EQUI.vertices))
+        assert len(iterate_chain(tiny, Point(0, 0), 4).steps) == 4
+        with pytest.raises(DegenerateStepError, match="step 4 degenerated: .* out of range"):
+            iterate_chain(tiny, Point(0, 0), 5)
+
     def test_bad_schedule_length_rejected(self):
         with pytest.raises(ValueError):
             iterate_chain(TSCA, Point(1.4, 0.9), 3, thetas=[0.1, 0.2])

@@ -246,6 +246,18 @@ def test_scene_inside_the_range_is_accepted(tmp_path):
     assert "--point is out of range" in res.stderr
 
 
+def test_chain_leaving_the_coordinate_range_is_geometric_error(tmp_path):
+    # an in-range scene whose chain grows about 1256 times a step
+    path = tmp_path / "scene.json"
+    path.write_text('{"A": [0, 0], "B": [4e40, 0], "C": [1e40, 3e40], "P": [2e40, 1e40]}')
+    res = run_cli("chain", "--in", str(path), "--steps", "12", "--thetas", ",".join(["1.57"] * 12))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith(
+        "geometric error: DegenerateStepError: step 3 degenerated: the triangle is out of range"
+    )
+
+
 def test_closed_stdout_exits_without_traceback():
     # the reader goes away before any output, as with `miquel verify | head -1`
     proc = subprocess.Popen(

@@ -5,13 +5,17 @@ coordinate, so only the Points callers keep are built. Each form must do the
 operator form's float operations in the same order, so the two agree with
 `==`, not within a tolerance. The operator forms below are those oracles; a
 later edit that reassociates a sum or a product fails here.
+
+The chain step builds no Point but its triangle's, from the same coordinate
+helpers as `family_member` and `miquel_point`, so its triangles and Miquel
+points equal theirs.
 """
 
 import math
 
 import pytest
 
-from miquel import centers, kernel
+from miquel import centers, chains, kernel, triads
 from miquel.centers import NAMED_POINTS, locate
 from miquel.chains import iterate_chain
 from miquel.errors import RightAngleDegenerateError
@@ -19,9 +23,14 @@ from miquel.kernel import (
     LENGTH_EPS,
     Line,
     Point,
+    circle_xy,
     circumcircle,
     directed_angle,
+    offset_xy,
+    project_xy,
     reflect_over_line,
+    reflect_xy,
+    unit_direction,
 )
 from miquel.sampling import (
     random_acute_triangle,
@@ -30,7 +39,13 @@ from miquel.sampling import (
     random_obtuse_at,
     rng_for,
 )
-from miquel.triads import Triad, classify_similarity, family_member, pedal_feet
+from miquel.triads import (
+    along_xy,
+    classify_similarity,
+    family_member,
+    miquel_point,
+    pedal_feet,
+)
 
 
 def _hosts_and_points():
@@ -62,6 +77,16 @@ def _circumcircle_by_operators(p1, p2, p3):
     ux = (m2 * q3.y - m3 * q2.y) / d
     uy = (m3 * q2.x - m2 * q3.x) / d
     return Point(p1.x + ux, p1.y + uy), math.hypot(ux, uy)
+
+
+def _direction_by_operators(p, q):
+    d = q - p
+    n = d.norm()
+    return d / n if abs(n - 1.0) > 1e-14 else d
+
+
+def _offset_by_operators(line, p):
+    return line.direction.cross(p - line.anchor)
 
 
 def _at_by_operators(line, t):
@@ -115,6 +140,14 @@ def _family_feet_by_operators(t, p, theta):
     return [p + (f - p).rotated(theta) * stretch for f in pedal_feet(t, p)]
 
 
+def _spoke_by_operators(p, f, theta):
+    return p + (f - p).rotated(theta) * (1.0 / math.cos(theta))
+
+
+def _along_by_operators(tail, head, s):
+    return tail + s * (head - tail)
+
+
 def _param_by_operators(p, tail, head):
     d = head - tail
     return (p - tail).dot(d) / d.dot(d)
@@ -157,6 +190,33 @@ def test_circumcircle():
         for triple in ((t.a, t.b, t.c), (t.a, triad.y, triad.z), (t.b, triad.z, triad.x)):
             circle = circumcircle(*triple)
             assert (circle.center, circle.radius) == _circumcircle_by_operators(*triple)
+
+
+def test_coordinate_helpers():
+    """Each coordinate helper alone, against its operator form."""
+    for t, points, theta in CASES:
+        a, b, c = t.vertices
+        for p in points:
+            for tail, head in ((b, c), (c, a), (a, b), (p, a)):
+                line = Line.through(tail, head)
+                d = unit_direction(head.x - tail.x, head.y - tail.y)
+                assert Point(*d) == _direction_by_operators(tail, head) == line.direction
+                args = (tail.x, tail.y, *d, p.x, p.y)
+                assert offset_xy(*args) == _offset_by_operators(line, p)
+                assert Point(*project_xy(*args)) == _project_by_operators(line, p)
+                assert Point(*reflect_xy(*args)) == _reflect_by_operators(line, p)
+                assert Point(*along_xy(tail.x, tail.y, head.x, head.y, theta)) == (
+                    _along_by_operators(tail, head, theta)
+                )
+                assert triads._param(p.x, p.y, tail.x, tail.y, head.x, head.y) == (
+                    _param_by_operators(p, tail, head)
+                )
+            for f in t.vertices:
+                c_, s_ = math.cos(theta), math.sin(theta)
+                spoke = triads._spoke(p.x, p.y, f.x, f.y, c_, s_, 1.0 / c_)
+                assert Point(*spoke) == _spoke_by_operators(p, f, theta)
+            cx, cy, r = circle_xy(a.x, a.y, b.x, b.y, p.x, p.y)
+            assert (Point(cx, cy), r) == _circumcircle_by_operators(a, b, p)
 
 
 def test_line_at_project_and_reflect():
@@ -210,19 +270,21 @@ def test_squared_sides_isogonal_conjugate_and_every_named_point(monkeypatch):
 # ---------------------------------------------------------------- triads
 
 def test_family_member_feet_and_triad_forms(monkeypatch):
-    real = Triad.from_points.__func__
+    real = triads._spoke
     feet_seen = []
 
-    def recording(cls, host, *feet):
-        feet_seen.append(feet)
-        return real(cls, host, *feet)
+    def recording(*args):
+        foot = real(*args)
+        feet_seen.append(Point(*foot))
+        return foot
 
-    monkeypatch.setattr(Triad, "from_points", classmethod(recording))
+    monkeypatch.setattr(triads, "_spoke", recording)
     for t, points, theta in CASES:
         for p in points:
             triad = family_member(t, p, theta)
             feet = _family_feet_by_operators(t, p, theta)
-            assert list(feet_seen.pop()) == feet
+            assert feet_seen == feet
+            feet_seen.clear()
             params = (
                 _param_by_operators(feet[0], t.b, t.c),
                 _param_by_operators(feet[1], t.c, t.a),
@@ -230,6 +292,27 @@ def test_family_member_feet_and_triad_forms(monkeypatch):
             )
             assert (triad.u, triad.v, triad.w) == params
             assert triad.points == _triad_points_by_operators(triad)
+
+
+def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):
+    """Step 1 of a chain is family_member's triangle, vertex by vertex, and
+    the point its drift check measures is miquel_point's."""
+    real = chains.miquel_xy
+    drift_points = []
+
+    def recording(*args):
+        result = real(*args)
+        drift_points.append(Point(*result[3]))
+        return result
+
+    monkeypatch.setattr(chains, "miquel_xy", recording)
+    for t, points, theta in CASES:
+        for p in points:
+            triad = family_member(t, p, theta)
+            step = iterate_chain(t, p, 1, [theta]).steps[0]
+            assert step.vertices == triad.triangle().vertices
+            assert drift_points == [miquel_point(t, triad).point]
+            drift_points.clear()
 
 
 @pytest.mark.parametrize("thetas", [None, (0.3, -0.5, 0.7, 0.1, -0.9, 0.4)])
