@@ -14,7 +14,6 @@ from .triads import (
     CONCURRENCY_BAND,
     SpecialRole,
     along_xy,
-    classify_similarity,
     detect_special_role,
     family_params,
     miquel_xy,
@@ -25,7 +24,8 @@ from .triads import (
 # therefore uses a looser relative length band than one-shot constructions
 CHAIN_DETECT_TOL = 1e-6
 
-# the angle band of the mod-3 similarity claims, for the same reason
+# the band of the chain similarity claims, for the same reason: the relative
+# shape-ratio gap of the mod-3 check, and theorem15's angle band
 CHAIN_SIMILARITY_TOL = 1e-6
 
 # pedal steps lose roughly a digit each on ill-conditioned hosts
@@ -131,22 +131,22 @@ def iterate_chain(
     return ChainRecord(t0, p, tuple(steps))
 
 
-def check_mod3_similarity(rec: ChainRecord) -> tuple[bool, float]:
-    """Whether every pair of triangles with indices congruent mod 3 is
-    similar within ``CHAIN_SIMILARITY_TOL``, and the worst residual among
-    the pairs that are."""
+def check_mod3_similarity(rec: ChainRecord) -> float:
+    """The worst relative gap |r_j − r_i| / |r_i| between the shape ratios
+    r = (B − A)/(C − A) of chain triangles i ≡ j (mod 3), which are directly
+    similar, vertex for vertex; a mirrored or relabeled triangle is not."""
     tris = rec.triangles
     if len(tris) < 4:
         raise ValueError("need at least four triangles to compare mod-3 classes")
-    ok, worst = True, 0.0
-    for i in range(len(tris)):
-        for j in range(i + 3, len(tris), 3):
-            match = classify_similarity(tris[i], tris[j], CHAIN_SIMILARITY_TOL)
-            if match is None:
-                ok = False
-            else:
-                worst = max(worst, match.residual)
-    return ok, worst
+    ratios = [
+        complex(t.b.x - t.a.x, t.b.y - t.a.y) / complex(t.c.x - t.a.x, t.c.y - t.a.y)
+        for t in tris
+    ]
+    return max(
+        abs(ratios[j] - ratios[i]) / abs(ratios[i])
+        for i in range(len(ratios))
+        for j in range(i + 3, len(ratios), 3)
+    )
 
 
 # cyclic successor of a role name along a chain; the incircle/excircle role

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import centers
-from .chains import check_mod3_similarity, iterate_chain
+from .chains import CHAIN_SIMILARITY_TOL, check_mod3_similarity, iterate_chain
 from .errors import GeometryError, OnSideLineError, RightAngleDegenerateError, SceneError
 from .figures import ELEMENTS, render_figure
 from .kernel import Point, Triangle
@@ -212,12 +212,12 @@ def cmd_chain(args) -> int:
     p = _require_point(scene, args.point)
     thetas = _parse_numbers(args.thetas, "--thetas", args.steps) if args.thetas else None
     rec = iterate_chain(t, p, args.steps, thetas=thetas)
-    ok, worst = check_mod3_similarity(rec) if args.steps >= 3 else (None, None)
+    worst = check_mod3_similarity(rec) if args.steps >= 3 else None
     doc = {
         "steps": args.steps,
         "roles": [str(r) for r in rec.roles],
         "circumradii": [tri.circumradius for tri in rec.triangles],
-        "mod3_similar": ok,
+        "mod3_similar": None if worst is None else worst < CHAIN_SIMILARITY_TOL,
         "mod3_worst_residual": worst,
     }
     if args.json:
@@ -225,8 +225,8 @@ def cmd_chain(args) -> int:
     else:
         for k, (role, r) in enumerate(zip(doc["roles"], doc["circumradii"])):
             print(f"step {k:<3d} role={role:<18s} circumradius={_num(r)}")
-        if ok is not None:
-            print(f"mod3 similarity {'holds' if ok else 'FAILS'} "
+        if worst is not None:
+            print(f"mod3 similarity {'holds' if doc['mod3_similar'] else 'FAILS'} "
                   f"(worst residual {worst:.3e})")
     return 0
 
@@ -268,13 +268,27 @@ def _print_report(rep: SuiteReport) -> None:
     print(f"result {'PASS' if rep.passed else 'FAIL'}")
 
 
+def _seed(args) -> int:
+    """``--seed``, else ``MIQUEL_SEED``, else ``DEFAULT_SEED``."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("MIQUEL_SEED")
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise SceneError(f"MIQUEL_SEED must be an integer, got {text!r}") from None
+
+
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.suite != "all" and args.suite not in SUITES:
         raise SceneError(
             f"unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}"
         )
-    reports = [run_suite(name, args.seed, args.trials) for name in names]
+    seed = _seed(args)
+    reports = [run_suite(name, seed, args.trials) for name in names]
     if args.json:
         print(json.dumps([_report_doc(r) for r in reports]))
     else:
@@ -297,8 +311,11 @@ def cmd_figure(args) -> int:
     elements = [e for e in (args.elements or "").split(",") if e]
     svg = render_figure(scene, elements)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise SceneError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(svg)
     return 0
@@ -350,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    help="suite name or 'all' (see README for the full list)")
     p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("MIQUEL_SEED", DEFAULT_SEED)))
+                   help=f"random seed (default: MIQUEL_SEED, else {DEFAULT_SEED})")
     p.add_argument("--trials", type=int, default=None,
-                   help="override the suite's default trial count")
+                   help="override the suite's default trial count (at least 1)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

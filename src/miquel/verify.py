@@ -489,8 +489,8 @@ def _chain_points(rng, t: Triangle) -> list[tuple[str, Point]]:
 
 
 def suite_theorem14(seed: int, trials: int = 50) -> SuiteReport:
-    """Chains: triangles with indices congruent mod 3 are similar, for both
-    the pedal schedule and random rotation schedules."""
+    """Chains: triangles with indices congruent mod 3 are directly similar,
+    vertex for vertex, for the pedal and random rotation schedules."""
     report = SuiteReport("theorem14", seed, trials)
     default_sched = report.claim("mod3-pedal-schedule", 1e-6)
     random_sched = report.claim("mod3-random-schedule", 1e-6)
@@ -499,11 +499,11 @@ def suite_theorem14(seed: int, trials: int = 50) -> SuiteReport:
         rng = report.rng(i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         for name, p in _chain_points(rng, t):
-            ok, worst = check_mod3_similarity(iterate_chain(t, p, k))
-            default_sched.add(worst if ok else 1.0, i, t, p, note=f" [{name}]")
+            gap = check_mod3_similarity(iterate_chain(t, p, k))
+            default_sched.add(gap, i, t, p, note=f" [{name}]")
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(k)]
-            ok, worst = check_mod3_similarity(iterate_chain(t, p, k, thetas=thetas))
-            random_sched.add(worst if ok else 1.0, i, t, p, note=f" [{name}]")
+            gap = check_mod3_similarity(iterate_chain(t, p, k, thetas=thetas))
+            random_sched.add(gap, i, t, p, note=f" [{name}]")
     return report
 
 
@@ -632,6 +632,8 @@ SUITES = {
 def run_suite(name: str, seed: int, trials: int | None = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"a suite needs at least one trial, got {trials}")
     fn = SUITES[name]
     started = time.perf_counter()
     report = fn(seed) if trials is None else fn(seed, trials)

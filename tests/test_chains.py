@@ -1,6 +1,10 @@
-"""Nested triad chains: mod-3 similarity, role recurrences, degeneracy."""
+"""Nested triad chains: mod-3 similarity, role recurrences, degeneracy, and
+the chain correspondences on an exact rational oracle."""
 
 import math
+import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +14,7 @@ from miquel.centers import (
     brocard_point,
     circumcenter,
     incenter,
+    m_point,
     orthocenter,
     s_point,
 )
@@ -112,9 +117,7 @@ class TestIterateChain:
 class TestMod3Similarity:
     def test_classes_partition(self):
         rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
-        ok, worst = check_mod3_similarity(rec)
-        assert ok
-        assert worst < 1e-6
+        assert check_mod3_similarity(rec) < CHAIN_SIMILARITY_TOL
 
     def test_brocard_chain_everything_similar(self):
         p = brocard_point(TSCA, "first")
@@ -132,7 +135,7 @@ class TestMod3Similarity:
 
     def test_generic_point_classes_distinct(self):
         rec = iterate_chain(TSCA, Point(1.31, 0.87), 9)
-        assert check_mod3_similarity(rec)[0]
+        assert check_mod3_similarity(rec) < CHAIN_SIMILARITY_TOL
         tris = rec.triangles
         for i in range(len(tris)):
             for j in range(i + 1, len(tris)):
@@ -145,20 +148,24 @@ class TestMod3Similarity:
             t = random_triangle(rng)
             p = random_interior_point(rng, t)
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(6)]
-            assert check_mod3_similarity(iterate_chain(t, p, 6, thetas=thetas))[0]
+            gap = check_mod3_similarity(iterate_chain(t, p, 6, thetas=thetas))
+            assert gap < CHAIN_SIMILARITY_TOL
 
-    def test_only_same_class_pairs_classified(self, monkeypatch):
-        tols = []
-
-        def counted(t1, t2, tol):
-            tols.append(tol)
-            return classify_similarity(t1, t2, tol)
-
-        monkeypatch.setattr(miquel.chains, "classify_similarity", counted)
-        check_mod3_similarity(iterate_chain(TSCA, Point(1.31, 0.87), 9))
-        # of the 45 index pairs of ten triangles, 12 differ by a multiple of 3
-        assert len(tols) == 12
-        assert all(tol == CHAIN_SIMILARITY_TOL for tol in tols)
+    @pytest.mark.parametrize(
+        "swap",
+        [
+            lambda t: Triangle(*(Point(v.x, -v.y) for v in t.vertices)),  # mirrored
+            lambda t: Triangle(t.b, t.c, t.a),  # relabeled cyclically
+        ],
+        ids=["mirrored", "relabeled"],
+    )
+    def test_similar_but_not_vertex_for_vertex_fails(self, swap):
+        rec = iterate_chain(TSCA, Point(1.31, 0.87), 9)
+        bad = swap(rec.triangles[3])
+        # a search over every vertex map and orientation accepts the swap
+        assert classify_similarity(rec.seed, bad, CHAIN_SIMILARITY_TOL) is not None
+        steps = (*rec.steps[:2], bad, *rec.steps[3:])
+        assert check_mod3_similarity(replace(rec, steps=steps)) >= CHAIN_SIMILARITY_TOL
 
     def test_needs_four_triangles(self):
         with pytest.raises(ValueError):
@@ -248,3 +255,155 @@ class TestLazyRoles:
             rec = iterate_chain(TSCA, p, 4)
             expect = [detect_special_role(t, p, CHAIN_DETECT_TOL) for t in rec.triangles]
             assert list(rec.roles) == expect
+
+
+# ---------------------------------------------------------------- exact oracle
+#
+# Chains on Fraction coordinates. A family step is rational when tan θ is: it
+# puts each new vertex at P + (F − P)·(1 + i·tan θ), where F is the foot of the
+# perpendicular from P on the opposite side (tan θ = 0 is the pedal step).
+
+
+def _exact_step(tri, p, tan):
+    px, py = p
+    new = []
+    for v in range(3):
+        (ux, uy), (wx, wy) = tri[(v + 1) % 3], tri[(v + 2) % 3]
+        dx, dy = wx - ux, wy - uy
+        s = ((px - ux) * dx + (py - uy) * dy) / (dx * dx + dy * dy)
+        fx, fy = ux + s * dx - px, uy + s * dy - py
+        new.append((px + fx - tan * fy, py + fy + tan * fx))
+    return tuple(new)
+
+
+def _exact_chain(tri, p, tans):
+    tris = [tri]
+    for tan in tans:
+        tris.append(_exact_step(tris[-1], p, tan))
+    return tris
+
+
+def _exact_ratio(tri, perm="ABC"):
+    """The shape ratio (B − A)/(C − A) as (real, imaginary), reading the
+    triangle's vertices in ``perm`` order."""
+    a, b, c = (tri["ABC".index(v)] for v in perm)
+    ux, uy, wx, wy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
+    n = wx * wx + wy * wy
+    return (ux * wx + uy * wy) / n, (uy * wx - ux * wy) / n
+
+
+def _squared_sides(tri):
+    return tuple(
+        (tri[i][0] - tri[j][0]) ** 2 + (tri[i][1] - tri[j][1]) ** 2
+        for i, j in ((1, 2), (2, 0), (0, 1))
+    )
+
+
+def _barycentric(tri, weights):
+    total = sum(weights)
+    return tuple(sum(w * v[axis] for w, v in zip(weights, tri)) / total for axis in (0, 1))
+
+
+def _named_points(tri):
+    """O, H, Ω₁, Ω₂, S_v and M_v, whose barycentrics are polynomials in the
+    squared sides, with the library's float version of each."""
+    a2, b2, c2 = _squared_sides(tri)
+    sa, sb, sc = b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2
+    weights = {
+        "O": ((a2 * sa, b2 * sb, c2 * sc), circumcenter),
+        "H": ((sb * sc, sc * sa, sa * sb), orthocenter),
+        "Ω₁": ((c2 * a2, a2 * b2, b2 * c2), lambda t: brocard_point(t, "first")),
+        "Ω₂": ((a2 * b2, b2 * c2, c2 * a2), lambda t: brocard_point(t, "second")),
+        "S_A": ((sa, b2, c2), lambda t: s_point(t, "A")),
+        "S_B": ((a2, sb, c2), lambda t: s_point(t, "B")),
+        "S_C": ((a2, b2, sc), lambda t: s_point(t, "C")),
+        "M_A": ((a2, sa, sa), lambda t: m_point(t, "A")),
+        "M_B": ((sb, b2, sb), lambda t: m_point(t, "B")),
+        "M_C": ((sc, sc, c2), lambda t: m_point(t, "C")),
+    }
+    return {name: (_barycentric(tri, w), f) for name, (w, f) in weights.items()}
+
+
+# theorem15's correspondences: for each named point, chain triangle k against
+# the seed by k mod 3, as (``SimilarityClass.permutation``, mirrored); a
+# direct match has the seed's shape ratio, a mirrored one its conjugate
+_SAME = ("ABC", False)
+_FIXING = {"A": "ACB", "B": "CBA", "C": "BAC"}  # the transposition fixing v
+SEED_CORRESPONDENCES = {
+    "O": {1: _SAME, 0: _SAME},
+    "H": {2: _SAME, 0: _SAME},
+    "Ω₁": {1: ("CAB", False), 2: ("BCA", False), 0: _SAME},
+    "Ω₂": {1: ("BCA", False), 2: ("CAB", False), 0: _SAME},
+    **{f"S_{v}": {1: (_FIXING[v], True), 0: _SAME} for v in "ABC"},
+    **{f"M_{v}": {2: (_FIXING[v], True), 0: _SAME} for v in "ABC"},
+}
+
+
+def _rational_hosts(n):
+    """Scalene, non-right integer triangles with no angle below ~0.25 rad."""
+    rng = random.Random("exact-chain-hosts")
+    hosts = []
+    while len(hosts) < n:
+        tri = tuple((Fraction(rng.randint(-12, 12)), Fraction(rng.randint(-12, 12))) for _ in "ABC")
+        a2, b2, c2 = sq = _squared_sides(tri)
+        (ax, ay), (bx, by), (cx, cy) = tri
+        area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        scalene = len(set(sq)) == 3
+        right = 0 in (b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2)
+        if scalene and not right and abs(area2) > max(sq) / 4:
+            hosts.append(tri)
+    return hosts
+
+
+HOSTS = _rational_hosts(12)
+
+
+def _float_triangle(tri):
+    return Triangle(*(Point(float(x), float(y)) for x, y in tri))
+
+
+def _close(tri, t, tol):
+    return all(
+        math.hypot(float(x) - v.x, float(y) - v.y) < tol * t.circumradius
+        for (x, y), v in zip(tri, t.vertices)
+    )
+
+
+class TestExactCorrespondences:
+    @pytest.mark.parametrize("schedule", ["pedal", "rotated"])
+    def test_mod3_shape_ratios_equal(self, schedule):
+        rng = random.Random(f"exact-chain-{schedule}")
+        for host in HOSTS:
+            p = _barycentric(host, [Fraction(rng.randint(1, 9)) for _ in "ABC"])
+            tans = [Fraction(0)] * 9
+            if schedule == "rotated":
+                tans = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in tans]
+            tris = _exact_chain(host, p, tans)
+            ratios = [_exact_ratio(tri) for tri in tris]
+            for i in range(len(tris)):
+                for j in range(i + 3, len(tris), 3):
+                    assert ratios[j] == ratios[i]
+            # the oracle runs the library's chain: same labels, same rotation sense
+            rec = iterate_chain(
+                _float_triangle(host),
+                Point(float(p[0]), float(p[1])),
+                9,
+                thetas=[math.atan(tan) for tan in tans],
+            )
+            assert all(_close(tri, t, 1e-9) for tri, t in zip(tris, rec.triangles))
+            assert check_mod3_similarity(rec) < CHAIN_SIMILARITY_TOL
+
+    def test_seed_correspondences(self):
+        for host in HOSTS:
+            seed_ratio = _exact_ratio(host)
+            mirrored_ratio = (seed_ratio[0], -seed_ratio[1])
+            for name, (p, locate) in _named_points(host).items():
+                t = _float_triangle(host)
+                assert locate(t).dist(Point(float(p[0]), float(p[1]))) < 1e-10 * t.circumradius
+                tris = _exact_chain(host, p, [Fraction(0)] * 6)
+                for k in range(1, 7):
+                    if k % 3 not in SEED_CORRESPONDENCES[name]:
+                        continue
+                    perm, mirrored = SEED_CORRESPONDENCES[name][k % 3]
+                    expect = mirrored_ratio if mirrored else seed_ratio
+                    assert _exact_ratio(tris[k], perm) == expect, (name, k)

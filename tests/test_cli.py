@@ -151,6 +151,33 @@ def test_env_seed_override(tri_file):
     assert json.loads(via_env.stdout)[0]["seed"] == 99
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_without_trials_is_usage_error(trials):
+    res = run_cli("verify", "--suite", "theorem14", "--trials", trials)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"usage error: a suite needs at least one trial, got {trials}\n"
+
+
+def test_non_integer_env_seed(tri_file):
+    env = {"MIQUEL_SEED": "abc"}
+    res = run_cli("centers", "--in", tri_file, env_extra=env)
+    assert res.returncode == 0
+    res = run_cli("verify", "--suite", "theorem5", "--trials", "2", env_extra=env)
+    assert res.returncode == 2
+    assert res.stderr == "usage error: MIQUEL_SEED must be an integer, got 'abc'\n"
+    res = run_cli("verify", "--suite", "theorem5", "--trials", "2", "--seed", "3", env_extra=env)
+    assert res.returncode == 0
+
+
+def test_figure_unwritable_out_is_usage_error(tri_file, tmp_path):
+    out = tmp_path / "no-such-dir" / "x.svg"
+    res = run_cli("figure", "--in", tri_file, "--elements", "circumcircle", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"usage error: cannot write {out}: ")
+    assert "Traceback" not in res.stderr
+
+
 def test_exit_code_geometric_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"A": [0, 0], "B": [1, 0], "C": [2, 0]}')
