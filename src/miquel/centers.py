@@ -38,38 +38,111 @@ class SpecialRole:
         return f"{self.role}({self.vertex})" if self.vertex else self.role
 
 
+def _barycentric_xy(t: Triangle, wa: float, wb: float, wc: float) -> tuple[float, float]:
+    """The point with barycentric weights (wa : wb : wc) over A, B, C."""
+    a, b, c = t.a, t.b, t.c
+    s = wa + wb + wc
+    return (wa * a.x + wb * b.x + wc * c.x) / s, (wa * a.y + wb * b.y + wc * c.y) / s
+
+
+def _reject_right_angle(t: Triangle, vertex: str) -> None:
+    if abs(t.angle(vertex) - HALF_PI) < ANGLE_EPS:
+        raise RightAngleDegenerateError(f"vertex angle at {vertex} is right")
+
+
+# Where each named point sits, on coordinates: the one body of its formula,
+# which its Point function, ``locate`` and role detection all call. Each takes
+# the triangle and, for the names that come one per vertex, the vertex label.
+
+def _circumcenter_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
+    o = t.circumcircle.center
+    return o.x, o.y
+
+
+def _orthocenter_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
+    # vector identity: H = A + B + C - 2*O
+    o = t.circumcircle.center
+    a, b, c = t.a, t.b, t.c
+    return a.x + b.x + c.x - 2.0 * o.x, a.y + b.y + c.y - 2.0 * o.y
+
+
+def _centroid_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
+    a, b, c = t.a, t.b, t.c
+    return (a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0
+
+
+def _incenter_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
+    return _barycentric_xy(t, *t.side_lengths)
+
+
+def _excenter_xy(t: Triangle, vertex: str) -> tuple[float, float]:
+    weights = list(t.side_lengths)
+    weights[VERTEX_LABELS.index(vertex)] *= -1.0
+    return _barycentric_xy(t, *weights)
+
+
+def _first_brocard_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
+    a2, b2, c2 = t.squared_sides
+    return _barycentric_xy(t, c2 * a2, a2 * b2, b2 * c2)
+
+
+def _second_brocard_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
+    a2, b2, c2 = t.squared_sides
+    return _barycentric_xy(t, a2 * b2, b2 * c2, c2 * a2)
+
+
+def _s_xy(t: Triangle, vertex: str) -> tuple[float, float]:
+    _reject_right_angle(t, vertex)
+    i = VERTEX_LABELS.index(vertex)
+    sq = t.squared_sides
+    weights = list(sq)
+    weights[i] = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
+    return _barycentric_xy(t, *weights)
+
+
+def _m_xy(t: Triangle, vertex: str) -> tuple[float, float]:
+    _reject_right_angle(t, vertex)
+    i = VERTEX_LABELS.index(vertex)
+    sq = t.squared_sides
+    k = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
+    weights = [k, k, k]
+    weights[i] = sq[i]
+    return _barycentric_xy(t, *weights)
+
+
+_LOCATE_XY = {
+    "circumcenter": _circumcenter_xy,
+    "orthocenter": _orthocenter_xy,
+    "centroid": _centroid_xy,
+    "incenter": _incenter_xy,
+    "excenter": _excenter_xy,
+    "first_brocard": _first_brocard_xy,
+    "second_brocard": _second_brocard_xy,
+    "s_role": _s_xy,
+    "m_role": _m_xy,
+}
+
+
 def circumcenter(t: Triangle) -> Point:
     return t.circumcircle.center
 
 
 def orthocenter(t: Triangle) -> Point:
-    # vector identity: H = A + B + C - 2*O
-    o = circumcenter(t)
-    a, b, c = t.a, t.b, t.c
-    return Point(a.x + b.x + c.x - 2.0 * o.x, a.y + b.y + c.y - 2.0 * o.y)
+    return Point(*_orthocenter_xy(t))
 
 
 def centroid(t: Triangle) -> Point:
-    return (t.a + t.b + t.c) / 3.0
-
-
-def _from_barycentric(t: Triangle, wa: float, wb: float, wc: float) -> Point:
-    """The point with barycentric weights (wa : wb : wc) over A, B, C."""
-    a, b, c = t.a, t.b, t.c
-    s = wa + wb + wc
-    return Point((wa * a.x + wb * b.x + wc * c.x) / s, (wa * a.y + wb * b.y + wc * c.y) / s)
+    return Point(*_centroid_xy(t))
 
 
 def incenter(t: Triangle) -> Point:
     """L = (a : b : c)."""
-    return _from_barycentric(t, *t.side_lengths)
+    return Point(*_incenter_xy(t))
 
 
 def excenter(t: Triangle, vertex: str) -> Point:
     """Center of the excircle opposite ``vertex``: (−a : b : c) for A."""
-    weights = list(t.side_lengths)
-    weights[VERTEX_LABELS.index(vertex)] *= -1.0
-    return _from_barycentric(t, *weights)
+    return Point(*_excenter_xy(t, vertex))
 
 
 def symmedian_foot(t: Triangle, vertex: str) -> Point:
@@ -84,15 +157,6 @@ def symmedian_foot(t: Triangle, vertex: str) -> Point:
     return b + (ab2 / (ab2 + ac2)) * (c - b)
 
 
-def _squared_sides(t: Triangle) -> tuple[float, float, float]:
-    """a^2, b^2, c^2: the squared lengths of BC, CA, AB."""
-    a, b, c = t.a, t.b, t.c
-    bcx, bcy = c.x - b.x, c.y - b.y
-    cax, cay = a.x - c.x, a.y - c.y
-    abx, aby = b.x - a.x, b.y - a.y
-    return (bcx * bcx + bcy * bcy, cax * cax + cay * cay, abx * abx + aby * aby)
-
-
 def brocard_point(t: Triangle, which: str) -> Point:
     """First or second Brocard point.
 
@@ -102,15 +166,9 @@ def brocard_point(t: Triangle, which: str) -> Point:
     """
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
-    a2, b2, c2 = _squared_sides(t)
     if which == "first":
-        return _from_barycentric(t, c2 * a2, a2 * b2, b2 * c2)
-    return _from_barycentric(t, a2 * b2, b2 * c2, c2 * a2)
-
-
-def _reject_right_angle(t: Triangle, vertex: str) -> None:
-    if abs(t.angle(vertex) - HALF_PI) < ANGLE_EPS:
-        raise RightAngleDegenerateError(f"vertex angle at {vertex} is right")
+        return Point(*_first_brocard_xy(t))
+    return Point(*_second_brocard_xy(t))
 
 
 def s_point(t: Triangle, vertex: str) -> Point:
@@ -124,12 +182,7 @@ def s_point(t: Triangle, vertex: str) -> Point:
     circumcenter lies on the opposite side, the arc degenerates, and the
     point is rejected.
     """
-    _reject_right_angle(t, vertex)
-    i = VERTEX_LABELS.index(vertex)
-    sq = _squared_sides(t)
-    weights = list(sq)
-    weights[i] = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
-    return _from_barycentric(t, *weights)
+    return Point(*_s_xy(t, vertex))
 
 
 def m_point(t: Triangle, vertex: str) -> Point:
@@ -143,28 +196,8 @@ def m_point(t: Triangle, vertex: str) -> Point:
     point B + C − A. At a right vertex angle the two constructions meet at
     the vertex itself, and the point is rejected.
     """
-    _reject_right_angle(t, vertex)
-    i = VERTEX_LABELS.index(vertex)
-    sq = _squared_sides(t)
-    k = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
-    weights = [k, k, k]
-    weights[i] = sq[i]
-    return _from_barycentric(t, *weights)
+    return Point(*_m_xy(t, vertex))
 
-
-_LOCATORS = {
-    # each call looks the function up by name, so a wrapper installed on the
-    # module attribute sees it
-    "circumcenter": lambda t, v: circumcenter(t),
-    "orthocenter": lambda t, v: orthocenter(t),
-    "centroid": lambda t, v: centroid(t),
-    "incenter": lambda t, v: incenter(t),
-    "excenter": lambda t, v: excenter(t, v),
-    "first_brocard": lambda t, v: brocard_point(t, "first"),
-    "second_brocard": lambda t, v: brocard_point(t, "second"),
-    "s_role": lambda t, v: s_point(t, v),
-    "m_role": lambda t, v: m_point(t, v),
-}
 
 NAMED_POINTS: tuple[tuple[SpecialRole, str], ...] = (
     (SpecialRole("circumcenter"), "O"),
@@ -184,17 +217,22 @@ NAMED_POINTS: tuple[tuple[SpecialRole, str], ...] = (
 order of the ``miquel centers`` table."""
 
 
-def locate(t: Triangle, role: SpecialRole) -> Point:
-    """Where ``role`` sits in ``t``.
+def locate_xy(t: Triangle, role: SpecialRole) -> tuple[float, float]:
+    """Where ``role`` sits in ``t``, as coordinates.
 
     Raises ``ValueError`` for a role with no single location (``none``, and
     ``q_role``, which is a whole arc), and ``RightAngleDegenerateError`` for
     ``s_role``/``m_role`` at a right vertex.
     """
-    locator = _LOCATORS.get(role.role)
-    if locator is None:
+    body = _LOCATE_XY.get(role.role)
+    if body is None:
         raise ValueError(f"{role} has no single location")
-    return locator(t, role.vertex)
+    return body(t, role.vertex)
+
+
+def locate(t: Triangle, role: SpecialRole) -> Point:
+    """``locate_xy`` as a Point."""
+    return Point(*locate_xy(t, role))
 
 
 def isogonal_conjugate(t: Triangle, p: Point) -> Point:
@@ -219,7 +257,7 @@ def isogonal_conjugate(t: Triangle, p: Point) -> Point:
     s = wa + wb + wc
     if abs(s) < 1e-13 * max(abs(wa), abs(wb), abs(wc)):
         raise NoFiniteConjugateError("conjugate weights cancel: point at infinity")
-    return _from_barycentric(t, wa, wb, wc)
+    return Point(*_barycentric_xy(t, wa, wb, wc))
 
 
 def inverse_in_circumcircle(t: Triangle, p: Point) -> Point:

@@ -9,7 +9,15 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import DegenerateStepError, GeometryError
-from .kernel import MAX_COORDINATE, MIN_LONGEST_SIDE, Point, Triangle
+from .kernel import (
+    MAX_COORDINATE,
+    MIN_LONGEST_SIDE,
+    Point,
+    Triangle,
+    TriangleXY,
+    circle_xy,
+    side_lengths_xy,
+)
 from .triads import (
     CONCURRENCY_BAND,
     SpecialRole,
@@ -17,7 +25,8 @@ from .triads import (
     detect_special_role,
     family_params,
     miquel_xy,
-    on_circumcircle,
+    on_circle_xy,
+    reject_side_lines,
 )
 
 # role positions drift along a chain as numeric error compounds; detection
@@ -36,8 +45,11 @@ MAX_CHAIN_STEPS = 12
 class ChainRecord:
     """A run of nested triad triangles sharing one concurrency point.
 
-    ``steps[k]`` is the triangle after k+1 steps; its vertices are the triad
-    points relabeled A = point on the old BC, B = on CA, C = on AB.
+    ``steps_xy[k]`` is the triangle after k+1 steps, as its six coordinates;
+    its vertices are the triad points relabeled A = point on the old BC,
+    B = on CA, C = on AB. ``steps`` are those triangles as ``Triangle``s,
+    built on first read and cached, so a chain read only through its
+    coordinates builds none.
 
     ``roles`` are detected with ``CHAIN_DETECT_TOL`` on first read and
     cached, so a chain whose roles go unread costs no detection. A
@@ -47,7 +59,14 @@ class ChainRecord:
 
     seed: Triangle
     point: Point
-    steps: tuple[Triangle, ...]
+    steps_xy: tuple[TriangleXY, ...]
+
+    @cached_property
+    def steps(self) -> tuple[Triangle, ...]:
+        return tuple(
+            Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
+            for ax, ay, bx, by, cx, cy in self.steps_xy
+        )
 
     @property
     def triangles(self) -> list[Triangle]:
@@ -61,20 +80,24 @@ class ChainRecord:
         )
 
 
-def _step(t: Triangle, p: Point, theta: float) -> tuple[Triangle, float, float]:
-    """``family_member(t, p, theta).triangle()`` and the coordinates of the
-    triad's ``miquel_point``, with the same floats. Only the returned
-    triangle's Points are built.
+def _step(
+    host: TriangleXY, r: float, px: float, py: float, theta: float
+) -> tuple[TriangleXY, float, float]:
+    """``family_member(t, p, theta).triangle()`` of the triangle ``host`` with
+    circumradius ``r``, and the coordinates of the triad's ``miquel_point``,
+    with the same floats and the same guards, in the same order. No Point is
+    built.
 
-    Raises what ``family_member`` and ``miquel_point`` raise, and
-    ``DegenerateStepError`` when the triangle leaves the coordinate range, where
-    later constructions on it (the Brocard weights) overflow.
+    Raises what ``family_member``, ``miquel_point`` and ``Triangle`` raise,
+    and ``DegenerateStepError`` when the triangle leaves the coordinate
+    range, where later constructions on it (the Brocard weights) overflow.
     """
-    u, v, w = family_params(t, p, theta)
-    a, b, c = t.a, t.b, t.c
-    xx, xy = along_xy(b.x, b.y, c.x, c.y, u)
-    yx, yy = along_xy(c.x, c.y, a.x, a.y, v)
-    zx, zy = along_xy(a.x, a.y, b.x, b.y, w)
+    u, v, w, nearest = family_params(host, px, py, theta)
+    reject_side_lines(nearest, r)
+    ax, ay, bx, by, cx, cy = host
+    xx, xy = along_xy(bx, by, cx, cy, u)
+    yx, yy = along_xy(cx, cy, ax, ay, v)
+    zx, zy = along_xy(ax, ay, bx, by, w)
     # every comparison with NaN is false, so NaN is out of range too
     in_range = all(abs(q) <= MAX_COORDINATE for q in (xx, xy, yx, yy, zx, zy)) and max(
         math.hypot(yx - xx, yy - xy), math.hypot(zx - yx, zy - yy), math.hypot(xx - zx, xy - zy)
@@ -85,8 +108,10 @@ def _step(t: Triangle, p: Point, theta: float) -> tuple[Triangle, float, float]:
             f" ±{MAX_COORDINATE:.0e} and its longest side must be at least"
             f" {MIN_LONGEST_SIDE:.0e}"
         )
-    *_, (mx, my) = miquel_xy(t, xx, xy, yx, yy, zx, zy)
-    return Triangle(Point(xx, xy), Point(yx, yy), Point(zx, zy)), mx, my
+    triad = (xx, xy, yx, yy, zx, zy)
+    *_, (mx, my) = miquel_xy(host, triad)
+    side_lengths_xy(*triad)  # the Triangle test: raises CollinearError
+    return triad, mx, my
 
 
 def iterate_chain(
@@ -102,8 +127,10 @@ def iterate_chain(
     on it. Each step triangle must stay inside the coordinate range that
     scenes are held to (``MAX_COORDINATE``, ``MIN_LONGEST_SIDE``).
 
-    No role is detected here: the record detects each role with
-    ``CHAIN_DETECT_TOL`` on first read.
+    The steps run on coordinates: each step triangle is kept as its six
+    floats and its circumcircle comes from ``circle_xy``. No role is
+    detected here: the record detects each role with ``CHAIN_DETECT_TOL`` on
+    first read.
     """
     if k < 1:
         raise ValueError("a chain needs at least one step")
@@ -113,21 +140,29 @@ def iterate_chain(
         thetas = (0.0,) * k
     elif len(thetas) != k:
         raise ValueError(f"theta schedule has {len(thetas)} entries for {k} steps")
-    steps: list[Triangle] = []
-    current = t0
+    px, py = p.x, p.y
+    steps: list[TriangleXY] = []
+    host = t0.xy
+    # the seed's Circle checks that its center and radius are finite; each
+    # step triangle lies inside the coordinate range, where they are
+    c = t0.circumcircle
+    circle = (c.center.x, c.center.y, c.radius)
     for i, theta in enumerate(thetas):
-        if on_circumcircle(current, p):
+        if i:
+            circle = circle_xy(*host)
+        if on_circle_xy(circle, px, py):
             raise DegenerateStepError(f"collinear collapse on the circumcircle at step {i}")
-        try:  # family_params rejects a point on a side line
-            nxt, mx, my = _step(current, p, theta)
+        r = circle[2]
+        try:  # reject_side_lines rejects a point on a side line
+            nxt, mx, my = _step(host, r, px, py, theta)
         except GeometryError as exc:
             raise DegenerateStepError(f"step {i} degenerated: {exc}") from exc
-        if math.hypot(mx - p.x, my - p.y) > CONCURRENCY_BAND * current.circumradius:
+        if math.hypot(mx - px, my - py) > CONCURRENCY_BAND * r:
             raise DegenerateStepError(
                 f"concurrency point drifted off the fixed point at step {i}"
             )
         steps.append(nxt)
-        current = nxt
+        host = nxt
     return ChainRecord(t0, p, tuple(steps))
 
 
@@ -135,12 +170,12 @@ def check_mod3_similarity(rec: ChainRecord) -> float:
     """The worst relative gap |r_j − r_i| / |r_i| between the shape ratios
     r = (B − A)/(C − A) of chain triangles i ≡ j (mod 3), which are directly
     similar, vertex for vertex; a mirrored or relabeled triangle is not."""
-    tris = rec.triangles
-    if len(tris) < 4:
+    coords = [rec.seed.xy, *rec.steps_xy]
+    if len(coords) < 4:
         raise ValueError("need at least four triangles to compare mod-3 classes")
     ratios = [
-        complex(t.b.x - t.a.x, t.b.y - t.a.y) / complex(t.c.x - t.a.x, t.c.y - t.a.y)
-        for t in tris
+        complex(bx - ax, by - ay) / complex(cx - ax, cy - ay)
+        for ax, ay, bx, by, cx, cy in coords
     ]
     return max(
         abs(ratios[j] - ratios[i]) / abs(ratios[i])

@@ -218,6 +218,31 @@ def _collinear(cross: float, span: float) -> bool:
 # a circle on coordinates: (center x, center y, radius)
 CircleXY = tuple[float, float, float]
 
+# a triangle on coordinates: (ax, ay, bx, by, cx, cy)
+TriangleXY = tuple[float, float, float, float, float, float]
+
+
+def side_lengths_xy(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float
+) -> tuple[float, float, float]:
+    """|BC|, |CA|, |AB| of the triangle on these vertices; raises
+    ``CollinearError`` for exactly the triples ``circumcircle`` calls
+    collinear, and ``Point``'s ``ValueError`` when B − A or C − A is not
+    finite."""
+    q2x, q2y = bx - ax, by - ay
+    q3x, q3y = cx - ax, cy - ay
+    # a sum of finite differences may overflow too; then both pass Point
+    if not math.isfinite(q2x + q2y + q3x + q3y):
+        Point(q2x, q2y)
+        Point(q3x, q3y)
+    la = math.hypot(bx - cx, by - cy)
+    lb = math.hypot(cx - ax, cy - ay)
+    lc = math.hypot(ax - bx, ay - by)
+    # also rejects a zero cross product, coincident vertices included
+    if _collinear(q2x * q3y - q2y * q3x, max(la, lb, lc)):
+        raise CollinearError("degenerate triangle: collinear within tolerance")
+    return la, lb, lc
+
 
 def circle_xy(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) -> CircleXY:
     """Center and radius of the circle through three points, as
@@ -405,15 +430,13 @@ class Triangle:
     c: Point
 
     def __post_init__(self) -> None:
-        area2 = (self.b - self.a).cross(self.c - self.a)
-        la = self.b.dist(self.c)
-        lb = self.c.dist(self.a)
-        lc = self.a.dist(self.b)
-        # also rejects area2 == 0.0, coincident vertices included
-        if _collinear(area2, max(la, lb, lc)):
-            raise CollinearError("degenerate triangle: collinear within tolerance")
         # seed the cache: these are the floats side_lengths would compute
-        self.__dict__["side_lengths"] = (la, lb, lc)
+        self.__dict__["side_lengths"] = side_lengths_xy(*self.xy)
+
+    @property
+    def xy(self) -> TriangleXY:
+        a, b, c = self.a, self.b, self.c
+        return (a.x, a.y, b.x, b.y, c.x, c.y)
 
     @cached_property
     def signed_area(self) -> float:
@@ -428,6 +451,15 @@ class Triangle:
     def side_lengths(self) -> tuple[float, float, float]:
         """Lengths opposite A, B, C (i.e. |BC|, |CA|, |AB|)."""
         return (self.b.dist(self.c), self.c.dist(self.a), self.a.dist(self.b))
+
+    @cached_property
+    def squared_sides(self) -> tuple[float, float, float]:
+        """a², b², c²: the squared lengths of BC, CA, AB."""
+        a, b, c = self.a, self.b, self.c
+        bcx, bcy = c.x - b.x, c.y - b.y
+        cax, cay = a.x - c.x, a.y - c.y
+        abx, aby = b.x - a.x, b.y - a.y
+        return (bcx * bcx + bcy * bcy, cax * cax + cay * cay, abx * abx + aby * aby)
 
     @cached_property
     def angles(self) -> tuple[float, float, float]:

@@ -33,6 +33,7 @@ from .kernel import (
     Line,
     Point,
     Triangle,
+    TriangleXY,
     circle_xy,
     circumcircle,
     directed_angle,
@@ -187,15 +188,24 @@ class SimilarityClass:
 NONE_ROLE = SpecialRole("none")
 
 
-def _reject_side_lines(distance: float, t: Triangle) -> None:
-    """Reject a point ``distance`` away from the nearest side line of ``t``."""
-    if distance < LENGTH_EPS * t.circumradius:
+def reject_side_lines(distance: float, circumradius: float) -> None:
+    """Reject a point ``distance`` away from the nearest side line of a
+    triangle with this circumradius."""
+    if distance < LENGTH_EPS * circumradius:
         raise OnSideLineError("the point lies on a side line of the triangle")
+
+
+def on_circle_xy(circle: CircleXY, px: float, py: float) -> bool:
+    """True when (px, py) is inside the degeneration band of ``circle``, a
+    triangle's circumcircle."""
+    cx, cy, r = circle
+    return abs(math.hypot(cx - px, cy - py) - r) < CIRCUMCIRCLE_BAND * r
 
 
 def on_circumcircle(t: Triangle, p: Point) -> bool:
     """True when ``p`` is inside the circumcircle's degeneration band."""
-    return abs(t.circumcircle.offset_of(p)) < CIRCUMCIRCLE_BAND * t.circumradius
+    c = t.circumcircle
+    return on_circle_xy((c.center.x, c.center.y, c.radius), p.x, p.y)
 
 
 def pedal_feet(t: Triangle, p: Point) -> tuple[Point, Point, Point]:
@@ -215,7 +225,7 @@ def pedal_triad(t: Triangle, p: Point) -> Union[Triad, SimsonLine]:
     Points on the circumcircle (within the degeneration band) yield the
     collapsed collinear triple instead of a triad.
     """
-    _reject_side_lines(t.min_side_line_distance(p), t)
+    reject_side_lines(t.min_side_line_distance(p), t.circumradius)
     feet = pedal_feet(t, p)
     if on_circumcircle(t, p):
         anchor, far = max(
@@ -237,7 +247,7 @@ def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
     numeric witness of the concurrency.
     """
     x, y, z = triad.points
-    *rows, (mx, my) = miquel_xy(t, x.x, x.y, y.x, y.y, z.x, z.y)
+    *rows, (mx, my) = miquel_xy(t.xy, (x.x, x.y, y.x, y.y, z.x, z.y))
     circle_a, circle_b, circle_c = (Circle(Point(cx, cy), r) for cx, cy, r in rows)
     point = Point(mx, my)
     tangent = point.dist(z) < LENGTH_EPS * max(circle_a.radius, circle_b.radius)
@@ -248,16 +258,17 @@ def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
 
 
 def miquel_xy(
-    t: Triangle, xx: float, xy: float, yx: float, yy: float, zx: float, zy: float
+    host: TriangleXY, triad: TriangleXY
 ) -> tuple[CircleXY, CircleXY, CircleXY, tuple[float, float]]:
-    """``miquel_point`` on coordinates, for the triad points (xx, xy),
-    (yx, yy), (zx, zy): the circles AYZ, BZX and CXY as (center x, center y,
-    radius), then their common point."""
-    a, b, c = t.a, t.b, t.c
+    """``miquel_point`` on coordinates, for the host triangle ABC and the
+    triad points X, Y, Z: the circles AYZ, BZX and CXY as (center x,
+    center y, radius), then their common point."""
+    ax, ay, bx, by, cx, cy = host
+    xx, xy, yx, yy, zx, zy = triad
     try:
-        circle_a = circle_xy(a.x, a.y, yx, yy, zx, zy)
-        circle_b = circle_xy(b.x, b.y, zx, zy, xx, xy)
-        circle_c = circle_xy(c.x, c.y, xx, xy, yx, yy)
+        circle_a = circle_xy(ax, ay, yx, yy, zx, zy)
+        circle_b = circle_xy(bx, by, zx, zy, xx, xy)
+        circle_c = circle_xy(cx, cy, xx, xy, yx, yy)
     except CollinearError as exc:
         raise DegenerateCircleError(f"a defining triple is collinear: {exc}") from None
     ax, ay, _ = circle_a
@@ -275,31 +286,35 @@ def family_member(t: Triangle, p: Point, theta: float) -> Triad:
     theta = 0 reproduces the pedal triad, and the triad triangle scales by
     1/cos(theta) relative to it.
     """
-    return Triad(t, *family_params(t, p, theta))
+    u, v, w, nearest = family_params(t.xy, p.x, p.y, theta)
+    reject_side_lines(nearest, t.circumradius)
+    return Triad(t, u, v, w)
 
 
-def family_params(t: Triangle, p: Point, theta: float) -> tuple[float, float, float]:
-    """The parameters u, v, w of ``family_member(t, p, theta)``, computed on
-    coordinates: per side line, the pedal foot of ``p``, its spoke rotated
-    and stretched, and that point's parameter along the side."""
+def family_params(
+    host: TriangleXY, px: float, py: float, theta: float
+) -> tuple[float, float, float, float]:
+    """The parameters u, v, w of ``family_member`` of the host triangle ABC,
+    the point (px, py) and ``theta``, computed on coordinates: per side line,
+    the pedal foot of the point, its spoke rotated and stretched, and that
+    point's parameter along the side. Last comes the point's distance from
+    the nearest side line, which the caller hands to ``reject_side_lines``."""
     # rejects NaN too: every comparison with NaN is false
     if not abs(theta) < HALF_PI - ANGLE_EPS:
         raise ThetaOutOfRangeError(f"rotation {theta} not inside (-pi/2, pi/2)")
     c, s = math.cos(theta), math.sin(theta)
     stretch = 1.0 / c
-    px, py = p.x, p.y
+    ax, ay, bx, by, cx, cy = host
     distances = []
     params = []
-    for tail, head in ((t.b, t.c), (t.c, t.a), (t.a, t.b)):
-        tx, ty, hx, hy = tail.x, tail.y, head.x, head.y
+    for tx, ty, hx, hy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)):
         dx, dy = unit_direction(hx - tx, hy - ty)  # the side line's direction
         distances.append(abs(offset_xy(tx, ty, dx, dy, px, py)))
         fx, fy = project_xy(tx, ty, dx, dy, px, py)
         sx, sy = _spoke(px, py, fx, fy, c, s, stretch)
         params.append(_param(sx, sy, tx, ty, hx, hy))
-    _reject_side_lines(min(distances), t)
     u, v, w = params
-    return u, v, w
+    return u, v, w, min(distances)
 
 
 def _reject_vertices(t: Triangle, p: Point) -> None:
@@ -409,6 +424,7 @@ def detect_special_role(t: Triangle, p: Point, length_eps: float) -> SpecialRole
     built with the kernel's own collinearity band, not with ``length_eps``.
     """
     eps = length_eps * t.circumradius
+    px, py = p.x, p.y
     best_role, best_dist = NONE_ROLE, math.inf
     for role, _ in centers.NAMED_POINTS:
         # the centroid plays no role in the paper; when b² + c² = 2a² it
@@ -416,11 +432,14 @@ def detect_special_role(t: Triangle, p: Point, length_eps: float) -> SpecialRole
         if role.role == "centroid":
             continue
         try:
-            d = centers.locate(t, role).dist(p)
+            x, y = centers.locate_xy(t, role)
         except RightAngleDegenerateError:
             continue
+        d = math.hypot(x - px, y - py)
         if d < best_dist:
             best_role, best_dist = role, d
+        elif not d < math.inf:
+            Point(x, y)  # a location that is not finite: Point rejects it, as in locate
     if best_dist < eps:
         return best_role
     incenter = centers.incenter(t)

@@ -80,8 +80,11 @@ class ClaimResult:
         self, residual: float, i: int, t: Triangle, p: Point | None = None, note: str = ""
     ) -> None:
         """Count trial ``i`` on host ``t`` (and point ``p``); its witness is
-        formatted only when it is the new worst."""
+        formatted only when it is the new worst. A NaN residual fails the
+        trial: it counts as ``inf``, so no NaN is reported."""
         self.trials += 1
+        if math.isnan(residual):
+            residual = math.inf
         if residual > self.max_residual:
             self.max_residual = residual
             self.worst = _witness(i, t, p) + note

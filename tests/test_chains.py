@@ -164,8 +164,8 @@ class TestMod3Similarity:
         bad = swap(rec.triangles[3])
         # a search over every vertex map and orientation accepts the swap
         assert classify_similarity(rec.seed, bad, CHAIN_SIMILARITY_TOL) is not None
-        steps = (*rec.steps[:2], bad, *rec.steps[3:])
-        assert check_mod3_similarity(replace(rec, steps=steps)) >= CHAIN_SIMILARITY_TOL
+        steps_xy = (*rec.steps_xy[:2], bad.xy, *rec.steps_xy[3:])
+        assert check_mod3_similarity(replace(rec, steps_xy=steps_xy)) >= CHAIN_SIMILARITY_TOL
 
     def test_needs_four_triangles(self):
         with pytest.raises(ValueError):
@@ -255,6 +255,51 @@ class TestLazyRoles:
             rec = iterate_chain(TSCA, p, 4)
             expect = [detect_special_role(t, p, CHAIN_DETECT_TOL) for t in rec.triangles]
             assert list(rec.roles) == expect
+
+
+class TestLazySteps:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts Triangle constructions."""
+        calls = []
+        init = Triangle.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Triangle, "__init__", counted)
+        return calls
+
+    @pytest.mark.parametrize("thetas", [None, (0.3, -0.5, 0.7, 0.1, -0.9, 0.4, 0.2, -0.6, 0.8)])
+    def test_unread_chain_builds_no_step_triangle(self, built, thetas):
+        rec = iterate_chain(TSCA, Point(1.31, 0.87), 9, thetas)
+        check_mod3_similarity(rec)
+        assert built == []
+        steps = rec.steps
+        assert len(built) == len(steps) == 9
+        assert rec.steps is steps
+        assert [s.vertices for s in steps] == [
+            (Point(ax, ay), Point(bx, by), Point(cx, cy))
+            for ax, ay, bx, by, cx, cy in rec.steps_xy
+        ]
+        assert len(built) == 9
+
+    def test_step_circumcircles_are_the_ones_the_chain_used(self, monkeypatch):
+        used = []
+        real = miquel.chains.on_circle_xy
+
+        def recording(circle, px, py):
+            used.append(circle)
+            return real(circle, px, py)
+
+        monkeypatch.setattr(miquel.chains, "on_circle_xy", recording)
+        k = 6
+        rec = iterate_chain(TSCA, Point(1.31, 0.87), k, [0.2, -0.4, 0.1, 0.5, -0.3, 0.0])
+        # the hosts of the k steps: the seed, then step triangles 0 to k-2
+        assert [(c.center.x, c.center.y, c.radius) for c in (
+            t.circumcircle for t in rec.triangles[:-1]
+        )] == used
 
 
 # ---------------------------------------------------------------- exact oracle

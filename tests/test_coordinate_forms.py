@@ -6,9 +6,9 @@ operator form's float operations in the same order, so the two agree with
 `==`, not within a tolerance. The operator forms below are those oracles; a
 later edit that reassociates a sum or a product fails here.
 
-The chain step builds no Point but its triangle's, from the same coordinate
-helpers as `family_member` and `miquel_point`, so its triangles and Miquel
-points equal theirs.
+The chain step builds no Point, from the same coordinate helpers as
+`family_member` and `miquel_point`, so its triangles and Miquel points equal
+theirs.
 """
 
 import math
@@ -18,11 +18,12 @@ import pytest
 from miquel import centers, chains, kernel, triads
 from miquel.centers import NAMED_POINTS, locate
 from miquel.chains import iterate_chain
-from miquel.errors import RightAngleDegenerateError
+from miquel.errors import CollinearError, RightAngleDegenerateError
 from miquel.kernel import (
     LENGTH_EPS,
     Line,
     Point,
+    Triangle,
     circle_xy,
     circumcircle,
     directed_angle,
@@ -30,6 +31,7 @@ from miquel.kernel import (
     project_xy,
     reflect_over_line,
     reflect_xy,
+    side_lengths_xy,
     unit_direction,
 )
 from miquel.sampling import (
@@ -77,6 +79,23 @@ def _circumcircle_by_operators(p1, p2, p3):
     ux = (m2 * q3.y - m3 * q2.y) / d
     uy = (m3 * q2.x - m2 * q3.x) / d
     return Point(p1.x + ux, p1.y + uy), math.hypot(ux, uy)
+
+
+def _side_lengths_by_operators(a, b, c):
+    """Triangle's construction test on Point differences."""
+    area2 = (b - a).cross(c - a)
+    la, lb, lc = b.dist(c), c.dist(a), a.dist(b)
+    span = max(la, lb, lc)
+    if abs(2.0 * area2) <= 2.0 * LENGTH_EPS * span * span:
+        raise CollinearError("degenerate triangle: collinear within tolerance")
+    return la, lb, lc
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, CollinearError) as exc:
+        return type(exc), str(exc)
 
 
 def _direction_by_operators(p, q):
@@ -219,6 +238,34 @@ def test_coordinate_helpers():
             assert (Point(cx, cy), r) == _circumcircle_by_operators(a, b, p)
 
 
+def test_triangle_construction_test():
+    """The one body of Triangle's construction test (side_lengths_xy, which
+    the chain step calls too) against its form on Point differences: the same
+    side lengths, or the same error and message."""
+    rng = rng_for(0, "coordinate-forms", 1)
+    triples = [t.vertices for t, _, _ in CASES]
+    for t, points, _ in CASES[:300]:
+        a, b = t.a, t.b
+        # the third vertex next to B, some collinear within tolerance
+        d = a.dist(b) * 10.0 ** rng.uniform(-12.0, -6.0)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        triples.append((a, b, Point(b.x + d * math.cos(phi), b.y + d * math.sin(phi))))
+        triples.append((a, b, a))
+    for big in (1e154, 1e300, 1e308):
+        triples += [
+            (Point(-big, -big), Point(big, -big), Point(0.0, big)),
+            (Point(0.0, 0.0), Point(big, big), Point(-big, big)),
+            (Point(-big, 0.0), Point(0.0, 1.0), Point(big, 0.0)),
+        ]
+    outcomes = set()
+    for a, b, c in triples:
+        expected = _outcome(_side_lengths_by_operators, a, b, c)
+        assert _outcome(lambda: Triangle(a, b, c).side_lengths) == expected
+        assert _outcome(side_lengths_xy, a.x, a.y, b.x, b.y, c.x, c.y) == expected
+        outcomes.add(expected[0] if isinstance(expected[0], type) else float)
+    assert outcomes == {float, CollinearError, ValueError}
+
+
 def test_line_at_project_and_reflect():
     for t, points, theta in CASES:
         for line in (*t.side_lines, Line.through(*points)):
@@ -248,7 +295,7 @@ def test_triangle_angles_area_and_directed_angles():
 def test_squared_sides_isogonal_conjugate_and_every_named_point(monkeypatch):
     located = []
     for t, points, _ in CASES:
-        assert centers._squared_sides(t) == _squared_sides_by_operators(t)
+        assert t.squared_sides == _squared_sides_by_operators(t)
         p = points[0]
         assert centers.isogonal_conjugate(t, p) == _isogonal_conjugate_by_operators(t, p)
         row = []
@@ -258,9 +305,14 @@ def test_squared_sides_isogonal_conjugate_and_every_named_point(monkeypatch):
             except RightAngleDegenerateError:
                 row.append(None)
         located.append(row)
-    monkeypatch.setattr(centers, "_from_barycentric", _from_barycentric_by_operators)
-    monkeypatch.setattr(centers, "_squared_sides", _squared_sides_by_operators)
-    monkeypatch.setattr(centers, "orthocenter", _orthocenter_by_operators)
+    monkeypatch.setattr(
+        centers, "_barycentric_xy", lambda t, *w: tuple(_from_barycentric_by_operators(t, *w))
+    )
+    # a property outranks the values cached on the instances
+    monkeypatch.setattr(kernel.Triangle, "squared_sides", property(_squared_sides_by_operators))
+    monkeypatch.setitem(
+        centers._LOCATE_XY, "orthocenter", lambda t, v: tuple(_orthocenter_by_operators(t))
+    )
     for (t, _, _), row in zip(CASES, located):
         for (role, _), point in zip(NAMED_POINTS, row):
             if point is not None:
@@ -309,8 +361,10 @@ def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):
     for t, points, theta in CASES:
         for p in points:
             triad = family_member(t, p, theta)
-            step = iterate_chain(t, p, 1, [theta]).steps[0]
-            assert step.vertices == triad.triangle().vertices
+            rec = iterate_chain(t, p, 1, [theta])
+            x, y, z = triad.points
+            assert rec.steps_xy == ((x.x, x.y, y.x, y.y, z.x, z.y),)
+            assert rec.steps[0].vertices == triad.triangle().vertices
             assert drift_points == [miquel_point(t, triad).point]
             drift_points.clear()
 

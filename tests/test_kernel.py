@@ -253,6 +253,21 @@ class TestTriangle:
         with pytest.raises(CollinearError, match="collinear within tolerance"):
             Triangle(Point(0, 0), Point(1, 0), Point(1, 7e-10))
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            # B − A overflows
+            ((-1e308, -1e308), (1e308, -1e308), (0, 1e308)),
+            # B − A is finite, C − A overflows
+            ((-1e308, 0.0), (0.0, 1.0), (1e308, 0.0)),
+        ],
+    )
+    def test_overflowing_vertex_difference_is_a_non_finite_point(self, vertices):
+        # Point's error, as when the differences were Points, not CollinearError
+        with pytest.raises(ValueError) as info:
+            Triangle(*(Point(x, y) for x, y in vertices))
+        assert str(info.value) == "non-finite coordinates (inf, 0.0)"
+
     def test_thin_well_conditioned_triangle_accepted(self):
         # base angles of 6e-4 rad, yet the circumcircle is well defined:
         # R = abc / 4K with a = b = sqrt(0.25 + 9e-8), c = 1, K = 1.5e-4

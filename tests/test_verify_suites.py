@@ -1,6 +1,9 @@
 """The verification suites themselves: registry, determinism, witnesses."""
 
-from miquel.verify import SUITES, run_all, run_suite
+import math
+
+from miquel.kernel import Point, Triangle
+from miquel.verify import SUITES, ClaimResult, run_all, run_suite
 
 
 def test_registry_names():
@@ -57,3 +60,19 @@ def test_five_distinct_seeds_pass():
         reports = run_all(seed, trials=10)
         bad = [r.suite for r in reports if not r.passed]
         assert not bad, f"seed {seed}: {bad}"
+
+
+def test_nan_residual_fails_its_trial():
+    t = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
+    claim = ClaimResult("x", 1e-9)
+    claim.add(0.0, 0, t)
+    claim.add(math.nan, 1, t, Point(2, 1))
+    assert claim.trials == 2
+    assert claim.max_residual == math.inf
+    assert not claim.passed
+    assert claim.worst.startswith("trial 1: A=(0,0) B=(4,0) C=(1,3) P=(2,1)")
+    # nothing is worse than a failed trial; its witness stays
+    claim.add(1e300, 2, t)
+    claim.add(math.nan, 3, t)
+    assert claim.trials == 4
+    assert claim.worst.startswith("trial 1: ")
