@@ -270,22 +270,24 @@ class CatalogEntry:
 
     ``expected_similarity`` names, for each host vertex A, B, C in order,
     the pedal-triangle vertex (X on BC, Y on CA, Z on AB) carrying the equal
-    angle.
+    angle; ``mirrored`` says that the similarity reverses orientation, which
+    a circumcircle inverse flips.
     """
 
     kind: SpecialRole
     location: Point
     expected_similarity: str
+    mirrored: bool
     inverse: bool = False
 
 
 _CATALOG_PERMS = {
-    SpecialRole("circumcenter"): "XYZ",
-    SpecialRole("first_brocard"): "ZXY",
-    SpecialRole("second_brocard"): "YZX",
-    SpecialRole("s_role", "A"): "XZY",
-    SpecialRole("s_role", "B"): "ZYX",
-    SpecialRole("s_role", "C"): "YXZ",
+    SpecialRole("circumcenter"): ("XYZ", False),
+    SpecialRole("first_brocard"): ("ZXY", False),
+    SpecialRole("second_brocard"): ("YZX", False),
+    SpecialRole("s_role", "A"): ("XZY", True),
+    SpecialRole("s_role", "B"): ("ZYX", True),
+    SpecialRole("s_role", "C"): ("YXZ", True),
 }
 
 
@@ -301,13 +303,13 @@ def eleven_point_catalog(t: Triangle) -> list[CatalogEntry]:
     if t.is_right():
         raise RightTriangleError("the catalog requires a non-right triangle")
     interior = [
-        CatalogEntry(role, locate(t, role), _CATALOG_PERMS[role])
+        CatalogEntry(role, locate(t, role), *_CATALOG_PERMS[role])
         for role, _ in NAMED_POINTS
         if role in _CATALOG_PERMS
     ]
     exterior = [
         CatalogEntry(e.kind, inverse_in_circumcircle(t, e.location),
-                     e.expected_similarity, inverse=True)
+                     e.expected_similarity, not e.mirrored, inverse=True)
         for e in interior[1:]
     ]
     return interior + exterior

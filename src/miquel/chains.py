@@ -16,6 +16,8 @@ from .kernel import (
     Triangle,
     TriangleXY,
     circle_xy,
+    shape_gap,
+    shape_ratio,
     side_lengths_xy,
 )
 from .triads import (
@@ -34,7 +36,7 @@ from .triads import (
 CHAIN_DETECT_TOL = 1e-6
 
 # the band of the chain similarity claims, for the same reason: the relative
-# shape-ratio gap of the mod-3 check, and theorem15's angle band
+# shape-ratio gap (kernel.shape_gap) of the mod-3 check and of theorem15
 CHAIN_SIMILARITY_TOL = 1e-6
 
 # pedal steps lose roughly a digit each on ill-conditioned hosts
@@ -173,12 +175,9 @@ def check_mod3_similarity(rec: ChainRecord) -> float:
     coords = [rec.seed.xy, *rec.steps_xy]
     if len(coords) < 4:
         raise ValueError("need at least four triangles to compare mod-3 classes")
-    ratios = [
-        complex(bx - ax, by - ay) / complex(cx - ax, cy - ay)
-        for ax, ay, bx, by, cx, cy in coords
-    ]
+    ratios = [shape_ratio(xy, (0, 1, 2)) for xy in coords]
     return max(
-        abs(ratios[j] - ratios[i]) / abs(ratios[i])
+        shape_gap(ratios[i], ratios[j], False)
         for i in range(len(ratios))
         for j in range(i + 3, len(ratios), 3)
     )

@@ -124,7 +124,8 @@ def cmd_classify(args) -> int:
             doc["similar_to_host"] = False
         else:
             doc["similar_to_host"] = True
-            doc["permutation"] = match.triad_letters()
+            # X, Y, Z: the pedal vertices on BC, CA, AB
+            doc["permutation"] = match.permutation.translate(str.maketrans("ABC", "XYZ"))
             doc["orientation"] = match.orientation
     if args.json:
         print(json.dumps(doc))

@@ -262,6 +262,20 @@ def circle_xy(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) 
     return x1 + ux, y1 + uy, math.hypot(ux, uy)
 
 
+def shape_ratio(xy: TriangleXY, order: tuple[int, int, int]) -> complex:
+    """(B − A)/(C − A) of the triangle ``xy`` with its vertices taken in ``order``
+    (indices into A, B, C): equal for directly similar triangles, conjugate
+    for oppositely similar ones."""
+    i, j, k = order
+    ax, ay = xy[2 * i], xy[2 * i + 1]
+    return complex(xy[2 * j] - ax, xy[2 * j + 1] - ay) / complex(xy[2 * k] - ax, xy[2 * k + 1] - ay)
+
+
+def shape_gap(r1: complex, r2: complex, mirrored: bool) -> float:
+    """|r2 − r1| / |r1|, with r2 conjugated for a ``mirrored`` correspondence."""
+    return abs((r2.conjugate() if mirrored else r2) - r1) / abs(r1)
+
+
 @dataclass(frozen=True)
 class Line:
     """Undirected line given by an anchor and a unit direction."""

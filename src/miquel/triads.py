@@ -40,6 +40,8 @@ from .kernel import (
     offset_xy,
     project_xy,
     reflect_xy,
+    shape_gap,
+    shape_ratio,
     triangle_contains,
     unit_direction,
 )
@@ -48,7 +50,7 @@ from .kernel import (
 # collinear pedal triple; the band keeps near-degenerate triads out.
 CIRCUMCIRCLE_BAND = 1e-7
 
-# the angle band within which a pedal shape counts as similar to its host
+# the shape-ratio gap (kernel.shape_gap) within which a pedal shape is similar
 PEDAL_SIMILARITY_TOL = 1e-7
 
 # largest drift (relative to R) of a triad's concurrency point from the point
@@ -177,12 +179,7 @@ class SimilarityClass:
 
     permutation: str
     orientation: str  # "direct" | "inverse"
-    ratio: float
-    residual: float
-
-    def triad_letters(self) -> str:
-        """Rewrite the permutation with X on BC, Y on CA, Z on AB letters."""
-        return self.permutation.translate(str.maketrans("ABC", "XYZ"))
+    residual: float  # the shape-ratio gap under this correspondence
 
 
 NONE_ROLE = SpecialRole("none")
@@ -373,44 +370,25 @@ def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
     )
 
 
-# each vertex correspondence: its name, the indices of the matched vertices of
-# the second triangle, and its parity (+1 even, -1 odd)
-_PERMUTATIONS = (
-    ("ABC", (0, 1, 2), 1),
-    ("ACB", (0, 2, 1), -1),
-    ("BAC", (1, 0, 2), -1),
-    ("BCA", (1, 2, 0), 1),
-    ("CAB", (2, 0, 1), 1),
-    ("CBA", (2, 1, 0), -1),
-)
+# every vertex correspondence, as ``SimilarityClass.permutation``
+_PERMUTATIONS = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
 
 
-def classify_similarity(t1: Triangle, t2: Triangle, angle_eps: float) -> SimilarityClass | None:
-    """Best vertex correspondence whose angle triples match within
-    ``angle_eps``, or None when none fits.
-
-    Ranked by angle residual plus side-ratio spread; isosceles and
-    equilateral inputs fit several, and the first minimal one in
-    ``_PERMUTATIONS`` order wins.
-    """
-    angles1 = t1.angles
-    angles2 = t2.angles
-    sides1 = t1.side_lengths
-    sides2 = t2.side_lengths
-    best = None
-    for perm, (i, j, k), parity in _PERMUTATIONS:
-        residual = max(
-            abs(angles1[0] - angles2[i]), abs(angles1[1] - angles2[j]), abs(angles1[2] - angles2[k])
-        )
-        if residual >= angle_eps:
-            continue
-        ratios = (sides2[i] / sides1[0], sides2[j] / sides1[1], sides2[k] / sides1[2])
-        ratio = sum(ratios) / 3.0
-        score = residual + (max(ratios) - min(ratios)) / ratio
-        if best is None or score < best.residual:
-            orientation = "direct" if t1.orientation == t2.orientation * parity else "inverse"
-            best = SimilarityClass(perm, orientation, ratio, score)
-    return best
+def classify_similarity(t1: Triangle, t2: Triangle, tol: float) -> SimilarityClass | None:
+    """The first vertex correspondence under which the shape ratio of ``t2``
+    is within the gap ``tol`` (``kernel.shape_gap``) of that of ``t1``, or
+    None. The 12 (correspondence, orientation) pairs are tried in
+    ``_PERMUTATIONS`` order, direct before mirrored: isosceles and
+    equilateral inputs fit several, and the first that fits wins."""
+    r1 = shape_ratio(t1.xy, (0, 1, 2))
+    xy2 = t2.xy
+    for perm in _PERMUTATIONS:
+        r2 = shape_ratio(xy2, tuple(map(VERTEX_LABELS.index, perm)))
+        for mirrored in (False, True):
+            gap = shape_gap(r1, r2, mirrored)
+            if gap < tol:
+                return SimilarityClass(perm, "inverse" if mirrored else "direct", gap)
+    return None
 
 
 def detect_special_role(t: Triangle, p: Point, length_eps: float) -> SpecialRole:

@@ -31,6 +31,8 @@ from .kernel import (
     midpoint,
     reflect_over_line,
     second_intersection,
+    shape_gap,
+    shape_ratio,
     triangle_contains,
 )
 from .sampling import (
@@ -206,8 +208,8 @@ def suite_lemma2(seed: int, trials: int = 500) -> SuiteReport:
 
 
 def suite_theorem3(seed: int, trials: int = 200) -> SuiteReport:
-    """Circumcircle-inverse points have similar pedal triangles with the
-    vertex-by-vertex correspondence."""
+    """Circumcircle-inverse points have mirrored pedal triangles, vertex for
+    vertex."""
     report = SuiteReport("theorem3", seed, trials)
     similar = report.claim("inverse-pedal-similarity", 1e-7)
     for i in range(trials):
@@ -219,17 +221,15 @@ def suite_theorem3(seed: int, trials: int = 200) -> SuiteReport:
             if p.dist(circ.center) > 0.1 * circ.radius:
                 break
         q = centers.inverse_in_circumcircle(t, p)
-        shape_p = Triangle(*pedal_feet(t, p))
-        shape_q = Triangle(*pedal_feet(t, q))
-        worst = max(abs(a1 - a2) for a1, a2 in zip(shape_p.angles, shape_q.angles))
-        similar.add(worst, i, t, p)
+        r_p, r_q = (shape_ratio(Triangle(*pedal_feet(t, r)).xy, (0, 1, 2)) for r in (p, q))
+        similar.add(shape_gap(r_p, r_q, True), i, t, p)
     return report
 
 
 def suite_theorem4(seed: int, trials: int = 50) -> SuiteReport:
-    """The eleven-point catalog: six interior points whose pedal triangles
-    reproduce the host angles under the recorded permutation, plus five
-    exterior inverses with host-similar pedal shapes."""
+    """The eleven-point catalog: six interior points and their five exterior
+    inverses, whose pedal triangles are similar to the host under the
+    recorded permutation and orientation."""
     report = SuiteReport("theorem4", seed, trials)
     interior_perm = report.claim("interior-angle-permutations", 1e-7)
     exterior_sim = report.claim("exterior-inverse-similarity", 1e-7)
@@ -249,20 +249,16 @@ def suite_theorem4(seed: int, trials: int = 50) -> SuiteReport:
             for b in range(a + 1, len(cat))
         )
         distinct.add_bool(min_pair > 1e-6 * t.circumradius, i, t)
-        host_angles = {v: t.angle(v) for v in VERTEX_LABELS}
+        host = shape_ratio(t.xy, (0, 1, 2))
         orientations = []
         for e in cat:
             shape = Triangle(*pedal_feet(t, e.location))
-            perm = e.expected_similarity  # triad letters for host A, B, C
-            slot = {"X": "A", "Y": "B", "Z": "C"}
-            worst = max(
-                abs(host_angles[v] - shape.angle(slot[ch]))
-                for v, ch in zip(VERTEX_LABELS, perm)
-            )
+            order = tuple(map("XYZ".index, e.expected_similarity))
+            gap = shape_gap(host, shape_ratio(shape.xy, order), e.mirrored)
             if e.inverse:
-                exterior_sim.add(worst, i, t, e.location)
+                exterior_sim.add(gap, i, t, e.location)
             else:
-                interior_perm.add(worst, i, t, e.location)
+                interior_perm.add(gap, i, t, e.location)
                 match = classify_similarity(t, shape, PEDAL_SIMILARITY_TOL)
                 orientations.append(match.orientation if match else "?")
         orientation_note.add_bool(
@@ -510,10 +506,35 @@ def suite_theorem14(seed: int, trials: int = 50) -> SuiteReport:
     return report
 
 
+# theorem15's correspondences: for each named point, chain triangle k against
+# the seed by k mod 3, as (``SimilarityClass.permutation``, mirrored)
+_SAME = ("ABC", False)
+_FIXING = {"A": "ACB", "B": "CBA", "C": "BAC"}  # the transposition fixing v
+SEED_CORRESPONDENCES = {
+    "O": {1: _SAME, 0: _SAME},
+    "H": {2: _SAME, 0: _SAME},
+    "Ω₁": {1: ("CAB", False), 2: ("BCA", False), 0: _SAME},
+    "Ω₂": {1: ("BCA", False), 2: ("CAB", False), 0: _SAME},
+    **{f"S_{v}": {1: (_FIXING[v], True), 0: _SAME} for v in VERTEX_LABELS},
+    **{f"M_{v}": {2: (_FIXING[v], True), 0: _SAME} for v in VERTEX_LABELS},
+}
+
+
+def _seed_gaps(rec, name: str):
+    """(k, gap) for each chain triangle k that ``SEED_CORRESPONDENCES`` pins
+    for ``name``: its shape-ratio gap from the seed under that correspondence."""
+    seed = shape_ratio(rec.seed.xy, (0, 1, 2))
+    for k, xy in enumerate(rec.steps_xy, 1):
+        if k % 3 in SEED_CORRESPONDENCES[name]:
+            perm, mirrored = SEED_CORRESPONDENCES[name][k % 3]
+            order = tuple(map(VERTEX_LABELS.index, perm))
+            yield k, shape_gap(seed, shape_ratio(xy, order), mirrored)
+
+
 def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
-    """Chain similarity-to-seed schedules for the special points: Brocard
-    chains all similar; circumcenter and symmedian chains at steps 0,1 mod 3;
-    orthocenter and median chains at steps 2,0 mod 3."""
+    """Chain similarity-to-seed schedules, each step under its pinned
+    correspondence: Brocard chains all similar; circumcenter and symmedian
+    chains at steps 0,1 mod 3; orthocenter and median chains at 2,0 mod 3."""
     report = SuiteReport("theorem15", seed, trials)
     brocard_all = report.claim("brocard-all-similar", 1e-6)
     brocard_angles = report.claim("brocard-angle-fixed", 1e-7)
@@ -526,28 +547,24 @@ def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         v = VERTEX_LABELS[i % 3]
 
-        for which in ("first", "second"):
+        for which, name in (("first", "Ω₁"), ("second", "Ω₂")):
             p = centers.brocard_point(t, which)
             rec = iterate_chain(t, p, k)
-            for tri in rec.triangles[1:]:
-                match = classify_similarity(t, tri, CHAIN_SIMILARITY_TOL)
-                brocard_all.add(match.residual if match else 1.0, i, t, note=f" [{which}]")
+            for _, gap in _seed_gaps(rec, name):
+                brocard_all.add(gap, i, t, note=f" [{which}]")
             for step_t in rec.triangles:
                 brocard_angles.add(
                     _brocard_angle_spread(step_t, p, which), i, t, note=f" [{which}]"
                 )
 
-        for p in (centers.circumcenter(t), centers.s_point(t, v)):
-            rec = iterate_chain(t, p, k)
-            for step_idx in (1, 3, 4, 6):
-                match = classify_similarity(t, rec.triangles[step_idx], CHAIN_SIMILARITY_TOL)
-                o_s_steps.add(match.residual if match else 1.0, i, t, note=f" [k={step_idx}]")
-
-        for p in (centers.orthocenter(t), centers.m_point(t, v)):
-            rec = iterate_chain(t, p, k)
-            for step_idx in (2, 3, 5, 6):
-                match = classify_similarity(t, rec.triangles[step_idx], CHAIN_SIMILARITY_TOL)
-                h_m_steps.add(match.residual if match else 1.0, i, t, note=f" [k={step_idx}]")
+        for claim, name, p in (
+            (o_s_steps, "O", centers.circumcenter(t)),
+            (o_s_steps, f"S_{v}", centers.s_point(t, v)),
+            (h_m_steps, "H", centers.orthocenter(t)),
+            (h_m_steps, f"M_{v}", centers.m_point(t, v)),
+        ):
+            for step_idx, gap in _seed_gaps(iterate_chain(t, p, k), name):
+                claim.add(gap, i, t, note=f" [k={step_idx}]")
 
         p = random_interior_point(rng, t)
         rec = iterate_chain(t, p, 3)

@@ -9,10 +9,12 @@ from fractions import Fraction
 import pytest
 
 import miquel.chains
+import miquel.verify
 from miquel.centers import (
     SpecialRole,
     brocard_point,
     circumcenter,
+    eleven_point_catalog,
     incenter,
     m_point,
     orthocenter,
@@ -40,6 +42,7 @@ from miquel.triads import (
     family_member,
     miquel_point,
 )
+from miquel.verify import SEED_CORRESPONDENCES, suite_theorem15
 
 SQ3 = math.sqrt(3.0)
 TSCA = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
@@ -58,7 +61,8 @@ class TestIterateChain:
                 rec.triangles[i], rec.triangles[i + 1], CHAIN_SIMILARITY_TOL
             )
             assert match is not None
-            assert abs(match.ratio - 0.5) < 1e-12
+            scale = rec.triangles[i + 1].circumradius / rec.triangles[i].circumradius
+            assert abs(scale - 0.5) < 1e-12
 
     def test_scalene_mod3_seed_similarity(self):
         rec = iterate_chain(TSCA, circumcenter(TSCA), 3)
@@ -170,6 +174,40 @@ class TestMod3Similarity:
     def test_needs_four_triangles(self):
         with pytest.raises(ValueError):
             check_mod3_similarity(iterate_chain(TSCA, Point(1.31, 0.87), 2))
+
+
+class TestSeedCorrespondences:
+    @pytest.mark.parametrize(
+        "swap",
+        [
+            lambda ax, ay, bx, by, cx, cy: (ax, -ay, bx, -by, cx, -cy),  # mirrored
+            lambda ax, ay, bx, by, cx, cy: (bx, by, cx, cy, ax, ay),  # relabeled cyclically
+        ],
+        ids=["mirrored", "relabeled"],
+    )
+    def test_similar_but_not_the_pinned_correspondence_fails(self, monkeypatch, swap):
+        # triangle 3 of every chain is checked against the seed vertex for
+        # vertex, direct; a search over every vertex map and orientation
+        # accepts the swapped triangle
+        rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
+        ax, ay, bx, by, cx, cy = swap(*rec.steps_xy[2])
+        bad = Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
+        assert classify_similarity(rec.seed, bad, CHAIN_SIMILARITY_TOL) is not None
+
+        def swapped(t0, p, k, thetas=None):
+            rec = iterate_chain(t0, p, k, thetas)
+            steps_xy = (*rec.steps_xy[:2], swap(*rec.steps_xy[2]), *rec.steps_xy[3:])
+            return replace(rec, steps_xy=steps_xy)
+
+        assert suite_theorem15(7, 3).passed
+        monkeypatch.setattr(miquel.verify, "iterate_chain", swapped)
+        claims = {c.name: c for c in suite_theorem15(7, 3).claims}
+        for name in (
+            "brocard-all-similar",
+            "seed-similar-steps-0-1-mod3",
+            "seed-similar-steps-2-0-mod3",
+        ):
+            assert not claims[name].passed, name
 
 
 class TestRoleCycles:
@@ -369,21 +407,6 @@ def _named_points(tri):
     return {name: (_barycentric(tri, w), f) for name, (w, f) in weights.items()}
 
 
-# theorem15's correspondences: for each named point, chain triangle k against
-# the seed by k mod 3, as (``SimilarityClass.permutation``, mirrored); a
-# direct match has the seed's shape ratio, a mirrored one its conjugate
-_SAME = ("ABC", False)
-_FIXING = {"A": "ACB", "B": "CBA", "C": "BAC"}  # the transposition fixing v
-SEED_CORRESPONDENCES = {
-    "O": {1: _SAME, 0: _SAME},
-    "H": {2: _SAME, 0: _SAME},
-    "Ω₁": {1: ("CAB", False), 2: ("BCA", False), 0: _SAME},
-    "Ω₂": {1: ("BCA", False), 2: ("CAB", False), 0: _SAME},
-    **{f"S_{v}": {1: (_FIXING[v], True), 0: _SAME} for v in "ABC"},
-    **{f"M_{v}": {2: (_FIXING[v], True), 0: _SAME} for v in "ABC"},
-}
-
-
 def _rational_hosts(n):
     """Scalene, non-right integer triangles with no angle below ~0.25 rad."""
     rng = random.Random("exact-chain-hosts")
@@ -452,3 +475,90 @@ class TestExactCorrespondences:
                     perm, mirrored = SEED_CORRESPONDENCES[name][k % 3]
                     expect = mirrored_ratio if mirrored else seed_ratio
                     assert _exact_ratio(tris[k], perm) == expect, (name, k)
+
+
+# ------------------------------------------------- the pedal correspondences
+#
+# On the integer hosts O, Ω₁, Ω₂ and S_v are rational, and so are their
+# circumcircle inverses and the pedal triangles of all of them. theorem3 and
+# theorem4 check these correspondences on floats; here they hold exactly.
+
+
+def _exact_inverse(tri, p):
+    """The inverse of ``p`` in the circumcircle of ``tri``."""
+    (ox, oy), _ = _named_points(tri)["O"]
+    (ax, ay), (px, py) = tri[0], p
+    s = ((ax - ox) ** 2 + (ay - oy) ** 2) / ((px - ox) ** 2 + (py - oy) ** 2)
+    return ox + s * (px - ox), oy + s * (py - oy)
+
+
+def _exact_pedal(tri, p):
+    """The feet of ``p`` on BC, CA and AB: X, Y, Z."""
+    return _exact_step(tri, p, Fraction(0))
+
+
+def _catalog_table(host):
+    """The catalog's recorded (permutation, mirrored) for each (role, inverse)."""
+    return {
+        (e.kind, e.inverse): (e.expected_similarity, e.mirrored)
+        for e in eleven_point_catalog(_float_triangle(host))
+    }
+
+
+_CATALOG_NAMES = {"circumcenter": "O", "first_brocard": "Ω₁", "second_brocard": "Ω₂"}
+
+
+def _catalog_pin_failures(table):
+    """The (role, inverse) keys of ``table`` whose exact pedal shape ratio,
+    under the recorded permutation, is not the host's ratio (its conjugate
+    when mirrored) on some host."""
+    failures = set()
+    for host in HOSTS:
+        re, im = _exact_ratio(host)
+        points = _named_points(host)
+        for (role, inverse), (letters, mirrored) in table.items():
+            p, _ = points[_CATALOG_NAMES.get(role.role) or f"S_{role.vertex}"]
+            if inverse:
+                p = _exact_inverse(host, p)
+            perm = letters.translate(str.maketrans("XYZ", "ABC"))
+            if _exact_ratio(_exact_pedal(host, p), perm) != ((re, -im) if mirrored else (re, im)):
+                failures.add((role, inverse))
+    return failures
+
+
+class TestExactPedalCorrespondences:
+    def test_catalog_locations(self):
+        for host in HOSTS:
+            t = _float_triangle(host)
+            points = _named_points(host)
+            for e in eleven_point_catalog(t):
+                p, _ = points[_CATALOG_NAMES.get(e.kind.role) or f"S_{e.kind.vertex}"]
+                if e.inverse:
+                    p = _exact_inverse(host, p)
+                assert e.location.dist(Point(float(p[0]), float(p[1]))) < 1e-9 * t.circumradius
+
+    def test_catalog_correspondences(self):
+        table = _catalog_table(HOSTS[0])
+        assert all(_catalog_table(host) == table for host in HOSTS)
+        assert len(table) == 11
+        assert _catalog_pin_failures(table) == set()
+        # direct for O, Ω₁ and Ω₂, mirrored for S_v, flipped for every inverse
+        for (role, inverse), (_, mirrored) in table.items():
+            assert mirrored == ((role.role == "s_role") != inverse)
+
+    def test_flipped_mirrored_flag_fails(self):
+        table = _catalog_table(HOSTS[0])
+        for key, (letters, mirrored) in table.items():
+            assert _catalog_pin_failures({**table, key: (letters, not mirrored)}) == {key}
+
+    def test_inverse_points_have_mirrored_pedal_triangles(self):
+        rng = random.Random("exact-inverse-pedals")
+        for host in HOSTS:
+            (ox, oy), _ = _named_points(host)["O"]
+            r2 = (host[0][0] - ox) ** 2 + (host[0][1] - oy) ** 2
+            for _ in range(10):
+                p = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 4)) for _ in "xy")
+                if (p[0] - ox) ** 2 + (p[1] - oy) ** 2 in (0, r2):
+                    continue  # the center has no inverse; a circle point collapses
+                re, im = _exact_ratio(_exact_pedal(host, p))
+                assert _exact_ratio(_exact_pedal(host, _exact_inverse(host, p))) == (re, -im)

@@ -69,6 +69,27 @@ def test_classify_circumcenter(tri_file):
     assert "permutation XYZ" in res.stdout
 
 
+@pytest.mark.parametrize(
+    "point, role",
+    [
+        ("1,0.5773502691896256", "circumcenter"),
+        ("1,0.577350269189626", "orthocenter"),
+        ("1,0.5773502691896257", "incenter"),
+    ],
+)
+def test_classify_equilateral_tie_goes_to_the_identity(tmp_path, point, role):
+    # the pedal triangle of the center is the medial triangle, which every
+    # vertex map fits; the first in order wins, whatever the float noise
+    path = tmp_path / "equi.json"
+    path.write_text('{"A": [0, 0], "B": [2, 0], "C": [1, 1.7320508075688772]}')
+    res = run_cli("classify", "--in", str(path), "--point", point)
+    assert res.returncode == 0
+    assert res.stdout == (
+        f"role           {role}\n"
+        "pedal          similar to host, permutation XYZ (direct)\n"
+    )
+
+
 def test_classify_right_triangle_circumcenter_on_hypotenuse(tmp_path):
     # the circumcenter of a right triangle sits on the hypotenuse; the feet
     # are the midpoints and the report still classifies it

@@ -11,6 +11,7 @@ The chain step builds no Point, from the same coordinate helpers as
 theirs.
 """
 
+import itertools
 import math
 
 import pytest
@@ -31,6 +32,8 @@ from miquel.kernel import (
     project_xy,
     reflect_over_line,
     reflect_xy,
+    shape_gap,
+    shape_ratio,
     side_lengths_xy,
     unit_direction,
 )
@@ -42,6 +45,7 @@ from miquel.sampling import (
     rng_for,
 )
 from miquel.triads import (
+    PEDAL_SIMILARITY_TOL,
     along_xy,
     classify_similarity,
     family_member,
@@ -172,6 +176,11 @@ def _param_by_operators(p, tail, head):
     return (p - tail).dot(d) / d.dot(d)
 
 
+def _shape_ratio_by_operators(t, order):
+    a, b, c = (t.vertices[n] for n in order)
+    return complex(*(b - a)) / complex(*(c - a))
+
+
 def _triad_points_by_operators(triad):
     h = triad.host
     return (
@@ -186,6 +195,9 @@ _PARITY = {"ABC": 1, "BCA": 1, "CAB": 1, "ACB": -1, "BAC": -1, "CBA": -1}
 
 
 def _classify_by_label_lookup(t1, t2, angle_eps):
+    """An independent classifier: the vertex map with the least angle
+    residual plus side-ratio spread, its orientation from the signed areas,
+    as (permutation, orientation, ratio, score), or None."""
     best = None
     for perm in _PERMUTATIONS:
         idx = tuple("ABC".index(ch) for ch in perm)
@@ -236,6 +248,19 @@ def test_coordinate_helpers():
                 assert Point(*spoke) == _spoke_by_operators(p, f, theta)
             cx, cy, r = circle_xy(a.x, a.y, b.x, b.y, p.x, p.y)
             assert (Point(cx, cy), r) == _circumcircle_by_operators(a, b, p)
+
+
+def test_shape_ratio_and_gap():
+    """The shape ratio against the spelled-out division and the operator form
+    for every vertex order, and the gap in both orientations."""
+    for t, _, _ in CASES:
+        r = complex(t.b.x - t.a.x, t.b.y - t.a.y) / complex(t.c.x - t.a.x, t.c.y - t.a.y)
+        assert shape_ratio(t.xy, (0, 1, 2)) == r
+        for order in itertools.permutations(range(3)):
+            r2 = shape_ratio(t.xy, order)
+            assert r2 == _shape_ratio_by_operators(t, order)
+            assert shape_gap(r, r2, False) == abs(r2 - r) / abs(r)
+            assert shape_gap(r, r2, True) == abs(r2.conjugate() - r) / abs(r)
 
 
 def test_triangle_construction_test():
@@ -369,15 +394,33 @@ def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):
             drift_points.clear()
 
 
+def _verdicts(t1, t2, tol):
+    """(permutation, orientation) or None, from classify_similarity and from
+    the oracle."""
+    match = classify_similarity(t1, t2, tol)
+    oracle = _classify_by_label_lookup(t1, t2, tol)
+    return (
+        None if match is None else (match.permutation, match.orientation),
+        None if oracle is None else oracle[:2],
+    )
+
+
+# classify_similarity compares shape ratios, the oracle angles and side
+# ratios; away from isosceles ties they give the same verdict
 @pytest.mark.parametrize("thetas", [None, (0.3, -0.5, 0.7, 0.1, -0.9, 0.4)])
 def test_classify_similarity_along_chains(thetas):
     for t, points, _ in CASES[:200]:
         tris = iterate_chain(t, points[0], 6, thetas).triangles
         for i in range(len(tris)):
             for j in range(i + 1, len(tris)):
-                match = classify_similarity(tris[i], tris[j], 1e-6)
-                expected = _classify_by_label_lookup(tris[i], tris[j], 1e-6)
-                if expected is None:
-                    assert match is None
-                else:
-                    assert (match.permutation, match.orientation, match.ratio, match.residual) == expected
+                got, expected = _verdicts(tris[i], tris[j], 1e-6)
+                assert got == expected
+
+
+def test_classify_similarity_on_catalog_pedal_shapes():
+    for t, _, _ in CASES:
+        for e in centers.eleven_point_catalog(t):
+            shape = Triangle(*pedal_feet(t, e.location))
+            got, expected = _verdicts(t, shape, PEDAL_SIMILARITY_TOL)
+            letters = e.expected_similarity.translate(str.maketrans("XYZ", "ABC"))
+            assert got == expected == (letters, "inverse" if e.mirrored else "direct")

@@ -34,6 +34,8 @@ from miquel.kernel import (
     directed_angle,
     line_line_intersection,
     midpoint,
+    shape_gap,
+    shape_ratio,
 )
 from miquel.sampling import (
     random_acute_triangle,
@@ -207,7 +209,8 @@ class TestFamilyMember:
         for th, tri in zip(thetas, tris):
             match = classify_similarity(ped, tri, tol)
             assert match is not None and match.permutation == "ABC"
-            assert abs(match.ratio - 1.0 / math.cos(th)) < 1e-8 / math.cos(th)
+            scale = tri.circumradius / ped.circumradius
+            assert abs(scale - 1.0 / math.cos(th)) < 1e-8 / math.cos(th)
         for i in range(len(tris) - 1):
             match = classify_similarity(tris[i], tris[i + 1], tol)
             assert match is not None and match.permutation == "ABC"
@@ -348,7 +351,7 @@ class TestClassifySimilarity:
         match = classify_similarity(TSCA, TSCA, ANGLE_EPS)
         assert match.permutation == "ABC"
         assert match.orientation == "direct"
-        assert abs(match.ratio - 1.0) < 1e-12
+        assert match.residual == 0.0
 
     def test_mirror_is_inverse_orientation(self):
         mirrored = Triangle(
@@ -372,17 +375,32 @@ class TestClassifySimilarity:
             match = classify_similarity(t, moved, ANGLE_EPS)
             assert match is not None
             assert match.permutation == "ABC"
-            assert abs(match.ratio - s) < 1e-9 * s
+            assert abs(moved.circumradius / t.circumradius - s) < 1e-9 * s
 
     def test_equilateral_tie_goes_to_abc(self):
-        # EQUI's angles and sides are bit-identical, so all six
-        # correspondences fit with residual 0, even against a relabeled
-        # copy; the first in permutation order wins
+        # all six correspondences fit EQUI, even against a relabeled copy;
+        # the first in permutation order wins, not the best fit
         relabeled = Triangle(EQUI.b, EQUI.c, EQUI.a)
         for other in (EQUI, relabeled):
             match = classify_similarity(EQUI, other, 1e-6)
             assert match.permutation == "ABC"
-            assert match.residual == 0.0
+            assert match.orientation == "direct"
+        assert classify_similarity(EQUI, EQUI, 1e-6).residual == 0.0
+        # against the copy CAB maps vertex for vertex and fits exactly, while
+        # ABC's gap is float noise: the ratio of a relabeled copy is not
+        # bit-identical
+        seed = shape_ratio(EQUI.xy, (0, 1, 2))
+        assert shape_gap(seed, shape_ratio(relabeled.xy, (2, 0, 1)), False) == 0.0
+        assert 0.0 < classify_similarity(EQUI, relabeled, 1e-6).residual < 1e-15
+
+    def test_isosceles_tie_goes_to_the_first_map(self):
+        # against its mirror image in the axis, an isosceles triangle fits ABC
+        # mirrored and ACB direct; the maps are tried in order, each direct
+        # before mirrored, so ABC wins
+        iso = Triangle(Point(0, 2), Point(-1, 0), Point(1, 0))
+        mirrored = Triangle(Point(0, 2), Point(1, 0), Point(-1, 0))
+        match = classify_similarity(iso, mirrored, 1e-9)
+        assert (match.permutation, match.orientation) == ("ABC", "inverse")
 
 
 class TestDetectSpecialRole:
