@@ -7,14 +7,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    NoFiniteConjugateError,
-    NotScaleneError,
-    OnSideLineError,
-    RightAngleDegenerateError,
-    RightTriangleError,
+from .errors import GeometryError, RightAngleDegenerateError
+from .kernel import (
+    ANGLE_EPS,
+    HALF_PI,
+    LENGTH_EPS,
+    VERTEX_LABELS,
+    Point,
+    Triangle,
+    invert_point,
+    reject_side_lines,
 )
-from .kernel import ANGLE_EPS, HALF_PI, LENGTH_EPS, VERTEX_LABELS, Point, Triangle, invert_point
 
 _ROLES_WITH_VERTEX = ("excenter", "s_role", "m_role", "q_role")
 
@@ -242,11 +245,9 @@ def isogonal_conjugate(t: Triangle, p: Point) -> Point:
     (a^2/x : b^2/y : c^2/z). Involutive away from the side lines and the
     circumcircle.
     """
-    eps = LENGTH_EPS * t.circumradius
-    if t.min_side_line_distance(p) < eps:
-        raise OnSideLineError("the point lies on a side line")
-    if abs(t.circumcircle.offset_of(p)) < eps:
-        raise NoFiniteConjugateError("the point lies on the circumcircle")
+    reject_side_lines(t.min_side_line_distance(p), t.circumradius)
+    if abs(t.circumcircle.offset_of(p)) < LENGTH_EPS * t.circumradius:
+        raise GeometryError("the point lies on the circumcircle")
     x = (t.b - p).cross(t.c - p)
     y = (t.c - p).cross(t.a - p)
     z = (t.a - p).cross(t.b - p)
@@ -256,7 +257,7 @@ def isogonal_conjugate(t: Triangle, p: Point) -> Point:
     wc = lc * lc / z
     s = wa + wb + wc
     if abs(s) < 1e-13 * max(abs(wa), abs(wb), abs(wc)):
-        raise NoFiniteConjugateError("conjugate weights cancel: point at infinity")
+        raise GeometryError("conjugate weights cancel: point at infinity")
     return Point(*_barycentric_xy(t, wa, wb, wc))
 
 
@@ -299,9 +300,9 @@ def eleven_point_catalog(t: Triangle) -> list[CatalogEntry]:
     inverses, the circumcenter having none.
     """
     if not t.is_scalene():
-        raise NotScaleneError("the catalog requires a scalene triangle")
+        raise GeometryError("the catalog requires a scalene triangle")
     if t.is_right():
-        raise RightTriangleError("the catalog requires a non-right triangle")
+        raise GeometryError("the catalog requires a non-right triangle")
     interior = [
         CatalogEntry(role, locate(t, role), *_CATALOG_PERMS[role])
         for role, _ in NAMED_POINTS

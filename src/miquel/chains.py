@@ -16,6 +16,7 @@ from .kernel import (
     Triangle,
     TriangleXY,
     circle_xy,
+    reject_side_lines,
     shape_gap,
     shape_ratio,
     side_lengths_xy,
@@ -28,7 +29,6 @@ from .triads import (
     family_params,
     miquel_xy,
     on_circle_xy,
-    reject_side_lines,
 )
 
 # role positions drift along a chain as numeric error compounds; detection

@@ -384,10 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_number_lists(argv: list[str]) -> list[str]:
+    """``--point -5,0`` as ``--point=-5,0``, and so for ``--thetas``: argparse
+    reads a separate value with a leading minus as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--point", "--thetas") and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_number_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 
 from . import centers
-from .errors import OnCircumcircleError, SceneError
+from .errors import GeometryError, SceneError
 from .kernel import Circle, Line, Point, Triangle, circumcircle, midpoint, second_intersection
 from .scene import SceneSpec
 from .triads import SimsonLine, Triad, miquel_point, pedal_triad
@@ -145,7 +145,7 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
                 raise SceneError("element 'simson' requires P")
             sim = pedal_triad(t, scene.point)
             if not isinstance(sim, SimsonLine):
-                raise OnCircumcircleError("P is not on the circumcircle; no collapsed line")
+                raise GeometryError("P is not on the circumcircle; no collapsed line")
             canvas.infinite_line(sim.line, _ACCENT)
             for q in sim.feet:
                 canvas.point(q, None, _ACCENT)
@@ -177,7 +177,7 @@ def _pedal_or_error(t: Triangle, scene: SceneSpec) -> Triad:
         raise SceneError("this element requires P or triad parameters")
     triad = pedal_triad(t, scene.point)
     if isinstance(triad, SimsonLine):
-        raise OnCircumcircleError("P sits on the circumcircle; select 'simson' instead")
+        raise GeometryError("P sits on the circumcircle; select 'simson' instead")
     return triad
 
 

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .errors import (
-    CenterInversionError,
-    CollinearError,
-    DegenerateRayError,
-    IdenticalCirclesError,
-    NotOnBothError,
-    ParallelLinesError,
-)
+from .errors import CollinearError, GeometryError, OnSideLineError
 
 HALF_PI = 0.5 * math.pi
 VERTEX_LABELS = ("A", "B", "C")
@@ -321,7 +314,7 @@ def line_line_intersection(l1: Line, l2: Line) -> Point:
     den = l1.direction.cross(l2.direction)
     # unit directions: |den| = sin of the angle between the lines
     if abs(den) < ANGLE_EPS:
-        raise ParallelLinesError("lines are parallel within tolerance")
+        raise GeometryError("lines are parallel within tolerance")
     t = (l2.anchor - l1.anchor).cross(l2.direction) / den
     return l1.at(t)
 
@@ -334,7 +327,7 @@ def directed_angle(p: Point, q: Point, r: Point) -> DirectedAngle:
     n_qr = math.hypot(qrx, qry)
     scale = max(n_qp, n_qr)
     if scale == 0.0 or min(n_qp, n_qr) < LENGTH_EPS * scale:
-        raise DegenerateRayError("angle leg collapses onto the apex")
+        raise GeometryError("angle leg collapses onto the apex")
     return DirectedAngle(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
 
 
@@ -355,7 +348,7 @@ def circle_circle_intersections(c1: Circle, c2: Circle) -> list[Point]:
     scale = max(c1.radius, c2.radius, d)
     eps = LENGTH_EPS * scale
     if d < eps and abs(c1.radius - c2.radius) < eps:
-        raise IdenticalCirclesError("the circles coincide within tolerance")
+        raise GeometryError("the circles coincide within tolerance")
     if d == 0.0:
         return []  # concentric, distinct radii
     # foot of the radical line on the center line, measured from c1
@@ -397,7 +390,7 @@ def invert_point(c: Circle, p: Point) -> Point:
     offset = p - c.center
     d2 = offset.dot(offset)
     if math.sqrt(d2) < LENGTH_EPS * c.radius:
-        raise CenterInversionError("the center inverts to an infinite point")
+        raise GeometryError("the center inverts to an infinite point")
     return c.center + (c.radius * c.radius / d2) * offset
 
 
@@ -415,7 +408,7 @@ def second_intersection(l: Line, c: Circle, known: Point) -> Point:
     """
     eps = LENGTH_EPS * c.radius
     if abs(l.offset(known)) > eps or abs(c.offset_of(known)) > eps:
-        raise NotOnBothError("the known point is not on both the line and the circle")
+        raise GeometryError("the known point is not on both the line and the circle")
     foot = l.project(c.center)
     other = 2.0 * foot - known
     return known if other.dist(known) < eps else other
@@ -549,3 +542,10 @@ class Triangle:
 
     def min_side_line_distance(self, p: Point) -> float:
         return min(abs(side.offset(p)) for side in self.side_lines)
+
+
+def reject_side_lines(distance: float, circumradius: float) -> None:
+    """Reject a point ``distance`` away from the nearest side line of a
+    triangle with this circumradius (``Triangle.min_side_line_distance``)."""
+    if distance < LENGTH_EPS * circumradius:
+        raise OnSideLineError("the point lies on a side line of the triangle")

@@ -12,16 +12,7 @@ from typing import NamedTuple, Union
 
 from . import centers
 from .centers import SpecialRole
-from .errors import (
-    AtVertexError,
-    CollinearError,
-    DegenerateCircleError,
-    NotAMiquelTriadError,
-    OnCircumcircleError,
-    OnSideLineError,
-    RightAngleDegenerateError,
-    ThetaOutOfRangeError,
-)
+from .errors import CollinearError, GeometryError, RightAngleDegenerateError
 from .kernel import (
     ANGLE_EPS,
     HALF_PI,
@@ -40,6 +31,7 @@ from .kernel import (
     offset_xy,
     project_xy,
     reflect_xy,
+    reject_side_lines,
     shape_gap,
     shape_ratio,
     triangle_contains,
@@ -185,13 +177,6 @@ class SimilarityClass:
 NONE_ROLE = SpecialRole("none")
 
 
-def reject_side_lines(distance: float, circumradius: float) -> None:
-    """Reject a point ``distance`` away from the nearest side line of a
-    triangle with this circumradius."""
-    if distance < LENGTH_EPS * circumradius:
-        raise OnSideLineError("the point lies on a side line of the triangle")
-
-
 def on_circle_xy(circle: CircleXY, px: float, py: float) -> bool:
     """True when (px, py) is inside the degeneration band of ``circle``, a
     triangle's circumcircle."""
@@ -262,12 +247,9 @@ def miquel_xy(
     center y, radius), then their common point."""
     ax, ay, bx, by, cx, cy = host
     xx, xy, yx, yy, zx, zy = triad
-    try:
-        circle_a = circle_xy(ax, ay, yx, yy, zx, zy)
-        circle_b = circle_xy(bx, by, zx, zy, xx, xy)
-        circle_c = circle_xy(cx, cy, xx, xy, yx, yy)
-    except CollinearError as exc:
-        raise DegenerateCircleError(f"a defining triple is collinear: {exc}") from None
+    circle_a = circle_xy(ax, ay, yx, yy, zx, zy)
+    circle_b = circle_xy(bx, by, zx, zy, xx, xy)
+    circle_c = circle_xy(cx, cy, xx, xy, yx, yy)
     ax, ay, _ = circle_a
     bx, by, _ = circle_b
     dx, dy = unit_direction(bx - ax, by - ay)
@@ -298,7 +280,7 @@ def family_params(
     the nearest side line, which the caller hands to ``reject_side_lines``."""
     # rejects NaN too: every comparison with NaN is false
     if not abs(theta) < HALF_PI - ANGLE_EPS:
-        raise ThetaOutOfRangeError(f"rotation {theta} not inside (-pi/2, pi/2)")
+        raise GeometryError(f"rotation {theta} not inside (-pi/2, pi/2)")
     c, s = math.cos(theta), math.sin(theta)
     stretch = 1.0 / c
     ax, ay, bx, by, cx, cy = host
@@ -314,15 +296,11 @@ def family_params(
     return u, v, w, min(distances)
 
 
-def _reject_vertices(t: Triangle, p: Point) -> None:
-    eps = LENGTH_EPS * t.circumradius
-    if any(p.dist(q) < eps for q in t.vertices):
-        raise AtVertexError("the point coincides with a vertex")
-
-
 def angle_sextet(t: Triangle, p: Point) -> AngleSextet:
     """Directed angles of the cevian rays of ``p`` at the three vertices."""
-    _reject_vertices(t, p)
+    eps = LENGTH_EPS * t.circumradius
+    if any(p.dist(q) < eps for q in t.vertices):
+        raise GeometryError("the point coincides with a vertex")
     a, b, c = t.a, t.b, t.c
     return AngleSextet(
         alpha1=directed_angle(p, a, c),
@@ -355,7 +333,7 @@ def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
     """
     result = miquel_point(t, triad)
     if result.point.dist(p) > CONCURRENCY_BAND * t.circumradius:
-        raise NotAMiquelTriadError("the triad's concurrency point is not the given point")
+        raise GeometryError("the triad's concurrency point is not the given point")
     x, y, z = triad.points
     ang_a = t.directed_angle_at("A")
     ang_b = t.directed_angle_at("B")
@@ -449,7 +427,7 @@ def containment_parity(t: Triangle, p: Point) -> ParityReport:
     """
     triad = pedal_triad(t, p)  # rejects a point on a side line first
     if isinstance(triad, SimsonLine):
-        raise OnCircumcircleError("the pedal triple degenerates on the circumcircle")
+        raise GeometryError("the pedal triple degenerates on the circumcircle")
     inside_host = triangle_contains(t, p)
     inside_miquel = triangle_contains(triad.triangle(), p)
     ray_sum = None

@@ -567,7 +567,7 @@ def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
                 claim.add(gap, i, t, note=f" [k={step_idx}]")
 
         p = random_interior_point(rng, t)
-        rec = iterate_chain(t, p, 3)
+        rec = iterate_chain(t, p, 2)
         dissimilar = all(
             classify_similarity(t, rec.triangles[step_idx], CHAIN_SIMILARITY_TOL) is None
             for step_idx in (1, 2)

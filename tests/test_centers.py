@@ -31,14 +31,7 @@ from miquel.centers import (
     s_point,
     symmedian_foot,
 )
-from miquel.errors import (
-    CenterInversionError,
-    NoFiniteConjugateError,
-    NotScaleneError,
-    OnSideLineError,
-    RightAngleDegenerateError,
-    RightTriangleError,
-)
+from miquel.errors import GeometryError, OnSideLineError, RightAngleDegenerateError
 from miquel.kernel import (
     Circle,
     Line,
@@ -480,7 +473,7 @@ class TestIsogonalConjugate:
             q = isogonal_conjugate(t, p)
             try:
                 back = isogonal_conjugate(t, q)
-            except (OnSideLineError, NoFiniteConjugateError):
+            except GeometryError:  # on a side line or the circumcircle
                 continue
             assert back.dist(p) < 1e-8 * t.circumradius
 
@@ -502,7 +495,7 @@ class TestIsogonalConjugate:
 
     def test_circumcircle_rejected(self):
         p = TSCA.circumcircle.point_at(0.8)
-        with pytest.raises(NoFiniteConjugateError):
+        with pytest.raises(GeometryError, match="^the point lies on the circumcircle$"):
             isogonal_conjugate(TSCA, p)
 
 
@@ -515,7 +508,7 @@ class TestInverseInCircumcircle:
         assert inverse_in_circumcircle(TSCA, p).dist(p) < 1e-12
 
     def test_center_rejected(self):
-        with pytest.raises(CenterInversionError):
+        with pytest.raises(GeometryError, match="^the center inverts to an infinite point$"):
             inverse_in_circumcircle(TSCA, circumcenter(TSCA))
 
 
@@ -552,10 +545,10 @@ class TestElevenPointCatalog:
                     assert pts[i].dist(pts[j]) > 1e-6 * t.circumradius
 
     def test_equilateral_rejected(self):
-        with pytest.raises(NotScaleneError):
+        with pytest.raises(GeometryError, match="^the catalog requires a scalene triangle$"):
             eleven_point_catalog(EQUI)
 
     def test_right_triangle_rejected(self):
         # scalene right triangle
-        with pytest.raises(RightTriangleError):
+        with pytest.raises(GeometryError, match="^the catalog requires a non-right triangle$"):
             eleven_point_catalog(T345)

@@ -349,3 +349,57 @@ def test_chain_step_cap_is_usage_error(tri_file):
     res = run_cli("chain", "--in", tri_file, "--point", "2.0,1.0", "--steps", "40")
     assert res.returncode == 2
     assert "cap" in res.stderr
+
+
+SCENE_P = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2, 1]}'
+# a point on the circumcircle of tri.json, centered (2, 1) with radius √5
+ON_CIRCLE = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [4.23606797749979, 1]}'
+
+
+@pytest.mark.parametrize(
+    "scene, argv, line",
+    [
+        (SCENE_P, ("family", "--theta", "2"),
+         "GeometryError: rotation 2.0 not inside (-pi/2, pi/2)"),
+        # circle AYZ passes through A twice; CollinearError reaches the caller as it is
+        (TRI, ("miquel", "--triad", "0,0,0"),
+         "CollinearError: the three points are collinear within tolerance"),
+        (SCENE_P, ("figure", "--elements", "simson"),
+         "GeometryError: P is not on the circumcircle; no collapsed line"),
+        (ON_CIRCLE, ("figure", "--elements", "pedal"),
+         "GeometryError: P sits on the circumcircle; select 'simson' instead"),
+    ],
+)
+def test_geometric_error_names_its_class_and_collapse(tmp_path, scene, argv, line):
+    path = tmp_path / "scene.json"
+    path.write_text(scene)
+    res = run_cli(argv[0], "--in", str(path), *argv[1:])
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"geometric error: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        # S_C's circumcircle inverse, on line AB
+        (("classify",), "--point", "-5,0"),
+        (("classify", "--json"), "--point", "-5.230769230769232,-1.8461538461538454"),
+        (("chain", "--point", "2,1", "--steps", "3"), "--thetas", "-0.3,0.2,0.1"),
+        (("family", "--theta", "0.2"), "--point", "-0.5,1"),
+    ],
+)
+def test_negative_values_read_as_with_equals(tri_file, argv, flag, value):
+    joined = run_cli(argv[0], "--in", tri_file, *argv[1:], f"{flag}={value}")
+    separate = run_cli(argv[0], "--in", tri_file, *argv[1:], flag, value)
+    assert joined.returncode == 0
+    assert (separate.returncode, separate.stdout, separate.stderr) == (
+        joined.returncode, joined.stdout, joined.stderr
+    )
+
+
+@pytest.mark.parametrize("argv", [("--point",), ("--point", "--json")])
+def test_point_without_value_is_usage_error(tri_file, argv):
+    res = run_cli("classify", "--in", tri_file, *argv)
+    assert res.returncode == 2
+    assert "argument --point: expected one argument" in res.stderr

@@ -2,7 +2,7 @@
 
 import pytest
 
-from miquel.errors import OnCircumcircleError, SceneError
+from miquel.errors import GeometryError, SceneError
 from miquel.figures import render_figure
 from miquel.scene import parse_scene
 
@@ -36,7 +36,9 @@ def test_simson_line_present():
 
 
 def test_simson_requires_circle_point():
-    with pytest.raises(OnCircumcircleError):
+    with pytest.raises(
+        GeometryError, match="^P is not on the circumcircle; no collapsed line$"
+    ):
         render_figure(SCENE, ["simson"])
 
 

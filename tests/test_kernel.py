@@ -6,13 +6,7 @@ import random
 
 import pytest
 
-from miquel.errors import (
-    CenterInversionError,
-    CollinearError,
-    DegenerateRayError,
-    IdenticalCirclesError,
-    NotOnBothError,
-)
+from miquel.errors import CollinearError, GeometryError
 from miquel.kernel import (
     LENGTH_EPS,
     Circle,
@@ -99,7 +93,7 @@ class TestCircleCircle:
         assert circle_circle_intersections(Circle(Point(0, 0), 1), Circle(Point(5, 0), 1)) == []
 
     def test_identical_rejected(self):
-        with pytest.raises(IdenticalCirclesError):
+        with pytest.raises(GeometryError, match="^the circles coincide within tolerance$"):
             circle_circle_intersections(Circle(Point(0, 0), 1), Circle(Point(0, 0), 1))
 
     def test_points_lie_on_both(self):
@@ -109,7 +103,7 @@ class TestCircleCircle:
             c2 = Circle(Point(rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.5, 3))
             try:
                 hits = circle_circle_intersections(c1, c2)
-            except IdenticalCirclesError:
+            except GeometryError:  # the circles coincide
                 continue
             for p in hits:
                 scale = max(c1.radius, c2.radius)
@@ -131,7 +125,7 @@ class TestDirectedAngle:
         assert abs(d.value - math.pi / 4) < 1e-12
 
     def test_degenerate_leg(self):
-        with pytest.raises(DegenerateRayError):
+        with pytest.raises(GeometryError, match="^angle leg collapses onto the apex$"):
             directed_angle(Point(0, 0), Point(0, 0), Point(1, 1))
 
     def test_antisymmetry(self):
@@ -169,7 +163,7 @@ class TestInversion:
         assert invert_point(c, Point(0, 1)).dist(Point(0, 1)) < 1e-12
 
     def test_center_rejected(self):
-        with pytest.raises(CenterInversionError):
+        with pytest.raises(GeometryError, match="^the center inverts to an infinite point$"):
             invert_point(Circle(Point(0, 0), 1), Point(0, 0))
 
     def test_involution(self):
@@ -227,7 +221,9 @@ class TestSecondIntersection:
         assert res.dist(Point(-s, -s)) < 1e-12
 
     def test_known_must_lie_on_both(self):
-        with pytest.raises(NotOnBothError):
+        with pytest.raises(
+            GeometryError, match="^the known point is not on both the line and the circle$"
+        ):
             second_intersection(Line(Point(0, 0), Point(1, 0)), Circle(Point(0, 0), 1), Point(3, 3))
 
 
