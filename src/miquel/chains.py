@@ -12,6 +12,7 @@ from .errors import DegenerateStepError, GeometryError
 from .kernel import (
     MAX_COORDINATE,
     MIN_LONGEST_SIDE,
+    CircleXY,
     Point,
     Triangle,
     TriangleXY,
@@ -19,14 +20,12 @@ from .kernel import (
     reject_side_lines,
     shape_gap,
     shape_ratio,
-    side_lengths_xy,
 )
 from .triads import (
     CONCURRENCY_BAND,
     SpecialRole,
-    along_xy,
     detect_special_role,
-    family_params,
+    family_xy,
     miquel_xy,
     on_circle_xy,
 )
@@ -84,24 +83,23 @@ class ChainRecord:
 
 def _step(
     host: TriangleXY, r: float, px: float, py: float, theta: float
-) -> tuple[TriangleXY, float, float]:
+) -> tuple[TriangleXY, CircleXY, float, float]:
     """``family_member(t, p, theta).triangle()`` of the triangle ``host`` with
-    circumradius ``r``, and the coordinates of the triad's ``miquel_point``,
-    with the same floats and the same guards, in the same order. No Point is
-    built.
+    circumradius ``r``, its circumcircle, and the coordinates of the triad's
+    ``miquel_point``, with the same floats and the same guards, in the same
+    order. No Point is built.
 
-    Raises what ``family_member``, ``miquel_point`` and ``Triangle`` raise,
-    and ``DegenerateStepError`` when the triangle leaves the coordinate
-    range, where later constructions on it (the Brocard weights) overflow.
+    Raises what ``family_member`` and ``miquel_point`` raise,
+    ``CollinearError`` for the triangles ``Triangle`` rejects (the test of
+    ``circle_xy`` is the same), and ``DegenerateStepError`` when the
+    triangle leaves the coordinate range, where later constructions on it
+    (the Brocard weights) overflow.
     """
-    u, v, w, nearest = family_params(host, px, py, theta)
+    triad, nearest = family_xy(host, px, py, theta)
     reject_side_lines(nearest, r)
-    ax, ay, bx, by, cx, cy = host
-    xx, xy = along_xy(bx, by, cx, cy, u)
-    yx, yy = along_xy(cx, cy, ax, ay, v)
-    zx, zy = along_xy(ax, ay, bx, by, w)
+    xx, xy, yx, yy, zx, zy = triad
     # every comparison with NaN is false, so NaN is out of range too
-    in_range = all(abs(q) <= MAX_COORDINATE for q in (xx, xy, yx, yy, zx, zy)) and max(
+    in_range = all(abs(q) <= MAX_COORDINATE for q in triad) and max(
         math.hypot(yx - xx, yy - xy), math.hypot(zx - yx, zy - yy), math.hypot(xx - zx, xy - zy)
     ) >= MIN_LONGEST_SIDE
     if not in_range:
@@ -110,10 +108,8 @@ def _step(
             f" ±{MAX_COORDINATE:.0e} and its longest side must be at least"
             f" {MIN_LONGEST_SIDE:.0e}"
         )
-    triad = (xx, xy, yx, yy, zx, zy)
     *_, (mx, my) = miquel_xy(host, triad)
-    side_lengths_xy(*triad)  # the Triangle test: raises CollinearError
-    return triad, mx, my
+    return triad, circle_xy(*triad), mx, my
 
 
 def iterate_chain(
@@ -150,13 +146,11 @@ def iterate_chain(
     c = t0.circumcircle
     circle = (c.center.x, c.center.y, c.radius)
     for i, theta in enumerate(thetas):
-        if i:
-            circle = circle_xy(*host)
         if on_circle_xy(circle, px, py):
             raise DegenerateStepError(f"collinear collapse on the circumcircle at step {i}")
         r = circle[2]
         try:  # reject_side_lines rejects a point on a side line
-            nxt, mx, my = _step(host, r, px, py, theta)
+            nxt, next_circle, mx, my = _step(host, r, px, py, theta)
         except GeometryError as exc:
             raise DegenerateStepError(f"step {i} degenerated: {exc}") from exc
         if math.hypot(mx - px, my - py) > CONCURRENCY_BAND * r:
@@ -164,7 +158,7 @@ def iterate_chain(
                 f"concurrency point drifted off the fixed point at step {i}"
             )
         steps.append(nxt)
-        host = nxt
+        host, circle = nxt, next_circle
     return ChainRecord(t0, p, tuple(steps))
 
 

@@ -8,6 +8,7 @@ closed by its reader, 2 usage or scene-schema error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -150,7 +151,7 @@ def cmd_miquel(args) -> int:
     params = _parse_numbers(args.triad, "--triad", 3) if args.triad else scene.triad_params
     if params is None:
         raise SceneError("no triad given: add \"triad\" to the scene or pass --triad")
-    res = miquel_point(t, Triad(t, *params))
+    res = miquel_point(t, Triad.at(t, *params))
     doc = {
         "point": [res.point.x, res.point.y],
         "residual": res.residual,
@@ -180,11 +181,12 @@ def cmd_family(args) -> int:
     ratio = None
     if not isinstance(ped, SimsonLine):
         ratio = triad.triangle().side_lengths[0] / ped.triangle().side_lengths[0]
+    u, v, w = triad.params
     doc = {
         "theta": theta,
-        "u": triad.u,
-        "v": triad.v,
-        "w": triad.w,
+        "u": u,
+        "v": v,
+        "w": w,
         "X": [triad.x.x, triad.x.y],
         "Y": [triad.y.x, triad.y.y],
         "Z": [triad.z.x, triad.z.y],
@@ -195,7 +197,7 @@ def cmd_family(args) -> int:
         print(json.dumps(doc))
     else:
         print(f"theta          {_num(theta)}")
-        print(f"params         u={_num(triad.u)} v={_num(triad.v)} w={_num(triad.w)}")
+        print(f"params         u={_num(u)} v={_num(v)} w={_num(w)}")
         print(f"X              {_point_str(triad.x)}")
         print(f"Y              {_point_str(triad.y)}")
         print(f"Z              {_point_str(triad.z)}")
@@ -325,12 +327,15 @@ def cmd_figure(args) -> int:
 # ---------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # every flag is spelled in full: an abbreviation (--theta for --thetas)
+    # is a usage error, not a second spelling
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="miquel",
         description="Triangle constructions around concurrency points, "
         "with randomized verification suites.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     def add_common(p, point_flag=False):
         p.add_argument("--in", dest="infile", required=True, help="scene JSON file")

@@ -168,7 +168,7 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
 def _scene_triad(scene: SceneSpec) -> Triad:
     t = scene.triangle
     if scene.triad_params is not None:
-        return Triad(t, *scene.triad_params)
+        return Triad.at(t, *scene.triad_params)
     return _pedal_or_error(t, scene)
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Union
 
 from . import centers
@@ -50,11 +49,6 @@ PEDAL_SIMILARITY_TOL = 1e-7
 CONCURRENCY_BAND = 1e-6
 
 
-def along_xy(tx: float, ty: float, hx: float, hy: float, s: float) -> tuple[float, float]:
-    """tail + s·(head − tail), on coordinates."""
-    return tx + s * (hx - tx), ty + s * (hy - ty)
-
-
 def _param(px: float, py: float, tx: float, ty: float, hx: float, hy: float) -> float:
     """The affine parameter s of the foot of (px, py) on the line through tail
     and head, so that the foot is tail + s·(head − tail)."""
@@ -62,46 +56,41 @@ def _param(px: float, py: float, tx: float, ty: float, hx: float, hy: float) -> 
     return ((px - tx) * dx + (py - ty) * dy) / (dx * dx + dy * dy)
 
 
-def _spoke(
-    px: float, py: float, fx: float, fy: float, c: float, s: float, stretch: float
-) -> tuple[float, float]:
-    """p + (f − p) rotated by the angle with cosine c and sine s, times
-    ``stretch``."""
-    dx, dy = fx - px, fy - py
-    return px + (c * dx - s * dy) * stretch, py + (s * dx + c * dy) * stretch
-
-
 @dataclass(frozen=True)
 class Triad:
-    """Three points bound to the side lines of a host triangle.
-
-    X sits on line BC at affine parameter u (X = B + u*(C-B)), Y on CA at v,
-    Z on AB at w. Parameters outside [0, 1] encode the side extensions.
-    """
+    """Three points bound to the side lines of a host triangle: X on line BC,
+    Y on CA, Z on AB."""
 
     host: Triangle
-    u: float
-    v: float
-    w: float
+    x: Point
+    y: Point
+    z: Point
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(s) for s in (self.u, self.v, self.w)):
+    @classmethod
+    def at(cls, host: Triangle, u: float, v: float, w: float) -> Triad:
+        """The triad at affine parameters u, v, w: X = B + u·(C − B),
+        Y = C + v·(A − C), Z = A + w·(B − A). Parameters outside [0, 1]
+        encode the side extensions."""
+        if not all(math.isfinite(s) for s in (u, v, w)):
             raise ValueError("triad parameters must be finite")
+        a, b, c = host.vertices
+        return cls(
+            host,
+            *(
+                Point(tail.x + s * (head.x - tail.x), tail.y + s * (head.y - tail.y))
+                for tail, head, s in ((b, c, u), (c, a, v), (a, b, w))
+            ),
+        )
 
-    @cached_property
-    def x(self) -> Point:
-        b, c = self.host.b, self.host.c
-        return Point(*along_xy(b.x, b.y, c.x, c.y, self.u))
-
-    @cached_property
-    def y(self) -> Point:
-        c, a = self.host.c, self.host.a
-        return Point(*along_xy(c.x, c.y, a.x, a.y, self.v))
-
-    @cached_property
-    def z(self) -> Point:
-        a, b = self.host.a, self.host.b
-        return Point(*along_xy(a.x, a.y, b.x, b.y, self.w))
+    @property
+    def params(self) -> tuple[float, float, float]:
+        """u, v, w of ``at``: the affine parameters of the feet of X, Y and Z
+        on BC, CA and AB."""
+        a, b, c = self.host.vertices
+        return tuple(
+            _param(q.x, q.y, tail.x, tail.y, head.x, head.y)
+            for q, tail, head in ((self.x, b, c), (self.y, c, a), (self.z, a, b))
+        )
 
     @property
     def points(self) -> tuple[Point, Point, Point]:
@@ -109,16 +98,6 @@ class Triad:
 
     def triangle(self) -> Triangle:
         return Triangle(self.x, self.y, self.z)
-
-    @classmethod
-    def from_points(cls, host: Triangle, x: Point, y: Point, z: Point) -> Triad:
-        a, b, c = host.a, host.b, host.c
-        return cls(
-            host,
-            _param(x.x, x.y, b.x, b.y, c.x, c.y),
-            _param(y.x, y.y, c.x, c.y, a.x, a.y),
-            _param(z.x, z.y, a.x, a.y, b.x, b.y),
-        )
 
 
 @dataclass(frozen=True)
@@ -191,31 +170,35 @@ def on_circumcircle(t: Triangle, p: Point) -> bool:
 
 
 def pedal_feet(t: Triangle, p: Point) -> tuple[Point, Point, Point]:
-    """Raw perpendicular feet of ``p`` on the side lines, in X, Y, Z order.
+    """Raw perpendicular feet of ``p`` on the side lines, in X, Y, Z order:
+    ``family_xy`` at theta = 0.
 
     Defined for every point; unlike ``pedal_triad`` it does not reject
     points on the side lines (where the foot on that line is the point
     itself: the circumcircle inverses of the symmedian arc points land
     there).
     """
-    return tuple(t.side_line(v).project(p) for v in VERTEX_LABELS)
+    feet, _ = family_xy(t.xy, p.x, p.y, 0.0)
+    return _points(feet)
 
 
 def pedal_triad(t: Triangle, p: Point) -> Union[Triad, SimsonLine]:
-    """Perpendicular feet of ``p`` on the three side lines.
+    """Perpendicular feet of ``p`` on the three side lines: the family
+    member at theta = 0.
 
     Points on the circumcircle (within the degeneration band) yield the
     collapsed collinear triple instead of a triad.
     """
-    reject_side_lines(t.min_side_line_distance(p), t.circumradius)
-    feet = pedal_feet(t, p)
+    xy, nearest = family_xy(t.xy, p.x, p.y, 0.0)
+    reject_side_lines(nearest, t.circumradius)
+    feet = _points(xy)
     if on_circumcircle(t, p):
         anchor, far = max(
             ((feet[i], feet[j]) for i in range(3) for j in range(i + 1, 3)),
             key=lambda pair: pair[0].dist(pair[1]),
         )
         return SimsonLine(Line.through(anchor, far), feet)
-    return Triad.from_points(t, *feet)
+    return Triad(t, *feet)
 
 
 def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
@@ -258,42 +241,44 @@ def miquel_xy(
 
 def family_member(t: Triangle, p: Point, theta: float) -> Triad:
     """Member of the one-parameter family of triads whose common circle
-    point is ``p``.
+    point is ``p``: the pedal triad under the spiral similarity
+    p + (F − p)·(1 + i·tan theta) about ``p``.
 
-    Each spoke from ``p`` to its pedal foot is rotated by ``theta``; the
-    rotated spoke meets the side line 1/cos(theta) times as far from ``p``.
-    theta = 0 reproduces the pedal triad, and the triad triangle scales by
-    1/cos(theta) relative to it.
+    theta = 0 is the pedal triad, and the triad triangle scales by
+    1/cos(theta) relative to it. Raises ``OnSideLineError`` for a point on
+    a side line.
     """
-    u, v, w, nearest = family_params(t.xy, p.x, p.y, theta)
+    xy, nearest = family_xy(t.xy, p.x, p.y, theta)
     reject_side_lines(nearest, t.circumradius)
-    return Triad(t, u, v, w)
+    return Triad(t, *_points(xy))
 
 
-def family_params(
+def family_xy(
     host: TriangleXY, px: float, py: float, theta: float
-) -> tuple[float, float, float, float]:
-    """The parameters u, v, w of ``family_member`` of the host triangle ABC,
-    the point (px, py) and ``theta``, computed on coordinates: per side line,
-    the pedal foot of the point, its spoke rotated and stretched, and that
-    point's parameter along the side. Last comes the point's distance from
-    the nearest side line, which the caller hands to ``reject_side_lines``."""
+) -> tuple[TriangleXY, float]:
+    """The triad points X, Y, Z of ``family_member`` of the host triangle
+    ABC, the point P = (px, py) and ``theta``, on coordinates: per side
+    line, the pedal foot F of P moved along the side to
+    F + tan(theta)·perp(F − P), where perp turns the spoke F − P a quarter
+    turn counter-clockwise. Then P's distance from the nearest side line,
+    which the caller hands to ``reject_side_lines``."""
     # rejects NaN too: every comparison with NaN is false
     if not abs(theta) < HALF_PI - ANGLE_EPS:
         raise GeometryError(f"rotation {theta} not inside (-pi/2, pi/2)")
-    c, s = math.cos(theta), math.sin(theta)
-    stretch = 1.0 / c
+    tan = math.tan(theta)
     ax, ay, bx, by, cx, cy = host
     distances = []
-    params = []
+    xy: list[float] = []
     for tx, ty, hx, hy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)):
         dx, dy = unit_direction(hx - tx, hy - ty)  # the side line's direction
         distances.append(abs(offset_xy(tx, ty, dx, dy, px, py)))
         fx, fy = project_xy(tx, ty, dx, dy, px, py)
-        sx, sy = _spoke(px, py, fx, fy, c, s, stretch)
-        params.append(_param(sx, sy, tx, ty, hx, hy))
-    u, v, w = params
-    return u, v, w, min(distances)
+        xy += (fx - tan * (fy - py), fy + tan * (fx - px))
+    return tuple(xy), min(distances)
+
+
+def _points(xy: TriangleXY) -> tuple[Point, Point, Point]:
+    return Point(xy[0], xy[1]), Point(xy[2], xy[3]), Point(xy[4], xy[5])
 
 
 def angle_sextet(t: Triangle, p: Point) -> AngleSextet:

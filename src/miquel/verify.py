@@ -142,7 +142,7 @@ def suite_theorem1(seed: int, trials: int = 1000) -> SuiteReport:
             s = rng.uniform(-1.0, 2.0)
             if abs(s) > 0.05 and abs(s - 1.0) > 0.05:
                 params.append(s)
-        res = miquel_point(t, Triad(t, *params))
+        res = miquel_point(t, Triad.at(t, *params))
         concurrency.add(res.residual / t.circumradius, i, t, res.point)
     return report
 
@@ -659,7 +659,3 @@ def run_suite(name: str, seed: int, trials: int | None = None) -> SuiteReport:
     report = fn(seed) if trials is None else fn(seed, trials)
     report.duration = time.perf_counter() - started
     return report
-
-
-def run_all(seed: int, trials: int | None = None) -> list[SuiteReport]:
-    return [run_suite(name, seed, trials) for name in SUITES]

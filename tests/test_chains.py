@@ -28,7 +28,7 @@ from miquel.chains import (
     follows_role_cycle,
     iterate_chain,
 )
-from miquel.errors import DegenerateStepError, OnSideLineError
+from miquel.errors import CollinearError, DegenerateStepError, OnSideLineError
 from miquel.kernel import Point, Triangle, midpoint
 from miquel.sampling import (
     random_circumcircle_point,
@@ -37,6 +37,7 @@ from miquel.sampling import (
     rng_for,
 )
 from miquel.triads import (
+    CIRCUMCIRCLE_BAND,
     classify_similarity,
     detect_special_role,
     family_member,
@@ -80,6 +81,23 @@ class TestIterateChain:
         with pytest.raises(DegenerateStepError, match="step 0") as info:
             iterate_chain(TSCA, midpoint(TSCA.b, TSCA.c), 3)
         assert isinstance(info.value.__cause__, OnSideLineError)
+
+    def test_collinear_step_triangle_degenerates(self):
+        # README's thin host (R = 416.67) and a point just outside the
+        # circumcircle band: circles AYZ, BZX and CXY exist, but the pedal
+        # triangle is collinear within tolerance, which the step's circle
+        # test reports
+        thin = Triangle(Point(0, 0), Point(1, 0), Point(0.5, 3e-4))
+        c = thin.circumcircle
+        p = Point(c.center.x + c.radius * (1 + 1.01 * CIRCUMCIRCLE_BAND), c.center.y)
+        triad = family_member(thin, p, 0.0)
+        miquel_point(thin, triad)
+        with pytest.raises(CollinearError):
+            triad.triangle()
+        message = "^step 0 degenerated: the three points are collinear within tolerance$"
+        with pytest.raises(DegenerateStepError, match=message) as info:
+            iterate_chain(thin, p, 1)
+        assert isinstance(info.value.__cause__, CollinearError)
 
     def test_miquel_point_fixed_along_chain(self):
         p = Point(1.4, 0.9)
@@ -462,6 +480,17 @@ class TestExactCorrespondences:
             )
             assert all(_close(tri, t, 1e-9) for tri, t in zip(tris, rec.triangles))
             assert check_mod3_similarity(rec) < CHAIN_SIMILARITY_TOL
+
+    def test_family_member_is_the_exact_step(self):
+        # one float step at theta = atan(q) against the exact step at tan θ = q
+        rng = random.Random("exact-family-step")
+        for host in HOSTS:
+            t = _float_triangle(host)
+            for _ in range(5):
+                p = _barycentric(host, [Fraction(rng.randint(1, 9)) for _ in "ABC"])
+                q = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                triad = family_member(t, Point(float(p[0]), float(p[1])), math.atan(q))
+                assert _close(_exact_step(host, p, q), triad.triangle(), 1e-13)
 
     def test_seed_correspondences(self):
         for host in HOSTS:

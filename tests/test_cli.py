@@ -403,3 +403,21 @@ def test_point_without_value_is_usage_error(tri_file, argv):
     res = run_cli("classify", "--in", tri_file, *argv)
     assert res.returncode == 2
     assert "argument --point: expected one argument" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("chain", "--point", "2,1", "--steps", "3", "--theta", "-0.1,0.2,0.3"), "--theta"),
+        (("chain", "--point", "2,1", "--steps", "3", "--theta", "0.1,0.2,0.3"), "--theta"),
+        (("classify", "--poin", "-5,0"), "--poin"),
+        (("verify", "--suite", "theorem1", "--tri", "3"), "--tri"),
+    ],
+)
+def test_abbreviated_flag_is_usage_error(tri_file, argv, flag):
+    if argv[0] != "verify":
+        argv = (argv[0], "--in", tri_file, *argv[1:])
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert f"unrecognized arguments: {flag} " in res.stderr

@@ -6,9 +6,11 @@ operator form's float operations in the same order, so the two agree with
 `==`, not within a tolerance. The operator forms below are those oracles; a
 later edit that reassociates a sum or a product fails here.
 
-The chain step builds no Point, from the same coordinate helpers as
-`family_member` and `miquel_point`, so its triangles and Miquel points equal
-theirs.
+The chain step builds no Point, from the same coordinate bodies as
+`family_member` and `miquel_point` (`family_xy`, `miquel_xy`), so its
+triangles and Miquel points equal theirs. `pedal_feet`, `pedal_triad` and
+`family_member` at theta = 0 read `family_xy` too, so they give one pedal
+triangle.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import math
 
 import pytest
 
-from miquel import centers, chains, kernel, triads
+from miquel import centers, chains, kernel
 from miquel.centers import NAMED_POINTS, locate
 from miquel.chains import iterate_chain
 from miquel.errors import CollinearError, RightAngleDegenerateError
@@ -46,11 +48,13 @@ from miquel.sampling import (
 )
 from miquel.triads import (
     PEDAL_SIMILARITY_TOL,
-    along_xy,
+    SimsonLine,
+    Triad,
     classify_similarity,
     family_member,
     miquel_point,
     pedal_feet,
+    pedal_triad,
 )
 
 
@@ -158,13 +162,10 @@ def _orthocenter_by_operators(t):
     return t.a + t.b + t.c - 2.0 * centers.circumcenter(t)
 
 
-def _family_feet_by_operators(t, p, theta):
-    stretch = 1.0 / math.cos(theta)
-    return [p + (f - p).rotated(theta) * stretch for f in pedal_feet(t, p)]
-
-
-def _spoke_by_operators(p, f, theta):
-    return p + (f - p).rotated(theta) * (1.0 / math.cos(theta))
+def _family_vertex_by_operators(p, f, theta):
+    """The pedal foot ``f`` moved along its side: the spoke f − p turned a
+    quarter and scaled by tan theta."""
+    return f + math.tan(theta) * (f - p).perp()
 
 
 def _along_by_operators(tail, head, s):
@@ -181,12 +182,11 @@ def _shape_ratio_by_operators(t, order):
     return complex(*(b - a)) / complex(*(c - a))
 
 
-def _triad_points_by_operators(triad):
-    h = triad.host
+def _triad_points_by_operators(host, u, v, w):
     return (
-        h.b + triad.u * (h.c - h.b),
-        h.c + triad.v * (h.a - h.c),
-        h.a + triad.w * (h.b - h.a),
+        _along_by_operators(host.b, host.c, u),
+        _along_by_operators(host.c, host.a, v),
+        _along_by_operators(host.a, host.b, w),
     )
 
 
@@ -236,16 +236,6 @@ def test_coordinate_helpers():
                 assert offset_xy(*args) == _offset_by_operators(line, p)
                 assert Point(*project_xy(*args)) == _project_by_operators(line, p)
                 assert Point(*reflect_xy(*args)) == _reflect_by_operators(line, p)
-                assert Point(*along_xy(tail.x, tail.y, head.x, head.y, theta)) == (
-                    _along_by_operators(tail, head, theta)
-                )
-                assert triads._param(p.x, p.y, tail.x, tail.y, head.x, head.y) == (
-                    _param_by_operators(p, tail, head)
-                )
-            for f in t.vertices:
-                c_, s_ = math.cos(theta), math.sin(theta)
-                spoke = triads._spoke(p.x, p.y, f.x, f.y, c_, s_, 1.0 / c_)
-                assert Point(*spoke) == _spoke_by_operators(p, f, theta)
             cx, cy, r = circle_xy(a.x, a.y, b.x, b.y, p.x, p.y)
             assert (Point(cx, cy), r) == _circumcircle_by_operators(a, b, p)
 
@@ -346,29 +336,37 @@ def test_squared_sides_isogonal_conjugate_and_every_named_point(monkeypatch):
 
 # ---------------------------------------------------------------- triads
 
-def test_family_member_feet_and_triad_forms(monkeypatch):
-    real = triads._spoke
-    feet_seen = []
-
-    def recording(*args):
-        foot = real(*args)
-        feet_seen.append(Point(*foot))
-        return foot
-
-    monkeypatch.setattr(triads, "_spoke", recording)
+def test_family_member_feet_and_triad_forms():
+    """Each family vertex is its pedal foot (the side line's projection)
+    moved by tan theta times the quarter-turned spoke; Triad.at and
+    Triad.params against their operator forms."""
     for t, points, theta in CASES:
         for p in points:
             triad = family_member(t, p, theta)
-            feet = _family_feet_by_operators(t, p, theta)
-            assert feet_seen == feet
-            feet_seen.clear()
-            params = (
-                _param_by_operators(feet[0], t.b, t.c),
-                _param_by_operators(feet[1], t.c, t.a),
-                _param_by_operators(feet[2], t.a, t.b),
+            feet = [t.side_line(v).project(p) for v in "ABC"]
+            assert list(triad.points) == [
+                _family_vertex_by_operators(p, f, theta) for f in feet
+            ]
+            params = triad.params
+            assert params == (
+                _param_by_operators(triad.x, t.b, t.c),
+                _param_by_operators(triad.y, t.c, t.a),
+                _param_by_operators(triad.z, t.a, t.b),
             )
-            assert (triad.u, triad.v, triad.w) == params
-            assert triad.points == _triad_points_by_operators(triad)
+            assert Triad.at(t, *params).points == _triad_points_by_operators(t, *params)
+
+
+def test_one_pedal_triangle():
+    """The pedal feet, the pedal triad and the family member at theta = 0 are
+    one triangle, float for float: the side lines' projections of the point."""
+    for t, points, _ in CASES:
+        for p in points:
+            feet = pedal_feet(t, p)
+            assert feet == tuple(t.side_line(v).project(p) for v in "ABC")
+            ped = pedal_triad(t, p)
+            assert not isinstance(ped, SimsonLine)
+            assert ped.points == feet
+            assert family_member(t, p, 0.0).points == feet
 
 
 def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):

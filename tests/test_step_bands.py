@@ -2,8 +2,9 @@
 
 Near a band the step may go either way, but the coordinate-form step of
 ``iterate_chain`` must go the way the object path goes (``family_member``,
-``miquel_point`` and the triad's triangle): the same triangle, or
-``DegenerateStepError`` with the same message from the same error class.
+``miquel_point``, the triad's circumcircle and its triangle): the same
+triangle, or ``DegenerateStepError`` with the same message from the same
+error class.
 """
 
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from miquel.chains import iterate_chain
 from miquel.errors import DegenerateStepError, GeometryError
-from miquel.kernel import ANGLE_EPS, HALF_PI, LENGTH_EPS, Point
+from miquel.kernel import ANGLE_EPS, HALF_PI, LENGTH_EPS, Point, circumcircle
 from miquel.sampling import random_interior_point, random_obtuse_at, random_triangle, rng_for
 from miquel.triads import (
     CIRCUMCIRCLE_BAND,
@@ -34,6 +35,7 @@ def _object_step(t, p, theta):
     try:
         triad = family_member(t, p, theta)
         result = miquel_point(t, triad)
+        circumcircle(*triad.points)  # the chain's next circle; same test as Triangle's
         nxt = triad.triangle()
     except GeometryError as exc:
         raise DegenerateStepError(f"step 0 degenerated: {exc}") from exc

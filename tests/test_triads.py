@@ -71,9 +71,7 @@ THETA_OUT_OF_RANGE = r"^rotation \S+ not inside \(-pi/2, pi/2\)$"
 class TestPedalTriad:
     def test_circumcenter_gives_midpoints(self):
         ped = pedal_triad(TSCA, circumcenter(TSCA))
-        assert abs(ped.u - 0.5) < 1e-12
-        assert abs(ped.v - 0.5) < 1e-12
-        assert abs(ped.w - 0.5) < 1e-12
+        assert all(abs(s - 0.5) < 1e-12 for s in ped.params)
 
     def test_orthocenter_gives_altitude_feet(self):
         h = orthocenter(TSCA)
@@ -112,9 +110,24 @@ class TestPedalTriad:
                 assert abs((foot - p).dot(side.direction)) < 1e-12 * t.circumradius
 
 
+class TestTriadAt:
+    def test_points_at_the_parameters(self):
+        triad = Triad.at(TSCA, 0.5, -1.0, 2.0)
+        assert triad.points == (Point(2.5, 1.5), Point(2.0, 6.0), Point(8.0, 0.0))
+        assert triad.params == (0.5, -1.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_non_finite_parameters_rejected(self, bad, slot):
+        params = [0.3, 0.3, 0.3]
+        params[slot] = bad
+        with pytest.raises(ValueError, match="^triad parameters must be finite$"):
+            Triad.at(TSCA, *params)
+
+
 class TestMiquelPoint:
     def test_midpoints_give_circumcenter(self):
-        res = miquel_point(TSCA, Triad(TSCA, 0.5, 0.5, 0.5))
+        res = miquel_point(TSCA, Triad.at(TSCA, 0.5, 0.5, 0.5))
         assert res.point.dist(circumcenter(TSCA)) < 1e-12
         assert res.residual < 1e-12
 
@@ -124,7 +137,7 @@ class TestMiquelPoint:
         assert res.point.dist(orthocenter(TSCA)) < 1e-12
 
     def test_uniform_params_concurrency(self):
-        res = miquel_point(TSCA, Triad(TSCA, 0.3, 0.3, 0.3))
+        res = miquel_point(TSCA, Triad.at(TSCA, 0.3, 0.3, 0.3))
         assert res.residual < 1e-9 * TSCA.circumradius
         # frozen regression value for the workhorse triangle
         assert res.point.dist(Point(1.7023121387283235, 0.6849710982658955)) < 1e-10
@@ -138,11 +151,11 @@ class TestMiquelPoint:
                 s = rng.uniform(-1.0, 2.0)
                 if abs(s) > 0.05 and abs(s - 1.0) > 0.05:
                     params.append(s)
-            res = miquel_point(t, Triad(t, *params))
+            res = miquel_point(t, Triad.at(t, *params))
             assert res.residual < 1e-8 * t.circumradius
 
     def test_circles_pass_through_expected_points(self):
-        triad = Triad(TSCA, 0.4, 0.7, 0.2)
+        triad = Triad.at(TSCA, 0.4, 0.7, 0.2)
         res = miquel_point(TSCA, triad)
         ca, cb, cc = res.circles
         x, y, z = triad.points
@@ -152,11 +165,11 @@ class TestMiquelPoint:
 
     def test_tangent_when_the_point_is_z(self):
         # README's triangle: circles AYZ and BZX touch at Z
-        triad = Triad(TSCA, 0.2, 0.8, 0.1716117818584988)
+        triad = Triad.at(TSCA, 0.2, 0.8, 0.1716117818584988)
         res = miquel_point(TSCA, triad)
         assert res.tangent
         assert res.point.dist(triad.z) < 1e-12 * TSCA.circumradius
-        assert not miquel_point(TSCA, Triad(TSCA, 0.2, 0.8, 0.3)).tangent
+        assert not miquel_point(TSCA, Triad.at(TSCA, 0.2, 0.8, 0.3)).tangent
 
 
 class TestFamilyMember:
@@ -164,9 +177,8 @@ class TestFamilyMember:
         p = Point(1.2, 0.8)
         ped = pedal_triad(TSCA, p)
         fam = family_member(TSCA, p, 0.0)
-        assert abs(fam.u - ped.u) < 1e-12
-        assert abs(fam.v - ped.v) < 1e-12
-        assert abs(fam.w - ped.w) < 1e-12
+        assert fam == ped
+        assert fam.points == pedal_feet(TSCA, p)
 
     def test_equilateral_ratio_at_pi_over_six(self):
         o = circumcenter(EQUI)
@@ -245,7 +257,7 @@ class TestClosedFormsAgainstConstructions:
             for foot, oracle in zip(fam.points, _family_member_by_spoke_lines(t, p, theta)):
                 assert foot.dist(oracle) < 1e-12 * r
             params = [rng.uniform(-1.0, 2.0) for _ in range(3)]
-            for triad in (fam, Triad(t, *params)):
+            for triad in (fam, Triad.at(t, *params)):
                 point = miquel_point(t, triad).point
                 assert point.dist(_miquel_point_by_radical_line(t, triad)) < 1e-12 * r
 
@@ -323,7 +335,7 @@ class TestMiquelTriangleAngles:
 class TestMiquelEquations:
     def test_circumcenter_doubles_vertex_angles(self):
         o = circumcenter(TSCA)
-        assert verify_miquel_equations(TSCA, o, Triad(TSCA, 0.5, 0.5, 0.5)) < 1e-12
+        assert verify_miquel_equations(TSCA, o, Triad.at(TSCA, 0.5, 0.5, 0.5)) < 1e-12
         assert directed_angle(TSCA.b, o, TSCA.c).distance(2 * TSCA.directed_angle_at("A")) < 1e-12
 
     def test_equilateral_center(self):
@@ -342,7 +354,7 @@ class TestMiquelEquations:
         with pytest.raises(
             GeometryError, match="^the triad's concurrency point is not the given point$"
         ):
-            verify_miquel_equations(TSCA, Point(1.0, 1.0), Triad(TSCA, 0.5, 0.5, 0.5))
+            verify_miquel_equations(TSCA, Point(1.0, 1.0), Triad.at(TSCA, 0.5, 0.5, 0.5))
 
 
 class TestClassifySimilarity:
