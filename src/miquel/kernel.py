@@ -437,7 +437,8 @@ class Triangle:
     c: Point
 
     def __post_init__(self) -> None:
-        # seed the cache: these are the floats side_lengths would compute
+        # side_lengths, set only here: the lengths opposite A, B, C (i.e.
+        # |BC|, |CA|, |AB|)
         self.__dict__["side_lengths"] = side_lengths_xy(*self.xy)
 
     @property
@@ -453,11 +454,6 @@ class Triangle:
     @property
     def orientation(self) -> int:
         return 1 if self.signed_area > 0.0 else -1
-
-    @cached_property
-    def side_lengths(self) -> tuple[float, float, float]:
-        """Lengths opposite A, B, C (i.e. |BC|, |CA|, |AB|)."""
-        return (self.b.dist(self.c), self.c.dist(self.a), self.a.dist(self.b))
 
     @cached_property
     def squared_sides(self) -> tuple[float, float, float]:

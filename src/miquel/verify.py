@@ -1,10 +1,10 @@
 """Seeded randomized verification suites, one per numbered claim.
 
-Every suite draws its randomness through ``SuiteReport.rng``, which keys
-``sampling.rng_for`` by (suite, seed, trial index), so reports are
-deterministic and trials could be evaluated in any order. A claim
-aggregates the worst residual over all trials and keeps the worst offending
-instance for reproduction.
+``run_suite`` builds each ``SuiteReport`` and the suite fills it, drawing
+its randomness through ``SuiteReport.rng``, which keys ``sampling.rng_for``
+by (suite, seed, trial index), so reports are deterministic and trials could
+be evaluated in any order. A claim aggregates the worst residual over all
+trials and keeps the worst offending instance for reproduction.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ class ClaimResult:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual < self.tol
+        """Some trial reached the claim and every residual is below ``tol``."""
+        return self.trials > 0 and self.max_residual < self.tol
 
     def add(
         self, residual: float, i: int, t: Triangle, p: Point | None = None, note: str = ""
@@ -129,12 +130,11 @@ def _witness(i: int, t: Triangle, p: Point | None = None) -> str:
     return core
 
 
-def suite_theorem1(seed: int, trials: int = 1000) -> SuiteReport:
+def suite_theorem1(report: SuiteReport) -> None:
     """Three circles through a vertex and its adjacent triad points meet in
     one point, for triad points anywhere on the sides or their extensions."""
-    report = SuiteReport("theorem1", seed, trials)
     concurrency = report.claim("circle-concurrency", 1e-8)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
         params = []
@@ -144,31 +144,27 @@ def suite_theorem1(seed: int, trials: int = 1000) -> SuiteReport:
                 params.append(s)
         res = miquel_point(t, Triad.at(t, *params))
         concurrency.add(res.residual / t.circumradius, i, t, res.point)
-    return report
 
 
-def suite_theorem2(seed: int, trials: int = 500) -> SuiteReport:
+def suite_theorem2(report: SuiteReport) -> None:
     """Directed-angle identities at the concurrency point: A + X = BPC,
     B + Y = CPA, C + Z = APB, over random family members."""
-    report = SuiteReport("theorem2", seed, trials)
     equations = report.claim("angle-equations", 1e-9)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
         p = random_point_in_circumdisk(rng, t)
         theta = rng.uniform(-1.2, 1.2)
         worst = verify_miquel_equations(t, p, family_member(t, p, theta))
         equations.add(worst, i, t, p)
-    return report
 
 
-def suite_lemma1(seed: int, trials: int = 400) -> SuiteReport:
+def suite_lemma1(report: SuiteReport) -> None:
     """Interior/exterior containment parity between the host triangle and
     the pedal triangle of the same point."""
-    report = SuiteReport("lemma1", seed, trials)
     parity = report.claim("containment-parity", 0.5)
     ray_sum = report.claim("interior-ray-turn", 1e-9)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
         if i % 2 == 0:
@@ -184,15 +180,13 @@ def suite_lemma1(seed: int, trials: int = 400) -> SuiteReport:
         parity.add_bool(rep.agree, i, t, p)
         if rep.ray_angle_sum is not None:
             ray_sum.add(abs(rep.ray_angle_sum - 2.0 * math.pi), i, t, p)
-    return report
 
 
-def suite_lemma2(seed: int, trials: int = 500) -> SuiteReport:
+def suite_lemma2(report: SuiteReport) -> None:
     """The pedal-triangle angles equal the pairwise sums of the sextet
     angles, for points inside the circumcircle."""
-    report = SuiteReport("lemma2", seed, trials)
     formulas = report.claim("sextet-angle-formulas", 1e-8)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
         p = random_point_in_circumdisk(rng, t)
@@ -204,15 +198,13 @@ def suite_lemma2(seed: int, trials: int = 500) -> SuiteReport:
             angs.z.distance(directed_angle(x, z, y)),
         )
         formulas.add(worst, i, t, p)
-    return report
 
 
-def suite_theorem3(seed: int, trials: int = 200) -> SuiteReport:
+def suite_theorem3(report: SuiteReport) -> None:
     """Circumcircle-inverse points have mirrored pedal triangles, vertex for
     vertex."""
-    report = SuiteReport("theorem3", seed, trials)
     similar = report.claim("inverse-pedal-similarity", 1e-7)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
         circ = t.circumcircle
@@ -223,20 +215,18 @@ def suite_theorem3(seed: int, trials: int = 200) -> SuiteReport:
         q = centers.inverse_in_circumcircle(t, p)
         r_p, r_q = (shape_ratio(Triangle(*pedal_feet(t, r)).xy, (0, 1, 2)) for r in (p, q))
         similar.add(shape_gap(r_p, r_q, True), i, t, p)
-    return report
 
 
-def suite_theorem4(seed: int, trials: int = 50) -> SuiteReport:
+def suite_theorem4(report: SuiteReport) -> None:
     """The eleven-point catalog: six interior points and their five exterior
     inverses, whose pedal triangles are similar to the host under the
     recorded permutation and orientation."""
-    report = SuiteReport("theorem4", seed, trials)
     interior_perm = report.claim("interior-angle-permutations", 1e-7)
     exterior_sim = report.claim("exterior-inverse-similarity", 1e-7)
     counts = report.claim("six-interior-five-exterior", 0.5)
     distinct = report.claim("pairwise-distinct", 0.5)
     orientation_note = report.claim("orientation-split-observed", 0.5, informational=True)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_catalog_triangle(rng)
         cat = centers.eleven_point_catalog(t)
@@ -265,14 +255,12 @@ def suite_theorem4(seed: int, trials: int = 50) -> SuiteReport:
             orientations.count("direct") == 3 and orientations.count("inverse") == 3,
             i, t,
         )
-    return report
 
 
-def suite_theorem5(seed: int, trials: int = 100) -> SuiteReport:
+def suite_theorem5(report: SuiteReport) -> None:
     """Circumcenter hosts: the point is the orthocenter of its pedal triangle."""
-    report = SuiteReport("theorem5", seed, trials)
     claim = report.claim("orthocenter-of-pedal", 1e-8)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
         o = centers.circumcenter(t)
@@ -280,17 +268,15 @@ def suite_theorem5(seed: int, trials: int = 100) -> SuiteReport:
             centers.orthocenter(Triangle(*pedal_feet(t, o))).dist(o) / t.circumradius,
             i, t, o,
         )
-    return report
 
 
-def suite_theorem6(seed: int, trials: int = 100) -> SuiteReport:
+def suite_theorem6(report: SuiteReport) -> None:
     """Orthocenter hosts: the point is the incenter of the pedal triangle
     for acute hosts, and the excenter opposite the relabeled obtuse vertex
     for obtuse ones."""
-    report = SuiteReport("theorem6", seed, trials)
     acute = report.claim("acute-incenter", 1e-8)
     obtuse = report.claim("obtuse-excenter", 1e-8)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         if i % 2 == 0:
             t = random_acute_triangle(rng)
@@ -303,16 +289,14 @@ def suite_theorem6(seed: int, trials: int = 100) -> SuiteReport:
             h = centers.orthocenter(t)
             target = centers.excenter(Triangle(*pedal_feet(t, h)), v)
             obtuse.add(target.dist(h) / t.circumradius, i, t, h)
-    return report
 
 
-def suite_theorem7(seed: int, trials: int = 100) -> SuiteReport:
+def suite_theorem7(report: SuiteReport) -> None:
     """Incircle and excircle centers become the circumcenter of their pedal
     triangle."""
-    report = SuiteReport("theorem7", seed, trials)
     from_in = report.claim("incenter-to-circumcenter", 1e-8)
     from_ex = report.claim("excenter-to-circumcenter", 1e-8)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
         l = centers.incenter(t)
@@ -325,7 +309,6 @@ def suite_theorem7(seed: int, trials: int = 100) -> SuiteReport:
             centers.circumcenter(Triangle(*pedal_feet(t, ex))).dist(ex) / t.circumradius,
             i, t, ex,
         )
-    return report
 
 
 def _brocard_angle_spread(t: Triangle, p: Point, which: str) -> float:
@@ -337,12 +320,11 @@ def _brocard_angle_spread(t: Triangle, p: Point, which: str) -> float:
     return max(trio[0].distance(trio[1]), trio[1].distance(trio[2]))
 
 
-def suite_theorem8(seed: int, trials: int = 100) -> SuiteReport:
+def suite_theorem8(report: SuiteReport) -> None:
     """Brocard points stay Brocard points of their pedal triangles."""
-    report = SuiteReport("theorem8", seed, trials)
     position = report.claim("brocard-position", 1e-8)
     angles = report.claim("brocard-angle-condition", 1e-8)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
         which = "first" if i % 2 == 0 else "second"
@@ -353,17 +335,15 @@ def suite_theorem8(seed: int, trials: int = 100) -> SuiteReport:
             i, t, p,
         )
         angles.add(_brocard_angle_spread(shape, p, which), i, t, p)
-    return report
 
 
-def suite_theorem9(seed: int, trials: int = 100) -> SuiteReport:
+def suite_theorem9(report: SuiteReport) -> None:
     """Symmedian arc points land on the median of their pedal triangle, at
     the mirrored-chord position, i.e. they take the median special role."""
-    report = SuiteReport("theorem9", seed, trials)
     on_median = report.claim("on-pedal-median", 1e-7)
     midpoint_rel = report.claim("median-chord-midpoint", 1e-7)
     m_match = report.claim("median-point-match", 1e-7)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
@@ -382,18 +362,16 @@ def suite_theorem9(seed: int, trials: int = 100) -> SuiteReport:
             f = second_intersection(median, circumcircle(t.vertex(v), b2, c2), p)
             midpoint_rel.add(abs(apex.dist(e) - e.dist(f)) / r, i, t)
         m_match.add(centers.m_point(shape, v).dist(p) / r, i, t)
-    return report
 
 
-def suite_theorem10(seed: int, trials: int = 100) -> SuiteReport:
+def suite_theorem10(report: SuiteReport) -> None:
     """Median special points give isosceles pedal triangles, sit on the
     circle through the base vertices and the pedal incenter, and flip
     interior/exterior with the host's acuteness."""
-    report = SuiteReport("theorem10", seed, trials)
     base_angles = report.claim("isosceles-base-angles", 1e-8)
     arc = report.claim("on-base-incenter-circle", 1e-8)
     parity = report.claim("containment-parity", 0.5)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         obtuse_case = bool(i % 2)
@@ -410,17 +388,15 @@ def suite_theorem10(seed: int, trials: int = 100) -> SuiteReport:
         arc.add(abs(circ.offset_of(p)) / t.circumradius, i, t, p)
         inside = triangle_contains(shape, p)
         parity.add_bool(inside != obtuse_case, i, t, p)
-    return report
 
 
-def suite_theorem11(seed: int, trials: int = 100) -> SuiteReport:
+def suite_theorem11(report: SuiteReport) -> None:
     """On an isosceles host, points of the base-incenter arc take the
     symmedian arc role in their pedal triangle."""
-    report = SuiteReport("theorem11", seed, trials)
     s_match = report.claim("s-point-match", 1e-7)
     double_angle = report.claim("double-angle-at-point", 1e-8)
     role = report.claim("role-detected", 0.5)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         t = random_isosceles(rng, v)
@@ -436,30 +412,26 @@ def suite_theorem11(seed: int, trials: int = 100) -> SuiteReport:
         )
         detected = detect_special_role(shape, p, 1e-7)
         role.add_bool(detected == SpecialRole("s_role", v), i, t, p)
-    return report
 
 
-def suite_theorem12(seed: int, trials: int = 200) -> SuiteReport:
+def suite_theorem12(report: SuiteReport) -> None:
     """The symmedian arc point and the median special point of each vertex
     are isogonal conjugates."""
-    report = SuiteReport("theorem12", seed, trials)
     pair = report.claim("isogonal-pair", 1e-8)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         conj = centers.isogonal_conjugate(t, centers.s_point(t, v))
         pair.add(conj.dist(centers.m_point(t, v)) / t.circumradius, i, t)
-    return report
 
 
-def suite_theorem13(seed: int, trials: int = 100) -> SuiteReport:
+def suite_theorem13(report: SuiteReport) -> None:
     """On an isosceles host, reflecting a base-incenter arc point over the
     axis yields its isogonal conjugate (three mirrored angle equations)."""
-    report = SuiteReport("theorem13", seed, trials)
     equations = report.claim("mirror-angle-equations", 1e-8)
     conj = report.claim("conjugate-position", 1e-8)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_isosceles(rng, "A")
         l = centers.incenter(t)
@@ -474,7 +446,6 @@ def suite_theorem13(seed: int, trials: int = 100) -> SuiteReport:
         )
         equations.add(worst, i, t, q)
         conj.add(centers.isogonal_conjugate(t, q).dist(tpt) / t.circumradius, i, t, q)
-    return report
 
 
 def _chain_points(rng, t: Triangle) -> list[tuple[str, Point]]:
@@ -487,14 +458,13 @@ def _chain_points(rng, t: Triangle) -> list[tuple[str, Point]]:
     ]
 
 
-def suite_theorem14(seed: int, trials: int = 50) -> SuiteReport:
+def suite_theorem14(report: SuiteReport) -> None:
     """Chains: triangles with indices congruent mod 3 are directly similar,
     vertex for vertex, for the pedal and random rotation schedules."""
-    report = SuiteReport("theorem14", seed, trials)
     default_sched = report.claim("mod3-pedal-schedule", 1e-6)
     random_sched = report.claim("mod3-random-schedule", 1e-6)
     k = 9
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         for name, p in _chain_points(rng, t):
@@ -503,7 +473,6 @@ def suite_theorem14(seed: int, trials: int = 50) -> SuiteReport:
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(k)]
             gap = check_mod3_similarity(iterate_chain(t, p, k, thetas=thetas))
             random_sched.add(gap, i, t, p, note=f" [{name}]")
-    return report
 
 
 # theorem15's correspondences: for each named point, chain triangle k against
@@ -531,18 +500,17 @@ def _seed_gaps(rec, name: str):
             yield k, shape_gap(seed, shape_ratio(xy, order), mirrored)
 
 
-def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
+def suite_theorem15(report: SuiteReport) -> None:
     """Chain similarity-to-seed schedules, each step under its pinned
     correspondence: Brocard chains all similar; circumcenter and symmedian
     chains at steps 0,1 mod 3; orthocenter and median chains at 2,0 mod 3."""
-    report = SuiteReport("theorem15", seed, trials)
     brocard_all = report.claim("brocard-all-similar", 1e-6)
     brocard_angles = report.claim("brocard-angle-fixed", 1e-7)
     o_s_steps = report.claim("seed-similar-steps-0-1-mod3", 1e-6)
     h_m_steps = report.claim("seed-similar-steps-2-0-mod3", 1e-6)
     generic = report.claim("generic-steps-1-2-dissimilar", 0.5, informational=True)
     k = 6
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         v = VERTEX_LABELS[i % 3]
@@ -573,19 +541,17 @@ def suite_theorem15(seed: int, trials: int = 50) -> SuiteReport:
             for step_idx in (1, 2)
         )
         generic.add_bool(dissimilar, i, t, note=" [random]")
-    return report
 
 
-def suite_corollary4(seed: int, trials: int = 50) -> SuiteReport:
+def suite_corollary4(report: SuiteReport) -> None:
     """Detected role sequences along chains: circumcenter -> orthocenter ->
     in/excenter repeating, symmedian -> median -> arc role repeating, and
     Brocard points pinned at every step."""
-    report = SuiteReport("corollary4", seed, trials)
     center_cycle = report.claim("center-role-cycle", 0.5)
     symmedian_cycle = report.claim("symmedian-role-cycle", 0.5)
     brocard_fixed = report.claim("brocard-role-fixed", 0.5)
     k = 6
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         v = VERTEX_LABELS[i % 3]
@@ -607,14 +573,12 @@ def suite_corollary4(seed: int, trials: int = 50) -> SuiteReport:
             brocard_fixed.add_bool(
                 all(r.role == role_name for r in rec.roles), i, t, note=f" [{which}]"
             )
-    return report
 
 
-def suite_simson(seed: int, trials: int = 200) -> SuiteReport:
+def suite_simson(report: SuiteReport) -> None:
     """Points on the circumcircle: the three pedal feet are collinear."""
-    report = SuiteReport("simson", seed, trials)
     collinear = report.claim("feet-collinear", 1e-9)
-    for i in range(trials):
+    for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
         p = random_circumcircle_point(rng, t)
@@ -623,39 +587,44 @@ def suite_simson(seed: int, trials: int = 200) -> SuiteReport:
             collinear.add(1.0, i, t, p)
             continue
         collinear.add(sim.max_deviation() / t.circumradius, i, t, p)
-    return report
 
 
+# each suite with its default trial count
 SUITES = {
-    "theorem1": suite_theorem1,
-    "theorem2": suite_theorem2,
-    "theorem3": suite_theorem3,
-    "theorem4": suite_theorem4,
-    "theorem5": suite_theorem5,
-    "theorem6": suite_theorem6,
-    "theorem7": suite_theorem7,
-    "theorem8": suite_theorem8,
-    "theorem9": suite_theorem9,
-    "theorem10": suite_theorem10,
-    "theorem11": suite_theorem11,
-    "theorem12": suite_theorem12,
-    "theorem13": suite_theorem13,
-    "theorem14": suite_theorem14,
-    "theorem15": suite_theorem15,
-    "corollary4": suite_corollary4,
-    "lemma1": suite_lemma1,
-    "lemma2": suite_lemma2,
-    "simson": suite_simson,
+    "theorem1": (suite_theorem1, 1000),
+    "theorem2": (suite_theorem2, 500),
+    "theorem3": (suite_theorem3, 200),
+    "theorem4": (suite_theorem4, 50),
+    "theorem5": (suite_theorem5, 100),
+    "theorem6": (suite_theorem6, 100),
+    "theorem7": (suite_theorem7, 100),
+    "theorem8": (suite_theorem8, 100),
+    "theorem9": (suite_theorem9, 100),
+    "theorem10": (suite_theorem10, 100),
+    "theorem11": (suite_theorem11, 100),
+    "theorem12": (suite_theorem12, 200),
+    "theorem13": (suite_theorem13, 100),
+    "theorem14": (suite_theorem14, 50),
+    "theorem15": (suite_theorem15, 50),
+    "corollary4": (suite_corollary4, 50),
+    "lemma1": (suite_lemma1, 400),
+    "lemma2": (suite_lemma2, 500),
+    "simson": (suite_simson, 200),
 }
 
 
 def run_suite(name: str, seed: int, trials: int | None = None) -> SuiteReport:
+    """Run suite ``name`` at ``seed`` over ``trials`` trials (its default
+    count when None), timed: the one way to run a suite."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    if trials is not None and trials < 1:
+    suite, default_trials = SUITES[name]
+    if trials is None:
+        trials = default_trials
+    elif trials < 1:
         raise ValueError(f"a suite needs at least one trial, got {trials}")
-    fn = SUITES[name]
+    report = SuiteReport(name, seed, trials)
     started = time.perf_counter()
-    report = fn(seed) if trials is None else fn(seed, trials)
+    suite(report)
     report.duration = time.perf_counter() - started
     return report

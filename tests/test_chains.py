@@ -43,7 +43,7 @@ from miquel.triads import (
     family_member,
     miquel_point,
 )
-from miquel.verify import SEED_CORRESPONDENCES, suite_theorem15
+from miquel.verify import SEED_CORRESPONDENCES, run_suite
 
 SQ3 = math.sqrt(3.0)
 TSCA = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
@@ -219,9 +219,9 @@ class TestSeedCorrespondences:
             steps_xy =(*rec.steps_xy[:2], swap(*rec.steps_xy[2]), *rec.steps_xy[3:])
             return replace(rec, steps_xy=steps_xy)
 
-        assert suite_theorem15(7, 3).passed
+        assert run_suite("theorem15", 7, 3).passed
         monkeypatch.setattr(miquel.verify, "iterate_chain", swapped)
-        claims = {c.name: c for c in suite_theorem15(7, 3).claims}
+        claims = {c.name: c for c in run_suite("theorem15", 7, 3).claims}
         for name in (
             "brocard-all-similar",
             "seed-similar-steps-0-1-mod3",

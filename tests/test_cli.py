@@ -180,6 +180,18 @@ def test_verify_without_trials_is_usage_error(trials):
     assert res.stderr == f"usage error: a suite needs at least one trial, got {trials}\n"
 
 
+def test_verify_claim_no_trial_reached_fails():
+    # obtuse hosts run only on odd trials, so one trial checks no excenter
+    res = run_cli("verify", "--suite", "theorem6", "--trials", "1")
+    assert res.returncode == 3
+    lines = res.stdout.splitlines()
+    assert lines[1].split()[:2] == ["acute-incenter", "PASS"]
+    assert lines[2].split() == [
+        "obtuse-excenter", "FAIL", "max", "0.000e+00", "tol", "1e-08", "trials", "0"
+    ]
+    assert lines[-1] == "result FAIL"
+
+
 def test_non_integer_env_seed(tri_file):
     env = {"MIQUEL_SEED": "abc"}
     res = run_cli("centers", "--in", tri_file, env_extra=env)

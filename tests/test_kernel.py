@@ -288,10 +288,6 @@ class TestTriangle:
             assert t.circumcircle.radius > 0.0
         assert 0 < built < 10000
 
-    def test_seeded_side_lengths_match_the_property(self):
-        t = Triangle(Point(0.1, 0.2), Point(4.3, -0.7), Point(1.9, 3.1))
-        assert t.side_lengths == Triangle.side_lengths.func(t)
-
     def test_angles_sum(self):
         t = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
         assert abs(sum(t.angles) - math.pi) < 1e-12

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from miquel.kernel import Point, Triangle
 from miquel.verify import SUITES, ClaimResult, run_suite
 
@@ -9,6 +11,41 @@ from miquel.verify import SUITES, ClaimResult, run_suite
 def test_registry_names():
     expected = {f"theorem{i}" for i in range(1, 16)} | {"lemma1", "lemma2", "corollary4", "simson"}
     assert set(SUITES) == expected
+
+
+def test_default_trial_counts():
+    assert {name: trials for name, (_, trials) in SUITES.items()} == {
+        "theorem1": 1000,
+        "theorem2": 500,
+        "theorem3": 200,
+        "theorem4": 50,
+        "theorem5": 100,
+        "theorem6": 100,
+        "theorem7": 100,
+        "theorem8": 100,
+        "theorem9": 100,
+        "theorem10": 100,
+        "theorem11": 100,
+        "theorem12": 200,
+        "theorem13": 100,
+        "theorem14": 50,
+        "theorem15": 50,
+        "corollary4": 50,
+        "lemma1": 400,
+        "lemma2": 500,
+        "simson": 200,
+    }
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_zero_trials_rejected(name):
+    with pytest.raises(ValueError, match="at least one trial, got 0"):
+        run_suite(name, 7, 0)
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(KeyError):
+        run_suite("nope", 7)
 
 
 def test_all_suites_pass_smoke():
@@ -80,3 +117,20 @@ def test_nan_residual_fails_its_trial():
     claim.add(math.nan, 3, t)
     assert claim.trials == 4
     assert claim.worst.startswith("trial 1: ")
+
+
+def test_claim_no_trial_reached_fails():
+    assert not ClaimResult("x", 1e-9).passed
+    # obtuse hosts run only on odd trials, so one trial checks no excenter
+    rep = run_suite("theorem6", 7, 1)
+    claims = {c.name: c for c in rep.claims}
+    assert claims["acute-incenter"].passed
+    assert claims["obtuse-excenter"].trials == 0
+    assert not claims["obtuse-excenter"].passed
+    assert not rep.passed
+
+
+def test_informational_claim_without_trials_does_not_gate():
+    rep = run_suite("theorem15", 7, 1)
+    rep.claim("never-reached", 1.0, informational=True)
+    assert rep.passed
