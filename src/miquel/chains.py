@@ -89,9 +89,9 @@ def _step(
     ``miquel_point``, with the same floats and the same guards, in the same
     order. No Point is built.
 
-    Raises what ``family_member`` and ``miquel_point`` raise,
-    ``CollinearError`` for the triangles ``Triangle`` rejects (the test of
-    ``circle_xy`` is the same), and ``DegenerateStepError`` when the
+    Raises what ``family_member``, ``reject_side_lines`` and ``miquel_point``
+    raise, ``CollinearError`` for the triangles ``Triangle`` rejects (the
+    test of ``circle_xy`` is the same), and ``DegenerateStepError`` when the
     triangle leaves the coordinate range, where later constructions on it
     (the Brocard weights) overflow.
     """

@@ -16,20 +16,20 @@ import sys
 
 from . import centers
 from .chains import CHAIN_SIMILARITY_TOL, check_mod3_similarity, iterate_chain
-from .errors import GeometryError, OnSideLineError, RightAngleDegenerateError, SceneError
+from .errors import GeometryError, RightAngleDegenerateError, SceneError
 from .figures import ELEMENTS, render_figure
-from .kernel import Point, Triangle
+from .kernel import Point, Triangle, reject_side_lines
 from .scene import SceneSpec, parse_scene, point_in_range
 from .triads import (
     PEDAL_SIMILARITY_TOL,
-    SimsonLine,
     Triad,
     classify_similarity,
     detect_special_role,
     family_member,
     miquel_point,
-    pedal_feet,
+    on_circumcircle,
     pedal_triad,
+    simson_line,
 )
 from .verify import SUITES, SuiteReport, run_suite
 
@@ -105,22 +105,11 @@ def cmd_classify(args) -> int:
         raise ValueError("--tolerance must be finite and strictly positive")
     role = detect_special_role(t, p, args.tolerance)
     doc: dict = {"role": str(role)}
-    simson = None
-    try:
-        triad = pedal_triad(t, p)
-    except OnSideLineError:
-        # a point on a side line still has well-defined feet there
-        shape = Triangle(*pedal_feet(t, p))
-    else:
-        if isinstance(triad, SimsonLine):
-            simson, shape = triad, None
-        else:
-            shape = triad.triangle()
-    if simson is not None:
+    if on_circumcircle(t, p):
         doc["pedal"] = "simson-line"
-        doc["collinearity_deviation"] = simson.max_deviation()
+        doc["collinearity_deviation"] = simson_line(t, p).max_deviation()
     else:
-        match = classify_similarity(t, shape, PEDAL_SIMILARITY_TOL)
+        match = classify_similarity(t, pedal_triad(t, p).triangle(), PEDAL_SIMILARITY_TOL)
         if match is None:
             doc["similar_to_host"] = False
         else:
@@ -176,11 +165,11 @@ def cmd_family(args) -> int:
     p = _require_point(scene, args.point)
     theta = args.theta if args.theta is not None else (scene.theta or 0.0)
     triad = family_member(t, p, theta)
+    reject_side_lines(t.min_side_line_distance(p), t.circumradius)
     res = miquel_point(t, triad)
-    ped = pedal_triad(t, p)
     ratio = None
-    if not isinstance(ped, SimsonLine):
-        ratio = triad.triangle().side_lengths[0] / ped.triangle().side_lengths[0]
+    if not on_circumcircle(t, p):
+        ratio = triad.triangle().side_lengths[0] / pedal_triad(t, p).triangle().side_lengths[0]
     u, v, w = triad.params
     doc = {
         "theta": theta,

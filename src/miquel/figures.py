@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import math
 
-from . import centers
+from . import centers, kernel
 from .errors import GeometryError, SceneError
 from .kernel import Circle, Line, Point, Triangle, circumcircle, midpoint, second_intersection
 from .scene import SceneSpec
-from .triads import SimsonLine, Triad, miquel_point, pedal_triad
+from .triads import Triad, miquel_point, on_circumcircle, pedal_triad, simson_line
 
 ELEMENTS = (
     "circumcircle",
@@ -52,21 +52,21 @@ class _Canvas:
         self.labels: list[str] = []
         self.stroke = view_radius / 120.0
 
-    def line(self, a: Point, b: Point, color: str = _STROKE, width_scale: float = 1.0) -> None:
+    def line(self, a: Point, b: Point, color: str = _STROKE) -> None:
         self.shapes.append(
             f'<line x1="{_sx(a)}" y1="{_sy(a)}" x2="{_sx(b)}" y2="{_sy(b)}" '
-            f'stroke="{color}" stroke-width="{_fmt(self.stroke * width_scale)}"/>'
+            f'stroke="{color}" stroke-width="{_fmt(self.stroke)}"/>'
         )
 
-    def infinite_line(self, line: Line, color: str = _AUX) -> None:
+    def infinite_line(self, line: Line) -> None:
         span = 2.0 * self.radius
         t0 = line.param_of(self.center)
-        self.line(line.at(t0 - span), line.at(t0 + span), color)
+        self.line(line.at(t0 - span), line.at(t0 + span), _ACCENT)
 
-    def circle(self, c: Circle, color: str = _AUX) -> None:
+    def circle(self, c: Circle) -> None:
         self.shapes.append(
             f'<circle cx="{_sx(c.center)}" cy="{_sy(c.center)}" r="{_fmt(c.radius)}" '
-            f'fill="none" stroke="{color}" stroke-width="{_fmt(self.stroke)}"/>'
+            f'fill="none" stroke="{_AUX}" stroke-width="{_fmt(self.stroke)}"/>'
         )
 
     def polygon(self, pts: tuple[Point, ...], color: str = _STROKE) -> None:
@@ -143,10 +143,8 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
         elif element == "simson":
             if scene.point is None:
                 raise SceneError("element 'simson' requires P")
-            sim = pedal_triad(t, scene.point)
-            if not isinstance(sim, SimsonLine):
-                raise GeometryError("P is not on the circumcircle; no collapsed line")
-            canvas.infinite_line(sim.line, _ACCENT)
+            sim = simson_line(t, scene.point)
+            canvas.infinite_line(sim.line)
             for q in sim.feet:
                 canvas.point(q, None, _ACCENT)
         elif element == "centers":
@@ -175,10 +173,10 @@ def _scene_triad(scene: SceneSpec) -> Triad:
 def _pedal_or_error(t: Triangle, scene: SceneSpec) -> Triad:
     if scene.point is None:
         raise SceneError("this element requires P or triad parameters")
-    triad = pedal_triad(t, scene.point)
-    if isinstance(triad, SimsonLine):
+    kernel.reject_side_lines(t.min_side_line_distance(scene.point), t.circumradius)
+    if on_circumcircle(t, scene.point):
         raise GeometryError("P sits on the circumcircle; select 'simson' instead")
-    return triad
+    return pedal_triad(t, scene.point)
 
 
 def _median_symmedian_layer(canvas: _Canvas, t: Triangle, vertex: str, name) -> None:

@@ -537,7 +537,13 @@ class Triangle:
         return abs(lens[(i + 1) % 3] - lens[(i + 2) % 3]) < length_eps * self.circumradius
 
     def min_side_line_distance(self, p: Point) -> float:
-        return min(abs(side.offset(p)) for side in self.side_lines)
+        """Distance of ``p`` from the nearest of ``side_lines``, on coordinates."""
+        ax, ay, bx, by, cx, cy = self.xy
+        distances = []
+        for tx, ty, hx, hy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)):
+            dx, dy = unit_direction(hx - tx, hy - ty)
+            distances.append(abs(offset_xy(tx, ty, dx, dy, p.x, p.y)))
+        return min(distances)
 
 
 def reject_side_lines(distance: float, circumradius: float) -> None:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from . import centers
 from .centers import SpecialRole
@@ -169,36 +169,25 @@ def on_circumcircle(t: Triangle, p: Point) -> bool:
     return on_circle_xy((c.center.x, c.center.y, c.radius), p.x, p.y)
 
 
-def pedal_feet(t: Triangle, p: Point) -> tuple[Point, Point, Point]:
-    """Raw perpendicular feet of ``p`` on the side lines, in X, Y, Z order:
-    ``family_xy`` at theta = 0.
-
-    Defined for every point; unlike ``pedal_triad`` it does not reject
-    points on the side lines (where the foot on that line is the point
-    itself: the circumcircle inverses of the symmedian arc points land
-    there).
-    """
-    feet, _ = family_xy(t.xy, p.x, p.y, 0.0)
-    return _points(feet)
-
-
-def pedal_triad(t: Triangle, p: Point) -> Union[Triad, SimsonLine]:
+def pedal_triad(t: Triangle, p: Point) -> Triad:
     """Perpendicular feet of ``p`` on the three side lines: the family
-    member at theta = 0.
+    member at theta = 0, defined for every point. On the circumcircle they
+    are collinear (``simson_line``)."""
+    return family_member(t, p, 0.0)
 
-    Points on the circumcircle (within the degeneration band) yield the
-    collapsed collinear triple instead of a triad.
-    """
-    xy, nearest = family_xy(t.xy, p.x, p.y, 0.0)
-    reject_side_lines(nearest, t.circumradius)
-    feet = _points(xy)
-    if on_circumcircle(t, p):
-        anchor, far = max(
-            ((feet[i], feet[j]) for i in range(3) for j in range(i + 1, 3)),
-            key=lambda pair: pair[0].dist(pair[1]),
-        )
-        return SimsonLine(Line.through(anchor, far), feet)
-    return Triad(t, *feet)
+
+def simson_line(t: Triangle, p: Point) -> SimsonLine:
+    """The line through the collinear pedal feet of ``p``, a point inside
+    the circumcircle's degeneration band; it passes through the two feet
+    farthest apart."""
+    if not on_circumcircle(t, p):
+        raise GeometryError("P is not on the circumcircle; no collapsed line")
+    feet = pedal_triad(t, p).points
+    anchor, far = max(
+        ((feet[i], feet[j]) for i in range(3) for j in range(i + 1, 3)),
+        key=lambda pair: pair[0].dist(pair[1]),
+    )
+    return SimsonLine(Line.through(anchor, far), feet)
 
 
 def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
@@ -245,11 +234,10 @@ def family_member(t: Triangle, p: Point, theta: float) -> Triad:
     p + (F − p)·(1 + i·tan theta) about ``p``.
 
     theta = 0 is the pedal triad, and the triad triangle scales by
-    1/cos(theta) relative to it. Raises ``OnSideLineError`` for a point on
-    a side line.
+    1/cos(theta) relative to it. Defined for every point: on a side line
+    the vertex on that line is ``p`` itself.
     """
-    xy, nearest = family_xy(t.xy, p.x, p.y, theta)
-    reject_side_lines(nearest, t.circumradius)
+    xy, _ = family_xy(t.xy, p.x, p.y, theta)
     return Triad(t, *_points(xy))
 
 
@@ -410,9 +398,10 @@ def containment_parity(t: Triangle, p: Point) -> ParityReport:
     For interior points also reports the full turn of the three rays toward
     the pedal feet (2*pi exactly when the point is enclosed by them).
     """
-    triad = pedal_triad(t, p)  # rejects a point on a side line first
-    if isinstance(triad, SimsonLine):
+    reject_side_lines(t.min_side_line_distance(p), t.circumradius)
+    if on_circumcircle(t, p):
         raise GeometryError("the pedal triple degenerates on the circumcircle")
+    triad = pedal_triad(t, p)
     inside_host = triangle_contains(t, p)
     inside_miquel = triangle_contains(triad.triangle(), p)
     ray_sum = None

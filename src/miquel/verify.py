@@ -50,7 +50,6 @@ from .sampling import (
 )
 from .triads import (
     PEDAL_SIMILARITY_TOL,
-    SimsonLine,
     SpecialRole,
     Triad,
     angle_sextet,
@@ -60,8 +59,9 @@ from .triads import (
     family_member,
     miquel_point,
     miquel_triangle_angles,
-    pedal_feet,
+    on_circumcircle,
     pedal_triad,
+    simson_line,
     verify_miquel_equations,
 )
 
@@ -213,7 +213,7 @@ def suite_theorem3(report: SuiteReport) -> None:
             if p.dist(circ.center) > 0.1 * circ.radius:
                 break
         q = centers.inverse_in_circumcircle(t, p)
-        r_p, r_q = (shape_ratio(Triangle(*pedal_feet(t, r)).xy, (0, 1, 2)) for r in (p, q))
+        r_p, r_q = (shape_ratio(pedal_triad(t, r).triangle().xy, (0, 1, 2)) for r in (p, q))
         similar.add(shape_gap(r_p, r_q, True), i, t, p)
 
 
@@ -242,7 +242,7 @@ def suite_theorem4(report: SuiteReport) -> None:
         host = shape_ratio(t.xy, (0, 1, 2))
         orientations = []
         for e in cat:
-            shape = Triangle(*pedal_feet(t, e.location))
+            shape = pedal_triad(t, e.location).triangle()
             order = tuple(map("XYZ".index, e.expected_similarity))
             gap = shape_gap(host, shape_ratio(shape.xy, order), e.mirrored)
             if e.inverse:
@@ -265,7 +265,7 @@ def suite_theorem5(report: SuiteReport) -> None:
         t = random_triangle(rng)
         o = centers.circumcenter(t)
         claim.add(
-            centers.orthocenter(Triangle(*pedal_feet(t, o))).dist(o) / t.circumradius,
+            centers.orthocenter(pedal_triad(t, o).triangle()).dist(o) / t.circumradius,
             i, t, o,
         )
 
@@ -281,13 +281,13 @@ def suite_theorem6(report: SuiteReport) -> None:
         if i % 2 == 0:
             t = random_acute_triangle(rng)
             h = centers.orthocenter(t)
-            target = centers.incenter(Triangle(*pedal_feet(t, h)))
+            target = centers.incenter(pedal_triad(t, h).triangle())
             acute.add(target.dist(h) / t.circumradius, i, t, h)
         else:
             v = VERTEX_LABELS[(i // 2) % 3]
             t = random_obtuse_at(rng, v)
             h = centers.orthocenter(t)
-            target = centers.excenter(Triangle(*pedal_feet(t, h)), v)
+            target = centers.excenter(pedal_triad(t, h).triangle(), v)
             obtuse.add(target.dist(h) / t.circumradius, i, t, h)
 
 
@@ -301,12 +301,12 @@ def suite_theorem7(report: SuiteReport) -> None:
         t = random_triangle(rng)
         l = centers.incenter(t)
         from_in.add(
-            centers.circumcenter(Triangle(*pedal_feet(t, l))).dist(l) / t.circumradius,
+            centers.circumcenter(pedal_triad(t, l).triangle()).dist(l) / t.circumradius,
             i, t, l,
         )
         ex = centers.excenter(t, VERTEX_LABELS[i % 3])
         from_ex.add(
-            centers.circumcenter(Triangle(*pedal_feet(t, ex))).dist(ex) / t.circumradius,
+            centers.circumcenter(pedal_triad(t, ex).triangle()).dist(ex) / t.circumradius,
             i, t, ex,
         )
 
@@ -329,7 +329,7 @@ def suite_theorem8(report: SuiteReport) -> None:
         t = random_triangle(rng)
         which = "first" if i % 2 == 0 else "second"
         p = centers.brocard_point(t, which)
-        shape = Triangle(*pedal_feet(t, p))
+        shape = pedal_triad(t, p).triangle()
         position.add(
             centers.brocard_point(shape, which).dist(p) / t.circumradius,
             i, t, p,
@@ -348,7 +348,7 @@ def suite_theorem9(report: SuiteReport) -> None:
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         p = centers.s_point(t, v)
-        shape = Triangle(*pedal_feet(t, p))
+        shape = pedal_triad(t, p).triangle()
         apex = shape.vertex(v)
         b2, c2 = shape.opposite(v)
         e = midpoint(b2, c2)
@@ -377,7 +377,7 @@ def suite_theorem10(report: SuiteReport) -> None:
         obtuse_case = bool(i % 2)
         t = random_obtuse_at(rng, v) if obtuse_case else random_acute_triangle(rng)
         p = centers.m_point(t, v)
-        shape = Triangle(*pedal_feet(t, p))
+        shape = pedal_triad(t, p).triangle()
         b2, c2 = shape.opposite(v)
         host_dir = t.directed_angle_at(v)
         worst = max(
@@ -404,7 +404,7 @@ def suite_theorem11(report: SuiteReport) -> None:
         b, c = t.opposite(v)
         circ = circumcircle(b, c, l)
         p = random_arc_point(rng, circ.center, circ.radius, c, b, l)
-        shape = Triangle(*pedal_feet(t, p))
+        shape = pedal_triad(t, p).triangle()
         s_match.add(centers.s_point(shape, v).dist(p) / t.circumradius, i, t, p)
         b2, c2 = shape.opposite(v)
         double_angle.add(
@@ -582,11 +582,10 @@ def suite_simson(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_triangle(rng)
         p = random_circumcircle_point(rng, t)
-        sim = pedal_triad(t, p)
-        if not isinstance(sim, SimsonLine):
+        if not on_circumcircle(t, p):
             collinear.add(1.0, i, t, p)
             continue
-        collinear.add(sim.max_deviation() / t.circumradius, i, t, p)
+        collinear.add(simson_line(t, p).max_deviation() / t.circumradius, i, t, p)
 
 
 # each suite with its default trial count

@@ -101,6 +101,20 @@ def test_classify_right_triangle_circumcenter_on_hypotenuse(tmp_path):
     assert "permutation XYZ" in res.stdout
 
 
+def test_vertex_gets_its_simson_line(tri_file, tmp_path):
+    # a vertex is on the circumcircle and on two side lines: two of its feet
+    # are the vertex, the third is the altitude's foot
+    res = run_cli("classify", "--in", tri_file, "--point", "0,0")
+    assert res.returncode == 0
+    assert res.stdout.startswith("role           none\n")
+    assert "pedal          collinear (simson line), deviation " in res.stdout
+    scene = tmp_path / "vertex.json"
+    scene.write_text('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [0, 0]}')
+    res = run_cli("figure", "--in", str(scene), "--elements", "simson")
+    assert res.returncode == 0
+    assert "<line" in res.stdout
+
+
 def test_miquel_subcommand(tri_file):
     res = run_cli("miquel", "--in", tri_file, "--triad", "0.3,0.3,0.3", "--json")
     doc = json.loads(res.stdout)
@@ -366,6 +380,9 @@ def test_chain_step_cap_is_usage_error(tri_file):
 SCENE_P = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2, 1]}'
 # a point on the circumcircle of tri.json, centered (2, 1) with radius √5
 ON_CIRCLE = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [4.23606797749979, 1]}'
+# a point on side BC of tri.json
+ON_SIDE = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2.5, 1.5]}'
+ON_SIDE_LINE = "OnSideLineError: the point lies on a side line of the triangle"
 
 
 @pytest.mark.parametrize(
@@ -380,6 +397,8 @@ ON_CIRCLE = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [4.23606797749979, 1]}
          "GeometryError: P is not on the circumcircle; no collapsed line"),
         (ON_CIRCLE, ("figure", "--elements", "pedal"),
          "GeometryError: P sits on the circumcircle; select 'simson' instead"),
+        (ON_SIDE, ("family", "--theta", "0.3"), ON_SIDE_LINE),
+        (ON_SIDE, ("figure", "--elements", "pedal"), ON_SIDE_LINE),
     ],
 )
 def test_geometric_error_names_its_class_and_collapse(tmp_path, scene, argv, line):

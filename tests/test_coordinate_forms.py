@@ -8,9 +8,10 @@ later edit that reassociates a sum or a product fails here.
 
 The chain step builds no Point, from the same coordinate bodies as
 `family_member` and `miquel_point` (`family_xy`, `miquel_xy`), so its
-triangles and Miquel points equal theirs. `pedal_feet`, `pedal_triad` and
-`family_member` at theta = 0 read `family_xy` too, so they give one pedal
-triangle.
+triangles and Miquel points equal theirs. `pedal_triad` is `family_member`
+at theta = 0, so its feet are the side lines' projections of the point, on
+a side line too. `Triangle.min_side_line_distance` reads the same floats as
+`family_xy`'s nearest distance, which the chain step hands to its guard.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from miquel.kernel import (
     circle_xy,
     circumcircle,
     directed_angle,
+    midpoint,
     offset_xy,
     project_xy,
     reflect_over_line,
@@ -48,12 +50,10 @@ from miquel.sampling import (
 )
 from miquel.triads import (
     PEDAL_SIMILARITY_TOL,
-    SimsonLine,
     Triad,
     classify_similarity,
     family_member,
     miquel_point,
-    pedal_feet,
     pedal_triad,
 )
 
@@ -281,6 +281,15 @@ def test_triangle_construction_test():
     assert outcomes == {float, CollinearError, ValueError}
 
 
+def test_min_side_line_distance():
+    """The nearest of the side lines' offsets, for points off the side lines,
+    on one and on two (a vertex)."""
+    for t, points, _ in CASES:
+        for p in (*points, t.a, midpoint(t.b, t.c)):
+            expected = min(abs(side.offset(p)) for side in t.side_lines)
+            assert t.min_side_line_distance(p) == expected
+
+
 def test_line_at_project_and_reflect():
     for t, points, theta in CASES:
         for line in (*t.side_lines, Line.through(*points)):
@@ -357,16 +366,12 @@ def test_family_member_feet_and_triad_forms():
 
 
 def test_one_pedal_triangle():
-    """The pedal feet, the pedal triad and the family member at theta = 0 are
-    one triangle, float for float: the side lines' projections of the point."""
+    """The pedal triad's vertices are the side lines' projections of the
+    point, float for float, for points off the side lines and on them."""
     for t, points, _ in CASES:
-        for p in points:
-            feet = pedal_feet(t, p)
-            assert feet == tuple(t.side_line(v).project(p) for v in "ABC")
-            ped = pedal_triad(t, p)
-            assert not isinstance(ped, SimsonLine)
-            assert ped.points == feet
-            assert family_member(t, p, 0.0).points == feet
+        for p in (*points, t.a, midpoint(t.b, t.c)):
+            feet = tuple(t.side_line(v).project(p) for v in "ABC")
+            assert pedal_triad(t, p).points == feet
 
 
 def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):
@@ -418,7 +423,7 @@ def test_classify_similarity_along_chains(thetas):
 def test_classify_similarity_on_catalog_pedal_shapes():
     for t, _, _ in CASES:
         for e in centers.eleven_point_catalog(t):
-            shape = Triangle(*pedal_feet(t, e.location))
+            shape = pedal_triad(t, e.location).triangle()
             got, expected = _verdicts(t, shape, PEDAL_SIMILARITY_TOL)
             letters = e.expected_similarity.translate(str.maketrans("XYZ", "ABC"))
             assert got == expected == (letters, "inverse" if e.mirrored else "direct")

@@ -2,9 +2,9 @@
 
 Near a band the step may go either way, but the coordinate-form step of
 ``iterate_chain`` must go the way the object path goes (``family_member``,
-``miquel_point``, the triad's circumcircle and its triangle): the same
-triangle, or ``DegenerateStepError`` with the same message from the same
-error class.
+the side-line guard, ``miquel_point``, the triad's circumcircle and its
+triangle): the same triangle, or ``DegenerateStepError`` with the same
+message from the same error class.
 """
 
 import math
@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from miquel.chains import iterate_chain
 from miquel.errors import DegenerateStepError, GeometryError
-from miquel.kernel import ANGLE_EPS, HALF_PI, LENGTH_EPS, Point, circumcircle
+from miquel.kernel import (
+    ANGLE_EPS,
+    HALF_PI,
+    LENGTH_EPS,
+    Point,
+    circumcircle,
+    reject_side_lines,
+)
 from miquel.sampling import random_interior_point, random_obtuse_at, random_triangle, rng_for
 from miquel.triads import (
     CIRCUMCIRCLE_BAND,
@@ -34,6 +41,7 @@ def _object_step(t, p, theta):
         raise DegenerateStepError("collinear collapse on the circumcircle at step 0")
     try:
         triad = family_member(t, p, theta)
+        reject_side_lines(t.min_side_line_distance(p), t.circumradius)
         result = miquel_point(t, triad)
         circumcircle(*triad.points)  # the chain's next circle; same test as Triangle's
         nxt = triad.triangle()

@@ -8,6 +8,7 @@ import pytest
 from miquel.centers import (
     brocard_point,
     circumcenter,
+    eleven_point_catalog,
     excenter,
     incenter,
     m_point,
@@ -44,7 +45,6 @@ from miquel.sampling import (
     rng_for,
 )
 from miquel.triads import (
-    SimsonLine,
     SpecialRole,
     Triad,
     angle_sextet,
@@ -54,8 +54,8 @@ from miquel.triads import (
     family_member,
     miquel_point,
     miquel_triangle_angles,
-    pedal_feet,
     pedal_triad,
+    simson_line,
     verify_miquel_equations,
 )
 
@@ -83,8 +83,7 @@ class TestPedalTriad:
 
     def test_antipode_simson_on_hypotenuse_line(self):
         # antipode of the right-angle vertex: the feet collapse onto line BC
-        sim = pedal_triad(T345, Point(4, 3))
-        assert isinstance(sim, SimsonLine)
+        sim = simson_line(T345, Point(4, 3))
         feet = sorted(sim.feet, key=lambda p: p.x)
         assert feet[0].dist(Point(0, 3)) < 1e-12
         assert feet[1].dist(Point(64 / 25, 27 / 25)) < 1e-12
@@ -94,9 +93,21 @@ class TestPedalTriad:
             assert abs(hypotenuse.offset(f)) < 1e-12
         assert sim.max_deviation() < 1e-12
 
-    def test_side_line_rejected(self):
-        with pytest.raises(OnSideLineError):
-            pedal_triad(TSCA, Point(2, 0))
+    def test_foot_on_the_side_line_is_the_point(self):
+        # (2, 0) is on line AB, so Z is the point at every rotation
+        p = Point(2, 0)
+        assert pedal_triad(TSCA, p).z == p
+        for theta in (-1.0, 0.3):
+            assert family_member(TSCA, p, theta).z == p
+
+    def test_vertex_simson_line_is_the_altitude(self):
+        # A is on lines CA and AB, so two feet are A; the third is the foot of
+        # the altitude from A
+        sim = simson_line(TSCA, TSCA.a)
+        altitude = Line.through(TSCA.a, TSCA.side_line("A").project(TSCA.a))
+        for f in sim.feet:
+            assert abs(altitude.offset(f)) < 1e-12
+        assert sim.max_deviation() < 1e-12
 
     def test_feet_are_perpendicular_projections(self):
         rng = rng_for(0, "pedal", 0)
@@ -178,7 +189,6 @@ class TestFamilyMember:
         ped = pedal_triad(TSCA, p)
         fam = family_member(TSCA, p, 0.0)
         assert fam == ped
-        assert fam.points == pedal_feet(TSCA, p)
 
     def test_equilateral_ratio_at_pi_over_six(self):
         o = circumcenter(EQUI)
@@ -223,6 +233,21 @@ class TestFamilyMember:
         for i in range(len(tris) - 1):
             match = classify_similarity(tris[i], tris[i + 1], tol)
             assert match is not None and match.permutation == "ABC"
+
+    def test_every_catalog_family_holds_the_host_shape(self):
+        # a family member is the pedal triangle under a spiral similarity
+        # about p, so each of the eleven families, the three on a side line
+        # included, keeps the host's shape under the recorded correspondence
+        rng = rng_for(0, "family", 1)
+        for _ in range(20):
+            t = random_catalog_triangle(rng)
+            host = shape_ratio(t.xy, (0, 1, 2))
+            for e in eleven_point_catalog(t):
+                order = tuple(map("XYZ".index, e.expected_similarity))
+                for theta in (-1.0, -0.4, 0.0, 0.3, 1.2):
+                    member = family_member(t, e.location, theta).triangle()
+                    gap = shape_gap(host, shape_ratio(member.xy, order), e.mirrored)
+                    assert gap < 1e-12, (str(e.kind), e.inverse, theta)
 
 
 def _family_member_by_spoke_lines(t, p, theta):
@@ -527,15 +552,13 @@ class TestSimson:
         for _ in range(200):
             t = random_triangle(rng)
             p = random_circumcircle_point(rng, t)
-            sim = pedal_triad(t, p)
-            assert isinstance(sim, SimsonLine)
-            assert sim.max_deviation() < 1e-9 * t.circumradius
+            assert simson_line(t, p).max_deviation() < 1e-9 * t.circumradius
 
 
 class TestExteriorCatalogFeet:
     def test_inverse_s_point_feet_reproduce_host_shape(self):
         # the circumcircle inverse of a symmedian arc point always lands on
-        # the opposite side line, so the raw feet are used
+        # the opposite side line, where the foot on that line is the point
         rng = rng_for(0, "extcat", 0)
         from miquel.centers import inverse_in_circumcircle
 
@@ -544,6 +567,6 @@ class TestExteriorCatalogFeet:
             for v in "ABC":
                 q = inverse_in_circumcircle(t, s_point(t, v))
                 assert t.min_side_line_distance(q) < 1e-9 * t.circumradius
-                shape = Triangle(*pedal_feet(t, q))
+                shape = pedal_triad(t, q).triangle()
                 match = classify_similarity(t, shape, 1e-7)
                 assert match is not None
