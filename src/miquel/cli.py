@@ -13,13 +13,15 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
+# Only what every subcommand needs is imported here. `chain`, `verify` and
+# `figure` import chains, verify (with sampling) and figures themselves: a
+# process without a bytecode cache compiles every module it imports.
 from . import centers
-from .chains import CHAIN_SIMILARITY_TOL, check_mod3_similarity, iterate_chain
 from .errors import GeometryError, RightAngleDegenerateError, SceneError
-from .figures import ELEMENTS, render_figure
 from .kernel import Point, Triangle, reject_side_lines
-from .scene import SceneSpec, parse_scene, point_in_range
+from .scene import ELEMENTS, SceneSpec, parse_scene, point_in_range
 from .triads import (
     PEDAL_SIMILARITY_TOL,
     Triad,
@@ -31,7 +33,9 @@ from .triads import (
     pedal_triad,
     simson_line,
 )
-from .verify import SUITES, SuiteReport, run_suite
+
+if TYPE_CHECKING:
+    from .verify import SuiteReport
 
 DEFAULT_SEED = 7
 
@@ -199,6 +203,8 @@ def cmd_family(args) -> int:
 # ---------------------------------------------------------------- chain
 
 def cmd_chain(args) -> int:
+    from .chains import CHAIN_SIMILARITY_TOL, check_mod3_similarity, iterate_chain
+
     scene = _load_scene(args.infile)
     t = scene.triangle
     p = _require_point(scene, args.point)
@@ -274,6 +280,8 @@ def _seed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suite
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.suite != "all" and args.suite not in SUITES:
         raise SceneError(
@@ -299,6 +307,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- figure
 
 def cmd_figure(args) -> int:
+    from .figures import render_figure
+
     scene = _load_scene(args.infile)
     elements = [e for e in (args.elements or "").split(",") if e]
     svg = render_figure(scene, elements)

@@ -9,18 +9,8 @@ import math
 from . import centers, kernel
 from .errors import GeometryError, SceneError
 from .kernel import Circle, Line, Point, Triangle, circumcircle, midpoint, second_intersection
-from .scene import SceneSpec
+from .scene import ELEMENTS, SceneSpec
 from .triads import Triad, miquel_point, on_circumcircle, pedal_triad, simson_line
-
-ELEMENTS = (
-    "circumcircle",
-    "miquel-circles",
-    "pedal",
-    "triad",
-    "simson",
-    "centers",
-    "median-symmedian",
-)
 
 _STROKE = "#1a1a1a"
 _AUX = "#5577bb"

@@ -1,10 +1,10 @@
 """Strict JSON scene documents for the command-line tools.
 
 A scene is a single object with vertex keys "A", "B", "C" and optional
-"P", "triad", "theta" and "options"; anything else is rejected. Numbers are
-read at full float precision. Coordinates must lie within
-±``MAX_COORDINATE`` and the triangle's longest side must be at least
-``MIN_LONGEST_SIDE``.
+"P", "triad", "theta" and "options"; anything else, a key given twice
+included, is rejected. Numbers are read at full float precision.
+Coordinates must lie within ±``MAX_COORDINATE`` and the triangle's longest
+side must be at least ``MIN_LONGEST_SIDE``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,17 @@ from .kernel import MAX_COORDINATE, MIN_LONGEST_SIDE, Point, Triangle
 
 _TOP_KEYS = ("A", "B", "C", "P", "triad", "theta", "options")
 _OPTION_KEYS = ("width", "labels", "vertex")
+# the layers ``miquel figure --elements`` draws, in drawing order; here so the
+# CLI can list them without importing the renderer
+ELEMENTS = (
+    "circumcircle",
+    "miquel-circles",
+    "pedal",
+    "triad",
+    "simson",
+    "centers",
+    "median-symmedian",
+)
 
 
 @dataclass(frozen=True)
@@ -49,9 +60,20 @@ def point_in_range(x: float, y: float, key: str) -> Point:
     return p
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, rejected if a key repeats: ``json.loads``
+    alone keeps the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SceneError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_scene(text: str) -> SceneSpec:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SceneError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

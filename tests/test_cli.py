@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from miquel.scene import ELEMENTS
+
 TRI = '{"A": [0, 0], "B": [4, 0], "C": [1, 3]}'
 
 
@@ -269,6 +271,23 @@ def test_exit_code_usage_error(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "scene, key",
+    [
+        ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "A": [1, 1]}', "A"),
+        ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "options": {"labels": true, "labels": false}}',
+         "labels"),
+    ],
+)
+def test_duplicate_scene_key_is_usage_error(tmp_path, scene, key):
+    path = tmp_path / "scene.json"
+    path.write_text(scene)
+    res = run_cli("figure", "--in", str(path), "--elements", "circumcircle")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert f"usage error: duplicate key '{key}'" in res.stderr
+
+
 @pytest.mark.parametrize("command", ["centers", "miquel"])
 @pytest.mark.parametrize(
     "scene",
@@ -357,6 +376,23 @@ def test_figure_output_and_determinism(tri_file, tmp_path):
     assert first.startswith("<svg")
     run_cli("figure", "--in", str(scene), "--elements", "circumcircle,pedal", "--out", str(out))
     assert out.read_text() == first
+
+
+def test_figure_help_lists_every_element_in_order():
+    res = run_cli("figure", "--help", env_extra={"COLUMNS": "400"})  # one line per flag
+    assert res.returncode == 0
+    line = next(ln for ln in res.stdout.splitlines() if "comma-separated from: " in ln)
+    assert line.split("comma-separated from: ")[1].split(", ") == list(ELEMENTS)
+
+
+def test_figure_unknown_element_lists_the_choices(tri_file):
+    res = run_cli("figure", "--in", tri_file, "--elements", "circumcircle,bogus")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "usage error: unknown elements: ['bogus'] (choose from circumcircle, "
+        "miquel-circles, pedal, triad, simson, centers, median-symmedian)\n"
+    )
 
 
 def test_figure_empty_elements(tri_file):
@@ -452,3 +488,40 @@ def test_abbreviated_flag_is_usage_error(tri_file, argv, flag):
     assert res.returncode == 2
     assert res.stdout == ""
     assert f"unrecognized arguments: {flag} " in res.stderr
+
+
+# the modules only some subcommands run: without a bytecode cache, each one a
+# process imports is compiled from source
+LAZY_MODULES = {"miquel.verify", "miquel.sampling", "miquel.chains", "miquel.figures"}
+_PROBE = """
+import sys
+from miquel import cli
+code = cli.main(sys.argv[1:])
+print(code)
+print(" ".join(m for m in sys.modules if m.startswith("miquel.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("centers", "--in", "{tri}"), set()),
+        (("classify", "--in", "{tri}", "--point", "2,1"), set()),
+        (("miquel", "--in", "{tri}", "--triad", "0.3,0.3,0.3"), set()),
+        (("family", "--in", "{tri}", "--point", "2,1", "--theta", "0.3"), set()),
+        (("figure", "--help"), set()),
+        (("chain", "--in", "{tri}", "--point", "2,1", "--steps", "3"), {"miquel.chains"}),
+        (("figure", "--in", "{tri}", "--elements", "circumcircle,centers"), {"miquel.figures"}),
+        # verify builds chains for the chain suites
+        (("verify", "--suite", "theorem5", "--trials", "1"),
+         {"miquel.verify", "miquel.sampling", "miquel.chains"}),
+    ],
+)
+def test_each_subcommand_imports_only_the_modules_it_runs(tri_file, argv, loaded):
+    res = subprocess.run(
+        [sys.executable, "-c", _PROBE, *(a.format(tri=tri_file) for a in argv)],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    *_, code, modules = res.stdout.splitlines()
+    assert code == "0", res.stderr
+    assert LAZY_MODULES & set(modules.split()) == loaded

@@ -55,6 +55,19 @@ def test_invalid_json():
         parse_scene("{not json")
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"A": [0,0], "B": [4,0], "C": [1,3], "A": [1,1]}', "A"),
+        ('{"A": [0,0], "B": [4,0], "C": [1,3], "options": {"width": 800, "width": 90}}', "width"),
+    ],
+)
+def test_duplicate_key_rejected(text, key):
+    # json.loads alone would keep the last value
+    with pytest.raises(SceneError, match=f"^duplicate key '{key}'$"):
+        parse_scene(text)
+
+
 def test_options_validated():
     spec = parse_scene('{"A": [0,0], "B": [4,0], "C": [1,3], "options": {"width": 800, "labels": false, "vertex": "B"}}')
     assert spec.options == {"width": 800, "labels": False, "vertex": "B"}
