@@ -5,7 +5,7 @@ triangle's shape."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GeometryError, RightAngleDegenerateError
 from .kernel import (
@@ -13,29 +13,33 @@ from .kernel import (
     HALF_PI,
     LENGTH_EPS,
     VERTEX_LABELS,
+    Frozen,
     Point,
     Triangle,
     invert_point,
     reject_side_lines,
+    set_field,
 )
 
 _ROLES_WITH_VERTEX = ("excenter", "s_role", "m_role", "q_role")
 
 
-@dataclass(frozen=True)
-class SpecialRole:
+class SpecialRole(Frozen):
     """A named point of a triangle, with a vertex label for the names that
     come one per vertex."""
 
+    _fields = ("role", "vertex")
     role: str
-    vertex: str | None = None
+    vertex: str | None
 
-    def __post_init__(self) -> None:
-        wants_vertex = self.role in _ROLES_WITH_VERTEX
-        if wants_vertex and self.vertex not in VERTEX_LABELS:
-            raise ValueError(f"{self.role} requires a vertex label A, B or C")
-        if not wants_vertex and self.vertex is not None:
-            raise ValueError(f"{self.role} does not take a vertex label")
+    def __init__(self, role: str, vertex: str | None = None) -> None:
+        wants_vertex = role in _ROLES_WITH_VERTEX
+        if wants_vertex and vertex not in VERTEX_LABELS:
+            raise ValueError(f"{role} requires a vertex label A, B or C")
+        if not wants_vertex and vertex is not None:
+            raise ValueError(f"{role} does not take a vertex label")
+        set_field(self, "role", role)
+        set_field(self, "vertex", vertex)
 
     def __str__(self) -> str:
         return f"{self.role}({self.vertex})" if self.vertex else self.role
@@ -265,8 +269,7 @@ def inverse_in_circumcircle(t: Triangle, p: Point) -> Point:
     return invert_point(t.circumcircle, p)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One point whose pedal-family triangles reproduce the host's shape.
 
     ``expected_similarity`` names, for each host vertex A, B, C in order,

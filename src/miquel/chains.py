@@ -4,7 +4,6 @@ period-3 similarity bookkeeping, and the cyclic center-role recurrences."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -13,11 +12,13 @@ from .kernel import (
     MAX_COORDINATE,
     MIN_LONGEST_SIDE,
     CircleXY,
+    Frozen,
     Point,
     Triangle,
     TriangleXY,
     circle_xy,
     reject_side_lines,
+    set_field,
     shape_gap,
     shape_ratio,
 )
@@ -42,8 +43,7 @@ CHAIN_SIMILARITY_TOL = 1e-6
 MAX_CHAIN_STEPS = 12
 
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(Frozen):
     """A run of nested triad triangles sharing one concurrency point.
 
     ``steps_xy[k]`` is the triangle after k+1 steps, as its six coordinates;
@@ -58,9 +58,15 @@ class ChainRecord:
     when the chain is built.
     """
 
+    _fields = ("seed", "point", "steps_xy")
     seed: Triangle
     point: Point
     steps_xy: tuple[TriangleXY, ...]
+
+    def __init__(self, seed: Triangle, point: Point, steps_xy: tuple[TriangleXY, ...]) -> None:
+        set_field(self, "seed", seed)
+        set_field(self, "point", point)
+        set_field(self, "steps_xy", steps_xy)
 
     @cached_property
     def steps(self) -> tuple[Triangle, ...]:

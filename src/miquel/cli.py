@@ -389,11 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_number_lists(argv: list[str]) -> list[str]:
-    """``--point -5,0`` as ``--point=-5,0``, and so for ``--thetas``: argparse
-    reads a separate value with a leading minus as an option."""
+    """``--point -5,0`` as ``--point=-5,0``, and so for ``--triad`` and
+    ``--thetas``: argparse reads a separate value with a leading minus as an
+    option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--point", "--thetas") and arg[:1] == "-" and arg[:2] != "--":
+        if (out and out[-1] in ("--point", "--triad", "--thetas")
+                and arg[:1] == "-" and arg[:2] != "--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)

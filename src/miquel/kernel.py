@@ -9,7 +9,6 @@ with the size of the figure under discussion; angle tolerances are absolute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -33,17 +32,57 @@ LENGTH_EPS = 1e-9
 MAX_COORDINATE = 1e50
 MIN_LONGEST_SIDE = 1e-50
 
+# sets a field of a Frozen instance, in its __init__ only
+set_field = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class Point:
+
+class Frozen:
+    """Base of the immutable value types. A subclass lists its fields in
+    ``_fields`` and sets each once in its ``__init__`` through ``set_field``;
+    assignment and deletion afterwards raise ``AttributeError``. Equality,
+    hash, repr and copying go by the fields, in that order, and instances
+    of different classes are never equal."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Point(Frozen):
     """Cartesian position; doubles as a 2-vector for arithmetic."""
 
+    __slots__ = _fields = ("x", "y")
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinates ({x}, {y})")
+        set_field(self, "x", x)
+        set_field(self, "y", y)
 
     def __add__(self, other: Point) -> Point:
         return Point(self.x + other.x, self.y + other.y)
@@ -108,20 +147,20 @@ def _canonical_half_turn(value: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class DirectedAngle:
+class DirectedAngle(Frozen):
     """Angle between two lines, taken modulo a half turn.
 
     Addition, subtraction and integer scaling stay inside the group; equality
     is circular distance on the half-turn circle.
     """
 
+    __slots__ = _fields = ("value",)
     value: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
+    def __init__(self, value: float) -> None:
+        if not math.isfinite(value):
             raise ValueError("non-finite angle")
-        object.__setattr__(self, "value", _canonical_half_turn(self.value))
+        set_field(self, "value", _canonical_half_turn(value))
 
     def __add__(self, other: DirectedAngle) -> DirectedAngle:
         return DirectedAngle(self.value + other.value)
@@ -142,14 +181,16 @@ class DirectedAngle:
         return abs(math.remainder(self.value - other.value, math.pi))
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Frozen):
+    _fields = ("center", "radius")
     center: Point
     radius: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be strictly positive, got {self.radius}")
+    def __init__(self, center: Point, radius: float) -> None:
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ValueError(f"radius must be strictly positive, got {radius}")
+        set_field(self, "center", center)
+        set_field(self, "radius", radius)
 
     def point_at(self, angle: float) -> Point:
         return Point(
@@ -269,23 +310,24 @@ def shape_gap(r1: complex, r2: complex, mirrored: bool) -> float:
     return abs((r2.conjugate() if mirrored else r2) - r1) / abs(r1)
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Frozen):
     """Undirected line given by an anchor and a unit direction."""
 
+    _fields = ("anchor", "direction")
     anchor: Point
     direction: Point
 
-    def __post_init__(self) -> None:
-        d = self.direction
-        ux, uy = unit_direction(d.x, d.y)
+    def __init__(self, anchor: Point, direction: Point) -> None:
+        ux, uy = unit_direction(direction.x, direction.y)
         # unit_direction returns its input unless it normalizes
-        if ux != d.x or uy != d.y:
-            object.__setattr__(self, "direction", Point(ux, uy))
+        if ux != direction.x or uy != direction.y:
+            direction = Point(ux, uy)
+        set_field(self, "anchor", anchor)
+        set_field(self, "direction", direction)
 
     @classmethod
     def through(cls, p: Point, q: Point) -> Line:
-        # coincident points give a zero direction, which __post_init__ rejects
+        # coincident points give a zero direction, which __init__ rejects
         return cls(p, q - p)
 
     def at(self, t: float) -> Point:
@@ -423,8 +465,7 @@ def triangle_contains(t: "Triangle", p: Point) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Frozen):
     """Three labeled, non-collinear vertices with orientation.
 
     Construction rejects exactly the triples ``circumcircle`` would call
@@ -432,14 +473,19 @@ class Triangle:
     circumcircle is well conditioned are accepted.
     """
 
+    _fields = ("a", "b", "c")
     a: Point
     b: Point
     c: Point
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: Point, b: Point, c: Point) -> None:
         # side_lengths, set only here: the lengths opposite A, B, C (i.e.
         # |BC|, |CA|, |AB|)
-        self.__dict__["side_lengths"] = side_lengths_xy(*self.xy)
+        side_lengths = side_lengths_xy(a.x, a.y, b.x, b.y, c.x, c.y)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "side_lengths", side_lengths)
 
     @property
     def xy(self) -> TriangleXY:

@@ -10,7 +10,7 @@ side must be at least ``MIN_LONGEST_SIDE``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import SceneError
 from .kernel import MAX_COORDINATE, MIN_LONGEST_SIDE, Point, Triangle
@@ -30,13 +30,12 @@ ELEMENTS = (
 )
 
 
-@dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(NamedTuple):
     triangle: Triangle
-    point: Point | None = None
-    triad_params: tuple[float, float, float] | None = None
-    theta: float | None = None
-    options: dict = field(default_factory=dict)
+    point: Point | None
+    triad_params: tuple[float, float, float] | None
+    theta: float | None
+    options: dict
 
 
 def _numbers(value, key: str, n: int) -> tuple[float, ...]:

@@ -6,7 +6,6 @@ which named center role a point plays."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import centers
@@ -20,6 +19,7 @@ from .kernel import (
     Circle,
     CircleXY,
     DirectedAngle,
+    Frozen,
     Line,
     Point,
     Triangle,
@@ -31,6 +31,7 @@ from .kernel import (
     project_xy,
     reflect_xy,
     reject_side_lines,
+    set_field,
     shape_gap,
     shape_ratio,
     triangle_contains,
@@ -56,15 +57,21 @@ def _param(px: float, py: float, tx: float, ty: float, hx: float, hy: float) -> 
     return ((px - tx) * dx + (py - ty) * dy) / (dx * dx + dy * dy)
 
 
-@dataclass(frozen=True)
-class Triad:
+class Triad(Frozen):
     """Three points bound to the side lines of a host triangle: X on line BC,
     Y on CA, Z on AB."""
 
+    _fields = ("host", "x", "y", "z")
     host: Triangle
     x: Point
     y: Point
     z: Point
+
+    def __init__(self, host: Triangle, x: Point, y: Point, z: Point) -> None:
+        set_field(self, "host", host)
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "z", z)
 
     @classmethod
     def at(cls, host: Triangle, u: float, v: float, w: float) -> Triad:
@@ -100,8 +107,7 @@ class Triad:
         return Triangle(self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class SimsonLine:
+class SimsonLine(NamedTuple):
     """Collapsed pedal triple of a point on the circumcircle."""
 
     line: Line
@@ -118,8 +124,7 @@ class MiquelResult(NamedTuple):
     tangent: bool
 
 
-@dataclass(frozen=True)
-class AngleSextet:
+class AngleSextet(NamedTuple):
     """The six directed angles a point cuts off at the host vertices.
 
     alpha1/alpha2 split the angle at A (cevian toward C / from B), and so on
@@ -140,8 +145,7 @@ class MiquelAngles(NamedTuple):
     z: DirectedAngle
 
 
-@dataclass(frozen=True)
-class SimilarityClass:
+class SimilarityClass(NamedTuple):
     """A vertex correspondence under which two triangles are similar.
 
     ``permutation`` lists, for each vertex A, B, C of the first triangle,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import centers
 from .chains import (
@@ -65,14 +64,14 @@ from .triads import (
     verify_miquel_equations,
 )
 
-@dataclass
 class ClaimResult:
-    name: str
-    tol: float
-    trials: int = 0
-    max_residual: float = 0.0
-    worst: str | None = None
-    informational: bool = False
+    def __init__(self, name: str, tol: float, informational: bool = False) -> None:
+        self.name = name
+        self.tol = tol
+        self.trials = 0
+        self.max_residual = 0.0
+        self.worst: str | None = None
+        self.informational = informational
 
     @property
     def passed(self) -> bool:
@@ -98,13 +97,13 @@ class ClaimResult:
         self.add(0.0 if ok else 1.0, i, t, p, note)
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    trials: int
-    claims: list[ClaimResult] = field(default_factory=list)
-    duration: float = 0.0
+    def __init__(self, suite: str, seed: int, trials: int) -> None:
+        self.suite = suite
+        self.seed = seed
+        self.trials = trials
+        self.claims: list[ClaimResult] = []
+        self.duration = 0.0
 
     @property
     def passed(self) -> bool:

@@ -3,7 +3,6 @@ the chain correspondences on an exact rational oracle."""
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,7 @@ from miquel.chains import (
     CHAIN_DETECT_TOL,
     CHAIN_SIMILARITY_TOL,
     MAX_CHAIN_STEPS,
+    ChainRecord,
     check_mod3_similarity,
     follows_role_cycle,
     iterate_chain,
@@ -187,7 +187,8 @@ class TestMod3Similarity:
         # a search over every vertex map and orientation accepts the swap
         assert classify_similarity(rec.seed, bad, CHAIN_SIMILARITY_TOL) is not None
         steps_xy = (*rec.steps_xy[:2], bad.xy, *rec.steps_xy[3:])
-        assert check_mod3_similarity(replace(rec, steps_xy=steps_xy)) >= CHAIN_SIMILARITY_TOL
+        bad_rec = ChainRecord(rec.seed, rec.point, steps_xy)
+        assert check_mod3_similarity(bad_rec) >= CHAIN_SIMILARITY_TOL
 
     def test_needs_four_triangles(self):
         with pytest.raises(ValueError):
@@ -217,7 +218,7 @@ class TestSeedCorrespondences:
             if k < 3:  # the generic claim's chain has no triangle 3
                 return rec
             steps_xy =(*rec.steps_xy[:2], swap(*rec.steps_xy[2]), *rec.steps_xy[3:])
-            return replace(rec, steps_xy=steps_xy)
+            return ChainRecord(rec.seed, rec.point, steps_xy)
 
         assert run_suite("theorem15", 7, 3).passed
         monkeypatch.setattr(miquel.verify, "iterate_chain", swapped)

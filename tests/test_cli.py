@@ -454,6 +454,8 @@ def test_geometric_error_names_its_class_and_collapse(tmp_path, scene, argv, lin
         (("classify", "--json"), "--point", "-5.230769230769232,-1.8461538461538454"),
         (("chain", "--point", "2,1", "--steps", "3"), "--thetas", "-0.3,0.2,0.1"),
         (("family", "--theta", "0.2"), "--point", "-0.5,1"),
+        # X on line BC beyond B
+        (("miquel",), "--triad", "-0.2,0.5,0.5"),
     ],
 )
 def test_negative_values_read_as_with_equals(tri_file, argv, flag, value):
@@ -493,35 +495,51 @@ def test_abbreviated_flag_is_usage_error(tri_file, argv, flag):
 # the modules only some subcommands run: without a bytecode cache, each one a
 # process imports is compiled from source
 LAZY_MODULES = {"miquel.verify", "miquel.sampling", "miquel.chains", "miquel.figures"}
+# prints the exit code, the miquel modules loaded, and whether miquel loaded
+# dataclasses (False when the interpreter held it before miquel was imported)
 _PROBE = """
 import sys
+preloaded = "dataclasses" in sys.modules
 from miquel import cli
 code = cli.main(sys.argv[1:])
 print(code)
 print(" ".join(m for m in sys.modules if m.startswith("miquel.")))
+print(not preloaded and "dataclasses" in sys.modules)
 """
+SUBCOMMAND_IMPORTS = [
+    (("centers", "--in", "{tri}"), set()),
+    (("classify", "--in", "{tri}", "--point", "2,1"), set()),
+    (("miquel", "--in", "{tri}", "--triad", "0.3,0.3,0.3"), set()),
+    (("family", "--in", "{tri}", "--point", "2,1", "--theta", "0.3"), set()),
+    (("figure", "--help"), set()),
+    (("chain", "--in", "{tri}", "--point", "2,1", "--steps", "3"), {"miquel.chains"}),
+    (("figure", "--in", "{tri}", "--elements", "circumcircle,centers"), {"miquel.figures"}),
+    # verify builds chains for the chain suites
+    (("verify", "--suite", "theorem5", "--trials", "1"),
+     {"miquel.verify", "miquel.sampling", "miquel.chains"}),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (("centers", "--in", "{tri}"), set()),
-        (("classify", "--in", "{tri}", "--point", "2,1"), set()),
-        (("miquel", "--in", "{tri}", "--triad", "0.3,0.3,0.3"), set()),
-        (("family", "--in", "{tri}", "--point", "2,1", "--theta", "0.3"), set()),
-        (("figure", "--help"), set()),
-        (("chain", "--in", "{tri}", "--point", "2,1", "--steps", "3"), {"miquel.chains"}),
-        (("figure", "--in", "{tri}", "--elements", "circumcircle,centers"), {"miquel.figures"}),
-        # verify builds chains for the chain suites
-        (("verify", "--suite", "theorem5", "--trials", "1"),
-         {"miquel.verify", "miquel.sampling", "miquel.chains"}),
-    ],
-)
-def test_each_subcommand_imports_only_the_modules_it_runs(tri_file, argv, loaded):
+def _probe(tri_file, argv) -> tuple[set[str], bool]:
+    """The miquel modules a fresh interpreter loads to run ``argv``, and
+    whether miquel loaded dataclasses."""
     res = subprocess.run(
         [sys.executable, "-c", _PROBE, *(a.format(tri=tri_file) for a in argv)],
         capture_output=True, text=True, env=cli_env(),
     )
-    *_, code, modules = res.stdout.splitlines()
+    *_, code, modules, dataclasses_loaded = res.stdout.splitlines()
     assert code == "0", res.stderr
-    assert LAZY_MODULES & set(modules.split()) == loaded
+    return set(modules.split()), dataclasses_loaded == "True"
+
+
+@pytest.mark.parametrize("argv, loaded", SUBCOMMAND_IMPORTS)
+def test_each_subcommand_imports_only_the_modules_it_runs(tri_file, argv, loaded):
+    modules, _ = _probe(tri_file, argv)
+    assert LAZY_MODULES & modules == loaded
+
+
+# importing dataclasses costs each process more than any miquel module
+@pytest.mark.parametrize("argv", [argv for argv, _ in SUBCOMMAND_IMPORTS])
+def test_no_subcommand_imports_dataclasses(tri_file, argv):
+    _, dataclasses_loaded = _probe(tri_file, argv)
+    assert not dataclasses_loaded

@@ -1,11 +1,14 @@
 """Kernel primitives: examples with known values plus algebraic invariants."""
 
-import dataclasses
+import copy
 import math
+import pickle
 import random
 
 import pytest
 
+from miquel.centers import SpecialRole
+from miquel.chains import ChainRecord
 from miquel.errors import CollinearError, GeometryError
 from miquel.kernel import (
     LENGTH_EPS,
@@ -23,8 +26,49 @@ from miquel.kernel import (
     second_intersection,
     triangle_contains,
 )
+from miquel.triads import Triad
 
 SQ3 = math.sqrt(3.0)
+
+
+def _triangle():
+    return Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
+
+
+# a builder of each immutable value type, and the type's fields in order
+VALUE_TYPES = [
+    (lambda: Point(0.5, 2.0), ("x", "y")),
+    (lambda: DirectedAngle(0.3), ("value",)),
+    (lambda: Circle(Point(1.0, 0.0), 2.0), ("center", "radius")),
+    (lambda: Line(Point(1.0, 0.0), Point(3.0, 4.0)), ("anchor", "direction")),
+    (_triangle, ("a", "b", "c")),
+    (lambda: SpecialRole("s_role", "B"), ("role", "vertex")),
+    (lambda: ChainRecord(_triangle(), Point(2.0, 1.0), ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0),)),
+     ("seed", "point", "steps_xy")),
+    (lambda: Triad.at(_triangle(), 0.3, 0.3, 0.3), ("host", "x", "y", "z")),
+]
+
+
+@pytest.mark.parametrize(
+    "make, fields", VALUE_TYPES, ids=[type(make()).__name__ for make, _ in VALUE_TYPES]
+)
+def test_value_types_are_frozen_and_compare_by_fields(make, fields):
+    value, twin = make(), make()
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == twin and value is not twin and hash(value) == hash(twin)
+    values = tuple(getattr(value, name) for name in fields)
+    assert repr(value) == (
+        f"{type(value).__name__}("
+        + ", ".join(f"{name}={v!r}" for name, v in zip(fields, values)) + ")"
+    )
+    assert copy.copy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    # a tuple of the same fields is not the value
+    assert value != values
 
 
 class TestPoint:
@@ -36,7 +80,7 @@ class TestPoint:
 
     def test_frozen(self):
         p = Point(0.5, 2.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             p.x = 1.0
         assert p == Point(0.5, 2.0)
 
