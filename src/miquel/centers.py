@@ -272,26 +272,27 @@ def inverse_in_circumcircle(t: Triangle, p: Point) -> Point:
 class CatalogEntry(NamedTuple):
     """One point whose pedal-family triangles reproduce the host's shape.
 
-    ``expected_similarity`` names, for each host vertex A, B, C in order,
-    the pedal-triangle vertex (X on BC, Y on CA, Z on AB) carrying the equal
-    angle; ``mirrored`` says that the similarity reverses orientation, which
-    a circumcircle inverse flips.
+    ``order`` gives, for each host vertex A, B, C in turn, the index of the
+    pedal-triangle vertex (0, 1, 2 for X on BC, Y on CA, Z on AB) carrying
+    the equal angle, as ``kernel.shape_ratio`` reads it; ``mirrored`` says
+    that the similarity reverses orientation, which a circumcircle inverse
+    flips.
     """
 
     kind: SpecialRole
     location: Point
-    expected_similarity: str
+    order: tuple[int, int, int]
     mirrored: bool
     inverse: bool = False
 
 
 _CATALOG_PERMS = {
-    SpecialRole("circumcenter"): ("XYZ", False),
-    SpecialRole("first_brocard"): ("ZXY", False),
-    SpecialRole("second_brocard"): ("YZX", False),
-    SpecialRole("s_role", "A"): ("XZY", True),
-    SpecialRole("s_role", "B"): ("ZYX", True),
-    SpecialRole("s_role", "C"): ("YXZ", True),
+    SpecialRole("circumcenter"): ((0, 1, 2), False),
+    SpecialRole("first_brocard"): ((2, 0, 1), False),
+    SpecialRole("second_brocard"): ((1, 2, 0), False),
+    SpecialRole("s_role", "A"): ((0, 2, 1), True),
+    SpecialRole("s_role", "B"): ((2, 1, 0), True),
+    SpecialRole("s_role", "C"): ((1, 0, 2), True),
 }
 
 
@@ -313,7 +314,7 @@ def eleven_point_catalog(t: Triangle) -> list[CatalogEntry]:
     ]
     exterior = [
         CatalogEntry(e.kind, inverse_in_circumcircle(t, e.location),
-                     e.expected_similarity, not e.mirrored, inverse=True)
+                     e.order, not e.mirrored, inverse=True)
         for e in interior[1:]
     ]
     return interior + exterior

@@ -119,8 +119,8 @@ def cmd_classify(args) -> int:
         else:
             doc["similar_to_host"] = True
             # X, Y, Z: the pedal vertices on BC, CA, AB
-            doc["permutation"] = match.permutation.translate(str.maketrans("ABC", "XYZ"))
-            doc["orientation"] = match.orientation
+            doc["permutation"] = "".join("XYZ"[i] for i in match.order)
+            doc["orientation"] = "inverse" if match.mirrored else "direct"
     if args.json:
         print(json.dumps(doc))
     else:

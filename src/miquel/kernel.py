@@ -545,18 +545,6 @@ class Triangle(Frozen):
         i = VERTEX_LABELS.index(label)
         return (self.vertices[(i + 1) % 3], self.vertices[(i + 2) % 3])
 
-    @cached_property
-    def side_lines(self) -> tuple[Line, Line, Line]:
-        """Lines BC, CA, AB: the side lines opposite A, B, C."""
-        return (
-            Line.through(self.b, self.c),
-            Line.through(self.c, self.a),
-            Line.through(self.a, self.b),
-        )
-
-    def side_line(self, label: str) -> Line:
-        return self.side_lines[VERTEX_LABELS.index(label)]
-
     def angle(self, label: str) -> float:
         return self.angles[VERTEX_LABELS.index(label)]
 
@@ -583,7 +571,7 @@ class Triangle(Frozen):
         return abs(lens[(i + 1) % 3] - lens[(i + 2) % 3]) < length_eps * self.circumradius
 
     def min_side_line_distance(self, p: Point) -> float:
-        """Distance of ``p`` from the nearest of ``side_lines``, on coordinates."""
+        """Distance of ``p`` from the nearest side line, on coordinates."""
         ax, ay, bx, by, cx, cy = self.xy
         distances = []
         for tx, ty, hx, hy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)):

@@ -45,7 +45,16 @@ def _numbers(value, key: str, n: int) -> tuple[float, ...]:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         raise SceneError(f"{key!r} must be a list of {n} numbers")
-    return tuple(float(v) for v in value)
+    return tuple(_float(v, key) for v in value)
+
+
+def _float(value: int | float, key: str) -> float:
+    """``value`` as a float; a JSON integer past the float range is a schema
+    error, where ``float`` raises ``OverflowError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise SceneError(f"{key!r} holds an integer beyond the float range") from None
 
 
 def point_in_range(x: float, y: float, key: str) -> Point:
@@ -98,7 +107,7 @@ def parse_scene(text: str) -> SceneSpec:
     if "theta" in doc:
         if not isinstance(doc["theta"], (int, float)) or isinstance(doc["theta"], bool):
             raise SceneError("'theta' must be a number")
-        theta = float(doc["theta"])
+        theta = _float(doc["theta"], "theta")
 
     options: dict = {}
     if "options" in doc:

@@ -6,6 +6,7 @@ which named center role a point plays."""
 from __future__ import annotations
 
 import math
+from itertools import permutations
 from typing import NamedTuple
 
 from . import centers
@@ -148,12 +149,13 @@ class MiquelAngles(NamedTuple):
 class SimilarityClass(NamedTuple):
     """A vertex correspondence under which two triangles are similar.
 
-    ``permutation`` lists, for each vertex A, B, C of the first triangle,
-    the label of the matching vertex of the second.
+    ``order`` is the index tuple ``kernel.shape_ratio`` reads: entry i is
+    the vertex of the second triangle matched to vertex i of the first.
+    ``mirrored`` says that the similarity reverses orientation.
     """
 
-    permutation: str
-    orientation: str  # "direct" | "inverse"
+    order: tuple[int, int, int]
+    mirrored: bool
     residual: float  # the shape-ratio gap under this correspondence
 
 
@@ -325,24 +327,24 @@ def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
     )
 
 
-# every vertex correspondence, as ``SimilarityClass.permutation``
-_PERMUTATIONS = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
+# every vertex correspondence, as ``SimilarityClass.order``
+_ORDERS = tuple(permutations(range(3)))
 
 
 def classify_similarity(t1: Triangle, t2: Triangle, tol: float) -> SimilarityClass | None:
     """The first vertex correspondence under which the shape ratio of ``t2``
     is within the gap ``tol`` (``kernel.shape_gap``) of that of ``t1``, or
-    None. The 12 (correspondence, orientation) pairs are tried in
-    ``_PERMUTATIONS`` order, direct before mirrored: isosceles and
-    equilateral inputs fit several, and the first that fits wins."""
+    None. The 12 (order, mirrored) pairs are tried in ``_ORDERS`` order,
+    direct before mirrored: isosceles and equilateral inputs fit several,
+    and the first that fits wins."""
     r1 = shape_ratio(t1.xy, (0, 1, 2))
     xy2 = t2.xy
-    for perm in _PERMUTATIONS:
-        r2 = shape_ratio(xy2, tuple(map(VERTEX_LABELS.index, perm)))
+    for order in _ORDERS:
+        r2 = shape_ratio(xy2, order)
         for mirrored in (False, True):
             gap = shape_gap(r1, r2, mirrored)
             if gap < tol:
-                return SimilarityClass(perm, "inverse" if mirrored else "direct", gap)
+                return SimilarityClass(order, mirrored, gap)
     return None
 
 

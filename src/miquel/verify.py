@@ -219,7 +219,7 @@ def suite_theorem3(report: SuiteReport) -> None:
 def suite_theorem4(report: SuiteReport) -> None:
     """The eleven-point catalog: six interior points and their five exterior
     inverses, whose pedal triangles are similar to the host under the
-    recorded permutation and orientation."""
+    recorded correspondence."""
     interior_perm = report.claim("interior-angle-permutations", 1e-7)
     exterior_sim = report.claim("exterior-inverse-similarity", 1e-7)
     counts = report.claim("six-interior-five-exterior", 0.5)
@@ -239,19 +239,18 @@ def suite_theorem4(report: SuiteReport) -> None:
         )
         distinct.add_bool(min_pair > 1e-6 * t.circumradius, i, t)
         host = shape_ratio(t.xy, (0, 1, 2))
-        orientations = []
+        mirrored = []
         for e in cat:
             shape = pedal_triad(t, e.location).triangle()
-            order = tuple(map("XYZ".index, e.expected_similarity))
-            gap = shape_gap(host, shape_ratio(shape.xy, order), e.mirrored)
+            gap = shape_gap(host, shape_ratio(shape.xy, e.order), e.mirrored)
             if e.inverse:
                 exterior_sim.add(gap, i, t, e.location)
             else:
                 interior_perm.add(gap, i, t, e.location)
                 match = classify_similarity(t, shape, PEDAL_SIMILARITY_TOL)
-                orientations.append(match.orientation if match else "?")
+                mirrored.append(match.mirrored if match else None)
         orientation_note.add_bool(
-            orientations.count("direct") == 3 and orientations.count("inverse") == 3,
+            mirrored.count(False) == 3 and mirrored.count(True) == 3,
             i, t,
         )
 
@@ -475,14 +474,14 @@ def suite_theorem14(report: SuiteReport) -> None:
 
 
 # theorem15's correspondences: for each named point, chain triangle k against
-# the seed by k mod 3, as (``SimilarityClass.permutation``, mirrored)
-_SAME = ("ABC", False)
-_FIXING = {"A": "ACB", "B": "CBA", "C": "BAC"}  # the transposition fixing v
+# the seed by k mod 3, as (``SimilarityClass.order``, mirrored)
+_SAME = ((0, 1, 2), False)
+_FIXING = {"A": (0, 2, 1), "B": (2, 1, 0), "C": (1, 0, 2)}  # the transposition fixing v
 SEED_CORRESPONDENCES = {
     "O": {1: _SAME, 0: _SAME},
     "H": {2: _SAME, 0: _SAME},
-    "Ω₁": {1: ("CAB", False), 2: ("BCA", False), 0: _SAME},
-    "Ω₂": {1: ("BCA", False), 2: ("CAB", False), 0: _SAME},
+    "Ω₁": {1: ((2, 0, 1), False), 2: ((1, 2, 0), False), 0: _SAME},
+    "Ω₂": {1: ((1, 2, 0), False), 2: ((2, 0, 1), False), 0: _SAME},
     **{f"S_{v}": {1: (_FIXING[v], True), 0: _SAME} for v in VERTEX_LABELS},
     **{f"M_{v}": {2: (_FIXING[v], True), 0: _SAME} for v in VERTEX_LABELS},
 }
@@ -494,8 +493,7 @@ def _seed_gaps(rec, name: str):
     seed = shape_ratio(rec.seed.xy, (0, 1, 2))
     for k, xy in enumerate(rec.steps_xy, 1):
         if k % 3 in SEED_CORRESPONDENCES[name]:
-            perm, mirrored = SEED_CORRESPONDENCES[name][k % 3]
-            order = tuple(map(VERTEX_LABELS.index, perm))
+            order, mirrored = SEED_CORRESPONDENCES[name][k % 3]
             yield k, shape_gap(seed, shape_ratio(xy, order), mirrored)
 
 

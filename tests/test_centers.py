@@ -87,7 +87,7 @@ class TestClassicCenters:
             t = random_triangle(rng)
             h = orthocenter(t)
             for v in "ABC":
-                side = t.side_line(v)
+                side = Line.through(*t.opposite(v))
                 assert abs((h - t.vertex(v)).dot(side.direction)) < 1e-9 * t.circumradius
 
     def test_incenter_and_excenters_equidistant_from_side_lines(self):
@@ -95,7 +95,7 @@ class TestClassicCenters:
         for _ in range(50):
             t = random_triangle(rng)
             for center in [incenter(t)] + [excenter(t, v) for v in "ABC"]:
-                offs = [abs(t.side_line(v).offset(center)) for v in "ABC"]
+                offs = [abs(Line.through(*t.opposite(v)).offset(center)) for v in "ABC"]
                 assert max(offs) - min(offs) < 1e-9 * t.circumradius
 
     def test_centroid(self):
@@ -523,14 +523,15 @@ class TestElevenPointCatalog:
 
     def test_expected_permutations_recorded(self):
         cat = eleven_point_catalog(TSCA)
-        byname = {(e.kind.role, e.kind.vertex, e.inverse): e.expected_similarity for e in cat}
-        assert byname[("circumcenter", None, False)] == "XYZ"
-        assert byname[("first_brocard", None, False)] == "ZXY"
-        assert byname[("second_brocard", None, False)] == "YZX"
-        assert byname[("s_role", "A", False)] == "XZY"
-        assert byname[("s_role", "B", False)] == "ZYX"
-        assert byname[("s_role", "C", False)] == "YXZ"
-        assert byname[("s_role", "A", True)] == "XZY"
+        byname = {(e.kind.role, e.kind.vertex, e.inverse): e.order for e in cat}
+        # X, Y, Z are 0, 1, 2: Ω₁'s (2, 0, 1) matches Z to A, X to B, Y to C
+        assert byname[("circumcenter", None, False)] == (0, 1, 2)
+        assert byname[("first_brocard", None, False)] == (2, 0, 1)
+        assert byname[("second_brocard", None, False)] == (1, 2, 0)
+        assert byname[("s_role", "A", False)] == (0, 2, 1)
+        assert byname[("s_role", "B", False)] == (2, 1, 0)
+        assert byname[("s_role", "C", False)] == (1, 0, 2)
+        assert byname[("s_role", "A", True)] == (0, 2, 1)
 
     def test_distinctness(self):
         rng = rng_for(0, "catalog", 0)

@@ -387,10 +387,10 @@ def _exact_chain(tri, p, tans):
     return tris
 
 
-def _exact_ratio(tri, perm="ABC"):
+def _exact_ratio(tri, order=(0, 1, 2)):
     """The shape ratio (B − A)/(C − A) as (real, imaginary), reading the
-    triangle's vertices in ``perm`` order."""
-    a, b, c = (tri["ABC".index(v)] for v in perm)
+    triangle's vertices in ``order``, as ``kernel.shape_ratio`` does."""
+    a, b, c = (tri[i] for i in order)
     ux, uy, wx, wy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
     n = wx * wx + wy * wy
     return (ux * wx + uy * wy) / n, (uy * wx - ux * wy) / n
@@ -504,9 +504,9 @@ class TestExactCorrespondences:
                 for k in range(1, 7):
                     if k % 3 not in SEED_CORRESPONDENCES[name]:
                         continue
-                    perm, mirrored = SEED_CORRESPONDENCES[name][k % 3]
+                    order, mirrored = SEED_CORRESPONDENCES[name][k % 3]
                     expect = mirrored_ratio if mirrored else seed_ratio
-                    assert _exact_ratio(tris[k], perm) == expect, (name, k)
+                    assert _exact_ratio(tris[k], order) == expect, (name, k)
 
 
 # ------------------------------------------------- the pedal correspondences
@@ -530,9 +530,9 @@ def _exact_pedal(tri, p):
 
 
 def _catalog_table(host):
-    """The catalog's recorded (permutation, mirrored) for each (role, inverse)."""
+    """The catalog's recorded (order, mirrored) for each (role, inverse)."""
     return {
-        (e.kind, e.inverse): (e.expected_similarity, e.mirrored)
+        (e.kind, e.inverse): (e.order, e.mirrored)
         for e in eleven_point_catalog(_float_triangle(host))
     }
 
@@ -542,18 +542,17 @@ _CATALOG_NAMES = {"circumcenter": "O", "first_brocard": "Ω₁", "second_brocard
 
 def _catalog_pin_failures(table):
     """The (role, inverse) keys of ``table`` whose exact pedal shape ratio,
-    under the recorded permutation, is not the host's ratio (its conjugate
+    under the recorded order, is not the host's ratio (its conjugate
     when mirrored) on some host."""
     failures = set()
     for host in HOSTS:
         re, im = _exact_ratio(host)
         points = _named_points(host)
-        for (role, inverse), (letters, mirrored) in table.items():
+        for (role, inverse), (order, mirrored) in table.items():
             p, _ = points[_CATALOG_NAMES.get(role.role) or f"S_{role.vertex}"]
             if inverse:
                 p = _exact_inverse(host, p)
-            perm = letters.translate(str.maketrans("XYZ", "ABC"))
-            if _exact_ratio(_exact_pedal(host, p), perm) != ((re, -im) if mirrored else (re, im)):
+            if _exact_ratio(_exact_pedal(host, p), order) != ((re, -im) if mirrored else (re, im)):
                 failures.add((role, inverse))
     return failures
 
@@ -580,8 +579,8 @@ class TestExactPedalCorrespondences:
 
     def test_flipped_mirrored_flag_fails(self):
         table = _catalog_table(HOSTS[0])
-        for key, (letters, mirrored) in table.items():
-            assert _catalog_pin_failures({**table, key: (letters, not mirrored)}) == {key}
+        for key, (order, mirrored) in table.items():
+            assert _catalog_pin_failures({**table, key: (order, not mirrored)}) == {key}
 
     def test_inverse_points_have_mirrored_pedal_triangles(self):
         rng = random.Random("exact-inverse-pedals")

@@ -4,10 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from miquel import cli
+from miquel.kernel import Point, Triangle
 from miquel.scene import ELEMENTS
+from miquel.triads import PEDAL_SIMILARITY_TOL, classify_similarity
 
 TRI = '{"A": [0, 0], "B": [4, 0], "C": [1, 3]}'
 
@@ -69,6 +73,31 @@ def test_classify_circumcenter(tri_file):
     assert res.returncode == 0
     assert "circumcenter" in res.stdout
     assert "permutation XYZ" in res.stdout
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("letters", ["XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX"])
+def test_every_correspondence_classified_and_printed(
+    tri_file, monkeypatch, capsys, letters, mirrored
+):
+    # a turned, scaled copy of the scalene host whose vertex order[i] is the
+    # host's vertex i, reflected when mirrored: no other correspondence fits
+    order = tuple("XYZ".index(ch) for ch in letters)
+    host = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
+    vertices = [None] * 3
+    for i, v in enumerate(host.vertices):
+        q = v.rotated(0.7) * 1.9 + Point(-2.0, 5.0)
+        vertices[order[i]] = Point(-q.x, q.y) if mirrored else q
+    copy = Triangle(*vertices)
+    match = classify_similarity(host, copy, PEDAL_SIMILARITY_TOL)
+    assert (match.order, match.mirrored) == (order, mirrored)
+    # classify reports the copy as the pedal triangle of the scene's point
+    monkeypatch.setattr(cli, "pedal_triad", lambda t, p: SimpleNamespace(triangle=lambda: copy))
+    assert cli.main(["classify", "--in", tri_file, "--point", "2,1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["permutation"], doc["orientation"]) == (
+        letters, "inverse" if mirrored else "direct"
+    )
 
 
 @pytest.mark.parametrize(
@@ -324,6 +353,16 @@ def test_out_of_range_scene_is_usage_error(tmp_path, scene):
     assert res.returncode == 2
     assert res.stdout == ""
     assert "out of range" in res.stderr
+
+
+def test_integer_beyond_float_range_is_usage_error(tmp_path):
+    # float() of a 401-digit integer raises OverflowError
+    path = tmp_path / "scene.json"
+    path.write_text(f'{{"A": [1{"0" * 400}, 0], "B": [4, 0], "C": [1, 3]}}')
+    res = run_cli("centers", "--in", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "usage error: 'A' holds an integer beyond the float range\n"
 
 
 def test_scene_inside_the_range_is_accepted(tmp_path):

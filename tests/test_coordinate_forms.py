@@ -190,26 +190,25 @@ def _triad_points_by_operators(host, u, v, w):
     )
 
 
-_PERMUTATIONS = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
-_PARITY = {"ABC": 1, "BCA": 1, "CAB": 1, "ACB": -1, "BAC": -1, "CBA": -1}
+# the sign each vertex order gives the orientation: +1 for the rotations
+_PARITY = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (0, 2, 1): -1, (1, 0, 2): -1, (2, 1, 0): -1}
 
 
 def _classify_by_label_lookup(t1, t2, angle_eps):
-    """An independent classifier: the vertex map with the least angle
-    residual plus side-ratio spread, its orientation from the signed areas,
-    as (permutation, orientation, ratio, score), or None."""
+    """An independent classifier: the vertex order with the least angle
+    residual plus side-ratio spread, mirrored when the signed areas say so,
+    as (order, mirrored, ratio, score), or None."""
     best = None
-    for perm in _PERMUTATIONS:
-        idx = tuple("ABC".index(ch) for ch in perm)
-        residual = max(abs(t1.angles[i] - t2.angles[idx[i]]) for i in range(3))
+    for order in itertools.permutations(range(3)):
+        residual = max(abs(t1.angles[i] - t2.angles[order[i]]) for i in range(3))
         if residual >= angle_eps:
             continue
-        ratios = [t2.side_lengths[idx[i]] / t1.side_lengths[i] for i in range(3)]
+        ratios = [t2.side_lengths[order[i]] / t1.side_lengths[i] for i in range(3)]
         ratio = sum(ratios) / 3.0
         score = residual + (max(ratios) - min(ratios)) / ratio
         if best is None or score < best[3]:
-            direct = t1.orientation == t2.orientation * _PARITY[perm]
-            best = (perm, "direct" if direct else "inverse", ratio, score)
+            mirrored = t1.orientation != t2.orientation * _PARITY[order]
+            best = (order, mirrored, ratio, score)
     return best
 
 
@@ -286,13 +285,13 @@ def test_min_side_line_distance():
     on one and on two (a vertex)."""
     for t, points, _ in CASES:
         for p in (*points, t.a, midpoint(t.b, t.c)):
-            expected = min(abs(side.offset(p)) for side in t.side_lines)
+            expected = min(abs(Line.through(*t.opposite(v)).offset(p)) for v in "ABC")
             assert t.min_side_line_distance(p) == expected
 
 
 def test_line_at_project_and_reflect():
     for t, points, theta in CASES:
-        for line in (*t.side_lines, Line.through(*points)):
+        for line in (*(Line.through(*t.opposite(v)) for v in "ABC"), Line.through(*points)):
             for p in points:
                 assert line.at(theta) == _at_by_operators(line, theta)
                 assert line.project(p) == _project_by_operators(line, p)
@@ -352,7 +351,7 @@ def test_family_member_feet_and_triad_forms():
     for t, points, theta in CASES:
         for p in points:
             triad = family_member(t, p, theta)
-            feet = [t.side_line(v).project(p) for v in "ABC"]
+            feet = [Line.through(*t.opposite(v)).project(p) for v in "ABC"]
             assert list(triad.points) == [
                 _family_vertex_by_operators(p, f, theta) for f in feet
             ]
@@ -370,7 +369,7 @@ def test_one_pedal_triangle():
     point, float for float, for points off the side lines and on them."""
     for t, points, _ in CASES:
         for p in (*points, t.a, midpoint(t.b, t.c)):
-            feet = tuple(t.side_line(v).project(p) for v in "ABC")
+            feet = tuple(Line.through(*t.opposite(v)).project(p) for v in "ABC")
             assert pedal_triad(t, p).points == feet
 
 
@@ -398,12 +397,12 @@ def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):
 
 
 def _verdicts(t1, t2, tol):
-    """(permutation, orientation) or None, from classify_similarity and from
-    the oracle."""
+    """(order, mirrored) or None, from classify_similarity and from the
+    oracle."""
     match = classify_similarity(t1, t2, tol)
     oracle = _classify_by_label_lookup(t1, t2, tol)
     return (
-        None if match is None else (match.permutation, match.orientation),
+        None if match is None else (match.order, match.mirrored),
         None if oracle is None else oracle[:2],
     )
 
@@ -425,5 +424,4 @@ def test_classify_similarity_on_catalog_pedal_shapes():
         for e in centers.eleven_point_catalog(t):
             shape = pedal_triad(t, e.location).triangle()
             got, expected = _verdicts(t, shape, PEDAL_SIMILARITY_TOL)
-            letters = e.expected_similarity.translate(str.maketrans("XYZ", "ABC"))
-            assert got == expected == (letters, "inverse" if e.mirrored else "direct")
+            assert got == expected == (e.order, e.mirrored)

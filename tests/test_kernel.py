@@ -347,14 +347,6 @@ class TestTriangle:
         assert iso.is_isosceles_at("A", LENGTH_EPS)
         assert not iso.is_isosceles_at("B", LENGTH_EPS)
 
-    def test_side_lines_cached(self):
-        t = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
-        for v in "ABC":
-            line = t.side_line(v)
-            fresh = Line.through(*t.opposite(v))
-            assert (line.anchor, line.direction) == (fresh.anchor, fresh.direction)
-            assert t.side_line(v) is line
-
     def test_orientation_sign(self):
         ccw = Triangle(Point(0, 0), Point(1, 0), Point(0, 1))
         cw = Triangle(Point(0, 0), Point(0, 1), Point(1, 0))

@@ -96,3 +96,20 @@ def test_range_limits_are_inclusive():
 def test_out_of_range_rejected(text):
     with pytest.raises(SceneError, match="out of range"):
         parse_scene(text)
+
+
+BIG = "1" + "0" * 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (f'{{"A": [{BIG}, 0], "B": [4, 0], "C": [1, 3]}}', "A"),
+        (f'{{"A": [0, 0], "B": [4, 0], "C": [1, 3], "triad": [0.3, {BIG}, 0.3]}}', "triad"),
+        (f'{{"A": [0, 0], "B": [4, 0], "C": [1, 3], "theta": {BIG}}}', "theta"),
+    ],
+)
+def test_integer_beyond_float_range_rejected(text, key):
+    # float() of such an integer raises OverflowError
+    with pytest.raises(SceneError, match=f"^'{key}' holds an integer beyond the float range$"):
+        parse_scene(text)

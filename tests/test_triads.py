@@ -77,7 +77,7 @@ class TestPedalTriad:
         h = orthocenter(TSCA)
         ped = pedal_triad(TSCA, h)
         for foot, v in zip(ped.points, "ABC"):
-            side = TSCA.side_line(v)
+            side = Line.through(*TSCA.opposite(v))
             assert abs(side.offset(foot)) < 1e-12
             assert abs((foot - h).dot(side.direction)) < 1e-12
 
@@ -88,7 +88,7 @@ class TestPedalTriad:
         assert feet[0].dist(Point(0, 3)) < 1e-12
         assert feet[1].dist(Point(64 / 25, 27 / 25)) < 1e-12
         assert feet[2].dist(Point(4, 0)) < 1e-12
-        hypotenuse = T345.side_line("A")
+        hypotenuse = Line.through(*T345.opposite("A"))
         for f in sim.feet:
             assert abs(hypotenuse.offset(f)) < 1e-12
         assert sim.max_deviation() < 1e-12
@@ -104,7 +104,7 @@ class TestPedalTriad:
         # A is on lines CA and AB, so two feet are A; the third is the foot of
         # the altitude from A
         sim = simson_line(TSCA, TSCA.a)
-        altitude = Line.through(TSCA.a, TSCA.side_line("A").project(TSCA.a))
+        altitude = Line.through(TSCA.a, Line.through(*TSCA.opposite("A")).project(TSCA.a))
         for f in sim.feet:
             assert abs(altitude.offset(f)) < 1e-12
         assert sim.max_deviation() < 1e-12
@@ -116,7 +116,7 @@ class TestPedalTriad:
             p = random_point_in_circumdisk(rng, t)
             triad = pedal_triad(t, p)
             for foot, v in zip(triad.points, "ABC"):
-                side = t.side_line(v)
+                side = Line.through(*t.opposite(v))
                 assert abs(side.offset(foot)) < 1e-12 * t.circumradius
                 assert abs((foot - p).dot(side.direction)) < 1e-12 * t.circumradius
 
@@ -227,12 +227,12 @@ class TestFamilyMember:
         ped = pedal_triad(TSCA, p).triangle()
         for th, tri in zip(thetas, tris):
             match = classify_similarity(ped, tri, tol)
-            assert match is not None and match.permutation == "ABC"
+            assert match is not None and match.order == (0, 1, 2)
             scale = tri.circumradius / ped.circumradius
             assert abs(scale - 1.0 / math.cos(th)) < 1e-8 / math.cos(th)
         for i in range(len(tris) - 1):
             match = classify_similarity(tris[i], tris[i + 1], tol)
-            assert match is not None and match.permutation == "ABC"
+            assert match is not None and match.order == (0, 1, 2)
 
     def test_every_catalog_family_holds_the_host_shape(self):
         # a family member is the pedal triangle under a spiral similarity
@@ -243,10 +243,9 @@ class TestFamilyMember:
             t = random_catalog_triangle(rng)
             host = shape_ratio(t.xy, (0, 1, 2))
             for e in eleven_point_catalog(t):
-                order = tuple(map("XYZ".index, e.expected_similarity))
                 for theta in (-1.0, -0.4, 0.0, 0.3, 1.2):
                     member = family_member(t, e.location, theta).triangle()
-                    gap = shape_gap(host, shape_ratio(member.xy, order), e.mirrored)
+                    gap = shape_gap(host, shape_ratio(member.xy, e.order), e.mirrored)
                     assert gap < 1e-12, (str(e.kind), e.inverse, theta)
 
 
@@ -254,7 +253,7 @@ def _family_member_by_spoke_lines(t, p, theta):
     """Each spoke from p to its pedal foot, rotated and cut with its side line."""
     feet = []
     for v in "ABC":
-        side = t.side_line(v)
+        side = Line.through(*t.opposite(v))
         spoke = (side.project(p) - p).rotated(theta)
         feet.append(line_line_intersection(Line(p, spoke), side))
     return feet
@@ -385,8 +384,8 @@ class TestMiquelEquations:
 class TestClassifySimilarity:
     def test_identity(self):
         match = classify_similarity(TSCA, TSCA, ANGLE_EPS)
-        assert match.permutation == "ABC"
-        assert match.orientation == "direct"
+        assert match.order == (0, 1, 2)
+        assert match.mirrored is False
         assert match.residual == 0.0
 
     def test_mirror_is_inverse_orientation(self):
@@ -394,8 +393,8 @@ class TestClassifySimilarity:
             Point(-TSCA.a.x, TSCA.a.y), Point(-TSCA.b.x, TSCA.b.y), Point(-TSCA.c.x, TSCA.c.y)
         )
         match = classify_similarity(TSCA, mirrored, ANGLE_EPS)
-        assert match.permutation == "ABC"
-        assert match.orientation == "inverse"
+        assert match.order == (0, 1, 2)
+        assert match.mirrored is True
 
     def test_dissimilar_returns_none(self):
         assert classify_similarity(T345, EQUI, ANGLE_EPS) is None
@@ -410,33 +409,33 @@ class TestClassifySimilarity:
             moved = Triangle(*((v - t.a).rotated(phi) * s + shift for v in t.vertices))
             match = classify_similarity(t, moved, ANGLE_EPS)
             assert match is not None
-            assert match.permutation == "ABC"
+            assert match.order == (0, 1, 2)
             assert abs(moved.circumradius / t.circumradius - s) < 1e-9 * s
 
     def test_equilateral_tie_goes_to_abc(self):
         # all six correspondences fit EQUI, even against a relabeled copy;
-        # the first in permutation order wins, not the best fit
+        # the first in order wins, not the best fit
         relabeled = Triangle(EQUI.b, EQUI.c, EQUI.a)
         for other in (EQUI, relabeled):
             match = classify_similarity(EQUI, other, 1e-6)
-            assert match.permutation == "ABC"
-            assert match.orientation == "direct"
+            assert match.order == (0, 1, 2)
+            assert match.mirrored is False
         assert classify_similarity(EQUI, EQUI, 1e-6).residual == 0.0
-        # against the copy CAB maps vertex for vertex and fits exactly, while
-        # ABC's gap is float noise: the ratio of a relabeled copy is not
+        # against the copy (2, 0, 1) maps vertex for vertex and fits exactly,
+        # while the identity's gap is float noise: the ratio of a relabeled copy is not
         # bit-identical
         seed = shape_ratio(EQUI.xy, (0, 1, 2))
         assert shape_gap(seed, shape_ratio(relabeled.xy, (2, 0, 1)), False) == 0.0
         assert 0.0 < classify_similarity(EQUI, relabeled, 1e-6).residual < 1e-15
 
     def test_isosceles_tie_goes_to_the_first_map(self):
-        # against its mirror image in the axis, an isosceles triangle fits ABC
-        # mirrored and ACB direct; the maps are tried in order, each direct
-        # before mirrored, so ABC wins
+        # against its mirror image in the axis, an isosceles triangle fits the
+        # identity mirrored and (0, 2, 1) direct; the orders are tried in turn,
+        # each direct before mirrored, so the identity wins
         iso = Triangle(Point(0, 2), Point(-1, 0), Point(1, 0))
         mirrored = Triangle(Point(0, 2), Point(1, 0), Point(-1, 0))
         match = classify_similarity(iso, mirrored, 1e-9)
-        assert (match.permutation, match.orientation) == ("ABC", "inverse")
+        assert (match.order, match.mirrored) == ((0, 1, 2), True)
 
 
 class TestDetectSpecialRole:
