@@ -458,10 +458,17 @@ def second_intersection(l: Line, c: Circle, known: Point) -> Point:
 
 def triangle_contains(t: "Triangle", p: Point) -> bool:
     """True when ``p`` is strictly inside ``t``."""
-    sign = t.orientation
+    return contains_xy(t.xy, p.x, p.y)
+
+
+def contains_xy(xy: TriangleXY, px: float, py: float) -> bool:
+    """``triangle_contains`` on coordinates: (px, py) is on the inner side of
+    each edge AB, BC, CA, read with the sign of ``Triangle.orientation``."""
+    ax, ay, bx, by, cx, cy = xy
+    sign = 1 if 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) > 0.0 else -1
     return all(
-        sign * (q2 - q1).cross(p - q1) > 0.0
-        for q1, q2 in ((t.a, t.b), (t.b, t.c), (t.c, t.a))
+        sign * ((hx - tx) * (py - ty) - (hy - ty) * (px - tx)) > 0.0
+        for tx, ty, hx, hy in ((ax, ay, bx, by), (bx, by, cx, cy), (cx, cy, ax, ay))
     )
 
 

@@ -27,6 +27,7 @@ from .kernel import (
     TriangleXY,
     circle_xy,
     circumcircle,
+    contains_xy,
     directed_angle,
     offset_xy,
     project_xy,
@@ -35,7 +36,7 @@ from .kernel import (
     set_field,
     shape_gap,
     shape_ratio,
-    triangle_contains,
+    side_lengths_xy,
     unit_direction,
 )
 
@@ -79,16 +80,7 @@ class Triad(Frozen):
         """The triad at affine parameters u, v, w: X = B + u·(C − B),
         Y = C + v·(A − C), Z = A + w·(B − A). Parameters outside [0, 1]
         encode the side extensions."""
-        if not all(math.isfinite(s) for s in (u, v, w)):
-            raise ValueError("triad parameters must be finite")
-        a, b, c = host.vertices
-        return cls(
-            host,
-            *(
-                Point(tail.x + s * (head.x - tail.x), tail.y + s * (head.y - tail.y))
-                for tail, head, s in ((b, c, u), (c, a, v), (a, b, w))
-            ),
-        )
+        return cls(host, *_points(triad_xy(host.xy, u, v, w)))
 
     @property
     def params(self) -> tuple[float, float, float]:
@@ -106,6 +98,16 @@ class Triad(Frozen):
 
     def triangle(self) -> Triangle:
         return Triangle(self.x, self.y, self.z)
+
+
+def triad_xy(host: TriangleXY, u: float, v: float, w: float) -> TriangleXY:
+    """The points X, Y, Z of ``Triad.at`` on coordinates."""
+    if not all(math.isfinite(s) for s in (u, v, w)):
+        raise ValueError("triad parameters must be finite")
+    ax, ay, bx, by, cx, cy = host
+    return (bx + u * (cx - bx), by + u * (cy - by),
+            cx + v * (ax - cx), cy + v * (ay - cy),
+            ax + w * (bx - ax), ay + w * (by - ay))
 
 
 class SimsonLine(NamedTuple):
@@ -211,9 +213,7 @@ def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
     circle_a, circle_b, circle_c = (Circle(Point(cx, cy), r) for cx, cy, r in rows)
     point = Point(mx, my)
     tangent = point.dist(z) < LENGTH_EPS * max(circle_a.radius, circle_b.radius)
-    residual = max(
-        abs(k.offset_of(point)) for k in (circle_a, circle_b, circle_c)
-    )
+    residual = miquel_residual(rows, mx, my)
     return MiquelResult(point, (circle_a, circle_b, circle_c), residual, tangent)
 
 
@@ -232,6 +232,12 @@ def miquel_xy(
     bx, by, _ = circle_b
     dx, dy = unit_direction(bx - ax, by - ay)
     return circle_a, circle_b, circle_c, reflect_xy(ax, ay, dx, dy, zx, zy)
+
+
+def miquel_residual(circles: list[CircleXY], mx: float, my: float) -> float:
+    """``MiquelResult.residual``: the largest ``Circle.offset_of`` of the
+    point (mx, my) from the circles of ``miquel_xy``, in absolute value."""
+    return max(abs(math.hypot(cx - mx, cy - my) - r) for cx, cy, r in circles)
 
 
 def family_member(t: Triangle, p: Point, theta: float) -> Triad:
@@ -310,20 +316,25 @@ def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
     angles to the angles subtended at the concurrency point:
     A + X = BPC, B + Y = CPA, C + Z = APB (all directed).
     """
-    result = miquel_point(t, triad)
-    if result.point.dist(p) > CONCURRENCY_BAND * t.circumradius:
-        raise GeometryError("the triad's concurrency point is not the given point")
     x, y, z = triad.points
-    ang_a = t.directed_angle_at("A")
-    ang_b = t.directed_angle_at("B")
-    ang_c = t.directed_angle_at("C")
+    # miquel_point builds Circles and a Point that check for a positive
+    # finite radius and finite coordinates; inside MAX_COORDINATE circle_xy's
+    # collinearity test bounds each radius, so no such check can fail here
+    *_, (mx, my) = miquel_xy(t.xy, (x.x, x.y, y.x, y.y, z.x, z.y))
+    if math.hypot(mx - p.x, my - p.y) > CONCURRENCY_BAND * t.circumradius:
+        raise GeometryError("the triad's concurrency point is not the given point")
+    a, b, c = t.a, t.b, t.c
+    # the host's directed vertex angles, as Triangle.directed_angle_at
+    ang_a = directed_angle(b, a, c)
+    ang_b = directed_angle(c, b, a)
+    ang_c = directed_angle(a, c, b)
     ang_x = directed_angle(y, x, z)
     ang_y = directed_angle(z, y, x)
     ang_z = directed_angle(x, z, y)
     return max(
-        (ang_a + ang_x).distance(directed_angle(t.b, p, t.c)),
-        (ang_b + ang_y).distance(directed_angle(t.c, p, t.a)),
-        (ang_c + ang_z).distance(directed_angle(t.a, p, t.b)),
+        (ang_a + ang_x).distance(directed_angle(b, p, c)),
+        (ang_b + ang_y).distance(directed_angle(c, p, a)),
+        (ang_c + ang_z).distance(directed_angle(a, p, b)),
     )
 
 
@@ -404,15 +415,18 @@ def containment_parity(t: Triangle, p: Point) -> ParityReport:
     For interior points also reports the full turn of the three rays toward
     the pedal feet (2*pi exactly when the point is enclosed by them).
     """
-    reject_side_lines(t.min_side_line_distance(p), t.circumradius)
+    # the pedal feet and Triangle.min_side_line_distance's floats; at theta 0
+    # family_xy cannot raise inside MAX_COORDINATE, so the guards keep order
+    xy, distance = family_xy(t.xy, p.x, p.y, 0.0)
+    reject_side_lines(distance, t.circumradius)
     if on_circumcircle(t, p):
         raise GeometryError("the pedal triple degenerates on the circumcircle")
-    triad = pedal_triad(t, p)
-    inside_host = triangle_contains(t, p)
-    inside_miquel = triangle_contains(triad.triangle(), p)
+    side_lengths_xy(*xy)  # the CollinearError of Triangle(X, Y, Z)
+    inside_host = contains_xy(t.xy, p.x, p.y)
+    inside_miquel = contains_xy(xy, p.x, p.y)
     ray_sum = None
     if inside_host:
-        dirs = sorted((q - p).angle() for q in triad.points)
+        dirs = sorted(math.atan2(xy[k + 1] - p.y, xy[k] - p.x) for k in (0, 2, 4))
         gaps = [dirs[1] - dirs[0], dirs[2] - dirs[1], 2.0 * math.pi - (dirs[2] - dirs[0])]
         ray_sum = sum(min(g, 2.0 * math.pi - g) for g in gaps)
     return ParityReport(inside_host, inside_miquel, inside_host == inside_miquel, ray_sum)

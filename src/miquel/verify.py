@@ -50,17 +50,18 @@ from .sampling import (
 from .triads import (
     PEDAL_SIMILARITY_TOL,
     SpecialRole,
-    Triad,
     angle_sextet,
     classify_similarity,
     containment_parity,
     detect_special_role,
     family_member,
-    miquel_point,
+    miquel_residual,
     miquel_triangle_angles,
+    miquel_xy,
     on_circumcircle,
     pedal_triad,
     simson_line,
+    triad_xy,
     verify_miquel_equations,
 )
 
@@ -141,8 +142,11 @@ def suite_theorem1(report: SuiteReport) -> None:
             s = rng.uniform(-1.0, 2.0)
             if abs(s) > 0.05 and abs(s - 1.0) > 0.05:
                 params.append(s)
-        res = miquel_point(t, Triad.at(t, *params))
-        concurrency.add(res.residual / t.circumradius, i, t, res.point)
+        # no Triad or Circles: with the host inside MAX_COORDINATE and these
+        # parameters, their Point and radius checks cannot fail (see
+        # triads.verify_miquel_equations)
+        *circles, (mx, my) = miquel_xy(t.xy, triad_xy(t.xy, *params))
+        concurrency.add(miquel_residual(circles, mx, my) / t.circumradius, i, t, Point(mx, my))
 
 
 def suite_theorem2(report: SuiteReport) -> None:

@@ -11,7 +11,13 @@ The chain step builds no Point, from the same coordinate bodies as
 triangles and Miquel points equal theirs. `pedal_triad` is `family_member`
 at theta = 0, so its feet are the side lines' projections of the point, on
 a side line too. `Triangle.min_side_line_distance` reads the same floats as
-`family_xy`'s nearest distance, which the chain step hands to its guard.
+`family_xy`'s nearest distance, which the chain step and `containment_parity`
+hand to their guard.
+
+The one-shot suites build no Point they do not read either: theorem1 takes
+its triad from `triad_xy` (`Triad.at`'s body) and its residual from
+`miquel_residual` (`miquel_point`'s), and `containment_parity` tests
+containment with `contains_xy` (`triangle_contains`'s).
 """
 
 import itertools
@@ -30,6 +36,7 @@ from miquel.kernel import (
     Triangle,
     circle_xy,
     circumcircle,
+    contains_xy,
     directed_angle,
     midpoint,
     offset_xy,
@@ -39,6 +46,7 @@ from miquel.kernel import (
     shape_gap,
     shape_ratio,
     side_lengths_xy,
+    triangle_contains,
     unit_direction,
 )
 from miquel.sampling import (
@@ -54,7 +62,10 @@ from miquel.triads import (
     classify_similarity,
     family_member,
     miquel_point,
+    miquel_residual,
+    miquel_xy,
     pedal_triad,
+    triad_xy,
 )
 
 
@@ -187,6 +198,22 @@ def _triad_points_by_operators(host, u, v, w):
         _along_by_operators(host.b, host.c, u),
         _along_by_operators(host.c, host.a, v),
         _along_by_operators(host.a, host.b, w),
+    )
+
+
+def _triad_at_by_generator(host, u, v, w):
+    """Triad.at's points as it built them before triad_xy."""
+    a, b, c = host.vertices
+    return tuple(
+        Point(tail.x + s * (head.x - tail.x), tail.y + s * (head.y - tail.y))
+        for tail, head, s in ((b, c, u), (c, a, v), (a, b, w))
+    )
+
+
+def _contains_by_operators(t, p):
+    sign = t.orientation
+    return all(
+        sign * (q2 - q1).cross(p - q1) > 0.0 for q1, q2 in ((t.a, t.b), (t.b, t.c), (t.c, t.a))
     )
 
 
@@ -362,6 +389,38 @@ def test_family_member_feet_and_triad_forms():
                 _param_by_operators(triad.z, t.a, t.b),
             )
             assert Triad.at(t, *params).points == _triad_points_by_operators(t, *params)
+
+
+def test_triad_xy_and_miquel_residual():
+    """triad_xy against Triad.at's old generator, inside and outside [0, 1];
+    miquel_residual against Circle.offset_of of the circles AYZ, BZX, CXY."""
+    rng = rng_for(0, "coordinate-forms", 2)
+    for t, _, _ in CASES:
+        params = [rng.uniform(-1.0, 2.0) for _ in range(3)]
+        x, y, z = _triad_at_by_generator(t, *params)
+        xy = triad_xy(t.xy, *params)
+        assert xy == (x.x, x.y, y.x, y.y, z.x, z.y)
+        assert Triad.at(t, *params).points == (x, y, z)
+        *rows, (mx, my) = miquel_xy(t.xy, xy)
+        circles = (circumcircle(t.a, y, z), circumcircle(t.b, z, x), circumcircle(t.c, x, y))
+        expected = max(abs(k.offset_of(Point(mx, my))) for k in circles)
+        assert miquel_residual(rows, mx, my) == expected
+        assert miquel_point(t, Triad.at(t, *params)).residual == expected
+    with pytest.raises(ValueError, match="^triad parameters must be finite$"):
+        triad_xy(CASES[0][0].xy, 0.5, math.inf, 0.5)
+
+
+def test_contains_xy():
+    """contains_xy against sign·(q2 − q1)×(p − q1) with the triangle's
+    orientation, for both orientations, inside, outside, on an edge and at a
+    vertex; triangle_contains is contains_xy."""
+    for t, points, _ in CASES:
+        for host in (t, Triangle(t.a, t.c, t.b)):
+            for p in (*points, midpoint(t.a, t.b), midpoint(t.b, t.c), t.a, t.c):
+                inside = _contains_by_operators(host, p)
+                assert contains_xy(host.xy, p.x, p.y) is inside
+                assert triangle_contains(host, p) is inside
+            assert contains_xy(host.xy, *points[0]) and not contains_xy(host.xy, *points[1])
 
 
 def test_one_pedal_triangle():

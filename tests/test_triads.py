@@ -16,9 +16,10 @@ from miquel.centers import (
     s_point,
 )
 from miquel.chains import CHAIN_DETECT_TOL
-from miquel.errors import GeometryError, OnSideLineError
+from miquel.errors import CollinearError, GeometryError, OnSideLineError
 from miquel.kernel import (
     ANGLE_EPS,
+    HALF_PI,
     LENGTH_EPS,
     DirectedAngle,
     Line,
@@ -29,6 +30,7 @@ from miquel.kernel import (
     directed_angle,
     line_line_intersection,
     midpoint,
+    reject_side_lines,
     shape_gap,
     shape_ratio,
 )
@@ -45,6 +47,8 @@ from miquel.sampling import (
     rng_for,
 )
 from miquel.triads import (
+    CONCURRENCY_BAND,
+    ParityReport,
     SpecialRole,
     Triad,
     angle_sextet,
@@ -54,6 +58,7 @@ from miquel.triads import (
     family_member,
     miquel_point,
     miquel_triangle_angles,
+    on_circumcircle,
     pedal_triad,
     simson_line,
     verify_miquel_equations,
@@ -543,6 +548,110 @@ class TestContainmentParity:
         # check runs first
         with pytest.raises(OnSideLineError):
             containment_parity(TSCA, TSCA.a)
+
+
+def _contains_by_operators(t, p):
+    sign = t.orientation
+    return all(
+        sign * (q2 - q1).cross(p - q1) > 0.0 for q1, q2 in ((t.a, t.b), (t.b, t.c), (t.c, t.a))
+    )
+
+
+def _miquel_equations_by_objects(t, p, triad):
+    """verify_miquel_equations on the object path: the point of
+    miquel_point's MiquelResult and the host's directed_angle_at."""
+    if miquel_point(t, triad).point.dist(p) > CONCURRENCY_BAND * t.circumradius:
+        raise GeometryError("the triad's concurrency point is not the given point")
+    x, y, z = triad.points
+    ang_a, ang_b, ang_c = (t.directed_angle_at(v) for v in "ABC")
+    return max(
+        (ang_a + directed_angle(y, x, z)).distance(directed_angle(t.b, p, t.c)),
+        (ang_b + directed_angle(z, y, x)).distance(directed_angle(t.c, p, t.a)),
+        (ang_c + directed_angle(x, z, y)).distance(directed_angle(t.a, p, t.b)),
+    )
+
+
+def _containment_parity_by_objects(t, p):
+    """containment_parity on the object path: the pedal Triad, its Triangle,
+    Point differences and the host's min_side_line_distance."""
+    reject_side_lines(t.min_side_line_distance(p), t.circumradius)
+    if on_circumcircle(t, p):
+        raise GeometryError("the pedal triple degenerates on the circumcircle")
+    triad = pedal_triad(t, p)
+    inside_host = _contains_by_operators(t, p)
+    inside_miquel = _contains_by_operators(triad.triangle(), p)
+    ray_sum = None
+    if inside_host:
+        dirs = sorted((q - p).angle() for q in triad.points)
+        gaps = [dirs[1] - dirs[0], dirs[2] - dirs[1], 2.0 * math.pi - (dirs[2] - dirs[0])]
+        ray_sum = sum(min(g, 2.0 * math.pi - g) for g in gaps)
+    return ParityReport(inside_host, inside_miquel, inside_host == inside_miquel, ray_sum)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (GeometryError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _trial_points(rng, t, i):
+    """An interior point, a point in the circumdisk outside the triangle, or
+    an exterior point, by trial index."""
+    if i % 3 == 0:
+        return random_interior_point(rng, t)
+    if i % 3 == 1:
+        while True:
+            p = random_point_in_circumdisk(rng, t, line_margin=0.03)
+            if not _contains_by_operators(t, p):
+                return p
+    return random_exterior_point(rng, t, min_factor=1.05, max_factor=5.0)
+
+
+class TestCoordinatePathsAgainstObjects:
+    """verify_miquel_equations and containment_parity build no MiquelResult,
+    Triad or pedal Triangle; the object path gives the same floats and the
+    same errors."""
+
+    def test_miquel_equations(self):
+        rng = rng_for(0, "equations", 1)
+        for i in range(300):
+            t = random_triangle(rng)
+            p = _trial_points(rng, t, i)
+            triad = (
+                family_member(t, p, rng.uniform(-1.2, 1.2))
+                if i % 10
+                else Triad.at(t, *(rng.uniform(-1.0, 2.0) for _ in range(3)))
+            )
+            # p itself, and p moved just past the drift band
+            off = Point(p.x + 1.5 * CONCURRENCY_BAND * t.circumradius, p.y)
+            for q in (p, off):
+                expected = _outcome(_miquel_equations_by_objects, t, q, triad)
+                assert _outcome(verify_miquel_equations, t, q, triad) == expected
+
+    def test_containment_parity(self):
+        rng = rng_for(0, "parity", 3)
+        for i in range(300):
+            t = random_triangle(rng)
+            for p in (_trial_points(rng, t, i), random_circumcircle_point(rng, t)):
+                expected = _outcome(_containment_parity_by_objects, t, p)
+                assert _outcome(containment_parity, t, p) == expected
+            for p in (t.b, midpoint(t.a, t.c)):
+                assert _outcome(containment_parity, t, p) == (
+                    OnSideLineError, "the point lies on a side line of the triangle"
+                )
+
+
+    def test_error_order_on_a_thin_host(self):
+        # an angle of 0.006 at A: points just outside the circumcircle band
+        # have collinear pedal feet, which Triangle(X, Y, Z) rejected
+        t = Triangle(*(Point(math.cos(phi), math.sin(phi)) for phi in (HALF_PI, -1.5648, -1.5768)))
+        for phi in (0.3, 1.0, 2.5):
+            for radius in (1.0 + 1.5e-7, 1.0 - 1.5e-7, 1.0 + 1e-8):
+                p = Point(radius * math.cos(phi), radius * math.sin(phi))
+                expected = _outcome(_containment_parity_by_objects, t, p)
+                assert expected[0] in (CollinearError, GeometryError)
+                assert _outcome(containment_parity, t, p) == expected
 
 
 class TestSimson:
