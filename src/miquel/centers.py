@@ -16,9 +16,14 @@ from .kernel import (
     Frozen,
     Point,
     Triangle,
+    TriangleXY,
+    angles_xy,
+    checked_circle_xy,
     invert_point,
     reject_side_lines,
     set_field,
+    side_lengths_xy,
+    squared_sides_xy,
 )
 
 _ROLES_WITH_VERTEX = ("excenter", "s_role", "m_role", "q_role")
@@ -45,71 +50,97 @@ class SpecialRole(Frozen):
         return f"{self.role}({self.vertex})" if self.vertex else self.role
 
 
-def _barycentric_xy(t: Triangle, wa: float, wb: float, wc: float) -> tuple[float, float]:
+class Measures(NamedTuple):
+    """What the location bodies below read of a triangle, under the names of
+    the ``Triangle`` attributes they stand for, each computed once."""
+
+    xy: TriangleXY
+    side_lengths: tuple[float, float, float]
+    squared_sides: tuple[float, float, float]
+    angles: tuple[float, float, float]
+    circumcenter_xy: tuple[float, float]
+    circumradius: float
+
+
+def measures_xy(xy: TriangleXY) -> Measures:
+    """The measures of the triangle ``xy``: the floats of the ``Triangle``
+    on these vertices, with what it and its ``circumcircle`` raise, in that
+    order."""
+    side_lengths = side_lengths_xy(*xy)
+    ox, oy, r = checked_circle_xy(*xy)
+    return Measures(xy, side_lengths, squared_sides_xy(xy), angles_xy(xy), (ox, oy), r)
+
+
+# what the location bodies below read: a Triangle, whose caches fill on first
+# read, or the Measures that detection computes from coordinates
+Measured = Triangle | Measures
+
+
+def _barycentric_xy(t: Measured, wa: float, wb: float, wc: float) -> tuple[float, float]:
     """The point with barycentric weights (wa : wb : wc) over A, B, C."""
-    a, b, c = t.a, t.b, t.c
+    ax, ay, bx, by, cx, cy = t.xy
     s = wa + wb + wc
-    return (wa * a.x + wb * b.x + wc * c.x) / s, (wa * a.y + wb * b.y + wc * c.y) / s
+    return (wa * ax + wb * bx + wc * cx) / s, (wa * ay + wb * by + wc * cy) / s
 
 
-def _reject_right_angle(t: Triangle, vertex: str) -> None:
-    if abs(t.angle(vertex) - HALF_PI) < ANGLE_EPS:
+def _reject_right_angle(t: Measured, vertex: str) -> int:
+    """The index of ``vertex``, which must not have a right angle."""
+    i = VERTEX_LABELS.index(vertex)
+    if abs(t.angles[i] - HALF_PI) < ANGLE_EPS:
         raise RightAngleDegenerateError(f"vertex angle at {vertex} is right")
+    return i
 
 
 # Where each named point sits, on coordinates: the one body of its formula,
 # which its Point function, ``locate`` and role detection all call. Each takes
 # the triangle and, for the names that come one per vertex, the vertex label.
 
-def _circumcenter_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
-    o = t.circumcircle.center
-    return o.x, o.y
+def _circumcenter_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
+    return t.circumcenter_xy
 
 
-def _orthocenter_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
+def _orthocenter_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
     # vector identity: H = A + B + C - 2*O
-    o = t.circumcircle.center
-    a, b, c = t.a, t.b, t.c
-    return a.x + b.x + c.x - 2.0 * o.x, a.y + b.y + c.y - 2.0 * o.y
+    ox, oy = t.circumcenter_xy
+    ax, ay, bx, by, cx, cy = t.xy
+    return ax + bx + cx - 2.0 * ox, ay + by + cy - 2.0 * oy
 
 
-def _centroid_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
-    a, b, c = t.a, t.b, t.c
-    return (a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0
+def _centroid_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
+    ax, ay, bx, by, cx, cy = t.xy
+    return (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
 
 
-def _incenter_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
+def _incenter_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
     return _barycentric_xy(t, *t.side_lengths)
 
 
-def _excenter_xy(t: Triangle, vertex: str) -> tuple[float, float]:
+def _excenter_xy(t: Measured, vertex: str) -> tuple[float, float]:
     weights = list(t.side_lengths)
     weights[VERTEX_LABELS.index(vertex)] *= -1.0
     return _barycentric_xy(t, *weights)
 
 
-def _first_brocard_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
+def _first_brocard_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
     a2, b2, c2 = t.squared_sides
     return _barycentric_xy(t, c2 * a2, a2 * b2, b2 * c2)
 
 
-def _second_brocard_xy(t: Triangle, vertex: str | None = None) -> tuple[float, float]:
+def _second_brocard_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
     a2, b2, c2 = t.squared_sides
     return _barycentric_xy(t, a2 * b2, b2 * c2, c2 * a2)
 
 
-def _s_xy(t: Triangle, vertex: str) -> tuple[float, float]:
-    _reject_right_angle(t, vertex)
-    i = VERTEX_LABELS.index(vertex)
+def _s_xy(t: Measured, vertex: str) -> tuple[float, float]:
+    i = _reject_right_angle(t, vertex)
     sq = t.squared_sides
     weights = list(sq)
     weights[i] = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
     return _barycentric_xy(t, *weights)
 
 
-def _m_xy(t: Triangle, vertex: str) -> tuple[float, float]:
-    _reject_right_angle(t, vertex)
-    i = VERTEX_LABELS.index(vertex)
+def _m_xy(t: Measured, vertex: str) -> tuple[float, float]:
+    i = _reject_right_angle(t, vertex)
     sq = t.squared_sides
     k = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
     weights = [k, k, k]
@@ -117,7 +148,8 @@ def _m_xy(t: Triangle, vertex: str) -> tuple[float, float]:
     return _barycentric_xy(t, *weights)
 
 
-_LOCATE_XY = {
+# the body of each role with a single location, by role name
+LOCATE_XY = {
     "circumcenter": _circumcenter_xy,
     "orthocenter": _orthocenter_xy,
     "centroid": _centroid_xy,
@@ -231,7 +263,7 @@ def locate_xy(t: Triangle, role: SpecialRole) -> tuple[float, float]:
     ``q_role``, which is a whole arc), and ``RightAngleDegenerateError`` for
     ``s_role``/``m_role`` at a right vertex.
     """
-    body = _LOCATE_XY.get(role.role)
+    body = LOCATE_XY.get(role.role)
     if body is None:
         raise ValueError(f"{role} has no single location")
     return body(t, role.vertex)

@@ -81,9 +81,12 @@ class ChainRecord(Frozen):
 
     @cached_property
     def roles(self) -> tuple[SpecialRole, ...]:
-        """The role ``point`` plays in each of ``triangles``."""
+        """The role ``point`` plays in each of ``triangles``, detected on their
+        coordinates, so no step ``Triangle`` is built."""
+        px, py = self.point.x, self.point.y
         return tuple(
-            detect_special_role(t, self.point, CHAIN_DETECT_TOL) for t in self.triangles
+            detect_special_role(xy, px, py, CHAIN_DETECT_TOL)
+            for xy in (self.seed.xy, *self.steps_xy)
         )
 
 
@@ -105,9 +108,13 @@ def _step(
     reject_side_lines(nearest, r)
     xx, xy, yx, yy, zx, zy = triad
     # every comparison with NaN is false, so NaN is out of range too
-    in_range = all(abs(q) <= MAX_COORDINATE for q in triad) and max(
-        math.hypot(yx - xx, yy - xy), math.hypot(zx - yx, zy - yy), math.hypot(xx - zx, xy - zy)
-    ) >= MIN_LONGEST_SIDE
+    big = MAX_COORDINATE
+    in_range = (
+        abs(xx) <= big and abs(xy) <= big and abs(yx) <= big
+        and abs(yy) <= big and abs(zx) <= big and abs(zy) <= big
+        and max(math.hypot(yx - xx, yy - xy), math.hypot(zx - yx, zy - yy),
+                math.hypot(xx - zx, xy - zy)) >= MIN_LONGEST_SIDE
+    )
     if not in_range:
         raise DegenerateStepError(
             "the triangle is out of range: its coordinates must lie within"

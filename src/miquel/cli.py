@@ -107,13 +107,13 @@ def cmd_classify(args) -> int:
     # rejects NaN too: every comparison with NaN is false
     if not 0.0 < args.tolerance < math.inf:
         raise ValueError("--tolerance must be finite and strictly positive")
-    role = detect_special_role(t, p, args.tolerance)
+    role = detect_special_role(t.xy, p.x, p.y, args.tolerance)
     doc: dict = {"role": str(role)}
     if on_circumcircle(t, p):
         doc["pedal"] = "simson-line"
         doc["collinearity_deviation"] = simson_line(t, p).max_deviation()
     else:
-        match = classify_similarity(t, pedal_triad(t, p).triangle(), PEDAL_SIMILARITY_TOL)
+        match = classify_similarity(t.xy, pedal_triad(t, p).triangle().xy, PEDAL_SIMILARITY_TOL)
         if match is None:
             doc["similar_to_host"] = False
         else:

@@ -139,8 +139,9 @@ def midpoint(p: Point, q: Point) -> Point:
     return Point(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
 
 
-def _canonical_half_turn(value: float) -> float:
-    """Reduce to the representative in (-pi/2, pi/2]."""
+def half_turn(value: float) -> float:
+    """Reduce to the representative in (-pi/2, pi/2]: the ``value`` of the
+    ``DirectedAngle`` of an angle, which it leaves as it is."""
     r = math.remainder(value, math.pi)
     if r <= -HALF_PI:
         r += math.pi
@@ -160,7 +161,7 @@ class DirectedAngle(Frozen):
     def __init__(self, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError("non-finite angle")
-        set_field(self, "value", _canonical_half_turn(value))
+        set_field(self, "value", half_turn(value))
 
     def __add__(self, other: DirectedAngle) -> DirectedAngle:
         return DirectedAngle(self.value + other.value)
@@ -178,7 +179,12 @@ class DirectedAngle(Frozen):
 
     def distance(self, other: DirectedAngle) -> float:
         """Circular distance modulo pi, in [0, pi/2]."""
-        return abs(math.remainder(self.value - other.value, math.pi))
+        return angle_distance(self.value, other.value)
+
+
+def angle_distance(u: float, v: float) -> float:
+    """``DirectedAngle.distance`` of the angles of values ``u`` and ``v``."""
+    return abs(math.remainder(u - v, math.pi))
 
 
 class Circle(Frozen):
@@ -296,6 +302,36 @@ def circle_xy(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) 
     return x1 + ux, y1 + uy, math.hypot(ux, uy)
 
 
+def checked_circle_xy(*points: float) -> CircleXY:
+    """``circle_xy`` of three points, with the ``ValueError`` that
+    ``circumcircle``'s ``Circle`` raises for a center or radius that is not
+    finite, or a radius that is not positive."""
+    cx, cy, r = circle = circle_xy(*points)
+    if not (math.isfinite(cx + cy + r) and r > 0.0):
+        Circle(Point(cx, cy), r)
+    return circle
+
+
+def squared_sides_xy(xy: TriangleXY) -> tuple[float, float, float]:
+    """|BC|², |CA|², |AB|² of the triangle ``xy``."""
+    ax, ay, bx, by, cx, cy = xy
+    bcx, bcy, cax, cay, abx, aby = cx - bx, cy - by, ax - cx, ay - cy, bx - ax, by - ay
+    return (bcx * bcx + bcy * bcy, cax * cax + cay * cay, abx * abx + aby * aby)
+
+
+def _interior(ux: float, uy: float, vx: float, vy: float) -> float:
+    """The angle between the legs (ux, uy) and (vx, vy), in [0, pi]."""
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+
+
+def angles_xy(xy: TriangleXY) -> tuple[float, float, float]:
+    """The interior angles at A, B, C, in (0, pi), of the triangle ``xy``."""
+    ax, ay, bx, by, cx, cy = xy
+    return (_interior(bx - ax, by - ay, cx - ax, cy - ay),
+            _interior(cx - bx, cy - by, ax - bx, ay - by),
+            _interior(ax - cx, ay - cy, bx - cx, by - cy))
+
+
 def shape_ratio(xy: TriangleXY, order: tuple[int, int, int]) -> complex:
     """(B − A)/(C − A) of the triangle ``xy`` with its vertices taken in ``order``
     (indices into A, B, C): equal for directly similar triangles, conjugate
@@ -363,14 +399,20 @@ def line_line_intersection(l1: Line, l2: Line) -> Point:
 
 def directed_angle(p: Point, q: Point, r: Point) -> DirectedAngle:
     """Directed angle from line qp to line qr, modulo a half turn."""
-    qpx, qpy = p.x - q.x, p.y - q.y
-    qrx, qry = r.x - q.x, r.y - q.y
+    return DirectedAngle(directed_angle_xy(p.x, p.y, q.x, q.y, r.x, r.y))
+
+
+def directed_angle_xy(px: float, py: float, qx: float, qy: float, rx: float, ry: float) -> float:
+    """The value of ``directed_angle`` of the points (px, py), (qx, qy),
+    (rx, ry), with its ``GeometryError``."""
+    qpx, qpy = px - qx, py - qy
+    qrx, qry = rx - qx, ry - qy
     n_qp = math.hypot(qpx, qpy)
     n_qr = math.hypot(qrx, qry)
     scale = max(n_qp, n_qr)
     if scale == 0.0 or min(n_qp, n_qr) < LENGTH_EPS * scale:
         raise GeometryError("angle leg collapses onto the apex")
-    return DirectedAngle(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
+    return half_turn(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
 
 
 def circumcircle(p1: Point, p2: Point, p3: Point) -> Circle:
@@ -463,7 +505,7 @@ def triangle_contains(t: "Triangle", p: Point) -> bool:
 
 def contains_xy(xy: TriangleXY, px: float, py: float) -> bool:
     """``triangle_contains`` on coordinates: (px, py) is on the inner side of
-    each edge AB, BC, CA, read with the sign of ``Triangle.orientation``."""
+    each edge AB, BC, CA, read with the sign of the triangle's area."""
     ax, ay, bx, by, cx, cy = xy
     sign = 1 if 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) > 0.0 else -1
     return all(
@@ -500,41 +542,23 @@ class Triangle(Frozen):
         return (a.x, a.y, b.x, b.y, c.x, c.y)
 
     @cached_property
-    def signed_area(self) -> float:
-        a, b, c = self.a, self.b, self.c
-        return 0.5 * ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
-
-    @property
-    def orientation(self) -> int:
-        return 1 if self.signed_area > 0.0 else -1
-
-    @cached_property
     def squared_sides(self) -> tuple[float, float, float]:
         """a², b², c²: the squared lengths of BC, CA, AB."""
-        a, b, c = self.a, self.b, self.c
-        bcx, bcy = c.x - b.x, c.y - b.y
-        cax, cay = a.x - c.x, a.y - c.y
-        abx, aby = b.x - a.x, b.y - a.y
-        return (bcx * bcx + bcy * bcy, cax * cax + cay * cay, abx * abx + aby * aby)
+        return squared_sides_xy(self.xy)
 
     @cached_property
     def angles(self) -> tuple[float, float, float]:
         """Interior angles at A, B, C in (0, pi)."""
-        return (
-            self._interior(self.a, self.b, self.c),
-            self._interior(self.b, self.c, self.a),
-            self._interior(self.c, self.a, self.b),
-        )
-
-    @staticmethod
-    def _interior(apex: Point, p: Point, q: Point) -> float:
-        ux, uy = p.x - apex.x, p.y - apex.y
-        vx, vy = q.x - apex.x, q.y - apex.y
-        return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+        return angles_xy(self.xy)
 
     @cached_property
     def circumcircle(self) -> Circle:
         return circumcircle(self.a, self.b, self.c)
+
+    @property
+    def circumcenter_xy(self) -> tuple[float, float]:
+        o = self.circumcircle.center
+        return o.x, o.y
 
     @property
     def circumradius(self) -> float:

@@ -25,10 +25,12 @@ from .kernel import (
     Point,
     Triangle,
     TriangleXY,
+    checked_circle_xy,
     circle_xy,
-    circumcircle,
     contains_xy,
     directed_angle,
+    directed_angle_xy,
+    half_turn,
     offset_xy,
     project_xy,
     reflect_xy,
@@ -281,20 +283,42 @@ def _points(xy: TriangleXY) -> tuple[Point, Point, Point]:
     return Point(xy[0], xy[1]), Point(xy[2], xy[3]), Point(xy[4], xy[5])
 
 
+def cevian_angles_xy(
+    host: TriangleXY, px: float, py: float, radius: float, second: bool
+) -> tuple[float, float, float]:
+    """The values of ``angle_sextet``'s alpha1, beta1, gamma1 of the point
+    (px, py) in the host of circumradius ``radius``, or alpha2, beta2,
+    gamma2 when ``second``, with its errors."""
+    ax, ay, bx, by, cx, cy = host
+    eps = LENGTH_EPS * radius
+    if (math.hypot(px - ax, py - ay) < eps or math.hypot(px - bx, py - by) < eps
+            or math.hypot(px - cx, py - cy) < eps):
+        raise GeometryError("the point coincides with a vertex")
+    if second:
+        return (directed_angle_xy(bx, by, ax, ay, px, py),
+                directed_angle_xy(cx, cy, bx, by, px, py),
+                directed_angle_xy(ax, ay, cx, cy, px, py))
+    return (directed_angle_xy(px, py, ax, ay, cx, cy),
+            directed_angle_xy(px, py, bx, by, ax, ay),
+            directed_angle_xy(px, py, cx, cy, bx, by))
+
+
 def angle_sextet(t: Triangle, p: Point) -> AngleSextet:
     """Directed angles of the cevian rays of ``p`` at the three vertices."""
-    eps = LENGTH_EPS * t.circumradius
-    if any(p.dist(q) < eps for q in t.vertices):
-        raise GeometryError("the point coincides with a vertex")
-    a, b, c = t.a, t.b, t.c
-    return AngleSextet(
-        alpha1=directed_angle(p, a, c),
-        alpha2=directed_angle(b, a, p),
-        beta1=directed_angle(p, b, a),
-        beta2=directed_angle(c, b, p),
-        gamma1=directed_angle(p, c, b),
-        gamma2=directed_angle(a, c, p),
-    )
+    xy, r = t.xy, t.circumradius
+    a1, b1, g1 = cevian_angles_xy(xy, p.x, p.y, r, False)
+    a2, b2, g2 = cevian_angles_xy(xy, p.x, p.y, r, True)
+    return AngleSextet(*map(DirectedAngle, (a1, a2, b1, b2, g1, g2)))
+
+
+def miquel_angles_xy(
+    host: TriangleXY, px: float, py: float, radius: float
+) -> tuple[float, float, float]:
+    """The values of ``miquel_triangle_angles`` x, y, z of the point (px, py)
+    in the host of circumradius ``radius``."""
+    a1, b1, g1 = cevian_angles_xy(host, px, py, radius, False)
+    a2, b2, g2 = cevian_angles_xy(host, px, py, radius, True)
+    return half_turn(b1 + g2), half_turn(g1 + a2), half_turn(a1 + b2)
 
 
 def miquel_triangle_angles(t: Triangle, p: Point) -> MiquelAngles:
@@ -303,12 +327,7 @@ def miquel_triangle_angles(t: Triangle, p: Point) -> MiquelAngles:
     Valid for points inside the circumcircle; outside it the same directed
     formulas are evaluated as they stand.
     """
-    s = angle_sextet(t, p)
-    return MiquelAngles(
-        x=s.beta1 + s.gamma2,
-        y=s.gamma1 + s.alpha2,
-        z=s.alpha1 + s.beta2,
-    )
+    return MiquelAngles(*map(DirectedAngle, miquel_angles_xy(t.xy, p.x, p.y, t.circumradius)))
 
 
 def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
@@ -342,14 +361,13 @@ def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
 _ORDERS = tuple(permutations(range(3)))
 
 
-def classify_similarity(t1: Triangle, t2: Triangle, tol: float) -> SimilarityClass | None:
-    """The first vertex correspondence under which the shape ratio of ``t2``
-    is within the gap ``tol`` (``kernel.shape_gap``) of that of ``t1``, or
-    None. The 12 (order, mirrored) pairs are tried in ``_ORDERS`` order,
-    direct before mirrored: isosceles and equilateral inputs fit several,
-    and the first that fits wins."""
-    r1 = shape_ratio(t1.xy, (0, 1, 2))
-    xy2 = t2.xy
+def classify_similarity(xy1: TriangleXY, xy2: TriangleXY, tol: float) -> SimilarityClass | None:
+    """The first vertex correspondence under which the shape ratio of the
+    triangle ``xy2`` is within the gap ``tol`` (``kernel.shape_gap``) of that
+    of ``xy1``, or None. The 12 (order, mirrored) pairs are tried in
+    ``_ORDERS`` order, direct before mirrored: isosceles and equilateral
+    inputs fit several, and the first that fits wins."""
+    r1 = shape_ratio(xy1, (0, 1, 2))
     for order in _ORDERS:
         r2 = shape_ratio(xy2, order)
         for mirrored in (False, True):
@@ -359,26 +377,34 @@ def classify_similarity(t1: Triangle, t2: Triangle, tol: float) -> SimilarityCla
     return None
 
 
-def detect_special_role(t: Triangle, p: Point, length_eps: float) -> SpecialRole:
-    """Which named center of ``t`` the point is, within ``length_eps``
-    (relative) times the circumradius.
+# role detection's candidates with their location bodies: the centroid plays
+# no role in the paper, and when b² + c² = 2a² it coincides with M_A, which
+# must win
+_CANDIDATES = tuple(
+    (role, centers.LOCATE_XY[role.role]) for role, _ in centers.NAMED_POINTS
+    if role.role != "centroid"
+)
 
-    Every point of ``centers.NAMED_POINTS`` but the centroid is a candidate.
-    The nearest within the band wins, the first in table order on a tie; the
-    arc role (isosceles host, point on the circle through the base vertices
-    and the incenter) is only tried when no center fits. That circle is
-    built with the kernel's own collinearity band, not with ``length_eps``.
+
+def detect_special_role(xy: TriangleXY, px: float, py: float, length_eps: float) -> SpecialRole:
+    """Which named center of the triangle ``xy`` the point (px, py) is,
+    within ``length_eps`` (relative) times the circumradius.
+
+    Every point of ``centers.NAMED_POINTS`` but the centroid is a candidate,
+    located from the triangle's measures (``centers.measures_xy``), computed
+    once. The nearest within the band wins, the first in table order on a
+    tie; S and M are skipped at a right angle, and a location that is not
+    finite raises ``Point``'s ``ValueError``. The arc role (isosceles host,
+    point on the circle through the base vertices and the incenter) is only
+    tried when no center fits. That circle is built with the kernel's own
+    collinearity band, not with ``length_eps``.
     """
-    eps = length_eps * t.circumradius
-    px, py = p.x, p.y
+    m = centers.measures_xy(xy)
+    eps = length_eps * m.circumradius
     best_role, best_dist = NONE_ROLE, math.inf
-    for role, _ in centers.NAMED_POINTS:
-        # the centroid plays no role in the paper; when b² + c² = 2a² it
-        # coincides with M_A, which must win
-        if role.role == "centroid":
-            continue
+    for role, body in _CANDIDATES:
         try:
-            x, y = centers.locate_xy(t, role)
+            x, y = body(m, role.vertex)
         except RightAngleDegenerateError:
             continue
         d = math.hypot(x - px, y - py)
@@ -388,16 +414,19 @@ def detect_special_role(t: Triangle, p: Point, length_eps: float) -> SpecialRole
             Point(x, y)  # a location that is not finite: Point rejects it, as in locate
     if best_dist < eps:
         return best_role
-    incenter = centers.incenter(t)
-    for v in VERTEX_LABELS:
-        if not t.is_isosceles_at(v, length_eps):
+    ix, iy = centers.LOCATE_XY["incenter"](m)
+    sides = m.side_lengths
+    for i, v in enumerate(VERTEX_LABELS):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        # Triangle.is_isosceles_at(v, length_eps)
+        if not abs(sides[j] - sides[k]) < eps:
             continue
-        b, c = t.opposite(v)
+        bx, by, cx, cy = xy[2 * j], xy[2 * j + 1], xy[2 * k], xy[2 * k + 1]
         try:
-            arc = circumcircle(b, c, incenter)
+            ox, oy, r = checked_circle_xy(bx, by, cx, cy, ix, iy)
         except CollinearError:
             continue
-        if abs(arc.offset_of(p)) < eps:
+        if abs(math.hypot(ox - px, oy - py) - r) < eps:
             return SpecialRole("q_role", v)
     return NONE_ROLE
 

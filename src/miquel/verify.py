@@ -25,8 +25,12 @@ from .kernel import (
     Line,
     Point,
     Triangle,
+    TriangleXY,
+    angle_distance,
+    circle_xy,
     circumcircle,
     directed_angle,
+    directed_angle_xy,
     midpoint,
     reflect_over_line,
     second_intersection,
@@ -50,13 +54,14 @@ from .sampling import (
 from .triads import (
     PEDAL_SIMILARITY_TOL,
     SpecialRole,
-    angle_sextet,
+    cevian_angles_xy,
     classify_similarity,
     containment_parity,
     detect_special_role,
     family_member,
+    family_xy,
+    miquel_angles_xy,
     miquel_residual,
-    miquel_triangle_angles,
     miquel_xy,
     on_circumcircle,
     pedal_triad,
@@ -193,12 +198,14 @@ def suite_lemma2(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_triangle(rng)
         p = random_point_in_circumdisk(rng, t)
-        angs = miquel_triangle_angles(t, p)
-        x, y, z = pedal_triad(t, p).points
+        # miquel_triangle_angles and the pedal triad's angles, as floats
+        host, px, py = t.xy, p.x, p.y
+        ang_x, ang_y, ang_z = miquel_angles_xy(host, px, py, t.circumradius)
+        (xx, xy, yx, yy, zx, zy), _ = family_xy(host, px, py, 0.0)
         worst = max(
-            angs.x.distance(directed_angle(y, x, z)),
-            angs.y.distance(directed_angle(z, y, x)),
-            angs.z.distance(directed_angle(x, z, y)),
+            angle_distance(ang_x, directed_angle_xy(yx, yy, xx, xy, zx, zy)),
+            angle_distance(ang_y, directed_angle_xy(zx, zy, yx, yy, xx, xy)),
+            angle_distance(ang_z, directed_angle_xy(xx, xy, zx, zy, yx, yy)),
         )
         formulas.add(worst, i, t, p)
 
@@ -251,7 +258,7 @@ def suite_theorem4(report: SuiteReport) -> None:
                 exterior_sim.add(gap, i, t, e.location)
             else:
                 interior_perm.add(gap, i, t, e.location)
-                match = classify_similarity(t, shape, PEDAL_SIMILARITY_TOL)
+                match = classify_similarity(t.xy, shape.xy, PEDAL_SIMILARITY_TOL)
                 mirrored.append(match.mirrored if match else None)
         orientation_note.add_bool(
             mirrored.count(False) == 3 and mirrored.count(True) == 3,
@@ -313,13 +320,12 @@ def suite_theorem7(report: SuiteReport) -> None:
         )
 
 
-def _brocard_angle_spread(t: Triangle, p: Point, which: str) -> float:
+def _brocard_angle_spread(xy: TriangleXY, p: Point, which: str) -> float:
     """How far apart the three angles of the Brocard condition are at ``p``
-    in ``t``: alpha2, beta2, gamma2 for the first point, alpha1, beta1,
-    gamma1 for the second."""
-    s = angle_sextet(t, p)
-    trio = (s.alpha2, s.beta2, s.gamma2) if which == "first" else (s.alpha1, s.beta1, s.gamma1)
-    return max(trio[0].distance(trio[1]), trio[1].distance(trio[2]))
+    in the triangle ``xy``: alpha2, beta2, gamma2 of its ``angle_sextet``
+    for the first point, alpha1, beta1, gamma1 for the second."""
+    trio = cevian_angles_xy(xy, p.x, p.y, circle_xy(*xy)[2], which == "first")
+    return max(angle_distance(trio[0], trio[1]), angle_distance(trio[1], trio[2]))
 
 
 def suite_theorem8(report: SuiteReport) -> None:
@@ -336,7 +342,7 @@ def suite_theorem8(report: SuiteReport) -> None:
             centers.brocard_point(shape, which).dist(p) / t.circumradius,
             i, t, p,
         )
-        angles.add(_brocard_angle_spread(shape, p, which), i, t, p)
+        angles.add(_brocard_angle_spread(shape.xy, p, which), i, t, p)
 
 
 def suite_theorem9(report: SuiteReport) -> None:
@@ -412,7 +418,7 @@ def suite_theorem11(report: SuiteReport) -> None:
         double_angle.add(
             directed_angle(b2, p, c2).distance(2 * shape.directed_angle_at(v)), i, t, p
         )
-        detected = detect_special_role(shape, p, 1e-7)
+        detected = detect_special_role(shape.xy, p.x, p.y, 1e-7)
         role.add_bool(detected == SpecialRole("s_role", v), i, t, p)
 
 
@@ -521,10 +527,8 @@ def suite_theorem15(report: SuiteReport) -> None:
             rec = iterate_chain(t, p, k)
             for _, gap in _seed_gaps(rec, name):
                 brocard_all.add(gap, i, t, note=f" [{which}]")
-            for step_t in rec.triangles:
-                brocard_angles.add(
-                    _brocard_angle_spread(step_t, p, which), i, t, note=f" [{which}]"
-                )
+            for xy in (rec.seed.xy, *rec.steps_xy):
+                brocard_angles.add(_brocard_angle_spread(xy, p, which), i, t, note=f" [{which}]")
 
         for claim, name, p in (
             (o_s_steps, "O", centers.circumcenter(t)),
@@ -537,9 +541,9 @@ def suite_theorem15(report: SuiteReport) -> None:
 
         p = random_interior_point(rng, t)
         rec = iterate_chain(t, p, 2)
+        # steps 1 and 2
         dissimilar = all(
-            classify_similarity(t, rec.triangles[step_idx], CHAIN_SIMILARITY_TOL) is None
-            for step_idx in (1, 2)
+            classify_similarity(t.xy, xy, CHAIN_SIMILARITY_TOL) is None for xy in rec.steps_xy
         )
         generic.add_bool(dissimilar, i, t, note=" [random]")
 

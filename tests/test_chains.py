@@ -59,7 +59,7 @@ class TestIterateChain:
                 assert step.vertex(v).dist(midpoint(*host.opposite(v))) < 1e-12
         for i in range(3):
             match = classify_similarity(
-                rec.triangles[i], rec.triangles[i + 1], CHAIN_SIMILARITY_TOL
+                rec.triangles[i].xy, rec.triangles[i + 1].xy, CHAIN_SIMILARITY_TOL
             )
             assert match is not None
             scale = rec.triangles[i + 1].circumradius / rec.triangles[i].circumradius
@@ -67,7 +67,7 @@ class TestIterateChain:
 
     def test_scalene_mod3_seed_similarity(self):
         rec = iterate_chain(TSCA, circumcenter(TSCA), 3)
-        match = classify_similarity(rec.triangles[0], rec.triangles[3], CHAIN_SIMILARITY_TOL)
+        match = classify_similarity(rec.triangles[0].xy, rec.triangles[3].xy, CHAIN_SIMILARITY_TOL)
         assert match is not None
 
     def test_circumcircle_point_collapses(self):
@@ -146,14 +146,14 @@ class TestMod3Similarity:
         rec = iterate_chain(TSCA, p, 6)
         tris = rec.triangles
         for i in range(len(tris) - 1):
-            assert classify_similarity(tris[i], tris[i + 1], CHAIN_SIMILARITY_TOL) is not None
+            assert classify_similarity(tris[i].xy, tris[i + 1].xy, CHAIN_SIMILARITY_TOL) is not None
 
     def test_circumcenter_chain_merges_first_two_classes(self):
         # the pedal triangle of the circumcenter is the medial triangle,
         # so classes k=0 and k=1 coincide
         rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
         tris = rec.triangles
-        assert classify_similarity(tris[0], tris[1], CHAIN_SIMILARITY_TOL) is not None
+        assert classify_similarity(tris[0].xy, tris[1].xy, CHAIN_SIMILARITY_TOL) is not None
 
     def test_generic_point_classes_distinct(self):
         rec = iterate_chain(TSCA, Point(1.31, 0.87), 9)
@@ -162,7 +162,7 @@ class TestMod3Similarity:
         for i in range(len(tris)):
             for j in range(i + 1, len(tris)):
                 if (j - i) % 3:
-                    assert classify_similarity(tris[i], tris[j], CHAIN_SIMILARITY_TOL) is None
+                    assert classify_similarity(tris[i].xy, tris[j].xy, CHAIN_SIMILARITY_TOL) is None
 
     def test_theta_schedule_invariance(self):
         rng = rng_for(0, "chains", 1)
@@ -185,7 +185,7 @@ class TestMod3Similarity:
         rec = iterate_chain(TSCA, Point(1.31, 0.87), 9)
         bad = swap(rec.triangles[3])
         # a search over every vertex map and orientation accepts the swap
-        assert classify_similarity(rec.seed, bad, CHAIN_SIMILARITY_TOL) is not None
+        assert classify_similarity(rec.seed.xy, bad.xy, CHAIN_SIMILARITY_TOL) is not None
         steps_xy = (*rec.steps_xy[:2], bad.xy, *rec.steps_xy[3:])
         bad_rec = ChainRecord(rec.seed, rec.point, steps_xy)
         assert check_mod3_similarity(bad_rec) >= CHAIN_SIMILARITY_TOL
@@ -211,7 +211,7 @@ class TestSeedCorrespondences:
         rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
         ax, ay, bx, by, cx, cy = swap(*rec.steps_xy[2])
         bad = Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
-        assert classify_similarity(rec.seed, bad, CHAIN_SIMILARITY_TOL) is not None
+        assert classify_similarity(rec.seed.xy, bad.xy, CHAIN_SIMILARITY_TOL) is not None
 
         def swapped(t0, p, k, thetas=None):
             rec = iterate_chain(t0, p, k, thetas)
@@ -285,9 +285,9 @@ class TestLazyRoles:
     def detect_calls(self, monkeypatch):
         calls = []
 
-        def counted(t, p, tol):
+        def counted(xy, px, py, tol):
             calls.append(tol)
-            return detect_special_role(t, p, tol)
+            return detect_special_role(xy, px, py, tol)
 
         monkeypatch.setattr(miquel.chains, "detect_special_role", counted)
         return calls
@@ -312,7 +312,7 @@ class TestLazyRoles:
     def test_lazy_roles_match_explicit_detection(self):
         for p in (circumcenter(TSCA), s_point(TSCA, "A"), Point(1.31, 0.87)):
             rec = iterate_chain(TSCA, p, 4)
-            expect = [detect_special_role(t, p, CHAIN_DETECT_TOL) for t in rec.triangles]
+            expect = [detect_special_role(t.xy, *p, CHAIN_DETECT_TOL) for t in rec.triangles]
             assert list(rec.roles) == expect
 
 
@@ -343,6 +343,20 @@ class TestLazySteps:
             for ax, ay, bx, by, cx, cy in rec.steps_xy
         ]
         assert len(built) == 9
+
+    def test_roles_are_detected_without_step_triangles(self, built):
+        for p in (circumcenter(TSCA), s_point(TSCA, "A"), Point(1.31, 0.87)):
+            rec = iterate_chain(TSCA, p, 6)
+            assert len(rec.roles) == 7
+        assert built == []
+
+    @pytest.mark.parametrize("suite", ["theorem15", "corollary4"])
+    def test_chain_suites_build_only_their_seeds(self, built, suite):
+        # one seed Triangle per trial, from sampling; every chain step and
+        # every detection stays on coordinates
+        trials = 6
+        assert run_suite(suite, 7, trials).passed
+        assert len(built) == trials
 
     def test_step_circumcircles_are_the_ones_the_chain_used(self, monkeypatch):
         used = []

@@ -89,7 +89,7 @@ def test_every_correspondence_classified_and_printed(
         q = v.rotated(0.7) * 1.9 + Point(-2.0, 5.0)
         vertices[order[i]] = Point(-q.x, q.y) if mirrored else q
     copy = Triangle(*vertices)
-    match = classify_similarity(host, copy, PEDAL_SIMILARITY_TOL)
+    match = classify_similarity(host.xy, copy.xy, PEDAL_SIMILARITY_TOL)
     assert (match.order, match.mirrored) == (order, mirrored)
     # classify reports the copy as the pedal triangle of the scene's point
     monkeypatch.setattr(cli, "pedal_triad", lambda t, p: SimpleNamespace(triangle=lambda: copy))

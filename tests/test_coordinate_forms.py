@@ -59,9 +59,11 @@ from miquel.sampling import (
 from miquel.triads import (
     PEDAL_SIMILARITY_TOL,
     Triad,
+    cevian_angles_xy,
     classify_similarity,
     family_member,
     miquel_point,
+    miquel_angles_xy,
     miquel_residual,
     miquel_xy,
     pedal_triad,
@@ -210,8 +212,13 @@ def _triad_at_by_generator(host, u, v, w):
     )
 
 
+def _orientation(t):
+    """+1 when A, B, C turn counter-clockwise, else -1: the sign of the area."""
+    return 1 if 0.5 * (t.b - t.a).cross(t.c - t.a) > 0.0 else -1
+
+
 def _contains_by_operators(t, p):
-    sign = t.orientation
+    sign = _orientation(t)
     return all(
         sign * (q2 - q1).cross(p - q1) > 0.0 for q1, q2 in ((t.a, t.b), (t.b, t.c), (t.c, t.a))
     )
@@ -234,7 +241,7 @@ def _classify_by_label_lookup(t1, t2, angle_eps):
         ratio = sum(ratios) / 3.0
         score = residual + (max(ratios) - min(ratios)) / ratio
         if best is None or score < best[3]:
-            mirrored = t1.orientation != t2.orientation * _PARITY[order]
+            mirrored = _orientation(t1) != _orientation(t2) * _PARITY[order]
             best = (order, mirrored, ratio, score)
     return best
 
@@ -334,7 +341,6 @@ def test_triangle_angles_area_and_directed_angles():
             _interior_by_operators(c, a, b),
         )
         assert t.angles == expected
-        assert t.signed_area == 0.5 * (b - a).cross(c - a)
         for p in points:
             for q, r in ((a, b), (b, c), (c, a)):
                 assert directed_angle(p, q, r) == _directed_angle_by_operators(p, q, r)
@@ -346,6 +352,10 @@ def test_squared_sides_isogonal_conjugate_and_every_named_point(monkeypatch):
     located = []
     for t, points, _ in CASES:
         assert t.squared_sides == _squared_sides_by_operators(t)
+        # detection's measures, from coordinates, are the Triangle's floats
+        assert centers.measures_xy(t.xy) == (
+            t.xy, t.side_lengths, t.squared_sides, t.angles, t.circumcenter_xy, t.circumradius
+        )
         p = points[0]
         assert centers.isogonal_conjugate(t, p) == _isogonal_conjugate_by_operators(t, p)
         row = []
@@ -361,7 +371,7 @@ def test_squared_sides_isogonal_conjugate_and_every_named_point(monkeypatch):
     # a property outranks the values cached on the instances
     monkeypatch.setattr(kernel.Triangle, "squared_sides", property(_squared_sides_by_operators))
     monkeypatch.setitem(
-        centers._LOCATE_XY, "orthocenter", lambda t, v: tuple(_orthocenter_by_operators(t))
+        centers.LOCATE_XY, "orthocenter", lambda t, v: tuple(_orthocenter_by_operators(t))
     )
     for (t, _, _), row in zip(CASES, located):
         for (role, _), point in zip(NAMED_POINTS, row):
@@ -423,6 +433,23 @@ def test_contains_xy():
             assert contains_xy(host.xy, *points[0]) and not contains_xy(host.xy, *points[1])
 
 
+def test_sextet_and_miquel_angles():
+    """cevian_angles_xy and miquel_angles_xy against the DirectedAngle forms
+    angle_sextet and miquel_triangle_angles were built from: the six
+    directed angles at the vertices, then their pairwise sums."""
+    for t, points, _ in CASES:
+        a, b, c = t.vertices
+        for p in points:
+            a1, a2 = directed_angle(p, a, c), directed_angle(b, a, p)
+            b1, b2 = directed_angle(p, b, a), directed_angle(c, b, p)
+            g1, g2 = directed_angle(p, c, b), directed_angle(a, c, p)
+            r = t.circumradius
+            assert cevian_angles_xy(t.xy, p.x, p.y, r, False) == (a1.value, b1.value, g1.value)
+            assert cevian_angles_xy(t.xy, p.x, p.y, r, True) == (a2.value, b2.value, g2.value)
+            sums = (b1 + g2, g1 + a2, a1 + b2)
+            assert miquel_angles_xy(t.xy, p.x, p.y, r) == tuple(s.value for s in sums)
+
+
 def test_one_pedal_triangle():
     """The pedal triad's vertices are the side lines' projections of the
     point, float for float, for points off the side lines and on them."""
@@ -458,7 +485,7 @@ def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):
 def _verdicts(t1, t2, tol):
     """(order, mirrored) or None, from classify_similarity and from the
     oracle."""
-    match = classify_similarity(t1, t2, tol)
+    match = classify_similarity(t1.xy, t2.xy, tol)
     oracle = _classify_by_label_lookup(t1, t2, tol)
     return (
         None if match is None else (match.order, match.mirrored),

@@ -1,19 +1,21 @@
-"""Role detection in one pass over the named points, against the loop that
-locates each named point as a Point and measures its distance.
+"""Role detection on coordinates, against the loop it replaced.
 
-``detect_special_role`` reads each candidate's coordinates from the bodies
-``centers.locate`` uses and builds no Point per candidate; the oracle below
-is the loop over ``centers.locate`` that it replaced. Both must name the same
-role, with the same table order, strict-``<`` tie rule and right-angle skip.
+``detect_special_role`` takes a triangle's six coordinates, computes its
+measures once (``centers.measures_xy``: side lengths, squared sides, angles,
+circumcircle) and locates each candidate from them through the bodies
+``centers.locate_xy`` shares. The oracle below is the loop it replaced: a
+``Triangle``, ``centers.locate_xy`` per candidate, ``Triangle.is_isosceles_at``
+and ``circumcircle`` for the arc role. Both must name the same role, with the
+same table order, strict-``<`` tie rule and right-angle skip, or raise the
+same exception class with the same message.
 """
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miquel.centers import NAMED_POINTS, SpecialRole, incenter, locate
+from miquel.centers import NAMED_POINTS, SpecialRole, incenter, locate, locate_xy
 from miquel.chains import CHAIN_DETECT_TOL, iterate_chain
 from miquel.errors import CollinearError, DegenerateStepError, RightAngleDegenerateError
 from miquel.kernel import VERTEX_LABELS, Point, Triangle, circumcircle
@@ -35,19 +37,23 @@ DETECT = settings(max_examples=120, deadline=None, derandomize=True, database=No
 BANDS = st.sampled_from([1e-9, CHAIN_DETECT_TOL, 1e-3, 10.0])
 
 
-def _detect_by_locate(t, p, length_eps):
-    """Detection as a loop over ``centers.locate``: a Point per candidate."""
+def _detect_by_locate_xy(t, p, length_eps):
+    """Detection on a ``Triangle``, as a loop over ``centers.locate_xy``."""
     eps = length_eps * t.circumradius
+    px, py = p.x, p.y
     best_role, best_dist = NONE_ROLE, math.inf
     for role, _ in NAMED_POINTS:
         if role.role == "centroid":
             continue
         try:
-            d = locate(t, role).dist(p)
+            x, y = locate_xy(t, role)
         except RightAngleDegenerateError:
             continue
+        d = math.hypot(x - px, y - py)
         if d < best_dist:
             best_role, best_dist = role, d
+        elif not d < math.inf:
+            Point(x, y)
     if best_dist < eps:
         return best_role
     center = incenter(t)
@@ -64,6 +70,20 @@ def _detect_by_locate(t, p, length_eps):
     return NONE_ROLE
 
 
+def _outcome(f, *args):
+    """What ``f`` returns, or the class and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_role(t, p, length_eps):
+    got = _outcome(detect_special_role, t.xy, p.x, p.y, length_eps)
+    assert got == _outcome(_detect_by_locate_xy, t, p, length_eps)
+    return got
+
+
 def _named_points(t):
     points = []
     for role, _ in NAMED_POINTS:
@@ -74,10 +94,13 @@ def _named_points(t):
     return points
 
 
-def _assert_same_role(t, p, length_eps):
-    role = detect_special_role(t, p, length_eps)
-    assert role == _detect_by_locate(t, p, length_eps)
-    return role
+def _arc_point(rng, t, apex):
+    """A point on the circle through the base ends of ``apex`` and the
+    incenter, on the arc between the base ends through the incenter."""
+    b, c = t.opposite(apex)
+    center = incenter(t)
+    arc = circumcircle(b, c, center)
+    return random_arc_point(rng, arc.center, arc.radius, b, c, center)
 
 
 def _host(seed: int):
@@ -96,6 +119,41 @@ def _right_host(seed: int, vertex: str):
 
 
 seeds = st.integers(0, 10**6)
+
+
+def test_seeded_hosts_match_the_locate_xy_loop():
+    # 300 hosts, scalene, isosceles and right-angled in turn; every named
+    # point, a base-incenter arc point and two random points, at three bands
+    roles = set()
+    for seed in range(300):
+        rng = rng_for(seed, "detection", 8)
+        v = VERTEX_LABELS[seed % 3]
+        kind = seed % 3
+        if kind == 0:
+            t = random_triangle(rng)
+        elif kind == 1:
+            t = random_isosceles(rng, v)
+        else:
+            t = _right_host(seed, v)
+        points = [
+            *_named_points(t),
+            _arc_point(rng, t, v),
+            random_interior_point(rng, t),
+            random_exterior_point(rng, t),
+        ]
+        for p in points:
+            for length_eps in (1e-7, 1e-6, 1e-2):
+                roles.add(_assert_same_role(t, p, length_eps))
+    names = {r.role for r in roles}
+    assert names >= {"circumcenter", "orthocenter", "incenter", "excenter", "first_brocard",
+                     "second_brocard", "s_role", "m_role", "q_role", "none"}
+
+
+def test_collinear_coordinates_raise_as_the_triangle_would():
+    xy = (0.0, 0.0, 1.0, 0.0, 1.0, 7e-10)
+    detected = _outcome(detect_special_role, xy, 0.5, 0.5, CHAIN_DETECT_TOL)
+    built = _outcome(Triangle, Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 7e-10))
+    assert detected == built == (CollinearError, "degenerate triangle: collinear within tolerance")
 
 
 @DETECT
@@ -132,7 +190,8 @@ def test_chain_triangles(seed, which, rotated):
         rec = iterate_chain(t, p, 6, thetas)
     except DegenerateStepError:
         return
-    assert list(rec.roles) == [_detect_by_locate(s, p, CHAIN_DETECT_TOL) for s in rec.triangles]
+    expect = [_detect_by_locate_xy(s, p, CHAIN_DETECT_TOL) for s in rec.triangles]
+    assert list(rec.roles) == expect
 
 
 @DETECT
@@ -179,11 +238,7 @@ def test_right_angled_hosts_skip_s_and_m_at_the_right_vertex(seed, vertex, lengt
 def test_isosceles_arc_points_play_the_q_role(seed, apex):
     rng = rng_for(seed, "detection", 7)
     t = random_isosceles(rng, apex)
-    b, c = t.opposite(apex)
-    center = incenter(t)
-    arc = circumcircle(b, c, center)
-    p = random_arc_point(rng, arc.center, arc.radius, b, c, center)
-    role = _assert_same_role(t, p, CHAIN_DETECT_TOL)
+    role = _assert_same_role(t, _arc_point(rng, t, apex), CHAIN_DETECT_TOL)
     assert role in (SpecialRole("q_role", apex), SpecialRole("incenter"))
 
 
@@ -192,8 +247,6 @@ def test_a_location_that_is_not_finite_raises_as_the_point_would():
     # Brocard point is NaN
     t = Triangle(Point(0, 0), Point(4e100, 0), Point(1e100, 3e100))
     p = Point(1e100, 1e100)
-    with pytest.raises(ValueError) as oracle:
-        _detect_by_locate(t, p, CHAIN_DETECT_TOL)
-    with pytest.raises(ValueError) as one_pass:
-        detect_special_role(t, p, CHAIN_DETECT_TOL)
-    assert str(one_pass.value) == str(oracle.value) == "non-finite coordinates (nan, nan)"
+    assert _assert_same_role(t, p, CHAIN_DETECT_TOL) == (
+        ValueError, "non-finite coordinates (nan, nan)"
+    )

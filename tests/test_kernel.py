@@ -348,10 +348,13 @@ class TestTriangle:
         assert not iso.is_isosceles_at("B", LENGTH_EPS)
 
     def test_orientation_sign(self):
+        # containment reads the sign of the area, so both turns of the same
+        # vertices contain the same points
         ccw = Triangle(Point(0, 0), Point(1, 0), Point(0, 1))
         cw = Triangle(Point(0, 0), Point(0, 1), Point(1, 0))
-        assert ccw.orientation == 1
-        assert cw.orientation == -1
+        for t in (ccw, cw):
+            assert triangle_contains(t, Point(0.25, 0.25))
+            assert not triangle_contains(t, Point(0.75, 0.75))
 
 
 def test_line_offset_and_param_match_vector_form():

@@ -231,12 +231,12 @@ class TestFamilyMember:
         tris = [family_member(TSCA, p, th).triangle() for th in thetas]
         ped = pedal_triad(TSCA, p).triangle()
         for th, tri in zip(thetas, tris):
-            match = classify_similarity(ped, tri, tol)
+            match = classify_similarity(ped.xy, tri.xy, tol)
             assert match is not None and match.order == (0, 1, 2)
             scale = tri.circumradius / ped.circumradius
             assert abs(scale - 1.0 / math.cos(th)) < 1e-8 / math.cos(th)
         for i in range(len(tris) - 1):
-            match = classify_similarity(tris[i], tris[i + 1], tol)
+            match = classify_similarity(tris[i].xy, tris[i + 1].xy, tol)
             assert match is not None and match.order == (0, 1, 2)
 
     def test_every_catalog_family_holds_the_host_shape(self):
@@ -343,7 +343,7 @@ class TestMiquelTriangleAngles:
         l = incenter(TSCA)
         angs = miquel_triangle_angles(TSCA, l)
         for got, v in zip((angs.x, angs.y, angs.z), "ABC"):
-            expected = DirectedAngle(math.pi / 2 - 0.5 * TSCA.orientation * TSCA.angle(v))
+            expected = DirectedAngle(math.pi / 2 - 0.5 * _orientation(TSCA) * TSCA.angle(v))
             assert got.distance(expected) < 1e-12
 
     def test_matches_measured_pedal_angles(self):
@@ -388,7 +388,7 @@ class TestMiquelEquations:
 
 class TestClassifySimilarity:
     def test_identity(self):
-        match = classify_similarity(TSCA, TSCA, ANGLE_EPS)
+        match = classify_similarity(TSCA.xy, TSCA.xy, ANGLE_EPS)
         assert match.order == (0, 1, 2)
         assert match.mirrored is False
         assert match.residual == 0.0
@@ -397,12 +397,12 @@ class TestClassifySimilarity:
         mirrored = Triangle(
             Point(-TSCA.a.x, TSCA.a.y), Point(-TSCA.b.x, TSCA.b.y), Point(-TSCA.c.x, TSCA.c.y)
         )
-        match = classify_similarity(TSCA, mirrored, ANGLE_EPS)
+        match = classify_similarity(TSCA.xy, mirrored.xy, ANGLE_EPS)
         assert match.order == (0, 1, 2)
         assert match.mirrored is True
 
     def test_dissimilar_returns_none(self):
-        assert classify_similarity(T345, EQUI, ANGLE_EPS) is None
+        assert classify_similarity(T345.xy, EQUI.xy, ANGLE_EPS) is None
 
     def test_scaled_rotated_copy(self):
         rng = rng_for(0, "classify", 0)
@@ -412,7 +412,7 @@ class TestClassifySimilarity:
             phi = rng.uniform(0, 2 * math.pi)
             shift = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
             moved = Triangle(*((v - t.a).rotated(phi) * s + shift for v in t.vertices))
-            match = classify_similarity(t, moved, ANGLE_EPS)
+            match = classify_similarity(t.xy, moved.xy, ANGLE_EPS)
             assert match is not None
             assert match.order == (0, 1, 2)
             assert abs(moved.circumradius / t.circumradius - s) < 1e-9 * s
@@ -422,16 +422,16 @@ class TestClassifySimilarity:
         # the first in order wins, not the best fit
         relabeled = Triangle(EQUI.b, EQUI.c, EQUI.a)
         for other in (EQUI, relabeled):
-            match = classify_similarity(EQUI, other, 1e-6)
+            match = classify_similarity(EQUI.xy, other.xy, 1e-6)
             assert match.order == (0, 1, 2)
             assert match.mirrored is False
-        assert classify_similarity(EQUI, EQUI, 1e-6).residual == 0.0
+        assert classify_similarity(EQUI.xy, EQUI.xy, 1e-6).residual == 0.0
         # against the copy (2, 0, 1) maps vertex for vertex and fits exactly,
         # while the identity's gap is float noise: the ratio of a relabeled copy is not
         # bit-identical
         seed = shape_ratio(EQUI.xy, (0, 1, 2))
         assert shape_gap(seed, shape_ratio(relabeled.xy, (2, 0, 1)), False) == 0.0
-        assert 0.0 < classify_similarity(EQUI, relabeled, 1e-6).residual < 1e-15
+        assert 0.0 < classify_similarity(EQUI.xy, relabeled.xy, 1e-6).residual < 1e-15
 
     def test_isosceles_tie_goes_to_the_first_map(self):
         # against its mirror image in the axis, an isosceles triangle fits the
@@ -439,36 +439,38 @@ class TestClassifySimilarity:
         # each direct before mirrored, so the identity wins
         iso = Triangle(Point(0, 2), Point(-1, 0), Point(1, 0))
         mirrored = Triangle(Point(0, 2), Point(1, 0), Point(-1, 0))
-        match = classify_similarity(iso, mirrored, 1e-9)
+        match = classify_similarity(iso.xy, mirrored.xy, 1e-9)
         assert (match.order, match.mirrored) == ((0, 1, 2), True)
 
 
 class TestDetectSpecialRole:
     def test_named_centers(self):
-        tol = LENGTH_EPS
-        assert detect_special_role(TSCA, circumcenter(TSCA), tol) == SpecialRole("circumcenter")
-        assert detect_special_role(TSCA, brocard_point(TSCA, "first"), tol) == SpecialRole("first_brocard")
-        assert detect_special_role(TSCA, s_point(TSCA, "B"), tol) == SpecialRole("s_role", "B")
-        assert detect_special_role(TSCA, m_point(TSCA, "C"), tol) == SpecialRole("m_role", "C")
-        assert detect_special_role(TSCA, excenter(TSCA, "A"), tol) == SpecialRole("excenter", "A")
+        def detect(p):
+            return detect_special_role(TSCA.xy, p.x, p.y, LENGTH_EPS)
+
+        assert detect(circumcenter(TSCA)) == SpecialRole("circumcenter")
+        assert detect(brocard_point(TSCA, "first")) == SpecialRole("first_brocard")
+        assert detect(s_point(TSCA, "B")) == SpecialRole("s_role", "B")
+        assert detect(m_point(TSCA, "C")) == SpecialRole("m_role", "C")
+        assert detect(excenter(TSCA, "A")) == SpecialRole("excenter", "A")
 
     def test_automedian_centroid_is_median_role(self):
         # b² + c² = 2a² puts M_A on the centroid; the centroid is no candidate
         t = Triangle(Point(0, 0), Point(4, 0), Point(3, math.sqrt(23)))
         g = (t.a + t.b + t.c) / 3.0
         assert m_point(t, "A").dist(g) < 1e-12 * t.circumradius
-        assert detect_special_role(t, g, LENGTH_EPS) == SpecialRole("m_role", "A")
+        assert detect_special_role(t.xy, *g, LENGTH_EPS) == SpecialRole("m_role", "A")
 
     def test_generic_point_is_none(self):
-        assert detect_special_role(TSCA, Point(1.31, 0.87), LENGTH_EPS) == SpecialRole("none")
+        assert detect_special_role(TSCA.xy, 1.31, 0.87, LENGTH_EPS) == SpecialRole("none")
 
     def test_equilateral_tie_goes_to_circumcenter(self):
         # every classic center of an equilateral host coincides; the
         # nearest-wins rule keeps the first candidate, the circumcenter
         circ = SpecialRole("circumcenter")
-        assert detect_special_role(EQUI, Point(0, 0), LENGTH_EPS) == circ
+        assert detect_special_role(EQUI.xy, 0.0, 0.0, LENGTH_EPS) == circ
         for center in (circumcenter, incenter, orthocenter):
-            assert detect_special_role(EQUI, center(EQUI), LENGTH_EPS) == circ
+            assert detect_special_role(EQUI.xy, *center(EQUI), LENGTH_EPS) == circ
 
     def test_q_role_on_incenter_arc(self):
         rng = rng_for(0, "qrole", 0)
@@ -479,7 +481,7 @@ class TestDetectSpecialRole:
             l = incenter(t)
             arc = circumcircle(t.b, t.c, l)
             p = random_arc_point(rng, arc.center, arc.radius, t.c, t.b, l)
-            role = detect_special_role(t, p, 1e-7)
+            role = detect_special_role(t.xy, *p, 1e-7)
             assert role == SpecialRole("q_role", "A")
 
     def test_q_role_when_base_and_incenter_are_nearly_collinear(self):
@@ -495,7 +497,7 @@ class TestDetectSpecialRole:
         # is 0.27 from it; the band is 0.17)
         p = Point(0.6, arc.center.y + math.sqrt(arc.radius**2 - 0.36))
         assert abs(arc.offset_of(p)) < LENGTH_EPS * t.circumradius
-        assert detect_special_role(t, p, CHAIN_DETECT_TOL) == SpecialRole("q_role", "A")
+        assert detect_special_role(t.xy, *p, CHAIN_DETECT_TOL) == SpecialRole("q_role", "A")
 
 
 class TestContainmentParity:
@@ -550,8 +552,13 @@ class TestContainmentParity:
             containment_parity(TSCA, TSCA.a)
 
 
+def _orientation(t):
+    """+1 when A, B, C turn counter-clockwise, else -1: the sign of the area."""
+    return 1 if 0.5 * (t.b - t.a).cross(t.c - t.a) > 0.0 else -1
+
+
 def _contains_by_operators(t, p):
-    sign = t.orientation
+    sign = _orientation(t)
     return all(
         sign * (q2 - q1).cross(p - q1) > 0.0 for q1, q2 in ((t.a, t.b), (t.b, t.c), (t.c, t.a))
     )
@@ -676,5 +683,5 @@ class TestExteriorCatalogFeet:
                 q = inverse_in_circumcircle(t, s_point(t, v))
                 assert t.min_side_line_distance(q) < 1e-9 * t.circumradius
                 shape = pedal_triad(t, q).triangle()
-                match = classify_similarity(t, shape, 1e-7)
+                match = classify_similarity(t.xy, shape.xy, 1e-7)
                 assert match is not None
