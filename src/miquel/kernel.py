@@ -1,9 +1,11 @@
 """Floating-point plane-geometry primitives with explicit tolerance contracts.
 
-Angles between lines are kept modulo a half turn so that every identity
-holds in one code path regardless of configuration (obtuse hosts, points on
-side extensions, exterior points). Length tolerances are relative and scale
-with the size of the figure under discussion; angle tolerances are absolute.
+Angles between lines are floats kept modulo a half turn, reduced to
+(-pi/2, pi/2] by ``half_turn`` and compared by ``angle_distance``, so that
+every identity holds in one code path regardless of configuration (obtuse
+hosts, points on side extensions, exterior points). Length tolerances are
+relative and scale with the size of the figure under discussion; angle
+tolerances are absolute.
 """
 
 from __future__ import annotations
@@ -140,50 +142,17 @@ def midpoint(p: Point, q: Point) -> Point:
 
 
 def half_turn(value: float) -> float:
-    """Reduce to the representative in (-pi/2, pi/2]: the ``value`` of the
-    ``DirectedAngle`` of an angle, which it leaves as it is."""
+    """Reduce an angle between lines, taken modulo a half turn, to its
+    representative in (-pi/2, pi/2], which it leaves as it is."""
     r = math.remainder(value, math.pi)
     if r <= -HALF_PI:
         r += math.pi
     return r
 
 
-class DirectedAngle(Frozen):
-    """Angle between two lines, taken modulo a half turn.
-
-    Addition, subtraction and integer scaling stay inside the group; equality
-    is circular distance on the half-turn circle.
-    """
-
-    __slots__ = _fields = ("value",)
-    value: float
-
-    def __init__(self, value: float) -> None:
-        if not math.isfinite(value):
-            raise ValueError("non-finite angle")
-        set_field(self, "value", half_turn(value))
-
-    def __add__(self, other: DirectedAngle) -> DirectedAngle:
-        return DirectedAngle(self.value + other.value)
-
-    def __sub__(self, other: DirectedAngle) -> DirectedAngle:
-        return DirectedAngle(self.value - other.value)
-
-    def __neg__(self) -> DirectedAngle:
-        return DirectedAngle(-self.value)
-
-    def __mul__(self, k: float) -> DirectedAngle:
-        return DirectedAngle(self.value * k)
-
-    __rmul__ = __mul__
-
-    def distance(self, other: DirectedAngle) -> float:
-        """Circular distance modulo pi, in [0, pi/2]."""
-        return angle_distance(self.value, other.value)
-
-
 def angle_distance(u: float, v: float) -> float:
-    """``DirectedAngle.distance`` of the angles of values ``u`` and ``v``."""
+    """Circular distance modulo pi of the directed angles ``u`` and ``v``,
+    in [0, pi/2]."""
     return abs(math.remainder(u - v, math.pi))
 
 
@@ -397,14 +366,14 @@ def line_line_intersection(l1: Line, l2: Line) -> Point:
     return l1.at(t)
 
 
-def directed_angle(p: Point, q: Point, r: Point) -> DirectedAngle:
+def directed_angle(p: Point, q: Point, r: Point) -> float:
     """Directed angle from line qp to line qr, modulo a half turn."""
-    return DirectedAngle(directed_angle_xy(p.x, p.y, q.x, q.y, r.x, r.y))
+    return directed_angle_xy(p.x, p.y, q.x, q.y, r.x, r.y)
 
 
 def directed_angle_xy(px: float, py: float, qx: float, qy: float, rx: float, ry: float) -> float:
-    """The value of ``directed_angle`` of the points (px, py), (qx, qy),
-    (rx, ry), with its ``GeometryError``."""
+    """``directed_angle`` of the points (px, py), (qx, qy), (rx, ry), with
+    its ``GeometryError``."""
     qpx, qpy = px - qx, py - qy
     qrx, qry = rx - qx, ry - qy
     n_qp = math.hypot(qpx, qpy)
@@ -412,6 +381,8 @@ def directed_angle_xy(px: float, py: float, qx: float, qy: float, rx: float, ry:
     scale = max(n_qp, n_qr)
     if scale == 0.0 or min(n_qp, n_qr) < LENGTH_EPS * scale:
         raise GeometryError("angle leg collapses onto the apex")
+    # needs no finiteness check: the legs of finite points are finite or
+    # overflow to infinity, and atan2 of either is finite
     return half_turn(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
 
 
@@ -579,7 +550,7 @@ class Triangle(Frozen):
     def angle(self, label: str) -> float:
         return self.angles[VERTEX_LABELS.index(label)]
 
-    def directed_angle_at(self, label: str) -> DirectedAngle:
+    def directed_angle_at(self, label: str) -> float:
         """Directed interior angle, e.g. at A: from line AB to line AC."""
         apex = self.vertex(label)
         p, q = self.opposite(label)

@@ -19,12 +19,12 @@ from .kernel import (
     VERTEX_LABELS,
     Circle,
     CircleXY,
-    DirectedAngle,
     Frozen,
     Line,
     Point,
     Triangle,
     TriangleXY,
+    angle_distance,
     checked_circle_xy,
     circle_xy,
     contains_xy,
@@ -127,27 +127,6 @@ class MiquelResult(NamedTuple):
     circles: tuple[Circle, Circle, Circle]
     residual: float
     tangent: bool
-
-
-class AngleSextet(NamedTuple):
-    """The six directed angles a point cuts off at the host vertices.
-
-    alpha1/alpha2 split the angle at A (cevian toward C / from B), and so on
-    around the triangle; each pair sums to the host's directed vertex angle.
-    """
-
-    alpha1: DirectedAngle
-    alpha2: DirectedAngle
-    beta1: DirectedAngle
-    beta2: DirectedAngle
-    gamma1: DirectedAngle
-    gamma2: DirectedAngle
-
-
-class MiquelAngles(NamedTuple):
-    x: DirectedAngle
-    y: DirectedAngle
-    z: DirectedAngle
 
 
 class SimilarityClass(NamedTuple):
@@ -286,8 +265,11 @@ def _points(xy: TriangleXY) -> tuple[Point, Point, Point]:
 def cevian_angles_xy(
     host: TriangleXY, px: float, py: float, radius: float, second: bool
 ) -> tuple[float, float, float]:
-    """The values of ``angle_sextet``'s alpha1, beta1, gamma1 of the point
-    (px, py) in the host of circumradius ``radius``, or alpha2, beta2,
+    """Three of the six directed angles that the cevians of the point
+    (px, py) cut off at the vertices of the host of circumradius ``radius``:
+    at A, alpha1 from line AP to line AC and alpha2 from line AB to line AP,
+    which sum to the directed angle at A; likewise beta1, beta2 at B and
+    gamma1, gamma2 at C. Gives alpha1, beta1, gamma1, or alpha2, beta2,
     gamma2 when ``second``, with its errors."""
     ax, ay, bx, by, cx, cy = host
     eps = LENGTH_EPS * radius
@@ -303,31 +285,17 @@ def cevian_angles_xy(
             directed_angle_xy(px, py, cx, cy, bx, by))
 
 
-def angle_sextet(t: Triangle, p: Point) -> AngleSextet:
-    """Directed angles of the cevian rays of ``p`` at the three vertices."""
-    xy, r = t.xy, t.circumradius
-    a1, b1, g1 = cevian_angles_xy(xy, p.x, p.y, r, False)
-    a2, b2, g2 = cevian_angles_xy(xy, p.x, p.y, r, True)
-    return AngleSextet(*map(DirectedAngle, (a1, a2, b1, b2, g1, g2)))
-
-
 def miquel_angles_xy(
     host: TriangleXY, px: float, py: float, radius: float
 ) -> tuple[float, float, float]:
-    """The values of ``miquel_triangle_angles`` x, y, z of the point (px, py)
-    in the host of circumradius ``radius``."""
+    """The directed angles at X, Y, Z of any triad triangle of the point
+    (px, py) in the host of circumradius ``radius``, from the cevian angles
+    of ``cevian_angles_xy``: beta1 + gamma2, gamma1 + alpha2, alpha1 + beta2.
+    Valid for points inside the circumcircle; outside it the same directed
+    formulas are evaluated as they stand."""
     a1, b1, g1 = cevian_angles_xy(host, px, py, radius, False)
     a2, b2, g2 = cevian_angles_xy(host, px, py, radius, True)
     return half_turn(b1 + g2), half_turn(g1 + a2), half_turn(a1 + b2)
-
-
-def miquel_triangle_angles(t: Triangle, p: Point) -> MiquelAngles:
-    """Angles of any triad triangle of ``p``, from the sextet decomposition.
-
-    Valid for points inside the circumcircle; outside it the same directed
-    formulas are evaluated as they stand.
-    """
-    return MiquelAngles(*map(DirectedAngle, miquel_angles_xy(t.xy, p.x, p.y, t.circumradius)))
 
 
 def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
@@ -351,9 +319,9 @@ def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
     ang_y = directed_angle(z, y, x)
     ang_z = directed_angle(x, z, y)
     return max(
-        (ang_a + ang_x).distance(directed_angle(b, p, c)),
-        (ang_b + ang_y).distance(directed_angle(c, p, a)),
-        (ang_c + ang_z).distance(directed_angle(a, p, b)),
+        angle_distance(half_turn(ang_a + ang_x), directed_angle(b, p, c)),
+        angle_distance(half_turn(ang_b + ang_y), directed_angle(c, p, a)),
+        angle_distance(half_turn(ang_c + ang_z), directed_angle(a, p, b)),
     )
 
 

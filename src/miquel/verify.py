@@ -31,6 +31,7 @@ from .kernel import (
     circumcircle,
     directed_angle,
     directed_angle_xy,
+    half_turn,
     midpoint,
     reflect_over_line,
     second_intersection,
@@ -198,7 +199,7 @@ def suite_lemma2(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_triangle(rng)
         p = random_point_in_circumdisk(rng, t)
-        # miquel_triangle_angles and the pedal triad's angles, as floats
+        # the cevian-angle sums and the pedal triad's measured angles, as floats
         host, px, py = t.xy, p.x, p.y
         ang_x, ang_y, ang_z = miquel_angles_xy(host, px, py, t.circumradius)
         (xx, xy, yx, yy, zx, zy), _ = family_xy(host, px, py, 0.0)
@@ -322,8 +323,9 @@ def suite_theorem7(report: SuiteReport) -> None:
 
 def _brocard_angle_spread(xy: TriangleXY, p: Point, which: str) -> float:
     """How far apart the three angles of the Brocard condition are at ``p``
-    in the triangle ``xy``: alpha2, beta2, gamma2 of its ``angle_sextet``
-    for the first point, alpha1, beta1, gamma1 for the second."""
+    in the triangle ``xy``: the cevian angles alpha2, beta2, gamma2 of
+    ``cevian_angles_xy`` for the first point, alpha1, beta1, gamma1 for the
+    second."""
     trio = cevian_angles_xy(xy, p.x, p.y, circle_xy(*xy)[2], which == "first")
     return max(angle_distance(trio[0], trio[1]), angle_distance(trio[1], trio[2]))
 
@@ -389,7 +391,7 @@ def suite_theorem10(report: SuiteReport) -> None:
         b2, c2 = shape.opposite(v)
         host_dir = t.directed_angle_at(v)
         worst = max(
-            shape.directed_angle_at(u).distance(host_dir) for u in VERTEX_LABELS if u != v
+            angle_distance(shape.directed_angle_at(u), host_dir) for u in VERTEX_LABELS if u != v
         )
         base_angles.add(worst, i, t, p)
         circ = circumcircle(b2, c2, centers.incenter(shape))
@@ -416,7 +418,8 @@ def suite_theorem11(report: SuiteReport) -> None:
         s_match.add(centers.s_point(shape, v).dist(p) / t.circumradius, i, t, p)
         b2, c2 = shape.opposite(v)
         double_angle.add(
-            directed_angle(b2, p, c2).distance(2 * shape.directed_angle_at(v)), i, t, p
+            angle_distance(directed_angle(b2, p, c2), half_turn(2 * shape.directed_angle_at(v))),
+            i, t, p,
         )
         detected = detect_special_role(shape.xy, p.x, p.y, 1e-7)
         role.add_bool(detected == SpecialRole("s_role", v), i, t, p)
@@ -448,9 +451,9 @@ def suite_theorem13(report: SuiteReport) -> None:
         axis = Line.through(t.a, midpoint(t.b, t.c))
         tpt = reflect_over_line(axis, q)
         worst = max(
-            directed_angle(t.c, t.b, tpt).distance(directed_angle(q, t.b, t.a)),
-            directed_angle(t.b, t.a, q).distance(directed_angle(tpt, t.a, t.c)),
-            directed_angle(t.a, t.c, tpt).distance(directed_angle(q, t.c, t.b)),
+            angle_distance(directed_angle(t.c, t.b, tpt), directed_angle(q, t.b, t.a)),
+            angle_distance(directed_angle(t.b, t.a, q), directed_angle(tpt, t.a, t.c)),
+            angle_distance(directed_angle(t.a, t.c, tpt), directed_angle(q, t.c, t.b)),
         )
         equations.add(worst, i, t, q)
         conj.add(centers.isogonal_conjugate(t, q).dist(tpt) / t.circumradius, i, t, q)

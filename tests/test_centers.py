@@ -37,6 +37,7 @@ from miquel.kernel import (
     Line,
     Point,
     Triangle,
+    angle_distance,
     circle_circle_intersections,
     circumcircle,
     directed_angle,
@@ -219,8 +220,7 @@ class TestBrocardPoints:
     def test_equilateral_center(self):
         p = brocard_point(EQUI, "first")
         assert p.dist(Point(0, 0)) < 1e-12
-        s = [directed_angle(EQUI.b, EQUI.a, p).value]
-        assert abs(abs(s[0]) - math.pi / 6) < 1e-12
+        assert abs(abs(directed_angle(EQUI.b, EQUI.a, p)) - math.pi / 6) < 1e-12
 
     def test_frozen_grid_oracle_value(self):
         # frozen from the grid-search oracle on the workhorse triangle
@@ -255,8 +255,8 @@ class TestBrocardPoints:
             ):
                 p = brocard_point(t, which)
                 a1, a2, a3 = legs(p)
-                assert a1.distance(a2) < 1e-8
-                assert a2.distance(a3) < 1e-8
+                assert angle_distance(a1, a2) < 1e-8
+                assert angle_distance(a2, a3) < 1e-8
                 assert triangle_contains(t, p)
 
 
@@ -303,9 +303,9 @@ class TestSPoint:
                 apex = t.vertex(v)
                 b, c = t.opposite(v)
                 ang = directed_angle(b, apex, c)
-                assert directed_angle(b, p, c).distance(2 * ang) < 1e-8
-                assert directed_angle(c, p, apex).distance(-ang) < 1e-8
-                assert directed_angle(apex, p, b).distance(-ang) < 1e-8
+                assert angle_distance(directed_angle(b, p, c), 2 * ang) < 1e-8
+                assert angle_distance(directed_angle(c, p, apex), -ang) < 1e-8
+                assert angle_distance(directed_angle(apex, p, b), -ang) < 1e-8
 
     def test_lemma_ratio_cross_check(self):
         # BD/DC = BP/PC = (AB/AC)^2 where D is the symmedian-line crossing
@@ -485,9 +485,9 @@ class TestIsogonalConjugate:
             t = random_triangle(rng)
             p = random_interior_point(rng, t)
             q = isogonal_conjugate(t, p)
-            assert directed_angle(t.c, t.b, q).distance(directed_angle(p, t.b, t.a)) < 1e-9
-            assert directed_angle(t.b, t.a, p).distance(directed_angle(q, t.a, t.c)) < 1e-9
-            assert directed_angle(t.a, t.c, q).distance(directed_angle(p, t.c, t.b)) < 1e-9
+            assert angle_distance(directed_angle(t.c, t.b, q), directed_angle(p, t.b, t.a)) < 1e-9
+            assert angle_distance(directed_angle(t.b, t.a, p), directed_angle(q, t.a, t.c)) < 1e-9
+            assert angle_distance(directed_angle(t.a, t.c, q), directed_angle(p, t.c, t.b)) < 1e-9
 
     def test_side_line_rejected(self):
         with pytest.raises(OnSideLineError):

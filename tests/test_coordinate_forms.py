@@ -142,7 +142,7 @@ def _reflect_by_operators(line, p):
 
 
 def _directed_angle_by_operators(p, q, r):
-    return kernel.DirectedAngle((r - q).angle() - (p - q).angle())
+    return kernel.half_turn((r - q).angle() - (p - q).angle())
 
 
 def _interior_by_operators(apex, p, q):
@@ -434,9 +434,9 @@ def test_contains_xy():
 
 
 def test_sextet_and_miquel_angles():
-    """cevian_angles_xy and miquel_angles_xy against the DirectedAngle forms
-    angle_sextet and miquel_triangle_angles were built from: the six
-    directed angles at the vertices, then their pairwise sums."""
+    """cevian_angles_xy and miquel_angles_xy against directed_angle of the
+    points: the six directed angles at the vertices, then their pairwise
+    sums reduced by half_turn."""
     for t, points, _ in CASES:
         a, b, c = t.vertices
         for p in points:
@@ -444,10 +444,10 @@ def test_sextet_and_miquel_angles():
             b1, b2 = directed_angle(p, b, a), directed_angle(c, b, p)
             g1, g2 = directed_angle(p, c, b), directed_angle(a, c, p)
             r = t.circumradius
-            assert cevian_angles_xy(t.xy, p.x, p.y, r, False) == (a1.value, b1.value, g1.value)
-            assert cevian_angles_xy(t.xy, p.x, p.y, r, True) == (a2.value, b2.value, g2.value)
+            assert cevian_angles_xy(t.xy, p.x, p.y, r, False) == (a1, b1, g1)
+            assert cevian_angles_xy(t.xy, p.x, p.y, r, True) == (a2, b2, g2)
             sums = (b1 + g2, g1 + a2, a1 + b2)
-            assert miquel_angles_xy(t.xy, p.x, p.y, r) == tuple(s.value for s in sums)
+            assert miquel_angles_xy(t.xy, p.x, p.y, r) == tuple(map(kernel.half_turn, sums))
 
 
 def test_one_pedal_triangle():

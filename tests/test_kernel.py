@@ -13,13 +13,14 @@ from miquel.errors import CollinearError, GeometryError
 from miquel.kernel import (
     LENGTH_EPS,
     Circle,
-    DirectedAngle,
     Line,
     Point,
     Triangle,
+    angle_distance,
     circle_circle_intersections,
     circumcircle,
     directed_angle,
+    half_turn,
     invert_point,
     line_circle_intersections,
     reflect_over_line,
@@ -38,7 +39,6 @@ def _triangle():
 # a builder of each immutable value type, and the type's fields in order
 VALUE_TYPES = [
     (lambda: Point(0.5, 2.0), ("x", "y")),
-    (lambda: DirectedAngle(0.3), ("value",)),
     (lambda: Circle(Point(1.0, 0.0), 2.0), ("center", "radius")),
     (lambda: Line(Point(1.0, 0.0), Point(3.0, 4.0)), ("anchor", "direction")),
     (_triangle, ("a", "b", "c")),
@@ -156,17 +156,20 @@ class TestCircleCircle:
 
 
 class TestDirectedAngle:
+    """directed_angle's floats, reduced by half_turn and compared by
+    angle_distance."""
+
     def test_perpendicular(self):
         d = directed_angle(Point(1, 0), Point(0, 0), Point(0, 1))
-        assert abs(d.value - math.pi / 2) < 1e-12
+        assert abs(d - math.pi / 2) < 1e-12
 
     def test_same_line_is_zero(self):
         d = directed_angle(Point(1, 0), Point(0, 0), Point(2, 0))
-        assert abs(d.value) < 1e-12
+        assert abs(d) < 1e-12
 
     def test_quarter_between(self):
         d = directed_angle(Point(1, 0), Point(0, 0), Point(1, 1))
-        assert abs(d.value - math.pi / 4) < 1e-12
+        assert abs(d - math.pi / 4) < 1e-12
 
     def test_degenerate_leg(self):
         with pytest.raises(GeometryError, match="^angle leg collapses onto the apex$"):
@@ -178,7 +181,7 @@ class TestDirectedAngle:
             p, q, r = (Point(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(3))
             if min(p.dist(q), r.dist(q)) < 1e-6:
                 continue
-            assert directed_angle(p, q, r).distance(-directed_angle(r, q, p)) < 1e-12
+            assert angle_distance(directed_angle(p, q, r), -directed_angle(r, q, p)) < 1e-12
 
     def test_chain_rule(self):
         # angle(p,q,r) + angle(r,q,s) == angle(p,q,s) mod half turn
@@ -188,13 +191,17 @@ class TestDirectedAngle:
             p, r, s = (Point(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(3))
             if min(p.dist(q), r.dist(q), s.dist(q)) < 1e-3:
                 continue
-            lhs = directed_angle(p, q, r) + directed_angle(r, q, s)
-            assert lhs.distance(directed_angle(p, q, s)) < 1e-12
+            lhs = half_turn(directed_angle(p, q, r) + directed_angle(r, q, s))
+            assert angle_distance(lhs, directed_angle(p, q, s)) < 1e-12
 
     def test_canonical_range(self):
         for v in (-10.0, -math.pi / 2, 0.0, math.pi / 2, math.pi, 9.7):
-            d = DirectedAngle(v)
-            assert -math.pi / 2 < d.value <= math.pi / 2
+            d = half_turn(v)
+            assert -math.pi / 2 < d <= math.pi / 2
+            assert angle_distance(d, v) < 1e-15
+            # a representative is left as it is
+            assert half_turn(d) == d
+        assert half_turn(-math.pi / 2) == math.pi / 2
 
 
 class TestInversion:

@@ -21,13 +21,14 @@ from miquel.kernel import (
     ANGLE_EPS,
     HALF_PI,
     LENGTH_EPS,
-    DirectedAngle,
     Line,
     Point,
     Triangle,
+    angle_distance,
     circle_circle_intersections,
     circumcircle,
     directed_angle,
+    half_turn,
     line_line_intersection,
     midpoint,
     reject_side_lines,
@@ -51,13 +52,13 @@ from miquel.triads import (
     ParityReport,
     SpecialRole,
     Triad,
-    angle_sextet,
+    cevian_angles_xy,
     classify_similarity,
     containment_parity,
     detect_special_role,
     family_member,
+    miquel_angles_xy,
     miquel_point,
-    miquel_triangle_angles,
     on_circumcircle,
     pedal_triad,
     simson_line,
@@ -291,81 +292,89 @@ class TestClosedFormsAgainstConstructions:
                 assert point.dist(_miquel_point_by_radical_line(t, triad)) < 1e-12 * r
 
 
+def _cevian_angles(t, p):
+    """alpha1, beta1, gamma1 and alpha2, beta2, gamma2 of the point p."""
+    xy, r = t.xy, t.circumradius
+    return (cevian_angles_xy(xy, p.x, p.y, r, False),
+            cevian_angles_xy(xy, p.x, p.y, r, True))
+
+
 class TestAngleSextet:
+    """The six cevian angles of cevian_angles_xy."""
+
     def test_equilateral_circumcenter_all_pi_six(self):
-        s = angle_sextet(EQUI, Point(0, 0))
-        for ang in (s.alpha1, s.alpha2, s.beta1, s.beta2, s.gamma1, s.gamma2):
-            assert abs(abs(ang.value) - math.pi / 6) < 1e-12
+        for trio in _cevian_angles(EQUI, Point(0, 0)):
+            for ang in trio:
+                assert abs(abs(ang) - math.pi / 6) < 1e-12
 
     def test_incenter_halves_the_angles(self):
-        l = incenter(TSCA)
-        s = angle_sextet(TSCA, l)
-        assert s.alpha1.distance(s.alpha2) < 1e-12
-        assert s.beta1.distance(s.beta2) < 1e-12
-        assert s.gamma1.distance(s.gamma2) < 1e-12
+        firsts, seconds = _cevian_angles(TSCA, incenter(TSCA))
+        for first, second in zip(firsts, seconds):
+            assert angle_distance(first, second) < 1e-12
 
     def test_first_brocard_equalizes_tail_angles(self):
-        p = brocard_point(TSCA, "first")
-        s = angle_sextet(TSCA, p)
-        assert s.alpha2.distance(s.beta2) < 1e-10
-        assert s.beta2.distance(s.gamma2) < 1e-10
+        _, (a2, b2, g2) = _cevian_angles(TSCA, brocard_point(TSCA, "first"))
+        assert angle_distance(a2, b2) < 1e-10
+        assert angle_distance(b2, g2) < 1e-10
 
     def test_pairs_sum_to_vertex_angles(self):
         rng = rng_for(0, "sextet", 0)
         for _ in range(100):
             t = random_triangle(rng)
             p = random_point_in_circumdisk(rng, t)
-            s = angle_sextet(t, p)
-            assert (s.alpha1 + s.alpha2).distance(t.directed_angle_at("A")) < 1e-12
-            assert (s.beta1 + s.beta2).distance(t.directed_angle_at("B")) < 1e-12
-            assert (s.gamma1 + s.gamma2).distance(t.directed_angle_at("C")) < 1e-12
+            firsts, seconds = _cevian_angles(t, p)
+            for first, second, v in zip(firsts, seconds, "ABC"):
+                assert angle_distance(first + second, t.directed_angle_at(v)) < 1e-12
 
     def test_vertex_rejected(self):
-        with pytest.raises(GeometryError, match="^the point coincides with a vertex$"):
-            angle_sextet(TSCA, Point(0, 0))
+        for second in (False, True):
+            with pytest.raises(GeometryError, match="^the point coincides with a vertex$"):
+                cevian_angles_xy(TSCA.xy, 0.0, 0.0, TSCA.circumradius, second)
+
+
+def _miquel_angles(t, p):
+    return miquel_angles_xy(t.xy, p.x, p.y, t.circumradius)
 
 
 class TestMiquelTriangleAngles:
+    """The triad-triangle angles of miquel_angles_xy."""
+
     def test_circumcenter_reproduces_host_angles(self):
-        o = circumcenter(TSCA)
-        angs = miquel_triangle_angles(TSCA, o)
-        assert angs.x.distance(TSCA.directed_angle_at("A")) < 1e-12
-        assert angs.y.distance(TSCA.directed_angle_at("B")) < 1e-12
-        assert angs.z.distance(TSCA.directed_angle_at("C")) < 1e-12
+        angs = _miquel_angles(TSCA, circumcenter(TSCA))
+        for ang, v in zip(angs, "ABC"):
+            assert angle_distance(ang, TSCA.directed_angle_at(v)) < 1e-12
 
     def test_equilateral_circumcenter(self):
-        angs = miquel_triangle_angles(EQUI, Point(0, 0))
-        for ang in (angs.x, angs.y, angs.z):
-            assert ang.distance(DirectedAngle(math.pi / 3)) < 1e-12
+        for ang in _miquel_angles(EQUI, Point(0, 0)):
+            assert angle_distance(ang, math.pi / 3) < 1e-12
 
     def test_incenter_half_angle_formula(self):
         # at the incenter the formulas reduce to pi/2 - half the host angle
-        l = incenter(TSCA)
-        angs = miquel_triangle_angles(TSCA, l)
-        for got, v in zip((angs.x, angs.y, angs.z), "ABC"):
-            expected = DirectedAngle(math.pi / 2 - 0.5 * _orientation(TSCA) * TSCA.angle(v))
-            assert got.distance(expected) < 1e-12
+        angs = _miquel_angles(TSCA, incenter(TSCA))
+        for got, v in zip(angs, "ABC"):
+            expected = math.pi / 2 - 0.5 * _orientation(TSCA) * TSCA.angle(v)
+            assert angle_distance(got, expected) < 1e-12
 
     def test_matches_measured_pedal_angles(self):
         rng = rng_for(0, "lemma-angles", 0)
         for _ in range(200):
             t = random_triangle(rng)
             p = random_point_in_circumdisk(rng, t)
-            angs = miquel_triangle_angles(t, p)
+            ang_x, ang_y, ang_z = _miquel_angles(t, p)
             x, y, z = pedal_triad(t, p).points
-            assert angs.x.distance(directed_angle(y, x, z)) < 1e-8
-            assert angs.y.distance(directed_angle(z, y, x)) < 1e-8
-            assert angs.z.distance(directed_angle(x, z, y)) < 1e-8
+            assert angle_distance(ang_x, directed_angle(y, x, z)) < 1e-8
+            assert angle_distance(ang_y, directed_angle(z, y, x)) < 1e-8
+            assert angle_distance(ang_z, directed_angle(x, z, y)) < 1e-8
             # the three formulas sum to the host angle sum: zero mod half turn
-            total = angs.x + angs.y + angs.z
-            assert total.distance(DirectedAngle(0.0)) < 1e-12
+            assert angle_distance(ang_x + ang_y + ang_z, 0.0) < 1e-12
 
 
 class TestMiquelEquations:
     def test_circumcenter_doubles_vertex_angles(self):
         o = circumcenter(TSCA)
         assert verify_miquel_equations(TSCA, o, Triad.at(TSCA, 0.5, 0.5, 0.5)) < 1e-12
-        assert directed_angle(TSCA.b, o, TSCA.c).distance(2 * TSCA.directed_angle_at("A")) < 1e-12
+        double_a = 2 * TSCA.directed_angle_at("A")
+        assert angle_distance(directed_angle(TSCA.b, o, TSCA.c), double_a) < 1e-12
 
     def test_equilateral_center(self):
         o = Point(0, 0)
@@ -566,15 +575,16 @@ def _contains_by_operators(t, p):
 
 def _miquel_equations_by_objects(t, p, triad):
     """verify_miquel_equations on the object path: the point of
-    miquel_point's MiquelResult and the host's directed_angle_at."""
+    miquel_point's MiquelResult and the host's directed_angle_at, each
+    angle sum reduced by half_turn."""
     if miquel_point(t, triad).point.dist(p) > CONCURRENCY_BAND * t.circumradius:
         raise GeometryError("the triad's concurrency point is not the given point")
     x, y, z = triad.points
     ang_a, ang_b, ang_c = (t.directed_angle_at(v) for v in "ABC")
     return max(
-        (ang_a + directed_angle(y, x, z)).distance(directed_angle(t.b, p, t.c)),
-        (ang_b + directed_angle(z, y, x)).distance(directed_angle(t.c, p, t.a)),
-        (ang_c + directed_angle(x, z, y)).distance(directed_angle(t.a, p, t.b)),
+        angle_distance(half_turn(ang_a + directed_angle(y, x, z)), directed_angle(t.b, p, t.c)),
+        angle_distance(half_turn(ang_b + directed_angle(z, y, x)), directed_angle(t.c, p, t.a)),
+        angle_distance(half_turn(ang_c + directed_angle(x, z, y)), directed_angle(t.a, p, t.b)),
     )
 
 
