@@ -5,6 +5,7 @@ triangle's shape."""
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import GeometryError, RightAngleDegenerateError
@@ -18,7 +19,7 @@ from .kernel import (
     Triangle,
     TriangleXY,
     angles_xy,
-    checked_circle_xy,
+    circumcircle,
     invert_point,
     reject_side_lines,
     set_field,
@@ -67,7 +68,7 @@ def measures_xy(xy: TriangleXY) -> Measures:
     on these vertices, with what it and its ``circumcircle`` raise, in that
     order."""
     side_lengths = side_lengths_xy(*xy)
-    ox, oy, r = checked_circle_xy(*xy)
+    ox, oy, r = circumcircle(*xy)
     return Measures(xy, side_lengths, squared_sides_xy(xy), angles_xy(xy), (ox, oy), r)
 
 
@@ -163,7 +164,7 @@ LOCATE_XY = {
 
 
 def circumcenter(t: Triangle) -> Point:
-    return t.circumcircle.center
+    return Point(*t.circumcenter_xy)
 
 
 def orthocenter(t: Triangle) -> Point:
@@ -282,7 +283,8 @@ def isogonal_conjugate(t: Triangle, p: Point) -> Point:
     circumcircle.
     """
     reject_side_lines(t.min_side_line_distance(p), t.circumradius)
-    if abs(t.circumcircle.offset_of(p)) < LENGTH_EPS * t.circumradius:
+    ox, oy, r = t.circumcircle
+    if abs(math.hypot(ox - p.x, oy - p.y) - r) < LENGTH_EPS * r:
         raise GeometryError("the point lies on the circumcircle")
     x = (t.b - p).cross(t.c - p)
     y = (t.c - p).cross(t.a - p)

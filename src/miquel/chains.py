@@ -154,10 +154,9 @@ def iterate_chain(
     px, py = p.x, p.y
     steps: list[TriangleXY] = []
     host = t0.xy
-    # the seed's Circle checks that its center and radius are finite; each
-    # step triangle lies inside the coordinate range, where they are
-    c = t0.circumcircle
-    circle = (c.center.x, c.center.y, c.radius)
+    # the seed's circumcircle checks that its center and radius are finite;
+    # each step triangle lies inside the coordinate range, where they are
+    circle = t0.circumcircle
     for i, theta in enumerate(thetas):
         if on_circle_xy(circle, px, py):
             raise DegenerateStepError(f"collinear collapse on the circumcircle at step {i}")

@@ -8,7 +8,8 @@ import math
 
 from . import centers, kernel
 from .errors import GeometryError, SceneError
-from .kernel import Circle, Line, Point, Triangle, circumcircle, midpoint, second_intersection
+from .kernel import (CircleXY, LineXY, Point, Triangle, circumcircle, line_through, midpoint,
+                     second_intersection)
 from .scene import ELEMENTS, SceneSpec
 from .triads import Triad, miquel_point, on_circumcircle, pedal_triad, simson_line
 
@@ -48,14 +49,18 @@ class _Canvas:
             f'stroke="{color}" stroke-width="{_fmt(self.stroke)}"/>'
         )
 
-    def infinite_line(self, line: Line) -> None:
+    def infinite_line(self, line: LineXY) -> None:
         span = 2.0 * self.radius
-        t0 = line.param_of(self.center)
-        self.line(line.at(t0 - span), line.at(t0 + span), _ACCENT)
+        ax, ay, dx, dy = line
+        # the parameter of the view center's foot on the line
+        t0 = (self.center.x - ax) * dx + (self.center.y - ay) * dy
+        t1, t2 = t0 - span, t0 + span
+        self.line(Point(ax + t1 * dx, ay + t1 * dy), Point(ax + t2 * dx, ay + t2 * dy), _ACCENT)
 
-    def circle(self, c: Circle) -> None:
+    def circle(self, c: CircleXY) -> None:
+        cx, cy, r = c
         self.shapes.append(
-            f'<circle cx="{_sx(c.center)}" cy="{_sy(c.center)}" r="{_fmt(c.radius)}" '
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(r)}" '
             f'fill="none" stroke="{_AUX}" stroke-width="{_fmt(self.stroke)}"/>'
         )
 
@@ -101,10 +106,10 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
 
     t = scene.triangle
     circ = t.circumcircle
-    view_r = circ.radius
+    ox, oy, view_r = circ
     if scene.point is not None:
-        view_r = max(view_r, circ.center.dist(scene.point))
-    canvas = _Canvas(circ.center, 1.2 * view_r, int(scene.options.get("width", 640)))
+        view_r = max(view_r, math.hypot(ox - scene.point.x, oy - scene.point.y))
+    canvas = _Canvas(Point(ox, oy), 1.2 * view_r, int(scene.options.get("width", 640)))
     labels_on = scene.options.get("labels", True)
 
     def name(p: Point, text: str) -> str | None:
@@ -179,12 +184,11 @@ def _median_symmedian_layer(canvas: _Canvas, t: Triangle, vertex: str, name) -> 
     canvas.line(apex, e, _AUX)
     canvas.line(apex, centers.symmedian_foot(t, vertex), _AUX)
     canvas.line(apex, s_loc, _ACCENT)
-    median = Line.through(apex, e)
     if t.angle(vertex) < math.pi / 2.0:
-        f = second_intersection(median, t.circumcircle, apex)
+        f = second_intersection(line_through(apex, e), t.circumcircle, apex)
     else:
         f = b + c - apex
-    canvas.circle(circumcircle(b, c, centers.circumcenter(t)))
+    canvas.circle(circumcircle(*b, *c, *t.circumcenter_xy))
     canvas.point(e, name(e, "E"), _AUX)
     canvas.point(f, name(f, "F"), _AUX)
     canvas.point(s_loc, name(s_loc, f"S_{vertex}"), _ACCENT)

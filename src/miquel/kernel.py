@@ -156,35 +156,24 @@ def angle_distance(u: float, v: float) -> float:
     return abs(math.remainder(u - v, math.pi))
 
 
-class Circle(Frozen):
-    _fields = ("center", "radius")
-    center: Point
-    radius: float
-
-    def __init__(self, center: Point, radius: float) -> None:
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise ValueError(f"radius must be strictly positive, got {radius}")
-        set_field(self, "center", center)
-        set_field(self, "radius", radius)
-
-    def point_at(self, angle: float) -> Point:
-        return Point(
-            self.center.x + self.radius * math.cos(angle),
-            self.center.y + self.radius * math.sin(angle),
-        )
-
-    def offset_of(self, p: Point) -> float:
-        """Signed radial offset of ``p``: distance to center minus radius."""
-        return self.center.dist(p) - self.radius
-
-
 # Coordinate forms. Each is the one body of its formula: the Point-level
-# functions and methods call it, and so does the chain step, which keeps
-# only the Points it returns. Their float operations and their order are
-# pinned with == in tests/test_coordinate_forms.py.
+# functions call it, and so does the chain step, which keeps only the Points
+# it returns. Their float operations and their order are pinned with == in
+# tests/test_coordinate_forms.py.
+
+# a circle on coordinates: (center x, center y, radius)
+CircleXY = tuple[float, float, float]
+
+# a line on coordinates: (anchor x, anchor y, unit direction x, unit
+# direction y), the first four arguments of offset_xy, project_xy, reflect_xy
+LineXY = tuple[float, float, float, float]
+
+# a triangle on coordinates: (ax, ay, bx, by, cx, cy)
+TriangleXY = tuple[float, float, float, float, float, float]
+
 
 def unit_direction(dx: float, dy: float) -> tuple[float, float]:
-    """Line's normalization rule: (dx, dy) divided by its length, or as it
+    """A line's normalization rule: (dx, dy) divided by its length, or as it
     is when that length is within 1e-14 of 1."""
     n = math.hypot(dx, dy)
     if n == 0.0 or not math.isfinite(n):
@@ -218,17 +207,16 @@ def reflect_xy(
     return 2.0 * fx - px, 2.0 * fy - py
 
 
+def line_through(p: Point, q: Point) -> LineXY:
+    """The line through ``p`` and ``q``, anchored at ``p``; coincident points
+    give a zero direction, which ``unit_direction`` rejects."""
+    return (p.x, p.y, *unit_direction(q.x - p.x, q.y - p.y))
+
+
 def _collinear(cross: float, span: float) -> bool:
     """The collinearity test of ``circumcircle``: ``cross`` is twice the
     signed area of three points, ``span`` the longest of their distances."""
     return abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span
-
-
-# a circle on coordinates: (center x, center y, radius)
-CircleXY = tuple[float, float, float]
-
-# a triangle on coordinates: (ax, ay, bx, by, cx, cy)
-TriangleXY = tuple[float, float, float, float, float, float]
 
 
 def side_lengths_xy(
@@ -271,14 +259,21 @@ def circle_xy(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) 
     return x1 + ux, y1 + uy, math.hypot(ux, uy)
 
 
-def checked_circle_xy(*points: float) -> CircleXY:
-    """``circle_xy`` of three points, with the ``ValueError`` that
-    ``circumcircle``'s ``Circle`` raises for a center or radius that is not
-    finite, or a radius that is not positive."""
-    cx, cy, r = circle = circle_xy(*points)
-    if not (math.isfinite(cx + cy + r) and r > 0.0):
-        Circle(Point(cx, cy), r)
+def checked_circle(circle: CircleXY) -> CircleXY:
+    """``circle`` as it is, once its center is finite (else ``Point``'s
+    ``ValueError``) and then its radius finite and positive."""
+    cx, cy, r = circle
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"non-finite coordinates ({cx}, {cy})")
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"radius must be strictly positive, got {r}")
     return circle
+
+
+def circumcircle(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) -> CircleXY:
+    """The circle through three pairwise distinct, non-collinear points:
+    ``circle_xy`` with the errors of ``checked_circle``."""
+    return checked_circle(circle_xy(x1, y1, x2, y2, x3, y3))
 
 
 def squared_sides_xy(xy: TriangleXY) -> tuple[float, float, float]:
@@ -315,55 +310,15 @@ def shape_gap(r1: complex, r2: complex, mirrored: bool) -> float:
     return abs((r2.conjugate() if mirrored else r2) - r1) / abs(r1)
 
 
-class Line(Frozen):
-    """Undirected line given by an anchor and a unit direction."""
-
-    _fields = ("anchor", "direction")
-    anchor: Point
-    direction: Point
-
-    def __init__(self, anchor: Point, direction: Point) -> None:
-        ux, uy = unit_direction(direction.x, direction.y)
-        # unit_direction returns its input unless it normalizes
-        if ux != direction.x or uy != direction.y:
-            direction = Point(ux, uy)
-        set_field(self, "anchor", anchor)
-        set_field(self, "direction", direction)
-
-    @classmethod
-    def through(cls, p: Point, q: Point) -> Line:
-        # coincident points give a zero direction, which __init__ rejects
-        return cls(p, q - p)
-
-    def at(self, t: float) -> Point:
-        a, d = self.anchor, self.direction
-        return Point(a.x + t * d.x, a.y + t * d.y)
-
-    def param_of(self, p: Point) -> float:
-        a, d = self.anchor, self.direction
-        return (p.x - a.x) * d.x + (p.y - a.y) * d.y
-
-    def project(self, p: Point) -> Point:
-        a, d = self.anchor, self.direction
-        return Point(*project_xy(a.x, a.y, d.x, d.y, p.x, p.y))
-
-    def offset(self, p: Point) -> float:
-        """Signed perpendicular distance of ``p`` from the line."""
-        a, d = self.anchor, self.direction
-        return offset_xy(a.x, a.y, d.x, d.y, p.x, p.y)
-
-    def side(self, p: Point) -> int:
-        off = self.offset(p)
-        return (off > 0.0) - (off < 0.0)
-
-
-def line_line_intersection(l1: Line, l2: Line) -> Point:
-    den = l1.direction.cross(l2.direction)
+def line_line_intersection(l1: LineXY, l2: LineXY) -> Point:
+    ax, ay, dx, dy = l1
+    bx, by, ex, ey = l2
+    den = dx * ey - dy * ex
     # unit directions: |den| = sin of the angle between the lines
     if abs(den) < ANGLE_EPS:
         raise GeometryError("lines are parallel within tolerance")
-    t = (l2.anchor - l1.anchor).cross(l2.direction) / den
-    return l1.at(t)
+    t = ((bx - ax) * ey - (by - ay) * ex) / den
+    return Point(ax + t * dx, ay + t * dy)
 
 
 def directed_angle(p: Point, q: Point, r: Point) -> float:
@@ -386,87 +341,85 @@ def directed_angle_xy(px: float, py: float, qx: float, qy: float, rx: float, ry:
     return half_turn(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
 
 
-def circumcircle(p1: Point, p2: Point, p3: Point) -> Circle:
-    """Circle through three pairwise distinct, non-collinear points."""
-    cx, cy, r = circle_xy(p1.x, p1.y, p2.x, p2.y, p3.x, p3.y)
-    return Circle(Point(cx, cy), r)
-
-
-def circle_circle_intersections(c1: Circle, c2: Circle) -> list[Point]:
+def circle_circle_intersections(c1: CircleXY, c2: CircleXY) -> list[Point]:
     """0, 1 or 2 intersection points via the radical-line decomposition.
 
     Candidates closer than the length tolerance collapse to a single
     tangency point so downstream constructions never see twin points.
     """
-    delta = c2.center - c1.center
-    d = delta.norm()
-    scale = max(c1.radius, c2.radius, d)
+    x1, y1, r1 = c1
+    x2, y2, r2 = c2
+    dx, dy = x2 - x1, y2 - y1
+    d = math.hypot(dx, dy)
+    scale = max(r1, r2, d)
     eps = LENGTH_EPS * scale
-    if d < eps and abs(c1.radius - c2.radius) < eps:
+    if d < eps and abs(r1 - r2) < eps:
         raise GeometryError("the circles coincide within tolerance")
     if d == 0.0:
         return []  # concentric, distinct radii
     # foot of the radical line on the center line, measured from c1
-    a = (d * d + c1.radius * c1.radius - c2.radius * c2.radius) / (2.0 * d)
-    h2 = c1.radius * c1.radius - a * a
-    u = delta / d
-    foot = c1.center + a * u
+    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    h2 = r1 * r1 - a * a
+    ux, uy = dx / d, dy / d
+    fx, fy = x1 + ux * a, y1 + uy * a
     # candidates sit 2*sqrt(h2) apart; collapse within the tolerance band
     band = 0.25 * eps * eps
     if h2 < -band:
         return []
     if h2 <= band:
-        return [foot]
+        return [Point(fx, fy)]
     h = math.sqrt(h2)
     if 2.0 * h < eps:
-        return [foot]
-    v = u.perp()
-    return [foot + h * v, foot - h * v]
+        return [Point(fx, fy)]
+    # foot ± h times u turned a quarter counter-clockwise
+    return [Point(fx - uy * h, fy + ux * h), Point(fx + uy * h, fy - ux * h)]
 
 
-def line_circle_intersections(l: Line, c: Circle) -> list[Point]:
+def line_circle_intersections(l: LineXY, c: CircleXY) -> list[Point]:
     """0, 1 or 2 intersection points, with the same tangency collapse rule."""
-    foot = l.project(c.center)
-    h2 = c.radius * c.radius - (foot - c.center).dot(foot - c.center)
-    eps = LENGTH_EPS * c.radius
+    cx, cy, r = c
+    fx, fy = project_xy(*l, cx, cy)
+    ex, ey = fx - cx, fy - cy
+    h2 = r * r - (ex * ex + ey * ey)
+    eps = LENGTH_EPS * r
     band = 0.25 * eps * eps
     if h2 < -band:
         return []
     if h2 <= band:
-        return [foot]
+        return [Point(fx, fy)]
     h = math.sqrt(h2)
     if 2.0 * h < eps:
-        return [foot]
-    return [foot + h * l.direction, foot - h * l.direction]
+        return [Point(fx, fy)]
+    _, _, dx, dy = l
+    return [Point(fx + dx * h, fy + dy * h), Point(fx - dx * h, fy - dy * h)]
 
 
-def invert_point(c: Circle, p: Point) -> Point:
+def invert_point(c: CircleXY, p: Point) -> Point:
     """Image of ``p`` under inversion in ``c``; involutive on its domain."""
-    offset = p - c.center
-    d2 = offset.dot(offset)
-    if math.sqrt(d2) < LENGTH_EPS * c.radius:
+    cx, cy, r = c
+    ox, oy = p.x - cx, p.y - cy
+    d2 = ox * ox + oy * oy
+    if math.sqrt(d2) < LENGTH_EPS * r:
         raise GeometryError("the center inverts to an infinite point")
-    return c.center + (c.radius * c.radius / d2) * offset
+    k = r * r / d2
+    return Point(cx + ox * k, cy + oy * k)
 
 
-def reflect_over_line(l: Line, p: Point) -> Point:
-    a, d = l.anchor, l.direction
-    return Point(*reflect_xy(a.x, a.y, d.x, d.y, p.x, p.y))
-
-
-def second_intersection(l: Line, c: Circle, known: Point) -> Point:
+def second_intersection(l: LineXY, c: CircleXY, known: Point) -> Point:
     """Other intersection of a line and circle already meeting at ``known``.
 
     Both intersection points are mirror images in the perpendicular foot of
     the center, so no square root is needed. Tangency returns ``known``
     itself.
     """
-    eps = LENGTH_EPS * c.radius
-    if abs(l.offset(known)) > eps or abs(c.offset_of(known)) > eps:
+    cx, cy, r = c
+    kx, ky = known.x, known.y
+    eps = LENGTH_EPS * r
+    if abs(offset_xy(*l, kx, ky)) > eps or abs(math.hypot(cx - kx, cy - ky) - r) > eps:
         raise GeometryError("the known point is not on both the line and the circle")
-    foot = l.project(c.center)
-    other = 2.0 * foot - known
-    return known if other.dist(known) < eps else other
+    fx, fy = project_xy(*l, cx, cy)
+    ox, oy = fx * 2.0 - kx, fy * 2.0 - ky
+    return known if math.hypot(ox - kx, oy - ky) < eps else Point(ox, oy)
 
 
 def triangle_contains(t: "Triangle", p: Point) -> bool:
@@ -523,17 +476,16 @@ class Triangle(Frozen):
         return angles_xy(self.xy)
 
     @cached_property
-    def circumcircle(self) -> Circle:
-        return circumcircle(self.a, self.b, self.c)
+    def circumcircle(self) -> CircleXY:
+        return circumcircle(*self.xy)
 
     @property
     def circumcenter_xy(self) -> tuple[float, float]:
-        o = self.circumcircle.center
-        return o.x, o.y
+        return self.circumcircle[:2]
 
     @property
     def circumradius(self) -> float:
-        return self.circumcircle.radius
+        return self.circumcircle[2]
 
     @property
     def vertices(self) -> tuple[Point, Point, Point]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .kernel import HALF_PI, VERTEX_LABELS, Point, Triangle
+from .kernel import HALF_PI, VERTEX_LABELS, CircleXY, Point, Triangle
 
 
 def rng_for(seed: int, suite: str, index: int) -> random.Random:
@@ -130,12 +130,12 @@ def random_point_in_circumdisk(
     rng: random.Random, t: Triangle, line_margin: float = 0.02, radial_margin: float = 0.03
 ) -> Point:
     """Point inside the circumcircle, off the side lines and the circle."""
-    circ = t.circumcircle
+    ox, oy, radius = t.circumcircle
     while True:
-        r = circ.radius * math.sqrt(rng.random()) * (1.0 - radial_margin)
+        r = radius * math.sqrt(rng.random()) * (1.0 - radial_margin)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        p = Point(circ.center.x + r * math.cos(phi), circ.center.y + r * math.sin(phi))
-        if t.min_side_line_distance(p) < line_margin * circ.radius:
+        p = Point(ox + r * math.cos(phi), oy + r * math.sin(phi))
+        if t.min_side_line_distance(p) < line_margin * radius:
             continue
         return p
 
@@ -148,12 +148,12 @@ def random_exterior_point(
 ) -> Point:
     """Point outside the circumcircle at a bounded distance from its center,
     off the side lines by 0.02 R."""
-    circ = t.circumcircle
+    ox, oy, radius = t.circumcircle
     while True:
-        r = circ.radius * rng.uniform(min_factor, max_factor)
+        r = radius * rng.uniform(min_factor, max_factor)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        p = Point(circ.center.x + r * math.cos(phi), circ.center.y + r * math.sin(phi))
-        if t.min_side_line_distance(p) < 0.02 * circ.radius:
+        p = Point(ox + r * math.cos(phi), oy + r * math.sin(phi))
+        if t.min_side_line_distance(p) < 0.02 * radius:
             continue
         return p
 
@@ -161,8 +161,8 @@ def random_exterior_point(
 def random_circumcircle_point(rng: random.Random, t: Triangle) -> Point:
     """Point exactly on the circumcircle, over 0.05 rad of arc from the
     vertices."""
-    circ = t.circumcircle
-    vertex_angles = [(v - circ.center).angle() for v in t.vertices]
+    ox, oy, r = t.circumcircle
+    vertex_angles = [math.atan2(v.y - oy, v.x - ox) for v in t.vertices]
     while True:
         phi = rng.uniform(0.0, 2.0 * math.pi)
         if any(
@@ -170,22 +170,18 @@ def random_circumcircle_point(rng: random.Random, t: Triangle) -> Point:
             for va in vertex_angles
         ):
             continue
-        return circ.point_at(phi)
+        return Point(ox + r * math.cos(phi), oy + r * math.sin(phi))
 
 
 def random_arc_point(
-    rng: random.Random,
-    center: Point,
-    radius: float,
-    end1: Point,
-    end2: Point,
-    via: Point,
+    rng: random.Random, circle: CircleXY, end1: Point, end2: Point, via: Point
 ) -> Point:
-    """Point on the arc from ``end1`` to ``end2`` passing through ``via``,
-    off its ends by 8% of the arc."""
-    a1 = (end1 - center).angle()
-    a2 = (end2 - center).angle()
-    av = (via - center).angle()
+    """Point on the arc of ``circle`` from ``end1`` to ``end2`` passing
+    through ``via``, off its ends by 8% of the arc."""
+    cx, cy, radius = circle
+    a1 = math.atan2(end1.y - cy, end1.x - cx)
+    a2 = math.atan2(end2.y - cy, end2.x - cx)
+    av = math.atan2(via.y - cy, via.x - cx)
     sweep = (a2 - a1) % (2.0 * math.pi)
     via_off = (av - a1) % (2.0 * math.pi)
     t = rng.uniform(0.08, 0.92)
@@ -193,4 +189,4 @@ def random_arc_point(
         ang = a1 + sweep * t
     else:
         ang = a1 - (2.0 * math.pi - sweep) * t
-    return Point(center.x + radius * math.cos(ang), center.y + radius * math.sin(ang))
+    return Point(cx + radius * math.cos(ang), cy + radius * math.sin(ang))

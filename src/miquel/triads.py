@@ -17,20 +17,21 @@ from .kernel import (
     HALF_PI,
     LENGTH_EPS,
     VERTEX_LABELS,
-    Circle,
     CircleXY,
     Frozen,
-    Line,
+    LineXY,
     Point,
     Triangle,
     TriangleXY,
     angle_distance,
-    checked_circle_xy,
+    checked_circle,
     circle_xy,
+    circumcircle,
     contains_xy,
     directed_angle,
     directed_angle_xy,
     half_turn,
+    line_through,
     offset_xy,
     project_xy,
     reflect_xy,
@@ -115,16 +116,16 @@ def triad_xy(host: TriangleXY, u: float, v: float, w: float) -> TriangleXY:
 class SimsonLine(NamedTuple):
     """Collapsed pedal triple of a point on the circumcircle."""
 
-    line: Line
+    line: LineXY
     feet: tuple[Point, Point, Point]
 
     def max_deviation(self) -> float:
-        return max(abs(self.line.offset(f)) for f in self.feet)
+        return max(abs(offset_xy(*self.line, f.x, f.y)) for f in self.feet)
 
 
 class MiquelResult(NamedTuple):
     point: Point
-    circles: tuple[Circle, Circle, Circle]
+    circles: tuple[CircleXY, CircleXY, CircleXY]  # AYZ, BZX, CXY
     residual: float
     tangent: bool
 
@@ -154,8 +155,7 @@ def on_circle_xy(circle: CircleXY, px: float, py: float) -> bool:
 
 def on_circumcircle(t: Triangle, p: Point) -> bool:
     """True when ``p`` is inside the circumcircle's degeneration band."""
-    c = t.circumcircle
-    return on_circle_xy((c.center.x, c.center.y, c.radius), p.x, p.y)
+    return on_circle_xy(t.circumcircle, p.x, p.y)
 
 
 def pedal_triad(t: Triangle, p: Point) -> Triad:
@@ -176,7 +176,7 @@ def simson_line(t: Triangle, p: Point) -> SimsonLine:
         ((feet[i], feet[j]) for i in range(3) for j in range(i + 1, 3)),
         key=lambda pair: pair[0].dist(pair[1]),
     )
-    return SimsonLine(Line.through(anchor, far), feet)
+    return SimsonLine(line_through(anchor, far), feet)
 
 
 def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
@@ -191,11 +191,11 @@ def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
     """
     x, y, z = triad.points
     *rows, (mx, my) = miquel_xy(t.xy, (x.x, x.y, y.x, y.y, z.x, z.y))
-    circle_a, circle_b, circle_c = (Circle(Point(cx, cy), r) for cx, cy, r in rows)
+    circles = tuple([checked_circle(c) for c in rows])
     point = Point(mx, my)
-    tangent = point.dist(z) < LENGTH_EPS * max(circle_a.radius, circle_b.radius)
+    tangent = point.dist(z) < LENGTH_EPS * max(circles[0][2], circles[1][2])
     residual = miquel_residual(rows, mx, my)
-    return MiquelResult(point, (circle_a, circle_b, circle_c), residual, tangent)
+    return MiquelResult(point, circles, residual, tangent)
 
 
 def miquel_xy(
@@ -216,8 +216,9 @@ def miquel_xy(
 
 
 def miquel_residual(circles: list[CircleXY], mx: float, my: float) -> float:
-    """``MiquelResult.residual``: the largest ``Circle.offset_of`` of the
-    point (mx, my) from the circles of ``miquel_xy``, in absolute value."""
+    """``MiquelResult.residual``: the largest radial offset (distance to the
+    center minus the radius) of the point (mx, my) from the circles of
+    ``miquel_xy``, in absolute value."""
     return max(abs(math.hypot(cx - mx, cy - my) - r) for cx, cy, r in circles)
 
 
@@ -304,9 +305,10 @@ def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
     A + X = BPC, B + Y = CPA, C + Z = APB (all directed).
     """
     x, y, z = triad.points
-    # miquel_point builds Circles and a Point that check for a positive
-    # finite radius and finite coordinates; inside MAX_COORDINATE circle_xy's
-    # collinearity test bounds each radius, so no such check can fail here
+    # miquel_point checks its circles (checked_circle) and builds a Point,
+    # which check for a positive finite radius and finite coordinates; inside
+    # MAX_COORDINATE circle_xy's collinearity test bounds each radius, so no
+    # such check can fail here
     *_, (mx, my) = miquel_xy(t.xy, (x.x, x.y, y.x, y.y, z.x, z.y))
     if math.hypot(mx - p.x, my - p.y) > CONCURRENCY_BAND * t.circumradius:
         raise GeometryError("the triad's concurrency point is not the given point")
@@ -391,7 +393,7 @@ def detect_special_role(xy: TriangleXY, px: float, py: float, length_eps: float)
             continue
         bx, by, cx, cy = xy[2 * j], xy[2 * j + 1], xy[2 * k], xy[2 * k + 1]
         try:
-            ox, oy, r = checked_circle_xy(bx, by, cx, cy, ix, iy)
+            ox, oy, r = circumcircle(bx, by, cx, cy, ix, iy)
         except CollinearError:
             continue
         if abs(math.hypot(ox - px, oy - py) - r) < eps:

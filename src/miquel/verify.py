@@ -22,7 +22,6 @@ from .chains import (
 )
 from .kernel import (
     VERTEX_LABELS,
-    Line,
     Point,
     Triangle,
     TriangleXY,
@@ -32,8 +31,10 @@ from .kernel import (
     directed_angle,
     directed_angle_xy,
     half_turn,
+    line_through,
     midpoint,
-    reflect_over_line,
+    offset_xy,
+    reflect_xy,
     second_intersection,
     shape_gap,
     shape_ratio,
@@ -148,8 +149,8 @@ def suite_theorem1(report: SuiteReport) -> None:
             s = rng.uniform(-1.0, 2.0)
             if abs(s) > 0.05 and abs(s - 1.0) > 0.05:
                 params.append(s)
-        # no Triad or Circles: with the host inside MAX_COORDINATE and these
-        # parameters, their Point and radius checks cannot fail (see
+        # no Triad and no checked circles: with the host inside MAX_COORDINATE
+        # and these parameters, their Point and radius checks cannot fail (see
         # triads.verify_miquel_equations)
         *circles, (mx, my) = miquel_xy(t.xy, triad_xy(t.xy, *params))
         concurrency.add(miquel_residual(circles, mx, my) / t.circumradius, i, t, Point(mx, my))
@@ -218,10 +219,10 @@ def suite_theorem3(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
-        circ = t.circumcircle
+        ox, oy, radius = t.circumcircle
         while True:
             p = random_point_in_circumdisk(rng, t, radial_margin=0.05)
-            if p.dist(circ.center) > 0.1 * circ.radius:
+            if math.hypot(p.x - ox, p.y - oy) > 0.1 * radius:
                 break
         q = centers.inverse_in_circumcircle(t, p)
         r_p, r_q = (shape_ratio(pedal_triad(t, r).triangle().xy, (0, 1, 2)) for r in (p, q))
@@ -241,8 +242,10 @@ def suite_theorem4(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_catalog_triangle(rng)
         cat = centers.eleven_point_catalog(t)
-        inside = [e for e in cat if t.circumcircle.offset_of(e.location) < 0.0]
-        outside = [e for e in cat if t.circumcircle.offset_of(e.location) > 0.0]
+        ox, oy, r = t.circumcircle
+        offsets = [math.hypot(ox - e.location.x, oy - e.location.y) - r for e in cat]
+        inside = [e for e, off in zip(cat, offsets) if off < 0.0]
+        outside = [e for e, off in zip(cat, offsets) if off > 0.0]
         counts.add_bool(len(inside) == 6 and len(outside) == 5, i, t)
         min_pair = min(
             cat[a].location.dist(cat[b].location)
@@ -362,14 +365,14 @@ def suite_theorem9(report: SuiteReport) -> None:
         apex = shape.vertex(v)
         b2, c2 = shape.opposite(v)
         e = midpoint(b2, c2)
-        median = Line.through(apex, e)
+        median = line_through(apex, e)
         r = t.circumradius
-        on_median.add(abs(median.offset(p)) / r, i, t)
+        on_median.add(abs(offset_xy(*median, p.x, p.y)) / r, i, t)
         if t.angle(v) < math.pi / 2.0:
             f = second_intersection(median, shape.circumcircle, apex)
             midpoint_rel.add(abs(e.dist(p) - e.dist(f)) / r, i, t)
         else:
-            f = second_intersection(median, circumcircle(t.vertex(v), b2, c2), p)
+            f = second_intersection(median, circumcircle(*t.vertex(v), *b2, *c2), p)
             midpoint_rel.add(abs(apex.dist(e) - e.dist(f)) / r, i, t)
         m_match.add(centers.m_point(shape, v).dist(p) / r, i, t)
 
@@ -394,8 +397,8 @@ def suite_theorem10(report: SuiteReport) -> None:
             angle_distance(shape.directed_angle_at(u), host_dir) for u in VERTEX_LABELS if u != v
         )
         base_angles.add(worst, i, t, p)
-        circ = circumcircle(b2, c2, centers.incenter(shape))
-        arc.add(abs(circ.offset_of(p)) / t.circumradius, i, t, p)
+        ox, oy, r = circumcircle(*b2, *c2, *centers.incenter(shape))
+        arc.add(abs(math.hypot(ox - p.x, oy - p.y) - r) / t.circumradius, i, t, p)
         inside = triangle_contains(shape, p)
         parity.add_bool(inside != obtuse_case, i, t, p)
 
@@ -412,8 +415,7 @@ def suite_theorem11(report: SuiteReport) -> None:
         t = random_isosceles(rng, v)
         l = centers.incenter(t)
         b, c = t.opposite(v)
-        circ = circumcircle(b, c, l)
-        p = random_arc_point(rng, circ.center, circ.radius, c, b, l)
+        p = random_arc_point(rng, circumcircle(*b, *c, *l), c, b, l)
         shape = pedal_triad(t, p).triangle()
         s_match.add(centers.s_point(shape, v).dist(p) / t.circumradius, i, t, p)
         b2, c2 = shape.opposite(v)
@@ -446,10 +448,9 @@ def suite_theorem13(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_isosceles(rng, "A")
         l = centers.incenter(t)
-        circ = circumcircle(t.b, t.c, l)
-        q = random_arc_point(rng, circ.center, circ.radius, t.c, t.b, l)
-        axis = Line.through(t.a, midpoint(t.b, t.c))
-        tpt = reflect_over_line(axis, q)
+        q = random_arc_point(rng, circumcircle(*t.b, *t.c, *l), t.c, t.b, l)
+        axis = line_through(t.a, midpoint(t.b, t.c))
+        tpt = Point(*reflect_xy(*axis, q.x, q.y))
         worst = max(
             angle_distance(directed_angle(t.c, t.b, tpt), directed_angle(q, t.b, t.a)),
             angle_distance(directed_angle(t.b, t.a, q), directed_angle(tpt, t.a, t.c)),

@@ -33,8 +33,8 @@ from miquel.centers import (
 )
 from miquel.errors import GeometryError, OnSideLineError, RightAngleDegenerateError
 from miquel.kernel import (
-    Circle,
-    Line,
+    CircleXY,
+    LineXY,
     Point,
     Triangle,
     angle_distance,
@@ -43,10 +43,13 @@ from miquel.kernel import (
     directed_angle,
     line_circle_intersections,
     line_line_intersection,
+    line_through,
     midpoint,
-    reflect_over_line,
+    offset_xy,
+    reflect_xy,
     second_intersection,
     triangle_contains,
+    unit_direction,
 )
 from miquel.sampling import (
     random_acute_triangle,
@@ -61,6 +64,35 @@ T345 = Triangle(Point(0, 0), Point(4, 0), Point(0, 3))
 TSCA = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))  # acute scalene
 TOBT = Triangle(Point(0, 0), Point(4, 0), Point(1.6, 0.9))  # obtuse at C
 EQUI = Triangle(Point(0, 1), Point(-SQ3 / 2, -0.5), Point(SQ3 / 2, -0.5))
+
+
+def _line(anchor: Point, direction: Point) -> LineXY:
+    """The line through ``anchor`` along ``direction``, normalized."""
+    return (anchor.x, anchor.y, *unit_direction(direction.x, direction.y))
+
+
+def _offset(line: LineXY, p: Point) -> float:
+    return offset_xy(*line, p.x, p.y)
+
+
+def _side(line: LineXY, p: Point) -> int:
+    off = _offset(line, p)
+    return (off > 0.0) - (off < 0.0)
+
+
+def _reflect(line: LineXY, p: Point) -> Point:
+    return Point(*reflect_xy(*line, p.x, p.y))
+
+
+def _offset_from(circle: CircleXY, p: Point) -> float:
+    """Signed radial offset of ``p``: distance to the center minus the radius."""
+    cx, cy, r = circle
+    return math.hypot(cx - p.x, cy - p.y) - r
+
+
+def _point_at(circle: CircleXY, angle: float) -> Point:
+    cx, cy, r = circle
+    return Point(cx + r * math.cos(angle), cy + r * math.sin(angle))
 
 
 class TestClassicCenters:
@@ -88,15 +120,15 @@ class TestClassicCenters:
             t = random_triangle(rng)
             h = orthocenter(t)
             for v in "ABC":
-                side = Line.through(*t.opposite(v))
-                assert abs((h - t.vertex(v)).dot(side.direction)) < 1e-9 * t.circumradius
+                _, _, dx, dy = line_through(*t.opposite(v))
+                assert abs((h - t.vertex(v)).dot(Point(dx, dy))) < 1e-9 * t.circumradius
 
     def test_incenter_and_excenters_equidistant_from_side_lines(self):
         rng = rng_for(0, "classic", 2)
         for _ in range(50):
             t = random_triangle(rng)
             for center in [incenter(t)] + [excenter(t, v) for v in "ABC"]:
-                offs = [abs(Line.through(*t.opposite(v)).offset(center)) for v in "ABC"]
+                offs = [abs(_offset(line_through(*t.opposite(v)), center)) for v in "ABC"]
                 assert max(offs) - min(offs) < 1e-9 * t.circumradius
 
     def test_centroid(self):
@@ -144,12 +176,10 @@ def _median_reflection_foot(t: Triangle, vertex: str) -> Point:
     b, c = t.opposite(vertex)
     ub = (b - apex).unit()
     uc = (c - apex).unit()
-    bisector = Line(apex, ub + uc)
+    bisector = _line(apex, ub + uc)
     e = 0.5 * (b + c)
-    mirrored = reflect_over_line(bisector, e)
-    from miquel.kernel import line_line_intersection
-
-    return line_line_intersection(Line.through(apex, mirrored), Line.through(b, c))
+    mirrored = _reflect(bisector, e)
+    return line_line_intersection(line_through(apex, mirrored), line_through(b, c))
 
 
 class TestSymmedianFoot:
@@ -236,10 +266,10 @@ class TestBrocardPoints:
         rng = rng_for(0, "brocard", 0)
         for _ in range(20):
             t = random_isosceles(rng, "A")
-            axis = Line.through(t.a, 0.5 * (t.b + t.c))
+            axis = line_through(t.a, 0.5 * (t.b + t.c))
             first = brocard_point(t, "first")
             second = brocard_point(t, "second")
-            assert second.dist(reflect_over_line(axis, first)) < 1e-9 * t.circumradius
+            assert second.dist(_reflect(axis, first)) < 1e-9 * t.circumradius
 
     def test_angle_conditions_and_interiority(self):
         rng = rng_for(0, "brocard", 1)
@@ -265,16 +295,16 @@ def _arc_scan_oracle(t: Triangle, vertex: str, steps: int = 400000) -> Point:
     endpoints and the circumcenter for the symmedian crossing."""
     o = circumcenter(t)
     b, c = t.opposite(vertex)
-    k = circumcircle(b, c, o)
-    sym = Line.through(t.vertex(vertex), symmedian_foot(t, vertex))
-    base = Line.through(b, c)
-    want = base.side(o)
+    k = circumcircle(*b, *c, *o)
+    sym = line_through(t.vertex(vertex), symmedian_foot(t, vertex))
+    base = line_through(b, c)
+    want = _side(base, o)
     best_val, best = math.inf, o
     for i in range(steps):
-        q = k.point_at(2.0 * math.pi * i / steps)
-        if base.side(q) != want:
+        q = _point_at(k, 2.0 * math.pi * i / steps)
+        if _side(base, q) != want:
             continue
-        val = abs(sym.offset(q))
+        val = abs(_offset(sym, q))
         if val < best_val:
             best_val, best = val, q
     return best
@@ -327,9 +357,9 @@ class TestSPoint:
             p = s_point(t, "B")
             o = circumcenter(t)
             b, c = t.opposite("B")
-            k = circumcircle(b, c, o)
-            assert abs(k.offset_of(p)) < 1e-9 * t.circumradius
-            assert Line.through(b, c).side(p) == Line.through(b, c).side(o)
+            k = circumcircle(*b, *c, *o)
+            assert abs(_offset_from(k, p)) < 1e-9 * t.circumradius
+            assert _side(line_through(b, c), p) == _side(line_through(b, c), o)
 
     def test_right_angle_degenerates(self):
         with pytest.raises(RightAngleDegenerateError):
@@ -351,20 +381,18 @@ class TestMPoint:
                 p = m_point(t, v)
                 b, c = t.opposite(v)
                 e = 0.5 * (b + c)
-                from miquel.kernel import second_intersection
-
-                median = Line.through(t.vertex(v), e)
+                median = line_through(t.vertex(v), e)
                 f = second_intersection(median, t.circumcircle, t.vertex(v))
                 assert abs(e.dist(p) - e.dist(f)) < 1e-9 * t.circumradius
-                assert abs(median.offset(p)) < 1e-9 * t.circumradius
+                assert abs(_offset(median, p)) < 1e-9 * t.circumradius
 
     def test_obtuse_frozen_value_and_circle_membership(self):
         # frozen from the parallelogram construction: M = (34/97, 360/97)
         p = m_point(TOBT, "C")
         assert p.dist(Point(34 / 97, 360 / 97)) < 1e-12
         f = TOBT.a + TOBT.b - TOBT.c
-        k = circumcircle(f, TOBT.a, TOBT.b)
-        assert abs(k.offset_of(p)) < 1e-12
+        k = circumcircle(*f, *TOBT.a, *TOBT.b)
+        assert abs(_offset_from(k, p)) < 1e-12
 
     def test_obtuse_random_circle_membership(self):
         rng = rng_for(0, "mpoint", 1)
@@ -372,20 +400,21 @@ class TestMPoint:
             t = random_obtuse_at(rng, "A")
             p = m_point(t, "A")
             f = t.b + t.c - t.a
-            k = circumcircle(f, t.b, t.c)
-            assert abs(k.offset_of(p)) < 1e-8 * t.circumradius
+            k = circumcircle(*f, *t.b, *t.c)
+            assert abs(_offset_from(k, p)) < 1e-8 * t.circumradius
 
     def test_right_angle_degenerates(self):
         with pytest.raises(RightAngleDegenerateError):
             m_point(T345, "A")
 
 
-def _tangent_circle(at: Point, through: Point, tangent: Line) -> Circle:
-    """Circle through ``at`` and ``through`` tangent to ``tangent`` at ``at``."""
-    normal = Line(at, tangent.direction.perp())
-    bisector = Line(midpoint(at, through), (through - at).perp())
+def _tangent_circle(at: Point, through: Point, tangent: LineXY) -> CircleXY:
+    """The circle through ``at`` and ``through`` tangent to ``tangent`` at ``at``."""
+    _, _, dx, dy = tangent
+    normal = _line(at, Point(dx, dy).perp())
+    bisector = _line(midpoint(at, through), (through - at).perp())
     center = line_line_intersection(normal, bisector)
-    return Circle(center, center.dist(at))
+    return (center.x, center.y, center.dist(at))
 
 
 def _brocard_by_tangent_circles(t: Triangle, which: str) -> Point:
@@ -393,11 +422,11 @@ def _brocard_by_tangent_circles(t: Triangle, which: str) -> Point:
     a side at a vertex."""
     a, b, c = t.vertices
     if which == "first":
-        c1 = _tangent_circle(b, a, Line.through(b, c))
-        c2 = _tangent_circle(c, b, Line.through(c, a))
+        c1 = _tangent_circle(b, a, line_through(b, c))
+        c2 = _tangent_circle(c, b, line_through(c, a))
     else:
-        c1 = _tangent_circle(a, b, Line.through(a, c))
-        c2 = _tangent_circle(b, c, Line.through(a, b))
+        c1 = _tangent_circle(a, b, line_through(a, c))
+        c2 = _tangent_circle(b, c, line_through(a, b))
     return max(circle_circle_intersections(c1, c2), key=lambda p: p.dist(b))
 
 
@@ -406,10 +435,10 @@ def _s_point_by_arc(t: Triangle, vertex: str) -> Point:
     endpoints on the circumcenter's side."""
     o = circumcenter(t)
     b, c = t.opposite(vertex)
-    sym = Line.through(t.vertex(vertex), symmedian_foot(t, vertex))
-    base = Line.through(b, c)
-    hits = line_circle_intersections(sym, circumcircle(b, c, o))
-    (hit,) = [p for p in hits if base.side(p) == base.side(o)]
+    sym = line_through(t.vertex(vertex), symmedian_foot(t, vertex))
+    base = line_through(b, c)
+    hits = line_circle_intersections(sym, circumcircle(*b, *c, *o))
+    (hit,) = [p for p in hits if _side(base, p) == _side(base, o)]
     return hit
 
 
@@ -420,11 +449,11 @@ def _m_point_by_median(t: Triangle, vertex: str) -> Point:
     apex = t.vertex(vertex)
     b, c = t.opposite(vertex)
     e = midpoint(b, c)
-    median = Line.through(apex, e)
+    median = line_through(apex, e)
     if t.angle(vertex) < math.pi / 2:
         return 2.0 * e - second_intersection(median, t.circumcircle, apex)
     f = b + c - apex
-    return second_intersection(median, circumcircle(f, b, c), f)
+    return second_intersection(median, circumcircle(*f, *b, *c), f)
 
 
 class TestClosedFormsAgainstConstructions:
@@ -494,7 +523,7 @@ class TestIsogonalConjugate:
             isogonal_conjugate(TSCA, Point(2, 0))
 
     def test_circumcircle_rejected(self):
-        p = TSCA.circumcircle.point_at(0.8)
+        p = _point_at(TSCA.circumcircle, 0.8)
         with pytest.raises(GeometryError, match="^the point lies on the circumcircle$"):
             isogonal_conjugate(TSCA, p)
 
@@ -504,7 +533,7 @@ class TestInverseInCircumcircle:
         assert inverse_in_circumcircle(EQUI, Point(0, 0.5)).dist(Point(0, 2)) < 1e-12
 
     def test_circle_points_fixed(self):
-        p = TSCA.circumcircle.point_at(1.1)
+        p = _point_at(TSCA.circumcircle, 1.1)
         assert inverse_in_circumcircle(TSCA, p).dist(p) < 1e-12
 
     def test_center_rejected(self):
@@ -516,8 +545,8 @@ class TestElevenPointCatalog:
     def test_counts_and_sides_of_circle(self):
         cat = eleven_point_catalog(TSCA)
         assert len(cat) == 11
-        inside = [e for e in cat if TSCA.circumcircle.offset_of(e.location) < 0]
-        outside = [e for e in cat if TSCA.circumcircle.offset_of(e.location) > 0]
+        inside = [e for e in cat if _offset_from(TSCA.circumcircle, e.location) < 0]
+        outside = [e for e in cat if _offset_from(TSCA.circumcircle, e.location) > 0]
         assert len(inside) == 6 and len(outside) == 5
         assert sum(e.inverse for e in cat) == 5
 

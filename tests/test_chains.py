@@ -88,8 +88,8 @@ class TestIterateChain:
         # triangle is collinear within tolerance, which the step's circle
         # test reports
         thin = Triangle(Point(0, 0), Point(1, 0), Point(0.5, 3e-4))
-        c = thin.circumcircle
-        p = Point(c.center.x + c.radius * (1 + 1.01 * CIRCUMCIRCLE_BAND), c.center.y)
+        cx, cy, r = thin.circumcircle
+        p = Point(cx + r * (1 + 1.01 * CIRCUMCIRCLE_BAND), cy)
         triad = family_member(thin, p, 0.0)
         miquel_point(thin, triad)
         with pytest.raises(CollinearError):
@@ -370,9 +370,7 @@ class TestLazySteps:
         k = 6
         rec = iterate_chain(TSCA, Point(1.31, 0.87), k, [0.2, -0.4, 0.1, 0.5, -0.3, 0.0])
         # the hosts of the k steps: the seed, then step triangles 0 to k-2
-        assert [(c.center.x, c.center.y, c.radius) for c in (
-            t.circumcircle for t in rec.triangles[:-1]
-        )] == used
+        assert [t.circumcircle for t in rec.triangles[:-1]] == used
 
 
 # ---------------------------------------------------------------- exact oracle

@@ -4,7 +4,10 @@
 coordinate, so only the Points callers keep are built. Each form must do the
 operator form's float operations in the same order, so the two agree with
 `==`, not within a tolerance. The operator forms below are those oracles; a
-later edit that reassociates a sum or a product fails here.
+later edit that reassociates a sum or a product fails here. Circles and lines
+are coordinate tuples, `CircleXY` (center x, center y, radius) and `LineXY`
+(anchor x, anchor y, unit direction x, unit direction y); the oracles build
+their center, anchor and direction Points from the tuple.
 
 The chain step builds no Point, from the same coordinate bodies as
 `family_member` and `miquel_point` (`family_xy`, `miquel_xy`), so its
@@ -31,17 +34,16 @@ from miquel.chains import iterate_chain
 from miquel.errors import CollinearError, RightAngleDegenerateError
 from miquel.kernel import (
     LENGTH_EPS,
-    Line,
     Point,
     Triangle,
     circle_xy,
     circumcircle,
     contains_xy,
     directed_angle,
+    line_through,
     midpoint,
     offset_xy,
     project_xy,
-    reflect_over_line,
     reflect_xy,
     shape_gap,
     shape_ratio,
@@ -125,16 +127,24 @@ def _direction_by_operators(p, q):
     return d / n if abs(n - 1.0) > 1e-14 else d
 
 
+def _anchor_and_direction(line):
+    ax, ay, dx, dy = line
+    return Point(ax, ay), Point(dx, dy)
+
+
 def _offset_by_operators(line, p):
-    return line.direction.cross(p - line.anchor)
+    anchor, direction = _anchor_and_direction(line)
+    return direction.cross(p - anchor)
 
 
 def _at_by_operators(line, t):
-    return line.anchor + t * line.direction
+    anchor, direction = _anchor_and_direction(line)
+    return anchor + t * direction
 
 
 def _project_by_operators(line, p):
-    return _at_by_operators(line, (p - line.anchor).dot(line.direction))
+    anchor, direction = _anchor_and_direction(line)
+    return _at_by_operators(line, (p - anchor).dot(direction))
 
 
 def _reflect_by_operators(line, p):
@@ -252,8 +262,8 @@ def test_circumcircle():
     for t, points, theta in CASES:
         triad = family_member(t, points[0], theta)
         for triple in ((t.a, t.b, t.c), (t.a, triad.y, triad.z), (t.b, triad.z, triad.x)):
-            circle = circumcircle(*triple)
-            assert (circle.center, circle.radius) == _circumcircle_by_operators(*triple)
+            cx, cy, r = circumcircle(*triple[0], *triple[1], *triple[2])
+            assert (Point(cx, cy), r) == _circumcircle_by_operators(*triple)
 
 
 def test_coordinate_helpers():
@@ -262,9 +272,10 @@ def test_coordinate_helpers():
         a, b, c = t.vertices
         for p in points:
             for tail, head in ((b, c), (c, a), (a, b), (p, a)):
-                line = Line.through(tail, head)
+                line = line_through(tail, head)
                 d = unit_direction(head.x - tail.x, head.y - tail.y)
-                assert Point(*d) == _direction_by_operators(tail, head) == line.direction
+                assert Point(*d) == _direction_by_operators(tail, head)
+                assert line == (tail.x, tail.y, *d)
                 args = (tail.x, tail.y, *d, p.x, p.y)
                 assert offset_xy(*args) == _offset_by_operators(line, p)
                 assert Point(*project_xy(*args)) == _project_by_operators(line, p)
@@ -319,17 +330,20 @@ def test_min_side_line_distance():
     on one and on two (a vertex)."""
     for t, points, _ in CASES:
         for p in (*points, t.a, midpoint(t.b, t.c)):
-            expected = min(abs(Line.through(*t.opposite(v)).offset(p)) for v in "ABC")
+            expected = min(
+                abs(_offset_by_operators(line_through(*t.opposite(v)), p)) for v in "ABC"
+            )
             assert t.min_side_line_distance(p) == expected
 
 
 def test_line_at_project_and_reflect():
-    for t, points, theta in CASES:
-        for line in (*(Line.through(*t.opposite(v)) for v in "ABC"), Line.through(*points)):
+    """The foot (the point at the projection's parameter) and the mirror
+    image of a point, on the side lines and a line through two points."""
+    for t, points, _ in CASES:
+        for line in (*(line_through(*t.opposite(v)) for v in "ABC"), line_through(*points)):
             for p in points:
-                assert line.at(theta) == _at_by_operators(line, theta)
-                assert line.project(p) == _project_by_operators(line, p)
-                assert reflect_over_line(line, p) == _reflect_by_operators(line, p)
+                assert Point(*project_xy(*line, *p)) == _project_by_operators(line, p)
+                assert Point(*reflect_xy(*line, *p)) == _reflect_by_operators(line, p)
 
 
 def test_triangle_angles_area_and_directed_angles():
@@ -388,7 +402,7 @@ def test_family_member_feet_and_triad_forms():
     for t, points, theta in CASES:
         for p in points:
             triad = family_member(t, p, theta)
-            feet = [Line.through(*t.opposite(v)).project(p) for v in "ABC"]
+            feet = [_project_by_operators(line_through(*t.opposite(v)), p) for v in "ABC"]
             assert list(triad.points) == [
                 _family_vertex_by_operators(p, f, theta) for f in feet
             ]
@@ -403,7 +417,8 @@ def test_family_member_feet_and_triad_forms():
 
 def test_triad_xy_and_miquel_residual():
     """triad_xy against Triad.at's old generator, inside and outside [0, 1];
-    miquel_residual against Circle.offset_of of the circles AYZ, BZX, CXY."""
+    miquel_residual against the radial offsets (distance to the center minus
+    the radius) of the circles AYZ, BZX, CXY."""
     rng = rng_for(0, "coordinate-forms", 2)
     for t, _, _ in CASES:
         params = [rng.uniform(-1.0, 2.0) for _ in range(3)]
@@ -412,8 +427,9 @@ def test_triad_xy_and_miquel_residual():
         assert xy == (x.x, x.y, y.x, y.y, z.x, z.y)
         assert Triad.at(t, *params).points == (x, y, z)
         *rows, (mx, my) = miquel_xy(t.xy, xy)
-        circles = (circumcircle(t.a, y, z), circumcircle(t.b, z, x), circumcircle(t.c, x, y))
-        expected = max(abs(k.offset_of(Point(mx, my))) for k in circles)
+        circles = (circumcircle(*t.a, *y, *z), circumcircle(*t.b, *z, *x),
+                   circumcircle(*t.c, *x, *y))
+        expected = max(abs(Point(cx, cy).dist(Point(mx, my)) - r) for cx, cy, r in circles)
         assert miquel_residual(rows, mx, my) == expected
         assert miquel_point(t, Triad.at(t, *params)).residual == expected
     with pytest.raises(ValueError, match="^triad parameters must be finite$"):
@@ -455,7 +471,7 @@ def test_one_pedal_triangle():
     point, float for float, for points off the side lines and on them."""
     for t, points, _ in CASES:
         for p in (*points, t.a, midpoint(t.b, t.c)):
-            feet = tuple(Line.through(*t.opposite(v)).project(p) for v in "ABC")
+            feet = tuple(_project_by_operators(line_through(*t.opposite(v)), p) for v in "ABC")
             assert pedal_triad(t, p).points == feet
 
 

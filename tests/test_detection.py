@@ -62,10 +62,10 @@ def _detect_by_locate_xy(t, p, length_eps):
             continue
         b, c = t.opposite(v)
         try:
-            arc = circumcircle(b, c, center)
+            ox, oy, r = circumcircle(*b, *c, *center)
         except CollinearError:
             continue
-        if abs(arc.offset_of(p)) < eps:
+        if abs(p.dist(Point(ox, oy)) - r) < eps:
             return SpecialRole("q_role", v)
     return NONE_ROLE
 
@@ -99,8 +99,7 @@ def _arc_point(rng, t, apex):
     incenter, on the arc between the base ends through the incenter."""
     b, c = t.opposite(apex)
     center = incenter(t)
-    arc = circumcircle(b, c, center)
-    return random_arc_point(rng, arc.center, arc.radius, b, c, center)
+    return random_arc_point(rng, circumcircle(*b, *c, *center), b, c, center)
 
 
 def _host(seed: int):

@@ -7,25 +7,29 @@ import random
 
 import pytest
 
+from miquel import kernel
 from miquel.centers import SpecialRole
 from miquel.chains import ChainRecord
 from miquel.errors import CollinearError, GeometryError
 from miquel.kernel import (
     LENGTH_EPS,
-    Circle,
-    Line,
     Point,
     Triangle,
     angle_distance,
+    checked_circle,
     circle_circle_intersections,
+    circle_xy,
     circumcircle,
     directed_angle,
     half_turn,
     invert_point,
     line_circle_intersections,
-    reflect_over_line,
+    line_through,
+    offset_xy,
+    reflect_xy,
     second_intersection,
     triangle_contains,
+    unit_direction,
 )
 from miquel.triads import Triad
 
@@ -36,11 +40,24 @@ def _triangle():
     return Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
 
 
+def _line(anchor, direction):
+    """The line through ``anchor`` along ``direction``, normalized."""
+    return (anchor.x, anchor.y, *unit_direction(direction.x, direction.y))
+
+
+def _offset_from(circle, p):
+    """Signed radial offset of ``p``: distance to the center minus the radius."""
+    cx, cy, r = circle
+    return math.hypot(cx - p.x, cy - p.y) - r
+
+
+def _reflect(line, p):
+    return Point(*reflect_xy(*line, p.x, p.y))
+
+
 # a builder of each immutable value type, and the type's fields in order
 VALUE_TYPES = [
     (lambda: Point(0.5, 2.0), ("x", "y")),
-    (lambda: Circle(Point(1.0, 0.0), 2.0), ("center", "radius")),
-    (lambda: Line(Point(1.0, 0.0), Point(3.0, 4.0)), ("anchor", "direction")),
     (_triangle, ("a", "b", "c")),
     (lambda: SpecialRole("s_role", "B"), ("role", "vertex")),
     (lambda: ChainRecord(_triangle(), Point(2.0, 1.0), ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0),)),
@@ -93,66 +110,99 @@ class TestPoint:
 
 class TestCircumcircle:
     def test_right_triangle_hypotenuse_midpoint(self):
-        c = circumcircle(Point(0, 0), Point(4, 0), Point(0, 3))
-        assert c.center.dist(Point(2, 1.5)) < 1e-12
-        assert abs(c.radius - 2.5) < 1e-12
+        cx, cy, r = circumcircle(0, 0, 4, 0, 0, 3)
+        assert math.hypot(cx - 2, cy - 1.5) < 1e-12
+        assert abs(r - 2.5) < 1e-12
 
     def test_equilateral_layout(self):
-        c = circumcircle(Point(0, 1), Point(-SQ3 / 2, -0.5), Point(SQ3 / 2, -0.5))
-        assert c.center.dist(Point(0, 0)) < 1e-12
-        assert abs(c.radius - 1.0) < 1e-12
+        cx, cy, r = circumcircle(0, 1, -SQ3 / 2, -0.5, SQ3 / 2, -0.5)
+        assert math.hypot(cx, cy) < 1e-12
+        assert abs(r - 1.0) < 1e-12
 
     def test_collinear_rejected(self):
         with pytest.raises(CollinearError):
-            circumcircle(Point(0, 0), Point(1, 0), Point(2, 0))
+            circumcircle(0, 0, 1, 0, 2, 0)
 
     def test_permutation_invariant(self):
         rng = random.Random(11)
         for _ in range(100):
             pts = [Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
             try:
-                base = circumcircle(*pts)
+                bx, by, br = circumcircle(*pts[0], *pts[1], *pts[2])
             except CollinearError:
                 continue
-            for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-                c = circumcircle(*(pts[i] for i in perm))
-                assert c.center.dist(base.center) < 1e-9 * base.radius
-                assert abs(c.radius - base.radius) < 1e-9 * base.radius
+            for i, j, k in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
+                cx, cy, r = circumcircle(*pts[i], *pts[j], *pts[k])
+                assert math.hypot(cx - bx, cy - by) < 1e-9 * br
+                assert abs(r - br) < 1e-9 * br
+
+
+class TestCheckedCircle:
+    """The checks of circumcircle and of miquel_point's circles: the center
+    first (Point's error), then the radius."""
+
+    @pytest.mark.parametrize(
+        "circle, message",
+        [
+            ((math.nan, 0.0, 1.0), "non-finite coordinates (nan, 0.0)"),
+            ((0.0, math.inf, 1.0), "non-finite coordinates (0.0, inf)"),
+            # the center is checked before the radius
+            ((-math.inf, 0.0, -1.0), "non-finite coordinates (-inf, 0.0)"),
+            ((1.0, 2.0, 0.0), "radius must be strictly positive, got 0.0"),
+            ((1.0, 2.0, -0.5), "radius must be strictly positive, got -0.5"),
+            ((1.0, 2.0, math.nan), "radius must be strictly positive, got nan"),
+            ((1.0, 2.0, math.inf), "radius must be strictly positive, got inf"),
+        ],
+    )
+    def test_messages(self, circle, message, monkeypatch):
+        with pytest.raises(ValueError) as info:
+            checked_circle(circle)
+        assert str(info.value) == message
+        # circumcircle raises them for what circle_xy returns
+        monkeypatch.setattr(kernel, "circle_xy", lambda *xy: circle)
+        with pytest.raises(ValueError) as info:
+            circumcircle(0, 0, 4, 0, 1, 3)
+        assert str(info.value) == message
+
+    def test_passes_a_finite_circle_through(self):
+        circle = circle_xy(0, 0, 4, 0, 1, 3)
+        assert checked_circle(circle) is circle
+        assert circumcircle(0, 0, 4, 0, 1, 3) == circle == _triangle().circumcircle
 
 
 class TestCircleCircle:
     def test_symmetric_lens(self):
-        hits = circle_circle_intersections(Circle(Point(0, 0), 1), Circle(Point(1, 0), 1))
+        hits = circle_circle_intersections((0, 0, 1), (1, 0, 1))
         assert len(hits) == 2
         got = sorted(hits, key=lambda p: p.y)
         assert got[1].dist(Point(0.5, SQ3 / 2)) < 1e-12
         assert got[0].dist(Point(0.5, -SQ3 / 2)) < 1e-12
 
     def test_external_tangency_single_point(self):
-        hits = circle_circle_intersections(Circle(Point(0, 0), 1), Circle(Point(2, 0), 1))
+        hits = circle_circle_intersections((0, 0, 1), (2, 0, 1))
         assert len(hits) == 1
         assert hits[0].dist(Point(1, 0)) < 1e-12
 
     def test_disjoint(self):
-        assert circle_circle_intersections(Circle(Point(0, 0), 1), Circle(Point(5, 0), 1)) == []
+        assert circle_circle_intersections((0, 0, 1), (5, 0, 1)) == []
 
     def test_identical_rejected(self):
         with pytest.raises(GeometryError, match="^the circles coincide within tolerance$"):
-            circle_circle_intersections(Circle(Point(0, 0), 1), Circle(Point(0, 0), 1))
+            circle_circle_intersections((0, 0, 1), (0, 0, 1))
 
     def test_points_lie_on_both(self):
         rng = random.Random(7)
         for _ in range(200):
-            c1 = Circle(Point(rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.5, 3))
-            c2 = Circle(Point(rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.5, 3))
+            c1 = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 3))
+            c2 = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 3))
             try:
                 hits = circle_circle_intersections(c1, c2)
             except GeometryError:  # the circles coincide
                 continue
             for p in hits:
-                scale = max(c1.radius, c2.radius)
-                assert abs(c1.offset_of(p)) < 1e-9 * scale
-                assert abs(c2.offset_of(p)) < 1e-9 * scale
+                scale = max(c1[2], c2[2])
+                assert abs(_offset_from(c1, p)) < 1e-9 * scale
+                assert abs(_offset_from(c2, p)) < 1e-9 * scale
 
 
 class TestDirectedAngle:
@@ -206,36 +256,34 @@ class TestDirectedAngle:
 
 class TestInversion:
     def test_radius_squared_over_distance(self):
-        c = Circle(Point(0, 0), 1)
-        assert invert_point(c, Point(2, 0)).dist(Point(0.5, 0)) < 1e-12
+        assert invert_point((0, 0, 1), Point(2, 0)).dist(Point(0.5, 0)) < 1e-12
 
     def test_fixed_on_circle(self):
-        c = Circle(Point(0, 0), 1)
-        assert invert_point(c, Point(0, 1)).dist(Point(0, 1)) < 1e-12
+        assert invert_point((0, 0, 1), Point(0, 1)).dist(Point(0, 1)) < 1e-12
 
     def test_center_rejected(self):
         with pytest.raises(GeometryError, match="^the center inverts to an infinite point$"):
-            invert_point(Circle(Point(0, 0), 1), Point(0, 0))
+            invert_point((0, 0, 1), Point(0, 0))
 
     def test_involution(self):
         rng = random.Random(13)
         for _ in range(300):
-            c = Circle(Point(rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.3, 2))
-            d = c.radius * rng.uniform(0.1, 10.0)
+            c = cx, cy, r = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.3, 2))
+            d = r * rng.uniform(0.1, 10.0)
             phi = rng.uniform(0, 2 * math.pi)
-            p = Point(c.center.x + d * math.cos(phi), c.center.y + d * math.sin(phi))
-            assert invert_point(c, invert_point(c, p)).dist(p) < 1e-9 * c.radius
+            p = Point(cx + d * math.cos(phi), cy + d * math.sin(phi))
+            assert invert_point(c, invert_point(c, p)).dist(p) < 1e-9 * r
 
 
 class TestReflection:
     def test_y_axis(self):
-        axis = Line(Point(0, 0), Point(0, 1))
-        assert reflect_over_line(axis, Point(1, 0)).dist(Point(-1, 0)) < 1e-12
-        assert reflect_over_line(axis, Point(0, 5)).dist(Point(0, 5)) < 1e-12
+        axis = _line(Point(0, 0), Point(0, 1))
+        assert _reflect(axis, Point(1, 0)).dist(Point(-1, 0)) < 1e-12
+        assert _reflect(axis, Point(0, 5)).dist(Point(0, 5)) < 1e-12
 
     def test_diagonal_swaps_coordinates(self):
-        diag = Line(Point(0, 0), Point(1, 1))
-        assert reflect_over_line(diag, Point(2, 0)).dist(Point(0, 2)) < 1e-12
+        diag = _line(Point(0, 0), Point(1, 1))
+        assert _reflect(diag, Point(2, 0)).dist(Point(0, 2)) < 1e-12
 
     def test_involution_and_line_distances(self):
         rng = random.Random(17)
@@ -244,38 +292,39 @@ class TestReflection:
             d = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
             if d.norm() < 1e-3:
                 continue
-            axis = Line(anchor, d)
+            axis = _line(anchor, d)
             p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            q = reflect_over_line(axis, p)
-            assert reflect_over_line(axis, q).dist(p) < 1e-12
+            q = _reflect(axis, p)
+            assert _reflect(axis, q).dist(p) < 1e-12
+            ax, ay, ux, uy = axis
             for t in (-2.0, 0.0, 1.5):
-                on_line = axis.at(t)
+                on_line = Point(ax + t * ux, ay + t * uy)
                 ref = max(1.0, p.dist(on_line))
                 assert abs(p.dist(on_line) - q.dist(on_line)) < 1e-12 * ref
 
 
 class TestSecondIntersection:
     def test_diameter(self):
-        line = Line(Point(0, 0), Point(0, 1))
-        res = second_intersection(line, Circle(Point(0, 0), 1), Point(0, 1))
+        line = _line(Point(0, 0), Point(0, 1))
+        res = second_intersection(line, (0, 0, 1), Point(0, 1))
         assert res.dist(Point(0, -1)) < 1e-12
 
     def test_tangent_returns_known(self):
-        line = Line(Point(0, 1), Point(1, 0))
+        line = _line(Point(0, 1), Point(1, 0))
         known = Point(0, 1)
-        assert second_intersection(line, Circle(Point(0, 0), 1), known) is known
+        assert second_intersection(line, (0, 0, 1), known) is known
 
     def test_diagonal_diameter(self):
         s = math.sqrt(2) / 2
-        line = Line(Point(0, 0), Point(1, 1))
-        res = second_intersection(line, Circle(Point(0, 0), 1), Point(s, s))
+        line = _line(Point(0, 0), Point(1, 1))
+        res = second_intersection(line, (0, 0, 1), Point(s, s))
         assert res.dist(Point(-s, -s)) < 1e-12
 
     def test_known_must_lie_on_both(self):
         with pytest.raises(
             GeometryError, match="^the known point is not on both the line and the circle$"
         ):
-            second_intersection(Line(Point(0, 0), Point(1, 0)), Circle(Point(0, 0), 1), Point(3, 3))
+            second_intersection(_line(Point(0, 0), Point(1, 0)), (0, 0, 1), Point(3, 3))
 
 
 class TestTriangleContains:
@@ -336,7 +385,7 @@ class TestTriangle:
             except CollinearError:
                 continue
             built += 1
-            assert t.circumcircle.radius > 0.0
+            assert t.circumradius > 0.0
         assert 0 < built < 10000
 
     def test_angles_sum(self):
@@ -369,16 +418,20 @@ def test_line_offset_and_param_match_vector_form():
     rng = random.Random(5)
     for _ in range(200):
         a, b, p = (Point(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(3))
-        line = Line.through(a, b)
-        assert line.offset(p) == line.direction.cross(p - line.anchor)
-        assert line.param_of(p) == (p - line.anchor).dot(line.direction)
-    with pytest.raises(ValueError):
-        Line.through(a, a)
+        line = line_through(a, b)
+        ax, ay, dx, dy = line
+        anchor, direction = Point(ax, ay), Point(dx, dy)
+        assert anchor == a and abs(direction.norm() - 1.0) < 1e-14
+        assert offset_xy(*line, p.x, p.y) == direction.cross(p - anchor)
+        # the parameter of p's foot, as the figures' infinite line reads it
+        assert (p.x - ax) * dx + (p.y - ay) * dy == (p - anchor).dot(direction)
+    with pytest.raises(ValueError, match="^line direction must be a nonzero finite vector$"):
+        line_through(a, a)
 
 
 def test_line_circle_intersections_on_circle():
-    c = Circle(Point(1, 1), 2)
-    hits = line_circle_intersections(Line(Point(1, 1), Point(1, 0)), c)
+    c = (1, 1, 2)
+    hits = line_circle_intersections(_line(Point(1, 1), Point(1, 0)), c)
     assert len(hits) == 2
     for p in hits:
-        assert abs(c.offset_of(p)) < 1e-12
+        assert abs(_offset_from(c, p)) < 1e-12

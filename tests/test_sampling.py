@@ -64,33 +64,39 @@ def test_isosceles_generator():
             assert abs(t.angle(others[0]) - t.angle(others[1])) < 1e-12
 
 
+def _offset_from(circle, p):
+    """Signed radial offset of ``p``: distance to the center minus the radius."""
+    cx, cy, r = circle
+    return math.hypot(cx - p.x, cy - p.y) - r
+
+
 def test_point_generators_hit_their_regions():
     rng = rng_for(0, "sampling", 4)
     for _ in range(50):
         t = random_triangle(rng)
-        circ = t.circumcircle
+        r = t.circumradius
         p = random_interior_point(rng, t)
         assert triangle_contains(t, p)
         q = random_point_in_circumdisk(rng, t)
-        assert circ.offset_of(q) < 0.0
+        assert _offset_from(t.circumcircle, q) < 0.0
         x = random_exterior_point(rng, t)
-        assert circ.offset_of(x) > 0.0
+        assert _offset_from(t.circumcircle, x) > 0.0
         s = random_circumcircle_point(rng, t)
-        assert abs(circ.offset_of(s)) < 1e-12 * circ.radius
-        assert min(s.dist(v) for v in t.vertices) > 0.01 * circ.radius
+        assert abs(_offset_from(t.circumcircle, s)) < 1e-12 * r
+        assert min(s.dist(v) for v in t.vertices) > 0.01 * r
 
 
 def test_arc_point_passes_through_via_side():
     rng = rng_for(0, "sampling", 5)
     from miquel.centers import incenter
-    from miquel.kernel import Line, circumcircle
+    from miquel.kernel import circumcircle, line_through, offset_xy
 
     for _ in range(30):
         t = random_isosceles(rng, "A")
         l = incenter(t)
-        arc = circumcircle(t.b, t.c, l)
-        p = random_arc_point(rng, arc.center, arc.radius, t.c, t.b, l)
-        assert abs(arc.offset_of(p)) < 1e-12 * arc.radius
+        arc = circumcircle(*t.b, *t.c, *l)
+        p = random_arc_point(rng, arc, t.c, t.b, l)
+        assert abs(_offset_from(arc, p)) < 1e-12 * arc[2]
         # the arc through the incenter stays on the incenter's side of BC
-        base = Line.through(t.b, t.c)
-        assert base.side(p) == base.side(l)
+        base = line_through(t.b, t.c)
+        assert offset_xy(*base, *p) * offset_xy(*base, *l) > 0.0

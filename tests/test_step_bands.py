@@ -36,14 +36,15 @@ BANDS = settings(max_examples=150, deadline=None, derandomize=True, database=Non
 
 
 def _object_step(t, p, theta):
-    """One chain step on Triad, Circle and Point objects."""
+    """One chain step on Triad and Point objects and checked circles."""
     if on_circumcircle(t, p):
         raise DegenerateStepError("collinear collapse on the circumcircle at step 0")
     try:
         triad = family_member(t, p, theta)
         reject_side_lines(t.min_side_line_distance(p), t.circumradius)
         result = miquel_point(t, triad)
-        circumcircle(*triad.points)  # the chain's next circle; same test as Triangle's
+        x, y, z = triad.points
+        circumcircle(*x, *y, *z)  # the chain's next circle; same test as Triangle's
         nxt = triad.triangle()
     except GeometryError as exc:
         raise DegenerateStepError(f"step 0 degenerated: {exc}") from exc
@@ -98,9 +99,9 @@ def test_points_near_a_side_line(t, side, s, k, theta):
 @given(hosts, st.floats(0.0, 2.0 * math.pi), st.floats(-3.0, 3.0), rotations)
 def test_points_near_the_circumcircle(t, phi, k, theta):
     """Points within a few CIRCUMCIRCLE_BAND·R of the circumcircle."""
-    circle = t.circumcircle
-    r = circle.radius * (1.0 + k * CIRCUMCIRCLE_BAND)
-    p = Point(circle.center.x + r * math.cos(phi), circle.center.y + r * math.sin(phi))
+    cx, cy, radius = t.circumcircle
+    r = radius * (1.0 + k * CIRCUMCIRCLE_BAND)
+    p = Point(cx + r * math.cos(phi), cy + r * math.sin(phi))
     _assert_same_step(t, p, theta)
 
 

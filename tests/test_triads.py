@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from miquel import triads
 from miquel.centers import (
     brocard_point,
     circumcenter,
@@ -21,19 +22,23 @@ from miquel.kernel import (
     ANGLE_EPS,
     HALF_PI,
     LENGTH_EPS,
-    Line,
     Point,
     Triangle,
     angle_distance,
     circle_circle_intersections,
+    circle_xy,
     circumcircle,
     directed_angle,
     half_turn,
     line_line_intersection,
+    line_through,
     midpoint,
+    offset_xy,
+    project_xy,
     reject_side_lines,
     shape_gap,
     shape_ratio,
+    unit_direction,
 )
 from miquel.sampling import (
     random_acute_triangle,
@@ -74,6 +79,20 @@ EQUI = Triangle(Point(0, 1), Point(-SQ3 / 2, -0.5), Point(SQ3 / 2, -0.5))
 THETA_OUT_OF_RANGE = r"^rotation \S+ not inside \(-pi/2, pi/2\)$"
 
 
+def _offset(line, p):
+    return offset_xy(*line, p.x, p.y)
+
+
+def _direction(line):
+    return Point(*line[2:])
+
+
+def _offset_from(circle, p):
+    """Signed radial offset of ``p``: distance to the center minus the radius."""
+    cx, cy, r = circle
+    return math.hypot(cx - p.x, cy - p.y) - r
+
+
 class TestPedalTriad:
     def test_circumcenter_gives_midpoints(self):
         ped = pedal_triad(TSCA, circumcenter(TSCA))
@@ -83,9 +102,9 @@ class TestPedalTriad:
         h = orthocenter(TSCA)
         ped = pedal_triad(TSCA, h)
         for foot, v in zip(ped.points, "ABC"):
-            side = Line.through(*TSCA.opposite(v))
-            assert abs(side.offset(foot)) < 1e-12
-            assert abs((foot - h).dot(side.direction)) < 1e-12
+            side = line_through(*TSCA.opposite(v))
+            assert abs(_offset(side, foot)) < 1e-12
+            assert abs((foot - h).dot(_direction(side))) < 1e-12
 
     def test_antipode_simson_on_hypotenuse_line(self):
         # antipode of the right-angle vertex: the feet collapse onto line BC
@@ -94,9 +113,9 @@ class TestPedalTriad:
         assert feet[0].dist(Point(0, 3)) < 1e-12
         assert feet[1].dist(Point(64 / 25, 27 / 25)) < 1e-12
         assert feet[2].dist(Point(4, 0)) < 1e-12
-        hypotenuse = Line.through(*T345.opposite("A"))
+        hypotenuse = line_through(*T345.opposite("A"))
         for f in sim.feet:
-            assert abs(hypotenuse.offset(f)) < 1e-12
+            assert abs(_offset(hypotenuse, f)) < 1e-12
         assert sim.max_deviation() < 1e-12
 
     def test_foot_on_the_side_line_is_the_point(self):
@@ -110,9 +129,10 @@ class TestPedalTriad:
         # A is on lines CA and AB, so two feet are A; the third is the foot of
         # the altitude from A
         sim = simson_line(TSCA, TSCA.a)
-        altitude = Line.through(TSCA.a, Line.through(*TSCA.opposite("A")).project(TSCA.a))
+        foot = Point(*project_xy(*line_through(*TSCA.opposite("A")), *TSCA.a))
+        altitude = line_through(TSCA.a, foot)
         for f in sim.feet:
-            assert abs(altitude.offset(f)) < 1e-12
+            assert abs(_offset(altitude, f)) < 1e-12
         assert sim.max_deviation() < 1e-12
 
     def test_feet_are_perpendicular_projections(self):
@@ -122,9 +142,9 @@ class TestPedalTriad:
             p = random_point_in_circumdisk(rng, t)
             triad = pedal_triad(t, p)
             for foot, v in zip(triad.points, "ABC"):
-                side = Line.through(*t.opposite(v))
-                assert abs(side.offset(foot)) < 1e-12 * t.circumradius
-                assert abs((foot - p).dot(side.direction)) < 1e-12 * t.circumradius
+                side = line_through(*t.opposite(v))
+                assert abs(_offset(side, foot)) < 1e-12 * t.circumradius
+                assert abs((foot - p).dot(_direction(side))) < 1e-12 * t.circumradius
 
 
 class TestTriadAt:
@@ -177,8 +197,29 @@ class TestMiquelPoint:
         ca, cb, cc = res.circles
         x, y, z = triad.points
         for circ, pts in ((ca, (TSCA.a, y, z)), (cb, (TSCA.b, z, x)), (cc, (TSCA.c, x, y))):
+            # the circle through the vertex and its triad points, float for float
+            assert circ == circle_xy(*pts[0], *pts[1], *pts[2])
             for q in pts:
-                assert abs(circ.offset_of(q)) < 1e-12
+                assert abs(_offset_from(circ, q)) < 1e-12
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_each_circle_is_checked(self, k, monkeypatch):
+        # a circle AYZ, BZX or CXY whose center or radius is not finite
+        real = triads.miquel_xy
+        triad = Triad.at(TSCA, 0.4, 0.7, 0.2)
+        for bad, message in (
+            ((math.nan, 0.0, 1.0), "non-finite coordinates (nan, 0.0)"),
+            ((1.0, 2.0, math.inf), "radius must be strictly positive, got inf"),
+        ):
+            def broken(host, points):
+                rows = list(real(host, points))
+                rows[k] = bad
+                return tuple(rows)
+
+            monkeypatch.setattr(triads, "miquel_xy", broken)
+            with pytest.raises(ValueError) as info:
+                miquel_point(TSCA, triad)
+            assert str(info.value) == message
 
     def test_tangent_when_the_point_is_z(self):
         # README's triangle: circles AYZ and BZX touch at Z
@@ -259,16 +300,16 @@ def _family_member_by_spoke_lines(t, p, theta):
     """Each spoke from p to its pedal foot, rotated and cut with its side line."""
     feet = []
     for v in "ABC":
-        side = Line.through(*t.opposite(v))
-        spoke = (side.project(p) - p).rotated(theta)
-        feet.append(line_line_intersection(Line(p, spoke), side))
+        side = line_through(*t.opposite(v))
+        spoke = (Point(*project_xy(*side, p.x, p.y)) - p).rotated(theta)
+        feet.append(line_line_intersection((p.x, p.y, *unit_direction(*spoke)), side))
     return feet
 
 
 def _miquel_point_by_radical_line(t, triad):
     """The hit of circles AYZ and BZX farther from Z, where both meet."""
     x, y, z = triad.points
-    hits = circle_circle_intersections(circumcircle(t.a, y, z), circumcircle(t.b, z, x))
+    hits = circle_circle_intersections(circumcircle(*t.a, *y, *z), circumcircle(*t.b, *z, *x))
     return max(hits, key=lambda q: q.dist(z))
 
 
@@ -488,8 +529,7 @@ class TestDetectSpecialRole:
         for _ in range(20):
             t = random_isosceles(rng, "A")
             l = incenter(t)
-            arc = circumcircle(t.b, t.c, l)
-            p = random_arc_point(rng, arc.center, arc.radius, t.c, t.b, l)
+            p = random_arc_point(rng, circumcircle(*t.b, *t.c, *l), t.c, t.b, l)
             role = detect_special_role(t.xy, *p, 1e-7)
             assert role == SpecialRole("q_role", "A")
 
@@ -501,11 +541,11 @@ class TestDetectSpecialRole:
         l = incenter(t)
         cross, span = (t.c - t.b).cross(l - t.b), t.b.dist(t.c)
         assert LENGTH_EPS * span**2 < abs(cross) <= CHAIN_DETECT_TOL * span**2
-        arc = circumcircle(t.b, t.c, l)
+        arc = circumcircle(*t.b, *t.c, *l)
         # on the arc, away from every named point (the nearest, at x = 1/3,
         # is 0.27 from it; the band is 0.17)
-        p = Point(0.6, arc.center.y + math.sqrt(arc.radius**2 - 0.36))
-        assert abs(arc.offset_of(p)) < LENGTH_EPS * t.circumradius
+        p = Point(0.6, arc[1] + math.sqrt(arc[2]**2 - 0.36))
+        assert abs(_offset_from(arc, p)) < LENGTH_EPS * t.circumradius
         assert detect_special_role(t.xy, *p, CHAIN_DETECT_TOL) == SpecialRole("q_role", "A")
 
 
@@ -536,7 +576,7 @@ class TestContainmentParity:
                 if rng.random() < 0.5
                 else random_exterior_point(rng, t, min_factor=0.2, max_factor=4.0)
             )
-            if abs(t.circumcircle.offset_of(p)) < 1e-3 * t.circumradius:
+            if abs(_offset_from(t.circumcircle, p)) < 1e-3 * t.circumradius:
                 continue
             if t.min_side_line_distance(p) < 1e-3 * t.circumradius:
                 continue
