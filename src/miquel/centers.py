@@ -19,8 +19,10 @@ from .kernel import (
     Triangle,
     TriangleXY,
     angles_xy,
+    checked_xy,
     circumcircle,
-    invert_point,
+    invert_xy,
+    min_side_line_distance_xy,
     reject_side_lines,
     set_field,
     side_lengths_xy,
@@ -93,8 +95,9 @@ def _reject_right_angle(t: Measured, vertex: str) -> int:
 
 
 # Where each named point sits, on coordinates: the one body of its formula,
-# which its Point function, ``locate`` and role detection all call. Each takes
-# the triangle and, for the names that come one per vertex, the vertex label.
+# which ``locate``, the Point functions below, role detection and the suites
+# all call. Each takes the triangle and, for the names that come one per
+# vertex, the vertex label.
 
 def _circumcenter_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
     return t.circumcenter_xy
@@ -161,28 +164,6 @@ LOCATE_XY = {
     "s_role": _s_xy,
     "m_role": _m_xy,
 }
-
-
-def circumcenter(t: Triangle) -> Point:
-    return Point(*t.circumcenter_xy)
-
-
-def orthocenter(t: Triangle) -> Point:
-    return Point(*_orthocenter_xy(t))
-
-
-def centroid(t: Triangle) -> Point:
-    return Point(*_centroid_xy(t))
-
-
-def incenter(t: Triangle) -> Point:
-    """L = (a : b : c)."""
-    return Point(*_incenter_xy(t))
-
-
-def excenter(t: Triangle, vertex: str) -> Point:
-    """Center of the excircle opposite ``vertex``: (−a : b : c) for A."""
-    return Point(*_excenter_xy(t, vertex))
 
 
 def symmedian_foot(t: Triangle, vertex: str) -> Point:
@@ -257,7 +238,7 @@ NAMED_POINTS: tuple[tuple[SpecialRole, str], ...] = (
 order of the ``miquel centers`` table."""
 
 
-def locate_xy(t: Triangle, role: SpecialRole) -> tuple[float, float]:
+def locate_xy(t: Measured, role: SpecialRole) -> tuple[float, float]:
     """Where ``role`` sits in ``t``, as coordinates.
 
     Raises ``ValueError`` for a role with no single location (``none``, and
@@ -275,20 +256,23 @@ def locate(t: Triangle, role: SpecialRole) -> Point:
     return Point(*locate_xy(t, role))
 
 
-def isogonal_conjugate(t: Triangle, p: Point) -> Point:
-    """Point whose cevian rays mirror those of ``p`` over the angle bisectors.
+def isogonal_conjugate(t: Measured, px: float, py: float) -> tuple[float, float]:
+    """Point whose cevian rays mirror those of (px, py) over the angle
+    bisectors.
 
     Computed in barycentric coordinates: weights (x:y:z) map to
     (a^2/x : b^2/y : c^2/z). Involutive away from the side lines and the
     circumcircle.
     """
-    reject_side_lines(t.min_side_line_distance(p), t.circumradius)
-    ox, oy, r = t.circumcircle
-    if abs(math.hypot(ox - p.x, oy - p.y) - r) < LENGTH_EPS * r:
+    r = t.circumradius
+    reject_side_lines(min_side_line_distance_xy(t.xy, px, py), r)
+    ox, oy = t.circumcenter_xy
+    if abs(math.hypot(ox - px, oy - py) - r) < LENGTH_EPS * r:
         raise GeometryError("the point lies on the circumcircle")
-    x = (t.b - p).cross(t.c - p)
-    y = (t.c - p).cross(t.a - p)
-    z = (t.a - p).cross(t.b - p)
+    ax, ay, bx, by, cx, cy = t.xy
+    x = (bx - px) * (cy - py) - (by - py) * (cx - px)
+    y = (cx - px) * (ay - py) - (cy - py) * (ax - px)
+    z = (ax - px) * (by - py) - (ay - py) * (bx - px)
     la, lb, lc = t.side_lengths
     wa = la * la / x
     wb = lb * lb / y
@@ -296,11 +280,7 @@ def isogonal_conjugate(t: Triangle, p: Point) -> Point:
     s = wa + wb + wc
     if abs(s) < 1e-13 * max(abs(wa), abs(wb), abs(wc)):
         raise GeometryError("conjugate weights cancel: point at infinity")
-    return Point(*_barycentric_xy(t, wa, wb, wc))
-
-
-def inverse_in_circumcircle(t: Triangle, p: Point) -> Point:
-    return invert_point(t.circumcircle, p)
+    return checked_xy(*_barycentric_xy(t, wa, wb, wc))
 
 
 class CatalogEntry(NamedTuple):
@@ -314,7 +294,7 @@ class CatalogEntry(NamedTuple):
     """
 
     kind: SpecialRole
-    location: Point
+    location: tuple[float, float]
     order: tuple[int, int, int]
     mirrored: bool
     inverse: bool = False
@@ -330,25 +310,38 @@ _CATALOG_PERMS = {
 }
 
 
-def eleven_point_catalog(t: Triangle) -> list[CatalogEntry]:
-    """The eleven points with shape-preserving pedal triangles.
+def is_scalene(t: Measured) -> bool:
+    """No two sides within ``LENGTH_EPS`` times the circumradius."""
+    la, lb, lc = t.side_lengths
+    eps = LENGTH_EPS * t.circumradius
+    return abs(la - lb) > eps and abs(lb - lc) > eps and abs(lc - la) > eps
+
+
+def is_right(t: Measured) -> bool:
+    return any(abs(ang - HALF_PI) < ANGLE_EPS for ang in t.angles)
+
+
+def eleven_point_catalog(xy: TriangleXY) -> list[CatalogEntry]:
+    """The eleven points with shape-preserving pedal triangles of the
+    triangle ``xy``, which ``measures_xy`` checks.
 
     Six sit inside the circumcircle (circumcenter, both Brocard points and
     the three symmedian points); the other five are their circumcircle
     inverses, the circumcenter having none.
     """
-    if not t.is_scalene():
+    t = measures_xy(xy)
+    if not is_scalene(t):
         raise GeometryError("the catalog requires a scalene triangle")
-    if t.is_right():
+    if is_right(t):
         raise GeometryError("the catalog requires a non-right triangle")
     interior = [
-        CatalogEntry(role, locate(t, role), *_CATALOG_PERMS[role])
+        CatalogEntry(role, checked_xy(*locate_xy(t, role)), *_CATALOG_PERMS[role])
         for role, _ in NAMED_POINTS
         if role in _CATALOG_PERMS
     ]
+    circle = (*t.circumcenter_xy, t.circumradius)
     exterior = [
-        CatalogEntry(e.kind, inverse_in_circumcircle(t, e.location),
-                     e.order, not e.mirrored, inverse=True)
+        CatalogEntry(e.kind, invert_xy(circle, *e.location), e.order, not e.mirrored, inverse=True)
         for e in interior[1:]
     ]
     return interior + exterior

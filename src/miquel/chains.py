@@ -21,6 +21,7 @@ from .kernel import (
     set_field,
     shape_gap,
     shape_ratio,
+    triangle_of,
 )
 from .triads import (
     CONCURRENCY_BAND,
@@ -70,10 +71,7 @@ class ChainRecord(Frozen):
 
     @cached_property
     def steps(self) -> tuple[Triangle, ...]:
-        return tuple(
-            Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
-            for ax, ay, bx, by, cx, cy in self.steps_xy
-        )
+        return tuple([triangle_of(xy) for xy in self.steps_xy])
 
     @property
     def triangles(self) -> list[Triangle]:

@@ -29,7 +29,7 @@ from .triads import (
     detect_special_role,
     family_member,
     miquel_point,
-    on_circumcircle,
+    on_circle_xy,
     pedal_triad,
     simson_line,
 )
@@ -109,9 +109,9 @@ def cmd_classify(args) -> int:
         raise ValueError("--tolerance must be finite and strictly positive")
     role = detect_special_role(t.xy, p.x, p.y, args.tolerance)
     doc: dict = {"role": str(role)}
-    if on_circumcircle(t, p):
+    if on_circle_xy(t.circumcircle, p.x, p.y):
         doc["pedal"] = "simson-line"
-        doc["collinearity_deviation"] = simson_line(t, p).max_deviation()
+        doc["collinearity_deviation"] = simson_line(t.xy, p.x, p.y).max_deviation()
     else:
         match = classify_similarity(t.xy, pedal_triad(t, p).triangle().xy, PEDAL_SIMILARITY_TOL)
         if match is None:
@@ -172,7 +172,7 @@ def cmd_family(args) -> int:
     reject_side_lines(t.min_side_line_distance(p), t.circumradius)
     res = miquel_point(t, triad)
     ratio = None
-    if not on_circumcircle(t, p):
+    if not on_circle_xy(t.circumcircle, p.x, p.y):
         ratio = triad.triangle().side_lengths[0] / pedal_triad(t, p).triangle().side_lengths[0]
     u, v, w = triad.params
     doc = {

@@ -11,7 +11,7 @@ from .errors import GeometryError, SceneError
 from .kernel import (CircleXY, LineXY, Point, Triangle, circumcircle, line_through, midpoint,
                      second_intersection)
 from .scene import ELEMENTS, SceneSpec
-from .triads import Triad, miquel_point, on_circumcircle, pedal_triad, simson_line
+from .triads import Triad, miquel_point, on_circle_xy, pedal_triad, simson_line
 
 _STROKE = "#1a1a1a"
 _AUX = "#5577bb"
@@ -138,10 +138,10 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
         elif element == "simson":
             if scene.point is None:
                 raise SceneError("element 'simson' requires P")
-            sim = simson_line(t, scene.point)
+            sim = simson_line(t.xy, scene.point.x, scene.point.y)
             canvas.infinite_line(sim.line)
             for q in sim.feet:
-                canvas.point(q, None, _ACCENT)
+                canvas.point(Point(*q), None, _ACCENT)
         elif element == "centers":
             for role, text in centers.NAMED_POINTS:
                 if role.role in _DRAWN_CENTERS:
@@ -169,7 +169,7 @@ def _pedal_or_error(t: Triangle, scene: SceneSpec) -> Triad:
     if scene.point is None:
         raise SceneError("this element requires P or triad parameters")
     kernel.reject_side_lines(t.min_side_line_distance(scene.point), t.circumradius)
-    if on_circumcircle(t, scene.point):
+    if on_circle_xy(t.circumcircle, scene.point.x, scene.point.y):
         raise GeometryError("P sits on the circumcircle; select 'simson' instead")
     return pedal_triad(t, scene.point)
 
@@ -178,14 +178,14 @@ def _median_symmedian_layer(canvas: _Canvas, t: Triangle, vertex: str, name) -> 
     """Median and symmedian from one vertex with the special points on them."""
     apex = t.vertex(vertex)
     b, c = t.opposite(vertex)
-    e = midpoint(b, c)
+    e = Point(*midpoint(b, c))
     s_loc = centers.s_point(t, vertex)
     m_loc = centers.m_point(t, vertex)
     canvas.line(apex, e, _AUX)
     canvas.line(apex, centers.symmedian_foot(t, vertex), _AUX)
     canvas.line(apex, s_loc, _ACCENT)
     if t.angle(vertex) < math.pi / 2.0:
-        f = second_intersection(line_through(apex, e), t.circumcircle, apex)
+        f = Point(*second_intersection(line_through(apex, e), t.circumcircle, apex))
     else:
         f = b + c - apex
     canvas.circle(circumcircle(*b, *c, *t.circumcenter_xy))

@@ -100,9 +100,6 @@ class Point(Frozen):
     def __truediv__(self, s: float) -> Point:
         return Point(self.x / s, self.y / s)
 
-    def __neg__(self) -> Point:
-        return Point(-self.x, -self.y)
-
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
@@ -113,32 +110,22 @@ class Point(Frozen):
     def cross(self, other: Point) -> float:
         return self.x * other.y - self.y * other.x
 
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
     def dist(self, other: Point) -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def perp(self) -> Point:
-        """Rotate a quarter turn counter-clockwise."""
-        return Point(-self.y, self.x)
 
-    def unit(self) -> Point:
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Point(self.x / n, self.y / n)
-
-    def rotated(self, angle: float) -> Point:
-        c, s = math.cos(angle), math.sin(angle)
-        return Point(c * self.x - s * self.y, s * self.x + c * self.y)
-
-    def angle(self) -> float:
-        return math.atan2(self.y, self.x)
+def checked_xy(*xy: float) -> tuple[float, ...]:
+    """The coordinates ``xy`` of one or more points, as they are once all are
+    finite; else ``Point``'s ``ValueError``, with its message for one point."""
+    if not all(map(math.isfinite, xy)):
+        raise ValueError(f"non-finite coordinates {xy}")
+    return xy
 
 
-def midpoint(p: Point, q: Point) -> Point:
-    return Point(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
+def midpoint(p, q) -> tuple[float, float]:
+    """The midpoint of the points ``p`` and ``q``, each an (x, y) pair."""
+    (px, py), (qx, qy) = p, q
+    return 0.5 * (px + qx), 0.5 * (py + qy)
 
 
 def half_turn(value: float) -> float:
@@ -207,10 +194,12 @@ def reflect_xy(
     return 2.0 * fx - px, 2.0 * fy - py
 
 
-def line_through(p: Point, q: Point) -> LineXY:
-    """The line through ``p`` and ``q``, anchored at ``p``; coincident points
-    give a zero direction, which ``unit_direction`` rejects."""
-    return (p.x, p.y, *unit_direction(q.x - p.x, q.y - p.y))
+def line_through(p, q) -> LineXY:
+    """The line through the points ``p`` and ``q``, each an (x, y) pair,
+    anchored at ``p``; coincident points give a zero direction, which
+    ``unit_direction`` rejects."""
+    (px, py), (qx, qy) = p, q
+    return (px, py, *unit_direction(qx - px, qy - py))
 
 
 def _collinear(cross: float, span: float) -> bool:
@@ -263,8 +252,7 @@ def checked_circle(circle: CircleXY) -> CircleXY:
     """``circle`` as it is, once its center is finite (else ``Point``'s
     ``ValueError``) and then its radius finite and positive."""
     cx, cy, r = circle
-    if not (math.isfinite(cx) and math.isfinite(cy)):
-        raise ValueError(f"non-finite coordinates ({cx}, {cy})")
+    checked_xy(cx, cy)
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"radius must be strictly positive, got {r}")
     return circle
@@ -321,14 +309,10 @@ def line_line_intersection(l1: LineXY, l2: LineXY) -> Point:
     return Point(ax + t * dx, ay + t * dy)
 
 
-def directed_angle(p: Point, q: Point, r: Point) -> float:
-    """Directed angle from line qp to line qr, modulo a half turn."""
-    return directed_angle_xy(p.x, p.y, q.x, q.y, r.x, r.y)
-
-
 def directed_angle_xy(px: float, py: float, qx: float, qy: float, rx: float, ry: float) -> float:
-    """``directed_angle`` of the points (px, py), (qx, qy), (rx, ry), with
-    its ``GeometryError``."""
+    """Directed angle from the line through (qx, qy) and (px, py) to the line
+    through (qx, qy) and (rx, ry), modulo a half turn; ``GeometryError`` when
+    a leg collapses onto the apex."""
     qpx, qpy = px - qx, py - qy
     qrx, qry = rx - qx, ry - qy
     n_qp = math.hypot(qpx, qpy)
@@ -339,6 +323,28 @@ def directed_angle_xy(px: float, py: float, qx: float, qy: float, rx: float, ry:
     # needs no finiteness check: the legs of finite points are finite or
     # overflow to infinity, and atan2 of either is finite
     return half_turn(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
+
+
+def corners_xy(xy: TriangleXY, label: str) -> tuple[tuple[float, float], ...]:
+    """The vertex ``label`` of the triangle ``xy``, then the endpoints of the
+    side opposite it in cyclic order, as (x, y) pairs."""
+    i = 2 * VERTEX_LABELS.index(label)
+    return tuple([(xy[k], xy[k + 1]) for k in (i, (i + 2) % 6, (i + 4) % 6)])
+
+
+def directed_angle_at_xy(xy: TriangleXY, label: str) -> float:
+    """Directed interior angle of the triangle ``xy`` at the vertex ``label``,
+    e.g. at A: from line AB to line AC."""
+    apex, b, c = corners_xy(xy, label)
+    return directed_angle_xy(*b, *apex, *c)
+
+
+def min_side_line_distance_xy(xy: TriangleXY, px: float, py: float) -> float:
+    """Distance of (px, py) from the nearest side line of the triangle ``xy``."""
+    ax, ay, bx, by, cx, cy = xy
+    return min(abs(offset_xy(bx, by, *unit_direction(cx - bx, cy - by), px, py)),
+               abs(offset_xy(cx, cy, *unit_direction(ax - cx, ay - cy), px, py)),
+               abs(offset_xy(ax, ay, *unit_direction(bx - ax, by - ay), px, py)))
 
 
 def circle_circle_intersections(c1: CircleXY, c2: CircleXY) -> list[Point]:
@@ -394,42 +400,38 @@ def line_circle_intersections(l: LineXY, c: CircleXY) -> list[Point]:
     return [Point(fx + dx * h, fy + dy * h), Point(fx - dx * h, fy - dy * h)]
 
 
-def invert_point(c: CircleXY, p: Point) -> Point:
-    """Image of ``p`` under inversion in ``c``; involutive on its domain."""
+def invert_xy(c: CircleXY, px: float, py: float) -> tuple[float, float]:
+    """Image of (px, py) under inversion in ``c``; involutive on its domain."""
     cx, cy, r = c
-    ox, oy = p.x - cx, p.y - cy
+    ox, oy = px - cx, py - cy
     d2 = ox * ox + oy * oy
     if math.sqrt(d2) < LENGTH_EPS * r:
         raise GeometryError("the center inverts to an infinite point")
     k = r * r / d2
-    return Point(cx + ox * k, cy + oy * k)
+    return checked_xy(cx + ox * k, cy + oy * k)
 
 
-def second_intersection(l: LineXY, c: CircleXY, known: Point) -> Point:
-    """Other intersection of a line and circle already meeting at ``known``.
+def second_intersection(l: LineXY, c: CircleXY, known) -> tuple[float, float]:
+    """Other intersection of a line and circle already meeting at ``known``,
+    an (x, y) pair.
 
     Both intersection points are mirror images in the perpendicular foot of
     the center, so no square root is needed. Tangency returns ``known``
     itself.
     """
     cx, cy, r = c
-    kx, ky = known.x, known.y
+    kx, ky = known
     eps = LENGTH_EPS * r
     if abs(offset_xy(*l, kx, ky)) > eps or abs(math.hypot(cx - kx, cy - ky) - r) > eps:
         raise GeometryError("the known point is not on both the line and the circle")
     fx, fy = project_xy(*l, cx, cy)
     ox, oy = fx * 2.0 - kx, fy * 2.0 - ky
-    return known if math.hypot(ox - kx, oy - ky) < eps else Point(ox, oy)
-
-
-def triangle_contains(t: "Triangle", p: Point) -> bool:
-    """True when ``p`` is strictly inside ``t``."""
-    return contains_xy(t.xy, p.x, p.y)
+    return (kx, ky) if math.hypot(ox - kx, oy - ky) < eps else checked_xy(ox, oy)
 
 
 def contains_xy(xy: TriangleXY, px: float, py: float) -> bool:
-    """``triangle_contains`` on coordinates: (px, py) is on the inner side of
-    each edge AB, BC, CA, read with the sign of the triangle's area."""
+    """True when (px, py) is strictly inside the triangle ``xy``: on the inner
+    side of each edge AB, BC, CA, read with the sign of the triangle's area."""
     ax, ay, bx, by, cx, cy = xy
     sign = 1 if 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) > 0.0 else -1
     return all(
@@ -502,36 +504,16 @@ class Triangle(Frozen):
     def angle(self, label: str) -> float:
         return self.angles[VERTEX_LABELS.index(label)]
 
-    def directed_angle_at(self, label: str) -> float:
-        """Directed interior angle, e.g. at A: from line AB to line AC."""
-        apex = self.vertex(label)
-        p, q = self.opposite(label)
-        # at A the legs go to B and C in that order
-        return directed_angle(p, apex, q)
-
-    def is_scalene(self) -> bool:
-        la, lb, lc = self.side_lengths
-        eps = LENGTH_EPS * self.circumradius
-        return abs(la - lb) > eps and abs(lb - lc) > eps and abs(lc - la) > eps
-
-    def is_right(self) -> bool:
-        return any(abs(ang - HALF_PI) < ANGLE_EPS for ang in self.angles)
-
-    def is_isosceles_at(self, label: str, length_eps: float) -> bool:
-        """True when the two sides adjacent to ``label`` differ by less than
-        ``length_eps`` (relative) times the circumradius."""
-        i = VERTEX_LABELS.index(label)
-        lens = self.side_lengths
-        return abs(lens[(i + 1) % 3] - lens[(i + 2) % 3]) < length_eps * self.circumradius
-
     def min_side_line_distance(self, p: Point) -> float:
-        """Distance of ``p`` from the nearest side line, on coordinates."""
-        ax, ay, bx, by, cx, cy = self.xy
-        distances = []
-        for tx, ty, hx, hy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)):
-            dx, dy = unit_direction(hx - tx, hy - ty)
-            distances.append(abs(offset_xy(tx, ty, dx, dy, p.x, p.y)))
-        return min(distances)
+        """Distance of ``p`` from the nearest side line."""
+        return min_side_line_distance_xy(self.xy, p.x, p.y)
+
+
+def triangle_of(xy: TriangleXY) -> Triangle:
+    """The ``Triangle`` on the six coordinates ``xy``, with what it and its
+    ``Point``s raise."""
+    ax, ay, bx, by, cx, cy = xy
+    return Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
 
 
 def reject_side_lines(distance: float, circumradius: float) -> None:

@@ -3,7 +3,8 @@
 Every generator takes an explicit ``random.Random`` so that concurrent or
 repeated runs reproduce bit-identically from the same seed. Triangles are
 built from sampled interior angles placed on a circumcircle, which gives
-direct control over scaleneness and right-angle margins.
+direct control over scaleneness and right-angle margins. A triangle is drawn
+as its six coordinates (``kernel.TriangleXY``) and a point as an (x, y) pair.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import math
 import random
 
-from .kernel import HALF_PI, VERTEX_LABELS, CircleXY, Point, Triangle
+from .kernel import (HALF_PI, VERTEX_LABELS, CircleXY, TriangleXY, checked_xy, circumcircle,
+                     min_side_line_distance_xy, side_lengths_xy)
 
 
 def rng_for(seed: int, suite: str, index: int) -> random.Random:
@@ -41,30 +43,36 @@ def _angles(
 
 def triangle_from_angles(
     rng: random.Random, angles: tuple[float, float, float]
-) -> Triangle:
-    """Inscribe the angle triple in a random circle (random pose and size)."""
+) -> TriangleXY:
+    """Inscribe the angle triple in a random circle (random pose and size),
+    with the ``CollinearError`` that ``Triangle`` raises."""
     a, b, c = angles
     radius = rng.uniform(0.5, 2.0)
     phase = rng.uniform(0.0, 2.0 * math.pi)
-    cx = rng.uniform(-3.0, 3.0)
-    cy = rng.uniform(-3.0, 3.0)
+    ox = rng.uniform(-3.0, 3.0)
+    oy = rng.uniform(-3.0, 3.0)
     # central arcs: vertex A at phase, B after arc 2C, C after further 2A
-    ts = (phase, phase + 2.0 * c, phase + 2.0 * c + 2.0 * a)
-    pts = [Point(cx + radius * math.cos(t), cy + radius * math.sin(t)) for t in ts]
+    ta, tb = phase, phase + 2.0 * c
+    tc = tb + 2.0 * a
+    xy = (ox + radius * math.cos(ta), oy + radius * math.sin(ta),
+          ox + radius * math.cos(tb), oy + radius * math.sin(tb),
+          ox + radius * math.cos(tc), oy + radius * math.sin(tc))
     if rng.random() < 0.5:  # both orientations
-        pts = [Point(p.x, 2.0 * cy - p.y) for p in pts]
-    return Triangle(*pts)
+        ax, ay, bx, by, cx, cy = xy
+        xy = (ax, 2.0 * oy - ay, bx, 2.0 * oy - by, cx, 2.0 * oy - cy)
+    side_lengths_xy(*xy)
+    return xy
 
 
 def random_triangle(
     rng: random.Random, min_angle: float = 0.30, right_gap: float = 0.05
-) -> Triangle:
+) -> TriangleXY:
     """A scalene triangle (angles pairwise 0.02 apart) with margins from
     degeneracy and right angles."""
     return triangle_from_angles(rng, _angles(rng, min_angle, 0.02, right_gap))
 
 
-def random_catalog_triangle(rng: random.Random) -> Triangle:
+def random_catalog_triangle(rng: random.Random) -> TriangleXY:
     """Scalene, pairwise angle gaps over 5 degrees, angles 20+ degrees from right."""
     return triangle_from_angles(
         rng,
@@ -73,7 +81,7 @@ def random_catalog_triangle(rng: random.Random) -> Triangle:
     )
 
 
-def random_acute_triangle(rng: random.Random) -> Triangle:
+def random_acute_triangle(rng: random.Random) -> TriangleXY:
     """Every angle at least 0.35 and more than 0.05 short of a right angle."""
     while True:
         angles = _angles(rng, 0.35, 0.02, 0.05)
@@ -81,7 +89,7 @@ def random_acute_triangle(rng: random.Random) -> Triangle:
             return triangle_from_angles(rng, angles)
 
 
-def random_obtuse_at(rng: random.Random, vertex: str) -> Triangle:
+def random_obtuse_at(rng: random.Random, vertex: str) -> TriangleXY:
     """Obtuse exactly at the requested vertex label, by more than 0.08."""
     while True:
         angles = _angles(rng, 0.25, 0.02, 0.08)
@@ -98,7 +106,7 @@ def random_obtuse_at(rng: random.Random, vertex: str) -> Triangle:
         return triangle_from_angles(rng, tuple(rolled))
 
 
-def random_isosceles(rng: random.Random, apex: str = "A") -> Triangle:
+def random_isosceles(rng: random.Random, apex: str = "A") -> TriangleXY:
     """Isosceles at ``apex`` (the two adjacent sides equal), never
     equilateral, base angles at least 0.30."""
     while True:
@@ -115,54 +123,55 @@ def random_isosceles(rng: random.Random, apex: str = "A") -> Triangle:
         return triangle_from_angles(rng, tuple(angles))
 
 
-def random_interior_point(rng: random.Random, t: Triangle) -> Point:
+def random_interior_point(rng: random.Random, t: TriangleXY) -> tuple[float, float]:
     """Point strictly inside, every barycentric weight at least 0.05."""
+    ax, ay, bx, by, cx, cy = t
     while True:
         w = [-math.log(rng.random()) for _ in range(3)]
         s = sum(w)
-        w = [x / s for x in w]
-        if min(w) < 0.05:
+        w0, w1, w2 = [x / s for x in w]
+        if min(w0, w1, w2) < 0.05:
             continue
-        return (w[0] * t.a + w[1] * t.b + w[2] * t.c)
+        return checked_xy(w0 * ax + w1 * bx + w2 * cx, w0 * ay + w1 * by + w2 * cy)
 
 
 def random_point_in_circumdisk(
-    rng: random.Random, t: Triangle, line_margin: float = 0.02, radial_margin: float = 0.03
-) -> Point:
+    rng: random.Random, t: TriangleXY, line_margin: float = 0.02, radial_margin: float = 0.03
+) -> tuple[float, float]:
     """Point inside the circumcircle, off the side lines and the circle."""
-    ox, oy, radius = t.circumcircle
+    ox, oy, radius = circumcircle(*t)
     while True:
         r = radius * math.sqrt(rng.random()) * (1.0 - radial_margin)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        p = Point(ox + r * math.cos(phi), oy + r * math.sin(phi))
-        if t.min_side_line_distance(p) < line_margin * radius:
+        px, py = ox + r * math.cos(phi), oy + r * math.sin(phi)
+        if min_side_line_distance_xy(t, px, py) < line_margin * radius:
             continue
-        return p
+        return checked_xy(px, py)
 
 
 def random_exterior_point(
     rng: random.Random,
-    t: Triangle,
+    t: TriangleXY,
     min_factor: float = 1.1,
     max_factor: float = 5.0,
-) -> Point:
+) -> tuple[float, float]:
     """Point outside the circumcircle at a bounded distance from its center,
     off the side lines by 0.02 R."""
-    ox, oy, radius = t.circumcircle
+    ox, oy, radius = circumcircle(*t)
     while True:
         r = radius * rng.uniform(min_factor, max_factor)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        p = Point(ox + r * math.cos(phi), oy + r * math.sin(phi))
-        if t.min_side_line_distance(p) < 0.02 * radius:
+        px, py = ox + r * math.cos(phi), oy + r * math.sin(phi)
+        if min_side_line_distance_xy(t, px, py) < 0.02 * radius:
             continue
-        return p
+        return checked_xy(px, py)
 
 
-def random_circumcircle_point(rng: random.Random, t: Triangle) -> Point:
+def random_circumcircle_point(rng: random.Random, t: TriangleXY) -> tuple[float, float]:
     """Point exactly on the circumcircle, over 0.05 rad of arc from the
     vertices."""
-    ox, oy, r = t.circumcircle
-    vertex_angles = [math.atan2(v.y - oy, v.x - ox) for v in t.vertices]
+    ox, oy, r = circumcircle(*t)
+    vertex_angles = [math.atan2(t[k + 1] - oy, t[k] - ox) for k in (0, 2, 4)]
     while True:
         phi = rng.uniform(0.0, 2.0 * math.pi)
         if any(
@@ -170,18 +179,18 @@ def random_circumcircle_point(rng: random.Random, t: Triangle) -> Point:
             for va in vertex_angles
         ):
             continue
-        return Point(ox + r * math.cos(phi), oy + r * math.sin(phi))
+        return checked_xy(ox + r * math.cos(phi), oy + r * math.sin(phi))
 
 
-def random_arc_point(
-    rng: random.Random, circle: CircleXY, end1: Point, end2: Point, via: Point
-) -> Point:
+def random_arc_point(rng: random.Random, circle: CircleXY, end1, end2, via) -> tuple[float, float]:
     """Point on the arc of ``circle`` from ``end1`` to ``end2`` passing
-    through ``via``, off its ends by 8% of the arc."""
+    through ``via``, off its ends by 8% of the arc; each point an (x, y)
+    pair."""
     cx, cy, radius = circle
-    a1 = math.atan2(end1.y - cy, end1.x - cx)
-    a2 = math.atan2(end2.y - cy, end2.x - cx)
-    av = math.atan2(via.y - cy, via.x - cx)
+    (x1, y1), (x2, y2), (xv, yv) = end1, end2, via
+    a1 = math.atan2(y1 - cy, x1 - cx)
+    a2 = math.atan2(y2 - cy, x2 - cx)
+    av = math.atan2(yv - cy, xv - cx)
     sweep = (a2 - a1) % (2.0 * math.pi)
     via_off = (av - a1) % (2.0 * math.pi)
     t = rng.uniform(0.08, 0.92)
@@ -189,4 +198,4 @@ def random_arc_point(
         ang = a1 + sweep * t
     else:
         ang = a1 - (2.0 * math.pi - sweep) * t
-    return Point(cx + radius * math.cos(ang), cy + radius * math.sin(ang))
+    return checked_xy(cx + radius * math.cos(ang), cy + radius * math.sin(ang))

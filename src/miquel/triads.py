@@ -25,10 +25,10 @@ from .kernel import (
     TriangleXY,
     angle_distance,
     checked_circle,
+    checked_xy,
     circle_xy,
     circumcircle,
     contains_xy,
-    directed_angle,
     directed_angle_xy,
     half_turn,
     line_through,
@@ -114,13 +114,13 @@ def triad_xy(host: TriangleXY, u: float, v: float, w: float) -> TriangleXY:
 
 
 class SimsonLine(NamedTuple):
-    """Collapsed pedal triple of a point on the circumcircle."""
+    """Collapsed pedal triple of a point on the circumcircle, as (x, y) pairs."""
 
     line: LineXY
-    feet: tuple[Point, Point, Point]
+    feet: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
     def max_deviation(self) -> float:
-        return max(abs(offset_xy(*self.line, f.x, f.y)) for f in self.feet)
+        return max(abs(offset_xy(*self.line, fx, fy)) for fx, fy in self.feet)
 
 
 class MiquelResult(NamedTuple):
@@ -153,11 +153,6 @@ def on_circle_xy(circle: CircleXY, px: float, py: float) -> bool:
     return abs(math.hypot(cx - px, cy - py) - r) < CIRCUMCIRCLE_BAND * r
 
 
-def on_circumcircle(t: Triangle, p: Point) -> bool:
-    """True when ``p`` is inside the circumcircle's degeneration band."""
-    return on_circle_xy(t.circumcircle, p.x, p.y)
-
-
 def pedal_triad(t: Triangle, p: Point) -> Triad:
     """Perpendicular feet of ``p`` on the three side lines: the family
     member at theta = 0, defined for every point. On the circumcircle they
@@ -165,16 +160,17 @@ def pedal_triad(t: Triangle, p: Point) -> Triad:
     return family_member(t, p, 0.0)
 
 
-def simson_line(t: Triangle, p: Point) -> SimsonLine:
-    """The line through the collinear pedal feet of ``p``, a point inside
-    the circumcircle's degeneration band; it passes through the two feet
-    farthest apart."""
-    if not on_circumcircle(t, p):
+def simson_line(host: TriangleXY, px: float, py: float) -> SimsonLine:
+    """The line through the collinear pedal feet of (px, py), a point inside
+    the degeneration band of the circumcircle of ``host``; it passes through
+    the two feet farthest apart."""
+    if not on_circle_xy(circumcircle(*host), px, py):
         raise GeometryError("P is not on the circumcircle; no collapsed line")
-    feet = pedal_triad(t, p).points
+    xy, _ = family_xy(host, px, py, 0.0)
+    feet = tuple([checked_xy(xy[k], xy[k + 1]) for k in (0, 2, 4)])
     anchor, far = max(
         ((feet[i], feet[j]) for i in range(3) for j in range(i + 1, 3)),
-        key=lambda pair: pair[0].dist(pair[1]),
+        key=lambda pair: math.dist(*pair),
     )
     return SimsonLine(line_through(anchor, far), feet)
 
@@ -299,31 +295,34 @@ def miquel_angles_xy(
     return half_turn(b1 + g2), half_turn(g1 + a2), half_turn(a1 + b2)
 
 
-def verify_miquel_equations(t: Triangle, p: Point, triad: Triad) -> float:
-    """Worst residual of the three angle identities tying the host and triad
-    angles to the angles subtended at the concurrency point:
+def verify_miquel_equations(
+    host: TriangleXY, px: float, py: float, triad: TriangleXY, radius: float
+) -> float:
+    """Worst residual of the three angle identities tying the angles of the
+    host (of circumradius ``radius``) and of the triad X, Y, Z to the angles
+    subtended at the concurrency point P = (px, py):
     A + X = BPC, B + Y = CPA, C + Z = APB (all directed).
     """
-    x, y, z = triad.points
     # miquel_point checks its circles (checked_circle) and builds a Point,
     # which check for a positive finite radius and finite coordinates; inside
     # MAX_COORDINATE circle_xy's collinearity test bounds each radius, so no
     # such check can fail here
-    *_, (mx, my) = miquel_xy(t.xy, (x.x, x.y, y.x, y.y, z.x, z.y))
-    if math.hypot(mx - p.x, my - p.y) > CONCURRENCY_BAND * t.circumradius:
+    *_, (mx, my) = miquel_xy(host, triad)
+    if math.hypot(mx - px, my - py) > CONCURRENCY_BAND * radius:
         raise GeometryError("the triad's concurrency point is not the given point")
-    a, b, c = t.a, t.b, t.c
-    # the host's directed vertex angles, as Triangle.directed_angle_at
-    ang_a = directed_angle(b, a, c)
-    ang_b = directed_angle(c, b, a)
-    ang_c = directed_angle(a, c, b)
-    ang_x = directed_angle(y, x, z)
-    ang_y = directed_angle(z, y, x)
-    ang_z = directed_angle(x, z, y)
+    ax, ay, bx, by, cx, cy = host
+    xx, xy, yx, yy, zx, zy = triad
+    # the vertex angles of both, as directed_angle_at_xy
+    ang_a = directed_angle_xy(bx, by, ax, ay, cx, cy)
+    ang_b = directed_angle_xy(cx, cy, bx, by, ax, ay)
+    ang_c = directed_angle_xy(ax, ay, cx, cy, bx, by)
+    ang_x = directed_angle_xy(yx, yy, xx, xy, zx, zy)
+    ang_y = directed_angle_xy(zx, zy, yx, yy, xx, xy)
+    ang_z = directed_angle_xy(xx, xy, zx, zy, yx, yy)
     return max(
-        angle_distance(half_turn(ang_a + ang_x), directed_angle(b, p, c)),
-        angle_distance(half_turn(ang_b + ang_y), directed_angle(c, p, a)),
-        angle_distance(half_turn(ang_c + ang_z), directed_angle(a, p, b)),
+        angle_distance(half_turn(ang_a + ang_x), directed_angle_xy(bx, by, px, py, cx, cy)),
+        angle_distance(half_turn(ang_b + ang_y), directed_angle_xy(cx, cy, px, py, ax, ay)),
+        angle_distance(half_turn(ang_c + ang_z), directed_angle_xy(ax, ay, px, py, bx, by)),
     )
 
 
@@ -388,7 +387,7 @@ def detect_special_role(xy: TriangleXY, px: float, py: float, length_eps: float)
     sides = m.side_lengths
     for i, v in enumerate(VERTEX_LABELS):
         j, k = (i + 1) % 3, (i + 2) % 3
-        # Triangle.is_isosceles_at(v, length_eps)
+        # the two sides at v within the band
         if not abs(sides[j] - sides[k]) < eps:
             continue
         bx, by, cx, cy = xy[2 * j], xy[2 * j + 1], xy[2 * k], xy[2 * k + 1]
@@ -408,24 +407,26 @@ class ParityReport(NamedTuple):
     ray_angle_sum: float | None
 
 
-def containment_parity(t: Triangle, p: Point) -> ParityReport:
-    """Whether ``p`` is inside the host and inside its pedal triangle.
+def containment_parity(host: TriangleXY, px: float, py: float) -> ParityReport:
+    """Whether (px, py) is inside the triangle ``host`` and inside its pedal
+    triangle.
 
     For interior points also reports the full turn of the three rays toward
     the pedal feet (2*pi exactly when the point is enclosed by them).
     """
-    # the pedal feet and Triangle.min_side_line_distance's floats; at theta 0
+    circle = circumcircle(*host)
+    # the pedal feet and min_side_line_distance_xy's floats; at theta 0
     # family_xy cannot raise inside MAX_COORDINATE, so the guards keep order
-    xy, distance = family_xy(t.xy, p.x, p.y, 0.0)
-    reject_side_lines(distance, t.circumradius)
-    if on_circumcircle(t, p):
+    xy, distance = family_xy(host, px, py, 0.0)
+    reject_side_lines(distance, circle[2])
+    if on_circle_xy(circle, px, py):
         raise GeometryError("the pedal triple degenerates on the circumcircle")
     side_lengths_xy(*xy)  # the CollinearError of Triangle(X, Y, Z)
-    inside_host = contains_xy(t.xy, p.x, p.y)
-    inside_miquel = contains_xy(xy, p.x, p.y)
+    inside_host = contains_xy(host, px, py)
+    inside_miquel = contains_xy(xy, px, py)
     ray_sum = None
     if inside_host:
-        dirs = sorted(math.atan2(xy[k + 1] - p.y, xy[k] - p.x) for k in (0, 2, 4))
+        dirs = sorted(math.atan2(xy[k + 1] - py, xy[k] - px) for k in (0, 2, 4))
         gaps = [dirs[1] - dirs[0], dirs[2] - dirs[1], 2.0 * math.pi - (dirs[2] - dirs[0])]
         ray_sum = sum(min(g, 2.0 * math.pi - g) for g in gaps)
     return ParityReport(inside_host, inside_miquel, inside_host == inside_miquel, ray_sum)

@@ -14,6 +14,7 @@ import random
 import time
 
 from . import centers
+from .centers import LOCATE_XY, Measures, isogonal_conjugate, measures_xy
 from .chains import (
     CHAIN_SIMILARITY_TOL,
     check_mod3_similarity,
@@ -23,14 +24,17 @@ from .chains import (
 from .kernel import (
     VERTEX_LABELS,
     Point,
-    Triangle,
     TriangleXY,
     angle_distance,
+    checked_xy,
     circle_xy,
     circumcircle,
-    directed_angle,
+    contains_xy,
+    corners_xy,
+    directed_angle_at_xy,
     directed_angle_xy,
     half_turn,
+    invert_xy,
     line_through,
     midpoint,
     offset_xy,
@@ -38,7 +42,7 @@ from .kernel import (
     second_intersection,
     shape_gap,
     shape_ratio,
-    triangle_contains,
+    triangle_of,
 )
 from .sampling import (
     random_acute_triangle,
@@ -60,13 +64,11 @@ from .triads import (
     classify_similarity,
     containment_parity,
     detect_special_role,
-    family_member,
     family_xy,
     miquel_angles_xy,
     miquel_residual,
     miquel_xy,
-    on_circumcircle,
-    pedal_triad,
+    on_circle_xy,
     simson_line,
     triad_xy,
     verify_miquel_equations,
@@ -87,11 +89,11 @@ class ClaimResult:
         return self.trials > 0 and self.max_residual < self.tol
 
     def add(
-        self, residual: float, i: int, t: Triangle, p: Point | None = None, note: str = ""
+        self, residual: float, i: int, t: TriangleXY, p=None, note: str = ""
     ) -> None:
-        """Count trial ``i`` on host ``t`` (and point ``p``); its witness is
-        formatted only when it is the new worst. A NaN residual fails the
-        trial: it counts as ``inf``, so no NaN is reported."""
+        """Count trial ``i`` on host ``t`` (and point ``p``, an (x, y) pair);
+        its witness is formatted only when it is the new worst. A NaN residual
+        fails the trial: it counts as ``inf``, so no NaN is reported."""
         self.trials += 1
         if math.isnan(residual):
             residual = math.inf
@@ -99,9 +101,7 @@ class ClaimResult:
             self.max_residual = residual
             self.worst = _witness(i, t, p) + note
 
-    def add_bool(
-        self, ok: bool, i: int, t: Triangle, p: Point | None = None, note: str = ""
-    ) -> None:
+    def add_bool(self, ok: bool, i: int, t: TriangleXY, p=None, note: str = "") -> None:
         self.add(0.0 if ok else 1.0, i, t, p, note)
 
 
@@ -127,14 +127,23 @@ class SuiteReport:
         return rng_for(self.seed, self.suite, trial)
 
 
-def _witness(i: int, t: Triangle, p: Point | None = None) -> str:
-    core = (
-        f"trial {i}: A=({t.a.x!r},{t.a.y!r}) B=({t.b.x!r},{t.b.y!r}) "
-        f"C=({t.c.x!r},{t.c.y!r})"
-    )
+def _witness(i: int, t: TriangleXY, p=None) -> str:
+    ax, ay, bx, by, cx, cy = t
+    core = f"trial {i}: A=({ax!r},{ay!r}) B=({bx!r},{by!r}) C=({cx!r},{cy!r})"
     if p is not None:
-        core += f" P=({p.x!r},{p.y!r})"
+        px, py = p
+        core += f" P=({px!r},{py!r})"
     return core
+
+
+def _pedal(t: TriangleXY, px: float, py: float) -> Measures:
+    """The pedal triangle of (px, py) in ``t``, measured and checked as ``Triangle``."""
+    return measures_xy(family_xy(t, px, py, 0.0)[0])
+
+
+def _locate(t: Measures, role: str, vertex: str | None = None) -> tuple[float, float]:
+    """Where the named point ``role`` sits in ``t``, with ``Point``'s check."""
+    return checked_xy(*LOCATE_XY[role](t, vertex))
 
 
 def suite_theorem1(report: SuiteReport) -> None:
@@ -152,8 +161,9 @@ def suite_theorem1(report: SuiteReport) -> None:
         # no Triad and no checked circles: with the host inside MAX_COORDINATE
         # and these parameters, their Point and radius checks cannot fail (see
         # triads.verify_miquel_equations)
-        *circles, (mx, my) = miquel_xy(t.xy, triad_xy(t.xy, *params))
-        concurrency.add(miquel_residual(circles, mx, my) / t.circumradius, i, t, Point(mx, my))
+        *circles, (mx, my) = miquel_xy(t, triad_xy(t, *params))
+        residual = miquel_residual(circles, mx, my) / circumcircle(*t)[2]
+        concurrency.add(residual, i, t, checked_xy(mx, my))
 
 
 def suite_theorem2(report: SuiteReport) -> None:
@@ -163,9 +173,10 @@ def suite_theorem2(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
-        p = random_point_in_circumdisk(rng, t)
+        px, py = p = random_point_in_circumdisk(rng, t)
         theta = rng.uniform(-1.2, 1.2)
-        worst = verify_miquel_equations(t, p, family_member(t, p, theta))
+        triad = checked_xy(*family_xy(t, px, py, theta)[0])
+        worst = verify_miquel_equations(t, px, py, triad, circumcircle(*t)[2])
         equations.add(worst, i, t, p)
 
 
@@ -182,11 +193,11 @@ def suite_lemma1(report: SuiteReport) -> None:
         elif i % 4 == 1:
             while True:  # inside the circumcircle but outside the triangle
                 p = random_point_in_circumdisk(rng, t, line_margin=0.03)
-                if not triangle_contains(t, p):
+                if not contains_xy(t, *p):
                     break
         else:
             p = random_exterior_point(rng, t, min_factor=1.05, max_factor=5.0)
-        rep = containment_parity(t, p)
+        rep = containment_parity(t, *p)
         parity.add_bool(rep.agree, i, t, p)
         if rep.ray_angle_sum is not None:
             ray_sum.add(abs(rep.ray_angle_sum - 2.0 * math.pi), i, t, p)
@@ -199,11 +210,10 @@ def suite_lemma2(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
-        p = random_point_in_circumdisk(rng, t)
+        px, py = p = random_point_in_circumdisk(rng, t)
         # the cevian-angle sums and the pedal triad's measured angles, as floats
-        host, px, py = t.xy, p.x, p.y
-        ang_x, ang_y, ang_z = miquel_angles_xy(host, px, py, t.circumradius)
-        (xx, xy, yx, yy, zx, zy), _ = family_xy(host, px, py, 0.0)
+        ang_x, ang_y, ang_z = miquel_angles_xy(t, px, py, circumcircle(*t)[2])
+        (xx, xy, yx, yy, zx, zy), _ = family_xy(t, px, py, 0.0)
         worst = max(
             angle_distance(ang_x, directed_angle_xy(yx, yy, xx, xy, zx, zy)),
             angle_distance(ang_y, directed_angle_xy(zx, zy, yx, yy, xx, xy)),
@@ -219,13 +229,13 @@ def suite_theorem3(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
-        ox, oy, radius = t.circumcircle
+        circle = ox, oy, radius = circumcircle(*t)
         while True:
             p = random_point_in_circumdisk(rng, t, radial_margin=0.05)
-            if math.hypot(p.x - ox, p.y - oy) > 0.1 * radius:
+            if math.hypot(p[0] - ox, p[1] - oy) > 0.1 * radius:
                 break
-        q = centers.inverse_in_circumcircle(t, p)
-        r_p, r_q = (shape_ratio(pedal_triad(t, r).triangle().xy, (0, 1, 2)) for r in (p, q))
+        q = invert_xy(circle, *p)
+        r_p, r_q = (shape_ratio(_pedal(t, *r).xy, (0, 1, 2)) for r in (p, q))
         similar.add(shape_gap(r_p, r_q, True), i, t, p)
 
 
@@ -242,27 +252,27 @@ def suite_theorem4(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_catalog_triangle(rng)
         cat = centers.eleven_point_catalog(t)
-        ox, oy, r = t.circumcircle
-        offsets = [math.hypot(ox - e.location.x, oy - e.location.y) - r for e in cat]
+        ox, oy, r = circumcircle(*t)
+        offsets = [math.dist((ox, oy), e.location) - r for e in cat]
         inside = [e for e, off in zip(cat, offsets) if off < 0.0]
         outside = [e for e, off in zip(cat, offsets) if off > 0.0]
         counts.add_bool(len(inside) == 6 and len(outside) == 5, i, t)
         min_pair = min(
-            cat[a].location.dist(cat[b].location)
+            math.dist(cat[a].location, cat[b].location)
             for a in range(len(cat))
             for b in range(a + 1, len(cat))
         )
-        distinct.add_bool(min_pair > 1e-6 * t.circumradius, i, t)
-        host = shape_ratio(t.xy, (0, 1, 2))
+        distinct.add_bool(min_pair > 1e-6 * r, i, t)
+        host = shape_ratio(t, (0, 1, 2))
         mirrored = []
         for e in cat:
-            shape = pedal_triad(t, e.location).triangle()
-            gap = shape_gap(host, shape_ratio(shape.xy, e.order), e.mirrored)
+            shape = _pedal(t, *e.location).xy
+            gap = shape_gap(host, shape_ratio(shape, e.order), e.mirrored)
             if e.inverse:
                 exterior_sim.add(gap, i, t, e.location)
             else:
                 interior_perm.add(gap, i, t, e.location)
-                match = classify_similarity(t.xy, shape.xy, PEDAL_SIMILARITY_TOL)
+                match = classify_similarity(t, shape, PEDAL_SIMILARITY_TOL)
                 mirrored.append(match.mirrored if match else None)
         orientation_note.add_bool(
             mirrored.count(False) == 3 and mirrored.count(True) == 3,
@@ -276,11 +286,9 @@ def suite_theorem5(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
-        o = centers.circumcenter(t)
-        claim.add(
-            centers.orthocenter(pedal_triad(t, o).triangle()).dist(o) / t.circumradius,
-            i, t, o,
-        )
+        ox, oy, r = circumcircle(*t)
+        hx, hy = _locate(_pedal(t, ox, oy), "orthocenter")
+        claim.add(math.hypot(hx - ox, hy - oy) / r, i, t, (ox, oy))
 
 
 def suite_theorem6(report: SuiteReport) -> None:
@@ -293,15 +301,15 @@ def suite_theorem6(report: SuiteReport) -> None:
         rng = report.rng(i)
         if i % 2 == 0:
             t = random_acute_triangle(rng)
-            h = centers.orthocenter(t)
-            target = centers.incenter(pedal_triad(t, h).triangle())
-            acute.add(target.dist(h) / t.circumradius, i, t, h)
+            claim, role, v = acute, "incenter", None
         else:
             v = VERTEX_LABELS[(i // 2) % 3]
             t = random_obtuse_at(rng, v)
-            h = centers.orthocenter(t)
-            target = centers.excenter(pedal_triad(t, h).triangle(), v)
-            obtuse.add(target.dist(h) / t.circumradius, i, t, h)
+            claim, role = obtuse, "excenter"
+        m = measures_xy(t)
+        hx, hy = h = _locate(m, "orthocenter")
+        tx, ty = _locate(_pedal(t, hx, hy), role, v)
+        claim.add(math.hypot(tx - hx, ty - hy) / m.circumradius, i, t, h)
 
 
 def suite_theorem7(report: SuiteReport) -> None:
@@ -312,24 +320,20 @@ def suite_theorem7(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
-        l = centers.incenter(t)
-        from_in.add(
-            centers.circumcenter(pedal_triad(t, l).triangle()).dist(l) / t.circumradius,
-            i, t, l,
-        )
-        ex = centers.excenter(t, VERTEX_LABELS[i % 3])
-        from_ex.add(
-            centers.circumcenter(pedal_triad(t, ex).triangle()).dist(ex) / t.circumradius,
-            i, t, ex,
-        )
+        m = measures_xy(t)
+        for claim, role, v in ((from_in, "incenter", None),
+                               (from_ex, "excenter", VERTEX_LABELS[i % 3])):
+            lx, ly = l = _locate(m, role, v)
+            ox, oy = _pedal(t, lx, ly).circumcenter_xy
+            claim.add(math.hypot(ox - lx, oy - ly) / m.circumradius, i, t, l)
 
 
-def _brocard_angle_spread(xy: TriangleXY, p: Point, which: str) -> float:
-    """How far apart the three angles of the Brocard condition are at ``p``
-    in the triangle ``xy``: the cevian angles alpha2, beta2, gamma2 of
-    ``cevian_angles_xy`` for the first point, alpha1, beta1, gamma1 for the
-    second."""
-    trio = cevian_angles_xy(xy, p.x, p.y, circle_xy(*xy)[2], which == "first")
+def _brocard_angle_spread(xy: TriangleXY, px: float, py: float, which: str) -> float:
+    """How far apart the three angles of the Brocard condition are at
+    (px, py) in the triangle ``xy``: the cevian angles alpha2, beta2, gamma2
+    of ``cevian_angles_xy`` for the first point, alpha1, beta1, gamma1 for
+    the second."""
+    trio = cevian_angles_xy(xy, px, py, circle_xy(*xy)[2], which == "first")
     return max(angle_distance(trio[0], trio[1]), angle_distance(trio[1], trio[2]))
 
 
@@ -341,13 +345,12 @@ def suite_theorem8(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_triangle(rng)
         which = "first" if i % 2 == 0 else "second"
-        p = centers.brocard_point(t, which)
-        shape = pedal_triad(t, p).triangle()
-        position.add(
-            centers.brocard_point(shape, which).dist(p) / t.circumradius,
-            i, t, p,
-        )
-        angles.add(_brocard_angle_spread(shape.xy, p, which), i, t, p)
+        m = measures_xy(t)
+        px, py = p = _locate(m, f"{which}_brocard")
+        shape = _pedal(t, px, py)
+        bx, by = _locate(shape, f"{which}_brocard")
+        position.add(math.hypot(bx - px, by - py) / m.circumradius, i, t, p)
+        angles.add(_brocard_angle_spread(shape.xy, px, py, which), i, t, p)
 
 
 def suite_theorem9(report: SuiteReport) -> None:
@@ -360,21 +363,22 @@ def suite_theorem9(report: SuiteReport) -> None:
         rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
-        p = centers.s_point(t, v)
-        shape = pedal_triad(t, p).triangle()
-        apex = shape.vertex(v)
-        b2, c2 = shape.opposite(v)
+        m = measures_xy(t)
+        px, py = p = _locate(m, "s_role", v)
+        shape = _pedal(t, px, py)
+        apex, b2, c2 = corners_xy(shape.xy, v)
         e = midpoint(b2, c2)
         median = line_through(apex, e)
-        r = t.circumradius
-        on_median.add(abs(offset_xy(*median, p.x, p.y)) / r, i, t)
-        if t.angle(v) < math.pi / 2.0:
-            f = second_intersection(median, shape.circumcircle, apex)
-            midpoint_rel.add(abs(e.dist(p) - e.dist(f)) / r, i, t)
+        r = m.circumradius
+        on_median.add(abs(offset_xy(*median, px, py)) / r, i, t)
+        if m.angles[VERTEX_LABELS.index(v)] < math.pi / 2.0:
+            f = second_intersection(median, (*shape.circumcenter_xy, shape.circumradius), apex)
+            midpoint_rel.add(abs(math.dist(e, p) - math.dist(e, f)) / r, i, t)
         else:
-            f = second_intersection(median, circumcircle(*t.vertex(v), *b2, *c2), p)
-            midpoint_rel.add(abs(apex.dist(e) - e.dist(f)) / r, i, t)
-        m_match.add(centers.m_point(shape, v).dist(p) / r, i, t)
+            f = second_intersection(median, circumcircle(*corners_xy(t, v)[0], *b2, *c2), p)
+            midpoint_rel.add(abs(math.dist(apex, e) - math.dist(e, f)) / r, i, t)
+        mx, my = _locate(shape, "m_role", v)
+        m_match.add(math.hypot(mx - px, my - py) / r, i, t)
 
 
 def suite_theorem10(report: SuiteReport) -> None:
@@ -389,17 +393,19 @@ def suite_theorem10(report: SuiteReport) -> None:
         v = VERTEX_LABELS[i % 3]
         obtuse_case = bool(i % 2)
         t = random_obtuse_at(rng, v) if obtuse_case else random_acute_triangle(rng)
-        p = centers.m_point(t, v)
-        shape = pedal_triad(t, p).triangle()
-        b2, c2 = shape.opposite(v)
-        host_dir = t.directed_angle_at(v)
+        m = measures_xy(t)
+        px, py = p = _locate(m, "m_role", v)
+        shape = _pedal(t, px, py)
+        _, b2, c2 = corners_xy(shape.xy, v)
+        host_dir = directed_angle_at_xy(t, v)
         worst = max(
-            angle_distance(shape.directed_angle_at(u), host_dir) for u in VERTEX_LABELS if u != v
+            angle_distance(directed_angle_at_xy(shape.xy, u), host_dir)
+            for u in VERTEX_LABELS if u != v
         )
         base_angles.add(worst, i, t, p)
-        ox, oy, r = circumcircle(*b2, *c2, *centers.incenter(shape))
-        arc.add(abs(math.hypot(ox - p.x, oy - p.y) - r) / t.circumradius, i, t, p)
-        inside = triangle_contains(shape, p)
+        ox, oy, r = circumcircle(*b2, *c2, *_locate(shape, "incenter"))
+        arc.add(abs(math.hypot(ox - px, oy - py) - r) / m.circumradius, i, t, p)
+        inside = contains_xy(shape.xy, px, py)
         parity.add_bool(inside != obtuse_case, i, t, p)
 
 
@@ -413,17 +419,20 @@ def suite_theorem11(report: SuiteReport) -> None:
         rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         t = random_isosceles(rng, v)
-        l = centers.incenter(t)
-        b, c = t.opposite(v)
-        p = random_arc_point(rng, circumcircle(*b, *c, *l), c, b, l)
-        shape = pedal_triad(t, p).triangle()
-        s_match.add(centers.s_point(shape, v).dist(p) / t.circumradius, i, t, p)
-        b2, c2 = shape.opposite(v)
+        m = measures_xy(t)
+        l = _locate(m, "incenter")
+        _, b, c = corners_xy(t, v)
+        px, py = p = random_arc_point(rng, circumcircle(*b, *c, *l), c, b, l)
+        shape = _pedal(t, px, py)
+        sx, sy = _locate(shape, "s_role", v)
+        s_match.add(math.hypot(sx - px, sy - py) / m.circumradius, i, t, p)
+        _, b2, c2 = corners_xy(shape.xy, v)
         double_angle.add(
-            angle_distance(directed_angle(b2, p, c2), half_turn(2 * shape.directed_angle_at(v))),
+            angle_distance(directed_angle_xy(*b2, px, py, *c2),
+                           half_turn(2 * directed_angle_at_xy(shape.xy, v))),
             i, t, p,
         )
-        detected = detect_special_role(shape.xy, p.x, p.y, 1e-7)
+        detected = detect_special_role(shape.xy, px, py, 1e-7)
         role.add_bool(detected == SpecialRole("s_role", v), i, t, p)
 
 
@@ -435,8 +444,10 @@ def suite_theorem12(report: SuiteReport) -> None:
         rng = report.rng(i)
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
-        conj = centers.isogonal_conjugate(t, centers.s_point(t, v))
-        pair.add(conj.dist(centers.m_point(t, v)) / t.circumradius, i, t)
+        m = measures_xy(t)
+        cx, cy = isogonal_conjugate(m, *_locate(m, "s_role", v))
+        mx, my = _locate(m, "m_role", v)
+        pair.add(math.hypot(cx - mx, cy - my) / m.circumradius, i, t)
 
 
 def suite_theorem13(report: SuiteReport) -> None:
@@ -447,26 +458,29 @@ def suite_theorem13(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_isosceles(rng, "A")
-        l = centers.incenter(t)
-        q = random_arc_point(rng, circumcircle(*t.b, *t.c, *l), t.c, t.b, l)
-        axis = line_through(t.a, midpoint(t.b, t.c))
-        tpt = Point(*reflect_xy(*axis, q.x, q.y))
+        m = measures_xy(t)
+        l = _locate(m, "incenter")
+        a, b, c = corners_xy(t, "A")
+        qx, qy = q = random_arc_point(rng, circumcircle(*b, *c, *l), c, b, l)
+        axis = line_through(a, midpoint(b, c))
+        tx, ty = tpt = checked_xy(*reflect_xy(*axis, qx, qy))
         worst = max(
-            angle_distance(directed_angle(t.c, t.b, tpt), directed_angle(q, t.b, t.a)),
-            angle_distance(directed_angle(t.b, t.a, q), directed_angle(tpt, t.a, t.c)),
-            angle_distance(directed_angle(t.a, t.c, tpt), directed_angle(q, t.c, t.b)),
+            angle_distance(directed_angle_xy(*c, *b, *tpt), directed_angle_xy(*q, *b, *a)),
+            angle_distance(directed_angle_xy(*b, *a, *q), directed_angle_xy(*tpt, *a, *c)),
+            angle_distance(directed_angle_xy(*a, *c, *tpt), directed_angle_xy(*q, *c, *b)),
         )
         equations.add(worst, i, t, q)
-        conj.add(centers.isogonal_conjugate(t, q).dist(tpt) / t.circumradius, i, t, q)
+        jx, jy = isogonal_conjugate(m, qx, qy)
+        conj.add(math.hypot(jx - tx, jy - ty) / m.circumradius, i, t, q)
 
 
-def _chain_points(rng, t: Triangle) -> list[tuple[str, Point]]:
+def _chain_points(rng, t) -> list[tuple[str, Point]]:
     return [
-        ("O", centers.circumcenter(t)),
-        ("H", centers.orthocenter(t)),
-        ("L", centers.incenter(t)),
+        ("O", centers.locate(t, SpecialRole("circumcenter"))),
+        ("H", centers.locate(t, SpecialRole("orthocenter"))),
+        ("L", centers.locate(t, SpecialRole("incenter"))),
         ("brocard1", centers.brocard_point(t, "first")),
-        ("random", random_interior_point(rng, t)),
+        ("random", Point(*random_interior_point(rng, t.xy))),
     ]
 
 
@@ -478,15 +492,14 @@ def suite_theorem14(report: SuiteReport) -> None:
     k = 9
     for i in range(report.trials):
         rng = report.rng(i)
-        t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
+        xy = random_triangle(rng, min_angle=0.35, right_gap=0.1)
+        t = triangle_of(xy)
         for name, p in _chain_points(rng, t):
             gap = check_mod3_similarity(iterate_chain(t, p, k))
-            default_sched.add(gap, i, t, p, note=f" [{name}]")
+            default_sched.add(gap, i, xy, p, note=f" [{name}]")
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(k)]
             gap = check_mod3_similarity(iterate_chain(t, p, k, thetas=thetas))
-            random_sched.add(gap, i, t, p, note=f" [{name}]")
-
-
+            random_sched.add(gap, i, xy, p, note=f" [{name}]")
 # theorem15's correspondences: for each named point, chain triangle k against
 # the seed by k mod 3, as (``SimilarityClass.order``, mirrored)
 _SAME = ((0, 1, 2), False)
@@ -523,33 +536,35 @@ def suite_theorem15(report: SuiteReport) -> None:
     k = 6
     for i in range(report.trials):
         rng = report.rng(i)
-        t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
+        seed = random_triangle(rng, min_angle=0.35, right_gap=0.1)
+        t = triangle_of(seed)
         v = VERTEX_LABELS[i % 3]
 
         for which, name in (("first", "Ω₁"), ("second", "Ω₂")):
             p = centers.brocard_point(t, which)
             rec = iterate_chain(t, p, k)
             for _, gap in _seed_gaps(rec, name):
-                brocard_all.add(gap, i, t, note=f" [{which}]")
-            for xy in (rec.seed.xy, *rec.steps_xy):
-                brocard_angles.add(_brocard_angle_spread(xy, p, which), i, t, note=f" [{which}]")
+                brocard_all.add(gap, i, seed, note=f" [{which}]")
+            for xy in (seed, *rec.steps_xy):
+                spread = _brocard_angle_spread(xy, p.x, p.y, which)
+                brocard_angles.add(spread, i, seed, note=f" [{which}]")
 
         for claim, name, p in (
-            (o_s_steps, "O", centers.circumcenter(t)),
+            (o_s_steps, "O", centers.locate(t, SpecialRole("circumcenter"))),
             (o_s_steps, f"S_{v}", centers.s_point(t, v)),
-            (h_m_steps, "H", centers.orthocenter(t)),
+            (h_m_steps, "H", centers.locate(t, SpecialRole("orthocenter"))),
             (h_m_steps, f"M_{v}", centers.m_point(t, v)),
         ):
             for step_idx, gap in _seed_gaps(iterate_chain(t, p, k), name):
-                claim.add(gap, i, t, note=f" [k={step_idx}]")
+                claim.add(gap, i, seed, note=f" [k={step_idx}]")
 
-        p = random_interior_point(rng, t)
+        p = Point(*random_interior_point(rng, seed))
         rec = iterate_chain(t, p, 2)
         # steps 1 and 2
         dissimilar = all(
-            classify_similarity(t.xy, xy, CHAIN_SIMILARITY_TOL) is None for xy in rec.steps_xy
+            classify_similarity(seed, xy, CHAIN_SIMILARITY_TOL) is None for xy in rec.steps_xy
         )
-        generic.add_bool(dissimilar, i, t, note=" [random]")
+        generic.add_bool(dissimilar, i, seed, note=" [random]")
 
 
 def suite_corollary4(report: SuiteReport) -> None:
@@ -562,12 +577,13 @@ def suite_corollary4(report: SuiteReport) -> None:
     k = 6
     for i in range(report.trials):
         rng = report.rng(i)
-        t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
+        seed = random_triangle(rng, min_angle=0.35, right_gap=0.1)
+        t = triangle_of(seed)
         v = VERTEX_LABELS[i % 3]
 
-        roles = iterate_chain(t, centers.circumcenter(t), k).roles
+        roles = iterate_chain(t, centers.locate(t, SpecialRole("circumcenter")), k).roles
         ok = roles[0].role == "circumcenter" and follows_role_cycle(roles)
-        center_cycle.add_bool(ok, i, t, note=" [O]")
+        center_cycle.add_bool(ok, i, seed, note=" [O]")
 
         roles = iterate_chain(t, centers.s_point(t, v), k).roles
         ok = (
@@ -575,12 +591,12 @@ def suite_corollary4(report: SuiteReport) -> None:
             and follows_role_cycle(roles)
             and all(r.vertex == v for r in roles)
         )
-        symmedian_cycle.add_bool(ok, i, t, note=f" [S_{v}]")
+        symmedian_cycle.add_bool(ok, i, seed, note=f" [S_{v}]")
 
         for which, role_name in (("first", "first_brocard"), ("second", "second_brocard")):
             rec = iterate_chain(t, centers.brocard_point(t, which), k)
             brocard_fixed.add_bool(
-                all(r.role == role_name for r in rec.roles), i, t, note=f" [{which}]"
+                all(r.role == role_name for r in rec.roles), i, seed, note=f" [{which}]"
             )
 
 
@@ -591,10 +607,11 @@ def suite_simson(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_triangle(rng)
         p = random_circumcircle_point(rng, t)
-        if not on_circumcircle(t, p):
+        circle = circumcircle(*t)
+        if not on_circle_xy(circle, *p):
             collinear.add(1.0, i, t, p)
             continue
-        collinear.add(simson_line(t, p).max_deviation() / t.circumradius, i, t, p)
+        collinear.add(simson_line(t, *p).max_deviation() / circle[2], i, t, p)
 
 
 # each suite with its default trial count

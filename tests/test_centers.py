@@ -18,16 +18,10 @@ from miquel.centers import (
     NAMED_POINTS,
     SpecialRole,
     brocard_point,
-    centroid,
-    circumcenter,
     eleven_point_catalog,
-    excenter,
-    incenter,
-    inverse_in_circumcircle,
     isogonal_conjugate,
     locate,
     m_point,
-    orthocenter,
     s_point,
     symmedian_foot,
 )
@@ -40,7 +34,9 @@ from miquel.kernel import (
     angle_distance,
     circle_circle_intersections,
     circumcircle,
-    directed_angle,
+    contains_xy,
+    directed_angle_xy,
+    invert_xy,
     line_circle_intersections,
     line_line_intersection,
     line_through,
@@ -48,7 +44,7 @@ from miquel.kernel import (
     offset_xy,
     reflect_xy,
     second_intersection,
-    triangle_contains,
+    triangle_of,
     unit_direction,
 )
 from miquel.sampling import (
@@ -58,6 +54,8 @@ from miquel.sampling import (
     random_triangle,
     rng_for,
 )
+
+O, H, G, L = (SpecialRole(r) for r in ("circumcenter", "orthocenter", "centroid", "incenter"))
 
 SQ3 = math.sqrt(3.0)
 T345 = Triangle(Point(0, 0), Point(4, 0), Point(0, 3))
@@ -95,6 +93,22 @@ def _point_at(circle: CircleXY, angle: float) -> Point:
     return Point(cx + r * math.cos(angle), cy + r * math.sin(angle))
 
 
+def _excenter(t: Triangle, v: str) -> Point:
+    return locate(t, SpecialRole("excenter", v))
+
+
+def _conjugate(t: Triangle, p: Point) -> Point:
+    return Point(*isogonal_conjugate(t, p.x, p.y))
+
+
+def _angle(p: Point, q: Point, r: Point) -> float:
+    return directed_angle_xy(*p, *q, *r)
+
+
+def _barycentric_by_operators(t: Triangle, wa: float, wb: float, wc: float) -> Point:
+    return (wa * t.a + wb * t.b + wc * t.c) / (wa + wb + wc)
+
+
 class TestClassicCenters:
     def test_345_circumcenter(self):
         assert locate(T345, SpecialRole("circumcenter")).dist(Point(2, 1.5)) < 1e-12
@@ -109,16 +123,16 @@ class TestClassicCenters:
     def test_circumcenter_equidistant(self):
         rng = rng_for(0, "classic", 0)
         for _ in range(50):
-            t = random_triangle(rng)
-            o = circumcenter(t)
+            t = triangle_of(random_triangle(rng))
+            o = locate(t, O)
             d = [o.dist(v) for v in t.vertices]
             assert max(d) - min(d) < 1e-9 * t.circumradius
 
     def test_orthocenter_on_altitudes(self):
         rng = rng_for(0, "classic", 1)
         for _ in range(50):
-            t = random_triangle(rng)
-            h = orthocenter(t)
+            t = triangle_of(random_triangle(rng))
+            h = locate(t, H)
             for v in "ABC":
                 _, _, dx, dy = line_through(*t.opposite(v))
                 assert abs((h - t.vertex(v)).dot(Point(dx, dy))) < 1e-9 * t.circumradius
@@ -126,20 +140,27 @@ class TestClassicCenters:
     def test_incenter_and_excenters_equidistant_from_side_lines(self):
         rng = rng_for(0, "classic", 2)
         for _ in range(50):
-            t = random_triangle(rng)
-            for center in [incenter(t)] + [excenter(t, v) for v in "ABC"]:
+            t = triangle_of(random_triangle(rng))
+            for center in [locate(t, L)] + [_excenter(t, v) for v in "ABC"]:
                 offs = [abs(_offset(line_through(*t.opposite(v)), center)) for v in "ABC"]
                 assert max(offs) - min(offs) < 1e-9 * t.circumradius
 
     def test_centroid(self):
-        assert centroid(T345).dist(Point(4 / 3, 1)) < 1e-12
+        assert locate(T345, G).dist(Point(4 / 3, 1)) < 1e-12
 
     def test_locate_covers_table_and_rejects_roles_without_location(self):
+        def excenter(t, v):
+            weights = list(t.side_lengths)
+            weights["ABC".index(v)] *= -1.0
+            return _barycentric_by_operators(t, *weights)
+
+        # the classical centers by Point operators, the named points by their
+        # Point functions
         functions = {
-            "circumcenter": lambda t, v: circumcenter(t),
-            "orthocenter": lambda t, v: orthocenter(t),
-            "centroid": lambda t, v: centroid(t),
-            "incenter": lambda t, v: incenter(t),
+            "circumcenter": lambda t, v: Point(*t.circumcenter_xy),
+            "orthocenter": lambda t, v: t.a + t.b + t.c - 2.0 * Point(*t.circumcenter_xy),
+            "centroid": lambda t, v: (t.a + t.b + t.c) / 3.0,
+            "incenter": lambda t, v: _barycentric_by_operators(t, *t.side_lengths),
             "excenter": excenter,
             "first_brocard": lambda t, v: brocard_point(t, "first"),
             "second_brocard": lambda t, v: brocard_point(t, "second"),
@@ -174,8 +195,8 @@ def _median_reflection_foot(t: Triangle, vertex: str) -> Point:
     """Oracle: reflect the median over the interior bisector, hit the side."""
     apex = t.vertex(vertex)
     b, c = t.opposite(vertex)
-    ub = (b - apex).unit()
-    uc = (c - apex).unit()
+    ub = (b - apex) / b.dist(apex)
+    uc = (c - apex) / c.dist(apex)
     bisector = _line(apex, ub + uc)
     e = 0.5 * (b + c)
     mirrored = _reflect(bisector, e)
@@ -203,7 +224,7 @@ class TestSymmedianFoot:
     def test_reflection_oracle_random(self):
         rng = rng_for(0, "symfoot", 0)
         for _ in range(50):
-            t = random_triangle(rng)
+            t = triangle_of(random_triangle(rng))
             for v in "ABC":
                 assert symmedian_foot(t, v).dist(_median_reflection_foot(t, v)) < 1e-9 * t.circumradius
 
@@ -214,7 +235,7 @@ def _brocard_grid_oracle(t: Triangle, which: str) -> Point:
 
     def undirected(p: Point, q: Point, r: Point) -> float:
         v1, v2 = p - q, r - q
-        return abs(math.atan2(v1.cross(v2), v1.dot(v2)))
+        return abs(math.atan2(v1.x * v2.y - v1.y * v2.x, v1.dot(v2)))
 
     def objective(p: Point) -> float:
         if which == "first":
@@ -250,7 +271,7 @@ class TestBrocardPoints:
     def test_equilateral_center(self):
         p = brocard_point(EQUI, "first")
         assert p.dist(Point(0, 0)) < 1e-12
-        assert abs(abs(directed_angle(EQUI.b, EQUI.a, p)) - math.pi / 6) < 1e-12
+        assert abs(abs(_angle(EQUI.b, EQUI.a, p)) - math.pi / 6) < 1e-12
 
     def test_frozen_grid_oracle_value(self):
         # frozen from the grid-search oracle on the workhorse triangle
@@ -265,7 +286,7 @@ class TestBrocardPoints:
     def test_isosceles_mirror_pair(self):
         rng = rng_for(0, "brocard", 0)
         for _ in range(20):
-            t = random_isosceles(rng, "A")
+            t = triangle_of(random_isosceles(rng, "A"))
             axis = line_through(t.a, 0.5 * (t.b + t.c))
             first = brocard_point(t, "first")
             second = brocard_point(t, "second")
@@ -274,26 +295,26 @@ class TestBrocardPoints:
     def test_angle_conditions_and_interiority(self):
         rng = rng_for(0, "brocard", 1)
         for _ in range(200):
-            t = random_triangle(rng)
+            t = triangle_of(random_triangle(rng))
             for which, legs in (
-                ("first", lambda p: (directed_angle(t.b, t.a, p),
-                                     directed_angle(t.c, t.b, p),
-                                     directed_angle(t.a, t.c, p))),
-                ("second", lambda p: (directed_angle(p, t.a, t.c),
-                                      directed_angle(p, t.b, t.a),
-                                      directed_angle(p, t.c, t.b))),
+                ("first", lambda p: (_angle(t.b, t.a, p),
+                                     _angle(t.c, t.b, p),
+                                     _angle(t.a, t.c, p))),
+                ("second", lambda p: (_angle(p, t.a, t.c),
+                                      _angle(p, t.b, t.a),
+                                      _angle(p, t.c, t.b))),
             ):
                 p = brocard_point(t, which)
                 a1, a2, a3 = legs(p)
                 assert angle_distance(a1, a2) < 1e-8
                 assert angle_distance(a2, a3) < 1e-8
-                assert triangle_contains(t, p)
+                assert contains_xy(t.xy, p.x, p.y)
 
 
 def _arc_scan_oracle(t: Triangle, vertex: str, steps: int = 400000) -> Point:
     """Oracle: scan the arc of the circle through the opposite side's
     endpoints and the circumcenter for the symmedian crossing."""
-    o = circumcenter(t)
+    o = locate(t, O)
     b, c = t.opposite(vertex)
     k = circumcircle(*b, *c, *o)
     sym = line_through(t.vertex(vertex), symmedian_foot(t, vertex))
@@ -327,21 +348,21 @@ class TestSPoint:
     def test_directed_angle_postconditions(self):
         rng = rng_for(0, "spoint", 0)
         for _ in range(100):
-            t = random_triangle(rng)
+            t = triangle_of(random_triangle(rng))
             for v in "ABC":
                 p = s_point(t, v)
                 apex = t.vertex(v)
                 b, c = t.opposite(v)
-                ang = directed_angle(b, apex, c)
-                assert angle_distance(directed_angle(b, p, c), 2 * ang) < 1e-8
-                assert angle_distance(directed_angle(c, p, apex), -ang) < 1e-8
-                assert angle_distance(directed_angle(apex, p, b), -ang) < 1e-8
+                ang = _angle(b, apex, c)
+                assert angle_distance(_angle(b, p, c), 2 * ang) < 1e-8
+                assert angle_distance(_angle(c, p, apex), -ang) < 1e-8
+                assert angle_distance(_angle(apex, p, b), -ang) < 1e-8
 
     def test_lemma_ratio_cross_check(self):
         # BD/DC = BP/PC = (AB/AC)^2 where D is the symmedian-line crossing
         rng = rng_for(0, "spoint", 1)
         for _ in range(50):
-            t = random_triangle(rng)
+            t = triangle_of(random_triangle(rng))
             p = s_point(t, "A")
             d = symmedian_foot(t, "A")
             lhs = d.dist(t.b) / d.dist(t.c)
@@ -353,9 +374,9 @@ class TestSPoint:
     def test_on_arc_with_circumcenter(self):
         rng = rng_for(0, "spoint", 2)
         for _ in range(50):
-            t = random_triangle(rng)
+            t = triangle_of(random_triangle(rng))
             p = s_point(t, "B")
-            o = circumcenter(t)
+            o = locate(t, O)
             b, c = t.opposite("B")
             k = circumcircle(*b, *c, *o)
             assert abs(_offset_from(k, p)) < 1e-9 * t.circumradius
@@ -374,7 +395,7 @@ class TestMPoint:
     def test_acute_midpoint_relation(self):
         rng = rng_for(0, "mpoint", 0)
         for _ in range(50):
-            t = random_triangle(rng)
+            t = triangle_of(random_triangle(rng))
             for v in "ABC":
                 if t.angle(v) >= math.pi / 2:
                     continue
@@ -382,7 +403,7 @@ class TestMPoint:
                 b, c = t.opposite(v)
                 e = 0.5 * (b + c)
                 median = line_through(t.vertex(v), e)
-                f = second_intersection(median, t.circumcircle, t.vertex(v))
+                f = Point(*second_intersection(median, t.circumcircle, t.vertex(v)))
                 assert abs(e.dist(p) - e.dist(f)) < 1e-9 * t.circumradius
                 assert abs(_offset(median, p)) < 1e-9 * t.circumradius
 
@@ -397,7 +418,7 @@ class TestMPoint:
     def test_obtuse_random_circle_membership(self):
         rng = rng_for(0, "mpoint", 1)
         for _ in range(50):
-            t = random_obtuse_at(rng, "A")
+            t = triangle_of(random_obtuse_at(rng, "A"))
             p = m_point(t, "A")
             f = t.b + t.c - t.a
             k = circumcircle(*f, *t.b, *t.c)
@@ -411,8 +432,8 @@ class TestMPoint:
 def _tangent_circle(at: Point, through: Point, tangent: LineXY) -> CircleXY:
     """The circle through ``at`` and ``through`` tangent to ``tangent`` at ``at``."""
     _, _, dx, dy = tangent
-    normal = _line(at, Point(dx, dy).perp())
-    bisector = _line(midpoint(at, through), (through - at).perp())
+    normal = _line(at, Point(-dy, dx))
+    bisector = _line(Point(*midpoint(at, through)), Point(at.y - through.y, through.x - at.x))
     center = line_line_intersection(normal, bisector)
     return (center.x, center.y, center.dist(at))
 
@@ -433,7 +454,7 @@ def _brocard_by_tangent_circles(t: Triangle, which: str) -> Point:
 def _s_point_by_arc(t: Triangle, vertex: str) -> Point:
     """Oracle: the symmedian's hit on the arc through the opposite side's
     endpoints on the circumcenter's side."""
-    o = circumcenter(t)
+    o = locate(t, O)
     b, c = t.opposite(vertex)
     sym = line_through(t.vertex(vertex), symmedian_foot(t, vertex))
     base = line_through(b, c)
@@ -448,12 +469,12 @@ def _m_point_by_median(t: Triangle, vertex: str) -> Point:
     on the circle through the opposite side and the parallelogram point."""
     apex = t.vertex(vertex)
     b, c = t.opposite(vertex)
-    e = midpoint(b, c)
+    e = Point(*midpoint(b, c))
     median = line_through(apex, e)
     if t.angle(vertex) < math.pi / 2:
-        return 2.0 * e - second_intersection(median, t.circumcircle, apex)
+        return 2.0 * e - Point(*second_intersection(median, t.circumcircle, apex))
     f = b + c - apex
-    return second_intersection(median, circumcircle(*f, *b, *c), f)
+    return Point(*second_intersection(median, circumcircle(*f, *b, *c), f))
 
 
 class TestClosedFormsAgainstConstructions:
@@ -461,8 +482,8 @@ class TestClosedFormsAgainstConstructions:
         rng = rng_for(0, "closed-forms", 0)
         hosts = []
         for _ in range(100):
-            hosts.append(random_acute_triangle(rng))
-            hosts.extend(random_obtuse_at(rng, v) for v in "ABC")
+            hosts.append(triangle_of(random_acute_triangle(rng)))
+            hosts.extend(triangle_of(random_obtuse_at(rng, v)) for v in "ABC")
         for t in hosts:
             r = t.circumradius
             for which in ("first", "second"):
@@ -474,34 +495,34 @@ class TestClosedFormsAgainstConstructions:
 
 class TestIsogonalConjugate:
     def test_incenter_fixed(self):
-        l = incenter(TSCA)
-        assert isogonal_conjugate(TSCA, l).dist(l) < 1e-12
+        l = locate(TSCA, L)
+        assert _conjugate(TSCA, l).dist(l) < 1e-12
 
     def test_circumcenter_maps_to_orthocenter(self):
         rng = rng_for(0, "isogonal", 0)
         for _ in range(200):
-            t = random_triangle(rng)
-            assert isogonal_conjugate(t, circumcenter(t)).dist(orthocenter(t)) < 1e-8 * t.circumradius
-            l = incenter(t)
-            assert isogonal_conjugate(t, l).dist(l) < 1e-8 * t.circumradius
+            t = triangle_of(random_triangle(rng))
+            assert _conjugate(t, locate(t, O)).dist(locate(t, H)) < 1e-8 * t.circumradius
+            l = locate(t, L)
+            assert _conjugate(t, l).dist(l) < 1e-8 * t.circumradius
 
     def test_s_point_maps_to_m_point(self):
         rng = rng_for(0, "isogonal", 1)
         for i in range(100):
-            t = random_obtuse_at(rng, "A") if i % 2 else random_triangle(rng)
+            t = triangle_of(random_obtuse_at(rng, "A") if i % 2 else random_triangle(rng))
             for v in "ABC":
-                assert isogonal_conjugate(t, s_point(t, v)).dist(m_point(t, v)) < 1e-8 * t.circumradius
+                assert _conjugate(t, s_point(t, v)).dist(m_point(t, v)) < 1e-8 * t.circumradius
 
     def test_involution(self):
         rng = rng_for(0, "isogonal", 2)
         from miquel.sampling import random_interior_point
 
         for _ in range(200):
-            t = random_triangle(rng)
-            p = random_interior_point(rng, t)
-            q = isogonal_conjugate(t, p)
+            t = triangle_of(random_triangle(rng))
+            p = Point(*random_interior_point(rng, t.xy))
+            q = _conjugate(t, p)
             try:
-                back = isogonal_conjugate(t, q)
+                back = _conjugate(t, q)
             except GeometryError:  # on a side line or the circumcircle
                 continue
             assert back.dist(p) < 1e-8 * t.circumradius
@@ -511,47 +532,47 @@ class TestIsogonalConjugate:
         from miquel.sampling import random_interior_point
 
         for _ in range(100):
-            t = random_triangle(rng)
-            p = random_interior_point(rng, t)
-            q = isogonal_conjugate(t, p)
-            assert angle_distance(directed_angle(t.c, t.b, q), directed_angle(p, t.b, t.a)) < 1e-9
-            assert angle_distance(directed_angle(t.b, t.a, p), directed_angle(q, t.a, t.c)) < 1e-9
-            assert angle_distance(directed_angle(t.a, t.c, q), directed_angle(p, t.c, t.b)) < 1e-9
+            t = triangle_of(random_triangle(rng))
+            p = Point(*random_interior_point(rng, t.xy))
+            q = _conjugate(t, p)
+            assert angle_distance(_angle(t.c, t.b, q), _angle(p, t.b, t.a)) < 1e-9
+            assert angle_distance(_angle(t.b, t.a, p), _angle(q, t.a, t.c)) < 1e-9
+            assert angle_distance(_angle(t.a, t.c, q), _angle(p, t.c, t.b)) < 1e-9
 
     def test_side_line_rejected(self):
         with pytest.raises(OnSideLineError):
-            isogonal_conjugate(TSCA, Point(2, 0))
+            _conjugate(TSCA, Point(2, 0))
 
     def test_circumcircle_rejected(self):
         p = _point_at(TSCA.circumcircle, 0.8)
         with pytest.raises(GeometryError, match="^the point lies on the circumcircle$"):
-            isogonal_conjugate(TSCA, p)
+            _conjugate(TSCA, p)
 
 
 class TestInverseInCircumcircle:
     def test_equilateral_value(self):
-        assert inverse_in_circumcircle(EQUI, Point(0, 0.5)).dist(Point(0, 2)) < 1e-12
+        assert Point(*invert_xy(EQUI.circumcircle, 0, 0.5)).dist(Point(0, 2)) < 1e-12
 
     def test_circle_points_fixed(self):
         p = _point_at(TSCA.circumcircle, 1.1)
-        assert inverse_in_circumcircle(TSCA, p).dist(p) < 1e-12
+        assert Point(*invert_xy(TSCA.circumcircle, p.x, p.y)).dist(p) < 1e-12
 
     def test_center_rejected(self):
         with pytest.raises(GeometryError, match="^the center inverts to an infinite point$"):
-            inverse_in_circumcircle(TSCA, circumcenter(TSCA))
+            invert_xy(TSCA.circumcircle, *TSCA.circumcenter_xy)
 
 
 class TestElevenPointCatalog:
     def test_counts_and_sides_of_circle(self):
-        cat = eleven_point_catalog(TSCA)
+        cat = eleven_point_catalog(TSCA.xy)
         assert len(cat) == 11
-        inside = [e for e in cat if _offset_from(TSCA.circumcircle, e.location) < 0]
-        outside = [e for e in cat if _offset_from(TSCA.circumcircle, e.location) > 0]
+        inside = [e for e in cat if _offset_from(TSCA.circumcircle, Point(*e.location)) < 0]
+        outside = [e for e in cat if _offset_from(TSCA.circumcircle, Point(*e.location)) > 0]
         assert len(inside) == 6 and len(outside) == 5
         assert sum(e.inverse for e in cat) == 5
 
     def test_expected_permutations_recorded(self):
-        cat = eleven_point_catalog(TSCA)
+        cat = eleven_point_catalog(TSCA.xy)
         byname = {(e.kind.role, e.kind.vertex, e.inverse): e.order for e in cat}
         # X, Y, Z are 0, 1, 2: Ω₁'s (2, 0, 1) matches Z to A, X to B, Y to C
         assert byname[("circumcenter", None, False)] == (0, 1, 2)
@@ -567,18 +588,18 @@ class TestElevenPointCatalog:
         from miquel.sampling import random_catalog_triangle
 
         for _ in range(20):
-            t = random_catalog_triangle(rng)
-            cat = eleven_point_catalog(t)
-            pts = [e.location for e in cat]
+            t = triangle_of(random_catalog_triangle(rng))
+            cat = eleven_point_catalog(t.xy)
+            pts = [Point(*e.location) for e in cat]
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     assert pts[i].dist(pts[j]) > 1e-6 * t.circumradius
 
     def test_equilateral_rejected(self):
         with pytest.raises(GeometryError, match="^the catalog requires a scalene triangle$"):
-            eleven_point_catalog(EQUI)
+            eleven_point_catalog(EQUI.xy)
 
     def test_right_triangle_rejected(self):
         # scalene right triangle
         with pytest.raises(GeometryError, match="^the catalog requires a non-right triangle$"):
-            eleven_point_catalog(T345)
+            eleven_point_catalog(T345.xy)

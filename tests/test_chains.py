@@ -12,11 +12,9 @@ import miquel.verify
 from miquel.centers import (
     SpecialRole,
     brocard_point,
-    circumcenter,
     eleven_point_catalog,
-    incenter,
+    locate,
     m_point,
-    orthocenter,
     s_point,
 )
 from miquel.chains import (
@@ -29,7 +27,7 @@ from miquel.chains import (
     iterate_chain,
 )
 from miquel.errors import CollinearError, DegenerateStepError, OnSideLineError
-from miquel.kernel import Point, Triangle, midpoint
+from miquel.kernel import Point, Triangle, midpoint, triangle_of
 from miquel.sampling import (
     random_circumcircle_point,
     random_interior_point,
@@ -46,6 +44,7 @@ from miquel.triads import (
 from miquel.verify import SEED_CORRESPONDENCES, run_suite
 
 SQ3 = math.sqrt(3.0)
+O, H, L = (SpecialRole(r) for r in ("circumcenter", "orthocenter", "incenter"))
 TSCA = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
 EQUI = Triangle(Point(0, 1), Point(-SQ3 / 2, -0.5), Point(SQ3 / 2, -0.5))
 
@@ -56,7 +55,7 @@ class TestIterateChain:
         for host, step in zip(rec.triangles, rec.steps):
             # the pedal feet of the center are the side midpoints
             for v in "ABC":
-                assert step.vertex(v).dist(midpoint(*host.opposite(v))) < 1e-12
+                assert step.vertex(v).dist(Point(*midpoint(*host.opposite(v)))) < 1e-12
         for i in range(3):
             match = classify_similarity(
                 rec.triangles[i].xy, rec.triangles[i + 1].xy, CHAIN_SIMILARITY_TOL
@@ -66,20 +65,20 @@ class TestIterateChain:
             assert abs(scale - 0.5) < 1e-12
 
     def test_scalene_mod3_seed_similarity(self):
-        rec = iterate_chain(TSCA, circumcenter(TSCA), 3)
+        rec = iterate_chain(TSCA, locate(TSCA, O), 3)
         match = classify_similarity(rec.triangles[0].xy, rec.triangles[3].xy, CHAIN_SIMILARITY_TOL)
         assert match is not None
 
     def test_circumcircle_point_collapses(self):
         rng = rng_for(0, "chains", 0)
-        p = random_circumcircle_point(rng, TSCA)
+        p = Point(*random_circumcircle_point(rng, TSCA.xy))
         with pytest.raises(DegenerateStepError):
             iterate_chain(TSCA, p, 2)
 
     def test_side_line_point_degenerates(self):
         # the midpoint of BC lies on a side line of the seed
         with pytest.raises(DegenerateStepError, match="step 0") as info:
-            iterate_chain(TSCA, midpoint(TSCA.b, TSCA.c), 3)
+            iterate_chain(TSCA, Point(*midpoint(TSCA.b, TSCA.c)), 3)
         assert isinstance(info.value.__cause__, OnSideLineError)
 
     def test_collinear_step_triangle_degenerates(self):
@@ -138,7 +137,7 @@ class TestIterateChain:
 
 class TestMod3Similarity:
     def test_classes_partition(self):
-        rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
+        rec = iterate_chain(TSCA, locate(TSCA, O), 6)
         assert check_mod3_similarity(rec) < CHAIN_SIMILARITY_TOL
 
     def test_brocard_chain_everything_similar(self):
@@ -151,7 +150,7 @@ class TestMod3Similarity:
     def test_circumcenter_chain_merges_first_two_classes(self):
         # the pedal triangle of the circumcenter is the medial triangle,
         # so classes k=0 and k=1 coincide
-        rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
+        rec = iterate_chain(TSCA, locate(TSCA, O), 6)
         tris = rec.triangles
         assert classify_similarity(tris[0].xy, tris[1].xy, CHAIN_SIMILARITY_TOL) is not None
 
@@ -167,8 +166,8 @@ class TestMod3Similarity:
     def test_theta_schedule_invariance(self):
         rng = rng_for(0, "chains", 1)
         for _ in range(10):
-            t = random_triangle(rng)
-            p = random_interior_point(rng, t)
+            t = triangle_of(random_triangle(rng))
+            p = Point(*random_interior_point(rng, t.xy))
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(6)]
             gap = check_mod3_similarity(iterate_chain(t, p, 6, thetas=thetas))
             assert gap < CHAIN_SIMILARITY_TOL
@@ -208,7 +207,7 @@ class TestSeedCorrespondences:
         # triangle 3 of every chain is checked against the seed vertex for
         # vertex, direct; a search over every vertex map and orientation
         # accepts the swapped triangle
-        rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
+        rec = iterate_chain(TSCA, locate(TSCA, O), 6)
         ax, ay, bx, by, cx, cy = swap(*rec.steps_xy[2])
         bad = Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
         assert classify_similarity(rec.seed.xy, bad.xy, CHAIN_SIMILARITY_TOL) is not None
@@ -233,7 +232,7 @@ class TestSeedCorrespondences:
 
 class TestRoleCycles:
     def test_circumcenter_cycle(self):
-        roles = iterate_chain(TSCA, circumcenter(TSCA), 4).roles
+        roles = iterate_chain(TSCA, locate(TSCA, O), 4).roles
         names = [r.role for r in roles]
         assert names == ["circumcenter", "orthocenter", "incenter", "circumcenter", "orthocenter"]
         assert follows_role_cycle(roles)
@@ -254,7 +253,7 @@ class TestRoleCycles:
 
     def test_orthocenter_seed_includes_excenter_leg(self):
         tob = Triangle(Point(0, 0), Point(4, 0), Point(1.6, 0.9))
-        rec = iterate_chain(tob, orthocenter(tob), 5)
+        rec = iterate_chain(tob, locate(tob, H), 5)
         names = [r.role for r in rec.roles]
         assert names[0] == "orthocenter"
         assert names[1] in ("incenter", "excenter")
@@ -262,18 +261,16 @@ class TestRoleCycles:
         assert follows_role_cycle(rec.roles)
 
     def test_incenter_seed(self):
-        rec = iterate_chain(TSCA, incenter(TSCA), 4)
+        rec = iterate_chain(TSCA, locate(TSCA, L), 4)
         names = [r.role for r in rec.roles]
         assert names == ["incenter", "circumcenter", "orthocenter", "incenter", "circumcenter"]
 
     def test_role_positions_track_detected_centers(self):
         rng = rng_for(0, "chains", 2)
         for _ in range(10):
-            t = random_triangle(rng)
-            o = circumcenter(t)
+            t = triangle_of(random_triangle(rng))
+            o = locate(t, O)
             rec = iterate_chain(t, o, 6)
-            from miquel.centers import locate
-
             expect = {"circumcenter", "orthocenter", "incenter", "excenter"}
             for step, role in zip(rec.steps, rec.roles[1:]):
                 assert role.role in expect
@@ -293,14 +290,14 @@ class TestLazyRoles:
         return calls
 
     def test_unread_roles_cost_no_detection(self, detect_calls):
-        rec = iterate_chain(TSCA, circumcenter(TSCA), 6)
+        rec = iterate_chain(TSCA, locate(TSCA, O), 6)
         check_mod3_similarity(rec)
         assert len(rec.triangles) == 7
         assert detect_calls == []
 
     def test_roles_detected_once_on_first_read(self, detect_calls):
         k = 5
-        rec = iterate_chain(TSCA, circumcenter(TSCA), k)
+        rec = iterate_chain(TSCA, locate(TSCA, O), k)
         assert detect_calls == []
         first = rec.roles
         assert len(first) == k + 1
@@ -310,7 +307,7 @@ class TestLazyRoles:
         assert len(detect_calls) == k + 1
 
     def test_lazy_roles_match_explicit_detection(self):
-        for p in (circumcenter(TSCA), s_point(TSCA, "A"), Point(1.31, 0.87)):
+        for p in (locate(TSCA, O), s_point(TSCA, "A"), Point(1.31, 0.87)):
             rec = iterate_chain(TSCA, p, 4)
             expect = [detect_special_role(t.xy, *p, CHAIN_DETECT_TOL) for t in rec.triangles]
             assert list(rec.roles) == expect
@@ -345,7 +342,7 @@ class TestLazySteps:
         assert len(built) == 9
 
     def test_roles_are_detected_without_step_triangles(self, built):
-        for p in (circumcenter(TSCA), s_point(TSCA, "A"), Point(1.31, 0.87)):
+        for p in (locate(TSCA, O), s_point(TSCA, "A"), Point(1.31, 0.87)):
             rec = iterate_chain(TSCA, p, 6)
             assert len(rec.roles) == 7
         assert built == []
@@ -426,8 +423,8 @@ def _named_points(tri):
     a2, b2, c2 = _squared_sides(tri)
     sa, sb, sc = b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2
     weights = {
-        "O": ((a2 * sa, b2 * sb, c2 * sc), circumcenter),
-        "H": ((sb * sc, sc * sa, sa * sb), orthocenter),
+        "O": ((a2 * sa, b2 * sb, c2 * sc), lambda t: locate(t, O)),
+        "H": ((sb * sc, sc * sa, sa * sb), lambda t: locate(t, H)),
         "Ω₁": ((c2 * a2, a2 * b2, b2 * c2), lambda t: brocard_point(t, "first")),
         "Ω₂": ((a2 * b2, b2 * c2, c2 * a2), lambda t: brocard_point(t, "second")),
         "S_A": ((sa, b2, c2), lambda t: s_point(t, "A")),
@@ -545,7 +542,7 @@ def _catalog_table(host):
     """The catalog's recorded (order, mirrored) for each (role, inverse)."""
     return {
         (e.kind, e.inverse): (e.order, e.mirrored)
-        for e in eleven_point_catalog(_float_triangle(host))
+        for e in eleven_point_catalog(_float_triangle(host).xy)
     }
 
 
@@ -574,11 +571,11 @@ class TestExactPedalCorrespondences:
         for host in HOSTS:
             t = _float_triangle(host)
             points = _named_points(host)
-            for e in eleven_point_catalog(t):
+            for e in eleven_point_catalog(t.xy):
                 p, _ = points[_CATALOG_NAMES.get(e.kind.role) or f"S_{e.kind.vertex}"]
                 if e.inverse:
                     p = _exact_inverse(host, p)
-                assert e.location.dist(Point(float(p[0]), float(p[1]))) < 1e-9 * t.circumradius
+                assert Point(*e.location).dist(Point(float(p[0]), float(p[1]))) < 1e-9 * t.circumradius
 
     def test_catalog_correspondences(self):
         table = _catalog_table(HOSTS[0])

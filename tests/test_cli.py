@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,8 +86,9 @@ def test_every_correspondence_classified_and_printed(
     order = tuple("XYZ".index(ch) for ch in letters)
     host = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
     vertices = [None] * 3
+    c, s = math.cos(0.7), math.sin(0.7)
     for i, v in enumerate(host.vertices):
-        q = v.rotated(0.7) * 1.9 + Point(-2.0, 5.0)
+        q = Point(c * v.x - s * v.y, s * v.x + c * v.y) * 1.9 + Point(-2.0, 5.0)
         vertices[order[i]] = Point(-q.x, q.y) if mirrored else q
     copy = Triangle(*vertices)
     match = classify_similarity(host.xy, copy.xy, PEDAL_SIMILARITY_TOL)

@@ -20,7 +20,7 @@ hand to their guard.
 The one-shot suites build no Point they do not read either: theorem1 takes
 its triad from `triad_xy` (`Triad.at`'s body) and its residual from
 `miquel_residual` (`miquel_point`'s), and `containment_parity` tests
-containment with `contains_xy` (`triangle_contains`'s).
+containment with `contains_xy`.
 """
 
 import itertools
@@ -39,7 +39,8 @@ from miquel.kernel import (
     circle_xy,
     circumcircle,
     contains_xy,
-    directed_angle,
+    directed_angle_at_xy,
+    directed_angle_xy,
     line_through,
     midpoint,
     offset_xy,
@@ -47,8 +48,9 @@ from miquel.kernel import (
     reflect_xy,
     shape_gap,
     shape_ratio,
+    min_side_line_distance_xy,
     side_lengths_xy,
-    triangle_contains,
+    triangle_of,
     unit_direction,
 )
 from miquel.sampling import (
@@ -79,8 +81,10 @@ def _hosts_and_points():
     rng = rng_for(0, "coordinate-forms", 0)
     cases = []
     for _ in range(250):
-        for t in (random_acute_triangle(rng), *(random_obtuse_at(rng, v) for v in "ABC")):
-            points = (random_interior_point(rng, t), random_exterior_point(rng, t))
+        hosts = (random_acute_triangle(rng), *(random_obtuse_at(rng, v) for v in "ABC"))
+        for t in map(triangle_of, hosts):
+            points = (Point(*random_interior_point(rng, t.xy)),
+                      Point(*random_exterior_point(rng, t.xy)))
             cases.append((t, points, rng.uniform(-1.2, 1.2)))
     return cases
 
@@ -94,7 +98,7 @@ def _circumcircle_by_operators(p1, p2, p3):
     q2 = p2 - p1
     q3 = p3 - p1
     cross = q2.cross(q3)
-    span = max(q2.norm(), q3.norm(), p3.dist(p2))
+    span = max(math.hypot(*q2), math.hypot(*q3), p3.dist(p2))
     assert not abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span
     d = 2.0 * cross
     m2 = q2.dot(q2)
@@ -123,7 +127,7 @@ def _outcome(f, *args):
 
 def _direction_by_operators(p, q):
     d = q - p
-    n = d.norm()
+    n = math.hypot(*d)
     return d / n if abs(n - 1.0) > 1e-14 else d
 
 
@@ -152,7 +156,8 @@ def _reflect_by_operators(line, p):
 
 
 def _directed_angle_by_operators(p, q, r):
-    return kernel.half_turn((r - q).angle() - (p - q).angle())
+    (rx, ry), (px, py) = r - q, p - q
+    return kernel.half_turn(math.atan2(ry, rx) - math.atan2(py, px))
 
 
 def _interior_by_operators(apex, p, q):
@@ -182,13 +187,14 @@ def _isogonal_conjugate_by_operators(t, p):
 
 
 def _orthocenter_by_operators(t):
-    return t.a + t.b + t.c - 2.0 * centers.circumcenter(t)
+    return t.a + t.b + t.c - 2.0 * Point(*t.circumcenter_xy)
 
 
 def _family_vertex_by_operators(p, f, theta):
     """The pedal foot ``f`` moved along its side: the spoke f − p turned a
     quarter and scaled by tan theta."""
-    return f + math.tan(theta) * (f - p).perp()
+    spoke = f - p
+    return f + math.tan(theta) * Point(-spoke.y, spoke.x)
 
 
 def _along_by_operators(tail, head, s):
@@ -329,11 +335,12 @@ def test_min_side_line_distance():
     """The nearest of the side lines' offsets, for points off the side lines,
     on one and on two (a vertex)."""
     for t, points, _ in CASES:
-        for p in (*points, t.a, midpoint(t.b, t.c)):
+        for p in (*points, t.a, Point(*midpoint(t.b, t.c))):
             expected = min(
                 abs(_offset_by_operators(line_through(*t.opposite(v)), p)) for v in "ABC"
             )
             assert t.min_side_line_distance(p) == expected
+            assert min_side_line_distance_xy(t.xy, p.x, p.y) == expected
 
 
 def test_line_at_project_and_reflect():
@@ -357,7 +364,10 @@ def test_triangle_angles_area_and_directed_angles():
         assert t.angles == expected
         for p in points:
             for q, r in ((a, b), (b, c), (c, a)):
-                assert directed_angle(p, q, r) == _directed_angle_by_operators(p, q, r)
+                assert directed_angle_xy(*p, *q, *r) == _directed_angle_by_operators(p, q, r)
+        for v, (q, p, r) in zip("ABC", ((a, b, c), (b, c, a), (c, a, b))):
+            # at A, from line AB to line AC
+            assert directed_angle_at_xy(t.xy, v) == _directed_angle_by_operators(p, q, r)
 
 
 # ---------------------------------------------------------------- centers
@@ -371,7 +381,9 @@ def test_squared_sides_isogonal_conjugate_and_every_named_point(monkeypatch):
             t.xy, t.side_lengths, t.squared_sides, t.angles, t.circumcenter_xy, t.circumradius
         )
         p = points[0]
-        assert centers.isogonal_conjugate(t, p) == _isogonal_conjugate_by_operators(t, p)
+        expected = _isogonal_conjugate_by_operators(t, p)
+        assert Point(*centers.isogonal_conjugate(t, p.x, p.y)) == expected
+        assert Point(*centers.isogonal_conjugate(centers.measures_xy(t.xy), *p)) == expected
         row = []
         for role, _ in NAMED_POINTS:
             try:
@@ -439,26 +451,26 @@ def test_triad_xy_and_miquel_residual():
 def test_contains_xy():
     """contains_xy against sign·(q2 − q1)×(p − q1) with the triangle's
     orientation, for both orientations, inside, outside, on an edge and at a
-    vertex; triangle_contains is contains_xy."""
+    vertex."""
     for t, points, _ in CASES:
         for host in (t, Triangle(t.a, t.c, t.b)):
-            for p in (*points, midpoint(t.a, t.b), midpoint(t.b, t.c), t.a, t.c):
+            edge_points = (Point(*midpoint(t.a, t.b)), Point(*midpoint(t.b, t.c)))
+            for p in (*points, *edge_points, t.a, t.c):
                 inside = _contains_by_operators(host, p)
                 assert contains_xy(host.xy, p.x, p.y) is inside
-                assert triangle_contains(host, p) is inside
             assert contains_xy(host.xy, *points[0]) and not contains_xy(host.xy, *points[1])
 
 
 def test_sextet_and_miquel_angles():
-    """cevian_angles_xy and miquel_angles_xy against directed_angle of the
+    """cevian_angles_xy and miquel_angles_xy against directed_angle_xy of the
     points: the six directed angles at the vertices, then their pairwise
     sums reduced by half_turn."""
     for t, points, _ in CASES:
         a, b, c = t.vertices
         for p in points:
-            a1, a2 = directed_angle(p, a, c), directed_angle(b, a, p)
-            b1, b2 = directed_angle(p, b, a), directed_angle(c, b, p)
-            g1, g2 = directed_angle(p, c, b), directed_angle(a, c, p)
+            a1, a2 = directed_angle_xy(*p, *a, *c), directed_angle_xy(*b, *a, *p)
+            b1, b2 = directed_angle_xy(*p, *b, *a), directed_angle_xy(*c, *b, *p)
+            g1, g2 = directed_angle_xy(*p, *c, *b), directed_angle_xy(*a, *c, *p)
             r = t.circumradius
             assert cevian_angles_xy(t.xy, p.x, p.y, r, False) == (a1, b1, g1)
             assert cevian_angles_xy(t.xy, p.x, p.y, r, True) == (a2, b2, g2)
@@ -470,7 +482,7 @@ def test_one_pedal_triangle():
     """The pedal triad's vertices are the side lines' projections of the
     point, float for float, for points off the side lines and on them."""
     for t, points, _ in CASES:
-        for p in (*points, t.a, midpoint(t.b, t.c)):
+        for p in (*points, t.a, Point(*midpoint(t.b, t.c))):
             feet = tuple(_project_by_operators(line_through(*t.opposite(v)), p) for v in "ABC")
             assert pedal_triad(t, p).points == feet
 
@@ -523,7 +535,7 @@ def test_classify_similarity_along_chains(thetas):
 
 def test_classify_similarity_on_catalog_pedal_shapes():
     for t, _, _ in CASES:
-        for e in centers.eleven_point_catalog(t):
-            shape = pedal_triad(t, e.location).triangle()
+        for e in centers.eleven_point_catalog(t.xy):
+            shape = pedal_triad(t, Point(*e.location)).triangle()
             got, expected = _verdicts(t, shape, PEDAL_SIMILARITY_TOL)
             assert got == expected == (e.order, e.mirrored)

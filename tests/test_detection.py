@@ -4,8 +4,8 @@
 measures once (``centers.measures_xy``: side lengths, squared sides, angles,
 circumcircle) and locates each candidate from them through the bodies
 ``centers.locate_xy`` shares. The oracle below is the loop it replaced: a
-``Triangle``, ``centers.locate_xy`` per candidate, ``Triangle.is_isosceles_at``
-and ``circumcircle`` for the arc role. Both must name the same role, with the
+``Triangle``, ``centers.locate_xy`` per candidate, the two side lengths at each
+vertex and ``circumcircle`` for the arc role. Both must name the same role, with the
 same table order, strict-``<`` tie rule and right-angle skip, or raise the
 same exception class with the same message.
 """
@@ -15,10 +15,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miquel.centers import NAMED_POINTS, SpecialRole, incenter, locate, locate_xy
+from miquel.centers import NAMED_POINTS, SpecialRole, is_right, locate, locate_xy
 from miquel.chains import CHAIN_DETECT_TOL, iterate_chain
 from miquel.errors import CollinearError, DegenerateStepError, RightAngleDegenerateError
-from miquel.kernel import VERTEX_LABELS, Point, Triangle, circumcircle
+from miquel.kernel import VERTEX_LABELS, Point, Triangle, circumcircle, triangle_of
 from miquel.sampling import (
     random_arc_point,
     random_exterior_point,
@@ -56,9 +56,10 @@ def _detect_by_locate_xy(t, p, length_eps):
             Point(x, y)
     if best_dist < eps:
         return best_role
-    center = incenter(t)
-    for v in VERTEX_LABELS:
-        if not t.is_isosceles_at(v, length_eps):
+    center = locate(t, SpecialRole("incenter"))
+    sides = t.side_lengths
+    for i, v in enumerate(VERTEX_LABELS):
+        if not abs(sides[(i + 1) % 3] - sides[(i + 2) % 3]) < eps:
             continue
         b, c = t.opposite(v)
         try:
@@ -98,13 +99,13 @@ def _arc_point(rng, t, apex):
     """A point on the circle through the base ends of ``apex`` and the
     incenter, on the arc between the base ends through the incenter."""
     b, c = t.opposite(apex)
-    center = incenter(t)
-    return random_arc_point(rng, circumcircle(*b, *c, *center), b, c, center)
+    center = locate(t, SpecialRole("incenter"))
+    return Point(*random_arc_point(rng, circumcircle(*b, *c, *center), b, c, center))
 
 
 def _host(seed: int):
     rng = rng_for(seed, "detection", 0)
-    return random_triangle(rng) if seed % 2 else random_obtuse_at(rng, "ABC"[seed % 3])
+    return triangle_of(random_triangle(rng) if seed % 2 else random_obtuse_at(rng, "ABC"[seed % 3]))
 
 
 def _right_host(seed: int, vertex: str):
@@ -114,7 +115,7 @@ def _right_host(seed: int, vertex: str):
     angles[i] = math.pi / 2
     angles[(i + 1) % 3] = rng.uniform(0.2, math.pi / 2 - 0.2)
     angles[(i + 2) % 3] = math.pi / 2 - angles[(i + 1) % 3]
-    return triangle_from_angles(rng, tuple(angles))
+    return triangle_of(triangle_from_angles(rng, tuple(angles)))
 
 
 seeds = st.integers(0, 10**6)
@@ -129,16 +130,16 @@ def test_seeded_hosts_match_the_locate_xy_loop():
         v = VERTEX_LABELS[seed % 3]
         kind = seed % 3
         if kind == 0:
-            t = random_triangle(rng)
+            t = triangle_of(random_triangle(rng))
         elif kind == 1:
-            t = random_isosceles(rng, v)
+            t = triangle_of(random_isosceles(rng, v))
         else:
             t = _right_host(seed, v)
         points = [
             *_named_points(t),
             _arc_point(rng, t, v),
-            random_interior_point(rng, t),
-            random_exterior_point(rng, t),
+            Point(*random_interior_point(rng, t.xy)),
+            Point(*random_exterior_point(rng, t.xy)),
         ]
         for p in points:
             for length_eps in (1e-7, 1e-6, 1e-2):
@@ -162,8 +163,8 @@ def test_every_named_point_and_random_points(seed, length_eps):
     rng = rng_for(seed, "detection", 2)
     points = [
         *_named_points(t),
-        random_interior_point(rng, t),
-        random_exterior_point(rng, t),
+        Point(*random_interior_point(rng, t.xy)),
+        Point(*random_exterior_point(rng, t.xy)),
     ]
     for p in points:
         _assert_same_role(t, p, length_eps)
@@ -173,7 +174,7 @@ def test_every_named_point_and_random_points(seed, length_eps):
 @given(seeds, st.sampled_from(["O", "H", "L", "brocard", "S", "M", "random"]), st.booleans())
 def test_chain_triangles(seed, which, rotated):
     rng = rng_for(seed, "detection", 3)
-    t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
+    t = triangle_of(random_triangle(rng, min_angle=0.35, right_gap=0.1))
     v = VERTEX_LABELS[seed % 3]
     p = {
         "O": lambda: locate(t, SpecialRole("circumcenter")),
@@ -182,7 +183,7 @@ def test_chain_triangles(seed, which, rotated):
         "brocard": lambda: locate(t, SpecialRole("first_brocard")),
         "S": lambda: locate(t, SpecialRole("s_role", v)),
         "M": lambda: locate(t, SpecialRole("m_role", v)),
-        "random": lambda: random_interior_point(rng, t),
+        "random": lambda: Point(*random_interior_point(rng, t.xy)),
     }[which]()
     thetas = [rng.uniform(-1.0, 1.0) for _ in range(6)] if rotated else None
     try:
@@ -198,7 +199,7 @@ def test_chain_triangles(seed, which, rotated):
 def test_equilateral_tie_goes_to_the_circumcenter(seed, length_eps):
     # O, H, L, both Brocard points and every S_v and M_v coincide; the first
     # in table order at the least distance wins
-    t = triangle_from_angles(rng_for(seed, "detection", 4), (math.pi / 3,) * 3)
+    t = triangle_of(triangle_from_angles(rng_for(seed, "detection", 4), (math.pi / 3,) * 3))
     o = locate(t, SpecialRole("circumcenter"))
     assert _assert_same_role(t, o, length_eps) == SpecialRole("circumcenter")
     for p in _named_points(t):
@@ -213,9 +214,9 @@ def test_automedian_centroid_is_the_median_point(seed):
     a, b, c = 13.0, 7.0, 17.0
     angle_a = math.acos((b * b + c * c - a * a) / (2.0 * b * c))
     angle_b = math.acos((c * c + a * a - b * b) / (2.0 * c * a))
-    t = triangle_from_angles(
+    t = triangle_of(triangle_from_angles(
         rng_for(seed, "detection", 5), (angle_a, angle_b, math.pi - angle_a - angle_b)
-    )
+    ))
     g = locate(t, SpecialRole("centroid"))
     assert _assert_same_role(t, g, CHAIN_DETECT_TOL) == SpecialRole("m_role", "A")
 
@@ -224,9 +225,13 @@ def test_automedian_centroid_is_the_median_point(seed):
 @given(seeds, st.sampled_from(VERTEX_LABELS), BANDS)
 def test_right_angled_hosts_skip_s_and_m_at_the_right_vertex(seed, vertex, length_eps):
     t = _right_host(seed, vertex)
-    assert t.is_right()
+    assert is_right(t)
     rng = rng_for(seed, "detection", 6)
-    points = [*_named_points(t), random_interior_point(rng, t), random_exterior_point(rng, t)]
+    points = [
+        *_named_points(t),
+        Point(*random_interior_point(rng, t.xy)),
+        Point(*random_exterior_point(rng, t.xy)),
+    ]
     for p in points:
         role = _assert_same_role(t, p, length_eps)
         assert role not in (SpecialRole("s_role", vertex), SpecialRole("m_role", vertex))
@@ -236,7 +241,7 @@ def test_right_angled_hosts_skip_s_and_m_at_the_right_vertex(seed, vertex, lengt
 @given(seeds, st.sampled_from(VERTEX_LABELS))
 def test_isosceles_arc_points_play_the_q_role(seed, apex):
     rng = rng_for(seed, "detection", 7)
-    t = random_isosceles(rng, apex)
+    t = triangle_of(random_isosceles(rng, apex))
     role = _assert_same_role(t, _arc_point(rng, t, apex), CHAIN_DETECT_TOL)
     assert role in (SpecialRole("q_role", apex), SpecialRole("incenter"))
 

@@ -1,11 +1,21 @@
 """The verification suites themselves: registry, determinism, witnesses."""
 
+import hashlib
 import math
 
 import pytest
 
-from miquel.kernel import Point, Triangle
-from miquel.verify import SUITES, ClaimResult, run_suite
+from miquel.kernel import (
+    VERTEX_LABELS,
+    Point,
+    angle_distance,
+    directed_angle_at_xy,
+    directed_angle_xy,
+    half_turn,
+    triangle_of,
+)
+from miquel.triads import pedal_triad
+from miquel.verify import SUITES, ClaimResult, _witness, run_suite
 
 
 def test_registry_names():
@@ -104,10 +114,10 @@ def test_five_distinct_seeds_pass():
 
 
 def test_nan_residual_fails_its_trial():
-    t = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
+    t = (0, 0, 4, 0, 1, 3)
     claim = ClaimResult("x", 1e-9)
     claim.add(0.0, 0, t)
-    claim.add(math.nan, 1, t, Point(2, 1))
+    claim.add(math.nan, 1, t, (2, 1))
     assert claim.trials == 2
     assert claim.max_residual == math.inf
     assert not claim.passed
@@ -134,3 +144,64 @@ def test_informational_claim_without_trials_does_not_gate():
     rep = run_suite("theorem15", 7, 1)
     rep.claim("never-reached", 1.0, informational=True)
     assert rep.passed
+
+
+# sha256 of every trial's claim name, residual repr and witness, in the order
+# the suite adds them, for each one-shot suite at seed 5 and its default trial
+# count. verify prints only each claim's worst residual; this pins them all.
+TRIAL_DIGESTS = {
+    "theorem1": "c61f8f6f0aea4a98fe8f77e8c0881998650e5f1bd184af979cbbf1add6759dc6",
+    "theorem2": "46989bfc89df8b8c7d8d2ef1ebed2c823a708963e62ff8554baa8417295e73da",
+    "theorem3": "60593855faae379bd28b57bfc000436c082f04301cdd0eeaf0ee5dc22b69766f",
+    "theorem4": "11392b42e016e7d3dc90f2a9505eef5c1df54e00df631a5f6234f2be9ee200e1",
+    "theorem5": "906a7be2ef3faab67ec539b3d15dcd85438c6bd98fcefd40110b41861d6142f7",
+    "theorem6": "208ee674bb8d29a0429383c93984b226b7a3e9c93f89f0c14f0d440369b604e8",
+    "theorem7": "b66d18cff41a43b3b03d78dda7165b6a22ec8ec9680f634669f4c45bb31ebc72",
+    "theorem8": "a86a3de66aa39b790f66d8a8e930cf25af540e3f250311e17953e47b49d5228e",
+    "theorem9": "56c53bbc3504ce02563c58ccde6b6a05a52bfc6182c56ebdeb6e03dbfdb1624a",
+    "theorem10": "f2442a640e9f8a372da81edd68ce9d72752702beca4249655cd8bf3f93c69d0c",
+    "theorem11": "7ca152716c84f02a09e20b087d3332ba573aa9ee370aff2c37b1456d59a6e221",
+    "theorem12": "87974abde39784d2a9f9e226416e93cc0ab91423d79e6386b4ca57f96282898b",
+    "theorem13": "e02e8a4d6a639d8ac9002e33c8b38e8224ce19105fba7454b7ff1787544f03c9",
+    "lemma1": "f65f3d6abee9000516af27dd6d33017ec9155c6b7b562ee73baf7f14fc6e39be",
+    "lemma2": "4495ca08dfbde3cee3804498b4e7978d1ce6e87d95bc38c44296261d76309cfb",
+    "simson": "adc0e0f1eb8d7ae623e4f956d61d1a699c9da8f6acede1fe9a0d8e9abdee8aae",
+}
+
+
+@pytest.mark.parametrize("name", list(TRIAL_DIGESTS))
+def test_every_trial_repeats_digit_for_digit(name, monkeypatch):
+    lines = []
+    add = ClaimResult.add
+
+    def recorded(self, residual, i, t, p=None, note=""):
+        lines.append(f"{self.name} {residual!r} {_witness(i, t, p)}{note}")
+        add(self, residual, i, t, p, note)
+
+    monkeypatch.setattr(ClaimResult, "add", recorded)
+    run_suite(name, 5)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRIAL_DIGESTS[name]
+
+
+def test_theorem11_reduces_the_doubled_angle(monkeypatch):
+    """theorem11's double-angle residual, trial for trial, equals its form on
+    the pedal ``Triangle``, which reduces twice the vertex angle by
+    ``half_turn`` before the comparison; without that reduction the last
+    digits of some residuals move."""
+    rows = []
+    add = ClaimResult.add
+
+    def recorded(self, residual, i, t, p=None, note=""):
+        if self.name == "double-angle-at-point":
+            rows.append((residual, i, t, p))
+        add(self, residual, i, t, p, note)
+
+    monkeypatch.setattr(ClaimResult, "add", recorded)
+    run_suite("theorem11", 5, 1000)
+    assert len(rows) == 1000
+    for residual, i, t, p in rows:
+        v = VERTEX_LABELS[i % 3]
+        shape = pedal_triad(triangle_of(t), Point(*p)).triangle()
+        b2, c2 = shape.opposite(v)
+        doubled = half_turn(2 * directed_angle_at_xy(shape.xy, v))
+        assert residual == angle_distance(directed_angle_xy(*b2, *p, *c2), doubled)
