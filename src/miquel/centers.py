@@ -187,9 +187,7 @@ def brocard_point(t: Triangle, which: str) -> Point:
     """
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
-    if which == "first":
-        return Point(*_first_brocard_xy(t))
-    return Point(*_second_brocard_xy(t))
+    return locate(t, SpecialRole(f"{which}_brocard"))
 
 
 def s_point(t: Triangle, vertex: str) -> Point:
@@ -341,7 +339,8 @@ def eleven_point_catalog(xy: TriangleXY) -> list[CatalogEntry]:
     ]
     circle = (*t.circumcenter_xy, t.circumradius)
     exterior = [
-        CatalogEntry(e.kind, invert_xy(circle, *e.location), e.order, not e.mirrored, inverse=True)
+        CatalogEntry(e.kind, invert_xy(circle, *e.location),
+                     e.order, not e.mirrored, inverse=True)
         for e in interior[1:]
     ]
     return interior + exterior

@@ -184,7 +184,7 @@ def _median_symmedian_layer(canvas: _Canvas, t: Triangle, vertex: str, name) -> 
     canvas.line(apex, e, _AUX)
     canvas.line(apex, centers.symmedian_foot(t, vertex), _AUX)
     canvas.line(apex, s_loc, _ACCENT)
-    if t.angle(vertex) < math.pi / 2.0:
+    if t.angles[kernel.VERTEX_LABELS.index(vertex)] < math.pi / 2.0:
         f = Point(*second_intersection(line_through(apex, e), t.circumcircle, apex))
     else:
         f = b + c - apex

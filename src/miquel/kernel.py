@@ -501,9 +501,6 @@ class Triangle(Frozen):
         i = VERTEX_LABELS.index(label)
         return (self.vertices[(i + 1) % 3], self.vertices[(i + 2) % 3])
 
-    def angle(self, label: str) -> float:
-        return self.angles[VERTEX_LABELS.index(label)]
-
     def min_side_line_distance(self, p: Point) -> float:
         """Distance of ``p`` from the nearest side line."""
         return min_side_line_distance_xy(self.xy, p.x, p.y)

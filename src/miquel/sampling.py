@@ -182,7 +182,9 @@ def random_circumcircle_point(rng: random.Random, t: TriangleXY) -> tuple[float,
         return checked_xy(ox + r * math.cos(phi), oy + r * math.sin(phi))
 
 
-def random_arc_point(rng: random.Random, circle: CircleXY, end1, end2, via) -> tuple[float, float]:
+def random_arc_point(
+    rng: random.Random, circle: CircleXY, end1, end2, via
+) -> tuple[float, float]:
     """Point on the arc of ``circle`` from ``end1`` to ``end2`` passing
     through ``via``, off its ends by 8% of the arc; each point an (x, y)
     pair."""

@@ -296,19 +296,18 @@ def miquel_angles_xy(
 
 
 def verify_miquel_equations(
-    host: TriangleXY, px: float, py: float, triad: TriangleXY, radius: float
+    host: TriangleXY, px: float, py: float, triad: TriangleXY
 ) -> float:
     """Worst residual of the three angle identities tying the angles of the
-    host (of circumradius ``radius``) and of the triad X, Y, Z to the angles
-    subtended at the concurrency point P = (px, py):
-    A + X = BPC, B + Y = CPA, C + Z = APB (all directed).
+    host and of the triad X, Y, Z to the angles subtended at the concurrency
+    point P = (px, py): A + X = BPC, B + Y = CPA, C + Z = APB (all directed).
     """
     # miquel_point checks its circles (checked_circle) and builds a Point,
     # which check for a positive finite radius and finite coordinates; inside
     # MAX_COORDINATE circle_xy's collinearity test bounds each radius, so no
     # such check can fail here
     *_, (mx, my) = miquel_xy(host, triad)
-    if math.hypot(mx - px, my - py) > CONCURRENCY_BAND * radius:
+    if math.hypot(mx - px, my - py) > CONCURRENCY_BAND * circumcircle(*host)[2]:
         raise GeometryError("the triad's concurrency point is not the given point")
     ax, ay, bx, by, cx, cy = host
     xx, xy, yx, yy, zx, zy = triad

@@ -14,7 +14,7 @@ import random
 import time
 
 from . import centers
-from .centers import LOCATE_XY, Measures, isogonal_conjugate, measures_xy
+from .centers import Measures, isogonal_conjugate, locate_xy, measures_xy
 from .chains import (
     CHAIN_SIMILARITY_TOL,
     check_mod3_similarity,
@@ -101,7 +101,9 @@ class ClaimResult:
             self.max_residual = residual
             self.worst = _witness(i, t, p) + note
 
-    def add_bool(self, ok: bool, i: int, t: TriangleXY, p=None, note: str = "") -> None:
+    def add_bool(
+        self, ok: bool, i: int, t: TriangleXY, p=None, note: str = ""
+    ) -> None:
         self.add(0.0 if ok else 1.0, i, t, p, note)
 
 
@@ -141,11 +143,6 @@ def _pedal(t: TriangleXY, px: float, py: float) -> Measures:
     return measures_xy(family_xy(t, px, py, 0.0)[0])
 
 
-def _locate(t: Measures, role: str, vertex: str | None = None) -> tuple[float, float]:
-    """Where the named point ``role`` sits in ``t``, with ``Point``'s check."""
-    return checked_xy(*LOCATE_XY[role](t, vertex))
-
-
 def suite_theorem1(report: SuiteReport) -> None:
     """Three circles through a vertex and its adjacent triad points meet in
     one point, for triad points anywhere on the sides or their extensions."""
@@ -176,7 +173,7 @@ def suite_theorem2(report: SuiteReport) -> None:
         px, py = p = random_point_in_circumdisk(rng, t)
         theta = rng.uniform(-1.2, 1.2)
         triad = checked_xy(*family_xy(t, px, py, theta)[0])
-        worst = verify_miquel_equations(t, px, py, triad, circumcircle(*t)[2])
+        worst = verify_miquel_equations(t, px, py, triad)
         equations.add(worst, i, t, p)
 
 
@@ -287,7 +284,7 @@ def suite_theorem5(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_triangle(rng)
         ox, oy, r = circumcircle(*t)
-        hx, hy = _locate(_pedal(t, ox, oy), "orthocenter")
+        hx, hy = checked_xy(*locate_xy(_pedal(t, ox, oy), SpecialRole("orthocenter")))
         claim.add(math.hypot(hx - ox, hy - oy) / r, i, t, (ox, oy))
 
 
@@ -301,14 +298,14 @@ def suite_theorem6(report: SuiteReport) -> None:
         rng = report.rng(i)
         if i % 2 == 0:
             t = random_acute_triangle(rng)
-            claim, role, v = acute, "incenter", None
+            claim, role = acute, SpecialRole("incenter")
         else:
             v = VERTEX_LABELS[(i // 2) % 3]
             t = random_obtuse_at(rng, v)
-            claim, role = obtuse, "excenter"
+            claim, role = obtuse, SpecialRole("excenter", v)
         m = measures_xy(t)
-        hx, hy = h = _locate(m, "orthocenter")
-        tx, ty = _locate(_pedal(t, hx, hy), role, v)
+        hx, hy = h = checked_xy(*locate_xy(m, SpecialRole("orthocenter")))
+        tx, ty = checked_xy(*locate_xy(_pedal(t, hx, hy), role))
         claim.add(math.hypot(tx - hx, ty - hy) / m.circumradius, i, t, h)
 
 
@@ -321,9 +318,9 @@ def suite_theorem7(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_triangle(rng)
         m = measures_xy(t)
-        for claim, role, v in ((from_in, "incenter", None),
-                               (from_ex, "excenter", VERTEX_LABELS[i % 3])):
-            lx, ly = l = _locate(m, role, v)
+        for claim, role in ((from_in, SpecialRole("incenter")),
+                            (from_ex, SpecialRole("excenter", VERTEX_LABELS[i % 3]))):
+            lx, ly = l = checked_xy(*locate_xy(m, role))
             ox, oy = _pedal(t, lx, ly).circumcenter_xy
             claim.add(math.hypot(ox - lx, oy - ly) / m.circumradius, i, t, l)
 
@@ -345,10 +342,11 @@ def suite_theorem8(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_triangle(rng)
         which = "first" if i % 2 == 0 else "second"
+        role = SpecialRole(f"{which}_brocard")
         m = measures_xy(t)
-        px, py = p = _locate(m, f"{which}_brocard")
+        px, py = p = checked_xy(*locate_xy(m, role))
         shape = _pedal(t, px, py)
-        bx, by = _locate(shape, f"{which}_brocard")
+        bx, by = checked_xy(*locate_xy(shape, role))
         position.add(math.hypot(bx - px, by - py) / m.circumradius, i, t, p)
         angles.add(_brocard_angle_spread(shape.xy, px, py, which), i, t, p)
 
@@ -364,7 +362,7 @@ def suite_theorem9(report: SuiteReport) -> None:
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         m = measures_xy(t)
-        px, py = p = _locate(m, "s_role", v)
+        px, py = p = checked_xy(*locate_xy(m, SpecialRole("s_role", v)))
         shape = _pedal(t, px, py)
         apex, b2, c2 = corners_xy(shape.xy, v)
         e = midpoint(b2, c2)
@@ -377,7 +375,7 @@ def suite_theorem9(report: SuiteReport) -> None:
         else:
             f = second_intersection(median, circumcircle(*corners_xy(t, v)[0], *b2, *c2), p)
             midpoint_rel.add(abs(math.dist(apex, e) - math.dist(e, f)) / r, i, t)
-        mx, my = _locate(shape, "m_role", v)
+        mx, my = checked_xy(*locate_xy(shape, SpecialRole("m_role", v)))
         m_match.add(math.hypot(mx - px, my - py) / r, i, t)
 
 
@@ -394,7 +392,7 @@ def suite_theorem10(report: SuiteReport) -> None:
         obtuse_case = bool(i % 2)
         t = random_obtuse_at(rng, v) if obtuse_case else random_acute_triangle(rng)
         m = measures_xy(t)
-        px, py = p = _locate(m, "m_role", v)
+        px, py = p = checked_xy(*locate_xy(m, SpecialRole("m_role", v)))
         shape = _pedal(t, px, py)
         _, b2, c2 = corners_xy(shape.xy, v)
         host_dir = directed_angle_at_xy(t, v)
@@ -403,7 +401,8 @@ def suite_theorem10(report: SuiteReport) -> None:
             for u in VERTEX_LABELS if u != v
         )
         base_angles.add(worst, i, t, p)
-        ox, oy, r = circumcircle(*b2, *c2, *_locate(shape, "incenter"))
+        l = checked_xy(*locate_xy(shape, SpecialRole("incenter")))
+        ox, oy, r = circumcircle(*b2, *c2, *l)
         arc.add(abs(math.hypot(ox - px, oy - py) - r) / m.circumradius, i, t, p)
         inside = contains_xy(shape.xy, px, py)
         parity.add_bool(inside != obtuse_case, i, t, p)
@@ -420,11 +419,11 @@ def suite_theorem11(report: SuiteReport) -> None:
         v = VERTEX_LABELS[i % 3]
         t = random_isosceles(rng, v)
         m = measures_xy(t)
-        l = _locate(m, "incenter")
+        l = checked_xy(*locate_xy(m, SpecialRole("incenter")))
         _, b, c = corners_xy(t, v)
         px, py = p = random_arc_point(rng, circumcircle(*b, *c, *l), c, b, l)
         shape = _pedal(t, px, py)
-        sx, sy = _locate(shape, "s_role", v)
+        sx, sy = checked_xy(*locate_xy(shape, SpecialRole("s_role", v)))
         s_match.add(math.hypot(sx - px, sy - py) / m.circumradius, i, t, p)
         _, b2, c2 = corners_xy(shape.xy, v)
         double_angle.add(
@@ -445,8 +444,9 @@ def suite_theorem12(report: SuiteReport) -> None:
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         m = measures_xy(t)
-        cx, cy = isogonal_conjugate(m, *_locate(m, "s_role", v))
-        mx, my = _locate(m, "m_role", v)
+        sx, sy = checked_xy(*locate_xy(m, SpecialRole("s_role", v)))
+        cx, cy = isogonal_conjugate(m, sx, sy)
+        mx, my = checked_xy(*locate_xy(m, SpecialRole("m_role", v)))
         pair.add(math.hypot(cx - mx, cy - my) / m.circumradius, i, t)
 
 
@@ -459,7 +459,7 @@ def suite_theorem13(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_isosceles(rng, "A")
         m = measures_xy(t)
-        l = _locate(m, "incenter")
+        l = checked_xy(*locate_xy(m, SpecialRole("incenter")))
         a, b, c = corners_xy(t, "A")
         qx, qy = q = random_arc_point(rng, circumcircle(*b, *c, *l), c, b, l)
         axis = line_through(a, midpoint(b, c))
@@ -500,6 +500,8 @@ def suite_theorem14(report: SuiteReport) -> None:
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(k)]
             gap = check_mod3_similarity(iterate_chain(t, p, k, thetas=thetas))
             random_sched.add(gap, i, xy, p, note=f" [{name}]")
+
+
 # theorem15's correspondences: for each named point, chain triangle k against
 # the seed by k mod 3, as (``SimilarityClass.order``, mirrored)
 _SAME = ((0, 1, 2), False)

@@ -397,7 +397,7 @@ class TestMPoint:
         for _ in range(50):
             t = triangle_of(random_triangle(rng))
             for v in "ABC":
-                if t.angle(v) >= math.pi / 2:
+                if t.angles["ABC".index(v)] >= math.pi / 2:
                     continue
                 p = m_point(t, v)
                 b, c = t.opposite(v)
@@ -471,7 +471,7 @@ def _m_point_by_median(t: Triangle, vertex: str) -> Point:
     b, c = t.opposite(vertex)
     e = Point(*midpoint(b, c))
     median = line_through(apex, e)
-    if t.angle(vertex) < math.pi / 2:
+    if t.angles["ABC".index(vertex)] < math.pi / 2:
         return 2.0 * e - Point(*second_intersection(median, t.circumcircle, apex))
     f = b + c - apex
     return Point(*second_intersection(median, circumcircle(*f, *b, *c), f))

@@ -332,6 +332,13 @@ class TestSecondIntersection:
         line = _line(Point(0, 1), Point(1, 0))
         known = (0.0, 1.0)
         assert second_intersection(line, (0, 0, 1), known) == known
+        # a tangent at a generic angle, anchored away from the contact point:
+        # the mirror of ``known`` in the center's foot misses it in the last
+        # bits, so only the tangency rule returns ``known`` exactly
+        c, s = math.cos(0.7), math.sin(0.7)
+        known = (c, s)
+        line = _line(Point(c - 2.0 * s, s + 2.0 * c), Point(-s, c))
+        assert second_intersection(line, (0, 0, 1), known) == known
 
     def test_diagonal_diameter(self):
         s = math.sqrt(2) / 2

@@ -55,8 +55,9 @@ def test_acute_and_obtuse_generators():
     for v in "ABC":
         for _ in range(20):
             t = triangle_of(random_obtuse_at(rng, v))
-            assert t.angle(v) > HALF_PI
-            assert all(t.angle(u) < HALF_PI for u in "ABC" if u != v)
+            i = "ABC".index(v)
+            assert t.angles[i] > HALF_PI
+            assert all(t.angles[j] < HALF_PI for j in range(3) if j != i)
 
 
 def test_isosceles_generator():
@@ -67,8 +68,7 @@ def test_isosceles_generator():
             i = "ABC".index(v)
             sides = t.side_lengths
             assert abs(sides[(i + 1) % 3] - sides[(i + 2) % 3]) < LENGTH_EPS * t.circumradius
-            others = [u for u in "ABC" if u != v]
-            assert abs(t.angle(others[0]) - t.angle(others[1])) < 1e-12
+            assert abs(t.angles[(i + 1) % 3] - t.angles[(i + 2) % 3]) < 1e-12
 
 
 def _offset_from(circle, p):

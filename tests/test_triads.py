@@ -99,7 +99,7 @@ def _parity(t, p):
 
 def _equations(t, p, triad):
     x, y, z = triad.points
-    return verify_miquel_equations(t.xy, p.x, p.y, (*x, *y, *z), t.circumradius)
+    return verify_miquel_equations(t.xy, p.x, p.y, (*x, *y, *z))
 
 
 def _direction(line):
@@ -413,8 +413,8 @@ class TestMiquelTriangleAngles:
     def test_incenter_half_angle_formula(self):
         # at the incenter the formulas reduce to pi/2 - half the host angle
         angs = _miquel_angles(TSCA, locate(TSCA, L))
-        for got, v in zip(angs, "ABC"):
-            expected = math.pi / 2 - 0.5 * _orientation(TSCA) * TSCA.angle(v)
+        for got, angle in zip(angs, TSCA.angles):
+            expected = math.pi / 2 - 0.5 * _orientation(TSCA) * angle
             assert angle_distance(got, expected) < 1e-12
 
     def test_matches_measured_pedal_angles(self):
