@@ -14,6 +14,7 @@ from .kernel import (
     HALF_PI,
     LENGTH_EPS,
     VERTEX_LABELS,
+    CircleXY,
     Frozen,
     Point,
     Triangle,
@@ -65,12 +66,12 @@ class Measures(NamedTuple):
     circumradius: float
 
 
-def measures_xy(xy: TriangleXY) -> Measures:
+def measures_xy(xy: TriangleXY, circle: CircleXY | None = None) -> Measures:
     """The measures of the triangle ``xy``: the floats of the ``Triangle``
     on these vertices, with what it and its ``circumcircle`` raise, in that
-    order."""
+    order; a caller that holds that circumcircle passes it as ``circle``."""
     side_lengths = side_lengths_xy(*xy)
-    ox, oy, r = circumcircle(*xy)
+    ox, oy, r = circumcircle(*xy) if circle is None else circle
     return Measures(xy, side_lengths, squared_sides_xy(xy), angles_xy(xy), (ox, oy), r)
 
 
@@ -298,6 +299,7 @@ class CatalogEntry(NamedTuple):
     inverse: bool = False
 
 
+# the catalog's interior points and correspondences, in NAMED_POINTS order
 _CATALOG_PERMS = {
     SpecialRole("circumcenter"): ((0, 1, 2), False),
     SpecialRole("first_brocard"): ((2, 0, 1), False),
@@ -333,9 +335,8 @@ def eleven_point_catalog(xy: TriangleXY) -> list[CatalogEntry]:
     if is_right(t):
         raise GeometryError("the catalog requires a non-right triangle")
     interior = [
-        CatalogEntry(role, checked_xy(*locate_xy(t, role)), *_CATALOG_PERMS[role])
-        for role, _ in NAMED_POINTS
-        if role in _CATALOG_PERMS
+        CatalogEntry(role, checked_xy(*locate_xy(t, role)), order, mirrored)
+        for role, (order, mirrored) in _CATALOG_PERMS.items()
     ]
     circle = (*t.circumcenter_xy, t.circumradius)
     exterior = [

@@ -7,6 +7,7 @@ import math
 from functools import cached_property
 from typing import Sequence
 
+from .centers import measures_xy
 from .errors import DegenerateStepError, GeometryError
 from .kernel import (
     MAX_COORDINATE,
@@ -51,7 +52,8 @@ class ChainRecord(Frozen):
     its vertices are the triad points relabeled A = point on the old BC,
     B = on CA, C = on AB. ``steps`` are those triangles as ``Triangle``s,
     built on first read and cached, so a chain read only through its
-    coordinates builds none.
+    coordinates builds none. ``circles`` are the circumcircles of
+    ``triangles`` as the chain computed them: the seed's, then ``circle_xy``'s.
 
     ``roles`` are detected with ``CHAIN_DETECT_TOL`` on first read and
     cached, so a chain whose roles go unread costs no detection. A
@@ -59,15 +61,20 @@ class ChainRecord(Frozen):
     when the chain is built.
     """
 
-    _fields = ("seed", "point", "steps_xy")
+    _fields = ("seed", "point", "steps_xy", "circles")
     seed: Triangle
     point: Point
     steps_xy: tuple[TriangleXY, ...]
+    circles: tuple[CircleXY, ...]
 
-    def __init__(self, seed: Triangle, point: Point, steps_xy: tuple[TriangleXY, ...]) -> None:
+    def __init__(
+        self, seed: Triangle, point: Point, steps_xy: tuple[TriangleXY, ...],
+        circles: tuple[CircleXY, ...],
+    ) -> None:
         set_field(self, "seed", seed)
         set_field(self, "point", point)
         set_field(self, "steps_xy", steps_xy)
+        set_field(self, "circles", circles)
 
     @cached_property
     def steps(self) -> tuple[Triangle, ...]:
@@ -80,47 +87,13 @@ class ChainRecord(Frozen):
     @cached_property
     def roles(self) -> tuple[SpecialRole, ...]:
         """The role ``point`` plays in each of ``triangles``, detected on their
-        coordinates, so no step ``Triangle`` is built."""
+        coordinates, each measured on its kept circle, so no step ``Triangle``
+        is built and no circumcircle computed again."""
         px, py = self.point.x, self.point.y
         return tuple(
-            detect_special_role(xy, px, py, CHAIN_DETECT_TOL)
-            for xy in (self.seed.xy, *self.steps_xy)
+            detect_special_role(measures_xy(xy, circle), px, py, CHAIN_DETECT_TOL)
+            for xy, circle in zip((self.seed.xy, *self.steps_xy), self.circles)
         )
-
-
-def _step(
-    host: TriangleXY, r: float, px: float, py: float, theta: float
-) -> tuple[TriangleXY, CircleXY, float, float]:
-    """``family_member(t, p, theta).triangle()`` of the triangle ``host`` with
-    circumradius ``r``, its circumcircle, and the coordinates of the triad's
-    ``miquel_point``, with the same floats and the same guards, in the same
-    order. No Point is built.
-
-    Raises what ``family_member``, ``reject_side_lines`` and ``miquel_point``
-    raise, ``CollinearError`` for the triangles ``Triangle`` rejects (the
-    test of ``circle_xy`` is the same), and ``DegenerateStepError`` when the
-    triangle leaves the coordinate range, where later constructions on it
-    (the Brocard weights) overflow.
-    """
-    triad, nearest = family_xy(host, px, py, theta)
-    reject_side_lines(nearest, r)
-    xx, xy, yx, yy, zx, zy = triad
-    # every comparison with NaN is false, so NaN is out of range too
-    big = MAX_COORDINATE
-    in_range = (
-        abs(xx) <= big and abs(xy) <= big and abs(yx) <= big
-        and abs(yy) <= big and abs(zx) <= big and abs(zy) <= big
-        and max(math.hypot(yx - xx, yy - xy), math.hypot(zx - yx, zy - yy),
-                math.hypot(xx - zx, xy - zy)) >= MIN_LONGEST_SIDE
-    )
-    if not in_range:
-        raise DegenerateStepError(
-            "the triangle is out of range: its coordinates must lie within"
-            f" ±{MAX_COORDINATE:.0e} and its longest side must be at least"
-            f" {MIN_LONGEST_SIDE:.0e}"
-        )
-    *_, (mx, my) = miquel_xy(host, triad)
-    return triad, circle_xy(*triad), mx, my
 
 
 def iterate_chain(
@@ -140,6 +113,13 @@ def iterate_chain(
     floats and its circumcircle comes from ``circle_xy``. No role is
     detected here: the record detects each role with ``CHAIN_DETECT_TOL`` on
     first read.
+
+    A step raises ``DegenerateStepError``, in this order: for a point on the
+    circumcircle; wrapping, with the step number, what ``family_member`` and
+    ``reject_side_lines`` raise, a triangle out of the coordinate range (where
+    the Brocard weights overflow), what ``miquel_point`` raises and the
+    ``CollinearError`` of a triangle ``Triangle`` rejects (``circle_xy``'s test
+    is the same); and for a concurrency point drifted off ``p``.
     """
     if k < 1:
         raise ValueError("a chain needs at least one step")
@@ -150,26 +130,45 @@ def iterate_chain(
     elif len(thetas) != k:
         raise ValueError(f"theta schedule has {len(thetas)} entries for {k} steps")
     px, py = p.x, p.y
+    big = MAX_COORDINATE
     steps: list[TriangleXY] = []
     host = t0.xy
     # the seed's circumcircle checks that its center and radius are finite;
     # each step triangle lies inside the coordinate range, where they are
     circle = t0.circumcircle
+    circles = [circle]
     for i, theta in enumerate(thetas):
         if on_circle_xy(circle, px, py):
             raise DegenerateStepError(f"collinear collapse on the circumcircle at step {i}")
         r = circle[2]
-        try:  # reject_side_lines rejects a point on a side line
-            nxt, next_circle, mx, my = _step(host, r, px, py, theta)
+        try:
+            triad, nearest = family_xy(host, px, py, theta)
+            reject_side_lines(nearest, r)
+            xx, xy, yx, yy, zx, zy = triad
+            # every comparison with NaN is false, so NaN is out of range too
+            if not (
+                abs(xx) <= big and abs(xy) <= big and abs(yx) <= big
+                and abs(yy) <= big and abs(zx) <= big and abs(zy) <= big
+                and max(math.hypot(yx - xx, yy - xy), math.hypot(zx - yx, zy - yy),
+                        math.hypot(xx - zx, xy - zy)) >= MIN_LONGEST_SIDE
+            ):
+                raise DegenerateStepError(
+                    "the triangle is out of range: its coordinates must lie within"
+                    f" ±{MAX_COORDINATE:.0e} and its longest side must be at least"
+                    f" {MIN_LONGEST_SIDE:.0e}"
+                )
+            *_, (mx, my) = miquel_xy(host, triad)
+            circle = circle_xy(*triad)
         except GeometryError as exc:
             raise DegenerateStepError(f"step {i} degenerated: {exc}") from exc
         if math.hypot(mx - px, my - py) > CONCURRENCY_BAND * r:
             raise DegenerateStepError(
                 f"concurrency point drifted off the fixed point at step {i}"
             )
-        steps.append(nxt)
-        host, circle = nxt, next_circle
-    return ChainRecord(t0, p, tuple(steps))
+        steps.append(triad)
+        circles.append(circle)
+        host = triad
+    return ChainRecord(t0, p, tuple(steps), tuple(circles))
 
 
 def check_mod3_similarity(rec: ChainRecord) -> float:

@@ -107,9 +107,10 @@ def cmd_classify(args) -> int:
     # rejects NaN too: every comparison with NaN is false
     if not 0.0 < args.tolerance < math.inf:
         raise ValueError("--tolerance must be finite and strictly positive")
-    role = detect_special_role(t.xy, p.x, p.y, args.tolerance)
+    m = centers.measures_xy(t.xy)
+    role = detect_special_role(m, p.x, p.y, args.tolerance)
     doc: dict = {"role": str(role)}
-    if on_circle_xy(t.circumcircle, p.x, p.y):
+    if on_circle_xy((*m.circumcenter_xy, m.circumradius), p.x, p.y):
         doc["pedal"] = "simson-line"
         doc["collinearity_deviation"] = simson_line(t.xy, p.x, p.y).max_deviation()
     else:
@@ -214,7 +215,7 @@ def cmd_chain(args) -> int:
     doc = {
         "steps": args.steps,
         "roles": [str(r) for r in rec.roles],
-        "circumradii": [tri.circumradius for tri in rec.triangles],
+        "circumradii": [r for *_, r in rec.circles],
         "mod3_similar": None if worst is None else worst < CHAIN_SIMILARITY_TOL,
         "mod3_worst_residual": worst,
     }

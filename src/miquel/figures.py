@@ -125,13 +125,8 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
                 canvas.circle(k)
             for q, text in zip(triad.points, ("X", "Y", "Z")):
                 canvas.point(q, name(q, text), _AUX)
-        elif element == "pedal":
-            triad = _pedal_or_error(t, scene)
-            canvas.polygon(triad.points, _AUX)
-            for q, text in zip(triad.points, ("X", "Y", "Z")):
-                canvas.point(q, name(q, text), _AUX)
-        elif element == "triad":
-            triad = _scene_triad(scene)
+        elif element in ("pedal", "triad"):
+            triad = _pedal_or_error(t, scene) if element == "pedal" else _scene_triad(scene)
             canvas.polygon(triad.points, _AUX)
             for q, text in zip(triad.points, ("X", "Y", "Z")):
                 canvas.point(q, name(q, text), _AUX)

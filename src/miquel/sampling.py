@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 
-from .kernel import (HALF_PI, VERTEX_LABELS, CircleXY, TriangleXY, checked_xy, circumcircle,
+from .kernel import (HALF_PI, VERTEX_LABELS, CircleXY, TriangleXY, checked_xy,
                      min_side_line_distance_xy, side_lengths_xy)
 
 
@@ -136,10 +136,12 @@ def random_interior_point(rng: random.Random, t: TriangleXY) -> tuple[float, flo
 
 
 def random_point_in_circumdisk(
-    rng: random.Random, t: TriangleXY, line_margin: float = 0.02, radial_margin: float = 0.03
+    rng: random.Random, t: TriangleXY, circle: CircleXY,
+    line_margin: float = 0.02, radial_margin: float = 0.03,
 ) -> tuple[float, float]:
-    """Point inside the circumcircle, off the side lines and the circle."""
-    ox, oy, radius = circumcircle(*t)
+    """Point inside ``circle``, the circumcircle of ``t``, off the side lines
+    and the circle."""
+    ox, oy, radius = circle
     while True:
         r = radius * math.sqrt(rng.random()) * (1.0 - radial_margin)
         phi = rng.uniform(0.0, 2.0 * math.pi)
@@ -152,12 +154,13 @@ def random_point_in_circumdisk(
 def random_exterior_point(
     rng: random.Random,
     t: TriangleXY,
+    circle: CircleXY,
     min_factor: float = 1.1,
     max_factor: float = 5.0,
 ) -> tuple[float, float]:
-    """Point outside the circumcircle at a bounded distance from its center,
-    off the side lines by 0.02 R."""
-    ox, oy, radius = circumcircle(*t)
+    """Point outside ``circle``, the circumcircle of ``t``, at a bounded
+    distance from its center, off the side lines by 0.02 R."""
+    ox, oy, radius = circle
     while True:
         r = radius * rng.uniform(min_factor, max_factor)
         phi = rng.uniform(0.0, 2.0 * math.pi)
@@ -167,10 +170,12 @@ def random_exterior_point(
         return checked_xy(px, py)
 
 
-def random_circumcircle_point(rng: random.Random, t: TriangleXY) -> tuple[float, float]:
-    """Point exactly on the circumcircle, over 0.05 rad of arc from the
-    vertices."""
-    ox, oy, r = circumcircle(*t)
+def random_circumcircle_point(
+    rng: random.Random, t: TriangleXY, circle: CircleXY
+) -> tuple[float, float]:
+    """Point exactly on ``circle``, the circumcircle of ``t``, over 0.05 rad
+    of arc from the vertices."""
+    ox, oy, r = circle
     vertex_angles = [math.atan2(t[k + 1] - oy, t[k] - ox) for k in (0, 2, 4)]
     while True:
         phi = rng.uniform(0.0, 2.0 * math.pi)

@@ -10,7 +10,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from . import centers
-from .centers import SpecialRole
+from .centers import Measures, SpecialRole
 from .errors import CollinearError, GeometryError, RightAngleDegenerateError
 from .kernel import (
     ANGLE_EPS,
@@ -33,8 +33,6 @@ from .kernel import (
     half_turn,
     line_through,
     offset_xy,
-    project_xy,
-    reflect_xy,
     reject_side_lines,
     set_field,
     shape_gap,
@@ -207,8 +205,11 @@ def miquel_xy(
     circle_c = circle_xy(cx, cy, xx, xy, yx, yy)
     ax, ay, _ = circle_a
     bx, by, _ = circle_b
+    # reflect_xy of Z in the line of the two centers, written out
     dx, dy = unit_direction(bx - ax, by - ay)
-    return circle_a, circle_b, circle_c, reflect_xy(ax, ay, dx, dy, zx, zy)
+    s = (zx - ax) * dx + (zy - ay) * dy
+    fx, fy = ax + s * dx, ay + s * dy
+    return circle_a, circle_b, circle_c, (2.0 * fx - zx, 2.0 * fy - zy)
 
 
 def miquel_residual(circles: list[CircleXY], mx: float, my: float) -> float:
@@ -245,14 +246,23 @@ def family_xy(
         raise GeometryError(f"rotation {theta} not inside (-pi/2, pi/2)")
     tan = math.tan(theta)
     ax, ay, bx, by, cx, cy = host
-    distances = []
-    xy: list[float] = []
-    for tx, ty, hx, hy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)):
-        dx, dy = unit_direction(hx - tx, hy - ty)  # the side line's direction
-        distances.append(abs(offset_xy(tx, ty, dx, dy, px, py)))
-        fx, fy = project_xy(tx, ty, dx, dy, px, py)
-        xy += (fx - tan * (fy - py), fy + tan * (fx - px))
-    return tuple(xy), min(distances)
+    # per side line, tail to head: its unit direction and project_xy of P,
+    # then offset_xy of P from all three, each written out op for op
+    ux, uy = unit_direction(cx - bx, cy - by)
+    s = (px - bx) * ux + (py - by) * uy
+    fx, fy = bx + s * ux, by + s * uy
+    xx, xy = fx - tan * (fy - py), fy + tan * (fx - px)
+    vx, vy = unit_direction(ax - cx, ay - cy)
+    s = (px - cx) * vx + (py - cy) * vy
+    fx, fy = cx + s * vx, cy + s * vy
+    yx, yy = fx - tan * (fy - py), fy + tan * (fx - px)
+    wx, wy = unit_direction(bx - ax, by - ay)
+    s = (px - ax) * wx + (py - ay) * wy
+    fx, fy = ax + s * wx, ay + s * wy
+    zx, zy = fx - tan * (fy - py), fy + tan * (fx - px)
+    nearest = min(abs(ux * (py - by) - uy * (px - bx)), abs(vx * (py - cy) - vy * (px - cx)),
+                  abs(wx * (py - ay) - wy * (px - ax)))
+    return (xx, xy, yx, yy, zx, zy), nearest
 
 
 def _points(xy: TriangleXY) -> tuple[Point, Point, Point]:
@@ -354,20 +364,20 @@ _CANDIDATES = tuple(
 )
 
 
-def detect_special_role(xy: TriangleXY, px: float, py: float, length_eps: float) -> SpecialRole:
-    """Which named center of the triangle ``xy`` the point (px, py) is,
-    within ``length_eps`` (relative) times the circumradius.
+def detect_special_role(m: Measures, px: float, py: float, length_eps: float) -> SpecialRole:
+    """Which named center of the triangle measured as ``m``
+    (``centers.measures_xy``) the point (px, py) is, within ``length_eps``
+    (relative) times the circumradius.
 
     Every point of ``centers.NAMED_POINTS`` but the centroid is a candidate,
-    located from the triangle's measures (``centers.measures_xy``), computed
-    once. The nearest within the band wins, the first in table order on a
-    tie; S and M are skipped at a right angle, and a location that is not
-    finite raises ``Point``'s ``ValueError``. The arc role (isosceles host,
-    point on the circle through the base vertices and the incenter) is only
-    tried when no center fits. That circle is built with the kernel's own
-    collinearity band, not with ``length_eps``.
+    located from those measures. The nearest within the band wins, the
+    first in table order on a tie; S and M are skipped at a right angle, and
+    a location that is not finite raises ``Point``'s ``ValueError``. The arc
+    role (isosceles host, point on the circle through the base vertices and
+    the incenter) is only tried when no center fits. That circle is built
+    with the kernel's own collinearity band, not with ``length_eps``.
     """
-    m = centers.measures_xy(xy)
+    xy = m.xy
     eps = length_eps * m.circumradius
     best_role, best_dist = NONE_ROLE, math.inf
     for role, body in _CANDIDATES:

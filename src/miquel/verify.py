@@ -27,7 +27,6 @@ from .kernel import (
     TriangleXY,
     angle_distance,
     checked_xy,
-    circle_xy,
     circumcircle,
     contains_xy,
     corners_xy,
@@ -170,7 +169,7 @@ def suite_theorem2(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
-        px, py = p = random_point_in_circumdisk(rng, t)
+        px, py = p = random_point_in_circumdisk(rng, t, circumcircle(*t))
         theta = rng.uniform(-1.2, 1.2)
         triad = checked_xy(*family_xy(t, px, py, theta)[0])
         worst = verify_miquel_equations(t, px, py, triad)
@@ -188,12 +187,13 @@ def suite_lemma1(report: SuiteReport) -> None:
         if i % 2 == 0:
             p = random_interior_point(rng, t)
         elif i % 4 == 1:
+            circle = circumcircle(*t)
             while True:  # inside the circumcircle but outside the triangle
-                p = random_point_in_circumdisk(rng, t, line_margin=0.03)
+                p = random_point_in_circumdisk(rng, t, circle, line_margin=0.03)
                 if not contains_xy(t, *p):
                     break
         else:
-            p = random_exterior_point(rng, t, min_factor=1.05, max_factor=5.0)
+            p = random_exterior_point(rng, t, circumcircle(*t), min_factor=1.05, max_factor=5.0)
         rep = containment_parity(t, *p)
         parity.add_bool(rep.agree, i, t, p)
         if rep.ray_angle_sum is not None:
@@ -207,9 +207,10 @@ def suite_lemma2(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
-        px, py = p = random_point_in_circumdisk(rng, t)
+        circle = circumcircle(*t)
+        px, py = p = random_point_in_circumdisk(rng, t, circle)
         # the cevian-angle sums and the pedal triad's measured angles, as floats
-        ang_x, ang_y, ang_z = miquel_angles_xy(t, px, py, circumcircle(*t)[2])
+        ang_x, ang_y, ang_z = miquel_angles_xy(t, px, py, circle[2])
         (xx, xy, yx, yy, zx, zy), _ = family_xy(t, px, py, 0.0)
         worst = max(
             angle_distance(ang_x, directed_angle_xy(yx, yy, xx, xy, zx, zy)),
@@ -228,7 +229,7 @@ def suite_theorem3(report: SuiteReport) -> None:
         t = random_triangle(rng)
         circle = ox, oy, radius = circumcircle(*t)
         while True:
-            p = random_point_in_circumdisk(rng, t, radial_margin=0.05)
+            p = random_point_in_circumdisk(rng, t, circle, radial_margin=0.05)
             if math.hypot(p[0] - ox, p[1] - oy) > 0.1 * radius:
                 break
         q = invert_xy(circle, *p)
@@ -325,12 +326,14 @@ def suite_theorem7(report: SuiteReport) -> None:
             claim.add(math.hypot(ox - lx, oy - ly) / m.circumradius, i, t, l)
 
 
-def _brocard_angle_spread(xy: TriangleXY, px: float, py: float, which: str) -> float:
+def _brocard_angle_spread(
+    xy: TriangleXY, radius: float, px: float, py: float, which: str
+) -> float:
     """How far apart the three angles of the Brocard condition are at
-    (px, py) in the triangle ``xy``: the cevian angles alpha2, beta2, gamma2
-    of ``cevian_angles_xy`` for the first point, alpha1, beta1, gamma1 for
-    the second."""
-    trio = cevian_angles_xy(xy, px, py, circle_xy(*xy)[2], which == "first")
+    (px, py) in the triangle ``xy`` of circumradius ``radius``: the cevian
+    angles alpha2, beta2, gamma2 of ``cevian_angles_xy`` for the first point,
+    alpha1, beta1, gamma1 for the second."""
+    trio = cevian_angles_xy(xy, px, py, radius, which == "first")
     return max(angle_distance(trio[0], trio[1]), angle_distance(trio[1], trio[2]))
 
 
@@ -348,7 +351,7 @@ def suite_theorem8(report: SuiteReport) -> None:
         shape = _pedal(t, px, py)
         bx, by = checked_xy(*locate_xy(shape, role))
         position.add(math.hypot(bx - px, by - py) / m.circumradius, i, t, p)
-        angles.add(_brocard_angle_spread(shape.xy, px, py, which), i, t, p)
+        angles.add(_brocard_angle_spread(shape.xy, shape.circumradius, px, py, which), i, t, p)
 
 
 def suite_theorem9(report: SuiteReport) -> None:
@@ -431,7 +434,7 @@ def suite_theorem11(report: SuiteReport) -> None:
                            half_turn(2 * directed_angle_at_xy(shape.xy, v))),
             i, t, p,
         )
-        detected = detect_special_role(shape.xy, px, py, 1e-7)
+        detected = detect_special_role(shape, px, py, 1e-7)
         role.add_bool(detected == SpecialRole("s_role", v), i, t, p)
 
 
@@ -547,8 +550,8 @@ def suite_theorem15(report: SuiteReport) -> None:
             rec = iterate_chain(t, p, k)
             for _, gap in _seed_gaps(rec, name):
                 brocard_all.add(gap, i, seed, note=f" [{which}]")
-            for xy in (seed, *rec.steps_xy):
-                spread = _brocard_angle_spread(xy, p.x, p.y, which)
+            for xy, (*_, r) in zip((seed, *rec.steps_xy), rec.circles):
+                spread = _brocard_angle_spread(xy, r, p.x, p.y, which)
                 brocard_angles.add(spread, i, seed, note=f" [{which}]")
 
         for claim, name, p in (
@@ -608,8 +611,8 @@ def suite_simson(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
-        p = random_circumcircle_point(rng, t)
         circle = circumcircle(*t)
+        p = random_circumcircle_point(rng, t, circle)
         if not on_circle_xy(circle, *p):
             collinear.add(1.0, i, t, p)
             continue

@@ -15,6 +15,7 @@ from miquel.centers import (
     eleven_point_catalog,
     locate,
     m_point,
+    measures_xy,
     s_point,
 )
 from miquel.chains import (
@@ -27,7 +28,7 @@ from miquel.chains import (
     iterate_chain,
 )
 from miquel.errors import CollinearError, DegenerateStepError, OnSideLineError
-from miquel.kernel import Point, Triangle, midpoint, triangle_of
+from miquel.kernel import Point, Triangle, circle_xy, midpoint, triangle_of
 from miquel.sampling import (
     random_circumcircle_point,
     random_interior_point,
@@ -71,7 +72,7 @@ class TestIterateChain:
 
     def test_circumcircle_point_collapses(self):
         rng = rng_for(0, "chains", 0)
-        p = Point(*random_circumcircle_point(rng, TSCA.xy))
+        p = Point(*random_circumcircle_point(rng, TSCA.xy, TSCA.circumcircle))
         with pytest.raises(DegenerateStepError):
             iterate_chain(TSCA, p, 2)
 
@@ -186,7 +187,7 @@ class TestMod3Similarity:
         # a search over every vertex map and orientation accepts the swap
         assert classify_similarity(rec.seed.xy, bad.xy, CHAIN_SIMILARITY_TOL) is not None
         steps_xy = (*rec.steps_xy[:2], bad.xy, *rec.steps_xy[3:])
-        bad_rec = ChainRecord(rec.seed, rec.point, steps_xy)
+        bad_rec = ChainRecord(rec.seed, rec.point, steps_xy, rec.circles)
         assert check_mod3_similarity(bad_rec) >= CHAIN_SIMILARITY_TOL
 
     def test_needs_four_triangles(self):
@@ -216,8 +217,8 @@ class TestSeedCorrespondences:
             rec = iterate_chain(t0, p, k, thetas)
             if k < 3:  # the generic claim's chain has no triangle 3
                 return rec
-            steps_xy =(*rec.steps_xy[:2], swap(*rec.steps_xy[2]), *rec.steps_xy[3:])
-            return ChainRecord(rec.seed, rec.point, steps_xy)
+            steps_xy = (*rec.steps_xy[:2], swap(*rec.steps_xy[2]), *rec.steps_xy[3:])
+            return ChainRecord(rec.seed, rec.point, steps_xy, rec.circles)
 
         assert run_suite("theorem15", 7, 3).passed
         monkeypatch.setattr(miquel.verify, "iterate_chain", swapped)
@@ -282,9 +283,9 @@ class TestLazyRoles:
     def detect_calls(self, monkeypatch):
         calls = []
 
-        def counted(xy, px, py, tol):
+        def counted(m, px, py, tol):
             calls.append(tol)
-            return detect_special_role(xy, px, py, tol)
+            return detect_special_role(m, px, py, tol)
 
         monkeypatch.setattr(miquel.chains, "detect_special_role", counted)
         return calls
@@ -309,7 +310,8 @@ class TestLazyRoles:
     def test_lazy_roles_match_explicit_detection(self):
         for p in (locate(TSCA, O), s_point(TSCA, "A"), Point(1.31, 0.87)):
             rec = iterate_chain(TSCA, p, 4)
-            expect = [detect_special_role(t.xy, *p, CHAIN_DETECT_TOL) for t in rec.triangles]
+            expect = [detect_special_role(measures_xy(t.xy), *p, CHAIN_DETECT_TOL)
+                      for t in rec.triangles]
             assert list(rec.roles) == expect
 
 
@@ -368,6 +370,33 @@ class TestLazySteps:
         rec = iterate_chain(TSCA, Point(1.31, 0.87), k, [0.2, -0.4, 0.1, 0.5, -0.3, 0.0])
         # the hosts of the k steps: the seed, then step triangles 0 to k-2
         assert [t.circumcircle for t in rec.triangles[:-1]] == used
+
+
+def test_kept_circles_are_the_circumcircles_and_roles_read_them():
+    """Over 480 chains, pedal and rotated: the record keeps the seed's
+    circumcircle and each step's ``circle_xy``, and the roles it detects on
+    them are detection on each triangle measured afresh."""
+    rng = rng_for(0, "chains", 3)
+    chains, names = 0, set()
+    for i in range(60):
+        t = triangle_of(random_triangle(rng, min_angle=0.35, right_gap=0.1))
+        points = (locate(t, O), s_point(t, "ABC"[i % 3]), brocard_point(t, "first"),
+                  Point(*random_interior_point(rng, t.xy)))
+        for p in points:
+            for thetas in (None, [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(6)]):
+                rec = iterate_chain(t, p, 6, thetas)
+                assert len(rec.circles) == 7
+                assert rec.circles[0] == rec.seed.circumcircle
+                for k in range(1, 7):
+                    assert rec.circles[k] == circle_xy(*rec.steps_xy[k - 1])
+                fresh = [detect_special_role(measures_xy(xy), *p, CHAIN_DETECT_TOL)
+                         for xy in (rec.seed.xy, *rec.steps_xy)]
+                assert list(rec.roles) == fresh
+                names.update(r.role for r in fresh)
+                chains += 1
+    assert chains == 480
+    assert names >= {"circumcenter", "orthocenter", "incenter", "first_brocard",
+                     "s_role", "m_role", "q_role", "none"}
 
 
 # ---------------------------------------------------------------- exact oracle

@@ -66,6 +66,7 @@ from miquel.triads import (
     cevian_angles_xy,
     classify_similarity,
     family_member,
+    family_xy,
     miquel_point,
     miquel_angles_xy,
     miquel_residual,
@@ -84,7 +85,7 @@ def _hosts_and_points():
         hosts = (random_acute_triangle(rng), *(random_obtuse_at(rng, v) for v in "ABC"))
         for t in map(triangle_of, hosts):
             points = (Point(*random_interior_point(rng, t.xy)),
-                      Point(*random_exterior_point(rng, t.xy)))
+                      Point(*random_exterior_point(rng, t.xy, t.circumcircle)))
             cases.append((t, points, rng.uniform(-1.2, 1.2)))
     return cases
 
@@ -446,6 +447,19 @@ def test_triad_xy_and_miquel_residual():
         assert miquel_point(t, Triad.at(t, *params)).residual == expected
     with pytest.raises(ValueError, match="^triad parameters must be finite$"):
         triad_xy(CASES[0][0].xy, 0.5, math.inf, 0.5)
+
+
+def test_miquel_xy_mirrors_z_in_the_line_of_centers():
+    """miquel_xy's point is reflect_xy of Z in the line through the centers
+    of AYZ and BZX, float for float, for family triads and for triads off
+    the sides."""
+    rng = rng_for(0, "coordinate-forms", 3)
+    for t, points, theta in CASES:
+        params = [rng.uniform(-1.0, 2.0) for _ in range(3)]
+        triads = [family_xy(t.xy, *p, theta)[0] for p in points]
+        for xy in (*triads, triad_xy(t.xy, *params)):
+            (ax, ay, _), (bx, by, _), _, point = miquel_xy(t.xy, xy)
+            assert point == reflect_xy(*line_through((ax, ay), (bx, by)), xy[4], xy[5])
 
 
 def test_contains_xy():

@@ -1,9 +1,9 @@
 """Role detection on coordinates, against the loop it replaced.
 
-``detect_special_role`` takes a triangle's six coordinates, computes its
-measures once (``centers.measures_xy``: side lengths, squared sides, angles,
-circumcircle) and locates each candidate from them through the bodies
-``centers.locate_xy`` shares. The oracle below is the loop it replaced: a
+``detect_special_role`` takes a triangle's measures, computed once from its
+six coordinates (``centers.measures_xy``: side lengths, squared sides,
+angles, circumcircle), and locates each candidate from them through the
+bodies ``centers.locate_xy`` shares. The oracle below is the loop it replaced: a
 ``Triangle``, ``centers.locate_xy`` per candidate, the two side lengths at each
 vertex and ``circumcircle`` for the arc role. Both must name the same role, with the
 same table order, strict-``<`` tie rule and right-angle skip, or raise the
@@ -15,7 +15,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miquel.centers import NAMED_POINTS, SpecialRole, is_right, locate, locate_xy
+from miquel.centers import NAMED_POINTS, SpecialRole, is_right, locate, locate_xy, measures_xy
 from miquel.chains import CHAIN_DETECT_TOL, iterate_chain
 from miquel.errors import CollinearError, DegenerateStepError, RightAngleDegenerateError
 from miquel.kernel import VERTEX_LABELS, Point, Triangle, circumcircle, triangle_of
@@ -71,6 +71,11 @@ def _detect_by_locate_xy(t, p, length_eps):
     return NONE_ROLE
 
 
+def _detect(xy, px, py, length_eps):
+    """Detection on the triangle ``xy``, measured afresh by ``measures_xy``."""
+    return detect_special_role(measures_xy(xy), px, py, length_eps)
+
+
 def _outcome(f, *args):
     """What ``f`` returns, or the class and message of what it raises."""
     try:
@@ -80,7 +85,7 @@ def _outcome(f, *args):
 
 
 def _assert_same_role(t, p, length_eps):
-    got = _outcome(detect_special_role, t.xy, p.x, p.y, length_eps)
+    got = _outcome(_detect, t.xy, p.x, p.y, length_eps)
     assert got == _outcome(_detect_by_locate_xy, t, p, length_eps)
     return got
 
@@ -139,7 +144,7 @@ def test_seeded_hosts_match_the_locate_xy_loop():
             *_named_points(t),
             _arc_point(rng, t, v),
             Point(*random_interior_point(rng, t.xy)),
-            Point(*random_exterior_point(rng, t.xy)),
+            Point(*random_exterior_point(rng, t.xy, t.circumcircle)),
         ]
         for p in points:
             for length_eps in (1e-7, 1e-6, 1e-2):
@@ -151,7 +156,7 @@ def test_seeded_hosts_match_the_locate_xy_loop():
 
 def test_collinear_coordinates_raise_as_the_triangle_would():
     xy = (0.0, 0.0, 1.0, 0.0, 1.0, 7e-10)
-    detected = _outcome(detect_special_role, xy, 0.5, 0.5, CHAIN_DETECT_TOL)
+    detected = _outcome(_detect, xy, 0.5, 0.5, CHAIN_DETECT_TOL)
     built = _outcome(Triangle, Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 7e-10))
     assert detected == built == (CollinearError, "degenerate triangle: collinear within tolerance")
 
@@ -164,7 +169,7 @@ def test_every_named_point_and_random_points(seed, length_eps):
     points = [
         *_named_points(t),
         Point(*random_interior_point(rng, t.xy)),
-        Point(*random_exterior_point(rng, t.xy)),
+        Point(*random_exterior_point(rng, t.xy, t.circumcircle)),
     ]
     for p in points:
         _assert_same_role(t, p, length_eps)
@@ -230,7 +235,7 @@ def test_right_angled_hosts_skip_s_and_m_at_the_right_vertex(seed, vertex, lengt
     points = [
         *_named_points(t),
         Point(*random_interior_point(rng, t.xy)),
-        Point(*random_exterior_point(rng, t.xy)),
+        Point(*random_exterior_point(rng, t.xy, t.circumcircle)),
     ]
     for p in points:
         role = _assert_same_role(t, p, length_eps)

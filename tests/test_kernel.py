@@ -79,8 +79,9 @@ VALUE_TYPES = [
     (lambda: Point(0.5, 2.0), ("x", "y")),
     (_triangle, ("a", "b", "c")),
     (lambda: SpecialRole("s_role", "B"), ("role", "vertex")),
-    (lambda: ChainRecord(_triangle(), Point(2.0, 1.0), ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0),)),
-     ("seed", "point", "steps_xy")),
+    (lambda: ChainRecord(_triangle(), Point(2.0, 1.0), ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0),),
+                         (_triangle().circumcircle, (0.5, 0.5, math.sqrt(0.5)))),
+     ("seed", "point", "steps_xy", "circles")),
     (lambda: Triad.at(_triangle(), 0.3, 0.3, 0.3), ("host", "x", "y", "z")),
 ]
 

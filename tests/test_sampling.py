@@ -84,11 +84,11 @@ def test_point_generators_hit_their_regions():
         r = t.circumradius
         p = Point(*random_interior_point(rng, t.xy))
         assert contains_xy(t.xy, p.x, p.y)
-        q = Point(*random_point_in_circumdisk(rng, t.xy))
+        q = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
         assert _offset_from(t.circumcircle, q) < 0.0
-        x = Point(*random_exterior_point(rng, t.xy))
+        x = Point(*random_exterior_point(rng, t.xy, t.circumcircle))
         assert _offset_from(t.circumcircle, x) > 0.0
-        s = Point(*random_circumcircle_point(rng, t.xy))
+        s = Point(*random_circumcircle_point(rng, t.xy, t.circumcircle))
         assert abs(_offset_from(t.circumcircle, s)) < 1e-12 * r
         assert min(s.dist(v) for v in t.vertices) > 0.01 * r
 

@@ -11,6 +11,7 @@ from miquel.centers import (
     eleven_point_catalog,
     locate,
     m_point,
+    measures_xy,
     s_point,
 )
 from miquel.chains import CHAIN_DETECT_TOL
@@ -158,7 +159,7 @@ class TestPedalTriad:
         rng = rng_for(0, "pedal", 0)
         for _ in range(100):
             t = triangle_of(random_triangle(rng))
-            p = Point(*random_point_in_circumdisk(rng, t.xy))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
             triad = pedal_triad(t, p)
             for foot, v in zip(triad.points, "ABC"):
                 side = line_through(*t.opposite(v))
@@ -267,7 +268,7 @@ class TestFamilyMember:
         rng = rng_for(0, "family", 0)
         for _ in range(500):
             t = triangle_of(random_triangle(rng))
-            p = Point(*random_point_in_circumdisk(rng, t.xy))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
             theta = rng.uniform(-1.2, 1.2)
             fam = family_member(t, p, theta)
             res = miquel_point(t, fam)
@@ -343,7 +344,7 @@ class TestClosedFormsAgainstConstructions:
             hosts.extend(triangle_of(random_obtuse_at(rng, v)) for v in "ABC")
         for t in hosts:
             r = t.circumradius
-            p = Point(*random_point_in_circumdisk(rng, t.xy))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
             theta = rng.uniform(-1.2, 1.2)
             fam = family_member(t, p, theta)
             for foot, oracle in zip(fam.points, _family_member_by_spoke_lines(t, p, theta)):
@@ -383,7 +384,7 @@ class TestAngleSextet:
         rng = rng_for(0, "sextet", 0)
         for _ in range(100):
             t = triangle_of(random_triangle(rng))
-            p = Point(*random_point_in_circumdisk(rng, t.xy))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
             firsts, seconds = _cevian_angles(t, p)
             for first, second, v in zip(firsts, seconds, "ABC"):
                 assert angle_distance(first + second, directed_angle_at_xy(t.xy, v)) < 1e-12
@@ -421,7 +422,7 @@ class TestMiquelTriangleAngles:
         rng = rng_for(0, "lemma-angles", 0)
         for _ in range(200):
             t = triangle_of(random_triangle(rng))
-            p = Point(*random_point_in_circumdisk(rng, t.xy))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
             ang_x, ang_y, ang_z = _miquel_angles(t, p)
             x, y, z = pedal_triad(t, p).points
             assert angle_distance(ang_x, _angle(y, x, z)) < 1e-8
@@ -446,7 +447,7 @@ class TestMiquelEquations:
         rng = rng_for(0, "equations", 0)
         for _ in range(500):
             t = triangle_of(random_triangle(rng))
-            p = Point(*random_point_in_circumdisk(rng, t.xy))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
             theta = rng.uniform(-1.2, 1.2)
             assert _equations(t, p, family_member(t, p, theta)) < 1e-9
 
@@ -521,7 +522,7 @@ class TestClassifySimilarity:
 class TestDetectSpecialRole:
     def test_named_centers(self):
         def detect(p):
-            return detect_special_role(TSCA.xy, p.x, p.y, LENGTH_EPS)
+            return detect_special_role(measures_xy(TSCA.xy), p.x, p.y, LENGTH_EPS)
 
         assert detect(locate(TSCA, O)) == SpecialRole("circumcenter")
         assert detect(brocard_point(TSCA, "first")) == SpecialRole("first_brocard")
@@ -534,18 +535,20 @@ class TestDetectSpecialRole:
         t = Triangle(Point(0, 0), Point(4, 0), Point(3, math.sqrt(23)))
         g = (t.a + t.b + t.c) / 3.0
         assert m_point(t, "A").dist(g) < 1e-12 * t.circumradius
-        assert detect_special_role(t.xy, *g, LENGTH_EPS) == SpecialRole("m_role", "A")
+        assert detect_special_role(measures_xy(t.xy), *g, LENGTH_EPS) == SpecialRole("m_role", "A")
 
     def test_generic_point_is_none(self):
-        assert detect_special_role(TSCA.xy, 1.31, 0.87, LENGTH_EPS) == SpecialRole("none")
+        none = SpecialRole("none")
+        assert detect_special_role(measures_xy(TSCA.xy), 1.31, 0.87, LENGTH_EPS) == none
 
     def test_equilateral_tie_goes_to_circumcenter(self):
         # every classic center of an equilateral host coincides; the
         # nearest-wins rule keeps the first candidate, the circumcenter
         circ = SpecialRole("circumcenter")
-        assert detect_special_role(EQUI.xy, 0.0, 0.0, LENGTH_EPS) == circ
+        assert detect_special_role(measures_xy(EQUI.xy), 0.0, 0.0, LENGTH_EPS) == circ
         for center in (O, L, H):
-            assert detect_special_role(EQUI.xy, *locate(EQUI, center), LENGTH_EPS) == circ
+            m = measures_xy(EQUI.xy)
+            assert detect_special_role(m, *locate(EQUI, center), LENGTH_EPS) == circ
 
     def test_q_role_on_incenter_arc(self):
         rng = rng_for(0, "qrole", 0)
@@ -555,7 +558,7 @@ class TestDetectSpecialRole:
             t = triangle_of(random_isosceles(rng, "A"))
             l = locate(t, L)
             p = Point(*random_arc_point(rng, circumcircle(*t.b, *t.c, *l), t.c, t.b, l))
-            role = detect_special_role(t.xy, *p, 1e-7)
+            role = detect_special_role(measures_xy(t.xy), *p, 1e-7)
             assert role == SpecialRole("q_role", "A")
 
     def test_q_role_when_base_and_incenter_are_nearly_collinear(self):
@@ -571,7 +574,8 @@ class TestDetectSpecialRole:
         # is 0.27 from it; the band is 0.17)
         p = Point(0.6, arc[1] + math.sqrt(arc[2]**2 - 0.36))
         assert abs(_offset_from(arc, p)) < LENGTH_EPS * t.circumradius
-        assert detect_special_role(t.xy, *p, CHAIN_DETECT_TOL) == SpecialRole("q_role", "A")
+        role = detect_special_role(measures_xy(t.xy), *p, CHAIN_DETECT_TOL)
+        assert role == SpecialRole("q_role", "A")
 
 
 class TestContainmentParity:
@@ -588,7 +592,8 @@ class TestContainmentParity:
         rng = rng_for(0, "parity", 0)
         for _ in range(50):
             t = triangle_of(random_triangle(rng))
-            p = Point(*random_exterior_point(rng, t.xy, min_factor=2.0, max_factor=5.0))
+            p = Point(*random_exterior_point(rng, t.xy, t.circumcircle,
+                                             min_factor=2.0, max_factor=5.0))
             rep = _parity(t, p)
             assert not rep.inside_host and not rep.inside_miquel and rep.agree
 
@@ -599,7 +604,8 @@ class TestContainmentParity:
             p = (
                 Point(*random_interior_point(rng, t.xy))
                 if rng.random() < 0.5
-                else Point(*random_exterior_point(rng, t.xy, min_factor=0.2, max_factor=4.0))
+                else Point(*random_exterior_point(rng, t.xy, t.circumcircle,
+                                                  min_factor=0.2, max_factor=4.0))
             )
             if abs(_offset_from(t.circumcircle, p)) < 1e-3 * t.circumradius:
                 continue
@@ -613,7 +619,7 @@ class TestContainmentParity:
         with pytest.raises(
             GeometryError, match="^the pedal triple degenerates on the circumcircle$"
         ):
-            _parity(t, Point(*random_circumcircle_point(rng, t.xy)))
+            _parity(t, Point(*random_circumcircle_point(rng, t.xy, t.circumcircle)))
 
     def test_side_line_point_rejected(self):
         with pytest.raises(OnSideLineError):
@@ -684,10 +690,10 @@ def _trial_points(rng, t, i):
         return Point(*random_interior_point(rng, t.xy))
     if i % 3 == 1:
         while True:
-            p = Point(*random_point_in_circumdisk(rng, t.xy, line_margin=0.03))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle, line_margin=0.03))
             if not _contains_by_operators(t, p):
                 return p
-    return Point(*random_exterior_point(rng, t.xy, min_factor=1.05, max_factor=5.0))
+    return Point(*random_exterior_point(rng, t.xy, t.circumcircle, min_factor=1.05, max_factor=5.0))
 
 
 class TestCoordinatePathsAgainstObjects:
@@ -715,7 +721,9 @@ class TestCoordinatePathsAgainstObjects:
         rng = rng_for(0, "parity", 3)
         for i in range(300):
             t = triangle_of(random_triangle(rng))
-            for p in (_trial_points(rng, t, i), Point(*random_circumcircle_point(rng, t.xy))):
+            trial = _trial_points(rng, t, i)
+            on_circle = Point(*random_circumcircle_point(rng, t.xy, t.circumcircle))
+            for p in (trial, on_circle):
                 expected = _outcome(_containment_parity_by_objects, t, p)
                 assert _outcome(_parity, t, p) == expected
             for p in (t.b, Point(*midpoint(t.a, t.c))):
@@ -741,7 +749,7 @@ class TestSimson:
         rng = rng_for(0, "simson", 0)
         for _ in range(200):
             t = triangle_of(random_triangle(rng))
-            p = Point(*random_circumcircle_point(rng, t.xy))
+            p = Point(*random_circumcircle_point(rng, t.xy, t.circumcircle))
             assert _simson(t, p).max_deviation() < 1e-9 * t.circumradius
 
 
