@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import GeometryError, RightAngleDegenerateError
+from .errors import CollinearError, GeometryError, RightAngleDegenerateError
 from .kernel import (
     ANGLE_EPS,
     HALF_PI,
@@ -19,15 +19,11 @@ from .kernel import (
     Point,
     Triangle,
     TriangleXY,
-    angles_xy,
     checked_xy,
-    circumcircle,
     invert_xy,
     min_side_line_distance_xy,
     reject_side_lines,
     set_field,
-    side_lengths_xy,
-    squared_sides_xy,
 )
 
 _ROLES_WITH_VERTEX = ("excenter", "s_role", "m_role", "q_role")
@@ -69,10 +65,37 @@ class Measures(NamedTuple):
 def measures_xy(xy: TriangleXY, circle: CircleXY | None = None) -> Measures:
     """The measures of the triangle ``xy``: the floats of the ``Triangle``
     on these vertices, with what it and its ``circumcircle`` raise, in that
-    order; a caller that holds that circumcircle passes it as ``circle``."""
-    side_lengths = side_lengths_xy(*xy)
-    ox, oy, r = circumcircle(*xy) if circle is None else circle
-    return Measures(xy, side_lengths, squared_sides_xy(xy), angles_xy(xy), (ox, oy), r)
+    order; a caller that holds that circumcircle passes it as ``circle``. One
+    pass with the float operations of ``side_lengths_xy``, ``circumcircle``,
+    ``squared_sides_xy`` and ``angles_xy`` (a reversed difference negated)."""
+    ax, ay, bx, by, cx, cy = xy
+    q2x, q2y = bx - ax, by - ay
+    q3x, q3y = cx - ax, cy - ay
+    if not math.isfinite(q2x + q2y + q3x + q3y):
+        Point(q2x, q2y)
+        Point(q3x, q3y)
+    bcx, bcy = cx - bx, cy - by
+    la, lb, lc = math.hypot(bcx, bcy), math.hypot(q3x, q3y), math.hypot(q2x, q2y)
+    cross = q2x * q3y - q2y * q3x
+    span = max(la, lb, lc)
+    if abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span:
+        raise CollinearError("degenerate triangle: collinear within tolerance")
+    m2 = q2x * q2x + q2y * q2y
+    m3 = q3x * q3x + q3y * q3y
+    if circle is None:
+        d = 2.0 * cross
+        ux = (m2 * q3y - m3 * q2y) / d
+        uy = (m3 * q2x - m2 * q3x) / d
+        ox, oy = checked_xy(ax + ux, ay + uy)
+        r = math.hypot(ux, uy)
+        if not (math.isfinite(r) and r > 0.0):
+            raise ValueError(f"radius must be strictly positive, got {r}")
+    else:
+        ox, oy, r = circle
+    angles = (math.atan2(abs(cross), q2x * q3x + q2y * q3y),
+              math.atan2(abs(bcy * q2x - bcx * q2y), -bcx * q2x - bcy * q2y),
+              math.atan2(abs(q3x * bcy - q3y * bcx), q3x * bcx + q3y * bcy))
+    return Measures(xy, (la, lb, lc), (bcx * bcx + bcy * bcy, m3, m2), angles, (ox, oy), r)
 
 
 # what the location bodies below read: a Triangle, whose caches fill on first

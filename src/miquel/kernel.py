@@ -146,7 +146,10 @@ def angle_distance(u: float, v: float) -> float:
 # Coordinate forms. Each is the one body of its formula: the Point-level
 # functions call it, and so does the chain step, which keeps only the Points
 # it returns. Their float operations and their order are pinned with == in
-# tests/test_coordinate_forms.py.
+# tests/test_coordinate_forms.py, as are the forms hot callers write out in
+# line (side_lengths_xy and circle_xy the collinearity test, circumcircle
+# checked_circle's, directed_angle_xy half_turn, centers.measures_xy four
+# forms), against the calls they replace, by its "written-out forms" tests.
 
 # a circle on coordinates: (center x, center y, radius)
 CircleXY = tuple[float, float, float]
@@ -202,12 +205,6 @@ def line_through(p, q) -> LineXY:
     return (px, py, *unit_direction(qx - px, qy - py))
 
 
-def _collinear(cross: float, span: float) -> bool:
-    """The collinearity test of ``circumcircle``: ``cross`` is twice the
-    signed area of three points, ``span`` the longest of their distances."""
-    return abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span
-
-
 def side_lengths_xy(
     ax: float, ay: float, bx: float, by: float, cx: float, cy: float
 ) -> tuple[float, float, float]:
@@ -224,8 +221,8 @@ def side_lengths_xy(
     la = math.hypot(bx - cx, by - cy)
     lb = math.hypot(cx - ax, cy - ay)
     lc = math.hypot(ax - bx, ay - by)
-    # also rejects a zero cross product, coincident vertices included
-    if _collinear(q2x * q3y - q2y * q3x, max(la, lb, lc)):
+    span = max(la, lb, lc)
+    if abs(2.0 * (q2x * q3y - q2y * q3x)) <= 2.0 * LENGTH_EPS * span * span:
         raise CollinearError("degenerate triangle: collinear within tolerance")
     return la, lb, lc
 
@@ -238,7 +235,7 @@ def circle_xy(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) 
     q3x, q3y = x3 - x1, y3 - y1
     cross = q2x * q3y - q2y * q3x
     span = max(math.hypot(q2x, q2y), math.hypot(q3x, q3y), math.hypot(x3 - x2, y3 - y2))
-    if _collinear(cross, span):
+    if abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span:
         raise CollinearError("the three points are collinear within tolerance")
     d = 2.0 * cross
     m2 = q2x * q2x + q2y * q2y
@@ -260,8 +257,13 @@ def checked_circle(circle: CircleXY) -> CircleXY:
 
 def circumcircle(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) -> CircleXY:
     """The circle through three pairwise distinct, non-collinear points:
-    ``circle_xy`` with the errors of ``checked_circle``."""
-    return checked_circle(circle_xy(x1, y1, x2, y2, x3, y3))
+    ``circle_xy`` with the errors of ``checked_circle``, tested in line."""
+    circle = ox, oy, r = circle_xy(x1, y1, x2, y2, x3, y3)
+    if not (math.isfinite(ox) and math.isfinite(oy)):
+        raise ValueError(f"non-finite coordinates {(ox, oy)}")
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"radius must be strictly positive, got {r}")
+    return circle
 
 
 def squared_sides_xy(xy: TriangleXY) -> tuple[float, float, float]:
@@ -321,8 +323,9 @@ def directed_angle_xy(px: float, py: float, qx: float, qy: float, rx: float, ry:
     if scale == 0.0 or min(n_qp, n_qr) < LENGTH_EPS * scale:
         raise GeometryError("angle leg collapses onto the apex")
     # needs no finiteness check: the legs of finite points are finite or
-    # overflow to infinity, and atan2 of either is finite
-    return half_turn(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
+    # overflow to infinity, and atan2 of either is finite; half_turn in line
+    r = math.remainder(math.atan2(qry, qrx) - math.atan2(qpy, qpx), math.pi)
+    return r + math.pi if r <= -HALF_PI else r
 
 
 def corners_xy(xy: TriangleXY, label: str) -> tuple[tuple[float, float], ...]:

@@ -5,6 +5,8 @@ repeated runs reproduce bit-identically from the same seed. Triangles are
 built from sampled interior angles placed on a circumcircle, which gives
 direct control over scaleneness and right-angle margins. A triangle is drawn
 as its six coordinates (``kernel.TriangleXY``) and a point as an (x, y) pair.
+Hot samplers write ``rng.uniform(lo, hi)`` out as ``lo + (hi - lo) * draw()``,
+pinned against ``rng.uniform`` oracles by ``tests/test_sampling.py``.
 """
 
 from __future__ import annotations
@@ -24,20 +26,22 @@ def rng_for(seed: int, suite: str, index: int) -> random.Random:
 def _angles(
     rng: random.Random, min_angle: float, pairwise_gap: float, right_gap: float
 ) -> tuple[float, float, float]:
+    draw = rng.random
+    a_range = math.pi - 2.0 * min_angle - min_angle
     for _ in range(1000):
-        a = rng.uniform(min_angle, math.pi - 2.0 * min_angle)
-        b = rng.uniform(min_angle, math.pi - a - min_angle)
+        a = min_angle + a_range * draw()
+        b = min_angle + (math.pi - a - min_angle - min_angle) * draw()
         c = math.pi - a - b
-        angles = (a, b, c)
-        if min(angles) < min_angle:
+        if a < min_angle or b < min_angle or c < min_angle:
             continue
         if pairwise_gap > 0.0 and (
             abs(a - b) < pairwise_gap or abs(b - c) < pairwise_gap or abs(c - a) < pairwise_gap
         ):
             continue
-        if right_gap > 0.0 and any(abs(x - HALF_PI) < right_gap for x in angles):
+        if right_gap > 0.0 and (abs(a - HALF_PI) < right_gap or abs(b - HALF_PI) < right_gap
+                                or abs(c - HALF_PI) < right_gap):
             continue
-        return angles
+        return a, b, c
     raise RuntimeError("angle sampling failed to satisfy the constraints")
 
 
@@ -47,17 +51,18 @@ def triangle_from_angles(
     """Inscribe the angle triple in a random circle (random pose and size),
     with the ``CollinearError`` that ``Triangle`` raises."""
     a, b, c = angles
-    radius = rng.uniform(0.5, 2.0)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    ox = rng.uniform(-3.0, 3.0)
-    oy = rng.uniform(-3.0, 3.0)
+    draw = rng.random
+    radius = 0.5 + (2.0 - 0.5) * draw()
+    phase = math.tau * draw()  # uniform(0, 2 pi): lo = 0 leaves the product
+    ox = -3.0 + (3.0 - -3.0) * draw()
+    oy = -3.0 + (3.0 - -3.0) * draw()
     # central arcs: vertex A at phase, B after arc 2C, C after further 2A
     ta, tb = phase, phase + 2.0 * c
     tc = tb + 2.0 * a
     xy = (ox + radius * math.cos(ta), oy + radius * math.sin(ta),
           ox + radius * math.cos(tb), oy + radius * math.sin(tb),
           ox + radius * math.cos(tc), oy + radius * math.sin(tc))
-    if rng.random() < 0.5:  # both orientations
+    if draw() < 0.5:  # both orientations
         ax, ay, bx, by, cx, cy = xy
         xy = (ax, 2.0 * oy - ay, bx, 2.0 * oy - by, cx, 2.0 * oy - cy)
     side_lengths_xy(*xy)
@@ -142,9 +147,10 @@ def random_point_in_circumdisk(
     """Point inside ``circle``, the circumcircle of ``t``, off the side lines
     and the circle."""
     ox, oy, radius = circle
+    draw = rng.random
     while True:
-        r = radius * math.sqrt(rng.random()) * (1.0 - radial_margin)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
+        r = radius * math.sqrt(draw()) * (1.0 - radial_margin)
+        phi = math.tau * draw()  # uniform(0, 2 pi)
         px, py = ox + r * math.cos(phi), oy + r * math.sin(phi)
         if min_side_line_distance_xy(t, px, py) < line_margin * radius:
             continue

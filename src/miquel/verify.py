@@ -41,6 +41,7 @@ from .kernel import (
     second_intersection,
     shape_gap,
     shape_ratio,
+    side_lengths_xy,
     triangle_of,
 )
 from .sampling import (
@@ -142,6 +143,13 @@ def _pedal(t: TriangleXY, px: float, py: float) -> Measures:
     return measures_xy(family_xy(t, px, py, 0.0)[0])
 
 
+def _pedal_shape(t: TriangleXY, px: float, py: float) -> TriangleXY:
+    """The vertices of ``_pedal``, checked as ``Triangle`` checks them."""
+    xy = family_xy(t, px, py, 0.0)[0]
+    side_lengths_xy(*xy)
+    return xy
+
+
 def suite_theorem1(report: SuiteReport) -> None:
     """Three circles through a vertex and its adjacent triad points meet in
     one point, for triad points anywhere on the sides or their extensions."""
@@ -150,8 +158,9 @@ def suite_theorem1(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_triangle(rng)
         params = []
+        draw = rng.random
         while len(params) < 3:
-            s = rng.uniform(-1.0, 2.0)
+            s = -1.0 + (2.0 - -1.0) * draw()  # rng.uniform(-1.0, 2.0)
             if abs(s) > 0.05 and abs(s - 1.0) > 0.05:
                 params.append(s)
         # no Triad and no checked circles: with the host inside MAX_COORDINATE
@@ -233,7 +242,7 @@ def suite_theorem3(report: SuiteReport) -> None:
             if math.hypot(p[0] - ox, p[1] - oy) > 0.1 * radius:
                 break
         q = invert_xy(circle, *p)
-        r_p, r_q = (shape_ratio(_pedal(t, *r).xy, (0, 1, 2)) for r in (p, q))
+        r_p, r_q = (shape_ratio(_pedal_shape(t, *r), (0, 1, 2)) for r in (p, q))
         similar.add(shape_gap(r_p, r_q, True), i, t, p)
 
 
@@ -264,7 +273,7 @@ def suite_theorem4(report: SuiteReport) -> None:
         host = shape_ratio(t, (0, 1, 2))
         mirrored = []
         for e in cat:
-            shape = _pedal(t, *e.location).xy
+            shape = _pedal_shape(t, *e.location)
             gap = shape_gap(host, shape_ratio(shape, e.order), e.mirrored)
             if e.inverse:
                 exterior_sim.add(gap, i, t, e.location)

@@ -21,6 +21,13 @@ The one-shot suites build no Point they do not read either: theorem1 takes
 its triad from `triad_xy` (`Triad.at`'s body) and its residual from
 `miquel_residual` (`miquel_point`'s), and `containment_parity` tests
 containment with `contains_xy`.
+
+Some hot forms write others out in line rather than call them:
+`centers.measures_xy` spells `side_lengths_xy`, `circumcircle`,
+`squared_sides_xy` and `angles_xy` in one pass; `circumcircle` spells
+`checked_circle`'s tests, `circle_xy` and `side_lengths_xy` the collinearity
+test, `directed_angle_xy` `half_turn`. The tests under "written-out forms"
+pin each against the calls it replaced, in values and in what it raises.
 """
 
 import itertools
@@ -31,11 +38,14 @@ import pytest
 from miquel import centers, chains, kernel
 from miquel.centers import NAMED_POINTS, locate
 from miquel.chains import iterate_chain
-from miquel.errors import CollinearError, RightAngleDegenerateError
+from miquel.errors import CollinearError, GeometryError, RightAngleDegenerateError
 from miquel.kernel import (
+    HALF_PI,
     LENGTH_EPS,
     Point,
     Triangle,
+    angles_xy,
+    checked_circle,
     circle_xy,
     circumcircle,
     contains_xy,
@@ -50,6 +60,7 @@ from miquel.kernel import (
     shape_ratio,
     min_side_line_distance_xy,
     side_lengths_xy,
+    squared_sides_xy,
     triangle_of,
     unit_direction,
 )
@@ -57,6 +68,7 @@ from miquel.sampling import (
     random_acute_triangle,
     random_exterior_point,
     random_interior_point,
+    random_isosceles,
     random_obtuse_at,
     rng_for,
 )
@@ -369,6 +381,156 @@ def test_triangle_angles_area_and_directed_angles():
         for v, (q, p, r) in zip("ABC", ((a, b, c), (b, c, a), (c, a, b))):
             # at A, from line AB to line AC
             assert directed_angle_at_xy(t.xy, v) == _directed_angle_by_operators(p, q, r)
+
+
+# ---------------------------------------------------------------- written-out forms
+
+def _circle_by_calls(x1, y1, x2, y2, x3, y3):
+    """circle_xy with its collinearity test called as a function."""
+    q2x, q2y = x2 - x1, y2 - y1
+    q3x, q3y = x3 - x1, y3 - y1
+    cross = q2x * q3y - q2y * q3x
+    span = max(math.hypot(q2x, q2y), math.hypot(q3x, q3y), math.hypot(x3 - x2, y3 - y2))
+    if _collinear(cross, span):
+        raise CollinearError("the three points are collinear within tolerance")
+    d = 2.0 * cross
+    m2 = q2x * q2x + q2y * q2y
+    m3 = q3x * q3x + q3y * q3y
+    ux = (m2 * q3y - m3 * q2y) / d
+    uy = (m3 * q2x - m2 * q3x) / d
+    return x1 + ux, y1 + uy, math.hypot(ux, uy)
+
+
+def _collinear(cross, span):
+    return abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span
+
+
+def _circumcircle_by_calls(*xy):
+    return checked_circle(_circle_by_calls(*xy))
+
+
+def _measures_by_calls(xy, circle=None):
+    """measures_xy as the composition of the forms it writes out."""
+    side_lengths = side_lengths_xy(*xy)
+    ox, oy, r = _circumcircle_by_calls(*xy) if circle is None else circle
+    return centers.Measures(xy, side_lengths, squared_sides_xy(xy), angles_xy(xy), (ox, oy), r)
+
+
+def _directed_angle_by_calls(px, py, qx, qy, rx, ry):
+    """directed_angle_xy with its guard, calling half_turn."""
+    qpx, qpy = px - qx, py - qy
+    qrx, qry = rx - qx, ry - qy
+    n_qp = math.hypot(qpx, qpy)
+    n_qr = math.hypot(qrx, qry)
+    scale = max(n_qp, n_qr)
+    if scale == 0.0 or min(n_qp, n_qr) < LENGTH_EPS * scale:
+        raise GeometryError("angle leg collapses onto the apex")
+    return kernel.half_turn(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
+
+
+def _result(f, *args):
+    """What ``f`` returns, by repr (so NaNs and signed zeros compare), or
+    the class and message of what it raises."""
+    try:
+        return repr(f(*args))
+    except (ValueError, GeometryError) as exc:
+        return type(exc), str(exc)
+
+
+def _written_out_hosts():
+    """2000 hosts: acute, obtuse at each vertex in turn, isosceles at each
+    vertex in turn, and thin ones whose third vertex sits 1e-12 to 1e-4 of
+    |AB| off line AB, some collinear within tolerance."""
+    rng = rng_for(0, "coordinate-forms", 4)
+    hosts = []
+    for i in range(500):
+        v = "ABC"[i % 3]
+        ax, ay, bx, by, _, _ = random_acute_triangle(rng)
+        s = rng.uniform(-0.5, 1.5)
+        h = math.hypot(bx - ax, by - ay) * 10.0 ** rng.uniform(-12.0, -4.0)
+        cx, cy = ax + s * (bx - ax) - h * (by - ay), ay + s * (by - ay) + h * (bx - ax)
+        hosts += [random_acute_triangle(rng), random_obtuse_at(rng, v),
+                  random_isosceles(rng, v), (ax, ay, bx, by, cx, cy)]
+    return hosts
+
+
+def _degenerate_triples():
+    """Collinear, coincident, non-finite, overflowing and underflowing vertex
+    triples."""
+    triples = [
+        (0.0, 0.0, 1.0, 1.0, 2.0, 2.0),
+        (0.0, 0.0, 4.0, 0.0, 1.0, 0.0),
+        (1.0, 3.0, 1.0, 3.0, 4.0, 0.0),
+        (1.0, 3.0, 4.0, 0.0, 4.0, 0.0),
+        (4.0, 0.0, 1.0, 3.0, 4.0, 0.0),
+        (2.0, 2.0, 2.0, 2.0, 2.0, 2.0),
+        # a cross product that overflows reads as collinear
+        (0.0, 0.0, 1e200, 0.0, 0.0, 1e200),
+        # a squared side that overflows: a non-finite center
+        (0.0, 0.0, 1e120, 0.0, 0.0, 1e120),
+        # products that underflow: a zero radius
+        (0.0, 0.0, 1e-161, 0.0, 0.0, 1e-161),
+    ]
+    for big in (1e154, 1e300, 1e308):
+        triples += [(-big, -big, big, -big, 0.0, big), (0.0, 0.0, big, big, -big, big),
+                    (-big, 0.0, 0.0, 1.0, big, 0.0)]
+    for k in range(6):
+        for bad in (math.inf, -math.inf, math.nan):
+            xy = [0.0, 0.0, 4.0, 0.0, 1.0, 3.0]
+            xy[k] = bad
+            triples.append(tuple(xy))
+            xy[(k + 2) % 6] = xy[k - 1] = bad  # and two more slots
+            triples.append(tuple(xy))
+    return triples
+
+
+HOSTS = _written_out_hosts()
+
+
+def test_measures_xy_is_its_composition():
+    """measures_xy equals side_lengths_xy, circumcircle, squared_sides_xy and
+    angles_xy called in turn, with and without a passed circle, and raises
+    what they raise, in their order."""
+    raised = set()
+    for xy in HOSTS + _degenerate_triples():
+        expected = _result(_measures_by_calls, xy)
+        assert _result(centers.measures_xy, xy) == expected
+        if isinstance(expected, tuple):
+            raised.add(expected)
+        for circle in ((0.5, -0.25, 2.0), (math.nan, 1.0, math.inf)):
+            expected = _result(_measures_by_calls, xy, circle)
+            assert _result(centers.measures_xy, xy, circle) == expected
+    assert {kind for kind, _ in raised} == {CollinearError, ValueError}
+    # a zero radius, a non-finite center, a non-finite vertex difference
+    assert {"radius must be strictly positive, got 0.0", "non-finite coordinates (inf, inf)",
+            "non-finite coordinates (nan, 0.0)"} <= {message for _, message in raised}
+
+
+def test_circle_forms_are_their_calls():
+    """circle_xy and circumcircle against their forms with the collinearity
+    test and checked_circle called, on the hosts, the degenerate triples and
+    each host's vertices with a triad point."""
+    outcomes = set()
+    for xy in HOSTS + _degenerate_triples():
+        for triple in (xy, (*xy[:4], *midpoint(xy[:2], xy[4:]))):
+            assert _result(circle_xy, *triple) == _result(_circle_by_calls, *triple)
+            expected = _result(_circumcircle_by_calls, *triple)
+            assert _result(circumcircle, *triple) == expected
+            outcomes.add(expected[0] if isinstance(expected, tuple) else float)
+    assert outcomes == {float, CollinearError, ValueError}
+
+
+def test_directed_angle_xy_is_its_calls():
+    """directed_angle_xy against its form calling half_turn, at each vertex
+    of the hosts, from the vertices to a far point, and with a collapsed leg;
+    the reduction's boundary -pi/2 itself maps to pi/2."""
+    for xy in HOSTS:
+        a, b, c = xy[:2], xy[2:4], xy[4:]
+        far = (1e300, -1e300)
+        for p, q, r in ((b, a, c), (c, b, a), (a, c, b), (far, a, b), (a, b, far), (a, a, b)):
+            assert _result(directed_angle_xy, *p, *q, *r) == _result(
+                _directed_angle_by_calls, *p, *q, *r)
+    assert directed_angle_xy(0.0, 1.0, 0.0, 0.0, 1.0, 0.0) == HALF_PI
 
 
 # ---------------------------------------------------------------- centers

@@ -1,12 +1,14 @@
 """Seeded generators: determinism and the constraints they promise."""
 
 import math
+import random
 
 import pytest
 
+from miquel import sampling
 from miquel.centers import SpecialRole, is_scalene, locate
 from miquel.errors import CollinearError
-from miquel.kernel import HALF_PI, LENGTH_EPS, Point, contains_xy, triangle_of
+from miquel.kernel import HALF_PI, LENGTH_EPS, Point, circumcircle, contains_xy, triangle_of
 from miquel.sampling import (
     random_acute_triangle,
     random_arc_point,
@@ -114,3 +116,129 @@ def test_hosts_are_checked_as_triangle_checks_them():
     rng = rng_for(0, "sampling", 6)
     with pytest.raises(CollinearError, match="^degenerate triangle: collinear within tolerance$"):
         triangle_from_angles(rng, (1e-10, math.pi / 2, math.pi / 2 - 1e-10))
+
+
+# ---------------------------------------------------------------- draws against rng.uniform
+#
+# The samplers draw with rng.random and write rng.uniform(lo, hi) out as
+# lo + (hi - lo) * draw(). The oracles below are the samplers' bodies with
+# rng.uniform itself; every sampler must draw the same floats, as many of
+# them, from the same generator state.
+
+def _angles_by_uniform(rng, min_angle, pairwise_gap, right_gap):
+    for _ in range(1000):
+        a = rng.uniform(min_angle, math.pi - 2.0 * min_angle)
+        b = rng.uniform(min_angle, math.pi - a - min_angle)
+        c = math.pi - a - b
+        angles = (a, b, c)
+        if min(angles) < min_angle:
+            continue
+        if pairwise_gap > 0.0 and (
+            abs(a - b) < pairwise_gap or abs(b - c) < pairwise_gap or abs(c - a) < pairwise_gap
+        ):
+            continue
+        if right_gap > 0.0 and any(abs(x - HALF_PI) < right_gap for x in angles):
+            continue
+        return angles
+    raise RuntimeError("angle sampling failed to satisfy the constraints")
+
+
+def _triangle_from_angles_by_uniform(rng, angles):
+    a, b, c = angles
+    radius = rng.uniform(0.5, 2.0)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    ox = rng.uniform(-3.0, 3.0)
+    oy = rng.uniform(-3.0, 3.0)
+    ta, tb = phase, phase + 2.0 * c
+    tc = tb + 2.0 * a
+    xy = (ox + radius * math.cos(ta), oy + radius * math.sin(ta),
+          ox + radius * math.cos(tb), oy + radius * math.sin(tb),
+          ox + radius * math.cos(tc), oy + radius * math.sin(tc))
+    if rng.random() < 0.5:
+        ax, ay, bx, by, cx, cy = xy
+        xy = (ax, 2.0 * oy - ay, bx, 2.0 * oy - by, cx, 2.0 * oy - cy)
+    return xy
+
+
+def _point_in_circumdisk_by_uniform(rng, t, circle, line_margin=0.02, radial_margin=0.03):
+    ox, oy, radius = circle
+    while True:
+        r = radius * math.sqrt(rng.random()) * (1.0 - radial_margin)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        px, py = ox + r * math.cos(phi), oy + r * math.sin(phi)
+        if triangle_of(t).min_side_line_distance(Point(px, py)) < line_margin * radius:
+            continue
+        return px, py
+
+
+def _exterior_point_by_uniform(rng, t, circle, min_factor=1.1, max_factor=5.0):
+    ox, oy, radius = circle
+    while True:
+        r = radius * rng.uniform(min_factor, max_factor)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        px, py = ox + r * math.cos(phi), oy + r * math.sin(phi)
+        if triangle_of(t).min_side_line_distance(Point(px, py)) < 0.02 * radius:
+            continue
+        return px, py
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+# (sampler, oracle), each called with a generator and a host with its
+# circumcircle; None for a triangle sampler, whose oracle is itself with
+# _angles and triangle_from_angles swapped for the forms above
+_SAMPLERS = {
+    "random_triangle": (lambda rng, host: random_triangle(rng), None),
+    "random_catalog_triangle": (lambda rng, host: random_catalog_triangle(rng), None),
+    "random_acute_triangle": (lambda rng, host: random_acute_triangle(rng), None),
+    **{f"random_obtuse_at_{v}": (lambda rng, host, v=v: random_obtuse_at(rng, v), None)
+       for v in "ABC"},
+    **{f"random_isosceles_{v}": (lambda rng, host, v=v: random_isosceles(rng, v), None)
+       for v in "ABC"},
+    "random_point_in_circumdisk": (
+        lambda rng, host: random_point_in_circumdisk(rng, *host),
+        lambda rng, host: _point_in_circumdisk_by_uniform(rng, *host)),
+    "random_point_in_circumdisk_margins": (
+        lambda rng, host: random_point_in_circumdisk(rng, *host, 0.03, 0.05),
+        lambda rng, host: _point_in_circumdisk_by_uniform(rng, *host, 0.03, 0.05)),
+    "random_exterior_point": (
+        lambda rng, host: random_exterior_point(rng, *host),
+        lambda rng, host: _exterior_point_by_uniform(rng, *host)),
+    "random_exterior_point_factors": (
+        lambda rng, host: random_exterior_point(rng, *host, 1.05, 5.0),
+        lambda rng, host: _exterior_point_by_uniform(rng, *host, 1.05, 5.0)),
+}
+
+
+@pytest.mark.parametrize("name", _SAMPLERS)
+def test_draws_match_the_uniform_oracle(name, monkeypatch):
+    """2000 seeds: the same floats as the oracle, and the generator left in
+    the same state; the draw counts differ between seeds, so the rejection
+    branches ran."""
+    sample, oracle = _SAMPLERS[name]
+    hosts = []
+    for seed in range(2000):
+        t = random_triangle(rng_for(seed, "sampling-oracle-host", 0))
+        hosts.append((t, circumcircle(*t)))
+    key = f"sampling-oracle:{name}"
+    drawn, counts = [], set()
+    for seed, host in enumerate(hosts):
+        rng = _CountingRandom(f"{key}:{seed}")
+        drawn.append((sample(rng, host), rng.getstate()))
+        counts.add(rng.draws)
+    assert len(counts) > 1
+    if oracle is None:
+        monkeypatch.setattr(sampling, "_angles", _angles_by_uniform)
+        monkeypatch.setattr(sampling, "triangle_from_angles", _triangle_from_angles_by_uniform)
+        oracle = sample
+    for seed, host in enumerate(hosts):
+        rng = random.Random(f"{key}:{seed}")
+        assert drawn[seed] == (oracle(rng, host), rng.getstate()), seed

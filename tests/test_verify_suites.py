@@ -14,8 +14,17 @@ from miquel.kernel import (
     half_turn,
     triangle_of,
 )
+from miquel.errors import CollinearError, GeometryError
+from miquel.kernel import circumcircle
+from miquel.sampling import (
+    random_catalog_triangle,
+    random_circumcircle_point,
+    random_exterior_point,
+    random_point_in_circumdisk,
+    rng_for,
+)
 from miquel.triads import pedal_triad
-from miquel.verify import SUITES, ClaimResult, _witness, run_suite
+from miquel.verify import SUITES, ClaimResult, _pedal, _pedal_shape, _witness, run_suite
 
 
 def test_registry_names():
@@ -205,3 +214,40 @@ def test_theorem11_reduces_the_doubled_angle(monkeypatch):
         b2, c2 = shape.opposite(v)
         doubled = half_turn(2 * directed_angle_at_xy(shape.xy, v))
         assert residual == angle_distance(directed_angle_xy(*b2, *p, *c2), doubled)
+
+
+def _raised(f, *args):
+    try:
+        f(*args)
+    except (ValueError, GeometryError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_shape_only_pedal_raises_as_measures_xy():
+    """theorem3 and theorem4 check each pedal triangle as ``Triangle`` does,
+    without its circumcircle: the same vertices as the measured pedal, and
+    what measuring it raised. A point on the circumcircle gives a collinear
+    pedal, a huge point a non-finite foot, so a non-finite difference."""
+    rng = rng_for(0, "pedal-shape", 0)
+    raised = []
+    for _ in range(300):
+        t = random_catalog_triangle(rng)
+        circle = circumcircle(*t)
+        for p in (random_point_in_circumdisk(rng, t, circle),
+                  random_exterior_point(rng, t, circle),
+                  random_circumcircle_point(rng, t, circle)):
+            expected = _raised(_pedal, t, *p)
+            assert _raised(_pedal_shape, t, *p) == expected
+            if expected is None:
+                assert _pedal_shape(t, *p) == _pedal(t, *p).xy
+            raised.append(expected)
+    assert raised.count((CollinearError, "degenerate triangle: collinear within tolerance")) == 300
+    host = (-6e307, 0.0, 6e307, 0.0, 0.0, 6e307)
+    nan_foot = (ValueError, "non-finite coordinates (nan, nan)")
+    assert _raised(_pedal_shape, host, 0.0, -1.7e308) == nan_foot
+    assert _raised(_pedal, host, 0.0, -1.7e308) == nan_foot
+    # a pedal whose circumcircle alone overflows passes, as Triangle would
+    shape = _pedal_shape(host, 0.0, -1e308)
+    assert triangle_of(shape).xy == shape
+    assert _raised(_pedal, host, 0.0, -1e308) == nan_foot
