@@ -51,8 +51,9 @@ class SpecialRole(Frozen):
 
 
 class Measures(NamedTuple):
-    """What the location bodies below read of a triangle, under the names of
-    the ``Triangle`` attributes they stand for, each computed once."""
+    """What the location bodies below read of a triangle, each computed once
+    by ``measures_xy``: its vertices, side lengths |BC|, |CA|, |AB|, their
+    squares, its interior angles at A, B, C, its circumcenter and radius."""
 
     xy: TriangleXY
     side_lengths: tuple[float, float, float]
@@ -63,11 +64,11 @@ class Measures(NamedTuple):
 
 
 def measures_xy(xy: TriangleXY, circle: CircleXY | None = None) -> Measures:
-    """The measures of the triangle ``xy``: the floats of the ``Triangle``
-    on these vertices, with what it and its ``circumcircle`` raise, in that
-    order; a caller that holds that circumcircle passes it as ``circle``. One
-    pass with the float operations of ``side_lengths_xy``, ``circumcircle``,
-    ``squared_sides_xy`` and ``angles_xy`` (a reversed difference negated)."""
+    """The measures of the triangle ``xy``, with what ``side_lengths_xy`` and
+    ``circumcircle`` raise, in that order; a caller that holds that
+    circumcircle passes it as ``circle``. One pass with the float operations
+    of those two (a reversed difference negated), then the squared sides and
+    each angle as atan2 of the cross and dot products of its legs."""
     ax, ay, bx, by, cx, cy = xy
     q2x, q2y = bx - ax, by - ay
     q3x, q3y = cx - ax, cy - ay
@@ -98,82 +99,77 @@ def measures_xy(xy: TriangleXY, circle: CircleXY | None = None) -> Measures:
     return Measures(xy, (la, lb, lc), (bcx * bcx + bcy * bcy, m3, m2), angles, (ox, oy), r)
 
 
-# what the location bodies below read: a Triangle, whose caches fill on first
-# read, or the Measures that detection computes from coordinates
-Measured = Triangle | Measures
-
-
-def _barycentric_xy(t: Measured, wa: float, wb: float, wc: float) -> tuple[float, float]:
+def _barycentric_xy(m: Measures, wa: float, wb: float, wc: float) -> tuple[float, float]:
     """The point with barycentric weights (wa : wb : wc) over A, B, C."""
-    ax, ay, bx, by, cx, cy = t.xy
+    ax, ay, bx, by, cx, cy = m.xy
     s = wa + wb + wc
     return (wa * ax + wb * bx + wc * cx) / s, (wa * ay + wb * by + wc * cy) / s
 
 
-def _reject_right_angle(t: Measured, vertex: str) -> int:
+def _reject_right_angle(m: Measures, vertex: str) -> int:
     """The index of ``vertex``, which must not have a right angle."""
     i = VERTEX_LABELS.index(vertex)
-    if abs(t.angles[i] - HALF_PI) < ANGLE_EPS:
+    if abs(m.angles[i] - HALF_PI) < ANGLE_EPS:
         raise RightAngleDegenerateError(f"vertex angle at {vertex} is right")
     return i
 
 
 # Where each named point sits, on coordinates: the one body of its formula,
-# which ``locate``, the Point functions below, role detection and the suites
-# all call. Each takes the triangle and, for the names that come one per
-# vertex, the vertex label.
+# which ``locate_xy``, the Point functions below, role detection and the
+# suites all call. Each takes the triangle's measures and, for the names that
+# come one per vertex, the vertex label.
 
-def _circumcenter_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
-    return t.circumcenter_xy
+def _circumcenter_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
+    return m.circumcenter_xy
 
 
-def _orthocenter_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
+def _orthocenter_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
     # vector identity: H = A + B + C - 2*O
-    ox, oy = t.circumcenter_xy
-    ax, ay, bx, by, cx, cy = t.xy
+    ox, oy = m.circumcenter_xy
+    ax, ay, bx, by, cx, cy = m.xy
     return ax + bx + cx - 2.0 * ox, ay + by + cy - 2.0 * oy
 
 
-def _centroid_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
-    ax, ay, bx, by, cx, cy = t.xy
+def _centroid_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
+    ax, ay, bx, by, cx, cy = m.xy
     return (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
 
 
-def _incenter_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
-    return _barycentric_xy(t, *t.side_lengths)
+def _incenter_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
+    return _barycentric_xy(m, *m.side_lengths)
 
 
-def _excenter_xy(t: Measured, vertex: str) -> tuple[float, float]:
-    weights = list(t.side_lengths)
+def _excenter_xy(m: Measures, vertex: str) -> tuple[float, float]:
+    weights = list(m.side_lengths)
     weights[VERTEX_LABELS.index(vertex)] *= -1.0
-    return _barycentric_xy(t, *weights)
+    return _barycentric_xy(m, *weights)
 
 
-def _first_brocard_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
-    a2, b2, c2 = t.squared_sides
-    return _barycentric_xy(t, c2 * a2, a2 * b2, b2 * c2)
+def _first_brocard_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
+    a2, b2, c2 = m.squared_sides
+    return _barycentric_xy(m, c2 * a2, a2 * b2, b2 * c2)
 
 
-def _second_brocard_xy(t: Measured, vertex: str | None = None) -> tuple[float, float]:
-    a2, b2, c2 = t.squared_sides
-    return _barycentric_xy(t, a2 * b2, b2 * c2, c2 * a2)
+def _second_brocard_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
+    a2, b2, c2 = m.squared_sides
+    return _barycentric_xy(m, a2 * b2, b2 * c2, c2 * a2)
 
 
-def _s_xy(t: Measured, vertex: str) -> tuple[float, float]:
-    i = _reject_right_angle(t, vertex)
-    sq = t.squared_sides
+def _s_xy(m: Measures, vertex: str) -> tuple[float, float]:
+    i = _reject_right_angle(m, vertex)
+    sq = m.squared_sides
     weights = list(sq)
     weights[i] = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
-    return _barycentric_xy(t, *weights)
+    return _barycentric_xy(m, *weights)
 
 
-def _m_xy(t: Measured, vertex: str) -> tuple[float, float]:
-    i = _reject_right_angle(t, vertex)
-    sq = t.squared_sides
+def _m_xy(m: Measures, vertex: str) -> tuple[float, float]:
+    i = _reject_right_angle(m, vertex)
+    sq = m.squared_sides
     k = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
     weights = [k, k, k]
     weights[i] = sq[i]
-    return _barycentric_xy(t, *weights)
+    return _barycentric_xy(m, *weights)
 
 
 # the body of each role with a single location, by role name
@@ -202,7 +198,7 @@ def symmedian_foot(t: Triangle, vertex: str) -> Point:
     return b + (ab2 / (ab2 + ac2)) * (c - b)
 
 
-def brocard_point(t: Triangle, which: str) -> Point:
+def brocard_point(m: Measures, which: str) -> Point:
     """First or second Brocard point.
 
     The first point Ω₁ = (c²a² : a²b² : b²c²) equalizes the directed angles
@@ -211,10 +207,10 @@ def brocard_point(t: Triangle, which: str) -> Point:
     """
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
-    return locate(t, SpecialRole(f"{which}_brocard"))
+    return Point(*locate_xy(m, SpecialRole(f"{which}_brocard")))
 
 
-def s_point(t: Triangle, vertex: str) -> Point:
+def s_point(m: Measures, vertex: str) -> Point:
     """Intersection of the symmedian from ``vertex`` with the arc through the
     opposite side's endpoints that contains the circumcenter.
 
@@ -225,10 +221,10 @@ def s_point(t: Triangle, vertex: str) -> Point:
     circumcenter lies on the opposite side, the arc degenerates, and the
     point is rejected.
     """
-    return Point(*_s_xy(t, vertex))
+    return Point(*_s_xy(m, vertex))
 
 
-def m_point(t: Triangle, vertex: str) -> Point:
+def m_point(m: Measures, vertex: str) -> Point:
     """Special point on the median from ``vertex``.
 
     For vertex A this is M_A = (a² : b²+c²−a² : b²+c²−a²), the A-"Humpty"
@@ -239,7 +235,7 @@ def m_point(t: Triangle, vertex: str) -> Point:
     point B + C − A. At a right vertex angle the two constructions meet at
     the vertex itself, and the point is rejected.
     """
-    return Point(*_m_xy(t, vertex))
+    return Point(*_m_xy(m, vertex))
 
 
 NAMED_POINTS: tuple[tuple[SpecialRole, str], ...] = (
@@ -260,8 +256,8 @@ NAMED_POINTS: tuple[tuple[SpecialRole, str], ...] = (
 order of the ``miquel centers`` table."""
 
 
-def locate_xy(t: Measured, role: SpecialRole) -> tuple[float, float]:
-    """Where ``role`` sits in ``t``, as coordinates.
+def locate_xy(m: Measures, role: SpecialRole) -> tuple[float, float]:
+    """Where ``role`` sits in the triangle measured as ``m``, as coordinates.
 
     Raises ``ValueError`` for a role with no single location (``none``, and
     ``q_role``, which is a whole arc), and ``RightAngleDegenerateError`` for
@@ -270,15 +266,10 @@ def locate_xy(t: Measured, role: SpecialRole) -> tuple[float, float]:
     body = LOCATE_XY.get(role.role)
     if body is None:
         raise ValueError(f"{role} has no single location")
-    return body(t, role.vertex)
+    return body(m, role.vertex)
 
 
-def locate(t: Triangle, role: SpecialRole) -> Point:
-    """``locate_xy`` as a Point."""
-    return Point(*locate_xy(t, role))
-
-
-def isogonal_conjugate(t: Measured, px: float, py: float) -> tuple[float, float]:
+def isogonal_conjugate(m: Measures, px: float, py: float) -> tuple[float, float]:
     """Point whose cevian rays mirror those of (px, py) over the angle
     bisectors.
 
@@ -286,23 +277,23 @@ def isogonal_conjugate(t: Measured, px: float, py: float) -> tuple[float, float]
     (a^2/x : b^2/y : c^2/z). Involutive away from the side lines and the
     circumcircle.
     """
-    r = t.circumradius
-    reject_side_lines(min_side_line_distance_xy(t.xy, px, py), r)
-    ox, oy = t.circumcenter_xy
+    r = m.circumradius
+    reject_side_lines(min_side_line_distance_xy(m.xy, px, py), r)
+    ox, oy = m.circumcenter_xy
     if abs(math.hypot(ox - px, oy - py) - r) < LENGTH_EPS * r:
         raise GeometryError("the point lies on the circumcircle")
-    ax, ay, bx, by, cx, cy = t.xy
+    ax, ay, bx, by, cx, cy = m.xy
     x = (bx - px) * (cy - py) - (by - py) * (cx - px)
     y = (cx - px) * (ay - py) - (cy - py) * (ax - px)
     z = (ax - px) * (by - py) - (ay - py) * (bx - px)
-    la, lb, lc = t.side_lengths
+    la, lb, lc = m.side_lengths
     wa = la * la / x
     wb = lb * lb / y
     wc = lc * lc / z
     s = wa + wb + wc
     if abs(s) < 1e-13 * max(abs(wa), abs(wb), abs(wc)):
         raise GeometryError("conjugate weights cancel: point at infinity")
-    return checked_xy(*_barycentric_xy(t, wa, wb, wc))
+    return checked_xy(*_barycentric_xy(m, wa, wb, wc))
 
 
 class CatalogEntry(NamedTuple):
@@ -333,15 +324,15 @@ _CATALOG_PERMS = {
 }
 
 
-def is_scalene(t: Measured) -> bool:
+def is_scalene(m: Measures) -> bool:
     """No two sides within ``LENGTH_EPS`` times the circumradius."""
-    la, lb, lc = t.side_lengths
-    eps = LENGTH_EPS * t.circumradius
+    la, lb, lc = m.side_lengths
+    eps = LENGTH_EPS * m.circumradius
     return abs(la - lb) > eps and abs(lb - lc) > eps and abs(lc - la) > eps
 
 
-def is_right(t: Measured) -> bool:
-    return any(abs(ang - HALF_PI) < ANGLE_EPS for ang in t.angles)
+def is_right(m: Measures) -> bool:
+    return any(abs(ang - HALF_PI) < ANGLE_EPS for ang in m.angles)
 
 
 def eleven_point_catalog(xy: TriangleXY) -> list[CatalogEntry]:
@@ -352,16 +343,16 @@ def eleven_point_catalog(xy: TriangleXY) -> list[CatalogEntry]:
     the three symmedian points); the other five are their circumcircle
     inverses, the circumcenter having none.
     """
-    t = measures_xy(xy)
-    if not is_scalene(t):
+    m = measures_xy(xy)
+    if not is_scalene(m):
         raise GeometryError("the catalog requires a scalene triangle")
-    if is_right(t):
+    if is_right(m):
         raise GeometryError("the catalog requires a non-right triangle")
     interior = [
-        CatalogEntry(role, checked_xy(*locate_xy(t, role)), order, mirrored)
+        CatalogEntry(role, checked_xy(*locate_xy(m, role)), order, mirrored)
         for role, (order, mirrored) in _CATALOG_PERMS.items()
     ]
-    circle = (*t.circumcenter_xy, t.circumradius)
+    circle = (*m.circumcenter_xy, m.circumradius)
     exterior = [
         CatalogEntry(e.kind, invert_xy(circle, *e.location),
                      e.order, not e.mirrored, inverse=True)

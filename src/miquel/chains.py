@@ -14,15 +14,13 @@ from .kernel import (
     MIN_LONGEST_SIDE,
     CircleXY,
     Frozen,
-    Point,
-    Triangle,
     TriangleXY,
     circle_xy,
+    circumcircle,
     reject_side_lines,
     set_field,
     shape_gap,
     shape_ratio,
-    triangle_of,
 )
 from .triads import (
     CONCURRENCY_BAND,
@@ -46,14 +44,14 @@ MAX_CHAIN_STEPS = 12
 
 
 class ChainRecord(Frozen):
-    """A run of nested triad triangles sharing one concurrency point.
+    """A run of nested triad triangles sharing one concurrency point, all
+    on coordinates: the ``seed`` triangle, the ``point`` as an (x, y) pair.
 
-    ``steps_xy[k]`` is the triangle after k+1 steps, as its six coordinates;
+    ``steps[k]`` is the triangle after k+1 steps, as its six coordinates;
     its vertices are the triad points relabeled A = point on the old BC,
-    B = on CA, C = on AB. ``steps`` are those triangles as ``Triangle``s,
-    built on first read and cached, so a chain read only through its
-    coordinates builds none. ``circles`` are the circumcircles of
-    ``triangles`` as the chain computed them: the seed's, then ``circle_xy``'s.
+    B = on CA, C = on AB. ``circles`` are the circumcircles of the seed and
+    the steps as the chain computed them: the seed's ``circumcircle``, then
+    ``circle_xy``'s.
 
     ``roles`` are detected with ``CHAIN_DETECT_TOL`` on first read and
     cached, so a chain whose roles go unread costs no detection. A
@@ -61,46 +59,37 @@ class ChainRecord(Frozen):
     when the chain is built.
     """
 
-    _fields = ("seed", "point", "steps_xy", "circles")
-    seed: Triangle
-    point: Point
-    steps_xy: tuple[TriangleXY, ...]
+    _fields = ("seed", "point", "steps", "circles")
+    seed: TriangleXY
+    point: tuple[float, float]
+    steps: tuple[TriangleXY, ...]
     circles: tuple[CircleXY, ...]
 
     def __init__(
-        self, seed: Triangle, point: Point, steps_xy: tuple[TriangleXY, ...],
+        self, seed: TriangleXY, point: tuple[float, float], steps: tuple[TriangleXY, ...],
         circles: tuple[CircleXY, ...],
     ) -> None:
         set_field(self, "seed", seed)
         set_field(self, "point", point)
-        set_field(self, "steps_xy", steps_xy)
+        set_field(self, "steps", steps)
         set_field(self, "circles", circles)
 
     @cached_property
-    def steps(self) -> tuple[Triangle, ...]:
-        return tuple([triangle_of(xy) for xy in self.steps_xy])
-
-    @property
-    def triangles(self) -> list[Triangle]:
-        return [self.seed, *self.steps]
-
-    @cached_property
     def roles(self) -> tuple[SpecialRole, ...]:
-        """The role ``point`` plays in each of ``triangles``, detected on their
-        coordinates, each measured on its kept circle, so no step ``Triangle``
-        is built and no circumcircle computed again."""
-        px, py = self.point.x, self.point.y
+        """The role ``point`` plays in the seed and in each step, each
+        measured on its kept circle, so no circumcircle is computed again."""
+        px, py = self.point
         return tuple(
             detect_special_role(measures_xy(xy, circle), px, py, CHAIN_DETECT_TOL)
-            for xy, circle in zip((self.seed.xy, *self.steps_xy), self.circles)
+            for xy, circle in zip((self.seed, *self.steps), self.circles)
         )
 
 
 def iterate_chain(
-    t0: Triangle, p: Point, k: int, thetas: Sequence[float] | None = None
+    seed: TriangleXY, px: float, py: float, k: int, thetas: Sequence[float] | None = None
 ) -> ChainRecord:
-    """Run ``k`` nesting steps from ``t0`` with fixed point ``p``, at most
-    ``MAX_CHAIN_STEPS``.
+    """Run ``k`` nesting steps from the triangle ``seed`` with fixed point
+    P = (px, py), at most ``MAX_CHAIN_STEPS``.
 
     Step i takes the family member of the current triangle at rotation
     ``thetas[i]`` (default all zero: the pedal chain) and promotes its triad
@@ -109,17 +98,17 @@ def iterate_chain(
     on it. Each step triangle must stay inside the coordinate range that
     scenes are held to (``MAX_COORDINATE``, ``MIN_LONGEST_SIDE``).
 
-    The steps run on coordinates: each step triangle is kept as its six
-    floats and its circumcircle comes from ``circle_xy``. No role is
-    detected here: the record detects each role with ``CHAIN_DETECT_TOL`` on
-    first read.
+    The seed's circumcircle comes from ``circumcircle``, with its errors;
+    each step triangle is kept as its six floats and its circumcircle comes
+    from ``circle_xy``. No role is detected here: the record detects each
+    role with ``CHAIN_DETECT_TOL`` on first read.
 
     A step raises ``DegenerateStepError``, in this order: for a point on the
-    circumcircle; wrapping, with the step number, what ``family_member`` and
+    circumcircle; wrapping, with the step number, what ``family_xy`` and
     ``reject_side_lines`` raise, a triangle out of the coordinate range (where
-    the Brocard weights overflow), what ``miquel_point`` raises and the
-    ``CollinearError`` of a triangle ``Triangle`` rejects (``circle_xy``'s test
-    is the same); and for a concurrency point drifted off ``p``.
+    the Brocard weights overflow), what ``miquel_xy`` raises and the
+    ``CollinearError`` of ``circle_xy`` for a collinear step triangle; and for
+    a concurrency point drifted off P.
     """
     if k < 1:
         raise ValueError("a chain needs at least one step")
@@ -129,13 +118,12 @@ def iterate_chain(
         thetas = (0.0,) * k
     elif len(thetas) != k:
         raise ValueError(f"theta schedule has {len(thetas)} entries for {k} steps")
-    px, py = p.x, p.y
     big = MAX_COORDINATE
     steps: list[TriangleXY] = []
-    host = t0.xy
+    host = seed
     # the seed's circumcircle checks that its center and radius are finite;
     # each step triangle lies inside the coordinate range, where they are
-    circle = t0.circumcircle
+    circle = circumcircle(*seed)
     circles = [circle]
     for i, theta in enumerate(thetas):
         if on_circle_xy(circle, px, py):
@@ -168,14 +156,14 @@ def iterate_chain(
         steps.append(triad)
         circles.append(circle)
         host = triad
-    return ChainRecord(t0, p, tuple(steps), tuple(circles))
+    return ChainRecord(seed, (px, py), tuple(steps), tuple(circles))
 
 
 def check_mod3_similarity(rec: ChainRecord) -> float:
     """The worst relative gap |r_j − r_i| / |r_i| between the shape ratios
     r = (B − A)/(C − A) of chain triangles i ≡ j (mod 3), which are directly
     similar, vertex for vertex; a mirrored or relabeled triangle is not."""
-    coords = [rec.seed.xy, *rec.steps_xy]
+    coords = [rec.seed, *rec.steps]
     if len(coords) < 4:
         raise ValueError("need at least four triangles to compare mod-3 classes")
     ratios = [shape_ratio(xy, (0, 1, 2)) for xy in coords]

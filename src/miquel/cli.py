@@ -20,11 +20,11 @@ from typing import TYPE_CHECKING
 # process without a bytecode cache compiles every module it imports.
 from . import centers
 from .errors import GeometryError, RightAngleDegenerateError, SceneError
-from .kernel import Point, Triangle, reject_side_lines
+from .kernel import Point, Triangle, checked_xy, reject_side_lines, side_lengths_xy
 from .scene import ELEMENTS, SceneSpec, parse_scene, point_in_range
 from .triads import (
     PEDAL_SIMILARITY_TOL,
-    Triad,
+    checked_triad,
     classify_similarity,
     detect_special_role,
     family_member,
@@ -32,6 +32,8 @@ from .triads import (
     on_circle_xy,
     pedal_triad,
     simson_line,
+    triad_params,
+    triad_xy,
 )
 
 if TYPE_CHECKING:
@@ -44,8 +46,9 @@ def _num(v: float) -> str:
     return repr(v)
 
 
-def _point_str(p: Point) -> str:
-    return f"({_num(p.x)}, {_num(p.y)})"
+def _point_str(p: tuple[float, float]) -> str:
+    x, y = p
+    return f"({_num(x)}, {_num(y)})"
 
 
 def _load_scene(path: str) -> SceneSpec:
@@ -77,10 +80,11 @@ def _require_point(scene: SceneSpec, override: str | None) -> Point:
 # ---------------------------------------------------------------- centers
 
 def _center_table(t: Triangle) -> list[tuple[str, str]]:
+    m = centers.measures_xy(t.xy)
     rows = []
     for role, label in centers.NAMED_POINTS:
         try:
-            rows.append((label, _point_str(centers.locate(t, role))))
+            rows.append((label, _point_str(checked_xy(*centers.locate_xy(m, role)))))
         except RightAngleDegenerateError as exc:
             rows.append((label, f"degenerate: {type(exc).__name__}"))
     return rows
@@ -114,7 +118,9 @@ def cmd_classify(args) -> int:
         doc["pedal"] = "simson-line"
         doc["collinearity_deviation"] = simson_line(t.xy, p.x, p.y).max_deviation()
     else:
-        match = classify_similarity(t.xy, pedal_triad(t, p).triangle().xy, PEDAL_SIMILARITY_TOL)
+        pedal = pedal_triad(t.xy, p.x, p.y)
+        side_lengths_xy(*pedal)  # the CollinearError of Triangle(X, Y, Z)
+        match = classify_similarity(t.xy, pedal, PEDAL_SIMILARITY_TOL)
         if match is None:
             doc["similar_to_host"] = False
         else:
@@ -145,9 +151,9 @@ def cmd_miquel(args) -> int:
     params = _parse_numbers(args.triad, "--triad", 3) if args.triad else scene.triad_params
     if params is None:
         raise SceneError("no triad given: add \"triad\" to the scene or pass --triad")
-    res = miquel_point(t, Triad.at(t, *params))
+    res = miquel_point(t.xy, checked_triad(triad_xy(t.xy, *params)))
     doc = {
-        "point": [res.point.x, res.point.y],
+        "point": list(res.point),
         "residual": res.residual,
         "residual_rel": res.residual / t.circumradius,
         "tangent": res.tangent,
@@ -169,22 +175,24 @@ def cmd_family(args) -> int:
     t = scene.triangle
     p = _require_point(scene, args.point)
     theta = args.theta if args.theta is not None else (scene.theta or 0.0)
-    triad = family_member(t, p, theta)
+    triad = family_member(t.xy, p.x, p.y, theta)
     reject_side_lines(t.min_side_line_distance(p), t.circumradius)
-    res = miquel_point(t, triad)
+    res = miquel_point(t.xy, triad)
     ratio = None
     if not on_circle_xy(t.circumcircle, p.x, p.y):
-        ratio = triad.triangle().side_lengths[0] / pedal_triad(t, p).triangle().side_lengths[0]
-    u, v, w = triad.params
+        ratio = side_lengths_xy(*triad)[0] / side_lengths_xy(*pedal_triad(t.xy, p.x, p.y))[0]
+    u, v, w = triad_params(t.xy, triad)
+    x, y, z = triad[0:2], triad[2:4], triad[4:6]
+    mx, my = res.point
     doc = {
         "theta": theta,
         "u": u,
         "v": v,
         "w": w,
-        "X": [triad.x.x, triad.x.y],
-        "Y": [triad.y.x, triad.y.y],
-        "Z": [triad.z.x, triad.z.y],
-        "roundtrip_residual": res.point.dist(p),
+        "X": list(x),
+        "Y": list(y),
+        "Z": list(z),
+        "roundtrip_residual": math.hypot(mx - p.x, my - p.y),
         "pedal_ratio": ratio,
     }
     if args.json:
@@ -192,9 +200,9 @@ def cmd_family(args) -> int:
     else:
         print(f"theta          {_num(theta)}")
         print(f"params         u={_num(u)} v={_num(v)} w={_num(w)}")
-        print(f"X              {_point_str(triad.x)}")
-        print(f"Y              {_point_str(triad.y)}")
-        print(f"Z              {_point_str(triad.z)}")
+        print(f"X              {_point_str(x)}")
+        print(f"Y              {_point_str(y)}")
+        print(f"Z              {_point_str(z)}")
         print(f"roundtrip      {doc['roundtrip_residual']:.3e}")
         if ratio is not None:
             print(f"pedal ratio    {_num(ratio)}")
@@ -210,7 +218,7 @@ def cmd_chain(args) -> int:
     t = scene.triangle
     p = _require_point(scene, args.point)
     thetas = _parse_numbers(args.thetas, "--thetas", args.steps) if args.thetas else None
-    rec = iterate_chain(t, p, args.steps, thetas=thetas)
+    rec = iterate_chain(t.xy, p.x, p.y, args.steps, thetas=thetas)
     worst = check_mod3_similarity(rec) if args.steps >= 3 else None
     doc = {
         "steps": args.steps,

@@ -8,10 +8,11 @@ import math
 
 from . import centers, kernel
 from .errors import GeometryError, SceneError
-from .kernel import (CircleXY, LineXY, Point, Triangle, circumcircle, line_through, midpoint,
-                     second_intersection)
+from .kernel import (CircleXY, LineXY, Point, Triangle, TriangleXY, circumcircle, line_through,
+                     midpoint, second_intersection)
 from .scene import ELEMENTS, SceneSpec
-from .triads import Triad, miquel_point, on_circle_xy, pedal_triad, simson_line
+from .triads import (checked_triad, miquel_point, on_circle_xy, pedal_triad, simson_line,
+                     triad_xy)
 
 _STROKE = "#1a1a1a"
 _AUX = "#5577bb"
@@ -106,6 +107,7 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
 
     t = scene.triangle
     circ = t.circumcircle
+    m = centers.measures_xy(t.xy, circ)
     ox, oy, view_r = circ
     if scene.point is not None:
         view_r = max(view_r, math.hypot(ox - scene.point.x, oy - scene.point.y))
@@ -120,15 +122,16 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
             canvas.circle(circ)
         elif element == "miquel-circles":
             triad = _scene_triad(scene)
-            res = miquel_point(t, triad)
+            res = miquel_point(t.xy, triad)
             for k in res.circles:
                 canvas.circle(k)
-            for q, text in zip(triad.points, ("X", "Y", "Z")):
+            for q, text in zip(_points(triad), ("X", "Y", "Z")):
                 canvas.point(q, name(q, text), _AUX)
         elif element in ("pedal", "triad"):
             triad = _pedal_or_error(t, scene) if element == "pedal" else _scene_triad(scene)
-            canvas.polygon(triad.points, _AUX)
-            for q, text in zip(triad.points, ("X", "Y", "Z")):
+            points = _points(triad)
+            canvas.polygon(points, _AUX)
+            for q, text in zip(points, ("X", "Y", "Z")):
                 canvas.point(q, name(q, text), _AUX)
         elif element == "simson":
             if scene.point is None:
@@ -140,10 +143,10 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
         elif element == "centers":
             for role, text in centers.NAMED_POINTS:
                 if role.role in _DRAWN_CENTERS:
-                    loc = centers.locate(t, role)
+                    loc = Point(*centers.locate_xy(m, role))
                     canvas.point(loc, name(loc, text), _ACCENT)
         elif element == "median-symmedian":
-            _median_symmedian_layer(canvas, t, scene.options.get("vertex", "A"), name)
+            _median_symmedian_layer(canvas, t, m, scene.options.get("vertex", "A"), name)
 
     canvas.polygon(t.vertices)
     for q, text in zip(t.vertices, ("A", "B", "C")):
@@ -153,33 +156,40 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
     return canvas.document()
 
 
-def _scene_triad(scene: SceneSpec) -> Triad:
+def _points(triad: TriangleXY) -> tuple[Point, Point, Point]:
+    return Point(*triad[0:2]), Point(*triad[2:4]), Point(*triad[4:6])
+
+
+def _scene_triad(scene: SceneSpec) -> TriangleXY:
     t = scene.triangle
     if scene.triad_params is not None:
-        return Triad.at(t, *scene.triad_params)
+        return checked_triad(triad_xy(t.xy, *scene.triad_params))
     return _pedal_or_error(t, scene)
 
 
-def _pedal_or_error(t: Triangle, scene: SceneSpec) -> Triad:
+def _pedal_or_error(t: Triangle, scene: SceneSpec) -> TriangleXY:
     if scene.point is None:
         raise SceneError("this element requires P or triad parameters")
     kernel.reject_side_lines(t.min_side_line_distance(scene.point), t.circumradius)
     if on_circle_xy(t.circumcircle, scene.point.x, scene.point.y):
         raise GeometryError("P sits on the circumcircle; select 'simson' instead")
-    return pedal_triad(t, scene.point)
+    return pedal_triad(t.xy, scene.point.x, scene.point.y)
 
 
-def _median_symmedian_layer(canvas: _Canvas, t: Triangle, vertex: str, name) -> None:
-    """Median and symmedian from one vertex with the special points on them."""
+def _median_symmedian_layer(
+    canvas: _Canvas, t: Triangle, m: centers.Measures, vertex: str, name
+) -> None:
+    """Median and symmedian from one vertex with the special points on them;
+    ``m`` is ``t`` measured."""
     apex = t.vertex(vertex)
     b, c = t.opposite(vertex)
     e = Point(*midpoint(b, c))
-    s_loc = centers.s_point(t, vertex)
-    m_loc = centers.m_point(t, vertex)
+    s_loc = centers.s_point(m, vertex)
+    m_loc = centers.m_point(m, vertex)
     canvas.line(apex, e, _AUX)
     canvas.line(apex, centers.symmedian_foot(t, vertex), _AUX)
     canvas.line(apex, s_loc, _ACCENT)
-    if t.angles[kernel.VERTEX_LABELS.index(vertex)] < math.pi / 2.0:
+    if m.angles[kernel.VERTEX_LABELS.index(vertex)] < math.pi / 2.0:
         f = Point(*second_intersection(line_through(apex, e), t.circumcircle, apex))
     else:
         f = b + c - apex

@@ -143,9 +143,9 @@ def angle_distance(u: float, v: float) -> float:
     return abs(math.remainder(u - v, math.pi))
 
 
-# Coordinate forms. Each is the one body of its formula: the Point-level
-# functions call it, and so does the chain step, which keeps only the Points
-# it returns. Their float operations and their order are pinned with == in
+# Coordinate forms. Each is the one body of its formula, which the
+# constructions, the chain step and the suites call on plain floats. Their
+# float operations and their order are pinned with == in
 # tests/test_coordinate_forms.py, as are the forms hot callers write out in
 # line (side_lengths_xy and circle_xy the collinearity test, circumcircle
 # checked_circle's, directed_angle_xy half_turn, centers.measures_xy four
@@ -264,26 +264,6 @@ def circumcircle(x1: float, y1: float, x2: float, y2: float, x3: float, y3: floa
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"radius must be strictly positive, got {r}")
     return circle
-
-
-def squared_sides_xy(xy: TriangleXY) -> tuple[float, float, float]:
-    """|BC|², |CA|², |AB|² of the triangle ``xy``."""
-    ax, ay, bx, by, cx, cy = xy
-    bcx, bcy, cax, cay, abx, aby = cx - bx, cy - by, ax - cx, ay - cy, bx - ax, by - ay
-    return (bcx * bcx + bcy * bcy, cax * cax + cay * cay, abx * abx + aby * aby)
-
-
-def _interior(ux: float, uy: float, vx: float, vy: float) -> float:
-    """The angle between the legs (ux, uy) and (vx, vy), in [0, pi]."""
-    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-
-
-def angles_xy(xy: TriangleXY) -> tuple[float, float, float]:
-    """The interior angles at A, B, C, in (0, pi), of the triangle ``xy``."""
-    ax, ay, bx, by, cx, cy = xy
-    return (_interior(bx - ax, by - ay, cx - ax, cy - ay),
-            _interior(cx - bx, cy - by, ax - bx, ay - by),
-            _interior(ax - cx, ay - cy, bx - cx, by - cy))
 
 
 def shape_ratio(xy: TriangleXY, order: tuple[int, int, int]) -> complex:
@@ -471,16 +451,6 @@ class Triangle(Frozen):
         return (a.x, a.y, b.x, b.y, c.x, c.y)
 
     @cached_property
-    def squared_sides(self) -> tuple[float, float, float]:
-        """a², b², c²: the squared lengths of BC, CA, AB."""
-        return squared_sides_xy(self.xy)
-
-    @cached_property
-    def angles(self) -> tuple[float, float, float]:
-        """Interior angles at A, B, C in (0, pi)."""
-        return angles_xy(self.xy)
-
-    @cached_property
     def circumcircle(self) -> CircleXY:
         return circumcircle(*self.xy)
 
@@ -507,13 +477,6 @@ class Triangle(Frozen):
     def min_side_line_distance(self, p: Point) -> float:
         """Distance of ``p`` from the nearest side line."""
         return min_side_line_distance_xy(self.xy, p.x, p.y)
-
-
-def triangle_of(xy: TriangleXY) -> Triangle:
-    """The ``Triangle`` on the six coordinates ``xy``, with what it and its
-    ``Point``s raise."""
-    ax, ay, bx, by, cx, cy = xy
-    return Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
 
 
 def reject_side_lines(distance: float, circumradius: float) -> None:

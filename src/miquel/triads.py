@@ -18,10 +18,7 @@ from .kernel import (
     LENGTH_EPS,
     VERTEX_LABELS,
     CircleXY,
-    Frozen,
     LineXY,
-    Point,
-    Triangle,
     TriangleXY,
     angle_distance,
     checked_circle,
@@ -34,7 +31,6 @@ from .kernel import (
     line_through,
     offset_xy,
     reject_side_lines,
-    set_field,
     shape_gap,
     shape_ratio,
     side_lengths_xy,
@@ -60,55 +56,37 @@ def _param(px: float, py: float, tx: float, ty: float, hx: float, hy: float) -> 
     return ((px - tx) * dx + (py - ty) * dy) / (dx * dx + dy * dy)
 
 
-class Triad(Frozen):
-    """Three points bound to the side lines of a host triangle: X on line BC,
-    Y on CA, Z on AB."""
-
-    _fields = ("host", "x", "y", "z")
-    host: Triangle
-    x: Point
-    y: Point
-    z: Point
-
-    def __init__(self, host: Triangle, x: Point, y: Point, z: Point) -> None:
-        set_field(self, "host", host)
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "z", z)
-
-    @classmethod
-    def at(cls, host: Triangle, u: float, v: float, w: float) -> Triad:
-        """The triad at affine parameters u, v, w: X = B + u·(C − B),
-        Y = C + v·(A − C), Z = A + w·(B − A). Parameters outside [0, 1]
-        encode the side extensions."""
-        return cls(host, *_points(triad_xy(host.xy, u, v, w)))
-
-    @property
-    def params(self) -> tuple[float, float, float]:
-        """u, v, w of ``at``: the affine parameters of the feet of X, Y and Z
-        on BC, CA and AB."""
-        a, b, c = self.host.vertices
-        return tuple(
-            _param(q.x, q.y, tail.x, tail.y, head.x, head.y)
-            for q, tail, head in ((self.x, b, c), (self.y, c, a), (self.z, a, b))
-        )
-
-    @property
-    def points(self) -> tuple[Point, Point, Point]:
-        return (self.x, self.y, self.z)
-
-    def triangle(self) -> Triangle:
-        return Triangle(self.x, self.y, self.z)
-
+# A triad is three points bound to the side lines of a host triangle, X on
+# line BC, Y on CA, Z on AB, kept as a TriangleXY (xx, xy, yx, yy, zx, zy).
 
 def triad_xy(host: TriangleXY, u: float, v: float, w: float) -> TriangleXY:
-    """The points X, Y, Z of ``Triad.at`` on coordinates."""
+    """The triad at affine parameters u, v, w: X = B + u·(C − B),
+    Y = C + v·(A − C), Z = A + w·(B − A). Parameters outside [0, 1] encode
+    the side extensions. Its points are not checked (``checked_triad``)."""
     if not all(math.isfinite(s) for s in (u, v, w)):
         raise ValueError("triad parameters must be finite")
     ax, ay, bx, by, cx, cy = host
     return (bx + u * (cx - bx), by + u * (cy - by),
             cx + v * (ax - cx), cy + v * (ay - cy),
             ax + w * (bx - ax), ay + w * (by - ay))
+
+
+def triad_params(host: TriangleXY, triad: TriangleXY) -> tuple[float, float, float]:
+    """u, v, w of ``triad_xy``: the affine parameters of the feet of X, Y and
+    Z on BC, CA and AB."""
+    ax, ay, bx, by, cx, cy = host
+    xx, xy, yx, yy, zx, zy = triad
+    return (_param(xx, xy, bx, by, cx, cy), _param(yx, yy, cx, cy, ax, ay),
+            _param(zx, zy, ax, ay, bx, by))
+
+
+def checked_triad(triad: TriangleXY) -> TriangleXY:
+    """``triad`` as it is, once X, Y and Z are finite, each checked in turn
+    with ``checked_xy``, so the first that is not gives ``Point``'s
+    ``ValueError``."""
+    for k in (0, 2, 4):
+        checked_xy(triad[k], triad[k + 1])
+    return triad
 
 
 class SimsonLine(NamedTuple):
@@ -122,7 +100,7 @@ class SimsonLine(NamedTuple):
 
 
 class MiquelResult(NamedTuple):
-    point: Point
+    point: tuple[float, float]
     circles: tuple[CircleXY, CircleXY, CircleXY]  # AYZ, BZX, CXY
     residual: float
     tangent: bool
@@ -151,11 +129,11 @@ def on_circle_xy(circle: CircleXY, px: float, py: float) -> bool:
     return abs(math.hypot(cx - px, cy - py) - r) < CIRCUMCIRCLE_BAND * r
 
 
-def pedal_triad(t: Triangle, p: Point) -> Triad:
-    """Perpendicular feet of ``p`` on the three side lines: the family
+def pedal_triad(host: TriangleXY, px: float, py: float) -> TriangleXY:
+    """Perpendicular feet of (px, py) on the three side lines: the family
     member at theta = 0, defined for every point. On the circumcircle they
     are collinear (``simson_line``)."""
-    return family_member(t, p, 0.0)
+    return family_member(host, px, py, 0.0)
 
 
 def simson_line(host: TriangleXY, px: float, py: float) -> SimsonLine:
@@ -173,9 +151,9 @@ def simson_line(host: TriangleXY, px: float, py: float) -> SimsonLine:
     return SimsonLine(line_through(anchor, far), feet)
 
 
-def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
+def miquel_point(host: TriangleXY, triad: TriangleXY) -> MiquelResult:
     """Common point of the three circles through each vertex and the triad
-    points on its adjacent sides.
+    points on its adjacent sides, with the circles and the point checked.
 
     The circles through A and through B both pass through Z, so their other
     common point is Z mirrored in the line of their centers. The centers
@@ -183,11 +161,11 @@ def miquel_point(t: Triangle, triad: Triad) -> MiquelResult:
     line is always defined. The residual against all three circles is the
     numeric witness of the concurrency.
     """
-    x, y, z = triad.points
-    *rows, (mx, my) = miquel_xy(t.xy, (x.x, x.y, y.x, y.y, z.x, z.y))
+    *rows, (mx, my) = miquel_xy(host, triad)
     circles = tuple([checked_circle(c) for c in rows])
-    point = Point(mx, my)
-    tangent = point.dist(z) < LENGTH_EPS * max(circles[0][2], circles[1][2])
+    point = checked_xy(mx, my)
+    *_, zx, zy = triad
+    tangent = math.hypot(mx - zx, my - zy) < LENGTH_EPS * max(circles[0][2], circles[1][2])
     residual = miquel_residual(rows, mx, my)
     return MiquelResult(point, circles, residual, tangent)
 
@@ -219,17 +197,16 @@ def miquel_residual(circles: list[CircleXY], mx: float, my: float) -> float:
     return max(abs(math.hypot(cx - mx, cy - my) - r) for cx, cy, r in circles)
 
 
-def family_member(t: Triangle, p: Point, theta: float) -> Triad:
+def family_member(host: TriangleXY, px: float, py: float, theta: float) -> TriangleXY:
     """Member of the one-parameter family of triads whose common circle
-    point is ``p``: the pedal triad under the spiral similarity
-    p + (F − p)·(1 + i·tan theta) about ``p``.
+    point is P = (px, py): the pedal triad under the spiral similarity
+    P + (F − P)·(1 + i·tan theta) about P, checked by ``checked_triad``.
 
     theta = 0 is the pedal triad, and the triad triangle scales by
     1/cos(theta) relative to it. Defined for every point: on a side line
-    the vertex on that line is ``p`` itself.
+    the vertex on that line is P itself.
     """
-    xy, _ = family_xy(t.xy, p.x, p.y, theta)
-    return Triad(t, *_points(xy))
+    return checked_triad(family_xy(host, px, py, theta)[0])
 
 
 def family_xy(
@@ -263,10 +240,6 @@ def family_xy(
     nearest = min(abs(ux * (py - by) - uy * (px - bx)), abs(vx * (py - cy) - vy * (px - cx)),
                   abs(wx * (py - ay) - wy * (px - ax)))
     return (xx, xy, yx, yy, zx, zy), nearest
-
-
-def _points(xy: TriangleXY) -> tuple[Point, Point, Point]:
-    return Point(xy[0], xy[1]), Point(xy[2], xy[3]), Point(xy[4], xy[5])
 
 
 def cevian_angles_xy(
@@ -312,8 +285,8 @@ def verify_miquel_equations(
     host and of the triad X, Y, Z to the angles subtended at the concurrency
     point P = (px, py): A + X = BPC, B + Y = CPA, C + Z = APB (all directed).
     """
-    # miquel_point checks its circles (checked_circle) and builds a Point,
-    # which check for a positive finite radius and finite coordinates; inside
+    # miquel_point checks its circles (checked_circle) and its point
+    # (checked_xy), for a positive finite radius and finite coordinates; inside
     # MAX_COORDINATE circle_xy's collinearity test bounds each radius, so no
     # such check can fail here
     *_, (mx, my) = miquel_xy(host, triad)
@@ -389,7 +362,7 @@ def detect_special_role(m: Measures, px: float, py: float, length_eps: float) ->
         if d < best_dist:
             best_role, best_dist = role, d
         elif not d < math.inf:
-            Point(x, y)  # a location that is not finite: Point rejects it, as in locate
+            checked_xy(x, y)  # a location that is not finite: rejected as Point rejects it
     if best_dist < eps:
         return best_role
     ix, iy = centers.LOCATE_XY["incenter"](m)
@@ -416,14 +389,15 @@ class ParityReport(NamedTuple):
     ray_angle_sum: float | None
 
 
-def containment_parity(host: TriangleXY, px: float, py: float) -> ParityReport:
-    """Whether (px, py) is inside the triangle ``host`` and inside its pedal
-    triangle.
+def containment_parity(
+    host: TriangleXY, circle: CircleXY, px: float, py: float
+) -> ParityReport:
+    """Whether (px, py) is inside the triangle ``host``, whose circumcircle
+    is ``circle``, and inside its pedal triangle.
 
     For interior points also reports the full turn of the three rays toward
     the pedal feet (2*pi exactly when the point is enclosed by them).
     """
-    circle = circumcircle(*host)
     # the pedal feet and min_side_line_distance_xy's floats; at theta 0
     # family_xy cannot raise inside MAX_COORDINATE, so the guards keep order
     xy, distance = family_xy(host, px, py, 0.0)

@@ -23,7 +23,6 @@ from .chains import (
 )
 from .kernel import (
     VERTEX_LABELS,
-    Point,
     TriangleXY,
     angle_distance,
     checked_xy,
@@ -42,7 +41,6 @@ from .kernel import (
     shape_gap,
     shape_ratio,
     side_lengths_xy,
-    triangle_of,
 )
 from .sampling import (
     random_acute_triangle,
@@ -163,9 +161,9 @@ def suite_theorem1(report: SuiteReport) -> None:
             s = -1.0 + (2.0 - -1.0) * draw()  # rng.uniform(-1.0, 2.0)
             if abs(s) > 0.05 and abs(s - 1.0) > 0.05:
                 params.append(s)
-        # no Triad and no checked circles: with the host inside MAX_COORDINATE
-        # and these parameters, their Point and radius checks cannot fail (see
-        # triads.verify_miquel_equations)
+        # no checked triad and no checked circles: with the host inside
+        # MAX_COORDINATE and these parameters, their finiteness and radius
+        # checks cannot fail (see triads.verify_miquel_equations)
         *circles, (mx, my) = miquel_xy(t, triad_xy(t, *params))
         residual = miquel_residual(circles, mx, my) / circumcircle(*t)[2]
         concurrency.add(residual, i, t, checked_xy(mx, my))
@@ -193,17 +191,17 @@ def suite_lemma1(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_triangle(rng)
+        circle = circumcircle(*t)
         if i % 2 == 0:
             p = random_interior_point(rng, t)
         elif i % 4 == 1:
-            circle = circumcircle(*t)
             while True:  # inside the circumcircle but outside the triangle
                 p = random_point_in_circumdisk(rng, t, circle, line_margin=0.03)
                 if not contains_xy(t, *p):
                     break
         else:
-            p = random_exterior_point(rng, t, circumcircle(*t), min_factor=1.05, max_factor=5.0)
-        rep = containment_parity(t, *p)
+            p = random_exterior_point(rng, t, circle, min_factor=1.05, max_factor=5.0)
+        rep = containment_parity(t, circle, *p)
         parity.add_bool(rep.agree, i, t, p)
         if rep.ray_angle_sum is not None:
             ray_sum.add(abs(rep.ray_angle_sum - 2.0 * math.pi), i, t, p)
@@ -486,13 +484,14 @@ def suite_theorem13(report: SuiteReport) -> None:
         conj.add(math.hypot(jx - tx, jy - ty) / m.circumradius, i, t, q)
 
 
-def _chain_points(rng, t) -> list[tuple[str, Point]]:
+def _chain_points(rng, xy: TriangleXY) -> list[tuple[str, tuple[float, float]]]:
+    m = measures_xy(xy)
     return [
-        ("O", centers.locate(t, SpecialRole("circumcenter"))),
-        ("H", centers.locate(t, SpecialRole("orthocenter"))),
-        ("L", centers.locate(t, SpecialRole("incenter"))),
-        ("brocard1", centers.brocard_point(t, "first")),
-        ("random", Point(*random_interior_point(rng, t.xy))),
+        ("O", checked_xy(*locate_xy(m, SpecialRole("circumcenter")))),
+        ("H", checked_xy(*locate_xy(m, SpecialRole("orthocenter")))),
+        ("L", checked_xy(*locate_xy(m, SpecialRole("incenter")))),
+        ("brocard1", checked_xy(*locate_xy(m, SpecialRole("first_brocard")))),
+        ("random", random_interior_point(rng, xy)),
     ]
 
 
@@ -505,12 +504,11 @@ def suite_theorem14(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         xy = random_triangle(rng, min_angle=0.35, right_gap=0.1)
-        t = triangle_of(xy)
-        for name, p in _chain_points(rng, t):
-            gap = check_mod3_similarity(iterate_chain(t, p, k))
+        for name, p in _chain_points(rng, xy):
+            gap = check_mod3_similarity(iterate_chain(xy, *p, k))
             default_sched.add(gap, i, xy, p, note=f" [{name}]")
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(k)]
-            gap = check_mod3_similarity(iterate_chain(t, p, k, thetas=thetas))
+            gap = check_mod3_similarity(iterate_chain(xy, *p, k, thetas=thetas))
             random_sched.add(gap, i, xy, p, note=f" [{name}]")
 
 
@@ -531,8 +529,8 @@ SEED_CORRESPONDENCES = {
 def _seed_gaps(rec, name: str):
     """(k, gap) for each chain triangle k that ``SEED_CORRESPONDENCES`` pins
     for ``name``: its shape-ratio gap from the seed under that correspondence."""
-    seed = shape_ratio(rec.seed.xy, (0, 1, 2))
-    for k, xy in enumerate(rec.steps_xy, 1):
+    seed = shape_ratio(rec.seed, (0, 1, 2))
+    for k, xy in enumerate(rec.steps, 1):
         if k % 3 in SEED_CORRESPONDENCES[name]:
             order, mirrored = SEED_CORRESPONDENCES[name][k % 3]
             yield k, shape_gap(seed, shape_ratio(xy, order), mirrored)
@@ -551,32 +549,31 @@ def suite_theorem15(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         seed = random_triangle(rng, min_angle=0.35, right_gap=0.1)
-        t = triangle_of(seed)
+        m = measures_xy(seed)
         v = VERTEX_LABELS[i % 3]
 
         for which, name in (("first", "Ω₁"), ("second", "Ω₂")):
-            p = centers.brocard_point(t, which)
-            rec = iterate_chain(t, p, k)
+            px, py = checked_xy(*locate_xy(m, SpecialRole(f"{which}_brocard")))
+            rec = iterate_chain(seed, px, py, k)
             for _, gap in _seed_gaps(rec, name):
                 brocard_all.add(gap, i, seed, note=f" [{which}]")
-            for xy, (*_, r) in zip((seed, *rec.steps_xy), rec.circles):
-                spread = _brocard_angle_spread(xy, r, p.x, p.y, which)
+            for xy, (*_, r) in zip((seed, *rec.steps), rec.circles):
+                spread = _brocard_angle_spread(xy, r, px, py, which)
                 brocard_angles.add(spread, i, seed, note=f" [{which}]")
 
         for claim, name, p in (
-            (o_s_steps, "O", centers.locate(t, SpecialRole("circumcenter"))),
-            (o_s_steps, f"S_{v}", centers.s_point(t, v)),
-            (h_m_steps, "H", centers.locate(t, SpecialRole("orthocenter"))),
-            (h_m_steps, f"M_{v}", centers.m_point(t, v)),
+            (o_s_steps, "O", checked_xy(*locate_xy(m, SpecialRole("circumcenter")))),
+            (o_s_steps, f"S_{v}", checked_xy(*locate_xy(m, SpecialRole("s_role", v)))),
+            (h_m_steps, "H", checked_xy(*locate_xy(m, SpecialRole("orthocenter")))),
+            (h_m_steps, f"M_{v}", checked_xy(*locate_xy(m, SpecialRole("m_role", v)))),
         ):
-            for step_idx, gap in _seed_gaps(iterate_chain(t, p, k), name):
+            for step_idx, gap in _seed_gaps(iterate_chain(seed, *p, k), name):
                 claim.add(gap, i, seed, note=f" [k={step_idx}]")
 
-        p = Point(*random_interior_point(rng, seed))
-        rec = iterate_chain(t, p, 2)
+        rec = iterate_chain(seed, *random_interior_point(rng, seed), 2)
         # steps 1 and 2
         dissimilar = all(
-            classify_similarity(seed, xy, CHAIN_SIMILARITY_TOL) is None for xy in rec.steps_xy
+            classify_similarity(seed, xy, CHAIN_SIMILARITY_TOL) is None for xy in rec.steps
         )
         generic.add_bool(dissimilar, i, seed, note=" [random]")
 
@@ -592,14 +589,16 @@ def suite_corollary4(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         seed = random_triangle(rng, min_angle=0.35, right_gap=0.1)
-        t = triangle_of(seed)
+        m = measures_xy(seed)
         v = VERTEX_LABELS[i % 3]
 
-        roles = iterate_chain(t, centers.locate(t, SpecialRole("circumcenter")), k).roles
+        o = checked_xy(*locate_xy(m, SpecialRole("circumcenter")))
+        roles = iterate_chain(seed, *o, k).roles
         ok = roles[0].role == "circumcenter" and follows_role_cycle(roles)
         center_cycle.add_bool(ok, i, seed, note=" [O]")
 
-        roles = iterate_chain(t, centers.s_point(t, v), k).roles
+        s = checked_xy(*locate_xy(m, SpecialRole("s_role", v)))
+        roles = iterate_chain(seed, *s, k).roles
         ok = (
             roles[0].role == "s_role"
             and follows_role_cycle(roles)
@@ -608,7 +607,8 @@ def suite_corollary4(report: SuiteReport) -> None:
         symmedian_cycle.add_bool(ok, i, seed, note=f" [S_{v}]")
 
         for which, role_name in (("first", "first_brocard"), ("second", "second_brocard")):
-            rec = iterate_chain(t, centers.brocard_point(t, which), k)
+            p = checked_xy(*locate_xy(m, SpecialRole(role_name)))
+            rec = iterate_chain(seed, *p, k)
             brocard_fixed.add_bool(
                 all(r.role == role_name for r in rec.roles), i, seed, note=f" [{which}]"
             )

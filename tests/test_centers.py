@@ -20,8 +20,9 @@ from miquel.centers import (
     brocard_point,
     eleven_point_catalog,
     isogonal_conjugate,
-    locate,
+    locate_xy,
     m_point,
+    measures_xy,
     s_point,
     symmedian_foot,
 )
@@ -44,7 +45,6 @@ from miquel.kernel import (
     offset_xy,
     reflect_xy,
     second_intersection,
-    triangle_of,
     unit_direction,
 )
 from miquel.sampling import (
@@ -93,12 +93,30 @@ def _point_at(circle: CircleXY, angle: float) -> Point:
     return Point(cx + r * math.cos(angle), cy + r * math.sin(angle))
 
 
+def _triangle(xy) -> Triangle:
+    """The ``Triangle`` on the six coordinates ``xy``, for the oracles' Point
+    operators."""
+    ax, ay, bx, by, cx, cy = xy
+    return Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
+
+
+def _m(t: Triangle):
+    """``t`` measured, as the location bodies read it."""
+    return measures_xy(t.xy)
+
+
+def _locate(t: Triangle, role: SpecialRole) -> Point:
+    """Where ``role`` sits in ``t`` (``locate_xy`` of ``t`` measured), as a
+    Point."""
+    return Point(*locate_xy(_m(t), role))
+
+
 def _excenter(t: Triangle, v: str) -> Point:
-    return locate(t, SpecialRole("excenter", v))
+    return _locate(t, SpecialRole("excenter", v))
 
 
 def _conjugate(t: Triangle, p: Point) -> Point:
-    return Point(*isogonal_conjugate(t, p.x, p.y))
+    return Point(*isogonal_conjugate(_m(t), p.x, p.y))
 
 
 def _angle(p: Point, q: Point, r: Point) -> float:
@@ -111,28 +129,28 @@ def _barycentric_by_operators(t: Triangle, wa: float, wb: float, wc: float) -> P
 
 class TestClassicCenters:
     def test_345_circumcenter(self):
-        assert locate(T345, SpecialRole("circumcenter")).dist(Point(2, 1.5)) < 1e-12
+        assert _locate(T345, SpecialRole("circumcenter")).dist(Point(2, 1.5)) < 1e-12
 
     def test_345_orthocenter_is_right_vertex(self):
-        assert locate(T345, SpecialRole("orthocenter")).dist(Point(0, 0)) < 1e-12
+        assert _locate(T345, SpecialRole("orthocenter")).dist(Point(0, 0)) < 1e-12
 
     def test_345_incenter(self):
         # inradius (3+4-5)/2 = 1 with the legs on the axes
-        assert locate(T345, SpecialRole("incenter")).dist(Point(1, 1)) < 1e-12
+        assert _locate(T345, SpecialRole("incenter")).dist(Point(1, 1)) < 1e-12
 
     def test_circumcenter_equidistant(self):
         rng = rng_for(0, "classic", 0)
         for _ in range(50):
-            t = triangle_of(random_triangle(rng))
-            o = locate(t, O)
+            t = _triangle(random_triangle(rng))
+            o = _locate(t, O)
             d = [o.dist(v) for v in t.vertices]
             assert max(d) - min(d) < 1e-9 * t.circumradius
 
     def test_orthocenter_on_altitudes(self):
         rng = rng_for(0, "classic", 1)
         for _ in range(50):
-            t = triangle_of(random_triangle(rng))
-            h = locate(t, H)
+            t = _triangle(random_triangle(rng))
+            h = _locate(t, H)
             for v in "ABC":
                 _, _, dx, dy = line_through(*t.opposite(v))
                 assert abs((h - t.vertex(v)).dot(Point(dx, dy))) < 1e-9 * t.circumradius
@@ -140,13 +158,13 @@ class TestClassicCenters:
     def test_incenter_and_excenters_equidistant_from_side_lines(self):
         rng = rng_for(0, "classic", 2)
         for _ in range(50):
-            t = triangle_of(random_triangle(rng))
-            for center in [locate(t, L)] + [_excenter(t, v) for v in "ABC"]:
+            t = _triangle(random_triangle(rng))
+            for center in [_locate(t, L)] + [_excenter(t, v) for v in "ABC"]:
                 offs = [abs(_offset(line_through(*t.opposite(v)), center)) for v in "ABC"]
                 assert max(offs) - min(offs) < 1e-9 * t.circumradius
 
     def test_centroid(self):
-        assert locate(T345, G).dist(Point(4 / 3, 1)) < 1e-12
+        assert _locate(T345, G).dist(Point(4 / 3, 1)) < 1e-12
 
     def test_locate_covers_table_and_rejects_roles_without_location(self):
         def excenter(t, v):
@@ -162,20 +180,20 @@ class TestClassicCenters:
             "centroid": lambda t, v: (t.a + t.b + t.c) / 3.0,
             "incenter": lambda t, v: _barycentric_by_operators(t, *t.side_lengths),
             "excenter": excenter,
-            "first_brocard": lambda t, v: brocard_point(t, "first"),
-            "second_brocard": lambda t, v: brocard_point(t, "second"),
-            "s_role": s_point,
-            "m_role": m_point,
+            "first_brocard": lambda t, v: brocard_point(_m(t), "first"),
+            "second_brocard": lambda t, v: brocard_point(_m(t), "second"),
+            "s_role": lambda t, v: s_point(_m(t), v),
+            "m_role": lambda t, v: m_point(_m(t), v),
         }
         roles = [role for role, _ in NAMED_POINTS]
         assert len(set(roles)) == len(roles) == 15
         for role in roles:
-            assert locate(TSCA, role) == functions[role.role](TSCA, role.vertex)
+            assert _locate(TSCA, role) == functions[role.role](TSCA, role.vertex)
         for role in (SpecialRole("none"), SpecialRole("q_role", "A")):
             with pytest.raises(ValueError):
-                locate(TSCA, role)
+                _locate(TSCA, role)
         with pytest.raises(RightAngleDegenerateError):
-            locate(T345, SpecialRole("s_role", "A"))
+            _locate(T345, SpecialRole("s_role", "A"))
 
     def test_role_vertex_labels_checked(self):
         # per-vertex names need a vertex label, every other name takes none
@@ -224,7 +242,7 @@ class TestSymmedianFoot:
     def test_reflection_oracle_random(self):
         rng = rng_for(0, "symfoot", 0)
         for _ in range(50):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             for v in "ABC":
                 assert symmedian_foot(t, v).dist(_median_reflection_foot(t, v)) < 1e-9 * t.circumradius
 
@@ -269,33 +287,33 @@ def _brocard_grid_oracle(t: Triangle, which: str) -> Point:
 
 class TestBrocardPoints:
     def test_equilateral_center(self):
-        p = brocard_point(EQUI, "first")
+        p = brocard_point(_m(EQUI), "first")
         assert p.dist(Point(0, 0)) < 1e-12
         assert abs(abs(_angle(EQUI.b, EQUI.a, p)) - math.pi / 6) < 1e-12
 
     def test_frozen_grid_oracle_value(self):
         # frozen from the grid-search oracle on the workhorse triangle
-        p = brocard_point(TSCA, "first")
+        p = brocard_point(_m(TSCA), "first")
         assert p.dist(Point(1.4012738853503175, 0.7643312101910834)) < 1e-12
         assert p.dist(_brocard_grid_oracle(TSCA, "first")) < 1e-10
 
     def test_second_against_oracle(self):
-        p = brocard_point(TSCA, "second")
+        p = brocard_point(_m(TSCA), "second")
         assert p.dist(_brocard_grid_oracle(TSCA, "second")) < 1e-10
 
     def test_isosceles_mirror_pair(self):
         rng = rng_for(0, "brocard", 0)
         for _ in range(20):
-            t = triangle_of(random_isosceles(rng, "A"))
+            t = _triangle(random_isosceles(rng, "A"))
             axis = line_through(t.a, 0.5 * (t.b + t.c))
-            first = brocard_point(t, "first")
-            second = brocard_point(t, "second")
+            first = brocard_point(_m(t), "first")
+            second = brocard_point(_m(t), "second")
             assert second.dist(_reflect(axis, first)) < 1e-9 * t.circumradius
 
     def test_angle_conditions_and_interiority(self):
         rng = rng_for(0, "brocard", 1)
         for _ in range(200):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             for which, legs in (
                 ("first", lambda p: (_angle(t.b, t.a, p),
                                      _angle(t.c, t.b, p),
@@ -304,7 +322,7 @@ class TestBrocardPoints:
                                       _angle(p, t.b, t.a),
                                       _angle(p, t.c, t.b))),
             ):
-                p = brocard_point(t, which)
+                p = brocard_point(_m(t), which)
                 a1, a2, a3 = legs(p)
                 assert angle_distance(a1, a2) < 1e-8
                 assert angle_distance(a2, a3) < 1e-8
@@ -314,7 +332,7 @@ class TestBrocardPoints:
 def _arc_scan_oracle(t: Triangle, vertex: str, steps: int = 400000) -> Point:
     """Oracle: scan the arc of the circle through the opposite side's
     endpoints and the circumcenter for the symmedian crossing."""
-    o = locate(t, O)
+    o = _locate(t, O)
     b, c = t.opposite(vertex)
     k = circumcircle(*b, *c, *o)
     sym = line_through(t.vertex(vertex), symmedian_foot(t, vertex))
@@ -335,22 +353,22 @@ class TestSPoint:
     def test_equilateral_coincides_with_circumcenter(self):
         # circle through B, C, O has center (0,-1) and radius 1; the
         # symmedian x=0 meets its upper arc at the origin
-        assert s_point(EQUI, "A").dist(Point(0, 0)) < 1e-12
+        assert s_point(_m(EQUI), "A").dist(Point(0, 0)) < 1e-12
 
     def test_frozen_values_on_workhorse(self):
-        assert s_point(TSCA, "A").dist(Point(28 / 17, 24 / 17)) < 1e-12
-        assert s_point(TSCA, "C").dist(Point(1.3, 0.9)) < 1e-12
+        assert s_point(_m(TSCA), "A").dist(Point(28 / 17, 24 / 17)) < 1e-12
+        assert s_point(_m(TSCA), "C").dist(Point(1.3, 0.9)) < 1e-12
 
     def test_arc_scan_oracle(self):
-        p = s_point(TSCA, "A")
+        p = s_point(_m(TSCA), "A")
         assert p.dist(_arc_scan_oracle(TSCA, "A")) < 1e-4 * TSCA.circumradius
 
     def test_directed_angle_postconditions(self):
         rng = rng_for(0, "spoint", 0)
         for _ in range(100):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             for v in "ABC":
-                p = s_point(t, v)
+                p = s_point(_m(t), v)
                 apex = t.vertex(v)
                 b, c = t.opposite(v)
                 ang = _angle(b, apex, c)
@@ -362,8 +380,8 @@ class TestSPoint:
         # BD/DC = BP/PC = (AB/AC)^2 where D is the symmedian-line crossing
         rng = rng_for(0, "spoint", 1)
         for _ in range(50):
-            t = triangle_of(random_triangle(rng))
-            p = s_point(t, "A")
+            t = _triangle(random_triangle(rng))
+            p = s_point(_m(t), "A")
             d = symmedian_foot(t, "A")
             lhs = d.dist(t.b) / d.dist(t.c)
             mid = p.dist(t.b) / p.dist(t.c)
@@ -374,9 +392,9 @@ class TestSPoint:
     def test_on_arc_with_circumcenter(self):
         rng = rng_for(0, "spoint", 2)
         for _ in range(50):
-            t = triangle_of(random_triangle(rng))
-            p = s_point(t, "B")
-            o = locate(t, O)
+            t = _triangle(random_triangle(rng))
+            p = s_point(_m(t), "B")
+            o = _locate(t, O)
             b, c = t.opposite("B")
             k = circumcircle(*b, *c, *o)
             assert abs(_offset_from(k, p)) < 1e-9 * t.circumradius
@@ -384,22 +402,22 @@ class TestSPoint:
 
     def test_right_angle_degenerates(self):
         with pytest.raises(RightAngleDegenerateError):
-            s_point(T345, "A")
+            s_point(_m(T345), "A")
 
 
 class TestMPoint:
     def test_equilateral(self):
         # E=(0,-1/2), F=(0,-1), stepping the same distance back gives the origin
-        assert m_point(EQUI, "A").dist(Point(0, 0)) < 1e-12
+        assert m_point(_m(EQUI), "A").dist(Point(0, 0)) < 1e-12
 
     def test_acute_midpoint_relation(self):
         rng = rng_for(0, "mpoint", 0)
         for _ in range(50):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             for v in "ABC":
-                if t.angles["ABC".index(v)] >= math.pi / 2:
+                if _m(t).angles["ABC".index(v)] >= math.pi / 2:
                     continue
-                p = m_point(t, v)
+                p = m_point(_m(t), v)
                 b, c = t.opposite(v)
                 e = 0.5 * (b + c)
                 median = line_through(t.vertex(v), e)
@@ -409,7 +427,7 @@ class TestMPoint:
 
     def test_obtuse_frozen_value_and_circle_membership(self):
         # frozen from the parallelogram construction: M = (34/97, 360/97)
-        p = m_point(TOBT, "C")
+        p = m_point(_m(TOBT), "C")
         assert p.dist(Point(34 / 97, 360 / 97)) < 1e-12
         f = TOBT.a + TOBT.b - TOBT.c
         k = circumcircle(*f, *TOBT.a, *TOBT.b)
@@ -418,15 +436,15 @@ class TestMPoint:
     def test_obtuse_random_circle_membership(self):
         rng = rng_for(0, "mpoint", 1)
         for _ in range(50):
-            t = triangle_of(random_obtuse_at(rng, "A"))
-            p = m_point(t, "A")
+            t = _triangle(random_obtuse_at(rng, "A"))
+            p = m_point(_m(t), "A")
             f = t.b + t.c - t.a
             k = circumcircle(*f, *t.b, *t.c)
             assert abs(_offset_from(k, p)) < 1e-8 * t.circumradius
 
     def test_right_angle_degenerates(self):
         with pytest.raises(RightAngleDegenerateError):
-            m_point(T345, "A")
+            m_point(_m(T345), "A")
 
 
 def _tangent_circle(at: Point, through: Point, tangent: LineXY) -> CircleXY:
@@ -454,7 +472,7 @@ def _brocard_by_tangent_circles(t: Triangle, which: str) -> Point:
 def _s_point_by_arc(t: Triangle, vertex: str) -> Point:
     """Oracle: the symmedian's hit on the arc through the opposite side's
     endpoints on the circumcenter's side."""
-    o = locate(t, O)
+    o = _locate(t, O)
     b, c = t.opposite(vertex)
     sym = line_through(t.vertex(vertex), symmedian_foot(t, vertex))
     base = line_through(b, c)
@@ -471,7 +489,7 @@ def _m_point_by_median(t: Triangle, vertex: str) -> Point:
     b, c = t.opposite(vertex)
     e = Point(*midpoint(b, c))
     median = line_through(apex, e)
-    if t.angles["ABC".index(vertex)] < math.pi / 2:
+    if _m(t).angles["ABC".index(vertex)] < math.pi / 2:
         return 2.0 * e - Point(*second_intersection(median, t.circumcircle, apex))
     f = b + c - apex
     return Point(*second_intersection(median, circumcircle(*f, *b, *c), f))
@@ -482,43 +500,43 @@ class TestClosedFormsAgainstConstructions:
         rng = rng_for(0, "closed-forms", 0)
         hosts = []
         for _ in range(100):
-            hosts.append(triangle_of(random_acute_triangle(rng)))
-            hosts.extend(triangle_of(random_obtuse_at(rng, v)) for v in "ABC")
+            hosts.append(_triangle(random_acute_triangle(rng)))
+            hosts.extend(_triangle(random_obtuse_at(rng, v)) for v in "ABC")
         for t in hosts:
             r = t.circumradius
             for which in ("first", "second"):
-                assert brocard_point(t, which).dist(_brocard_by_tangent_circles(t, which)) < 1e-12 * r
+                assert brocard_point(_m(t), which).dist(_brocard_by_tangent_circles(t, which)) < 1e-12 * r
             for v in "ABC":
-                assert s_point(t, v).dist(_s_point_by_arc(t, v)) < 1e-12 * r
-                assert m_point(t, v).dist(_m_point_by_median(t, v)) < 1e-12 * r
+                assert s_point(_m(t), v).dist(_s_point_by_arc(t, v)) < 1e-12 * r
+                assert m_point(_m(t), v).dist(_m_point_by_median(t, v)) < 1e-12 * r
 
 
 class TestIsogonalConjugate:
     def test_incenter_fixed(self):
-        l = locate(TSCA, L)
+        l = _locate(TSCA, L)
         assert _conjugate(TSCA, l).dist(l) < 1e-12
 
     def test_circumcenter_maps_to_orthocenter(self):
         rng = rng_for(0, "isogonal", 0)
         for _ in range(200):
-            t = triangle_of(random_triangle(rng))
-            assert _conjugate(t, locate(t, O)).dist(locate(t, H)) < 1e-8 * t.circumradius
-            l = locate(t, L)
+            t = _triangle(random_triangle(rng))
+            assert _conjugate(t, _locate(t, O)).dist(_locate(t, H)) < 1e-8 * t.circumradius
+            l = _locate(t, L)
             assert _conjugate(t, l).dist(l) < 1e-8 * t.circumradius
 
     def test_s_point_maps_to_m_point(self):
         rng = rng_for(0, "isogonal", 1)
         for i in range(100):
-            t = triangle_of(random_obtuse_at(rng, "A") if i % 2 else random_triangle(rng))
+            t = _triangle(random_obtuse_at(rng, "A") if i % 2 else random_triangle(rng))
             for v in "ABC":
-                assert _conjugate(t, s_point(t, v)).dist(m_point(t, v)) < 1e-8 * t.circumradius
+                assert _conjugate(t, s_point(_m(t), v)).dist(m_point(_m(t), v)) < 1e-8 * t.circumradius
 
     def test_involution(self):
         rng = rng_for(0, "isogonal", 2)
         from miquel.sampling import random_interior_point
 
         for _ in range(200):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             p = Point(*random_interior_point(rng, t.xy))
             q = _conjugate(t, p)
             try:
@@ -532,7 +550,7 @@ class TestIsogonalConjugate:
         from miquel.sampling import random_interior_point
 
         for _ in range(100):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             p = Point(*random_interior_point(rng, t.xy))
             q = _conjugate(t, p)
             assert angle_distance(_angle(t.c, t.b, q), _angle(p, t.b, t.a)) < 1e-9
@@ -588,7 +606,7 @@ class TestElevenPointCatalog:
         from miquel.sampling import random_catalog_triangle
 
         for _ in range(20):
-            t = triangle_of(random_catalog_triangle(rng))
+            t = _triangle(random_catalog_triangle(rng))
             cat = eleven_point_catalog(t.xy)
             pts = [Point(*e.location) for e in cat]
             for i in range(len(pts)):

@@ -9,15 +9,7 @@ import pytest
 
 import miquel.chains
 import miquel.verify
-from miquel.centers import (
-    SpecialRole,
-    brocard_point,
-    eleven_point_catalog,
-    locate,
-    m_point,
-    measures_xy,
-    s_point,
-)
+from miquel.centers import SpecialRole, eleven_point_catalog, locate_xy, measures_xy
 from miquel.chains import (
     CHAIN_DETECT_TOL,
     CHAIN_SIMILARITY_TOL,
@@ -28,7 +20,15 @@ from miquel.chains import (
     iterate_chain,
 )
 from miquel.errors import CollinearError, DegenerateStepError, OnSideLineError
-from miquel.kernel import Point, Triangle, circle_xy, midpoint, triangle_of
+from miquel.kernel import (
+    Triangle,
+    checked_xy,
+    circle_xy,
+    circumcircle,
+    corners_xy,
+    midpoint,
+    side_lengths_xy,
+)
 from miquel.sampling import (
     random_circumcircle_point,
     random_interior_point,
@@ -46,40 +46,54 @@ from miquel.verify import SEED_CORRESPONDENCES, run_suite
 
 SQ3 = math.sqrt(3.0)
 O, H, L = (SpecialRole(r) for r in ("circumcenter", "orthocenter", "incenter"))
-TSCA = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
-EQUI = Triangle(Point(0, 1), Point(-SQ3 / 2, -0.5), Point(SQ3 / 2, -0.5))
+TSCA = (0.0, 0.0, 4.0, 0.0, 1.0, 3.0)
+EQUI = (0.0, 1.0, -SQ3 / 2, -0.5, SQ3 / 2, -0.5)
+
+
+def _locate(t, role):
+    """Where ``role`` sits in the triangle ``t``, checked as the suites check it."""
+    return checked_xy(*locate_xy(measures_xy(t), role))
+
+
+def _triangles(rec):
+    """The seed and the step triangles of ``rec``, as coordinates."""
+    return (rec.seed, *rec.steps)
+
+
+def _radius(t):
+    return circumcircle(*t)[2]
 
 
 class TestIterateChain:
     def test_equilateral_medial_chain(self):
-        rec = iterate_chain(EQUI, Point(0, 0), 3)
-        for host, step in zip(rec.triangles, rec.steps):
+        rec = iterate_chain(EQUI, 0.0, 0.0, 3)
+        for host, step in zip(_triangles(rec), rec.steps):
             # the pedal feet of the center are the side midpoints
             for v in "ABC":
-                assert step.vertex(v).dist(Point(*midpoint(*host.opposite(v)))) < 1e-12
+                _, b, c = corners_xy(host, v)
+                assert math.dist(corners_xy(step, v)[0], midpoint(b, c)) < 1e-12
+        tris = _triangles(rec)
         for i in range(3):
-            match = classify_similarity(
-                rec.triangles[i].xy, rec.triangles[i + 1].xy, CHAIN_SIMILARITY_TOL
-            )
+            match = classify_similarity(tris[i], tris[i + 1], CHAIN_SIMILARITY_TOL)
             assert match is not None
-            scale = rec.triangles[i + 1].circumradius / rec.triangles[i].circumradius
+            scale = _radius(tris[i + 1]) / _radius(tris[i])
             assert abs(scale - 0.5) < 1e-12
 
     def test_scalene_mod3_seed_similarity(self):
-        rec = iterate_chain(TSCA, locate(TSCA, O), 3)
-        match = classify_similarity(rec.triangles[0].xy, rec.triangles[3].xy, CHAIN_SIMILARITY_TOL)
+        rec = iterate_chain(TSCA, *_locate(TSCA, O), 3)
+        match = classify_similarity(rec.seed, rec.steps[2], CHAIN_SIMILARITY_TOL)
         assert match is not None
 
     def test_circumcircle_point_collapses(self):
         rng = rng_for(0, "chains", 0)
-        p = Point(*random_circumcircle_point(rng, TSCA.xy, TSCA.circumcircle))
+        p = random_circumcircle_point(rng, TSCA, circumcircle(*TSCA))
         with pytest.raises(DegenerateStepError):
-            iterate_chain(TSCA, p, 2)
+            iterate_chain(TSCA, *p, 2)
 
     def test_side_line_point_degenerates(self):
         # the midpoint of BC lies on a side line of the seed
         with pytest.raises(DegenerateStepError, match="step 0") as info:
-            iterate_chain(TSCA, Point(*midpoint(TSCA.b, TSCA.c)), 3)
+            iterate_chain(TSCA, *midpoint(TSCA[2:4], TSCA[4:6]), 3)
         assert isinstance(info.value.__cause__, OnSideLineError)
 
     def test_collinear_step_triangle_degenerates(self):
@@ -87,112 +101,112 @@ class TestIterateChain:
         # circumcircle band: circles AYZ, BZX and CXY exist, but the pedal
         # triangle is collinear within tolerance, which the step's circle
         # test reports
-        thin = Triangle(Point(0, 0), Point(1, 0), Point(0.5, 3e-4))
-        cx, cy, r = thin.circumcircle
-        p = Point(cx + r * (1 + 1.01 * CIRCUMCIRCLE_BAND), cy)
-        triad = family_member(thin, p, 0.0)
+        thin = (0.0, 0.0, 1.0, 0.0, 0.5, 3e-4)
+        cx, cy, r = circumcircle(*thin)
+        p = (cx + r * (1 + 1.01 * CIRCUMCIRCLE_BAND), cy)
+        triad = family_member(thin, *p, 0.0)
         miquel_point(thin, triad)
         with pytest.raises(CollinearError):
-            triad.triangle()
+            side_lengths_xy(*triad)
         message = "^step 0 degenerated: the three points are collinear within tolerance$"
         with pytest.raises(DegenerateStepError, match=message) as info:
-            iterate_chain(thin, p, 1)
+            iterate_chain(thin, *p, 1)
         assert isinstance(info.value.__cause__, CollinearError)
 
     def test_miquel_point_fixed_along_chain(self):
-        p = Point(1.4, 0.9)
-        rec = iterate_chain(TSCA, p, 5)
-        for host, step in zip(rec.triangles, rec.steps):
-            point = miquel_point(host, family_member(host, p, 0.0)).point
-            assert point.dist(p) < 1e-8 * step.circumradius
+        p = (1.4, 0.9)
+        rec = iterate_chain(TSCA, *p, 5)
+        for host, step in zip(_triangles(rec), rec.steps):
+            point = miquel_point(host, family_member(host, *p, 0.0)).point
+            assert math.dist(point, p) < 1e-8 * _radius(step)
 
     def test_chain_leaving_the_coordinate_range_degenerates(self):
         # each step at theta = 1.57 stretches the triangle about 1256 times;
         # the fourth step triangle is past 1e50, where the Brocard weights of
         # later steps would overflow
-        t = Triangle(Point(0, 0), Point(4e40, 0), Point(1e40, 3e40))
-        p = Point(2e40, 1e40)
-        assert len(iterate_chain(t, p, 3, [1.57] * 3).steps) == 3
+        t = (0.0, 0.0, 4e40, 0.0, 1e40, 3e40)
+        p = (2e40, 1e40)
+        assert len(iterate_chain(t, *p, 3, [1.57] * 3).steps) == 3
         with pytest.raises(DegenerateStepError, match="step 3 degenerated: .* out of range"):
-            iterate_chain(t, p, 12, [1.57] * 12)
+            iterate_chain(t, *p, 12, [1.57] * 12)
 
     def test_chain_shrinking_below_the_coordinate_range_degenerates(self):
         # the medial chain halves the sides; step 4's longest side is
         # sqrt(3)·1e-49 / 32 < 1e-50
-        tiny = Triangle(*(v * 1e-49 for v in EQUI.vertices))
-        assert len(iterate_chain(tiny, Point(0, 0), 4).steps) == 4
+        tiny = tuple([c * 1e-49 for c in EQUI])
+        assert len(iterate_chain(tiny, 0.0, 0.0, 4).steps) == 4
         with pytest.raises(DegenerateStepError, match="step 4 degenerated: .* out of range"):
-            iterate_chain(tiny, Point(0, 0), 5)
+            iterate_chain(tiny, 0.0, 0.0, 5)
 
     def test_bad_schedule_length_rejected(self):
         with pytest.raises(ValueError):
-            iterate_chain(TSCA, Point(1.4, 0.9), 3, thetas=[0.1, 0.2])
+            iterate_chain(TSCA, 1.4, 0.9, 3, thetas=[0.1, 0.2])
 
     def test_step_cap(self):
         assert MAX_CHAIN_STEPS == 12
-        rec = iterate_chain(TSCA, Point(1.4, 0.9), 12)
+        rec = iterate_chain(TSCA, 1.4, 0.9, 12)
         assert len(rec.steps) == 12
         with pytest.raises(ValueError, match="cap of 12 steps"):
-            iterate_chain(TSCA, Point(1.4, 0.9), 13)
+            iterate_chain(TSCA, 1.4, 0.9, 13)
 
 
 class TestMod3Similarity:
     def test_classes_partition(self):
-        rec = iterate_chain(TSCA, locate(TSCA, O), 6)
+        rec = iterate_chain(TSCA, *_locate(TSCA, O), 6)
         assert check_mod3_similarity(rec) < CHAIN_SIMILARITY_TOL
 
     def test_brocard_chain_everything_similar(self):
-        p = brocard_point(TSCA, "first")
-        rec = iterate_chain(TSCA, p, 6)
-        tris = rec.triangles
+        p = _locate(TSCA, SpecialRole("first_brocard"))
+        rec = iterate_chain(TSCA, *p, 6)
+        tris = _triangles(rec)
         for i in range(len(tris) - 1):
-            assert classify_similarity(tris[i].xy, tris[i + 1].xy, CHAIN_SIMILARITY_TOL) is not None
+            assert classify_similarity(tris[i], tris[i + 1], CHAIN_SIMILARITY_TOL) is not None
 
     def test_circumcenter_chain_merges_first_two_classes(self):
         # the pedal triangle of the circumcenter is the medial triangle,
         # so classes k=0 and k=1 coincide
-        rec = iterate_chain(TSCA, locate(TSCA, O), 6)
-        tris = rec.triangles
-        assert classify_similarity(tris[0].xy, tris[1].xy, CHAIN_SIMILARITY_TOL) is not None
+        rec = iterate_chain(TSCA, *_locate(TSCA, O), 6)
+        tris = _triangles(rec)
+        assert classify_similarity(tris[0], tris[1], CHAIN_SIMILARITY_TOL) is not None
 
     def test_generic_point_classes_distinct(self):
-        rec = iterate_chain(TSCA, Point(1.31, 0.87), 9)
+        rec = iterate_chain(TSCA, 1.31, 0.87, 9)
         assert check_mod3_similarity(rec) < CHAIN_SIMILARITY_TOL
-        tris = rec.triangles
+        tris = _triangles(rec)
         for i in range(len(tris)):
             for j in range(i + 1, len(tris)):
                 if (j - i) % 3:
-                    assert classify_similarity(tris[i].xy, tris[j].xy, CHAIN_SIMILARITY_TOL) is None
+                    assert classify_similarity(tris[i], tris[j], CHAIN_SIMILARITY_TOL) is None
 
     def test_theta_schedule_invariance(self):
         rng = rng_for(0, "chains", 1)
         for _ in range(10):
-            t = triangle_of(random_triangle(rng))
-            p = Point(*random_interior_point(rng, t.xy))
+            t = random_triangle(rng)
+            p = random_interior_point(rng, t)
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(6)]
-            gap = check_mod3_similarity(iterate_chain(t, p, 6, thetas=thetas))
+            gap = check_mod3_similarity(iterate_chain(t, *p, 6, thetas=thetas))
             assert gap < CHAIN_SIMILARITY_TOL
 
     @pytest.mark.parametrize(
         "swap",
         [
-            lambda t: Triangle(*(Point(v.x, -v.y) for v in t.vertices)),  # mirrored
-            lambda t: Triangle(t.b, t.c, t.a),  # relabeled cyclically
+            lambda ax, ay, bx, by, cx, cy: (ax, -ay, bx, -by, cx, -cy),  # mirrored
+            lambda ax, ay, bx, by, cx, cy: (bx, by, cx, cy, ax, ay),  # relabeled cyclically
         ],
         ids=["mirrored", "relabeled"],
     )
     def test_similar_but_not_vertex_for_vertex_fails(self, swap):
-        rec = iterate_chain(TSCA, Point(1.31, 0.87), 9)
-        bad = swap(rec.triangles[3])
+        rec = iterate_chain(TSCA, 1.31, 0.87, 9)
+        bad = swap(*rec.steps[2])
         # a search over every vertex map and orientation accepts the swap
-        assert classify_similarity(rec.seed.xy, bad.xy, CHAIN_SIMILARITY_TOL) is not None
-        steps_xy = (*rec.steps_xy[:2], bad.xy, *rec.steps_xy[3:])
-        bad_rec = ChainRecord(rec.seed, rec.point, steps_xy, rec.circles)
+        assert classify_similarity(rec.seed, bad, CHAIN_SIMILARITY_TOL) is not None
+        steps = (*rec.steps[:2], bad, *rec.steps[3:])
+        bad_rec = ChainRecord(rec.seed, rec.point, steps, rec.circles)
         assert check_mod3_similarity(bad_rec) >= CHAIN_SIMILARITY_TOL
 
     def test_needs_four_triangles(self):
         with pytest.raises(ValueError):
-            check_mod3_similarity(iterate_chain(TSCA, Point(1.31, 0.87), 2))
+            check_mod3_similarity(iterate_chain(TSCA, 1.31, 0.87, 2))
 
 
 class TestSeedCorrespondences:
@@ -208,17 +222,16 @@ class TestSeedCorrespondences:
         # triangle 3 of every chain is checked against the seed vertex for
         # vertex, direct; a search over every vertex map and orientation
         # accepts the swapped triangle
-        rec = iterate_chain(TSCA, locate(TSCA, O), 6)
-        ax, ay, bx, by, cx, cy = swap(*rec.steps_xy[2])
-        bad = Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
-        assert classify_similarity(rec.seed.xy, bad.xy, CHAIN_SIMILARITY_TOL) is not None
+        rec = iterate_chain(TSCA, *_locate(TSCA, O), 6)
+        bad = swap(*rec.steps[2])
+        assert classify_similarity(rec.seed, bad, CHAIN_SIMILARITY_TOL) is not None
 
-        def swapped(t0, p, k, thetas=None):
-            rec = iterate_chain(t0, p, k, thetas)
+        def swapped(seed, px, py, k, thetas=None):
+            rec = iterate_chain(seed, px, py, k, thetas)
             if k < 3:  # the generic claim's chain has no triangle 3
                 return rec
-            steps_xy = (*rec.steps_xy[:2], swap(*rec.steps_xy[2]), *rec.steps_xy[3:])
-            return ChainRecord(rec.seed, rec.point, steps_xy, rec.circles)
+            steps = (*rec.steps[:2], swap(*rec.steps[2]), *rec.steps[3:])
+            return ChainRecord(rec.seed, rec.point, steps, rec.circles)
 
         assert run_suite("theorem15", 7, 3).passed
         monkeypatch.setattr(miquel.verify, "iterate_chain", swapped)
@@ -233,7 +246,7 @@ class TestSeedCorrespondences:
 
 class TestRoleCycles:
     def test_circumcenter_cycle(self):
-        roles = iterate_chain(TSCA, locate(TSCA, O), 4).roles
+        roles = iterate_chain(TSCA, *_locate(TSCA, O), 4).roles
         names = [r.role for r in roles]
         assert names == ["circumcenter", "orthocenter", "incenter", "circumcenter", "orthocenter"]
         assert follows_role_cycle(roles)
@@ -241,20 +254,20 @@ class TestRoleCycles:
         assert not follows_role_cycle([*roles[:2], SpecialRole("none")])
 
     def test_symmedian_point_cycle(self):
-        rec = iterate_chain(TSCA, s_point(TSCA, "A"), 4)
+        rec = iterate_chain(TSCA, *_locate(TSCA, SpecialRole("s_role", "A")), 4)
         roles = rec.roles
         assert [r.role for r in roles] == ["s_role", "m_role", "q_role", "s_role", "m_role"]
         assert all(r.vertex == "A" for r in roles)
 
     def test_brocard_fixed_role(self):
-        rec = iterate_chain(TSCA, brocard_point(TSCA, "first"), 4)
+        rec = iterate_chain(TSCA, *_locate(TSCA, SpecialRole("first_brocard")), 4)
         assert all(r.role == "first_brocard" for r in rec.roles)
-        rec2 = iterate_chain(TSCA, brocard_point(TSCA, "second"), 4)
+        rec2 = iterate_chain(TSCA, *_locate(TSCA, SpecialRole("second_brocard")), 4)
         assert all(r.role == "second_brocard" for r in rec2.roles)
 
     def test_orthocenter_seed_includes_excenter_leg(self):
-        tob = Triangle(Point(0, 0), Point(4, 0), Point(1.6, 0.9))
-        rec = iterate_chain(tob, locate(tob, H), 5)
+        tob = (0.0, 0.0, 4.0, 0.0, 1.6, 0.9)
+        rec = iterate_chain(tob, *_locate(tob, H), 5)
         names = [r.role for r in rec.roles]
         assert names[0] == "orthocenter"
         assert names[1] in ("incenter", "excenter")
@@ -262,20 +275,20 @@ class TestRoleCycles:
         assert follows_role_cycle(rec.roles)
 
     def test_incenter_seed(self):
-        rec = iterate_chain(TSCA, locate(TSCA, L), 4)
+        rec = iterate_chain(TSCA, *_locate(TSCA, L), 4)
         names = [r.role for r in rec.roles]
         assert names == ["incenter", "circumcenter", "orthocenter", "incenter", "circumcenter"]
 
     def test_role_positions_track_detected_centers(self):
         rng = rng_for(0, "chains", 2)
         for _ in range(10):
-            t = triangle_of(random_triangle(rng))
-            o = locate(t, O)
-            rec = iterate_chain(t, o, 6)
+            t = random_triangle(rng)
+            o = _locate(t, O)
+            rec = iterate_chain(t, *o, 6)
             expect = {"circumcenter", "orthocenter", "incenter", "excenter"}
             for step, role in zip(rec.steps, rec.roles[1:]):
                 assert role.role in expect
-                assert locate(step, role).dist(o) < 1e-6 * step.circumradius
+                assert math.dist(_locate(step, role), o) < 1e-6 * _radius(step)
 
 
 class TestLazyRoles:
@@ -291,14 +304,14 @@ class TestLazyRoles:
         return calls
 
     def test_unread_roles_cost_no_detection(self, detect_calls):
-        rec = iterate_chain(TSCA, locate(TSCA, O), 6)
+        rec = iterate_chain(TSCA, *_locate(TSCA, O), 6)
         check_mod3_similarity(rec)
-        assert len(rec.triangles) == 7
+        assert len(_triangles(rec)) == 7
         assert detect_calls == []
 
     def test_roles_detected_once_on_first_read(self, detect_calls):
         k = 5
-        rec = iterate_chain(TSCA, locate(TSCA, O), k)
+        rec = iterate_chain(TSCA, *_locate(TSCA, O), k)
         assert detect_calls == []
         first = rec.roles
         assert len(first) == k + 1
@@ -308,14 +321,17 @@ class TestLazyRoles:
         assert len(detect_calls) == k + 1
 
     def test_lazy_roles_match_explicit_detection(self):
-        for p in (locate(TSCA, O), s_point(TSCA, "A"), Point(1.31, 0.87)):
-            rec = iterate_chain(TSCA, p, 4)
-            expect = [detect_special_role(measures_xy(t.xy), *p, CHAIN_DETECT_TOL)
-                      for t in rec.triangles]
+        for p in (_locate(TSCA, O), _locate(TSCA, SpecialRole("s_role", "A")), (1.31, 0.87)):
+            rec = iterate_chain(TSCA, *p, 4)
+            expect = [detect_special_role(measures_xy(t), *p, CHAIN_DETECT_TOL)
+                      for t in _triangles(rec)]
             assert list(rec.roles) == expect
 
 
 class TestLazySteps:
+    """Chains build no ``Triangle``: the record keeps its seed and steps as
+    coordinates, and reading them or their roles builds none."""
+
     @pytest.fixture
     def built(self, monkeypatch):
         """Counts Triangle constructions."""
@@ -331,31 +347,26 @@ class TestLazySteps:
 
     @pytest.mark.parametrize("thetas", [None, (0.3, -0.5, 0.7, 0.1, -0.9, 0.4, 0.2, -0.6, 0.8)])
     def test_unread_chain_builds_no_step_triangle(self, built, thetas):
-        rec = iterate_chain(TSCA, Point(1.31, 0.87), 9, thetas)
+        rec = iterate_chain(TSCA, 1.31, 0.87, 9, thetas)
         check_mod3_similarity(rec)
-        assert built == []
         steps = rec.steps
-        assert len(built) == len(steps) == 9
-        assert rec.steps is steps
-        assert [s.vertices for s in steps] == [
-            (Point(ax, ay), Point(bx, by), Point(cx, cy))
-            for ax, ay, bx, by, cx, cy in rec.steps_xy
-        ]
-        assert len(built) == 9
+        assert len(steps) == 9
+        assert all(len(s) == 6 and all(type(c) is float for c in s) for s in steps)
+        assert rec.seed == TSCA and rec.point == (1.31, 0.87)
+        assert built == []
 
     def test_roles_are_detected_without_step_triangles(self, built):
-        for p in (locate(TSCA, O), s_point(TSCA, "A"), Point(1.31, 0.87)):
-            rec = iterate_chain(TSCA, p, 6)
+        for p in (_locate(TSCA, O), _locate(TSCA, SpecialRole("s_role", "A")), (1.31, 0.87)):
+            rec = iterate_chain(TSCA, *p, 6)
             assert len(rec.roles) == 7
         assert built == []
 
     @pytest.mark.parametrize("suite", ["theorem15", "corollary4"])
-    def test_chain_suites_build_only_their_seeds(self, built, suite):
-        # one seed Triangle per trial, from sampling; every chain step and
-        # every detection stays on coordinates
-        trials = 6
-        assert run_suite(suite, 7, trials).passed
-        assert len(built) == trials
+    def test_chain_suites_build_no_triangle(self, built, suite):
+        # the seeds come from sampling as coordinates, and every chain step
+        # and every detection stays on them
+        assert run_suite(suite, 7, 6).passed
+        assert built == []
 
     def test_step_circumcircles_are_the_ones_the_chain_used(self, monkeypatch):
         used = []
@@ -367,9 +378,9 @@ class TestLazySteps:
 
         monkeypatch.setattr(miquel.chains, "on_circle_xy", recording)
         k = 6
-        rec = iterate_chain(TSCA, Point(1.31, 0.87), k, [0.2, -0.4, 0.1, 0.5, -0.3, 0.0])
+        rec = iterate_chain(TSCA, 1.31, 0.87, k, [0.2, -0.4, 0.1, 0.5, -0.3, 0.0])
         # the hosts of the k steps: the seed, then step triangles 0 to k-2
-        assert [t.circumcircle for t in rec.triangles[:-1]] == used
+        assert [circumcircle(*t) for t in _triangles(rec)[:-1]] == used
 
 
 def test_kept_circles_are_the_circumcircles_and_roles_read_them():
@@ -379,18 +390,18 @@ def test_kept_circles_are_the_circumcircles_and_roles_read_them():
     rng = rng_for(0, "chains", 3)
     chains, names = 0, set()
     for i in range(60):
-        t = triangle_of(random_triangle(rng, min_angle=0.35, right_gap=0.1))
-        points = (locate(t, O), s_point(t, "ABC"[i % 3]), brocard_point(t, "first"),
-                  Point(*random_interior_point(rng, t.xy)))
+        t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
+        points = (_locate(t, O), _locate(t, SpecialRole("s_role", "ABC"[i % 3])),
+                  _locate(t, SpecialRole("first_brocard")), random_interior_point(rng, t))
         for p in points:
             for thetas in (None, [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(6)]):
-                rec = iterate_chain(t, p, 6, thetas)
+                rec = iterate_chain(t, *p, 6, thetas)
                 assert len(rec.circles) == 7
-                assert rec.circles[0] == rec.seed.circumcircle
+                assert rec.circles[0] == circumcircle(*rec.seed)
                 for k in range(1, 7):
-                    assert rec.circles[k] == circle_xy(*rec.steps_xy[k - 1])
+                    assert rec.circles[k] == circle_xy(*rec.steps[k - 1])
                 fresh = [detect_special_role(measures_xy(xy), *p, CHAIN_DETECT_TOL)
-                         for xy in (rec.seed.xy, *rec.steps_xy)]
+                         for xy in _triangles(rec)]
                 assert list(rec.roles) == fresh
                 names.update(r.role for r in fresh)
                 chains += 1
@@ -448,22 +459,22 @@ def _barycentric(tri, weights):
 
 def _named_points(tri):
     """O, H, Ω₁, Ω₂, S_v and M_v, whose barycentrics are polynomials in the
-    squared sides, with the library's float version of each."""
+    squared sides, with the role the library locates each as."""
     a2, b2, c2 = _squared_sides(tri)
     sa, sb, sc = b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2
     weights = {
-        "O": ((a2 * sa, b2 * sb, c2 * sc), lambda t: locate(t, O)),
-        "H": ((sb * sc, sc * sa, sa * sb), lambda t: locate(t, H)),
-        "Ω₁": ((c2 * a2, a2 * b2, b2 * c2), lambda t: brocard_point(t, "first")),
-        "Ω₂": ((a2 * b2, b2 * c2, c2 * a2), lambda t: brocard_point(t, "second")),
-        "S_A": ((sa, b2, c2), lambda t: s_point(t, "A")),
-        "S_B": ((a2, sb, c2), lambda t: s_point(t, "B")),
-        "S_C": ((a2, b2, sc), lambda t: s_point(t, "C")),
-        "M_A": ((a2, sa, sa), lambda t: m_point(t, "A")),
-        "M_B": ((sb, b2, sb), lambda t: m_point(t, "B")),
-        "M_C": ((sc, sc, c2), lambda t: m_point(t, "C")),
+        "O": ((a2 * sa, b2 * sb, c2 * sc), O),
+        "H": ((sb * sc, sc * sa, sa * sb), H),
+        "Ω₁": ((c2 * a2, a2 * b2, b2 * c2), SpecialRole("first_brocard")),
+        "Ω₂": ((a2 * b2, b2 * c2, c2 * a2), SpecialRole("second_brocard")),
+        "S_A": ((sa, b2, c2), SpecialRole("s_role", "A")),
+        "S_B": ((a2, sb, c2), SpecialRole("s_role", "B")),
+        "S_C": ((a2, b2, sc), SpecialRole("s_role", "C")),
+        "M_A": ((a2, sa, sa), SpecialRole("m_role", "A")),
+        "M_B": ((sb, b2, sb), SpecialRole("m_role", "B")),
+        "M_C": ((sc, sc, c2), SpecialRole("m_role", "C")),
     }
-    return {name: (_barycentric(tri, w), f) for name, (w, f) in weights.items()}
+    return {name: (_barycentric(tri, w), role) for name, (w, role) in weights.items()}
 
 
 def _rational_hosts(n):
@@ -486,13 +497,16 @@ HOSTS = _rational_hosts(12)
 
 
 def _float_triangle(tri):
-    return Triangle(*(Point(float(x), float(y)) for x, y in tri))
+    return tuple([float(c) for vertex in tri for c in vertex])
 
 
 def _close(tri, t, tol):
+    """Every exact vertex of ``tri`` within ``tol`` times the circumradius of
+    the float triangle ``t`` of its vertex."""
+    r = _radius(t)
     return all(
-        math.hypot(float(x) - v.x, float(y) - v.y) < tol * t.circumradius
-        for (x, y), v in zip(tri, t.vertices)
+        math.hypot(float(x) - t[k], float(y) - t[k + 1]) < tol * r
+        for (x, y), k in zip(tri, (0, 2, 4))
     )
 
 
@@ -513,11 +527,12 @@ class TestExactCorrespondences:
             # the oracle runs the library's chain: same labels, same rotation sense
             rec = iterate_chain(
                 _float_triangle(host),
-                Point(float(p[0]), float(p[1])),
+                float(p[0]),
+                float(p[1]),
                 9,
                 thetas=[math.atan(tan) for tan in tans],
             )
-            assert all(_close(tri, t, 1e-9) for tri, t in zip(tris, rec.triangles))
+            assert all(_close(tri, t, 1e-9) for tri, t in zip(tris, _triangles(rec)))
             assert check_mod3_similarity(rec) < CHAIN_SIMILARITY_TOL
 
     def test_family_member_is_the_exact_step(self):
@@ -528,16 +543,16 @@ class TestExactCorrespondences:
             for _ in range(5):
                 p = _barycentric(host, [Fraction(rng.randint(1, 9)) for _ in "ABC"])
                 q = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-                triad = family_member(t, Point(float(p[0]), float(p[1])), math.atan(q))
-                assert _close(_exact_step(host, p, q), triad.triangle(), 1e-13)
+                triad = family_member(t, float(p[0]), float(p[1]), math.atan(q))
+                assert _close(_exact_step(host, p, q), triad, 1e-13)
 
     def test_seed_correspondences(self):
         for host in HOSTS:
             seed_ratio = _exact_ratio(host)
             mirrored_ratio = (seed_ratio[0], -seed_ratio[1])
-            for name, (p, locate) in _named_points(host).items():
+            for name, (p, role) in _named_points(host).items():
                 t = _float_triangle(host)
-                assert locate(t).dist(Point(float(p[0]), float(p[1]))) < 1e-10 * t.circumradius
+                assert math.dist(_locate(t, role), (float(p[0]), float(p[1]))) < 1e-10 * _radius(t)
                 tris = _exact_chain(host, p, [Fraction(0)] * 6)
                 for k in range(1, 7):
                     if k % 3 not in SEED_CORRESPONDENCES[name]:
@@ -571,7 +586,7 @@ def _catalog_table(host):
     """The catalog's recorded (order, mirrored) for each (role, inverse)."""
     return {
         (e.kind, e.inverse): (e.order, e.mirrored)
-        for e in eleven_point_catalog(_float_triangle(host).xy)
+        for e in eleven_point_catalog(_float_triangle(host))
     }
 
 
@@ -600,11 +615,11 @@ class TestExactPedalCorrespondences:
         for host in HOSTS:
             t = _float_triangle(host)
             points = _named_points(host)
-            for e in eleven_point_catalog(t.xy):
+            for e in eleven_point_catalog(t):
                 p, _ = points[_CATALOG_NAMES.get(e.kind.role) or f"S_{e.kind.vertex}"]
                 if e.inverse:
                     p = _exact_inverse(host, p)
-                assert Point(*e.location).dist(Point(float(p[0]), float(p[1]))) < 1e-9 * t.circumradius
+                assert math.dist(e.location, (float(p[0]), float(p[1]))) < 1e-9 * _radius(t)
 
     def test_catalog_correspondences(self):
         table = _catalog_table(HOSTS[0])

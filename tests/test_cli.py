@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -94,7 +93,7 @@ def test_every_correspondence_classified_and_printed(
     match = classify_similarity(host.xy, copy.xy, PEDAL_SIMILARITY_TOL)
     assert (match.order, match.mirrored) == (order, mirrored)
     # classify reports the copy as the pedal triangle of the scene's point
-    monkeypatch.setattr(cli, "pedal_triad", lambda t, p: SimpleNamespace(triangle=lambda: copy))
+    monkeypatch.setattr(cli, "pedal_triad", lambda host, px, py: copy.xy)
     assert cli.main(["classify", "--in", tri_file, "--point", "2,1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["permutation"], doc["orientation"]) == (
@@ -153,6 +152,24 @@ def test_miquel_subcommand(tri_file):
     doc = json.loads(res.stdout)
     assert doc["residual"] < 1e-12
     assert abs(doc["point"][0] - 1.7023121387283235) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("miquel", "--triad", "1e308,0.3,0.3"),
+        ("miquel",),
+        ("figure", "--elements", "triad"),
+        ("figure", "--elements", "miquel-circles"),
+    ],
+)
+def test_overflowing_triad_point_is_usage_error(tmp_path, capsys, argv):
+    # u = 1e308 is finite, but X = B + u·(C − B) is not, and each triad
+    # point is checked as a point
+    path = tmp_path / "huge.json"
+    path.write_text('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "triad": [1e308, 0.3, 0.3]}')
+    assert cli.main([argv[0], "--in", str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == "usage error: non-finite coordinates (-inf, inf)\n"
 
 
 def test_miquel_tangency_line(tri_file):

@@ -18,16 +18,17 @@ a side line too. `Triangle.min_side_line_distance` reads the same floats as
 hand to their guard.
 
 The one-shot suites build no Point they do not read either: theorem1 takes
-its triad from `triad_xy` (`Triad.at`'s body) and its residual from
-`miquel_residual` (`miquel_point`'s), and `containment_parity` tests
-containment with `contains_xy`.
+its triad from `triad_xy` and its residual from `miquel_residual`
+(`miquel_point`'s), and `containment_parity` tests containment with
+`contains_xy`.
 
 Some hot forms write others out in line rather than call them:
-`centers.measures_xy` spells `side_lengths_xy`, `circumcircle`,
-`squared_sides_xy` and `angles_xy` in one pass; `circumcircle` spells
-`checked_circle`'s tests, `circle_xy` and `side_lengths_xy` the collinearity
-test, `directed_angle_xy` `half_turn`. The tests under "written-out forms"
-pin each against the calls it replaced, in values and in what it raises.
+`centers.measures_xy` spells `side_lengths_xy`, `circumcircle` and the
+squared sides and interior angles (`_squared_sides_xy`, `_angles_xy` below)
+in one pass; `circumcircle` spells `checked_circle`'s tests, `circle_xy` and
+`side_lengths_xy` the collinearity test, `directed_angle_xy` `half_turn`.
+The tests under "written-out forms" pin each against the calls it replaced,
+in values and in what it raises.
 """
 
 import itertools
@@ -36,7 +37,7 @@ import math
 import pytest
 
 from miquel import centers, chains, kernel
-from miquel.centers import NAMED_POINTS, locate
+from miquel.centers import NAMED_POINTS, locate_xy, measures_xy
 from miquel.chains import iterate_chain
 from miquel.errors import CollinearError, GeometryError, RightAngleDegenerateError
 from miquel.kernel import (
@@ -44,7 +45,6 @@ from miquel.kernel import (
     LENGTH_EPS,
     Point,
     Triangle,
-    angles_xy,
     checked_circle,
     circle_xy,
     circumcircle,
@@ -60,8 +60,6 @@ from miquel.kernel import (
     shape_ratio,
     min_side_line_distance_xy,
     side_lengths_xy,
-    squared_sides_xy,
-    triangle_of,
     unit_direction,
 )
 from miquel.sampling import (
@@ -74,8 +72,8 @@ from miquel.sampling import (
 )
 from miquel.triads import (
     PEDAL_SIMILARITY_TOL,
-    Triad,
     cevian_angles_xy,
+    checked_triad,
     classify_similarity,
     family_member,
     family_xy,
@@ -84,8 +82,20 @@ from miquel.triads import (
     miquel_residual,
     miquel_xy,
     pedal_triad,
+    triad_params,
     triad_xy,
 )
+
+
+def _triangle(xy) -> Triangle:
+    """The ``Triangle`` on the six coordinates ``xy``, for the operator forms."""
+    ax, ay, bx, by, cx, cy = xy
+    return Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
+
+
+def _points(triad) -> tuple[Point, Point, Point]:
+    """The points X, Y, Z of ``triad``, a TriangleXY."""
+    return Point(*triad[0:2]), Point(*triad[2:4]), Point(*triad[4:6])
 
 
 def _hosts_and_points():
@@ -95,7 +105,7 @@ def _hosts_and_points():
     cases = []
     for _ in range(250):
         hosts = (random_acute_triangle(rng), *(random_obtuse_at(rng, v) for v in "ABC"))
-        for t in map(triangle_of, hosts):
+        for t in map(_triangle, hosts):
             points = (Point(*random_interior_point(rng, t.xy)),
                       Point(*random_exterior_point(rng, t.xy, t.circumcircle)))
             cases.append((t, points, rng.uniform(-1.2, 1.2)))
@@ -179,6 +189,12 @@ def _interior_by_operators(apex, p, q):
     return math.atan2(abs(u.cross(v)), u.dot(v))
 
 
+def _angles_by_operators(t):
+    a, b, c = t.vertices
+    return (_interior_by_operators(a, b, c), _interior_by_operators(b, c, a),
+            _interior_by_operators(c, a, b))
+
+
 def _from_barycentric_by_operators(t, wa, wb, wc):
     return (wa * t.a + wb * t.b + wc * t.c) / (wa + wb + wc)
 
@@ -233,7 +249,7 @@ def _triad_points_by_operators(host, u, v, w):
 
 
 def _triad_at_by_generator(host, u, v, w):
-    """Triad.at's points as it built them before triad_xy."""
+    """The triad at u, v, w as a generator of Point expressions builds it."""
     a, b, c = host.vertices
     return tuple(
         Point(tail.x + s * (head.x - tail.x), tail.y + s * (head.y - tail.y))
@@ -263,7 +279,8 @@ def _classify_by_label_lookup(t1, t2, angle_eps):
     as (order, mirrored, ratio, score), or None."""
     best = None
     for order in itertools.permutations(range(3)):
-        residual = max(abs(t1.angles[i] - t2.angles[order[i]]) for i in range(3))
+        angles1, angles2 = _angles_by_operators(t1), _angles_by_operators(t2)
+        residual = max(abs(angles1[i] - angles2[order[i]]) for i in range(3))
         if residual >= angle_eps:
             continue
         ratios = [t2.side_lengths[order[i]] / t1.side_lengths[i] for i in range(3)]
@@ -279,8 +296,8 @@ def _classify_by_label_lookup(t1, t2, angle_eps):
 
 def test_circumcircle():
     for t, points, theta in CASES:
-        triad = family_member(t, points[0], theta)
-        for triple in ((t.a, t.b, t.c), (t.a, triad.y, triad.z), (t.b, triad.z, triad.x)):
+        x, y, z = _points(family_member(t.xy, *points[0], theta))
+        for triple in ((t.a, t.b, t.c), (t.a, y, z), (t.b, z, x)):
             cx, cy, r = circumcircle(*triple[0], *triple[1], *triple[2])
             assert (Point(cx, cy), r) == _circumcircle_by_operators(*triple)
 
@@ -369,12 +386,7 @@ def test_line_at_project_and_reflect():
 def test_triangle_angles_area_and_directed_angles():
     for t, points, _ in CASES:
         a, b, c = t.vertices
-        expected = (
-            _interior_by_operators(a, b, c),
-            _interior_by_operators(b, c, a),
-            _interior_by_operators(c, a, b),
-        )
-        assert t.angles == expected
+        assert measures_xy(t.xy).angles == _angles_by_operators(t)
         for p in points:
             for q, r in ((a, b), (b, c), (c, a)):
                 assert directed_angle_xy(*p, *q, *r) == _directed_angle_by_operators(p, q, r)
@@ -409,11 +421,31 @@ def _circumcircle_by_calls(*xy):
     return checked_circle(_circle_by_calls(*xy))
 
 
+def _squared_sides_xy(xy):
+    """|BC|², |CA|², |AB|² of the triangle ``xy``."""
+    ax, ay, bx, by, cx, cy = xy
+    bcx, bcy, cax, cay, abx, aby = cx - bx, cy - by, ax - cx, ay - cy, bx - ax, by - ay
+    return (bcx * bcx + bcy * bcy, cax * cax + cay * cay, abx * abx + aby * aby)
+
+
+def _interior(ux, uy, vx, vy):
+    """The angle between the legs (ux, uy) and (vx, vy), in [0, pi]."""
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+
+
+def _angles_xy(xy):
+    """The interior angles at A, B, C of the triangle ``xy``."""
+    ax, ay, bx, by, cx, cy = xy
+    return (_interior(bx - ax, by - ay, cx - ax, cy - ay),
+            _interior(cx - bx, cy - by, ax - bx, ay - by),
+            _interior(ax - cx, ay - cy, bx - cx, by - cy))
+
+
 def _measures_by_calls(xy, circle=None):
     """measures_xy as the composition of the forms it writes out."""
     side_lengths = side_lengths_xy(*xy)
     ox, oy, r = _circumcircle_by_calls(*xy) if circle is None else circle
-    return centers.Measures(xy, side_lengths, squared_sides_xy(xy), angles_xy(xy), (ox, oy), r)
+    return centers.Measures(xy, side_lengths, _squared_sides_xy(xy), _angles_xy(xy), (ox, oy), r)
 
 
 def _directed_angle_by_calls(px, py, qx, qy, rx, ry):
@@ -488,8 +520,8 @@ HOSTS = _written_out_hosts()
 
 
 def test_measures_xy_is_its_composition():
-    """measures_xy equals side_lengths_xy, circumcircle, squared_sides_xy and
-    angles_xy called in turn, with and without a passed circle, and raises
+    """measures_xy equals side_lengths_xy, circumcircle, _squared_sides_xy and
+    _angles_xy called in turn, with and without a passed circle, and raises
     what they raise, in their order."""
     raised = set()
     for xy in HOSTS + _degenerate_triples():
@@ -538,60 +570,62 @@ def test_directed_angle_xy_is_its_calls():
 def test_squared_sides_isogonal_conjugate_and_every_named_point(monkeypatch):
     located = []
     for t, points, _ in CASES:
-        assert t.squared_sides == _squared_sides_by_operators(t)
-        # detection's measures, from coordinates, are the Triangle's floats
-        assert centers.measures_xy(t.xy) == (
-            t.xy, t.side_lengths, t.squared_sides, t.angles, t.circumcenter_xy, t.circumradius
-        )
+        m = measures_xy(t.xy)
+        # the measures, from coordinates, are the Triangle's floats and the
+        # operator forms'
+        assert m == (t.xy, t.side_lengths, _squared_sides_by_operators(t),
+                     _angles_by_operators(t), t.circumcenter_xy, t.circumradius)
         p = points[0]
         expected = _isogonal_conjugate_by_operators(t, p)
-        assert Point(*centers.isogonal_conjugate(t, p.x, p.y)) == expected
-        assert Point(*centers.isogonal_conjugate(centers.measures_xy(t.xy), *p)) == expected
+        assert Point(*centers.isogonal_conjugate(m, *p)) == expected
         row = []
         for role, _ in NAMED_POINTS:
             try:
-                row.append(locate(t, role))
+                row.append(locate_xy(m, role))
             except RightAngleDegenerateError:
                 row.append(None)
         located.append(row)
     monkeypatch.setattr(
-        centers, "_barycentric_xy", lambda t, *w: tuple(_from_barycentric_by_operators(t, *w))
+        centers, "_barycentric_xy",
+        lambda m, *w: tuple(_from_barycentric_by_operators(_triangle(m.xy), *w)),
     )
-    # a property outranks the values cached on the instances
-    monkeypatch.setattr(kernel.Triangle, "squared_sides", property(_squared_sides_by_operators))
     monkeypatch.setitem(
-        centers.LOCATE_XY, "orthocenter", lambda t, v: tuple(_orthocenter_by_operators(t))
+        centers.LOCATE_XY, "orthocenter",
+        lambda m, v: tuple(_orthocenter_by_operators(_triangle(m.xy))),
     )
     for (t, _, _), row in zip(CASES, located):
+        # the location bodies on the squared sides of the operator form
+        m = measures_xy(t.xy)._replace(squared_sides=_squared_sides_by_operators(t))
         for (role, _), point in zip(NAMED_POINTS, row):
             if point is not None:
-                assert point == locate(t, role), role
+                assert point == locate_xy(m, role), role
 
 
 # ---------------------------------------------------------------- triads
 
 def test_family_member_feet_and_triad_forms():
     """Each family vertex is its pedal foot (the side line's projection)
-    moved by tan theta times the quarter-turned spoke; Triad.at and
-    Triad.params against their operator forms."""
+    moved by tan theta times the quarter-turned spoke; triad_xy and
+    triad_params against their operator forms."""
     for t, points, theta in CASES:
         for p in points:
-            triad = family_member(t, p, theta)
+            triad = family_member(t.xy, *p, theta)
             feet = [_project_by_operators(line_through(*t.opposite(v)), p) for v in "ABC"]
-            assert list(triad.points) == [
+            assert list(_points(triad)) == [
                 _family_vertex_by_operators(p, f, theta) for f in feet
             ]
-            params = triad.params
+            x, y, z = _points(triad)
+            params = triad_params(t.xy, triad)
             assert params == (
-                _param_by_operators(triad.x, t.b, t.c),
-                _param_by_operators(triad.y, t.c, t.a),
-                _param_by_operators(triad.z, t.a, t.b),
+                _param_by_operators(x, t.b, t.c),
+                _param_by_operators(y, t.c, t.a),
+                _param_by_operators(z, t.a, t.b),
             )
-            assert Triad.at(t, *params).points == _triad_points_by_operators(t, *params)
+            assert _points(triad_xy(t.xy, *params)) == _triad_points_by_operators(t, *params)
 
 
 def test_triad_xy_and_miquel_residual():
-    """triad_xy against Triad.at's old generator, inside and outside [0, 1];
+    """triad_xy against a generator of its points, inside and outside [0, 1];
     miquel_residual against the radial offsets (distance to the center minus
     the radius) of the circles AYZ, BZX, CXY."""
     rng = rng_for(0, "coordinate-forms", 2)
@@ -600,13 +634,13 @@ def test_triad_xy_and_miquel_residual():
         x, y, z = _triad_at_by_generator(t, *params)
         xy = triad_xy(t.xy, *params)
         assert xy == (x.x, x.y, y.x, y.y, z.x, z.y)
-        assert Triad.at(t, *params).points == (x, y, z)
+        assert _points(checked_triad(xy)) == (x, y, z)
         *rows, (mx, my) = miquel_xy(t.xy, xy)
         circles = (circumcircle(*t.a, *y, *z), circumcircle(*t.b, *z, *x),
                    circumcircle(*t.c, *x, *y))
         expected = max(abs(Point(cx, cy).dist(Point(mx, my)) - r) for cx, cy, r in circles)
         assert miquel_residual(rows, mx, my) == expected
-        assert miquel_point(t, Triad.at(t, *params)).residual == expected
+        assert miquel_point(t.xy, checked_triad(xy)).residual == expected
     with pytest.raises(ValueError, match="^triad parameters must be finite$"):
         triad_xy(CASES[0][0].xy, 0.5, math.inf, 0.5)
 
@@ -660,7 +694,7 @@ def test_one_pedal_triangle():
     for t, points, _ in CASES:
         for p in (*points, t.a, Point(*midpoint(t.b, t.c))):
             feet = tuple(_project_by_operators(line_through(*t.opposite(v)), p) for v in "ABC")
-            assert pedal_triad(t, p).points == feet
+            assert _points(pedal_triad(t.xy, *p)) == feet
 
 
 def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):
@@ -671,18 +705,16 @@ def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):
 
     def recording(*args):
         result = real(*args)
-        drift_points.append(Point(*result[3]))
+        drift_points.append(result[3])
         return result
 
     monkeypatch.setattr(chains, "miquel_xy", recording)
     for t, points, theta in CASES:
         for p in points:
-            triad = family_member(t, p, theta)
-            rec = iterate_chain(t, p, 1, [theta])
-            x, y, z = triad.points
-            assert rec.steps_xy == ((x.x, x.y, y.x, y.y, z.x, z.y),)
-            assert rec.steps[0].vertices == triad.triangle().vertices
-            assert drift_points == [miquel_point(t, triad).point]
+            triad = family_member(t.xy, *p, theta)
+            rec = iterate_chain(t.xy, *p, 1, [theta])
+            assert rec.steps == (triad,)
+            assert drift_points == [miquel_point(t.xy, triad).point]
             drift_points.clear()
 
 
@@ -702,7 +734,8 @@ def _verdicts(t1, t2, tol):
 @pytest.mark.parametrize("thetas", [None, (0.3, -0.5, 0.7, 0.1, -0.9, 0.4)])
 def test_classify_similarity_along_chains(thetas):
     for t, points, _ in CASES[:200]:
-        tris = iterate_chain(t, points[0], 6, thetas).triangles
+        rec = iterate_chain(t.xy, *points[0], 6, thetas)
+        tris = [_triangle(xy) for xy in (rec.seed, *rec.steps)]
         for i in range(len(tris)):
             for j in range(i + 1, len(tris)):
                 got, expected = _verdicts(tris[i], tris[j], 1e-6)
@@ -712,6 +745,6 @@ def test_classify_similarity_along_chains(thetas):
 def test_classify_similarity_on_catalog_pedal_shapes():
     for t, _, _ in CASES:
         for e in centers.eleven_point_catalog(t.xy):
-            shape = pedal_triad(t, Point(*e.location)).triangle()
+            shape = _triangle(pedal_triad(t.xy, *e.location))
             got, expected = _verdicts(t, shape, PEDAL_SIMILARITY_TOL)
             assert got == expected == (e.order, e.mirrored)

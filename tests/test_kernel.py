@@ -8,7 +8,7 @@ import random
 import pytest
 
 from miquel import kernel
-from miquel.centers import SpecialRole, is_right, is_scalene
+from miquel.centers import SpecialRole, is_right, is_scalene, measures_xy
 from miquel.chains import ChainRecord
 from miquel.errors import CollinearError, GeometryError
 from miquel.kernel import (
@@ -31,7 +31,6 @@ from miquel.kernel import (
     second_intersection,
     unit_direction,
 )
-from miquel.triads import Triad
 
 SQ3 = math.sqrt(3.0)
 
@@ -79,10 +78,9 @@ VALUE_TYPES = [
     (lambda: Point(0.5, 2.0), ("x", "y")),
     (_triangle, ("a", "b", "c")),
     (lambda: SpecialRole("s_role", "B"), ("role", "vertex")),
-    (lambda: ChainRecord(_triangle(), Point(2.0, 1.0), ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0),),
+    (lambda: ChainRecord(_triangle().xy, (2.0, 1.0), ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0),),
                          (_triangle().circumcircle, (0.5, 0.5, math.sqrt(0.5)))),
-     ("seed", "point", "steps_xy", "circles")),
-    (lambda: Triad.at(_triangle(), 0.3, 0.3, 0.3), ("host", "x", "y", "z")),
+     ("seed", "point", "steps", "circles")),
 ]
 
 
@@ -417,15 +415,15 @@ class TestTriangle:
         assert 0 < built < 10000
 
     def test_angles_sum(self):
-        t = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
+        t = measures_xy((0.0, 0.0, 4.0, 0.0, 1.0, 3.0))
         assert abs(sum(t.angles) - math.pi) < 1e-12
 
     def test_predicates(self):
         t345 = Triangle(Point(0, 0), Point(4, 0), Point(0, 3))
-        assert is_right(t345)
-        assert is_scalene(t345)
+        assert is_right(measures_xy(t345.xy))
+        assert is_scalene(measures_xy(t345.xy))
         eq = Triangle(Point(0, 1), Point(-SQ3 / 2, -0.5), Point(SQ3 / 2, -0.5))
-        assert not is_scalene(eq)
+        assert not is_scalene(measures_xy(eq.xy))
         assert _is_isosceles_at(eq, "A", LENGTH_EPS)
         iso = Triangle(Point(0, 2), Point(-1, 0), Point(1, 0))
         assert _is_isosceles_at(iso, "A", LENGTH_EPS)

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from miquel import sampling
-from miquel.centers import SpecialRole, is_scalene, locate
+from miquel.centers import SpecialRole, is_scalene, locate_xy, measures_xy
 from miquel.errors import CollinearError
-from miquel.kernel import HALF_PI, LENGTH_EPS, Point, circumcircle, contains_xy, triangle_of
+from miquel.kernel import (HALF_PI, LENGTH_EPS, circumcircle, contains_xy,
+                           min_side_line_distance_xy)
 from miquel.sampling import (
     random_acute_triangle,
     random_arc_point,
@@ -34,7 +35,7 @@ def test_rng_for_is_reproducible_and_keyed():
 def test_random_triangle_margins():
     rng = rng_for(0, "sampling", 0)
     for _ in range(100):
-        t = triangle_of(random_triangle(rng))
+        t = measures_xy(random_triangle(rng))
         assert min(t.angles) > 0.30 - 1e-12
         assert all(abs(a - HALF_PI) > 0.05 - 1e-12 for a in t.angles)
         assert is_scalene(t)
@@ -43,7 +44,7 @@ def test_random_triangle_margins():
 def test_catalog_triangle_constraints():
     rng = rng_for(0, "sampling", 1)
     for _ in range(50):
-        t = triangle_of(random_catalog_triangle(rng))
+        t = measures_xy(random_catalog_triangle(rng))
         a, b, c = t.angles
         gaps = (abs(a - b), abs(b - c), abs(c - a))
         assert min(gaps) > math.radians(5.0) - 1e-12
@@ -53,10 +54,10 @@ def test_catalog_triangle_constraints():
 def test_acute_and_obtuse_generators():
     rng = rng_for(0, "sampling", 2)
     for _ in range(50):
-        assert max(triangle_of(random_acute_triangle(rng)).angles) < HALF_PI
+        assert max(measures_xy(random_acute_triangle(rng)).angles) < HALF_PI
     for v in "ABC":
         for _ in range(20):
-            t = triangle_of(random_obtuse_at(rng, v))
+            t = measures_xy(random_obtuse_at(rng, v))
             i = "ABC".index(v)
             assert t.angles[i] > HALF_PI
             assert all(t.angles[j] < HALF_PI for j in range(3) if j != i)
@@ -66,7 +67,7 @@ def test_isosceles_generator():
     rng = rng_for(0, "sampling", 3)
     for v in "ABC":
         for _ in range(20):
-            t = triangle_of(random_isosceles(rng, v))
+            t = measures_xy(random_isosceles(rng, v))
             i = "ABC".index(v)
             sides = t.side_lengths
             assert abs(sides[(i + 1) % 3] - sides[(i + 2) % 3]) < LENGTH_EPS * t.circumradius
@@ -76,23 +77,25 @@ def test_isosceles_generator():
 def _offset_from(circle, p):
     """Signed radial offset of ``p``: distance to the center minus the radius."""
     cx, cy, r = circle
-    return math.hypot(cx - p.x, cy - p.y) - r
+    px, py = p
+    return math.hypot(cx - px, cy - py) - r
 
 
 def test_point_generators_hit_their_regions():
     rng = rng_for(0, "sampling", 4)
     for _ in range(50):
-        t = triangle_of(random_triangle(rng))
-        r = t.circumradius
-        p = Point(*random_interior_point(rng, t.xy))
-        assert contains_xy(t.xy, p.x, p.y)
-        q = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
-        assert _offset_from(t.circumcircle, q) < 0.0
-        x = Point(*random_exterior_point(rng, t.xy, t.circumcircle))
-        assert _offset_from(t.circumcircle, x) > 0.0
-        s = Point(*random_circumcircle_point(rng, t.xy, t.circumcircle))
-        assert abs(_offset_from(t.circumcircle, s)) < 1e-12 * r
-        assert min(s.dist(v) for v in t.vertices) > 0.01 * r
+        t = random_triangle(rng)
+        circle = circumcircle(*t)
+        r = circle[2]
+        p = random_interior_point(rng, t)
+        assert contains_xy(t, *p)
+        q = random_point_in_circumdisk(rng, t, circle)
+        assert _offset_from(circle, q) < 0.0
+        x = random_exterior_point(rng, t, circle)
+        assert _offset_from(circle, x) > 0.0
+        s = random_circumcircle_point(rng, t, circle)
+        assert abs(_offset_from(circle, s)) < 1e-12 * r
+        assert min(math.dist(s, t[k:k + 2]) for k in (0, 2, 4)) > 0.01 * r
 
 
 def test_arc_point_passes_through_via_side():
@@ -100,13 +103,14 @@ def test_arc_point_passes_through_via_side():
     from miquel.kernel import circumcircle, line_through, offset_xy
 
     for _ in range(30):
-        t = triangle_of(random_isosceles(rng, "A"))
-        l = locate(t, SpecialRole("incenter"))
-        arc = circumcircle(*t.b, *t.c, *l)
-        p = Point(*random_arc_point(rng, arc, t.c, t.b, l))
+        t = random_isosceles(rng, "A")
+        b, c = t[2:4], t[4:6]
+        l = locate_xy(measures_xy(t), SpecialRole("incenter"))
+        arc = circumcircle(*b, *c, *l)
+        p = random_arc_point(rng, arc, c, b, l)
         assert abs(_offset_from(arc, p)) < 1e-12 * arc[2]
         # the arc through the incenter stays on the incenter's side of BC
-        base = line_through(t.b, t.c)
+        base = line_through(b, c)
         assert offset_xy(*base, *p) * offset_xy(*base, *l) > 0.0
 
 
@@ -166,7 +170,7 @@ def _point_in_circumdisk_by_uniform(rng, t, circle, line_margin=0.02, radial_mar
         r = radius * math.sqrt(rng.random()) * (1.0 - radial_margin)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         px, py = ox + r * math.cos(phi), oy + r * math.sin(phi)
-        if triangle_of(t).min_side_line_distance(Point(px, py)) < line_margin * radius:
+        if min_side_line_distance_xy(t, px, py) < line_margin * radius:
             continue
         return px, py
 
@@ -177,7 +181,7 @@ def _exterior_point_by_uniform(rng, t, circle, min_factor=1.1, max_factor=5.0):
         r = radius * rng.uniform(min_factor, max_factor)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         px, py = ox + r * math.cos(phi), oy + r * math.sin(phi)
-        if triangle_of(t).min_side_line_distance(Point(px, py)) < 0.02 * radius:
+        if min_side_line_distance_xy(t, px, py) < 0.02 * radius:
             continue
         return px, py
 

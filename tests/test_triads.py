@@ -9,7 +9,7 @@ from miquel import triads
 from miquel.centers import (
     brocard_point,
     eleven_point_catalog,
-    locate,
+    locate_xy,
     m_point,
     measures_xy,
     s_point,
@@ -38,7 +38,6 @@ from miquel.kernel import (
     reject_side_lines,
     shape_gap,
     shape_ratio,
-    triangle_of,
     unit_direction,
 )
 from miquel.sampling import (
@@ -57,8 +56,8 @@ from miquel.triads import (
     CONCURRENCY_BAND,
     ParityReport,
     SpecialRole,
-    Triad,
     cevian_angles_xy,
+    checked_triad,
     classify_similarity,
     containment_parity,
     detect_special_role,
@@ -68,6 +67,8 @@ from miquel.triads import (
     on_circle_xy,
     pedal_triad,
     simson_line,
+    triad_params,
+    triad_xy,
     verify_miquel_equations,
 )
 
@@ -90,17 +91,51 @@ def _angle(p, q, r):
     return directed_angle_xy(*p, *q, *r)
 
 
+def _triangle(xy) -> Triangle:
+    """The ``Triangle`` on the six coordinates ``xy``, for the oracles' Point
+    operators."""
+    ax, ay, bx, by, cx, cy = xy
+    return Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
+
+
+def _points(triad) -> tuple[Point, Point, Point]:
+    """The points X, Y, Z of ``triad``, a TriangleXY."""
+    return Point(*triad[0:2]), Point(*triad[2:4]), Point(*triad[4:6])
+
+
+def _locate(t, role) -> Point:
+    """Where ``role`` sits in ``t`` (``locate_xy`` of ``t`` measured), as a
+    Point."""
+    return Point(*locate_xy(measures_xy(t.xy), role))
+
+
+def _triad_at(t, u, v, w):
+    """The triad at affine parameters u, v, w, checked."""
+    return checked_triad(triad_xy(t.xy, u, v, w))
+
+
+def _pedal(t, p):
+    return pedal_triad(t.xy, p.x, p.y)
+
+
+def _family(t, p, theta):
+    return family_member(t.xy, p.x, p.y, theta)
+
+
+def _miquel(t, triad):
+    return miquel_point(t.xy, triad)
+
+
 def _simson(t, p):
     return simson_line(t.xy, p.x, p.y)
 
 
 def _parity(t, p):
-    return containment_parity(t.xy, p.x, p.y)
+    return containment_parity(t.xy, t.circumcircle, p.x, p.y)
 
 
 def _equations(t, p, triad):
-    x, y, z = triad.points
-    return verify_miquel_equations(t.xy, p.x, p.y, (*x, *y, *z))
+    return verify_miquel_equations(t.xy, p.x, p.y, triad)
 
 
 def _direction(line):
@@ -115,13 +150,13 @@ def _offset_from(circle, p):
 
 class TestPedalTriad:
     def test_circumcenter_gives_midpoints(self):
-        ped = pedal_triad(TSCA, locate(TSCA, O))
-        assert all(abs(s - 0.5) < 1e-12 for s in ped.params)
+        ped = _pedal(TSCA, _locate(TSCA, O))
+        assert all(abs(s - 0.5) < 1e-12 for s in triad_params(TSCA.xy, ped))
 
     def test_orthocenter_gives_altitude_feet(self):
-        h = locate(TSCA, H)
-        ped = pedal_triad(TSCA, h)
-        for foot, v in zip(ped.points, "ABC"):
+        h = _locate(TSCA, H)
+        ped = _pedal(TSCA, h)
+        for foot, v in zip(_points(ped), "ABC"):
             side = line_through(*TSCA.opposite(v))
             assert abs(_offset(side, foot)) < 1e-12
             assert abs((foot - h).dot(_direction(side))) < 1e-12
@@ -141,9 +176,9 @@ class TestPedalTriad:
     def test_foot_on_the_side_line_is_the_point(self):
         # (2, 0) is on line AB, so Z is the point at every rotation
         p = Point(2, 0)
-        assert pedal_triad(TSCA, p).z == p
+        assert _points(_pedal(TSCA, p))[2] == p
         for theta in (-1.0, 0.3):
-            assert family_member(TSCA, p, theta).z == p
+            assert _points(_family(TSCA, p, theta))[2] == p
 
     def test_vertex_simson_line_is_the_altitude(self):
         # A is on lines CA and AB, so two feet are A; the third is the foot of
@@ -158,10 +193,10 @@ class TestPedalTriad:
     def test_feet_are_perpendicular_projections(self):
         rng = rng_for(0, "pedal", 0)
         for _ in range(100):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
-            triad = pedal_triad(t, p)
-            for foot, v in zip(triad.points, "ABC"):
+            triad = _pedal(t, p)
+            for foot, v in zip(_points(triad), "ABC"):
                 side = line_through(*t.opposite(v))
                 assert abs(_offset(side, foot)) < 1e-12 * t.circumradius
                 assert abs((foot - p).dot(_direction(side))) < 1e-12 * t.circumradius
@@ -169,9 +204,23 @@ class TestPedalTriad:
 
 class TestTriadAt:
     def test_points_at_the_parameters(self):
-        triad = Triad.at(TSCA, 0.5, -1.0, 2.0)
-        assert triad.points == (Point(2.5, 1.5), Point(2.0, 6.0), Point(8.0, 0.0))
-        assert triad.params == (0.5, -1.0, 2.0)
+        triad = _triad_at(TSCA, 0.5, -1.0, 2.0)
+        assert _points(triad) == (Point(2.5, 1.5), Point(2.0, 6.0), Point(8.0, 0.0))
+        assert triad_params(TSCA.xy, triad) == (0.5, -1.0, 2.0)
+
+    @pytest.mark.parametrize("slot", range(3))
+    def test_points_are_checked_in_turn(self, slot):
+        # the first point that is not finite, in X, Y, Z order, gives
+        # Point's message for it, though a later one is not finite either
+        xy = [2.5, 1.5, 2.0, 6.0, 8.0, 0.0]
+        xy[2 * slot + 1] = -math.inf
+        xy[5] = math.nan
+        with pytest.raises(ValueError) as point:
+            Point(*xy[2 * slot:2 * slot + 2])
+        with pytest.raises(ValueError, match="^non-finite coordinates") as triad:
+            checked_triad(tuple(xy))
+        assert str(triad.value) == str(point.value)
+        assert checked_triad(_triad_at(TSCA, 0.5, -1.0, 2.0)) == (2.5, 1.5, 2.0, 6.0, 8.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", range(3))
@@ -179,43 +228,43 @@ class TestTriadAt:
         params = [0.3, 0.3, 0.3]
         params[slot] = bad
         with pytest.raises(ValueError, match="^triad parameters must be finite$"):
-            Triad.at(TSCA, *params)
+            _triad_at(TSCA, *params)
 
 
 class TestMiquelPoint:
     def test_midpoints_give_circumcenter(self):
-        res = miquel_point(TSCA, Triad.at(TSCA, 0.5, 0.5, 0.5))
-        assert res.point.dist(locate(TSCA, O)) < 1e-12
+        res = _miquel(TSCA, _triad_at(TSCA, 0.5, 0.5, 0.5))
+        assert math.dist(res.point, _locate(TSCA, O)) < 1e-12
         assert res.residual < 1e-12
 
     def test_altitude_feet_give_orthocenter(self):
-        ped = pedal_triad(TSCA, locate(TSCA, H))
-        res = miquel_point(TSCA, ped)
-        assert res.point.dist(locate(TSCA, H)) < 1e-12
+        ped = _pedal(TSCA, _locate(TSCA, H))
+        res = _miquel(TSCA, ped)
+        assert math.dist(res.point, _locate(TSCA, H)) < 1e-12
 
     def test_uniform_params_concurrency(self):
-        res = miquel_point(TSCA, Triad.at(TSCA, 0.3, 0.3, 0.3))
+        res = _miquel(TSCA, _triad_at(TSCA, 0.3, 0.3, 0.3))
         assert res.residual < 1e-9 * TSCA.circumradius
         # frozen regression value for the workhorse triangle
-        assert res.point.dist(Point(1.7023121387283235, 0.6849710982658955)) < 1e-10
+        assert math.dist(res.point, Point(1.7023121387283235, 0.6849710982658955)) < 1e-10
 
     def test_concurrency_on_extensions(self):
         rng = rng_for(0, "miquel", 0)
         for _ in range(300):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             params = []
             while len(params) < 3:
                 s = rng.uniform(-1.0, 2.0)
                 if abs(s) > 0.05 and abs(s - 1.0) > 0.05:
                     params.append(s)
-            res = miquel_point(t, Triad.at(t, *params))
+            res = _miquel(t, _triad_at(t, *params))
             assert res.residual < 1e-8 * t.circumradius
 
     def test_circles_pass_through_expected_points(self):
-        triad = Triad.at(TSCA, 0.4, 0.7, 0.2)
-        res = miquel_point(TSCA, triad)
+        triad = _triad_at(TSCA, 0.4, 0.7, 0.2)
+        res = _miquel(TSCA, triad)
         ca, cb, cc = res.circles
-        x, y, z = triad.points
+        x, y, z = _points(triad)
         for circ, pts in ((ca, (TSCA.a, y, z)), (cb, (TSCA.b, z, x)), (cc, (TSCA.c, x, y))):
             # the circle through the vertex and its triad points, float for float
             assert circ == circle_xy(*pts[0], *pts[1], *pts[2])
@@ -226,7 +275,7 @@ class TestMiquelPoint:
     def test_each_circle_is_checked(self, k, monkeypatch):
         # a circle AYZ, BZX or CXY whose center or radius is not finite
         real = triads.miquel_xy
-        triad = Triad.at(TSCA, 0.4, 0.7, 0.2)
+        triad = _triad_at(TSCA, 0.4, 0.7, 0.2)
         for bad, message in (
             ((math.nan, 0.0, 1.0), "non-finite coordinates (nan, 0.0)"),
             ((1.0, 2.0, math.inf), "radius must be strictly positive, got inf"),
@@ -238,60 +287,60 @@ class TestMiquelPoint:
 
             monkeypatch.setattr(triads, "miquel_xy", broken)
             with pytest.raises(ValueError) as info:
-                miquel_point(TSCA, triad)
+                _miquel(TSCA, triad)
             assert str(info.value) == message
 
     def test_tangent_when_the_point_is_z(self):
         # README's triangle: circles AYZ and BZX touch at Z
-        triad = Triad.at(TSCA, 0.2, 0.8, 0.1716117818584988)
-        res = miquel_point(TSCA, triad)
+        triad = _triad_at(TSCA, 0.2, 0.8, 0.1716117818584988)
+        res = _miquel(TSCA, triad)
         assert res.tangent
-        assert res.point.dist(triad.z) < 1e-12 * TSCA.circumradius
-        assert not miquel_point(TSCA, Triad.at(TSCA, 0.2, 0.8, 0.3)).tangent
+        assert math.dist(res.point, _points(triad)[2]) < 1e-12 * TSCA.circumradius
+        assert not _miquel(TSCA, _triad_at(TSCA, 0.2, 0.8, 0.3)).tangent
 
 
 class TestFamilyMember:
     def test_zero_theta_reproduces_pedal(self):
         p = Point(1.2, 0.8)
-        ped = pedal_triad(TSCA, p)
-        fam = family_member(TSCA, p, 0.0)
+        ped = _pedal(TSCA, p)
+        fam = _family(TSCA, p, 0.0)
         assert fam == ped
 
     def test_equilateral_ratio_at_pi_over_six(self):
-        o = locate(EQUI, O)
-        fam = family_member(EQUI, o, math.pi / 6)
-        ped = pedal_triad(EQUI, o)
-        ratio = fam.triangle().side_lengths[0] / ped.triangle().side_lengths[0]
+        o = _locate(EQUI, O)
+        fam = _family(EQUI, o, math.pi / 6)
+        ped = _pedal(EQUI, o)
+        ratio = _triangle(fam).side_lengths[0] / _triangle(ped).side_lengths[0]
         assert abs(ratio - 2.0 / SQ3) < 1e-12
 
     def test_roundtrip_and_similarity_ratio(self):
         rng = rng_for(0, "family", 0)
         for _ in range(500):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
             theta = rng.uniform(-1.2, 1.2)
-            fam = family_member(t, p, theta)
-            res = miquel_point(t, fam)
-            assert res.point.dist(p) < 1e-8 * t.circumradius
-            ped = pedal_triad(t, p)
-            ratio = fam.triangle().side_lengths[0] / ped.triangle().side_lengths[0]
+            fam = _family(t, p, theta)
+            res = _miquel(t, fam)
+            assert math.dist(res.point, p) < 1e-8 * t.circumradius
+            ped = _pedal(t, p)
+            ratio = _triangle(fam).side_lengths[0] / _triangle(ped).side_lengths[0]
             assert abs(ratio - 1.0 / math.cos(theta)) < 1e-8 * (1.0 / math.cos(theta))
 
     def test_theta_range_enforced(self):
         with pytest.raises(GeometryError, match=THETA_OUT_OF_RANGE):
-            family_member(TSCA, Point(1.2, 0.8), math.pi / 2)
+            _family(TSCA, Point(1.2, 0.8), math.pi / 2)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta_out_of_range(self, theta):
         with pytest.raises(GeometryError, match=THETA_OUT_OF_RANGE):
-            family_member(TSCA, Point(1.2, 0.8), theta)
+            _family(TSCA, Point(1.2, 0.8), theta)
 
     def test_family_members_mutually_similar(self):
         p = Point(1.2, 0.8)
         tol = 1e-8
         thetas = [-1.4 + 2.8 * k / 19 for k in range(20)]
-        tris = [family_member(TSCA, p, th).triangle() for th in thetas]
-        ped = pedal_triad(TSCA, p).triangle()
+        tris = [_triangle(_family(TSCA, p, th)) for th in thetas]
+        ped = _triangle(_pedal(TSCA, p))
         for th, tri in zip(thetas, tris):
             match = classify_similarity(ped.xy, tri.xy, tol)
             assert match is not None and match.order == (0, 1, 2)
@@ -307,11 +356,11 @@ class TestFamilyMember:
         # included, keeps the host's shape under the recorded correspondence
         rng = rng_for(0, "family", 1)
         for _ in range(20):
-            t = triangle_of(random_catalog_triangle(rng))
+            t = _triangle(random_catalog_triangle(rng))
             host = shape_ratio(t.xy, (0, 1, 2))
             for e in eleven_point_catalog(t.xy):
                 for theta in (-1.0, -0.4, 0.0, 0.3, 1.2):
-                    member = family_member(t, Point(*e.location), theta).triangle()
+                    member = _triangle(_family(t, Point(*e.location), theta))
                     gap = shape_gap(host, shape_ratio(member.xy, e.order), e.mirrored)
                     assert gap < 1e-12, (str(e.kind), e.inverse, theta)
 
@@ -330,7 +379,7 @@ def _family_member_by_spoke_lines(t, p, theta):
 
 def _miquel_point_by_radical_line(t, triad):
     """The hit of circles AYZ and BZX farther from Z, where both meet."""
-    x, y, z = triad.points
+    x, y, z = _points(triad)
     hits = circle_circle_intersections(circumcircle(*t.a, *y, *z), circumcircle(*t.b, *z, *x))
     return max(hits, key=lambda q: q.dist(z))
 
@@ -340,19 +389,19 @@ class TestClosedFormsAgainstConstructions:
         rng = rng_for(0, "chain-step-oracles", 0)
         hosts = []
         for _ in range(100):
-            hosts.append(triangle_of(random_acute_triangle(rng)))
-            hosts.extend(triangle_of(random_obtuse_at(rng, v)) for v in "ABC")
+            hosts.append(_triangle(random_acute_triangle(rng)))
+            hosts.extend(_triangle(random_obtuse_at(rng, v)) for v in "ABC")
         for t in hosts:
             r = t.circumradius
             p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
             theta = rng.uniform(-1.2, 1.2)
-            fam = family_member(t, p, theta)
-            for foot, oracle in zip(fam.points, _family_member_by_spoke_lines(t, p, theta)):
+            fam = _family(t, p, theta)
+            for foot, oracle in zip(_points(fam), _family_member_by_spoke_lines(t, p, theta)):
                 assert foot.dist(oracle) < 1e-12 * r
             params = [rng.uniform(-1.0, 2.0) for _ in range(3)]
-            for triad in (fam, Triad.at(t, *params)):
-                point = miquel_point(t, triad).point
-                assert point.dist(_miquel_point_by_radical_line(t, triad)) < 1e-12 * r
+            for triad in (fam, _triad_at(t, *params)):
+                point = _miquel(t, triad).point
+                assert math.dist(point, _miquel_point_by_radical_line(t, triad)) < 1e-12 * r
 
 
 def _cevian_angles(t, p):
@@ -371,19 +420,19 @@ class TestAngleSextet:
                 assert abs(abs(ang) - math.pi / 6) < 1e-12
 
     def test_incenter_halves_the_angles(self):
-        firsts, seconds = _cevian_angles(TSCA, locate(TSCA, L))
+        firsts, seconds = _cevian_angles(TSCA, _locate(TSCA, L))
         for first, second in zip(firsts, seconds):
             assert angle_distance(first, second) < 1e-12
 
     def test_first_brocard_equalizes_tail_angles(self):
-        _, (a2, b2, g2) = _cevian_angles(TSCA, brocard_point(TSCA, "first"))
+        _, (a2, b2, g2) = _cevian_angles(TSCA, brocard_point(measures_xy(TSCA.xy), "first"))
         assert angle_distance(a2, b2) < 1e-10
         assert angle_distance(b2, g2) < 1e-10
 
     def test_pairs_sum_to_vertex_angles(self):
         rng = rng_for(0, "sextet", 0)
         for _ in range(100):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
             firsts, seconds = _cevian_angles(t, p)
             for first, second, v in zip(firsts, seconds, "ABC"):
@@ -403,7 +452,7 @@ class TestMiquelTriangleAngles:
     """The triad-triangle angles of miquel_angles_xy."""
 
     def test_circumcenter_reproduces_host_angles(self):
-        angs = _miquel_angles(TSCA, locate(TSCA, O))
+        angs = _miquel_angles(TSCA, _locate(TSCA, O))
         for ang, v in zip(angs, "ABC"):
             assert angle_distance(ang, directed_angle_at_xy(TSCA.xy, v)) < 1e-12
 
@@ -413,18 +462,18 @@ class TestMiquelTriangleAngles:
 
     def test_incenter_half_angle_formula(self):
         # at the incenter the formulas reduce to pi/2 - half the host angle
-        angs = _miquel_angles(TSCA, locate(TSCA, L))
-        for got, angle in zip(angs, TSCA.angles):
+        angs = _miquel_angles(TSCA, _locate(TSCA, L))
+        for got, angle in zip(angs, measures_xy(TSCA.xy).angles):
             expected = math.pi / 2 - 0.5 * _orientation(TSCA) * angle
             assert angle_distance(got, expected) < 1e-12
 
     def test_matches_measured_pedal_angles(self):
         rng = rng_for(0, "lemma-angles", 0)
         for _ in range(200):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
             ang_x, ang_y, ang_z = _miquel_angles(t, p)
-            x, y, z = pedal_triad(t, p).points
+            x, y, z = _points(_pedal(t, p))
             assert angle_distance(ang_x, _angle(y, x, z)) < 1e-8
             assert angle_distance(ang_y, _angle(z, y, x)) < 1e-8
             assert angle_distance(ang_z, _angle(x, z, y)) < 1e-8
@@ -434,28 +483,28 @@ class TestMiquelTriangleAngles:
 
 class TestMiquelEquations:
     def test_circumcenter_doubles_vertex_angles(self):
-        o = locate(TSCA, O)
-        assert _equations(TSCA, o, Triad.at(TSCA, 0.5, 0.5, 0.5)) < 1e-12
+        o = _locate(TSCA, O)
+        assert _equations(TSCA, o, _triad_at(TSCA, 0.5, 0.5, 0.5)) < 1e-12
         double_a = 2 * directed_angle_at_xy(TSCA.xy, "A")
         assert angle_distance(_angle(TSCA.b, o, TSCA.c), double_a) < 1e-12
 
     def test_equilateral_center(self):
         o = Point(0, 0)
-        assert _equations(EQUI, o, pedal_triad(EQUI, o)) < 1e-12
+        assert _equations(EQUI, o, _pedal(EQUI, o)) < 1e-12
 
     def test_random_family_members(self):
         rng = rng_for(0, "equations", 0)
         for _ in range(500):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
             theta = rng.uniform(-1.2, 1.2)
-            assert _equations(t, p, family_member(t, p, theta)) < 1e-9
+            assert _equations(t, p, _family(t, p, theta)) < 1e-9
 
     def test_foreign_triad_rejected(self):
         with pytest.raises(
             GeometryError, match="^the triad's concurrency point is not the given point$"
         ):
-            _equations(TSCA, Point(1.0, 1.0), Triad.at(TSCA, 0.5, 0.5, 0.5))
+            _equations(TSCA, Point(1.0, 1.0), _triad_at(TSCA, 0.5, 0.5, 0.5))
 
 
 class TestClassifySimilarity:
@@ -479,7 +528,7 @@ class TestClassifySimilarity:
     def test_scaled_rotated_copy(self):
         rng = rng_for(0, "classify", 0)
         for _ in range(50):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             s = rng.uniform(0.3, 3.0)
             phi = rng.uniform(0, 2 * math.pi)
             shift = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -524,17 +573,17 @@ class TestDetectSpecialRole:
         def detect(p):
             return detect_special_role(measures_xy(TSCA.xy), p.x, p.y, LENGTH_EPS)
 
-        assert detect(locate(TSCA, O)) == SpecialRole("circumcenter")
-        assert detect(brocard_point(TSCA, "first")) == SpecialRole("first_brocard")
-        assert detect(s_point(TSCA, "B")) == SpecialRole("s_role", "B")
-        assert detect(m_point(TSCA, "C")) == SpecialRole("m_role", "C")
-        assert detect(locate(TSCA, SpecialRole("excenter", "A"))) == SpecialRole("excenter", "A")
+        assert detect(_locate(TSCA, O)) == SpecialRole("circumcenter")
+        assert detect(brocard_point(measures_xy(TSCA.xy), "first")) == SpecialRole("first_brocard")
+        assert detect(s_point(measures_xy(TSCA.xy), "B")) == SpecialRole("s_role", "B")
+        assert detect(m_point(measures_xy(TSCA.xy), "C")) == SpecialRole("m_role", "C")
+        assert detect(_locate(TSCA, SpecialRole("excenter", "A"))) == SpecialRole("excenter", "A")
 
     def test_automedian_centroid_is_median_role(self):
         # b² + c² = 2a² puts M_A on the centroid; the centroid is no candidate
         t = Triangle(Point(0, 0), Point(4, 0), Point(3, math.sqrt(23)))
         g = (t.a + t.b + t.c) / 3.0
-        assert m_point(t, "A").dist(g) < 1e-12 * t.circumradius
+        assert m_point(measures_xy(t.xy), "A").dist(g) < 1e-12 * t.circumradius
         assert detect_special_role(measures_xy(t.xy), *g, LENGTH_EPS) == SpecialRole("m_role", "A")
 
     def test_generic_point_is_none(self):
@@ -548,15 +597,15 @@ class TestDetectSpecialRole:
         assert detect_special_role(measures_xy(EQUI.xy), 0.0, 0.0, LENGTH_EPS) == circ
         for center in (O, L, H):
             m = measures_xy(EQUI.xy)
-            assert detect_special_role(m, *locate(EQUI, center), LENGTH_EPS) == circ
+            assert detect_special_role(m, *_locate(EQUI, center), LENGTH_EPS) == circ
 
     def test_q_role_on_incenter_arc(self):
         rng = rng_for(0, "qrole", 0)
         from miquel.sampling import random_arc_point
 
         for _ in range(20):
-            t = triangle_of(random_isosceles(rng, "A"))
-            l = locate(t, L)
+            t = _triangle(random_isosceles(rng, "A"))
+            l = _locate(t, L)
             p = Point(*random_arc_point(rng, circumcircle(*t.b, *t.c, *l), t.c, t.b, l))
             role = detect_special_role(measures_xy(t.xy), *p, 1e-7)
             assert role == SpecialRole("q_role", "A")
@@ -566,7 +615,7 @@ class TestDetectSpecialRole:
         # within LENGTH_EPS (circumcircle's test: |cross| against eps * span²);
         # the arc circle is built all the same
         t = Triangle(Point(0, 3e-6), Point(-1, 0), Point(1, 0))
-        l = locate(t, L)
+        l = _locate(t, L)
         cross, span = (t.c - t.b).cross(l - t.b), t.b.dist(t.c)
         assert LENGTH_EPS * span**2 < abs(cross) <= CHAIN_DETECT_TOL * span**2
         arc = circumcircle(*t.b, *t.c, *l)
@@ -580,18 +629,18 @@ class TestDetectSpecialRole:
 
 class TestContainmentParity:
     def test_incenter_inside_both(self):
-        rep = _parity(TSCA, locate(TSCA, L))
+        rep = _parity(TSCA, _locate(TSCA, L))
         assert rep.inside_host and rep.inside_miquel and rep.agree
 
     def test_circumcenter_of_acute_host(self):
-        rep = _parity(TSCA, locate(TSCA, O))
+        rep = _parity(TSCA, _locate(TSCA, O))
         assert rep.agree and rep.inside_host
         assert abs(rep.ray_angle_sum - 2 * math.pi) < 1e-9
 
     def test_far_exterior_point(self):
         rng = rng_for(0, "parity", 0)
         for _ in range(50):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             p = Point(*random_exterior_point(rng, t.xy, t.circumcircle,
                                              min_factor=2.0, max_factor=5.0))
             rep = _parity(t, p)
@@ -600,7 +649,7 @@ class TestContainmentParity:
     def test_parity_everywhere(self):
         rng = rng_for(0, "parity", 1)
         for _ in range(300):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             p = (
                 Point(*random_interior_point(rng, t.xy))
                 if rng.random() < 0.5
@@ -615,7 +664,7 @@ class TestContainmentParity:
 
     def test_on_circle_rejected(self):
         rng = rng_for(0, "parity", 2)
-        t = triangle_of(random_triangle(rng))
+        t = _triangle(random_triangle(rng))
         with pytest.raises(
             GeometryError, match="^the pedal triple degenerates on the circumcircle$"
         ):
@@ -648,9 +697,9 @@ def _miquel_equations_by_objects(t, p, triad):
     """verify_miquel_equations on the object path: the point of
     miquel_point's MiquelResult and the host's directed_angle_at, each
     angle sum reduced by half_turn."""
-    if miquel_point(t, triad).point.dist(p) > CONCURRENCY_BAND * t.circumradius:
+    if math.dist(_miquel(t, triad).point, p) > CONCURRENCY_BAND * t.circumradius:
         raise GeometryError("the triad's concurrency point is not the given point")
-    x, y, z = triad.points
+    x, y, z = _points(triad)
     ang_a, ang_b, ang_c = (directed_angle_at_xy(t.xy, v) for v in "ABC")
     return max(
         angle_distance(half_turn(ang_a + _angle(y, x, z)), _angle(t.b, p, t.c)),
@@ -660,17 +709,17 @@ def _miquel_equations_by_objects(t, p, triad):
 
 
 def _containment_parity_by_objects(t, p):
-    """containment_parity on the object path: the pedal Triad, its Triangle,
+    """containment_parity on the object path: the checked pedal triad, its Triangle,
     Point differences and the host's min_side_line_distance."""
     reject_side_lines(t.min_side_line_distance(p), t.circumradius)
     if on_circle_xy(t.circumcircle, p.x, p.y):
         raise GeometryError("the pedal triple degenerates on the circumcircle")
-    triad = pedal_triad(t, p)
+    triad = _pedal(t, p)
     inside_host = _contains_by_operators(t, p)
-    inside_miquel = _contains_by_operators(triad.triangle(), p)
+    inside_miquel = _contains_by_operators(_triangle(triad), p)
     ray_sum = None
     if inside_host:
-        dirs = sorted(math.atan2(q.y - p.y, q.x - p.x) for q in triad.points)
+        dirs = sorted(math.atan2(q.y - p.y, q.x - p.x) for q in _points(triad))
         gaps = [dirs[1] - dirs[0], dirs[2] - dirs[1], 2.0 * math.pi - (dirs[2] - dirs[0])]
         ray_sum = sum(min(g, 2.0 * math.pi - g) for g in gaps)
     return ParityReport(inside_host, inside_miquel, inside_host == inside_miquel, ray_sum)
@@ -697,19 +746,19 @@ def _trial_points(rng, t, i):
 
 
 class TestCoordinatePathsAgainstObjects:
-    """verify_miquel_equations and containment_parity build no MiquelResult,
-    Triad or pedal Triangle; the object path gives the same floats and the
-    same errors."""
+    """verify_miquel_equations and containment_parity build no MiquelResult
+    or pedal Triangle; the object path gives the same floats and the same
+    errors."""
 
     def test_miquel_equations(self):
         rng = rng_for(0, "equations", 1)
         for i in range(300):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             p = _trial_points(rng, t, i)
             triad = (
-                family_member(t, p, rng.uniform(-1.2, 1.2))
+                _family(t, p, rng.uniform(-1.2, 1.2))
                 if i % 10
-                else Triad.at(t, *(rng.uniform(-1.0, 2.0) for _ in range(3)))
+                else _triad_at(t, *(rng.uniform(-1.0, 2.0) for _ in range(3)))
             )
             # p itself, and p moved just past the drift band
             off = Point(p.x + 1.5 * CONCURRENCY_BAND * t.circumradius, p.y)
@@ -720,7 +769,7 @@ class TestCoordinatePathsAgainstObjects:
     def test_containment_parity(self):
         rng = rng_for(0, "parity", 3)
         for i in range(300):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             trial = _trial_points(rng, t, i)
             on_circle = Point(*random_circumcircle_point(rng, t.xy, t.circumcircle))
             for p in (trial, on_circle):
@@ -748,7 +797,7 @@ class TestSimson:
     def test_collinearity_on_circumcircle(self):
         rng = rng_for(0, "simson", 0)
         for _ in range(200):
-            t = triangle_of(random_triangle(rng))
+            t = _triangle(random_triangle(rng))
             p = Point(*random_circumcircle_point(rng, t.xy, t.circumcircle))
             assert _simson(t, p).max_deviation() < 1e-9 * t.circumradius
 
@@ -759,10 +808,10 @@ class TestExteriorCatalogFeet:
         # the opposite side line, where the foot on that line is the point
         rng = rng_for(0, "extcat", 0)
         for _ in range(20):
-            t = triangle_of(random_catalog_triangle(rng))
+            t = _triangle(random_catalog_triangle(rng))
             for v in "ABC":
-                q = Point(*invert_xy(t.circumcircle, *s_point(t, v)))
+                q = Point(*invert_xy(t.circumcircle, *s_point(measures_xy(t.xy), v)))
                 assert t.min_side_line_distance(q) < 1e-9 * t.circumradius
-                shape = pedal_triad(t, q).triangle()
+                shape = _triangle(_pedal(t, q))
                 match = classify_similarity(t.xy, shape.xy, 1e-7)
                 assert match is not None

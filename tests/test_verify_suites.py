@@ -5,14 +5,16 @@ import math
 
 import pytest
 
+from miquel import kernel
 from miquel.kernel import (
     VERTEX_LABELS,
     Point,
+    Triangle,
     angle_distance,
+    corners_xy,
     directed_angle_at_xy,
     directed_angle_xy,
     half_turn,
-    triangle_of,
 )
 from miquel.errors import CollinearError, GeometryError
 from miquel.kernel import circumcircle
@@ -65,6 +67,19 @@ def test_zero_trials_rejected(name):
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nope", 7)
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_builds_no_point_or_triangle(name, monkeypatch):
+    """Every suite runs on coordinates: with ``Point`` and ``Triangle``
+    unable to be built, it still runs and passes."""
+
+    def refused(self, *args):
+        raise AssertionError(f"{name} built a {type(self).__name__}")
+
+    monkeypatch.setattr(kernel.Point, "__init__", refused)
+    monkeypatch.setattr(kernel.Triangle, "__init__", refused)
+    assert run_suite(name, seed=5, trials=4).passed
 
 
 def test_all_suites_pass_smoke():
@@ -194,7 +209,7 @@ def test_every_trial_repeats_digit_for_digit(name, monkeypatch):
 
 def test_theorem11_reduces_the_doubled_angle(monkeypatch):
     """theorem11's double-angle residual, trial for trial, equals its form on
-    the pedal ``Triangle``, which reduces twice the vertex angle by
+    the checked pedal triad, which reduces twice the vertex angle by
     ``half_turn`` before the comparison; without that reduction the last
     digits of some residuals move."""
     rows = []
@@ -210,9 +225,9 @@ def test_theorem11_reduces_the_doubled_angle(monkeypatch):
     assert len(rows) == 1000
     for residual, i, t, p in rows:
         v = VERTEX_LABELS[i % 3]
-        shape = pedal_triad(triangle_of(t), Point(*p)).triangle()
-        b2, c2 = shape.opposite(v)
-        doubled = half_turn(2 * directed_angle_at_xy(shape.xy, v))
+        shape = pedal_triad(t, *p)
+        _, b2, c2 = corners_xy(shape, v)
+        doubled = half_turn(2 * directed_angle_at_xy(shape, v))
         assert residual == angle_distance(directed_angle_xy(*b2, *p, *c2), doubled)
 
 
@@ -249,5 +264,5 @@ def test_shape_only_pedal_raises_as_measures_xy():
     assert _raised(_pedal, host, 0.0, -1.7e308) == nan_foot
     # a pedal whose circumcircle alone overflows passes, as Triangle would
     shape = _pedal_shape(host, 0.0, -1e308)
-    assert triangle_of(shape).xy == shape
+    assert Triangle(Point(*shape[0:2]), Point(*shape[2:4]), Point(*shape[4:6])).xy == shape
     assert _raised(_pedal, host, 0.0, -1e308) == nan_foot
