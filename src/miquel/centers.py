@@ -115,9 +115,11 @@ def _reject_right_angle(m: Measures, vertex: str) -> int:
 
 
 # Where each named point sits, on coordinates: the one body of its formula,
-# which ``locate_xy``, the Point functions below, role detection and the
-# suites all call. Each takes the triangle's measures and, for the names that
-# come one per vertex, the vertex label.
+# which ``locate_xy``, the Point functions below and the suites call. Each
+# takes the triangle's measures and, for the names that come one per vertex,
+# the vertex label. Role detection and the CLI centers table read the whole
+# table from ``named_points_xy``, which writes the bodies out in one pass and
+# which a test pins to them.
 
 def _circumcenter_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
     return m.circumcenter_xy
@@ -267,6 +269,55 @@ def locate_xy(m: Measures, role: SpecialRole) -> tuple[float, float]:
     if body is None:
         raise ValueError(f"{role} has no single location")
     return body(m, role.vertex)
+
+
+def named_points_xy(m: Measures) -> tuple[tuple[float, float] | None, ...]:
+    """``locate_xy`` of every role of ``NAMED_POINTS``, in its order, in one
+    pass over the measures ``m``: each body's float operations written out,
+    with None for S_v and M_v at a right vertex. Raises what a body raises
+    (``ZeroDivisionError`` for weights that sum to zero), in table order."""
+    ax, ay, bx, by, cx, cy = m.xy
+    la, lb, lc = m.side_lengths
+    a2, b2, c2 = m.squared_sides
+    ox, oy = m.circumcenter_xy
+    sx, sy = ax + bx + cx, ay + by + cy
+    # each barycentric point as _barycentric_xy, its weights as its body
+    # orders them: s is the weight sum
+    s = la + lb + lc
+    incenter = (la * ax + lb * bx + lc * cx) / s, (la * ay + lb * by + lc * cy) / s
+    s = -la + lb + lc
+    ex_a = (-la * ax + lb * bx + lc * cx) / s, (-la * ay + lb * by + lc * cy) / s
+    s = la + -lb + lc
+    ex_b = (la * ax + -lb * bx + lc * cx) / s, (la * ay + -lb * by + lc * cy) / s
+    s = la + lb + -lc
+    ex_c = (la * ax + lb * bx + -lc * cx) / s, (la * ay + lb * by + -lc * cy) / s
+    wa, wb, wc = c2 * a2, a2 * b2, b2 * c2
+    s = wa + wb + wc
+    first = (wa * ax + wb * bx + wc * cx) / s, (wa * ay + wb * by + wc * cy) / s
+    s = wb + wc + wa
+    second = (wb * ax + wc * bx + wa * cx) / s, (wb * ay + wc * by + wa * cy) / s
+    angle_a, angle_b, angle_c = m.angles
+    s_a = m_a = s_b = m_b = s_c = m_c = None
+    if not abs(angle_a - HALF_PI) < ANGLE_EPS:
+        k = b2 + c2 - a2
+        s = k + b2 + c2
+        s_a = (k * ax + b2 * bx + c2 * cx) / s, (k * ay + b2 * by + c2 * cy) / s
+        s = a2 + k + k
+        m_a = (a2 * ax + k * bx + k * cx) / s, (a2 * ay + k * by + k * cy) / s
+    if not abs(angle_b - HALF_PI) < ANGLE_EPS:
+        k = c2 + a2 - b2
+        s = a2 + k + c2
+        s_b = (a2 * ax + k * bx + c2 * cx) / s, (a2 * ay + k * by + c2 * cy) / s
+        s = k + b2 + k
+        m_b = (k * ax + b2 * bx + k * cx) / s, (k * ay + b2 * by + k * cy) / s
+    if not abs(angle_c - HALF_PI) < ANGLE_EPS:
+        k = a2 + b2 - c2
+        s = a2 + b2 + k
+        s_c = (a2 * ax + b2 * bx + k * cx) / s, (a2 * ay + b2 * by + k * cy) / s
+        s = k + k + c2
+        m_c = (k * ax + k * bx + c2 * cx) / s, (k * ay + k * by + c2 * cy) / s
+    return ((ox, oy), (sx - 2.0 * ox, sy - 2.0 * oy), (sx / 3.0, sy / 3.0), incenter,
+            ex_a, ex_b, ex_c, first, second, s_a, m_a, s_b, m_b, s_c, m_c)
 
 
 def isogonal_conjugate(m: Measures, px: float, py: float) -> tuple[float, float]:

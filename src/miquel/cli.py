@@ -80,13 +80,13 @@ def _require_point(scene: SceneSpec, override: str | None) -> Point:
 # ---------------------------------------------------------------- centers
 
 def _center_table(t: Triangle) -> list[tuple[str, str]]:
-    m = centers.measures_xy(t.xy)
+    located = centers.named_points_xy(centers.measures_xy(t.xy))
     rows = []
-    for role, label in centers.NAMED_POINTS:
-        try:
-            rows.append((label, _point_str(checked_xy(*centers.locate_xy(m, role)))))
-        except RightAngleDegenerateError as exc:
-            rows.append((label, f"degenerate: {type(exc).__name__}"))
+    for (_, label), loc in zip(centers.NAMED_POINTS, located):
+        if loc is None:  # S_v or M_v at a right angle at v
+            rows.append((label, f"degenerate: {RightAngleDegenerateError.__name__}"))
+        else:
+            rows.append((label, _point_str(checked_xy(*loc))))
     return rows
 
 

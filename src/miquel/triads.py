@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from . import centers
 from .centers import Measures, SpecialRole
-from .errors import CollinearError, GeometryError, RightAngleDegenerateError
+from .errors import CollinearError, GeometryError
 from .kernel import (
     ANGLE_EPS,
     HALF_PI,
@@ -328,36 +328,29 @@ def classify_similarity(xy1: TriangleXY, xy2: TriangleXY, tol: float) -> Similar
     return None
 
 
-# role detection's candidates with their location bodies: the centroid plays
-# no role in the paper, and when b² + c² = 2a² it coincides with M_A, which
-# must win
-_CANDIDATES = tuple(
-    (role, centers.LOCATE_XY[role.role]) for role, _ in centers.NAMED_POINTS
-    if role.role != "centroid"
-)
-
-
 def detect_special_role(m: Measures, px: float, py: float, length_eps: float) -> SpecialRole:
     """Which named center of the triangle measured as ``m``
     (``centers.measures_xy``) the point (px, py) is, within ``length_eps``
     (relative) times the circumradius.
 
     Every point of ``centers.NAMED_POINTS`` but the centroid is a candidate,
-    located from those measures. The nearest within the band wins, the
-    first in table order on a tie; S and M are skipped at a right angle, and
-    a location that is not finite raises ``Point``'s ``ValueError``. The arc
-    role (isosceles host, point on the circle through the base vertices and
-    the incenter) is only tried when no center fits. That circle is built
-    with the kernel's own collinearity band, not with ``length_eps``.
+    read from ``centers.named_points_xy``. The centroid plays no role in the
+    paper, and when b² + c² = 2a² it coincides with M_A, which must win. The
+    nearest within the band wins, the first in table order on a tie; S and M
+    are skipped at a right angle, and a location that is not finite raises
+    ``Point``'s ``ValueError``. The arc role (isosceles host, point on the
+    circle through the base vertices and the incenter) is only tried when no
+    center fits. That circle is built with the kernel's own collinearity
+    band, not with ``length_eps``.
     """
     xy = m.xy
     eps = length_eps * m.circumradius
     best_role, best_dist = NONE_ROLE, math.inf
-    for role, body in _CANDIDATES:
-        try:
-            x, y = body(m, role.vertex)
-        except RightAngleDegenerateError:
+    located = centers.named_points_xy(m)
+    for (role, _), loc in zip(centers.NAMED_POINTS, located):
+        if loc is None or role.role == "centroid":
             continue
+        x, y = loc
         d = math.hypot(x - px, y - py)
         if d < best_dist:
             best_role, best_dist = role, d
@@ -365,7 +358,7 @@ def detect_special_role(m: Measures, px: float, py: float, length_eps: float) ->
             checked_xy(x, y)  # a location that is not finite: rejected as Point rejects it
     if best_dist < eps:
         return best_role
-    ix, iy = centers.LOCATE_XY["incenter"](m)
+    ix, iy = located[3]  # the incenter
     sides = m.side_lengths
     for i, v in enumerate(VERTEX_LABELS):
         j, k = (i + 1) % 3, (i + 2) % 3

@@ -69,6 +69,7 @@ from miquel.sampling import (
     random_isosceles,
     random_obtuse_at,
     rng_for,
+    triangle_from_angles,
 )
 from miquel.triads import (
     PEDAL_SIMILARITY_TOL,
@@ -549,6 +550,11 @@ def test_circle_forms_are_their_calls():
             expected = _result(_circumcircle_by_calls, *triple)
             assert _result(circumcircle, *triple) == expected
             outcomes.add(expected[0] if isinstance(expected, tuple) else float)
+            # the longest side handed in, measured as the chain step does
+            x1, y1, x2, y2, x3, y3 = triple
+            span = max(math.hypot(x2 - x1, y2 - y1), math.hypot(x3 - x2, y3 - y2),
+                       math.hypot(x1 - x3, y1 - y3))
+            assert _result(circle_xy, *triple, span) == _result(_circle_by_calls, *triple)
     assert outcomes == {float, CollinearError, ValueError}
 
 
@@ -599,6 +605,70 @@ def test_squared_sides_isogonal_conjugate_and_every_named_point(monkeypatch):
         for (role, _), point in zip(NAMED_POINTS, row):
             if point is not None:
                 assert point == locate_xy(m, role), role
+
+
+def _named_points_by_locate_xy(m):
+    """``locate_xy`` of every row of ``NAMED_POINTS``, with None where it
+    raises ``RightAngleDegenerateError``."""
+    row = []
+    for role, _ in NAMED_POINTS:
+        try:
+            row.append(locate_xy(m, role))
+        except RightAngleDegenerateError:
+            row.append(None)
+    return row
+
+
+def _pinned_table_hosts():
+    """The written-out hosts (scalene, isosceles at each apex, thin), and 300
+    more: right-angled at each vertex in turn, equilateral, and acute hosts
+    scaled by 1e80 to 1e100, where the Brocard weights overflow."""
+    rng = rng_for(0, "coordinate-forms", 9)
+    hosts = list(HOSTS)
+    for i in range(100):
+        angles = [0.0, 0.0, 0.0]
+        j = i % 3
+        angles[j] = HALF_PI
+        angles[(j + 1) % 3] = rng.uniform(0.2, HALF_PI - 0.2)
+        angles[(j + 2) % 3] = HALF_PI - angles[(j + 1) % 3]
+        scale = 10.0 ** rng.uniform(80.0, 100.0)
+        hosts += [triangle_from_angles(rng, tuple(angles)),
+                  triangle_from_angles(rng, (math.pi / 3,) * 3),
+                  tuple(scale * c for c in random_acute_triangle(rng))]
+    return hosts
+
+
+def _table_outcome(f, m):
+    """The rows ``f`` gives for the measures ``m``, by repr, or the class and
+    message of what it raises: on thin hosts an excenter's weights sum to
+    zero."""
+    try:
+        return repr(list(f(m)))
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+def test_named_points_xy_is_locate_xy_of_every_row():
+    """named_points_xy, the table written out in one pass, against
+    locate_xy of each row by repr, with None exactly where locate_xy raises
+    RightAngleDegenerateError, and the same error where a row raises."""
+    nones, nans, outcomes = set(), 0, set()
+    for xy in _pinned_table_hosts():
+        try:
+            m = measures_xy(xy)
+        except (ValueError, GeometryError):
+            continue
+        expected = _table_outcome(_named_points_by_locate_xy, m)
+        assert _table_outcome(centers.named_points_xy, m) == expected, xy
+        outcomes.add(expected[0] if isinstance(expected, tuple) else list)
+        if isinstance(expected, tuple):
+            continue
+        row = _named_points_by_locate_xy(m)
+        nones.update(label for (_, label), p in zip(NAMED_POINTS, row) if p is None)
+        nans += any(p is not None and math.isnan(p[0]) for p in row)
+    assert outcomes == {list, ZeroDivisionError}
+    assert nones == {f"{name}_{v}" for name in "SM" for v in "ABC"}
+    assert nans >= 50
 
 
 # ---------------------------------------------------------------- triads
