@@ -106,86 +106,77 @@ def _barycentric_xy(m: Measures, wa: float, wb: float, wc: float) -> tuple[float
     return (wa * ax + wb * bx + wc * cx) / s, (wa * ay + wb * by + wc * cy) / s
 
 
-def _reject_right_angle(m: Measures, vertex: str) -> int:
-    """The index of ``vertex``, which must not have a right angle."""
-    i = VERTEX_LABELS.index(vertex)
-    if abs(m.angles[i] - HALF_PI) < ANGLE_EPS:
-        raise RightAngleDegenerateError(f"vertex angle at {vertex} is right")
-    return i
+# Where each named point sits, on coordinates: the one body of each formula.
+# The points that need no vertex share a body; each excenter, and S_v with
+# M_v, have one per vertex. ``named_points_xy`` reads them all for the whole
+# table, which role detection and the CLI centers table use; ``locate_xy``,
+# the Point functions below and the suites call the one body a role needs.
+# Each barycentric point is computed as ``_barycentric_xy`` computes it, s
+# being the weight sum.
 
-
-# Where each named point sits, on coordinates: the one body of its formula,
-# which ``locate_xy``, the Point functions below and the suites call. Each
-# takes the triangle's measures and, for the names that come one per vertex,
-# the vertex label. Role detection and the CLI centers table read the whole
-# table from ``named_points_xy``, which writes the bodies out in one pass and
-# which a test pins to them.
-
-def _circumcenter_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
-    return m.circumcenter_xy
-
-
-def _orthocenter_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
-    # vector identity: H = A + B + C - 2*O
+def _vertex_free_xy(m: Measures) -> tuple[tuple[float, float], ...]:
+    """O, H, G, the incenter and the first and second Brocard points."""
+    ax, ay, bx, by, cx, cy = m.xy
+    la, lb, lc = m.side_lengths
+    a2, b2, c2 = m.squared_sides
     ox, oy = m.circumcenter_xy
+    sx, sy = ax + bx + cx, ay + by + cy
+    s = la + lb + lc
+    incenter = (la * ax + lb * bx + lc * cx) / s, (la * ay + lb * by + lc * cy) / s
+    wa, wb, wc = c2 * a2, a2 * b2, b2 * c2
+    s = wa + wb + wc
+    first = (wa * ax + wb * bx + wc * cx) / s, (wa * ay + wb * by + wc * cy) / s
+    s = wb + wc + wa
+    second = (wb * ax + wc * bx + wa * cx) / s, (wb * ay + wc * by + wa * cy) / s
+    # vector identity: H = A + B + C - 2*O
+    return ((ox, oy), (sx - 2.0 * ox, sy - 2.0 * oy), (sx / 3.0, sy / 3.0), incenter,
+            first, second)
+
+
+def _excenter_xy(m: Measures, i: int) -> tuple[float, float]:
+    """The excenter opposite the vertex of index ``i``: the incenter's
+    weights with the i-th negated."""
     ax, ay, bx, by, cx, cy = m.xy
-    return ax + bx + cx - 2.0 * ox, ay + by + cy - 2.0 * oy
+    wa, wb, wc = m.side_lengths
+    if i == 0:
+        wa = -wa
+    elif i == 1:
+        wb = -wb
+    else:
+        wc = -wc
+    s = wa + wb + wc
+    return (wa * ax + wb * bx + wc * cx) / s, (wa * ay + wb * by + wc * cy) / s
 
 
-def _centroid_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
+def _s_m_xy(m: Measures, i: int) -> tuple[tuple[float, float], tuple[float, float]] | None:
+    """S_v and M_v at the vertex v of index ``i``, or None when the angle
+    at v is right. With k = b² + c² − a², S_A = (k : b² : c²) and
+    M_A = (a² : k : k); the other vertices rotate the weights."""
+    if abs(m.angles[i] - HALF_PI) < ANGLE_EPS:
+        return None
     ax, ay, bx, by, cx, cy = m.xy
-    return (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
-
-
-def _incenter_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
-    return _barycentric_xy(m, *m.side_lengths)
-
-
-def _excenter_xy(m: Measures, vertex: str) -> tuple[float, float]:
-    weights = list(m.side_lengths)
-    weights[VERTEX_LABELS.index(vertex)] *= -1.0
-    return _barycentric_xy(m, *weights)
-
-
-def _first_brocard_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
     a2, b2, c2 = m.squared_sides
-    return _barycentric_xy(m, c2 * a2, a2 * b2, b2 * c2)
+    if i == 0:
+        k = b2 + c2 - a2
+        (sa, sb, sc), (ma, mb, mc) = (k, b2, c2), (a2, k, k)
+    elif i == 1:
+        k = c2 + a2 - b2
+        (sa, sb, sc), (ma, mb, mc) = (a2, k, c2), (k, b2, k)
+    else:
+        k = a2 + b2 - c2
+        (sa, sb, sc), (ma, mb, mc) = (a2, b2, k), (k, k, c2)
+    s = sa + sb + sc
+    s_v = (sa * ax + sb * bx + sc * cx) / s, (sa * ay + sb * by + sc * cy) / s
+    s = ma + mb + mc
+    return s_v, ((ma * ax + mb * bx + mc * cx) / s, (ma * ay + mb * by + mc * cy) / s)
 
 
-def _second_brocard_xy(m: Measures, vertex: str | None = None) -> tuple[float, float]:
-    a2, b2, c2 = m.squared_sides
-    return _barycentric_xy(m, a2 * b2, b2 * c2, c2 * a2)
-
-
-def _s_xy(m: Measures, vertex: str) -> tuple[float, float]:
-    i = _reject_right_angle(m, vertex)
-    sq = m.squared_sides
-    weights = list(sq)
-    weights[i] = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
-    return _barycentric_xy(m, *weights)
-
-
-def _m_xy(m: Measures, vertex: str) -> tuple[float, float]:
-    i = _reject_right_angle(m, vertex)
-    sq = m.squared_sides
-    k = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
-    weights = [k, k, k]
-    weights[i] = sq[i]
-    return _barycentric_xy(m, *weights)
-
-
-# the body of each role with a single location, by role name
-LOCATE_XY = {
-    "circumcenter": _circumcenter_xy,
-    "orthocenter": _orthocenter_xy,
-    "centroid": _centroid_xy,
-    "incenter": _incenter_xy,
-    "excenter": _excenter_xy,
-    "first_brocard": _first_brocard_xy,
-    "second_brocard": _second_brocard_xy,
-    "s_role": _s_xy,
-    "m_role": _m_xy,
-}
+def _s_m_at(m: Measures, vertex: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    """S_v and M_v at ``vertex``, rejected at a right angle."""
+    s_m = _s_m_xy(m, VERTEX_LABELS.index(vertex))
+    if s_m is None:
+        raise RightAngleDegenerateError(f"vertex angle at {vertex} is right")
+    return s_m
 
 
 def symmedian_foot(t: Triangle, vertex: str) -> Point:
@@ -223,7 +214,7 @@ def s_point(m: Measures, vertex: str) -> Point:
     circumcenter lies on the opposite side, the arc degenerates, and the
     point is rejected.
     """
-    return Point(*_s_xy(m, vertex))
+    return Point(*_s_m_at(m, vertex)[0])
 
 
 def m_point(m: Measures, vertex: str) -> Point:
@@ -237,7 +228,7 @@ def m_point(m: Measures, vertex: str) -> Point:
     point B + C − A. At a right vertex angle the two constructions meet at
     the vertex itself, and the point is rejected.
     """
-    return Point(*_m_xy(m, vertex))
+    return Point(*_s_m_at(m, vertex)[1])
 
 
 NAMED_POINTS: tuple[tuple[SpecialRole, str], ...] = (
@@ -258,6 +249,11 @@ NAMED_POINTS: tuple[tuple[SpecialRole, str], ...] = (
 order of the ``miquel centers`` table."""
 
 
+# the index of each vertex-free role in what ``_vertex_free_xy`` returns
+_VERTEX_FREE = {"circumcenter": 0, "orthocenter": 1, "centroid": 2, "incenter": 3,
+                "first_brocard": 4, "second_brocard": 5}
+
+
 def locate_xy(m: Measures, role: SpecialRole) -> tuple[float, float]:
     """Where ``role`` sits in the triangle measured as ``m``, as coordinates.
 
@@ -265,59 +261,29 @@ def locate_xy(m: Measures, role: SpecialRole) -> tuple[float, float]:
     ``q_role``, which is a whole arc), and ``RightAngleDegenerateError`` for
     ``s_role``/``m_role`` at a right vertex.
     """
-    body = LOCATE_XY.get(role.role)
-    if body is None:
-        raise ValueError(f"{role} has no single location")
-    return body(m, role.vertex)
+    name = role.role
+    if name in _VERTEX_FREE:
+        return _vertex_free_xy(m)[_VERTEX_FREE[name]]
+    if name == "excenter":
+        return _excenter_xy(m, VERTEX_LABELS.index(role.vertex))
+    if name in ("s_role", "m_role"):
+        return _s_m_at(m, role.vertex)[name == "m_role"]
+    raise ValueError(f"{role} has no single location")
+
+
+_NO_S_M = None, None  # the rows of S_v and M_v at a right angle at v
 
 
 def named_points_xy(m: Measures) -> tuple[tuple[float, float] | None, ...]:
-    """``locate_xy`` of every role of ``NAMED_POINTS``, in its order, in one
-    pass over the measures ``m``: each body's float operations written out,
-    with None for S_v and M_v at a right vertex. Raises what a body raises
-    (``ZeroDivisionError`` for weights that sum to zero), in table order."""
-    ax, ay, bx, by, cx, cy = m.xy
-    la, lb, lc = m.side_lengths
-    a2, b2, c2 = m.squared_sides
-    ox, oy = m.circumcenter_xy
-    sx, sy = ax + bx + cx, ay + by + cy
-    # each barycentric point as _barycentric_xy, its weights as its body
-    # orders them: s is the weight sum
-    s = la + lb + lc
-    incenter = (la * ax + lb * bx + lc * cx) / s, (la * ay + lb * by + lc * cy) / s
-    s = -la + lb + lc
-    ex_a = (-la * ax + lb * bx + lc * cx) / s, (-la * ay + lb * by + lc * cy) / s
-    s = la + -lb + lc
-    ex_b = (la * ax + -lb * bx + lc * cx) / s, (la * ay + -lb * by + lc * cy) / s
-    s = la + lb + -lc
-    ex_c = (la * ax + lb * bx + -lc * cx) / s, (la * ay + lb * by + -lc * cy) / s
-    wa, wb, wc = c2 * a2, a2 * b2, b2 * c2
-    s = wa + wb + wc
-    first = (wa * ax + wb * bx + wc * cx) / s, (wa * ay + wb * by + wc * cy) / s
-    s = wb + wc + wa
-    second = (wb * ax + wc * bx + wa * cx) / s, (wb * ay + wc * by + wa * cy) / s
-    angle_a, angle_b, angle_c = m.angles
-    s_a = m_a = s_b = m_b = s_c = m_c = None
-    if not abs(angle_a - HALF_PI) < ANGLE_EPS:
-        k = b2 + c2 - a2
-        s = k + b2 + c2
-        s_a = (k * ax + b2 * bx + c2 * cx) / s, (k * ay + b2 * by + c2 * cy) / s
-        s = a2 + k + k
-        m_a = (a2 * ax + k * bx + k * cx) / s, (a2 * ay + k * by + k * cy) / s
-    if not abs(angle_b - HALF_PI) < ANGLE_EPS:
-        k = c2 + a2 - b2
-        s = a2 + k + c2
-        s_b = (a2 * ax + k * bx + c2 * cx) / s, (a2 * ay + k * by + c2 * cy) / s
-        s = k + b2 + k
-        m_b = (k * ax + b2 * bx + k * cx) / s, (k * ay + b2 * by + k * cy) / s
-    if not abs(angle_c - HALF_PI) < ANGLE_EPS:
-        k = a2 + b2 - c2
-        s = a2 + b2 + k
-        s_c = (a2 * ax + b2 * bx + k * cx) / s, (a2 * ay + b2 * by + k * cy) / s
-        s = k + k + c2
-        m_c = (k * ax + k * bx + c2 * cx) / s, (k * ay + k * by + c2 * cy) / s
-    return ((ox, oy), (sx - 2.0 * ox, sy - 2.0 * oy), (sx / 3.0, sy / 3.0), incenter,
-            ex_a, ex_b, ex_c, first, second, s_a, m_a, s_b, m_b, s_c, m_c)
+    """``locate_xy`` of every role of ``NAMED_POINTS``, in its order, from
+    the measures ``m``, with None for S_v and M_v at a right vertex. Raises
+    what a body raises (``ZeroDivisionError`` for weights that sum to zero)."""
+    o, h, g, incenter, first, second = _vertex_free_xy(m)
+    s_a, m_a = _s_m_xy(m, 0) or _NO_S_M
+    s_b, m_b = _s_m_xy(m, 1) or _NO_S_M
+    s_c, m_c = _s_m_xy(m, 2) or _NO_S_M
+    return (o, h, g, incenter, _excenter_xy(m, 0), _excenter_xy(m, 1), _excenter_xy(m, 2),
+            first, second, s_a, m_a, s_b, m_b, s_c, m_c)
 
 
 def isogonal_conjugate(m: Measures, px: float, py: float) -> tuple[float, float]:

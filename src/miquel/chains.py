@@ -50,8 +50,8 @@ class ChainRecord(Frozen):
     ``steps[k]`` is the triangle after k+1 steps, as its six coordinates;
     its vertices are the triad points relabeled A = point on the old BC,
     B = on CA, C = on AB. ``circles`` are the circumcircles of the seed and
-    the steps as the chain computed them: the seed's ``circumcircle`` (or
-    the one its caller passed in), then ``circle_xy``'s.
+    the steps as the chain computed them: the seed's ``circumcircle``, then
+    ``circle_xy``'s.
 
     ``roles`` are detected with ``CHAIN_DETECT_TOL`` on first read and
     cached, so a chain whose roles go unread costs no detection. A
@@ -86,8 +86,7 @@ class ChainRecord(Frozen):
 
 
 def iterate_chain(
-    seed: TriangleXY, px: float, py: float, k: int, thetas: Sequence[float] | None = None,
-    circle: CircleXY | None = None,
+    seed: TriangleXY, px: float, py: float, k: int, thetas: Sequence[float] | None = None
 ) -> ChainRecord:
     """Run ``k`` nesting steps from the triangle ``seed`` with fixed point
     P = (px, py), at most ``MAX_CHAIN_STEPS``.
@@ -99,12 +98,10 @@ def iterate_chain(
     on it. Each step triangle must stay inside the coordinate range that
     scenes are held to (``MAX_COORDINATE``, ``MIN_LONGEST_SIDE``).
 
-    The seed's circumcircle is ``circle`` when the caller holds it (as the
-    ``Measures`` of ``centers.measures_xy`` do), else it comes from
-    ``circumcircle``, with its errors; each step triangle is kept as its six
-    floats and its circumcircle comes from ``circle_xy``, handed the longest
-    side the range check measured. No role is detected here: the record
-    detects each role with ``CHAIN_DETECT_TOL`` on first read.
+    The seed's circumcircle comes from ``circumcircle``, with its errors;
+    each step triangle is kept as its six floats and its circumcircle comes
+    from ``circle_xy``. No role is detected here: the record detects each
+    role with ``CHAIN_DETECT_TOL`` on first read.
 
     A step raises ``DegenerateStepError``, in this order: for a point on the
     circumcircle; wrapping, with the step number, what ``family_xy`` and
@@ -124,11 +121,9 @@ def iterate_chain(
     big = MAX_COORDINATE
     steps: list[TriangleXY] = []
     host = seed
-    # the seed's circumcircle, from circumcircle or the caller's measures_xy,
-    # has a checked finite center and radius; each step triangle lies inside
-    # the coordinate range, where they are finite
-    if circle is None:
-        circle = circumcircle(*seed)
+    # the seed's circumcircle checks that its center and radius are finite;
+    # each step triangle lies inside the coordinate range, where they are
+    circle = circumcircle(*seed)
     circles = [circle]
     for i, theta in enumerate(thetas):
         if on_circle_xy(circle, px, py):
@@ -142,8 +137,8 @@ def iterate_chain(
             if not (
                 abs(xx) <= big and abs(xy) <= big and abs(yx) <= big
                 and abs(yy) <= big and abs(zx) <= big and abs(zy) <= big
-                and (longest := max(math.hypot(yx - xx, yy - xy), math.hypot(zx - yx, zy - yy),
-                                    math.hypot(xx - zx, xy - zy))) >= MIN_LONGEST_SIDE
+                and max(math.hypot(yx - xx, yy - xy), math.hypot(zx - yx, zy - yy),
+                        math.hypot(xx - zx, xy - zy)) >= MIN_LONGEST_SIDE
             ):
                 raise DegenerateStepError(
                     "the triangle is out of range: its coordinates must lie within"
@@ -151,7 +146,7 @@ def iterate_chain(
                     f" {MIN_LONGEST_SIDE:.0e}"
                 )
             *_, (mx, my) = miquel_xy(host, triad)
-            circle = circle_xy(*triad, span=longest)
+            circle = circle_xy(*triad)
         except GeometryError as exc:
             raise DegenerateStepError(f"step {i} degenerated: {exc}") from exc
         if math.hypot(mx - px, my - py) > CONCURRENCY_BAND * r:

@@ -227,19 +227,14 @@ def side_lengths_xy(
     return la, lb, lc
 
 
-def circle_xy(
-    x1: float, y1: float, x2: float, y2: float, x3: float, y3: float,
-    span: float | None = None,
-) -> CircleXY:
+def circle_xy(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) -> CircleXY:
     """Center and radius of the circle through three points, as
     (center x, center y, radius); raises ``CollinearError`` when the points
-    are collinear within tolerance. A caller that holds the longest of the
-    three distances between the points passes it as ``span``."""
+    are collinear within tolerance."""
     q2x, q2y = x2 - x1, y2 - y1
     q3x, q3y = x3 - x1, y3 - y1
     cross = q2x * q3y - q2y * q3x
-    if span is None:
-        span = max(math.hypot(q2x, q2y), math.hypot(q3x, q3y), math.hypot(x3 - x2, y3 - y2))
+    span = max(math.hypot(q2x, q2y), math.hypot(q3x, q3y), math.hypot(x3 - x2, y3 - y2))
     if abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span:
         raise CollinearError("the three points are collinear within tolerance")
     d = 2.0 * cross

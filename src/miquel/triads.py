@@ -328,6 +328,12 @@ def classify_similarity(xy1: TriangleXY, xy2: TriangleXY, tol: float) -> Similar
     return None
 
 
+# the incenter's row in ``centers.NAMED_POINTS``, for the arc role's circle
+_INCENTER_ROW = next(
+    i for i, (role, _) in enumerate(centers.NAMED_POINTS) if role.role == "incenter"
+)
+
+
 def detect_special_role(m: Measures, px: float, py: float, length_eps: float) -> SpecialRole:
     """Which named center of the triangle measured as ``m``
     (``centers.measures_xy``) the point (px, py) is, within ``length_eps``
@@ -358,7 +364,7 @@ def detect_special_role(m: Measures, px: float, py: float, length_eps: float) ->
             checked_xy(x, y)  # a location that is not finite: rejected as Point rejects it
     if best_dist < eps:
         return best_role
-    ix, iy = located[3]  # the incenter
+    ix, iy = located[_INCENTER_ROW]
     sides = m.side_lengths
     for i, v in enumerate(VERTEX_LABELS):
         j, k = (i + 1) % 3, (i + 2) % 3

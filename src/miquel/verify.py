@@ -484,13 +484,14 @@ def suite_theorem13(report: SuiteReport) -> None:
         conj.add(math.hypot(jx - tx, jy - ty) / m.circumradius, i, t, q)
 
 
-def _chain_points(rng, m: Measures) -> list[tuple[str, tuple[float, float]]]:
+def _chain_points(rng, xy: TriangleXY) -> list[tuple[str, tuple[float, float]]]:
+    m = measures_xy(xy)
     return [
         ("O", checked_xy(*locate_xy(m, SpecialRole("circumcenter")))),
         ("H", checked_xy(*locate_xy(m, SpecialRole("orthocenter")))),
         ("L", checked_xy(*locate_xy(m, SpecialRole("incenter")))),
         ("brocard1", checked_xy(*locate_xy(m, SpecialRole("first_brocard")))),
-        ("random", random_interior_point(rng, m.xy)),
+        ("random", random_interior_point(rng, xy)),
     ]
 
 
@@ -503,13 +504,11 @@ def suite_theorem14(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         xy = random_triangle(rng, min_angle=0.35, right_gap=0.1)
-        m = measures_xy(xy)
-        circle = (*m.circumcenter_xy, m.circumradius)
-        for name, p in _chain_points(rng, m):
-            gap = check_mod3_similarity(iterate_chain(xy, *p, k, circle=circle))
+        for name, p in _chain_points(rng, xy):
+            gap = check_mod3_similarity(iterate_chain(xy, *p, k))
             default_sched.add(gap, i, xy, p, note=f" [{name}]")
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(k)]
-            gap = check_mod3_similarity(iterate_chain(xy, *p, k, thetas=thetas, circle=circle))
+            gap = check_mod3_similarity(iterate_chain(xy, *p, k, thetas=thetas))
             random_sched.add(gap, i, xy, p, note=f" [{name}]")
 
 
@@ -551,12 +550,11 @@ def suite_theorem15(report: SuiteReport) -> None:
         rng = report.rng(i)
         seed = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         m = measures_xy(seed)
-        circle = (*m.circumcenter_xy, m.circumradius)
         v = VERTEX_LABELS[i % 3]
 
         for which, name in (("first", "Ω₁"), ("second", "Ω₂")):
             px, py = checked_xy(*locate_xy(m, SpecialRole(f"{which}_brocard")))
-            rec = iterate_chain(seed, px, py, k, circle=circle)
+            rec = iterate_chain(seed, px, py, k)
             for _, gap in _seed_gaps(rec, name):
                 brocard_all.add(gap, i, seed, note=f" [{which}]")
             for xy, (*_, r) in zip((seed, *rec.steps), rec.circles):
@@ -569,10 +567,10 @@ def suite_theorem15(report: SuiteReport) -> None:
             (h_m_steps, "H", checked_xy(*locate_xy(m, SpecialRole("orthocenter")))),
             (h_m_steps, f"M_{v}", checked_xy(*locate_xy(m, SpecialRole("m_role", v)))),
         ):
-            for step_idx, gap in _seed_gaps(iterate_chain(seed, *p, k, circle=circle), name):
+            for step_idx, gap in _seed_gaps(iterate_chain(seed, *p, k), name):
                 claim.add(gap, i, seed, note=f" [k={step_idx}]")
 
-        rec = iterate_chain(seed, *random_interior_point(rng, seed), 2, circle=circle)
+        rec = iterate_chain(seed, *random_interior_point(rng, seed), 2)
         # steps 1 and 2
         dissimilar = all(
             classify_similarity(seed, xy, CHAIN_SIMILARITY_TOL) is None for xy in rec.steps
@@ -592,16 +590,15 @@ def suite_corollary4(report: SuiteReport) -> None:
         rng = report.rng(i)
         seed = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         m = measures_xy(seed)
-        circle = (*m.circumcenter_xy, m.circumradius)
         v = VERTEX_LABELS[i % 3]
 
         o = checked_xy(*locate_xy(m, SpecialRole("circumcenter")))
-        roles = iterate_chain(seed, *o, k, circle=circle).roles
+        roles = iterate_chain(seed, *o, k).roles
         ok = roles[0].role == "circumcenter" and follows_role_cycle(roles)
         center_cycle.add_bool(ok, i, seed, note=" [O]")
 
         s = checked_xy(*locate_xy(m, SpecialRole("s_role", v)))
-        roles = iterate_chain(seed, *s, k, circle=circle).roles
+        roles = iterate_chain(seed, *s, k).roles
         ok = (
             roles[0].role == "s_role"
             and follows_role_cycle(roles)
@@ -611,7 +608,7 @@ def suite_corollary4(report: SuiteReport) -> None:
 
         for which, role_name in (("first", "first_brocard"), ("second", "second_brocard")):
             p = checked_xy(*locate_xy(m, SpecialRole(role_name)))
-            rec = iterate_chain(seed, *p, k, circle=circle)
+            rec = iterate_chain(seed, *p, k)
             brocard_fixed.add_bool(
                 all(r.role == role_name for r in rec.roles), i, seed, note=f" [{which}]"
             )

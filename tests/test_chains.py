@@ -226,8 +226,8 @@ class TestSeedCorrespondences:
         bad = swap(*rec.steps[2])
         assert classify_similarity(rec.seed, bad, CHAIN_SIMILARITY_TOL) is not None
 
-        def swapped(seed, px, py, k, thetas=None, circle=None):
-            rec = iterate_chain(seed, px, py, k, thetas, circle)
+        def swapped(seed, px, py, k, thetas=None):
+            rec = iterate_chain(seed, px, py, k, thetas)
             if k < 3:  # the generic claim's chain has no triangle 3
                 return rec
             steps = (*rec.steps[:2], swap(*rec.steps[2]), *rec.steps[3:])
@@ -386,14 +386,11 @@ class TestLazySteps:
 def test_kept_circles_are_the_circumcircles_and_roles_read_them():
     """Over 480 chains, pedal and rotated: the record keeps the seed's
     circumcircle and each step's ``circle_xy``, and the roles it detects on
-    them are detection on each triangle measured afresh. Handed the seed's
-    circle from its measures, the chain is the same record."""
+    them are detection on each triangle measured afresh."""
     rng = rng_for(0, "chains", 3)
     chains, names = 0, set()
     for i in range(60):
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
-        m = measures_xy(t)
-        held = (*m.circumcenter_xy, m.circumradius)
         points = (_locate(t, O), _locate(t, SpecialRole("s_role", "ABC"[i % 3])),
                   _locate(t, SpecialRole("first_brocard")), random_interior_point(rng, t))
         for p in points:
@@ -406,8 +403,6 @@ def test_kept_circles_are_the_circumcircles_and_roles_read_them():
                 fresh = [detect_special_role(measures_xy(xy), *p, CHAIN_DETECT_TOL)
                          for xy in _triangles(rec)]
                 assert list(rec.roles) == fresh
-                again = iterate_chain(t, *p, 6, thetas, circle=held)
-                assert (again.steps, again.circles) == (rec.steps, rec.circles)
                 names.update(r.role for r in fresh)
                 chains += 1
     assert chains == 480

@@ -41,6 +41,7 @@ from miquel.centers import NAMED_POINTS, locate_xy, measures_xy
 from miquel.chains import iterate_chain
 from miquel.errors import CollinearError, GeometryError, RightAngleDegenerateError
 from miquel.kernel import (
+    ANGLE_EPS,
     HALF_PI,
     LENGTH_EPS,
     Point,
@@ -550,11 +551,6 @@ def test_circle_forms_are_their_calls():
             expected = _result(_circumcircle_by_calls, *triple)
             assert _result(circumcircle, *triple) == expected
             outcomes.add(expected[0] if isinstance(expected, tuple) else float)
-            # the longest side handed in, measured as the chain step does
-            x1, y1, x2, y2, x3, y3 = triple
-            span = max(math.hypot(x2 - x1, y2 - y1), math.hypot(x3 - x2, y3 - y2),
-                       math.hypot(x1 - x3, y1 - y3))
-            assert _result(circle_xy, *triple, span) == _result(_circle_by_calls, *triple)
     assert outcomes == {float, CollinearError, ValueError}
 
 
@@ -573,38 +569,39 @@ def test_directed_angle_xy_is_its_calls():
 
 # ---------------------------------------------------------------- centers
 
-def test_squared_sides_isogonal_conjugate_and_every_named_point(monkeypatch):
-    located = []
-    for t, points, _ in CASES:
-        m = measures_xy(t.xy)
-        # the measures, from coordinates, are the Triangle's floats and the
-        # operator forms'
-        assert m == (t.xy, t.side_lengths, _squared_sides_by_operators(t),
-                     _angles_by_operators(t), t.circumcenter_xy, t.circumradius)
-        p = points[0]
-        expected = _isogonal_conjugate_by_operators(t, p)
-        assert Point(*centers.isogonal_conjugate(m, *p)) == expected
-        row = []
-        for role, _ in NAMED_POINTS:
-            try:
-                row.append(locate_xy(m, role))
-            except RightAngleDegenerateError:
-                row.append(None)
-        located.append(row)
-    monkeypatch.setattr(
-        centers, "_barycentric_xy",
-        lambda m, *w: tuple(_from_barycentric_by_operators(_triangle(m.xy), *w)),
-    )
-    monkeypatch.setitem(
-        centers.LOCATE_XY, "orthocenter",
-        lambda m, v: tuple(_orthocenter_by_operators(_triangle(m.xy))),
-    )
-    for (t, _, _), row in zip(CASES, located):
-        # the location bodies on the squared sides of the operator form
-        m = measures_xy(t.xy)._replace(squared_sides=_squared_sides_by_operators(t))
-        for (role, _), point in zip(NAMED_POINTS, row):
-            if point is not None:
-                assert point == locate_xy(m, role), role
+def _named_point_by_operators(t, role):
+    """Where ``role`` sits in ``t``: O, H and G by Point operators, the
+    others from their barycentric weights on the operator form's squared
+    sides; None for S_v and M_v at a right angle at v."""
+    sq = a2, b2, c2 = _squared_sides_by_operators(t)
+    name = role.role
+    if name == "circumcenter":
+        return Point(*t.circumcenter_xy)
+    if name == "orthocenter":
+        return _orthocenter_by_operators(t)
+    if name == "centroid":
+        return (t.a + t.b + t.c) / 3.0
+    if name == "incenter":
+        weights = list(t.side_lengths)
+    elif name == "first_brocard":
+        weights = [c2 * a2, a2 * b2, b2 * c2]
+    elif name == "second_brocard":
+        weights = [a2 * b2, b2 * c2, c2 * a2]
+    else:
+        i = "ABC".index(role.vertex)
+        k = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
+        if name == "excenter":
+            weights = list(t.side_lengths)
+            weights[i] *= -1.0
+        elif abs(_angles_by_operators(t)[i] - HALF_PI) < ANGLE_EPS:
+            return None
+        elif name == "s_role":
+            weights = list(sq)
+            weights[i] = k
+        else:
+            weights = [k, k, k]
+            weights[i] = sq[i]
+    return _from_barycentric_by_operators(t, *weights)
 
 
 def _named_points_by_locate_xy(m):
@@ -617,6 +614,22 @@ def _named_points_by_locate_xy(m):
         except RightAngleDegenerateError:
             row.append(None)
     return row
+
+
+def test_squared_sides_isogonal_conjugate_and_every_named_point():
+    for t, points, _ in CASES:
+        m = measures_xy(t.xy)
+        # the measures, from coordinates, are the Triangle's floats and the
+        # operator forms'
+        assert m == (t.xy, t.side_lengths, _squared_sides_by_operators(t),
+                     _angles_by_operators(t), t.circumcenter_xy, t.circumradius)
+        p = points[0]
+        expected = _isogonal_conjugate_by_operators(t, p)
+        assert Point(*centers.isogonal_conjugate(m, *p)) == expected
+        # every location body against its operator form
+        for (role, _), point in zip(NAMED_POINTS, _named_points_by_locate_xy(m)):
+            oracle = _named_point_by_operators(t, role)
+            assert point == (None if oracle is None else tuple(oracle)), role
 
 
 def _pinned_table_hosts():
@@ -649,7 +662,7 @@ def _table_outcome(f, m):
 
 
 def test_named_points_xy_is_locate_xy_of_every_row():
-    """named_points_xy, the table written out in one pass, against
+    """named_points_xy, the whole table read from the bodies, against
     locate_xy of each row by repr, with None exactly where locate_xy raises
     RightAngleDegenerateError, and the same error where a row raises."""
     nones, nans, outcomes = set(), 0, set()
