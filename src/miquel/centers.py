@@ -17,9 +17,9 @@ from .kernel import (
     CircleXY,
     Frozen,
     Point,
-    Triangle,
     TriangleXY,
     checked_xy,
+    corners_xy,
     invert_xy,
     min_side_line_distance_xy,
     reject_side_lines,
@@ -73,8 +73,8 @@ def measures_xy(xy: TriangleXY, circle: CircleXY | None = None) -> Measures:
     q2x, q2y = bx - ax, by - ay
     q3x, q3y = cx - ax, cy - ay
     if not math.isfinite(q2x + q2y + q3x + q3y):
-        Point(q2x, q2y)
-        Point(q3x, q3y)
+        checked_xy(q2x, q2y)
+        checked_xy(q3x, q3y)
     bcx, bcy = cx - bx, cy - by
     la, lb, lc = math.hypot(bcx, bcy), math.hypot(q3x, q3y), math.hypot(q2x, q2y)
     cross = q2x * q3y - q2y * q3x
@@ -99,20 +99,25 @@ def measures_xy(xy: TriangleXY, circle: CircleXY | None = None) -> Measures:
     return Measures(xy, (la, lb, lc), (bcx * bcx + bcy * bcy, m3, m2), angles, (ox, oy), r)
 
 
-def _barycentric_xy(m: Measures, wa: float, wb: float, wc: float) -> tuple[float, float]:
-    """The point with barycentric weights (wa : wb : wc) over A, B, C."""
+def _barycentric_xy(m: Measures, wa: float, wb: float, wc: float) -> tuple[float, float] | None:
+    """The point with barycentric weights (wa : wb : wc) over A, B, C, or
+    None when it is at infinity: their sum cancels below 1e-13 times the
+    largest weight, in absolute value."""
     ax, ay, bx, by, cx, cy = m.xy
     s = wa + wb + wc
+    if abs(s) < 1e-13 * max(abs(wa), abs(wb), abs(wc)):
+        return None
     return (wa * ax + wb * bx + wc * cx) / s, (wa * ay + wb * by + wc * cy) / s
 
 
 # Where each named point sits, on coordinates: the one body of each formula.
-# The points that need no vertex share a body; each excenter, and S_v with
-# M_v, have one per vertex. ``named_points_xy`` reads them all for the whole
-# table, which role detection and the CLI centers table use; ``locate_xy``,
-# the Point functions below and the suites call the one body a role needs.
-# Each barycentric point is computed as ``_barycentric_xy`` computes it, s
-# being the weight sum.
+# The points that need no vertex share a body, which writes out the float
+# operations of ``_barycentric_xy``, s being the weight sum: their weights
+# never cancel. Each excenter, and S_v with M_v, have one per vertex, which
+# calls it, so None stands for a point at infinity. ``named_points_xy`` reads
+# them all for the whole table, which role detection uses; ``locate_xy``,
+# and through it the CLI, the figures and the suites, calls the one body a
+# role needs.
 
 def _vertex_free_xy(m: Measures) -> tuple[tuple[float, float], ...]:
     """O, H, G, the incenter and the first and second Brocard points."""
@@ -133,10 +138,9 @@ def _vertex_free_xy(m: Measures) -> tuple[tuple[float, float], ...]:
             first, second)
 
 
-def _excenter_xy(m: Measures, i: int) -> tuple[float, float]:
+def _excenter_xy(m: Measures, i: int) -> tuple[float, float] | None:
     """The excenter opposite the vertex of index ``i``: the incenter's
     weights with the i-th negated."""
-    ax, ay, bx, by, cx, cy = m.xy
     wa, wb, wc = m.side_lengths
     if i == 0:
         wa = -wa
@@ -144,17 +148,15 @@ def _excenter_xy(m: Measures, i: int) -> tuple[float, float]:
         wb = -wb
     else:
         wc = -wc
-    s = wa + wb + wc
-    return (wa * ax + wb * bx + wc * cx) / s, (wa * ay + wb * by + wc * cy) / s
+    return _barycentric_xy(m, wa, wb, wc)
 
 
-def _s_m_xy(m: Measures, i: int) -> tuple[tuple[float, float], tuple[float, float]] | None:
+def _s_m_xy(m: Measures, i: int) -> tuple[tuple[float, float] | None, ...] | None:
     """S_v and M_v at the vertex v of index ``i``, or None when the angle
     at v is right. With k = b² + c² − a², S_A = (k : b² : c²) and
     M_A = (a² : k : k); the other vertices rotate the weights."""
     if abs(m.angles[i] - HALF_PI) < ANGLE_EPS:
         return None
-    ax, ay, bx, by, cx, cy = m.xy
     a2, b2, c2 = m.squared_sides
     if i == 0:
         k = b2 + c2 - a2
@@ -165,30 +167,20 @@ def _s_m_xy(m: Measures, i: int) -> tuple[tuple[float, float], tuple[float, floa
     else:
         k = a2 + b2 - c2
         (sa, sb, sc), (ma, mb, mc) = (a2, b2, k), (k, k, c2)
-    s = sa + sb + sc
-    s_v = (sa * ax + sb * bx + sc * cx) / s, (sa * ay + sb * by + sc * cy) / s
-    s = ma + mb + mc
-    return s_v, ((ma * ax + mb * bx + mc * cx) / s, (ma * ay + mb * by + mc * cy) / s)
+    return _barycentric_xy(m, sa, sb, sc), _barycentric_xy(m, ma, mb, mc)
 
 
-def _s_m_at(m: Measures, vertex: str) -> tuple[tuple[float, float], tuple[float, float]]:
-    """S_v and M_v at ``vertex``, rejected at a right angle."""
-    s_m = _s_m_xy(m, VERTEX_LABELS.index(vertex))
-    if s_m is None:
-        raise RightAngleDegenerateError(f"vertex angle at {vertex} is right")
-    return s_m
-
-
-def symmedian_foot(t: Triangle, vertex: str) -> Point:
-    """Point on the opposite side dividing it as the squared adjacent sides.
+def symmedian_foot(m: Measures, vertex: str) -> tuple[float, float]:
+    """Point on the side opposite ``vertex`` of the triangle measured as
+    ``m``, dividing it as the squared adjacent sides, checked.
 
     For vertex A the foot D on BC satisfies BD/DC = (AB/AC)^2.
     """
-    b, c = t.opposite(vertex)
-    apex = t.vertex(vertex)
-    ab2 = (b - apex).dot(b - apex)
-    ac2 = (c - apex).dot(c - apex)
-    return b + (ab2 / (ab2 + ac2)) * (c - b)
+    i = VERTEX_LABELS.index(vertex)
+    _, (bx, by), (cx, cy) = corners_xy(m.xy, vertex)
+    ab2 = m.squared_sides[(i + 2) % 3]
+    t = ab2 / (ab2 + m.squared_sides[(i + 1) % 3])
+    return checked_xy(bx + t * (cx - bx), by + t * (cy - by))
 
 
 def brocard_point(m: Measures, which: str) -> Point:
@@ -214,7 +206,7 @@ def s_point(m: Measures, vertex: str) -> Point:
     circumcenter lies on the opposite side, the arc degenerates, and the
     point is rejected.
     """
-    return Point(*_s_m_at(m, vertex)[0])
+    return Point(*locate_xy(m, SpecialRole("s_role", vertex)))
 
 
 def m_point(m: Measures, vertex: str) -> Point:
@@ -228,7 +220,7 @@ def m_point(m: Measures, vertex: str) -> Point:
     point B + C − A. At a right vertex angle the two constructions meet at
     the vertex itself, and the point is rejected.
     """
-    return Point(*_s_m_at(m, vertex)[1])
+    return Point(*locate_xy(m, SpecialRole("m_role", vertex)))
 
 
 NAMED_POINTS: tuple[tuple[SpecialRole, str], ...] = (
@@ -255,20 +247,29 @@ _VERTEX_FREE = {"circumcenter": 0, "orthocenter": 1, "centroid": 2, "incenter": 
 
 
 def locate_xy(m: Measures, role: SpecialRole) -> tuple[float, float]:
-    """Where ``role`` sits in the triangle measured as ``m``, as coordinates.
+    """Where ``role`` sits in the triangle measured as ``m``, as coordinates
+    checked by ``checked_xy``.
 
     Raises ``ValueError`` for a role with no single location (``none``, and
-    ``q_role``, which is a whole arc), and ``RightAngleDegenerateError`` for
-    ``s_role``/``m_role`` at a right vertex.
+    ``q_role``, which is a whole arc) and for a location that is not finite,
+    ``RightAngleDegenerateError`` for ``s_role``/``m_role`` at a right
+    vertex, and ``GeometryError`` for a point at infinity.
     """
     name = role.role
     if name in _VERTEX_FREE:
-        return _vertex_free_xy(m)[_VERTEX_FREE[name]]
-    if name == "excenter":
-        return _excenter_xy(m, VERTEX_LABELS.index(role.vertex))
-    if name in ("s_role", "m_role"):
-        return _s_m_at(m, role.vertex)[name == "m_role"]
-    raise ValueError(f"{role} has no single location")
+        loc = _vertex_free_xy(m)[_VERTEX_FREE[name]]
+    elif name == "excenter":
+        loc = _excenter_xy(m, VERTEX_LABELS.index(role.vertex))
+    elif name in ("s_role", "m_role"):
+        s_m = _s_m_xy(m, VERTEX_LABELS.index(role.vertex))
+        if s_m is None:
+            raise RightAngleDegenerateError(f"vertex angle at {role.vertex} is right")
+        loc = s_m[name == "m_role"]
+    else:
+        raise ValueError(f"{role} has no single location")
+    if loc is None:
+        raise GeometryError(f"{role} is at infinity: its weights cancel")
+    return checked_xy(*loc)
 
 
 _NO_S_M = None, None  # the rows of S_v and M_v at a right angle at v
@@ -276,8 +277,9 @@ _NO_S_M = None, None  # the rows of S_v and M_v at a right angle at v
 
 def named_points_xy(m: Measures) -> tuple[tuple[float, float] | None, ...]:
     """``locate_xy`` of every role of ``NAMED_POINTS``, in its order, from
-    the measures ``m``, with None for S_v and M_v at a right vertex. Raises
-    what a body raises (``ZeroDivisionError`` for weights that sum to zero)."""
+    the measures ``m``, unchecked, with None where it raises
+    ``GeometryError``: S_v and M_v at a right vertex, and a point at
+    infinity."""
     o, h, g, incenter, first, second = _vertex_free_xy(m)
     s_a, m_a = _s_m_xy(m, 0) or _NO_S_M
     s_b, m_b = _s_m_xy(m, 1) or _NO_S_M
@@ -307,10 +309,10 @@ def isogonal_conjugate(m: Measures, px: float, py: float) -> tuple[float, float]
     wa = la * la / x
     wb = lb * lb / y
     wc = lc * lc / z
-    s = wa + wb + wc
-    if abs(s) < 1e-13 * max(abs(wa), abs(wb), abs(wc)):
+    conjugate = _barycentric_xy(m, wa, wb, wc)
+    if conjugate is None:
         raise GeometryError("conjugate weights cancel: point at infinity")
-    return checked_xy(*_barycentric_xy(m, wa, wb, wc))
+    return checked_xy(*conjugate)
 
 
 class CatalogEntry(NamedTuple):
@@ -352,21 +354,20 @@ def is_right(m: Measures) -> bool:
     return any(abs(ang - HALF_PI) < ANGLE_EPS for ang in m.angles)
 
 
-def eleven_point_catalog(xy: TriangleXY) -> list[CatalogEntry]:
+def eleven_point_catalog(m: Measures) -> list[CatalogEntry]:
     """The eleven points with shape-preserving pedal triangles of the
-    triangle ``xy``, which ``measures_xy`` checks.
+    triangle measured as ``m``.
 
     Six sit inside the circumcircle (circumcenter, both Brocard points and
     the three symmedian points); the other five are their circumcircle
     inverses, the circumcenter having none.
     """
-    m = measures_xy(xy)
     if not is_scalene(m):
         raise GeometryError("the catalog requires a scalene triangle")
     if is_right(m):
         raise GeometryError("the catalog requires a non-right triangle")
     interior = [
-        CatalogEntry(role, checked_xy(*locate_xy(m, role)), order, mirrored)
+        CatalogEntry(role, locate_xy(m, role), order, mirrored)
         for role, (order, mirrored) in _CATALOG_PERMS.items()
     ]
     circle = (*m.circumcenter_xy, m.circumradius)

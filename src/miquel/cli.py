@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 # process without a bytecode cache compiles every module it imports.
 from . import centers
 from .errors import GeometryError, RightAngleDegenerateError, SceneError
-from .kernel import Point, Triangle, checked_xy, reject_side_lines, side_lengths_xy
+from .kernel import min_side_line_distance_xy, reject_side_lines, side_lengths_xy
 from .scene import ELEMENTS, SceneSpec, parse_scene, point_in_range
 from .triads import (
     PEDAL_SIMILARITY_TOL,
@@ -69,7 +69,7 @@ def _parse_numbers(text: str, flag: str, n: int) -> tuple[float, ...]:
     return values
 
 
-def _require_point(scene: SceneSpec, override: str | None) -> Point:
+def _require_point(scene: SceneSpec, override: str | None) -> tuple[float, float]:
     if override is not None:
         return point_in_range(*_parse_numbers(override, "--point", 2), "--point")
     if scene.point is None:
@@ -79,20 +79,21 @@ def _require_point(scene: SceneSpec, override: str | None) -> Point:
 
 # ---------------------------------------------------------------- centers
 
-def _center_table(t: Triangle) -> list[tuple[str, str]]:
-    located = centers.named_points_xy(centers.measures_xy(t.xy))
+def _center_table(m: centers.Measures) -> list[tuple[str, str]]:
     rows = []
-    for (_, label), loc in zip(centers.NAMED_POINTS, located):
-        if loc is None:  # S_v or M_v at a right angle at v
+    for role, label in centers.NAMED_POINTS:
+        try:
+            rows.append((label, _point_str(centers.locate_xy(m, role))))
+        except RightAngleDegenerateError:  # S_v or M_v at a right angle at v
             rows.append((label, f"degenerate: {RightAngleDegenerateError.__name__}"))
-        else:
-            rows.append((label, _point_str(checked_xy(*loc))))
+        except GeometryError:
+            rows.append((label, "degenerate: at infinity"))
     return rows
 
 
 def cmd_centers(args) -> int:
     scene = _load_scene(args.infile)
-    rows = _center_table(scene.triangle)
+    rows = _center_table(scene.measures)
     if args.json:
         print(json.dumps({name: value for name, value in rows}))
     else:
@@ -106,21 +107,20 @@ def cmd_centers(args) -> int:
 
 def cmd_classify(args) -> int:
     scene = _load_scene(args.infile)
-    t = scene.triangle
-    p = _require_point(scene, args.point)
+    m = scene.measures
+    px, py = _require_point(scene, args.point)
     # rejects NaN too: every comparison with NaN is false
     if not 0.0 < args.tolerance < math.inf:
         raise ValueError("--tolerance must be finite and strictly positive")
-    m = centers.measures_xy(t.xy)
-    role = detect_special_role(m, p.x, p.y, args.tolerance)
+    role = detect_special_role(m, px, py, args.tolerance)
     doc: dict = {"role": str(role)}
-    if on_circle_xy((*m.circumcenter_xy, m.circumradius), p.x, p.y):
+    if on_circle_xy((*m.circumcenter_xy, m.circumradius), px, py):
         doc["pedal"] = "simson-line"
-        doc["collinearity_deviation"] = simson_line(t.xy, p.x, p.y).max_deviation()
+        doc["collinearity_deviation"] = simson_line(m.xy, px, py).max_deviation()
     else:
-        pedal = pedal_triad(t.xy, p.x, p.y)
-        side_lengths_xy(*pedal)  # the CollinearError of Triangle(X, Y, Z)
-        match = classify_similarity(t.xy, pedal, PEDAL_SIMILARITY_TOL)
+        pedal = pedal_triad(m.xy, px, py)
+        side_lengths_xy(*pedal)  # the CollinearError of a collinear pedal triangle
+        match = classify_similarity(m.xy, pedal, PEDAL_SIMILARITY_TOL)
         if match is None:
             doc["similar_to_host"] = False
         else:
@@ -147,15 +147,15 @@ def cmd_classify(args) -> int:
 
 def cmd_miquel(args) -> int:
     scene = _load_scene(args.infile)
-    t = scene.triangle
+    m = scene.measures
     params = _parse_numbers(args.triad, "--triad", 3) if args.triad else scene.triad_params
     if params is None:
         raise SceneError("no triad given: add \"triad\" to the scene or pass --triad")
-    res = miquel_point(t.xy, checked_triad(triad_xy(t.xy, *params)))
+    res = miquel_point(m.xy, checked_triad(triad_xy(m.xy, *params)))
     doc = {
         "point": list(res.point),
         "residual": res.residual,
-        "residual_rel": res.residual / t.circumradius,
+        "residual_rel": res.residual / m.circumradius,
         "tangent": res.tangent,
     }
     if args.json:
@@ -172,16 +172,16 @@ def cmd_miquel(args) -> int:
 
 def cmd_family(args) -> int:
     scene = _load_scene(args.infile)
-    t = scene.triangle
-    p = _require_point(scene, args.point)
+    m = scene.measures
+    px, py = _require_point(scene, args.point)
     theta = args.theta if args.theta is not None else (scene.theta or 0.0)
-    triad = family_member(t.xy, p.x, p.y, theta)
-    reject_side_lines(t.min_side_line_distance(p), t.circumradius)
-    res = miquel_point(t.xy, triad)
+    triad = family_member(m.xy, px, py, theta)
+    reject_side_lines(min_side_line_distance_xy(m.xy, px, py), m.circumradius)
+    res = miquel_point(m.xy, triad)
     ratio = None
-    if not on_circle_xy(t.circumcircle, p.x, p.y):
-        ratio = side_lengths_xy(*triad)[0] / side_lengths_xy(*pedal_triad(t.xy, p.x, p.y))[0]
-    u, v, w = triad_params(t.xy, triad)
+    if not on_circle_xy((*m.circumcenter_xy, m.circumradius), px, py):
+        ratio = side_lengths_xy(*triad)[0] / side_lengths_xy(*pedal_triad(m.xy, px, py))[0]
+    u, v, w = triad_params(m.xy, triad)
     x, y, z = triad[0:2], triad[2:4], triad[4:6]
     mx, my = res.point
     doc = {
@@ -192,7 +192,7 @@ def cmd_family(args) -> int:
         "X": list(x),
         "Y": list(y),
         "Z": list(z),
-        "roundtrip_residual": math.hypot(mx - p.x, my - p.y),
+        "roundtrip_residual": math.hypot(mx - px, my - py),
         "pedal_ratio": ratio,
     }
     if args.json:
@@ -215,10 +215,9 @@ def cmd_chain(args) -> int:
     from .chains import CHAIN_SIMILARITY_TOL, check_mod3_similarity, iterate_chain
 
     scene = _load_scene(args.infile)
-    t = scene.triangle
-    p = _require_point(scene, args.point)
+    px, py = _require_point(scene, args.point)
     thetas = _parse_numbers(args.thetas, "--thetas", args.steps) if args.thetas else None
-    rec = iterate_chain(t.xy, p.x, p.y, args.steps, thetas=thetas)
+    rec = iterate_chain(scene.measures.xy, px, py, args.steps, thetas=thetas)
     worst = check_mod3_similarity(rec) if args.steps >= 3 else None
     doc = {
         "steps": args.steps,

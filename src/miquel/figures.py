@@ -7,9 +7,10 @@ from __future__ import annotations
 import math
 
 from . import centers, kernel
+from .centers import Measures, SpecialRole
 from .errors import GeometryError, SceneError
-from .kernel import (CircleXY, LineXY, Point, Triangle, TriangleXY, circumcircle, line_through,
-                     midpoint, second_intersection)
+from .kernel import (CircleXY, LineXY, TriangleXY, checked_xy, circumcircle, corners_xy,
+                     line_through, midpoint, second_intersection)
 from .scene import ELEMENTS, SceneSpec
 from .triads import (checked_triad, miquel_point, on_circle_xy, pedal_triad, simson_line,
                      triad_xy)
@@ -27,16 +28,18 @@ def _fmt(v: float) -> str:
     return "0" if out == "-0" else out
 
 
-def _sx(p: Point) -> str:
-    return _fmt(p.x)
+def _sx(p: tuple[float, float]) -> str:
+    return _fmt(p[0])
 
 
-def _sy(p: Point) -> str:
-    return _fmt(-p.y)  # svg y grows downward
+def _sy(p: tuple[float, float]) -> str:
+    return _fmt(-p[1])  # svg y grows downward
 
 
 class _Canvas:
-    def __init__(self, view_center: Point, view_radius: float, width: int) -> None:
+    """An SVG document under construction; points are (x, y) pairs."""
+
+    def __init__(self, view_center: tuple[float, float], view_radius: float, width: int) -> None:
         self.center = view_center
         self.radius = view_radius
         self.width = width
@@ -44,7 +47,7 @@ class _Canvas:
         self.labels: list[str] = []
         self.stroke = view_radius / 120.0
 
-    def line(self, a: Point, b: Point, color: str = _STROKE) -> None:
+    def line(self, a: tuple[float, float], b: tuple[float, float], color: str = _STROKE) -> None:
         self.shapes.append(
             f'<line x1="{_sx(a)}" y1="{_sy(a)}" x2="{_sx(b)}" y2="{_sy(b)}" '
             f'stroke="{color}" stroke-width="{_fmt(self.stroke)}"/>'
@@ -53,10 +56,12 @@ class _Canvas:
     def infinite_line(self, line: LineXY) -> None:
         span = 2.0 * self.radius
         ax, ay, dx, dy = line
+        vx, vy = self.center
         # the parameter of the view center's foot on the line
-        t0 = (self.center.x - ax) * dx + (self.center.y - ay) * dy
+        t0 = (vx - ax) * dx + (vy - ay) * dy
         t1, t2 = t0 - span, t0 + span
-        self.line(Point(ax + t1 * dx, ay + t1 * dy), Point(ax + t2 * dx, ay + t2 * dy), _ACCENT)
+        self.line(checked_xy(ax + t1 * dx, ay + t1 * dy), checked_xy(ax + t2 * dx, ay + t2 * dy),
+                  _ACCENT)
 
     def circle(self, c: CircleXY) -> None:
         cx, cy, r = c
@@ -65,29 +70,31 @@ class _Canvas:
             f'fill="none" stroke="{_AUX}" stroke-width="{_fmt(self.stroke)}"/>'
         )
 
-    def polygon(self, pts: tuple[Point, ...], color: str = _STROKE) -> None:
+    def polygon(self, pts: tuple[tuple[float, float], ...], color: str = _STROKE) -> None:
         coords = " ".join(f"{_sx(p)},{_sy(p)}" for p in pts)
         self.shapes.append(
             f'<polygon points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(self.stroke * 1.5)}"/>'
         )
 
-    def point(self, p: Point, label: str | None, color: str = _STROKE) -> None:
+    def point(self, p: tuple[float, float], label: str | None, color: str = _STROKE) -> None:
         self.shapes.append(
             f'<circle cx="{_sx(p)}" cy="{_sy(p)}" r="{_fmt(self.stroke * 2.5)}" fill="{color}"/>'
         )
         if label is not None:
             off = self.stroke * 4.0
+            x, y = p
             self.labels.append(
-                f'<text x="{_fmt(p.x + off)}" y="{_fmt(-(p.y + off))}" '
+                f'<text x="{_fmt(x + off)}" y="{_fmt(-(y + off))}" '
                 f'font-size="{_fmt(self.radius * 0.07)}" '
                 f'font-family="serif">{label}</text>'
             )
 
     def document(self) -> str:
         r = self.radius
-        x0 = self.center.x - r
-        y0 = -(self.center.y + r)
+        vx, vy = self.center
+        x0 = vx - r
+        y0 = -(vy + r)
         body = "\n".join(self.shapes + self.labels)
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
@@ -105,16 +112,15 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
         raise SceneError(f"unknown elements: {unknown} (choose from {', '.join(ELEMENTS)})")
     chosen = [e for e in ELEMENTS if e in elements]
 
-    t = scene.triangle
-    circ = t.circumcircle
-    m = centers.measures_xy(t.xy, circ)
-    ox, oy, view_r = circ
-    if scene.point is not None:
-        view_r = max(view_r, math.hypot(ox - scene.point.x, oy - scene.point.y))
-    canvas = _Canvas(Point(ox, oy), 1.2 * view_r, int(scene.options.get("width", 640)))
+    m = scene.measures
+    p = scene.point
+    circ = ox, oy, view_r = (*m.circumcenter_xy, m.circumradius)
+    if p is not None:
+        view_r = max(view_r, math.hypot(ox - p[0], oy - p[1]))
+    canvas = _Canvas((ox, oy), 1.2 * view_r, int(scene.options.get("width", 640)))
     labels_on = scene.options.get("labels", True)
 
-    def name(p: Point, text: str) -> str | None:
+    def name(text: str) -> str | None:
         return text if labels_on else None
 
     for element in chosen:
@@ -122,79 +128,79 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
             canvas.circle(circ)
         elif element == "miquel-circles":
             triad = _scene_triad(scene)
-            res = miquel_point(t.xy, triad)
+            res = miquel_point(m.xy, triad)
             for k in res.circles:
                 canvas.circle(k)
             for q, text in zip(_points(triad), ("X", "Y", "Z")):
-                canvas.point(q, name(q, text), _AUX)
+                canvas.point(q, name(text), _AUX)
         elif element in ("pedal", "triad"):
-            triad = _pedal_or_error(t, scene) if element == "pedal" else _scene_triad(scene)
+            triad = _pedal_or_error(scene) if element == "pedal" else _scene_triad(scene)
             points = _points(triad)
             canvas.polygon(points, _AUX)
             for q, text in zip(points, ("X", "Y", "Z")):
-                canvas.point(q, name(q, text), _AUX)
+                canvas.point(q, name(text), _AUX)
         elif element == "simson":
-            if scene.point is None:
+            if p is None:
                 raise SceneError("element 'simson' requires P")
-            sim = simson_line(t.xy, scene.point.x, scene.point.y)
+            sim = simson_line(m.xy, *p)
             canvas.infinite_line(sim.line)
             for q in sim.feet:
-                canvas.point(Point(*q), None, _ACCENT)
+                canvas.point(q, None, _ACCENT)
         elif element == "centers":
             for role, text in centers.NAMED_POINTS:
                 if role.role in _DRAWN_CENTERS:
-                    loc = Point(*centers.locate_xy(m, role))
-                    canvas.point(loc, name(loc, text), _ACCENT)
+                    canvas.point(centers.locate_xy(m, role), name(text), _ACCENT)
         elif element == "median-symmedian":
-            _median_symmedian_layer(canvas, t, m, scene.options.get("vertex", "A"), name)
+            _median_symmedian_layer(canvas, m, scene.options.get("vertex", "A"), name)
 
-    canvas.polygon(t.vertices)
-    for q, text in zip(t.vertices, ("A", "B", "C")):
-        canvas.point(q, name(q, text))
-    if scene.point is not None:
-        canvas.point(scene.point, name(scene.point, "P"), _ACCENT)
+    vertices = _points(m.xy)
+    canvas.polygon(vertices)
+    for q, text in zip(vertices, ("A", "B", "C")):
+        canvas.point(q, name(text))
+    if p is not None:
+        canvas.point(p, name("P"), _ACCENT)
     return canvas.document()
 
 
-def _points(triad: TriangleXY) -> tuple[Point, Point, Point]:
-    return Point(*triad[0:2]), Point(*triad[2:4]), Point(*triad[4:6])
+def _points(xy: TriangleXY) -> tuple[tuple[float, float], ...]:
+    """The three vertices of ``xy`` as (x, y) pairs."""
+    return xy[0:2], xy[2:4], xy[4:6]
 
 
 def _scene_triad(scene: SceneSpec) -> TriangleXY:
-    t = scene.triangle
     if scene.triad_params is not None:
-        return checked_triad(triad_xy(t.xy, *scene.triad_params))
-    return _pedal_or_error(t, scene)
+        return checked_triad(triad_xy(scene.measures.xy, *scene.triad_params))
+    return _pedal_or_error(scene)
 
 
-def _pedal_or_error(t: Triangle, scene: SceneSpec) -> TriangleXY:
+def _pedal_or_error(scene: SceneSpec) -> TriangleXY:
     if scene.point is None:
         raise SceneError("this element requires P or triad parameters")
-    kernel.reject_side_lines(t.min_side_line_distance(scene.point), t.circumradius)
-    if on_circle_xy(t.circumcircle, scene.point.x, scene.point.y):
+    m = scene.measures
+    px, py = scene.point
+    kernel.reject_side_lines(kernel.min_side_line_distance_xy(m.xy, px, py), m.circumradius)
+    if on_circle_xy((*m.circumcenter_xy, m.circumradius), px, py):
         raise GeometryError("P sits on the circumcircle; select 'simson' instead")
-    return pedal_triad(t.xy, scene.point.x, scene.point.y)
+    return pedal_triad(m.xy, px, py)
 
 
-def _median_symmedian_layer(
-    canvas: _Canvas, t: Triangle, m: centers.Measures, vertex: str, name
-) -> None:
-    """Median and symmedian from one vertex with the special points on them;
-    ``m`` is ``t`` measured."""
-    apex = t.vertex(vertex)
-    b, c = t.opposite(vertex)
-    e = Point(*midpoint(b, c))
-    s_loc = centers.s_point(m, vertex)
-    m_loc = centers.m_point(m, vertex)
+def _median_symmedian_layer(canvas: _Canvas, m: Measures, vertex: str, name) -> None:
+    """Median and symmedian from one vertex of the triangle measured as
+    ``m``, with the special points on them."""
+    apex, b, c = corners_xy(m.xy, vertex)
+    e = midpoint(b, c)
+    s_loc = centers.locate_xy(m, SpecialRole("s_role", vertex))
+    m_loc = centers.locate_xy(m, SpecialRole("m_role", vertex))
     canvas.line(apex, e, _AUX)
-    canvas.line(apex, centers.symmedian_foot(t, vertex), _AUX)
+    canvas.line(apex, centers.symmedian_foot(m, vertex), _AUX)
     canvas.line(apex, s_loc, _ACCENT)
     if m.angles[kernel.VERTEX_LABELS.index(vertex)] < math.pi / 2.0:
-        f = Point(*second_intersection(line_through(apex, e), t.circumcircle, apex))
+        f = second_intersection(line_through(apex, e), (*m.circumcenter_xy, m.circumradius), apex)
     else:
-        f = b + c - apex
-    canvas.circle(circumcircle(*b, *c, *t.circumcenter_xy))
-    canvas.point(e, name(e, "E"), _AUX)
-    canvas.point(f, name(f, "F"), _AUX)
-    canvas.point(s_loc, name(s_loc, f"S_{vertex}"), _ACCENT)
-    canvas.point(m_loc, name(m_loc, f"M_{vertex}"), _ACCENT)
+        (ax, ay), (bx, by), (cx, cy) = apex, b, c
+        f = checked_xy(bx + cx - ax, by + cy - ay)
+    canvas.circle(circumcircle(*b, *c, *m.circumcenter_xy))
+    canvas.point(e, name("E"), _AUX)
+    canvas.point(f, name("F"), _AUX)
+    canvas.point(s_loc, name(f"S_{vertex}"), _ACCENT)
+    canvas.point(m_loc, name(f"M_{vertex}"), _ACCENT)

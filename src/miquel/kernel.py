@@ -11,7 +11,6 @@ tolerances are absolute.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterator
 
 from .errors import CollinearError, GeometryError, OnSideLineError
@@ -74,7 +73,7 @@ class Frozen:
 
 
 class Point(Frozen):
-    """Cartesian position; doubles as a 2-vector for arithmetic."""
+    """Cartesian position, checked finite; iterates as its (x, y) pair."""
 
     __slots__ = _fields = ("x", "y")
     x: float
@@ -86,37 +85,15 @@ class Point(Frozen):
         set_field(self, "x", x)
         set_field(self, "y", y)
 
-    def __add__(self, other: Point) -> Point:
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: Point) -> Point:
-        return Point(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> Point:
-        return Point(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, s: float) -> Point:
-        return Point(self.x / s, self.y / s)
-
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
 
-    def dot(self, other: Point) -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: Point) -> float:
-        return self.x * other.y - self.y * other.x
-
-    def dist(self, other: Point) -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 def checked_xy(*xy: float) -> tuple[float, ...]:
     """The coordinates ``xy`` of one or more points, as they are once all are
-    finite; else ``Point``'s ``ValueError``, with its message for one point."""
+    finite; else a ``ValueError`` naming them, for one point the message
+    ``Point`` gives."""
     if not all(map(math.isfinite, xy)):
         raise ValueError(f"non-finite coordinates {xy}")
     return xy
@@ -210,14 +187,14 @@ def side_lengths_xy(
 ) -> tuple[float, float, float]:
     """|BC|, |CA|, |AB| of the triangle on these vertices; raises
     ``CollinearError`` for exactly the triples ``circumcircle`` calls
-    collinear, and ``Point``'s ``ValueError`` when B − A or C − A is not
+    collinear, and ``checked_xy``'s ``ValueError`` when B − A or C − A is not
     finite."""
     q2x, q2y = bx - ax, by - ay
     q3x, q3y = cx - ax, cy - ay
-    # a sum of finite differences may overflow too; then both pass Point
+    # a sum of finite differences may overflow too; then both pass the check
     if not math.isfinite(q2x + q2y + q3x + q3y):
-        Point(q2x, q2y)
-        Point(q3x, q3y)
+        checked_xy(q2x, q2y)
+        checked_xy(q3x, q3y)
     la = math.hypot(bx - cx, by - cy)
     lb = math.hypot(cx - ax, cy - ay)
     lc = math.hypot(ax - bx, ay - by)
@@ -246,7 +223,7 @@ def circle_xy(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) 
 
 
 def checked_circle(circle: CircleXY) -> CircleXY:
-    """``circle`` as it is, once its center is finite (else ``Point``'s
+    """``circle`` as it is, once its center is finite (else ``checked_xy``'s
     ``ValueError``) and then its radius finite and positive."""
     cx, cy, r = circle
     checked_xy(cx, cy)
@@ -427,8 +404,8 @@ class Triangle(Frozen):
     """Three labeled, non-collinear vertices with orientation.
 
     Construction rejects exactly the triples ``circumcircle`` would call
-    collinear, so every triangle has a circumcircle. Thin triangles whose
-    circumcircle is well conditioned are accepted.
+    collinear (``side_lengths_xy``). Thin triangles whose circumcircle is
+    well conditioned are accepted.
     """
 
     _fields = ("a", "b", "c")
@@ -450,30 +427,6 @@ class Triangle(Frozen):
         a, b, c = self.a, self.b, self.c
         return (a.x, a.y, b.x, b.y, c.x, c.y)
 
-    @cached_property
-    def circumcircle(self) -> CircleXY:
-        return circumcircle(*self.xy)
-
-    @property
-    def circumcenter_xy(self) -> tuple[float, float]:
-        return self.circumcircle[:2]
-
-    @property
-    def circumradius(self) -> float:
-        return self.circumcircle[2]
-
-    @property
-    def vertices(self) -> tuple[Point, Point, Point]:
-        return (self.a, self.b, self.c)
-
-    def vertex(self, label: str) -> Point:
-        return self.vertices[VERTEX_LABELS.index(label)]
-
-    def opposite(self, label: str) -> tuple[Point, Point]:
-        """Endpoints of the side opposite ``label``, in cyclic order."""
-        i = VERTEX_LABELS.index(label)
-        return (self.vertices[(i + 1) % 3], self.vertices[(i + 2) % 3])
-
     def min_side_line_distance(self, p: Point) -> float:
         """Distance of ``p`` from the nearest side line."""
         return min_side_line_distance_xy(self.xy, p.x, p.y)
@@ -481,6 +434,6 @@ class Triangle(Frozen):
 
 def reject_side_lines(distance: float, circumradius: float) -> None:
     """Reject a point ``distance`` away from the nearest side line of a
-    triangle with this circumradius (``Triangle.min_side_line_distance``)."""
+    triangle with this circumradius (``min_side_line_distance_xy``)."""
     if distance < LENGTH_EPS * circumradius:
         raise OnSideLineError("the point lies on a side line of the triangle")

@@ -49,7 +49,7 @@ def triangle_from_angles(
     rng: random.Random, angles: tuple[float, float, float]
 ) -> TriangleXY:
     """Inscribe the angle triple in a random circle (random pose and size),
-    with the ``CollinearError`` that ``Triangle`` raises."""
+    with the ``CollinearError`` that ``side_lengths_xy`` raises."""
     a, b, c = angles
     draw = rng.random
     radius = 0.5 + (2.0 - 0.5) * draw()

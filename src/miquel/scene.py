@@ -4,16 +4,20 @@ A scene is a single object with vertex keys "A", "B", "C" and optional
 "P", "triad", "theta" and "options"; anything else, a key given twice
 included, is rejected. Numbers are read at full float precision.
 Coordinates must lie within ±``MAX_COORDINATE`` and the triangle's longest
-side must be at least ``MIN_LONGEST_SIDE``.
+side must be at least ``MIN_LONGEST_SIDE``. The parsed scene holds the
+triangle measured once (``centers.measures_xy``, which rejects a collinear
+one) and the point as a checked (x, y) pair.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import NamedTuple
 
+from .centers import Measures, measures_xy
 from .errors import SceneError
-from .kernel import MAX_COORDINATE, MIN_LONGEST_SIDE, Point, Triangle
+from .kernel import MAX_COORDINATE, MIN_LONGEST_SIDE, checked_xy
 
 _TOP_KEYS = ("A", "B", "C", "P", "triad", "theta", "options")
 _OPTION_KEYS = ("width", "labels", "vertex")
@@ -31,8 +35,8 @@ ELEMENTS = (
 
 
 class SceneSpec(NamedTuple):
-    triangle: Triangle
-    point: Point | None
+    measures: Measures
+    point: tuple[float, float] | None
     triad_params: tuple[float, float, float] | None
     theta: float | None
     options: dict
@@ -57,10 +61,10 @@ def _float(value: int | float, key: str) -> float:
         raise SceneError(f"{key!r} holds an integer beyond the float range") from None
 
 
-def point_in_range(x: float, y: float, key: str) -> Point:
+def point_in_range(x: float, y: float, key: str) -> tuple[float, float]:
     """The point (x, y), rejected unless both coordinates lie within
     ±``MAX_COORDINATE``."""
-    p = Point(x, y)  # rejects non-finite coordinates first
+    p = checked_xy(x, y)  # rejects non-finite coordinates first
     if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
         raise SceneError(
             f"{key} is out of range: coordinates must lie within ±{MAX_COORDINATE:.0e}"
@@ -93,11 +97,11 @@ def parse_scene(text: str) -> SceneSpec:
         if key not in doc:
             raise SceneError(f"missing vertex {key!r}")
     a, b, c = (point_in_range(*_numbers(doc[key], key, 2), key) for key in ("A", "B", "C"))
-    if max(a.dist(b), b.dist(c), c.dist(a)) < MIN_LONGEST_SIDE:
+    if max(math.dist(a, b), math.dist(b, c), math.dist(c, a)) < MIN_LONGEST_SIDE:
         raise SceneError(
             f"the triangle is out of range: its longest side must be at least {MIN_LONGEST_SIDE:.0e}"
         )
-    triangle = Triangle(a, b, c)  # degenerate input raises the geometric error
+    measures = measures_xy((*a, *b, *c))  # degenerate input raises the geometric error
 
     point = point_in_range(*_numbers(doc["P"], "P", 2), "P") if "P" in doc else None
 
@@ -130,5 +134,5 @@ def parse_scene(text: str) -> SceneSpec:
                 raise SceneError("'vertex' must be A, B or C")
             options["vertex"] = raw["vertex"]
 
-    return SceneSpec(triangle, point, triad, theta, options)
+    return SceneSpec(measures, point, triad, theta, options)
 

@@ -82,7 +82,7 @@ def triad_params(host: TriangleXY, triad: TriangleXY) -> tuple[float, float, flo
 
 def checked_triad(triad: TriangleXY) -> TriangleXY:
     """``triad`` as it is, once X, Y and Z are finite, each checked in turn
-    with ``checked_xy``, so the first that is not gives ``Point``'s
+    with ``checked_xy``, so the first that is not gives its
     ``ValueError``."""
     for k in (0, 2, 4):
         checked_xy(triad[k], triad[k + 1])
@@ -343,11 +343,11 @@ def detect_special_role(m: Measures, px: float, py: float, length_eps: float) ->
     read from ``centers.named_points_xy``. The centroid plays no role in the
     paper, and when b² + c² = 2a² it coincides with M_A, which must win. The
     nearest within the band wins, the first in table order on a tie; S and M
-    are skipped at a right angle, and a location that is not finite raises
-    ``Point``'s ``ValueError``. The arc role (isosceles host, point on the
-    circle through the base vertices and the incenter) is only tried when no
-    center fits. That circle is built with the kernel's own collinearity
-    band, not with ``length_eps``.
+    are skipped at a right angle, as is a point at infinity, and a location
+    that is not finite raises ``checked_xy``'s ``ValueError``. The arc role
+    (isosceles host, point on the circle through the base vertices and the
+    incenter) is only tried when no center fits. That circle is built with
+    the kernel's own collinearity band, not with ``length_eps``.
     """
     xy = m.xy
     eps = length_eps * m.circumradius
@@ -361,7 +361,7 @@ def detect_special_role(m: Measures, px: float, py: float, length_eps: float) ->
         if d < best_dist:
             best_role, best_dist = role, d
         elif not d < math.inf:
-            checked_xy(x, y)  # a location that is not finite: rejected as Point rejects it
+            checked_xy(x, y)  # a location that is not finite: rejected
     if best_dist < eps:
         return best_role
     ix, iy = located[_INCENTER_ROW]
@@ -403,7 +403,7 @@ def containment_parity(
     reject_side_lines(distance, circle[2])
     if on_circle_xy(circle, px, py):
         raise GeometryError("the pedal triple degenerates on the circumcircle")
-    side_lengths_xy(*xy)  # the CollinearError of Triangle(X, Y, Z)
+    side_lengths_xy(*xy)  # the CollinearError of a collinear pedal triangle
     inside_host = contains_xy(host, px, py)
     inside_miquel = contains_xy(xy, px, py)
     ray_sum = None

@@ -137,12 +137,13 @@ def _witness(i: int, t: TriangleXY, p=None) -> str:
 
 
 def _pedal(t: TriangleXY, px: float, py: float) -> Measures:
-    """The pedal triangle of (px, py) in ``t``, measured and checked as ``Triangle``."""
+    """The pedal triangle of (px, py) in ``t``, measured by ``measures_xy``,
+    which rejects a collinear one as ``side_lengths_xy`` does."""
     return measures_xy(family_xy(t, px, py, 0.0)[0])
 
 
 def _pedal_shape(t: TriangleXY, px: float, py: float) -> TriangleXY:
-    """The vertices of ``_pedal``, checked as ``Triangle`` checks them."""
+    """The vertices of ``_pedal``, checked by ``side_lengths_xy``."""
     xy = family_xy(t, px, py, 0.0)[0]
     side_lengths_xy(*xy)
     return xy
@@ -256,9 +257,10 @@ def suite_theorem4(report: SuiteReport) -> None:
     for i in range(report.trials):
         rng = report.rng(i)
         t = random_catalog_triangle(rng)
-        cat = centers.eleven_point_catalog(t)
-        ox, oy, r = circumcircle(*t)
-        offsets = [math.dist((ox, oy), e.location) - r for e in cat]
+        m = measures_xy(t)
+        cat = centers.eleven_point_catalog(m)
+        r = m.circumradius
+        offsets = [math.dist(m.circumcenter_xy, e.location) - r for e in cat]
         inside = [e for e, off in zip(cat, offsets) if off < 0.0]
         outside = [e for e, off in zip(cat, offsets) if off > 0.0]
         counts.add_bool(len(inside) == 6 and len(outside) == 5, i, t)
@@ -292,7 +294,7 @@ def suite_theorem5(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_triangle(rng)
         ox, oy, r = circumcircle(*t)
-        hx, hy = checked_xy(*locate_xy(_pedal(t, ox, oy), SpecialRole("orthocenter")))
+        hx, hy = locate_xy(_pedal(t, ox, oy), SpecialRole("orthocenter"))
         claim.add(math.hypot(hx - ox, hy - oy) / r, i, t, (ox, oy))
 
 
@@ -312,8 +314,8 @@ def suite_theorem6(report: SuiteReport) -> None:
             t = random_obtuse_at(rng, v)
             claim, role = obtuse, SpecialRole("excenter", v)
         m = measures_xy(t)
-        hx, hy = h = checked_xy(*locate_xy(m, SpecialRole("orthocenter")))
-        tx, ty = checked_xy(*locate_xy(_pedal(t, hx, hy), role))
+        hx, hy = h = locate_xy(m, SpecialRole("orthocenter"))
+        tx, ty = locate_xy(_pedal(t, hx, hy), role)
         claim.add(math.hypot(tx - hx, ty - hy) / m.circumradius, i, t, h)
 
 
@@ -328,7 +330,7 @@ def suite_theorem7(report: SuiteReport) -> None:
         m = measures_xy(t)
         for claim, role in ((from_in, SpecialRole("incenter")),
                             (from_ex, SpecialRole("excenter", VERTEX_LABELS[i % 3]))):
-            lx, ly = l = checked_xy(*locate_xy(m, role))
+            lx, ly = l = locate_xy(m, role)
             ox, oy = _pedal(t, lx, ly).circumcenter_xy
             claim.add(math.hypot(ox - lx, oy - ly) / m.circumradius, i, t, l)
 
@@ -354,9 +356,9 @@ def suite_theorem8(report: SuiteReport) -> None:
         which = "first" if i % 2 == 0 else "second"
         role = SpecialRole(f"{which}_brocard")
         m = measures_xy(t)
-        px, py = p = checked_xy(*locate_xy(m, role))
+        px, py = p = locate_xy(m, role)
         shape = _pedal(t, px, py)
-        bx, by = checked_xy(*locate_xy(shape, role))
+        bx, by = locate_xy(shape, role)
         position.add(math.hypot(bx - px, by - py) / m.circumradius, i, t, p)
         angles.add(_brocard_angle_spread(shape.xy, shape.circumradius, px, py, which), i, t, p)
 
@@ -372,7 +374,7 @@ def suite_theorem9(report: SuiteReport) -> None:
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         m = measures_xy(t)
-        px, py = p = checked_xy(*locate_xy(m, SpecialRole("s_role", v)))
+        px, py = p = locate_xy(m, SpecialRole("s_role", v))
         shape = _pedal(t, px, py)
         apex, b2, c2 = corners_xy(shape.xy, v)
         e = midpoint(b2, c2)
@@ -385,7 +387,7 @@ def suite_theorem9(report: SuiteReport) -> None:
         else:
             f = second_intersection(median, circumcircle(*corners_xy(t, v)[0], *b2, *c2), p)
             midpoint_rel.add(abs(math.dist(apex, e) - math.dist(e, f)) / r, i, t)
-        mx, my = checked_xy(*locate_xy(shape, SpecialRole("m_role", v)))
+        mx, my = locate_xy(shape, SpecialRole("m_role", v))
         m_match.add(math.hypot(mx - px, my - py) / r, i, t)
 
 
@@ -402,7 +404,7 @@ def suite_theorem10(report: SuiteReport) -> None:
         obtuse_case = bool(i % 2)
         t = random_obtuse_at(rng, v) if obtuse_case else random_acute_triangle(rng)
         m = measures_xy(t)
-        px, py = p = checked_xy(*locate_xy(m, SpecialRole("m_role", v)))
+        px, py = p = locate_xy(m, SpecialRole("m_role", v))
         shape = _pedal(t, px, py)
         _, b2, c2 = corners_xy(shape.xy, v)
         host_dir = directed_angle_at_xy(t, v)
@@ -411,7 +413,7 @@ def suite_theorem10(report: SuiteReport) -> None:
             for u in VERTEX_LABELS if u != v
         )
         base_angles.add(worst, i, t, p)
-        l = checked_xy(*locate_xy(shape, SpecialRole("incenter")))
+        l = locate_xy(shape, SpecialRole("incenter"))
         ox, oy, r = circumcircle(*b2, *c2, *l)
         arc.add(abs(math.hypot(ox - px, oy - py) - r) / m.circumradius, i, t, p)
         inside = contains_xy(shape.xy, px, py)
@@ -429,11 +431,11 @@ def suite_theorem11(report: SuiteReport) -> None:
         v = VERTEX_LABELS[i % 3]
         t = random_isosceles(rng, v)
         m = measures_xy(t)
-        l = checked_xy(*locate_xy(m, SpecialRole("incenter")))
+        l = locate_xy(m, SpecialRole("incenter"))
         _, b, c = corners_xy(t, v)
         px, py = p = random_arc_point(rng, circumcircle(*b, *c, *l), c, b, l)
         shape = _pedal(t, px, py)
-        sx, sy = checked_xy(*locate_xy(shape, SpecialRole("s_role", v)))
+        sx, sy = locate_xy(shape, SpecialRole("s_role", v))
         s_match.add(math.hypot(sx - px, sy - py) / m.circumradius, i, t, p)
         _, b2, c2 = corners_xy(shape.xy, v)
         double_angle.add(
@@ -454,9 +456,9 @@ def suite_theorem12(report: SuiteReport) -> None:
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         m = measures_xy(t)
-        sx, sy = checked_xy(*locate_xy(m, SpecialRole("s_role", v)))
+        sx, sy = locate_xy(m, SpecialRole("s_role", v))
         cx, cy = isogonal_conjugate(m, sx, sy)
-        mx, my = checked_xy(*locate_xy(m, SpecialRole("m_role", v)))
+        mx, my = locate_xy(m, SpecialRole("m_role", v))
         pair.add(math.hypot(cx - mx, cy - my) / m.circumradius, i, t)
 
 
@@ -469,7 +471,7 @@ def suite_theorem13(report: SuiteReport) -> None:
         rng = report.rng(i)
         t = random_isosceles(rng, "A")
         m = measures_xy(t)
-        l = checked_xy(*locate_xy(m, SpecialRole("incenter")))
+        l = locate_xy(m, SpecialRole("incenter"))
         a, b, c = corners_xy(t, "A")
         qx, qy = q = random_arc_point(rng, circumcircle(*b, *c, *l), c, b, l)
         axis = line_through(a, midpoint(b, c))
@@ -487,10 +489,10 @@ def suite_theorem13(report: SuiteReport) -> None:
 def _chain_points(rng, xy: TriangleXY) -> list[tuple[str, tuple[float, float]]]:
     m = measures_xy(xy)
     return [
-        ("O", checked_xy(*locate_xy(m, SpecialRole("circumcenter")))),
-        ("H", checked_xy(*locate_xy(m, SpecialRole("orthocenter")))),
-        ("L", checked_xy(*locate_xy(m, SpecialRole("incenter")))),
-        ("brocard1", checked_xy(*locate_xy(m, SpecialRole("first_brocard")))),
+        ("O", locate_xy(m, SpecialRole("circumcenter"))),
+        ("H", locate_xy(m, SpecialRole("orthocenter"))),
+        ("L", locate_xy(m, SpecialRole("incenter"))),
+        ("brocard1", locate_xy(m, SpecialRole("first_brocard"))),
         ("random", random_interior_point(rng, xy)),
     ]
 
@@ -553,7 +555,7 @@ def suite_theorem15(report: SuiteReport) -> None:
         v = VERTEX_LABELS[i % 3]
 
         for which, name in (("first", "Ω₁"), ("second", "Ω₂")):
-            px, py = checked_xy(*locate_xy(m, SpecialRole(f"{which}_brocard")))
+            px, py = locate_xy(m, SpecialRole(f"{which}_brocard"))
             rec = iterate_chain(seed, px, py, k)
             for _, gap in _seed_gaps(rec, name):
                 brocard_all.add(gap, i, seed, note=f" [{which}]")
@@ -562,10 +564,10 @@ def suite_theorem15(report: SuiteReport) -> None:
                 brocard_angles.add(spread, i, seed, note=f" [{which}]")
 
         for claim, name, p in (
-            (o_s_steps, "O", checked_xy(*locate_xy(m, SpecialRole("circumcenter")))),
-            (o_s_steps, f"S_{v}", checked_xy(*locate_xy(m, SpecialRole("s_role", v)))),
-            (h_m_steps, "H", checked_xy(*locate_xy(m, SpecialRole("orthocenter")))),
-            (h_m_steps, f"M_{v}", checked_xy(*locate_xy(m, SpecialRole("m_role", v)))),
+            (o_s_steps, "O", locate_xy(m, SpecialRole("circumcenter"))),
+            (o_s_steps, f"S_{v}", locate_xy(m, SpecialRole("s_role", v))),
+            (h_m_steps, "H", locate_xy(m, SpecialRole("orthocenter"))),
+            (h_m_steps, f"M_{v}", locate_xy(m, SpecialRole("m_role", v))),
         ):
             for step_idx, gap in _seed_gaps(iterate_chain(seed, *p, k), name):
                 claim.add(gap, i, seed, note=f" [k={step_idx}]")
@@ -592,12 +594,12 @@ def suite_corollary4(report: SuiteReport) -> None:
         m = measures_xy(seed)
         v = VERTEX_LABELS[i % 3]
 
-        o = checked_xy(*locate_xy(m, SpecialRole("circumcenter")))
+        o = locate_xy(m, SpecialRole("circumcenter"))
         roles = iterate_chain(seed, *o, k).roles
         ok = roles[0].role == "circumcenter" and follows_role_cycle(roles)
         center_cycle.add_bool(ok, i, seed, note=" [O]")
 
-        s = checked_xy(*locate_xy(m, SpecialRole("s_role", v)))
+        s = locate_xy(m, SpecialRole("s_role", v))
         roles = iterate_chain(seed, *s, k).roles
         ok = (
             roles[0].role == "s_role"
@@ -607,7 +609,7 @@ def suite_corollary4(report: SuiteReport) -> None:
         symmedian_cycle.add_bool(ok, i, seed, note=f" [S_{v}]")
 
         for which, role_name in (("first", "first_brocard"), ("second", "second_brocard")):
-            p = checked_xy(*locate_xy(m, SpecialRole(role_name)))
+            p = locate_xy(m, SpecialRole(role_name))
             rec = iterate_chain(seed, *p, k)
             brocard_fixed.add_bool(
                 all(r.role == role_name for r in rec.roles), i, seed, note=f" [{which}]"

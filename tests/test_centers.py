@@ -30,12 +30,11 @@ from miquel.errors import GeometryError, OnSideLineError, RightAngleDegenerateEr
 from miquel.kernel import (
     CircleXY,
     LineXY,
-    Point,
-    Triangle,
     angle_distance,
     circle_circle_intersections,
     circumcircle,
     contains_xy,
+    corners_xy,
     directed_angle_xy,
     invert_xy,
     line_circle_intersections,
@@ -45,6 +44,7 @@ from miquel.kernel import (
     offset_xy,
     reflect_xy,
     second_intersection,
+    side_lengths_xy,
     unit_direction,
 )
 from miquel.sampling import (
@@ -58,132 +58,142 @@ from miquel.sampling import (
 O, H, G, L = (SpecialRole(r) for r in ("circumcenter", "orthocenter", "centroid", "incenter"))
 
 SQ3 = math.sqrt(3.0)
-T345 = Triangle(Point(0, 0), Point(4, 0), Point(0, 3))
-TSCA = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))  # acute scalene
-TOBT = Triangle(Point(0, 0), Point(4, 0), Point(1.6, 0.9))  # obtuse at C
-EQUI = Triangle(Point(0, 1), Point(-SQ3 / 2, -0.5), Point(SQ3 / 2, -0.5))
+T345 = (0, 0, 4, 0, 0, 3)
+TSCA = (0, 0, 4, 0, 1, 3)  # acute scalene
+TOBT = (0, 0, 4, 0, 1.6, 0.9)  # obtuse at C
+EQUI = (0, 1, -SQ3 / 2, -0.5, SQ3 / 2, -0.5)
 
 
-def _line(anchor: Point, direction: Point) -> LineXY:
+def _vertices(xy):
+    """A, B, C of the triangle ``xy``, as (x, y) pairs."""
+    return xy[0:2], xy[2:4], xy[4:6]
+
+
+def _radius(xy) -> float:
+    return circumcircle(*xy)[2]
+
+
+def _line(anchor, direction) -> LineXY:
     """The line through ``anchor`` along ``direction``, normalized."""
-    return (anchor.x, anchor.y, *unit_direction(direction.x, direction.y))
+    return (*anchor, *unit_direction(*direction))
 
 
-def _offset(line: LineXY, p: Point) -> float:
-    return offset_xy(*line, p.x, p.y)
+def _offset(line: LineXY, p) -> float:
+    return offset_xy(*line, *p)
 
 
-def _side(line: LineXY, p: Point) -> int:
+def _side(line: LineXY, p) -> int:
     off = _offset(line, p)
     return (off > 0.0) - (off < 0.0)
 
 
-def _reflect(line: LineXY, p: Point) -> Point:
-    return Point(*reflect_xy(*line, p.x, p.y))
+def _reflect(line: LineXY, p):
+    return reflect_xy(*line, *p)
 
 
-def _offset_from(circle: CircleXY, p: Point) -> float:
+def _offset_from(circle: CircleXY, p) -> float:
     """Signed radial offset of ``p``: distance to the center minus the radius."""
     cx, cy, r = circle
-    return math.hypot(cx - p.x, cy - p.y) - r
+    return math.dist((cx, cy), p) - r
 
 
-def _point_at(circle: CircleXY, angle: float) -> Point:
+def _point_at(circle: CircleXY, angle: float):
     cx, cy, r = circle
-    return Point(cx + r * math.cos(angle), cy + r * math.sin(angle))
+    return cx + r * math.cos(angle), cy + r * math.sin(angle)
 
 
-def _triangle(xy) -> Triangle:
-    """The ``Triangle`` on the six coordinates ``xy``, for the oracles' Point
-    operators."""
-    ax, ay, bx, by, cx, cy = xy
-    return Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
+def _m(xy):
+    """``xy`` measured, as the location bodies read it."""
+    return measures_xy(xy)
 
 
-def _m(t: Triangle):
-    """``t`` measured, as the location bodies read it."""
-    return measures_xy(t.xy)
+def _locate(xy, role: SpecialRole):
+    """Where ``role`` sits in ``xy`` (``locate_xy`` of ``xy`` measured)."""
+    return locate_xy(_m(xy), role)
 
 
-def _locate(t: Triangle, role: SpecialRole) -> Point:
-    """Where ``role`` sits in ``t`` (``locate_xy`` of ``t`` measured), as a
-    Point."""
-    return Point(*locate_xy(_m(t), role))
+def _excenter(xy, v: str):
+    return _locate(xy, SpecialRole("excenter", v))
 
 
-def _excenter(t: Triangle, v: str) -> Point:
-    return _locate(t, SpecialRole("excenter", v))
+def _conjugate(xy, p):
+    return isogonal_conjugate(_m(xy), *p)
 
 
-def _conjugate(t: Triangle, p: Point) -> Point:
-    return Point(*isogonal_conjugate(_m(t), p.x, p.y))
-
-
-def _angle(p: Point, q: Point, r: Point) -> float:
+def _angle(p, q, r) -> float:
     return directed_angle_xy(*p, *q, *r)
 
 
-def _barycentric_by_operators(t: Triangle, wa: float, wb: float, wc: float) -> Point:
-    return (wa * t.a + wb * t.b + wc * t.c) / (wa + wb + wc)
+def _barycentric(xy, wa: float, wb: float, wc: float):
+    """(wa·A + wb·B + wc·C) / (wa + wb + wc), coordinate by coordinate."""
+    ax, ay, bx, by, cx, cy = xy
+    s = wa + wb + wc
+    return (wa * ax + wb * bx + wc * cx) / s, (wa * ay + wb * by + wc * cy) / s
 
 
 class TestClassicCenters:
     def test_345_circumcenter(self):
-        assert _locate(T345, SpecialRole("circumcenter")).dist(Point(2, 1.5)) < 1e-12
+        assert math.dist(_locate(T345, SpecialRole("circumcenter")), (2, 1.5)) < 1e-12
 
     def test_345_orthocenter_is_right_vertex(self):
-        assert _locate(T345, SpecialRole("orthocenter")).dist(Point(0, 0)) < 1e-12
+        assert math.dist(_locate(T345, SpecialRole("orthocenter")), (0, 0)) < 1e-12
 
     def test_345_incenter(self):
         # inradius (3+4-5)/2 = 1 with the legs on the axes
-        assert _locate(T345, SpecialRole("incenter")).dist(Point(1, 1)) < 1e-12
+        assert math.dist(_locate(T345, SpecialRole("incenter")), (1, 1)) < 1e-12
 
     def test_circumcenter_equidistant(self):
         rng = rng_for(0, "classic", 0)
         for _ in range(50):
-            t = _triangle(random_triangle(rng))
+            t = random_triangle(rng)
             o = _locate(t, O)
-            d = [o.dist(v) for v in t.vertices]
-            assert max(d) - min(d) < 1e-9 * t.circumradius
+            d = [math.dist(o, v) for v in _vertices(t)]
+            assert max(d) - min(d) < 1e-9 * _radius(t)
 
     def test_orthocenter_on_altitudes(self):
         rng = rng_for(0, "classic", 1)
         for _ in range(50):
-            t = _triangle(random_triangle(rng))
-            h = _locate(t, H)
+            t = random_triangle(rng)
+            hx, hy = _locate(t, H)
             for v in "ABC":
-                _, _, dx, dy = line_through(*t.opposite(v))
-                assert abs((h - t.vertex(v)).dot(Point(dx, dy))) < 1e-9 * t.circumradius
+                (vx, vy), b, c = corners_xy(t, v)
+                _, _, dx, dy = line_through(b, c)
+                assert abs((hx - vx) * dx + (hy - vy) * dy) < 1e-9 * _radius(t)
 
     def test_incenter_and_excenters_equidistant_from_side_lines(self):
         rng = rng_for(0, "classic", 2)
         for _ in range(50):
-            t = _triangle(random_triangle(rng))
+            t = random_triangle(rng)
             for center in [_locate(t, L)] + [_excenter(t, v) for v in "ABC"]:
-                offs = [abs(_offset(line_through(*t.opposite(v)), center)) for v in "ABC"]
-                assert max(offs) - min(offs) < 1e-9 * t.circumradius
+                offs = [abs(_offset(line_through(*corners_xy(t, v)[1:]), center)) for v in "ABC"]
+                assert max(offs) - min(offs) < 1e-9 * _radius(t)
 
     def test_centroid(self):
-        assert _locate(T345, G).dist(Point(4 / 3, 1)) < 1e-12
+        assert math.dist(_locate(T345, G), (4 / 3, 1)) < 1e-12
 
     def test_locate_covers_table_and_rejects_roles_without_location(self):
         def excenter(t, v):
-            weights = list(t.side_lengths)
+            weights = list(side_lengths_xy(*t))
             weights["ABC".index(v)] *= -1.0
-            return _barycentric_by_operators(t, *weights)
+            return _barycentric(t, *weights)
 
-        # the classical centers by Point operators, the named points by their
-        # Point functions
+        def orthocenter(t, v):
+            ax, ay, bx, by, cx, cy = t
+            ox, oy = circumcircle(*t)[:2]
+            return ax + bx + cx - 2.0 * ox, ay + by + cy - 2.0 * oy
+
+        # the classical centers written out, the named points by their Point
+        # functions
         functions = {
-            "circumcenter": lambda t, v: Point(*t.circumcenter_xy),
-            "orthocenter": lambda t, v: t.a + t.b + t.c - 2.0 * Point(*t.circumcenter_xy),
-            "centroid": lambda t, v: (t.a + t.b + t.c) / 3.0,
-            "incenter": lambda t, v: _barycentric_by_operators(t, *t.side_lengths),
+            "circumcenter": lambda t, v: circumcircle(*t)[:2],
+            "orthocenter": orthocenter,
+            "centroid": lambda t, v: ((t[0] + t[2] + t[4]) / 3.0, (t[1] + t[3] + t[5]) / 3.0),
+            "incenter": lambda t, v: _barycentric(t, *side_lengths_xy(*t)),
             "excenter": excenter,
-            "first_brocard": lambda t, v: brocard_point(_m(t), "first"),
-            "second_brocard": lambda t, v: brocard_point(_m(t), "second"),
-            "s_role": lambda t, v: s_point(_m(t), v),
-            "m_role": lambda t, v: m_point(_m(t), v),
+            "first_brocard": lambda t, v: tuple(brocard_point(_m(t), "first")),
+            "second_brocard": lambda t, v: tuple(brocard_point(_m(t), "second")),
+            "s_role": lambda t, v: tuple(s_point(_m(t), v)),
+            "m_role": lambda t, v: tuple(m_point(_m(t), v)),
         }
         roles = [role for role, _ in NAMED_POINTS]
         assert len(set(roles)) == len(roles) == 15
@@ -209,74 +219,79 @@ class TestClassicCenters:
         assert str(SpecialRole("m_role", "C")) == "m_role(C)"
 
 
-def _median_reflection_foot(t: Triangle, vertex: str) -> Point:
+def _median_reflection_foot(t, vertex: str):
     """Oracle: reflect the median over the interior bisector, hit the side."""
-    apex = t.vertex(vertex)
-    b, c = t.opposite(vertex)
-    ub = (b - apex) / b.dist(apex)
-    uc = (c - apex) / c.dist(apex)
-    bisector = _line(apex, ub + uc)
-    e = 0.5 * (b + c)
-    mirrored = _reflect(bisector, e)
-    return line_line_intersection(line_through(apex, mirrored), line_through(b, c))
+    apex, b, c = corners_xy(t, vertex)
+    (ax, ay), (bx, by), (cx, cy) = apex, b, c
+    db, dc = math.dist(b, apex), math.dist(c, apex)
+    # the unit vectors from the apex to B and to C, summed
+    bisector = _line(apex, ((bx - ax) / db + (cx - ax) / dc, (by - ay) / db + (cy - ay) / dc))
+    mirrored = _reflect(bisector, midpoint(b, c))
+    return tuple(line_line_intersection(line_through(apex, mirrored), line_through(b, c)))
 
 
 class TestSymmedianFoot:
     def test_isosceles_gives_midpoint(self):
-        iso = Triangle(Point(0, 2), Point(-1, 0), Point(1, 0))
-        assert symmedian_foot(iso, "A").dist(Point(0, 0)) < 1e-12
+        iso = (0, 2, -1, 0, 1, 0)
+        assert math.dist(symmedian_foot(_m(iso), "A"), (0, 0)) < 1e-12
 
     def test_equilateral_symmetry(self):
-        assert symmedian_foot(EQUI, "A").dist(Point(0, -0.5)) < 1e-12
+        assert math.dist(symmedian_foot(_m(EQUI), "A"), (0, -0.5)) < 1e-12
 
     def test_squared_ratio_and_reflection_oracle(self):
         # frozen from the reflection oracle: D = (28/13, 24/13)
-        d = symmedian_foot(TSCA, "A")
-        assert d.dist(Point(28 / 13, 24 / 13)) < 1e-12
-        assert d.dist(_median_reflection_foot(TSCA, "A")) < 1e-12
-        ab = TSCA.a.dist(TSCA.b)
-        ac = TSCA.a.dist(TSCA.c)
-        ratio = d.dist(TSCA.b) / d.dist(TSCA.c)
+        d = symmedian_foot(_m(TSCA), "A")
+        a, b, c = _vertices(TSCA)
+        assert math.dist(d, (28 / 13, 24 / 13)) < 1e-12
+        assert math.dist(d, _median_reflection_foot(TSCA, "A")) < 1e-12
+        ab = math.dist(a, b)
+        ac = math.dist(a, c)
+        ratio = math.dist(d, b) / math.dist(d, c)
         assert abs(ratio - (ab / ac) ** 2) < 1e-12
 
     def test_reflection_oracle_random(self):
         rng = rng_for(0, "symfoot", 0)
         for _ in range(50):
-            t = _triangle(random_triangle(rng))
+            t = random_triangle(rng)
             for v in "ABC":
-                assert symmedian_foot(t, v).dist(_median_reflection_foot(t, v)) < 1e-9 * t.circumradius
+                foot = symmedian_foot(_m(t), v)
+                assert math.dist(foot, _median_reflection_foot(t, v)) < 1e-9 * _radius(t)
 
 
-def _brocard_grid_oracle(t: Triangle, which: str) -> Point:
+def _brocard_grid_oracle(t, which: str):
     """Oracle: grid search minimizing the variance of the three angles,
     refined by pattern descent."""
+    a, b, c = _vertices(t)
 
-    def undirected(p: Point, q: Point, r: Point) -> float:
-        v1, v2 = p - q, r - q
-        return abs(math.atan2(v1.x * v2.y - v1.y * v2.x, v1.dot(v2)))
+    def undirected(p, q, r) -> float:
+        v1x, v1y, v2x, v2y = p[0] - q[0], p[1] - q[1], r[0] - q[0], r[1] - q[1]
+        return abs(math.atan2(v1x * v2y - v1y * v2x, v1x * v2x + v1y * v2y))
 
-    def objective(p: Point) -> float:
+    def objective(p) -> float:
         if which == "first":
-            angs = (undirected(t.b, t.a, p), undirected(t.c, t.b, p), undirected(t.a, t.c, p))
+            angs = (undirected(b, a, p), undirected(c, b, p), undirected(a, c, p))
         else:
-            angs = (undirected(p, t.a, t.c), undirected(p, t.b, t.a), undirected(p, t.c, t.b))
+            angs = (undirected(p, a, c), undirected(p, b, a), undirected(p, c, b))
         m = sum(angs) / 3.0
         return sum((x - m) ** 2 for x in angs)
 
-    best_val, best = math.inf, t.a
+    ax, ay, bx, by, cx, cy = t
+    best_val, best = math.inf, a
     n = 120
     for i in range(1, n):
         for j in range(1, n - i):
-            p = t.a + (i / n) * (t.b - t.a) + (j / n) * (t.c - t.a)
+            p = (ax + (i / n) * (bx - ax) + (j / n) * (cx - ax),
+                 ay + (i / n) * (by - ay) + (j / n) * (cy - ay))
             val = objective(p)
             if val < best_val:
                 best_val, best = val, p
-    step = t.circumradius / n
-    while step > 1e-13 * t.circumradius:
+    r = _radius(t)
+    step = r / n
+    while step > 1e-13 * r:
         improved = False
         for dx in (-step, 0.0, step):
             for dy in (-step, 0.0, step):
-                q = best + Point(dx, dy)
+                q = (best[0] + dx, best[1] + dy)
                 val = objective(q)
                 if val < best_val:
                     best_val, best, improved = val, q, True
@@ -288,54 +303,53 @@ def _brocard_grid_oracle(t: Triangle, which: str) -> Point:
 class TestBrocardPoints:
     def test_equilateral_center(self):
         p = brocard_point(_m(EQUI), "first")
-        assert p.dist(Point(0, 0)) < 1e-12
-        assert abs(abs(_angle(EQUI.b, EQUI.a, p)) - math.pi / 6) < 1e-12
+        a, b, _ = _vertices(EQUI)
+        assert math.dist(p, (0, 0)) < 1e-12
+        assert abs(abs(_angle(b, a, p)) - math.pi / 6) < 1e-12
 
     def test_frozen_grid_oracle_value(self):
         # frozen from the grid-search oracle on the workhorse triangle
         p = brocard_point(_m(TSCA), "first")
-        assert p.dist(Point(1.4012738853503175, 0.7643312101910834)) < 1e-12
-        assert p.dist(_brocard_grid_oracle(TSCA, "first")) < 1e-10
+        assert math.dist(p, (1.4012738853503175, 0.7643312101910834)) < 1e-12
+        assert math.dist(p, _brocard_grid_oracle(TSCA, "first")) < 1e-10
 
     def test_second_against_oracle(self):
         p = brocard_point(_m(TSCA), "second")
-        assert p.dist(_brocard_grid_oracle(TSCA, "second")) < 1e-10
+        assert math.dist(p, _brocard_grid_oracle(TSCA, "second")) < 1e-10
 
     def test_isosceles_mirror_pair(self):
         rng = rng_for(0, "brocard", 0)
         for _ in range(20):
-            t = _triangle(random_isosceles(rng, "A"))
-            axis = line_through(t.a, 0.5 * (t.b + t.c))
+            t = random_isosceles(rng, "A")
+            a, b, c = _vertices(t)
+            axis = line_through(a, midpoint(b, c))
             first = brocard_point(_m(t), "first")
             second = brocard_point(_m(t), "second")
-            assert second.dist(_reflect(axis, first)) < 1e-9 * t.circumradius
+            assert math.dist(second, _reflect(axis, first)) < 1e-9 * _radius(t)
 
     def test_angle_conditions_and_interiority(self):
         rng = rng_for(0, "brocard", 1)
         for _ in range(200):
-            t = _triangle(random_triangle(rng))
+            t = random_triangle(rng)
+            a, b, c = _vertices(t)
             for which, legs in (
-                ("first", lambda p: (_angle(t.b, t.a, p),
-                                     _angle(t.c, t.b, p),
-                                     _angle(t.a, t.c, p))),
-                ("second", lambda p: (_angle(p, t.a, t.c),
-                                      _angle(p, t.b, t.a),
-                                      _angle(p, t.c, t.b))),
+                ("first", lambda p: (_angle(b, a, p), _angle(c, b, p), _angle(a, c, p))),
+                ("second", lambda p: (_angle(p, a, c), _angle(p, b, a), _angle(p, c, b))),
             ):
                 p = brocard_point(_m(t), which)
                 a1, a2, a3 = legs(p)
                 assert angle_distance(a1, a2) < 1e-8
                 assert angle_distance(a2, a3) < 1e-8
-                assert contains_xy(t.xy, p.x, p.y)
+                assert contains_xy(t, p.x, p.y)
 
 
-def _arc_scan_oracle(t: Triangle, vertex: str, steps: int = 400000) -> Point:
+def _arc_scan_oracle(t, vertex: str, steps: int = 400000):
     """Oracle: scan the arc of the circle through the opposite side's
     endpoints and the circumcenter for the symmedian crossing."""
     o = _locate(t, O)
-    b, c = t.opposite(vertex)
+    apex, b, c = corners_xy(t, vertex)
     k = circumcircle(*b, *c, *o)
-    sym = line_through(t.vertex(vertex), symmedian_foot(t, vertex))
+    sym = line_through(apex, symmedian_foot(_m(t), vertex))
     base = line_through(b, c)
     want = _side(base, o)
     best_val, best = math.inf, o
@@ -353,24 +367,23 @@ class TestSPoint:
     def test_equilateral_coincides_with_circumcenter(self):
         # circle through B, C, O has center (0,-1) and radius 1; the
         # symmedian x=0 meets its upper arc at the origin
-        assert s_point(_m(EQUI), "A").dist(Point(0, 0)) < 1e-12
+        assert math.dist(s_point(_m(EQUI), "A"), (0, 0)) < 1e-12
 
     def test_frozen_values_on_workhorse(self):
-        assert s_point(_m(TSCA), "A").dist(Point(28 / 17, 24 / 17)) < 1e-12
-        assert s_point(_m(TSCA), "C").dist(Point(1.3, 0.9)) < 1e-12
+        assert math.dist(s_point(_m(TSCA), "A"), (28 / 17, 24 / 17)) < 1e-12
+        assert math.dist(s_point(_m(TSCA), "C"), (1.3, 0.9)) < 1e-12
 
     def test_arc_scan_oracle(self):
         p = s_point(_m(TSCA), "A")
-        assert p.dist(_arc_scan_oracle(TSCA, "A")) < 1e-4 * TSCA.circumradius
+        assert math.dist(p, _arc_scan_oracle(TSCA, "A")) < 1e-4 * _radius(TSCA)
 
     def test_directed_angle_postconditions(self):
         rng = rng_for(0, "spoint", 0)
         for _ in range(100):
-            t = _triangle(random_triangle(rng))
+            t = random_triangle(rng)
             for v in "ABC":
                 p = s_point(_m(t), v)
-                apex = t.vertex(v)
-                b, c = t.opposite(v)
+                apex, b, c = corners_xy(t, v)
                 ang = _angle(b, apex, c)
                 assert angle_distance(_angle(b, p, c), 2 * ang) < 1e-8
                 assert angle_distance(_angle(c, p, apex), -ang) < 1e-8
@@ -380,24 +393,25 @@ class TestSPoint:
         # BD/DC = BP/PC = (AB/AC)^2 where D is the symmedian-line crossing
         rng = rng_for(0, "spoint", 1)
         for _ in range(50):
-            t = _triangle(random_triangle(rng))
+            t = random_triangle(rng)
+            a, b, c = _vertices(t)
             p = s_point(_m(t), "A")
-            d = symmedian_foot(t, "A")
-            lhs = d.dist(t.b) / d.dist(t.c)
-            mid = p.dist(t.b) / p.dist(t.c)
-            rhs = (t.a.dist(t.b) / t.a.dist(t.c)) ** 2
+            d = symmedian_foot(_m(t), "A")
+            lhs = math.dist(d, b) / math.dist(d, c)
+            mid = math.dist(p, b) / math.dist(p, c)
+            rhs = (math.dist(a, b) / math.dist(a, c)) ** 2
             assert abs(lhs - rhs) < 1e-9
             assert abs(mid - rhs) < 1e-9
 
     def test_on_arc_with_circumcenter(self):
         rng = rng_for(0, "spoint", 2)
         for _ in range(50):
-            t = _triangle(random_triangle(rng))
+            t = random_triangle(rng)
             p = s_point(_m(t), "B")
             o = _locate(t, O)
-            b, c = t.opposite("B")
+            _, b, c = corners_xy(t, "B")
             k = circumcircle(*b, *c, *o)
-            assert abs(_offset_from(k, p)) < 1e-9 * t.circumradius
+            assert abs(_offset_from(k, p)) < 1e-9 * _radius(t)
             assert _side(line_through(b, c), p) == _side(line_through(b, c), o)
 
     def test_right_angle_degenerates(self):
@@ -408,91 +422,93 @@ class TestSPoint:
 class TestMPoint:
     def test_equilateral(self):
         # E=(0,-1/2), F=(0,-1), stepping the same distance back gives the origin
-        assert m_point(_m(EQUI), "A").dist(Point(0, 0)) < 1e-12
+        assert math.dist(m_point(_m(EQUI), "A"), (0, 0)) < 1e-12
 
     def test_acute_midpoint_relation(self):
         rng = rng_for(0, "mpoint", 0)
         for _ in range(50):
-            t = _triangle(random_triangle(rng))
+            t = random_triangle(rng)
+            r = _radius(t)
             for v in "ABC":
                 if _m(t).angles["ABC".index(v)] >= math.pi / 2:
                     continue
                 p = m_point(_m(t), v)
-                b, c = t.opposite(v)
-                e = 0.5 * (b + c)
-                median = line_through(t.vertex(v), e)
-                f = Point(*second_intersection(median, t.circumcircle, t.vertex(v)))
-                assert abs(e.dist(p) - e.dist(f)) < 1e-9 * t.circumradius
-                assert abs(_offset(median, p)) < 1e-9 * t.circumradius
+                apex, b, c = corners_xy(t, v)
+                e = midpoint(b, c)
+                median = line_through(apex, e)
+                f = second_intersection(median, circumcircle(*t), apex)
+                assert abs(math.dist(e, p) - math.dist(e, f)) < 1e-9 * r
+                assert abs(_offset(median, p)) < 1e-9 * r
 
     def test_obtuse_frozen_value_and_circle_membership(self):
         # frozen from the parallelogram construction: M = (34/97, 360/97)
         p = m_point(_m(TOBT), "C")
-        assert p.dist(Point(34 / 97, 360 / 97)) < 1e-12
-        f = TOBT.a + TOBT.b - TOBT.c
-        k = circumcircle(*f, *TOBT.a, *TOBT.b)
+        assert math.dist(p, (34 / 97, 360 / 97)) < 1e-12
+        ax, ay, bx, by, cx, cy = TOBT
+        k = circumcircle(ax + bx - cx, ay + by - cy, ax, ay, bx, by)
         assert abs(_offset_from(k, p)) < 1e-12
 
     def test_obtuse_random_circle_membership(self):
         rng = rng_for(0, "mpoint", 1)
         for _ in range(50):
-            t = _triangle(random_obtuse_at(rng, "A"))
+            t = random_obtuse_at(rng, "A")
             p = m_point(_m(t), "A")
-            f = t.b + t.c - t.a
-            k = circumcircle(*f, *t.b, *t.c)
-            assert abs(_offset_from(k, p)) < 1e-8 * t.circumradius
+            ax, ay, bx, by, cx, cy = t
+            k = circumcircle(bx + cx - ax, by + cy - ay, bx, by, cx, cy)
+            assert abs(_offset_from(k, p)) < 1e-8 * _radius(t)
 
     def test_right_angle_degenerates(self):
         with pytest.raises(RightAngleDegenerateError):
             m_point(_m(T345), "A")
 
 
-def _tangent_circle(at: Point, through: Point, tangent: LineXY) -> CircleXY:
+def _tangent_circle(at, through, tangent: LineXY) -> CircleXY:
     """The circle through ``at`` and ``through`` tangent to ``tangent`` at ``at``."""
     _, _, dx, dy = tangent
-    normal = _line(at, Point(-dy, dx))
-    bisector = _line(Point(*midpoint(at, through)), Point(at.y - through.y, through.x - at.x))
+    (ax, ay), (tx, ty) = at, through
+    normal = _line(at, (-dy, dx))
+    bisector = _line(midpoint(at, through), (ay - ty, tx - ax))
     center = line_line_intersection(normal, bisector)
-    return (center.x, center.y, center.dist(at))
+    return (center.x, center.y, math.dist(center, at))
 
 
-def _brocard_by_tangent_circles(t: Triangle, which: str) -> Point:
+def _brocard_by_tangent_circles(t, which: str):
     """Oracle: the non-vertex meet of two circles through B, each tangent to
     a side at a vertex."""
-    a, b, c = t.vertices
+    a, b, c = _vertices(t)
     if which == "first":
         c1 = _tangent_circle(b, a, line_through(b, c))
         c2 = _tangent_circle(c, b, line_through(c, a))
     else:
         c1 = _tangent_circle(a, b, line_through(a, c))
         c2 = _tangent_circle(b, c, line_through(a, b))
-    return max(circle_circle_intersections(c1, c2), key=lambda p: p.dist(b))
+    return max(circle_circle_intersections(c1, c2), key=lambda p: math.dist(p, b))
 
 
-def _s_point_by_arc(t: Triangle, vertex: str) -> Point:
+def _s_point_by_arc(t, vertex: str):
     """Oracle: the symmedian's hit on the arc through the opposite side's
     endpoints on the circumcenter's side."""
     o = _locate(t, O)
-    b, c = t.opposite(vertex)
-    sym = line_through(t.vertex(vertex), symmedian_foot(t, vertex))
+    apex, b, c = corners_xy(t, vertex)
+    sym = line_through(apex, symmedian_foot(_m(t), vertex))
     base = line_through(b, c)
     hits = line_circle_intersections(sym, circumcircle(*b, *c, *o))
     (hit,) = [p for p in hits if _side(base, p) == _side(base, o)]
     return hit
 
 
-def _m_point_by_median(t: Triangle, vertex: str) -> Point:
+def _m_point_by_median(t, vertex: str):
     """Oracle: acute vertex, the mirror in the side midpoint E of the
     median's second circumcircle hit; obtuse vertex, the median's second hit
     on the circle through the opposite side and the parallelogram point."""
-    apex = t.vertex(vertex)
-    b, c = t.opposite(vertex)
-    e = Point(*midpoint(b, c))
+    apex, b, c = corners_xy(t, vertex)
+    ex, ey = e = midpoint(b, c)
     median = line_through(apex, e)
     if _m(t).angles["ABC".index(vertex)] < math.pi / 2:
-        return 2.0 * e - Point(*second_intersection(median, t.circumcircle, apex))
-    f = b + c - apex
-    return Point(*second_intersection(median, circumcircle(*f, *b, *c), f))
+        fx, fy = second_intersection(median, circumcircle(*t), apex)
+        return 2.0 * ex - fx, 2.0 * ey - fy
+    f = (b[0] + c[0] - apex[0], b[1] + c[1] - apex[1])
+    return second_intersection(median, circumcircle(*f, *b, *c), f)
 
 
 class TestClosedFormsAgainstConstructions:
@@ -500,97 +516,104 @@ class TestClosedFormsAgainstConstructions:
         rng = rng_for(0, "closed-forms", 0)
         hosts = []
         for _ in range(100):
-            hosts.append(_triangle(random_acute_triangle(rng)))
-            hosts.extend(_triangle(random_obtuse_at(rng, v)) for v in "ABC")
+            hosts.append(random_acute_triangle(rng))
+            hosts.extend(random_obtuse_at(rng, v) for v in "ABC")
         for t in hosts:
-            r = t.circumradius
+            r = _radius(t)
             for which in ("first", "second"):
-                assert brocard_point(_m(t), which).dist(_brocard_by_tangent_circles(t, which)) < 1e-12 * r
+                oracle = _brocard_by_tangent_circles(t, which)
+                assert math.dist(brocard_point(_m(t), which), oracle) < 1e-12 * r
             for v in "ABC":
-                assert s_point(_m(t), v).dist(_s_point_by_arc(t, v)) < 1e-12 * r
-                assert m_point(_m(t), v).dist(_m_point_by_median(t, v)) < 1e-12 * r
+                assert math.dist(s_point(_m(t), v), _s_point_by_arc(t, v)) < 1e-12 * r
+                assert math.dist(m_point(_m(t), v), _m_point_by_median(t, v)) < 1e-12 * r
 
 
 class TestIsogonalConjugate:
     def test_incenter_fixed(self):
         l = _locate(TSCA, L)
-        assert _conjugate(TSCA, l).dist(l) < 1e-12
+        assert math.dist(_conjugate(TSCA, l), l) < 1e-12
 
     def test_circumcenter_maps_to_orthocenter(self):
         rng = rng_for(0, "isogonal", 0)
         for _ in range(200):
-            t = _triangle(random_triangle(rng))
-            assert _conjugate(t, _locate(t, O)).dist(_locate(t, H)) < 1e-8 * t.circumradius
+            t = random_triangle(rng)
+            r = _radius(t)
+            assert math.dist(_conjugate(t, _locate(t, O)), _locate(t, H)) < 1e-8 * r
             l = _locate(t, L)
-            assert _conjugate(t, l).dist(l) < 1e-8 * t.circumradius
+            assert math.dist(_conjugate(t, l), l) < 1e-8 * r
 
     def test_s_point_maps_to_m_point(self):
         rng = rng_for(0, "isogonal", 1)
         for i in range(100):
-            t = _triangle(random_obtuse_at(rng, "A") if i % 2 else random_triangle(rng))
+            t = random_obtuse_at(rng, "A") if i % 2 else random_triangle(rng)
             for v in "ABC":
-                assert _conjugate(t, s_point(_m(t), v)).dist(m_point(_m(t), v)) < 1e-8 * t.circumradius
+                s, m = s_point(_m(t), v), m_point(_m(t), v)
+                assert math.dist(_conjugate(t, s), m) < 1e-8 * _radius(t)
 
     def test_involution(self):
         rng = rng_for(0, "isogonal", 2)
         from miquel.sampling import random_interior_point
 
         for _ in range(200):
-            t = _triangle(random_triangle(rng))
-            p = Point(*random_interior_point(rng, t.xy))
+            t = random_triangle(rng)
+            p = random_interior_point(rng, t)
             q = _conjugate(t, p)
             try:
                 back = _conjugate(t, q)
             except GeometryError:  # on a side line or the circumcircle
                 continue
-            assert back.dist(p) < 1e-8 * t.circumradius
+            assert math.dist(back, p) < 1e-8 * _radius(t)
 
     def test_angle_mirror_equations(self):
         rng = rng_for(0, "isogonal", 3)
         from miquel.sampling import random_interior_point
 
         for _ in range(100):
-            t = _triangle(random_triangle(rng))
-            p = Point(*random_interior_point(rng, t.xy))
+            t = random_triangle(rng)
+            a, b, c = _vertices(t)
+            p = random_interior_point(rng, t)
             q = _conjugate(t, p)
-            assert angle_distance(_angle(t.c, t.b, q), _angle(p, t.b, t.a)) < 1e-9
-            assert angle_distance(_angle(t.b, t.a, p), _angle(q, t.a, t.c)) < 1e-9
-            assert angle_distance(_angle(t.a, t.c, q), _angle(p, t.c, t.b)) < 1e-9
+            assert angle_distance(_angle(c, b, q), _angle(p, b, a)) < 1e-9
+            assert angle_distance(_angle(b, a, p), _angle(q, a, c)) < 1e-9
+            assert angle_distance(_angle(a, c, q), _angle(p, c, b)) < 1e-9
 
     def test_side_line_rejected(self):
         with pytest.raises(OnSideLineError):
-            _conjugate(TSCA, Point(2, 0))
+            _conjugate(TSCA, (2, 0))
 
     def test_circumcircle_rejected(self):
-        p = _point_at(TSCA.circumcircle, 0.8)
+        p = _point_at(circumcircle(*TSCA), 0.8)
         with pytest.raises(GeometryError, match="^the point lies on the circumcircle$"):
             _conjugate(TSCA, p)
 
 
 class TestInverseInCircumcircle:
     def test_equilateral_value(self):
-        assert Point(*invert_xy(EQUI.circumcircle, 0, 0.5)).dist(Point(0, 2)) < 1e-12
+        assert math.dist(invert_xy(circumcircle(*EQUI), 0, 0.5), (0, 2)) < 1e-12
 
     def test_circle_points_fixed(self):
-        p = _point_at(TSCA.circumcircle, 1.1)
-        assert Point(*invert_xy(TSCA.circumcircle, p.x, p.y)).dist(p) < 1e-12
+        circle = circumcircle(*TSCA)
+        p = _point_at(circle, 1.1)
+        assert math.dist(invert_xy(circle, *p), p) < 1e-12
 
     def test_center_rejected(self):
+        circle = circumcircle(*TSCA)
         with pytest.raises(GeometryError, match="^the center inverts to an infinite point$"):
-            invert_xy(TSCA.circumcircle, *TSCA.circumcenter_xy)
+            invert_xy(circle, *circle[:2])
 
 
 class TestElevenPointCatalog:
     def test_counts_and_sides_of_circle(self):
-        cat = eleven_point_catalog(TSCA.xy)
+        cat = eleven_point_catalog(_m(TSCA))
+        circle = circumcircle(*TSCA)
         assert len(cat) == 11
-        inside = [e for e in cat if _offset_from(TSCA.circumcircle, Point(*e.location)) < 0]
-        outside = [e for e in cat if _offset_from(TSCA.circumcircle, Point(*e.location)) > 0]
+        inside = [e for e in cat if _offset_from(circle, e.location) < 0]
+        outside = [e for e in cat if _offset_from(circle, e.location) > 0]
         assert len(inside) == 6 and len(outside) == 5
         assert sum(e.inverse for e in cat) == 5
 
     def test_expected_permutations_recorded(self):
-        cat = eleven_point_catalog(TSCA.xy)
+        cat = eleven_point_catalog(_m(TSCA))
         byname = {(e.kind.role, e.kind.vertex, e.inverse): e.order for e in cat}
         # X, Y, Z are 0, 1, 2: Ω₁'s (2, 0, 1) matches Z to A, X to B, Y to C
         assert byname[("circumcenter", None, False)] == (0, 1, 2)
@@ -606,18 +629,18 @@ class TestElevenPointCatalog:
         from miquel.sampling import random_catalog_triangle
 
         for _ in range(20):
-            t = _triangle(random_catalog_triangle(rng))
-            cat = eleven_point_catalog(t.xy)
-            pts = [Point(*e.location) for e in cat]
+            t = random_catalog_triangle(rng)
+            cat = eleven_point_catalog(_m(t))
+            pts = [e.location for e in cat]
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
-                    assert pts[i].dist(pts[j]) > 1e-6 * t.circumradius
+                    assert math.dist(pts[i], pts[j]) > 1e-6 * _radius(t)
 
     def test_equilateral_rejected(self):
         with pytest.raises(GeometryError, match="^the catalog requires a scalene triangle$"):
-            eleven_point_catalog(EQUI.xy)
+            eleven_point_catalog(_m(EQUI))
 
     def test_right_triangle_rejected(self):
         # scalene right triangle
         with pytest.raises(GeometryError, match="^the catalog requires a non-right triangle$"):
-            eleven_point_catalog(T345.xy)
+            eleven_point_catalog(_m(T345))

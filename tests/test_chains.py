@@ -586,7 +586,7 @@ def _catalog_table(host):
     """The catalog's recorded (order, mirrored) for each (role, inverse)."""
     return {
         (e.kind, e.inverse): (e.order, e.mirrored)
-        for e in eleven_point_catalog(_float_triangle(host))
+        for e in eleven_point_catalog(measures_xy(_float_triangle(host)))
     }
 
 
@@ -615,7 +615,7 @@ class TestExactPedalCorrespondences:
         for host in HOSTS:
             t = _float_triangle(host)
             points = _named_points(host)
-            for e in eleven_point_catalog(t):
+            for e in eleven_point_catalog(measures_xy(t)):
                 p, _ = points[_CATALOG_NAMES.get(e.kind.role) or f"S_{e.kind.vertex}"]
                 if e.inverse:
                     p = _exact_inverse(host, p)

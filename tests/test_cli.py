@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from miquel import cli
-from miquel.kernel import Point, Triangle
+from miquel import cli, kernel
+from miquel.kernel import side_lengths_xy
 from miquel.scene import ELEMENTS
 from miquel.triads import PEDAL_SIMILARITY_TOL, classify_similarity
 
@@ -68,6 +68,92 @@ def test_centers_rows_in_order_with_right_angle_rows_degenerate(tmp_path):
     assert sum(value == degenerate for value in doc.values()) == 2
 
 
+# so thin at C that the weights of excenter_C, S_C and M_C cancel
+THIN_AT_C = '{"A": [0, 0], "B": [1, 0], "C": [0.5, 2e-9]}'
+
+
+@pytest.mark.parametrize(
+    "argv", [("centers",), ("centers", "--json"), ("classify", "--point", "0.5,1")]
+)
+def test_points_at_infinity_are_rows_not_tracebacks(tmp_path, capsys, argv):
+    path = tmp_path / "thin.json"
+    path.write_text(THIN_AT_C)
+    assert cli.main([argv[0], "--in", str(path), *argv[1:]]) == 0
+    out = capsys.readouterr().out
+    if "--json" in argv:
+        doc = json.loads(out)
+        at_infinity = [name for name, value in doc.items() if value == "degenerate: at infinity"]
+        assert at_infinity == ["excenter_C", "S_C", "M_C"]
+    elif argv[0] == "centers":
+        assert out.count("degenerate: at infinity") == 3
+
+
+def test_point_at_infinity_is_a_geometric_error(tmp_path, capsys):
+    path = tmp_path / "thin.json"
+    path.write_text(THIN_AT_C[:-1] + ', "options": {"vertex": "C"}}')
+    assert cli.main(["figure", "--in", str(path), "--elements", "median-symmedian"]) == 1
+    assert capsys.readouterr().err == (
+        "geometric error: GeometryError: s_role(C) is at infinity: its weights cancel\n"
+    )
+
+
+# the scenes of the CI parity job, and the exit code of each run of
+# PIN_RUNS on each, in order
+PARITY_SCENES = {
+    "tri": (TRI, "02020202022"),
+    "scene": ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2, 1], "triad": [0.3, 0.3, 0.3]}',
+              "00000000001"),
+    "right": ('{"A": [0, 0], "B": [4, 0], "C": [0, 3], "P": [1, 1], "triad": [0.2, 0.5, 0.7]}',
+              "00000000011"),
+    "side": ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2.5, 1.5], "triad": [0.3, 0.3, 0.3]}',
+             "00000101011"),
+    "obtuse": ('{"A": [0, 0], "B": [4, 0], "C": [1.6, 0.9], "P": [1.5, 0.4], '
+               '"triad": [0.3, 0.3, 0.3]}', "00000000001"),
+    "oncircle": ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [4.23606797749979, 1]}',
+                 "00020001010"),
+    "iso": ('{"A": [0, 4], "B": [-3, 0], "C": [3, 0]}', "02020202022"),
+    "obtuse-c": ('{"A": [0, 0], "B": [4, 0], "C": [1.6, 0.9], "P": [1.5, 0.4], '
+                 '"triad": [0.3, 0.3, 0.3], "options": {"vertex": "C"}}', "00000000001"),
+    "oncircle-b": ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [4.23606797749979, 1], '
+                   '"options": {"vertex": "B"}}', "00020001010"),
+    "huge-triad": ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "triad": [1e308, 0.3, 0.3]}',
+                   "02020202022"),
+}
+PIN_RUNS = [
+    ("centers",),
+    ("classify",),
+    ("classify", "--point", "1.3,0.9"),
+    ("miquel",),
+    ("miquel", "--triad", "0.2,0.4,0.6"),
+    ("family", "--theta", "0.3"),
+    ("family", "--point", "1.3,0.9", "--theta", "0.3"),
+    ("chain", "--steps", "4"),
+    ("chain", "--point", "1.3,0.9", "--steps", "4"),
+    ("figure", "--elements", "circumcircle,miquel-circles,pedal,triad,centers,median-symmedian"),
+    ("figure", "--elements", "circumcircle,simson,median-symmedian"),
+]
+
+
+@pytest.mark.parametrize("name", list(PARITY_SCENES))
+def test_subcommands_build_no_point_or_triangle(name, tmp_path, capsys, monkeypatch):
+    """Every scene subcommand runs on coordinates: with ``Point`` and
+    ``Triangle`` unable to be built, each run on each parity scene still
+    gives its exit code. The verify suites are pinned the same way in
+    test_verify_suites.py."""
+
+    def refused(self, *args):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(kernel.Point, "__init__", refused)
+    monkeypatch.setattr(kernel.Triangle, "__init__", refused)
+    text, codes = PARITY_SCENES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    got = "".join(str(cli.main([run[0], "--in", str(path), *run[1:]])) for run in PIN_RUNS)
+    capsys.readouterr()
+    assert got == codes
+
+
 def test_classify_circumcenter(tri_file):
     res = run_cli("classify", "--in", tri_file, "--point", "2.0,1.0")
     assert res.returncode == 0
@@ -83,17 +169,18 @@ def test_every_correspondence_classified_and_printed(
     # a turned, scaled copy of the scalene host whose vertex order[i] is the
     # host's vertex i, reflected when mirrored: no other correspondence fits
     order = tuple("XYZ".index(ch) for ch in letters)
-    host = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
+    host = (0, 0, 4, 0, 1, 3)
     vertices = [None] * 3
     c, s = math.cos(0.7), math.sin(0.7)
-    for i, v in enumerate(host.vertices):
-        q = Point(c * v.x - s * v.y, s * v.x + c * v.y) * 1.9 + Point(-2.0, 5.0)
-        vertices[order[i]] = Point(-q.x, q.y) if mirrored else q
-    copy = Triangle(*vertices)
-    match = classify_similarity(host.xy, copy.xy, PEDAL_SIMILARITY_TOL)
+    for i, (x, y) in enumerate(zip(host[0::2], host[1::2])):
+        qx, qy = (c * x - s * y) * 1.9 + -2.0, (s * x + c * y) * 1.9 + 5.0
+        vertices[order[i]] = (-qx, qy) if mirrored else (qx, qy)
+    copy = (*vertices[0], *vertices[1], *vertices[2])
+    side_lengths_xy(*copy)  # a triangle, not three collinear points
+    match = classify_similarity(host, copy, PEDAL_SIMILARITY_TOL)
     assert (match.order, match.mirrored) == (order, mirrored)
     # classify reports the copy as the pedal triangle of the scene's point
-    monkeypatch.setattr(cli, "pedal_triad", lambda host, px, py: copy.xy)
+    monkeypatch.setattr(cli, "pedal_triad", lambda host, px, py: copy)
     assert cli.main(["classify", "--in", tri_file, "--point", "2,1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["permutation"], doc["orientation"]) == (

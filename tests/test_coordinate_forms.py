@@ -1,26 +1,26 @@
-"""The coordinate forms of the hot paths against their Point-operator forms.
+"""The coordinate forms of the hot paths against their vector-operator forms.
 
 `kernel`, `centers` and `triads` spell their vector expressions coordinate by
-coordinate, so only the Points callers keep are built. Each form must do the
-operator form's float operations in the same order, so the two agree with
-`==`, not within a tolerance. The operator forms below are those oracles; a
-later edit that reassociates a sum or a product fails here. Circles and lines
-are coordinate tuples, `CircleXY` (center x, center y, radius) and `LineXY`
-(anchor x, anchor y, unit direction x, unit direction y); the oracles build
-their center, anchor and direction Points from the tuple.
+coordinate. Each form must do the operator form's float operations in the
+same order, so the two agree with `==`, not within a tolerance. The operator
+forms below are those oracles, written in `_Vec`, a checked 2-vector with the
+operators `+`, `-`, `*`, `/`, `dot` and `cross`; a later edit that
+reassociates a sum or a product fails here. Circles and lines are coordinate
+tuples, `CircleXY` (center x, center y, radius) and `LineXY` (anchor x,
+anchor y, unit direction x, unit direction y); the oracles build their
+center, anchor and direction vectors from the tuple.
 
-The chain step builds no Point, from the same coordinate bodies as
-`family_member` and `miquel_point` (`family_xy`, `miquel_xy`), so its
-triangles and Miquel points equal theirs. `pedal_triad` is `family_member`
-at theta = 0, so its feet are the side lines' projections of the point, on
-a side line too. `Triangle.min_side_line_distance` reads the same floats as
-`family_xy`'s nearest distance, which the chain step and `containment_parity`
-hand to their guard.
+The chain step runs on the same coordinate bodies as `family_member` and
+`miquel_point` (`family_xy`, `miquel_xy`), so its triangles and Miquel
+points equal theirs. `pedal_triad` is `family_member` at theta = 0, so its
+feet are the side lines' projections of the point, on a side line too.
+`min_side_line_distance_xy` and `Triangle.min_side_line_distance` read the
+same floats as `family_xy`'s nearest distance, which the chain step and
+`containment_parity` hand to their guard.
 
-The one-shot suites build no Point they do not read either: theorem1 takes
-its triad from `triad_xy` and its residual from `miquel_residual`
-(`miquel_point`'s), and `containment_parity` tests containment with
-`contains_xy`.
+Theorem1 takes its triad from `triad_xy` and its residual from
+`miquel_residual` (`miquel_point`'s), and `containment_parity` tests
+containment with `contains_xy`.
 
 Some hot forms write others out in line rather than call them:
 `centers.measures_xy` spells `side_lengths_xy`, `circumcircle` and the
@@ -47,9 +47,11 @@ from miquel.kernel import (
     Point,
     Triangle,
     checked_circle,
+    checked_xy,
     circle_xy,
     circumcircle,
     contains_xy,
+    corners_xy,
     directed_angle_at_xy,
     directed_angle_xy,
     line_through,
@@ -89,15 +91,47 @@ from miquel.triads import (
 )
 
 
-def _triangle(xy) -> Triangle:
-    """The ``Triangle`` on the six coordinates ``xy``, for the operator forms."""
-    ax, ay, bx, by, cx, cy = xy
-    return Triangle(Point(ax, ay), Point(bx, by), Point(cx, cy))
+class _Vec(tuple):
+    """A 2-vector, finite as ``checked_xy`` checks it and equal to its (x, y)
+    pair, with the operators the oracles below are written in."""
+
+    def __new__(cls, x: float, y: float) -> "_Vec":
+        return super().__new__(cls, checked_xy(x, y))
+
+    x = property(lambda self: self[0])
+    y = property(lambda self: self[1])
+
+    def __add__(self, other) -> "_Vec":
+        return _Vec(self[0] + other[0], self[1] + other[1])
+
+    def __sub__(self, other) -> "_Vec":
+        return _Vec(self[0] - other[0], self[1] - other[1])
+
+    def __mul__(self, s: float) -> "_Vec":
+        return _Vec(self[0] * s, self[1] * s)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, s: float) -> "_Vec":
+        return _Vec(self[0] / s, self[1] / s)
+
+    def dot(self, other) -> float:
+        return self[0] * other[0] + self[1] * other[1]
+
+    def cross(self, other) -> float:
+        return self[0] * other[1] - self[1] * other[0]
 
 
-def _points(triad) -> tuple[Point, Point, Point]:
-    """The points X, Y, Z of ``triad``, a TriangleXY."""
-    return Point(*triad[0:2]), Point(*triad[2:4]), Point(*triad[4:6])
+def _points(xy) -> tuple[_Vec, _Vec, _Vec]:
+    """The three points of ``xy``, a TriangleXY: a host's A, B, C or a
+    triad's X, Y, Z."""
+    return _Vec(*xy[0:2]), _Vec(*xy[2:4]), _Vec(*xy[4:6])
+
+
+def _opposite(xy, label):
+    """The endpoints of the side of ``xy`` opposite ``label``, in cyclic
+    order."""
+    return corners_xy(xy, label)[1:]
 
 
 def _hosts_and_points():
@@ -107,10 +141,10 @@ def _hosts_and_points():
     cases = []
     for _ in range(250):
         hosts = (random_acute_triangle(rng), *(random_obtuse_at(rng, v) for v in "ABC"))
-        for t in map(_triangle, hosts):
-            points = (Point(*random_interior_point(rng, t.xy)),
-                      Point(*random_exterior_point(rng, t.xy, t.circumcircle)))
-            cases.append((t, points, rng.uniform(-1.2, 1.2)))
+        for xy in hosts:
+            points = (_Vec(*random_interior_point(rng, xy)),
+                      _Vec(*random_exterior_point(rng, xy, circumcircle(*xy))))
+            cases.append((xy, points, rng.uniform(-1.2, 1.2)))
     return cases
 
 
@@ -123,20 +157,20 @@ def _circumcircle_by_operators(p1, p2, p3):
     q2 = p2 - p1
     q3 = p3 - p1
     cross = q2.cross(q3)
-    span = max(math.hypot(*q2), math.hypot(*q3), p3.dist(p2))
+    span = max(math.hypot(*q2), math.hypot(*q3), math.dist(p3, p2))
     assert not abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span
     d = 2.0 * cross
     m2 = q2.dot(q2)
     m3 = q3.dot(q3)
     ux = (m2 * q3.y - m3 * q2.y) / d
     uy = (m3 * q2.x - m2 * q3.x) / d
-    return Point(p1.x + ux, p1.y + uy), math.hypot(ux, uy)
+    return _Vec(p1.x + ux, p1.y + uy), math.hypot(ux, uy)
 
 
 def _side_lengths_by_operators(a, b, c):
-    """Triangle's construction test on Point differences."""
+    """Triangle's construction test on vector differences."""
     area2 = (b - a).cross(c - a)
-    la, lb, lc = b.dist(c), c.dist(a), a.dist(b)
+    la, lb, lc = math.dist(b, c), math.dist(c, a), math.dist(a, b)
     span = max(la, lb, lc)
     if abs(2.0 * area2) <= 2.0 * LENGTH_EPS * span * span:
         raise CollinearError("degenerate triangle: collinear within tolerance")
@@ -158,7 +192,7 @@ def _direction_by_operators(p, q):
 
 def _anchor_and_direction(line):
     ax, ay, dx, dy = line
-    return Point(ax, ay), Point(dx, dy)
+    return _Vec(ax, ay), _Vec(dx, dy)
 
 
 def _offset_by_operators(line, p):
@@ -191,41 +225,44 @@ def _interior_by_operators(apex, p, q):
     return math.atan2(abs(u.cross(v)), u.dot(v))
 
 
-def _angles_by_operators(t):
-    a, b, c = t.vertices
+def _angles_by_operators(xy):
+    a, b, c = _points(xy)
     return (_interior_by_operators(a, b, c), _interior_by_operators(b, c, a),
             _interior_by_operators(c, a, b))
 
 
-def _from_barycentric_by_operators(t, wa, wb, wc):
-    return (wa * t.a + wb * t.b + wc * t.c) / (wa + wb + wc)
+def _from_barycentric_by_operators(xy, wa, wb, wc):
+    a, b, c = _points(xy)
+    return (wa * a + wb * b + wc * c) / (wa + wb + wc)
 
 
-def _squared_sides_by_operators(t):
-    a, b, c = t.a, t.b, t.c
+def _squared_sides_by_operators(xy):
+    a, b, c = _points(xy)
     return ((c - b).dot(c - b), (a - c).dot(a - c), (b - a).dot(b - a))
 
 
-def _isogonal_conjugate_by_operators(t, p):
-    x = (t.b - p).cross(t.c - p)
-    y = (t.c - p).cross(t.a - p)
-    z = (t.a - p).cross(t.b - p)
-    la, lb, lc = t.side_lengths
+def _isogonal_conjugate_by_operators(xy, p):
+    a, b, c = _points(xy)
+    x = (b - p).cross(c - p)
+    y = (c - p).cross(a - p)
+    z = (a - p).cross(b - p)
+    la, lb, lc = side_lengths_xy(*xy)
     wa = la * la / x
     wb = lb * lb / y
     wc = lc * lc / z
-    return (wa * t.a + wb * t.b + wc * t.c) / (wa + wb + wc)
+    return (wa * a + wb * b + wc * c) / (wa + wb + wc)
 
 
-def _orthocenter_by_operators(t):
-    return t.a + t.b + t.c - 2.0 * Point(*t.circumcenter_xy)
+def _orthocenter_by_operators(xy):
+    a, b, c = _points(xy)
+    return a + b + c - 2.0 * _Vec(*circumcircle(*xy)[:2])
 
 
 def _family_vertex_by_operators(p, f, theta):
     """The pedal foot ``f`` moved along its side: the spoke f − p turned a
     quarter and scaled by tan theta."""
     spoke = f - p
-    return f + math.tan(theta) * Point(-spoke.y, spoke.x)
+    return f + math.tan(theta) * _Vec(-spoke.y, spoke.x)
 
 
 def _along_by_operators(tail, head, s):
@@ -237,37 +274,41 @@ def _param_by_operators(p, tail, head):
     return (p - tail).dot(d) / d.dot(d)
 
 
-def _shape_ratio_by_operators(t, order):
-    a, b, c = (t.vertices[n] for n in order)
+def _shape_ratio_by_operators(xy, order):
+    vertices = _points(xy)
+    a, b, c = (vertices[n] for n in order)
     return complex(*(b - a)) / complex(*(c - a))
 
 
 def _triad_points_by_operators(host, u, v, w):
+    a, b, c = _points(host)
     return (
-        _along_by_operators(host.b, host.c, u),
-        _along_by_operators(host.c, host.a, v),
-        _along_by_operators(host.a, host.b, w),
+        _along_by_operators(b, c, u),
+        _along_by_operators(c, a, v),
+        _along_by_operators(a, b, w),
     )
 
 
 def _triad_at_by_generator(host, u, v, w):
-    """The triad at u, v, w as a generator of Point expressions builds it."""
-    a, b, c = host.vertices
+    """The triad at u, v, w as a generator of vector expressions builds it."""
+    a, b, c = _points(host)
     return tuple(
-        Point(tail.x + s * (head.x - tail.x), tail.y + s * (head.y - tail.y))
+        _Vec(tail.x + s * (head.x - tail.x), tail.y + s * (head.y - tail.y))
         for tail, head, s in ((b, c, u), (c, a, v), (a, b, w))
     )
 
 
-def _orientation(t):
+def _orientation(xy):
     """+1 when A, B, C turn counter-clockwise, else -1: the sign of the area."""
-    return 1 if 0.5 * (t.b - t.a).cross(t.c - t.a) > 0.0 else -1
+    a, b, c = _points(xy)
+    return 1 if 0.5 * (b - a).cross(c - a) > 0.0 else -1
 
 
-def _contains_by_operators(t, p):
-    sign = _orientation(t)
+def _contains_by_operators(xy, p):
+    sign = _orientation(xy)
+    a, b, c = _points(xy)
     return all(
-        sign * (q2 - q1).cross(p - q1) > 0.0 for q1, q2 in ((t.a, t.b), (t.b, t.c), (t.c, t.a))
+        sign * (q2 - q1).cross(p - q1) > 0.0 for q1, q2 in ((a, b), (b, c), (c, a))
     )
 
 
@@ -285,7 +326,7 @@ def _classify_by_label_lookup(t1, t2, angle_eps):
         residual = max(abs(angles1[i] - angles2[order[i]]) for i in range(3))
         if residual >= angle_eps:
             continue
-        ratios = [t2.side_lengths[order[i]] / t1.side_lengths[i] for i in range(3)]
+        ratios = [side_lengths_xy(*t2)[order[i]] / side_lengths_xy(*t1)[i] for i in range(3)]
         ratio = sum(ratios) / 3.0
         score = residual + (max(ratios) - min(ratios)) / ratio
         if best is None or score < best[3]:
@@ -297,67 +338,69 @@ def _classify_by_label_lookup(t1, t2, angle_eps):
 # ---------------------------------------------------------------- kernel
 
 def test_circumcircle():
-    for t, points, theta in CASES:
-        x, y, z = _points(family_member(t.xy, *points[0], theta))
-        for triple in ((t.a, t.b, t.c), (t.a, y, z), (t.b, z, x)):
+    for xy, points, theta in CASES:
+        a, b, c = _points(xy)
+        x, y, z = _points(family_member(xy, *points[0], theta))
+        for triple in ((a, b, c), (a, y, z), (b, z, x)):
             cx, cy, r = circumcircle(*triple[0], *triple[1], *triple[2])
-            assert (Point(cx, cy), r) == _circumcircle_by_operators(*triple)
+            assert ((cx, cy), r) == _circumcircle_by_operators(*triple)
 
 
 def test_coordinate_helpers():
     """Each coordinate helper alone, against its operator form."""
-    for t, points, theta in CASES:
-        a, b, c = t.vertices
+    for xy, points, theta in CASES:
+        a, b, c = _points(xy)
         for p in points:
             for tail, head in ((b, c), (c, a), (a, b), (p, a)):
                 line = line_through(tail, head)
                 d = unit_direction(head.x - tail.x, head.y - tail.y)
-                assert Point(*d) == _direction_by_operators(tail, head)
+                assert d == _direction_by_operators(tail, head)
                 assert line == (tail.x, tail.y, *d)
                 args = (tail.x, tail.y, *d, p.x, p.y)
                 assert offset_xy(*args) == _offset_by_operators(line, p)
-                assert Point(*project_xy(*args)) == _project_by_operators(line, p)
-                assert Point(*reflect_xy(*args)) == _reflect_by_operators(line, p)
+                assert project_xy(*args) == _project_by_operators(line, p)
+                assert reflect_xy(*args) == _reflect_by_operators(line, p)
             cx, cy, r = circle_xy(a.x, a.y, b.x, b.y, p.x, p.y)
-            assert (Point(cx, cy), r) == _circumcircle_by_operators(a, b, p)
+            assert ((cx, cy), r) == _circumcircle_by_operators(a, b, p)
 
 
 def test_shape_ratio_and_gap():
     """The shape ratio against the spelled-out division and the operator form
     for every vertex order, and the gap in both orientations."""
-    for t, _, _ in CASES:
-        r = complex(t.b.x - t.a.x, t.b.y - t.a.y) / complex(t.c.x - t.a.x, t.c.y - t.a.y)
-        assert shape_ratio(t.xy, (0, 1, 2)) == r
+    for xy, _, _ in CASES:
+        ax, ay, bx, by, cx, cy = xy
+        r = complex(bx - ax, by - ay) / complex(cx - ax, cy - ay)
+        assert shape_ratio(xy, (0, 1, 2)) == r
         for order in itertools.permutations(range(3)):
-            r2 = shape_ratio(t.xy, order)
-            assert r2 == _shape_ratio_by_operators(t, order)
+            r2 = shape_ratio(xy, order)
+            assert r2 == _shape_ratio_by_operators(xy, order)
             assert shape_gap(r, r2, False) == abs(r2 - r) / abs(r)
             assert shape_gap(r, r2, True) == abs(r2.conjugate() - r) / abs(r)
 
 
 def test_triangle_construction_test():
     """The one body of Triangle's construction test (side_lengths_xy, which
-    the chain step calls too) against its form on Point differences: the same
-    side lengths, or the same error and message."""
+    the chain step calls too) against its form on vector differences: the
+    same side lengths, or the same error and message."""
     rng = rng_for(0, "coordinate-forms", 1)
-    triples = [t.vertices for t, _, _ in CASES]
-    for t, points, _ in CASES[:300]:
-        a, b = t.a, t.b
+    triples = [_points(xy) for xy, _, _ in CASES]
+    for xy, points, _ in CASES[:300]:
+        a, b, _ = _points(xy)
         # the third vertex next to B, some collinear within tolerance
-        d = a.dist(b) * 10.0 ** rng.uniform(-12.0, -6.0)
+        d = math.dist(a, b) * 10.0 ** rng.uniform(-12.0, -6.0)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        triples.append((a, b, Point(b.x + d * math.cos(phi), b.y + d * math.sin(phi))))
+        triples.append((a, b, _Vec(b.x + d * math.cos(phi), b.y + d * math.sin(phi))))
         triples.append((a, b, a))
     for big in (1e154, 1e300, 1e308):
         triples += [
-            (Point(-big, -big), Point(big, -big), Point(0.0, big)),
-            (Point(0.0, 0.0), Point(big, big), Point(-big, big)),
-            (Point(-big, 0.0), Point(0.0, 1.0), Point(big, 0.0)),
+            (_Vec(-big, -big), _Vec(big, -big), _Vec(0.0, big)),
+            (_Vec(0.0, 0.0), _Vec(big, big), _Vec(-big, big)),
+            (_Vec(-big, 0.0), _Vec(0.0, 1.0), _Vec(big, 0.0)),
         ]
     outcomes = set()
     for a, b, c in triples:
         expected = _outcome(_side_lengths_by_operators, a, b, c)
-        assert _outcome(lambda: Triangle(a, b, c).side_lengths) == expected
+        assert _outcome(lambda: Triangle(Point(*a), Point(*b), Point(*c)).side_lengths) == expected
         assert _outcome(side_lengths_xy, a.x, a.y, b.x, b.y, c.x, c.y) == expected
         outcomes.add(expected[0] if isinstance(expected[0], type) else float)
     assert outcomes == {float, CollinearError, ValueError}
@@ -366,35 +409,37 @@ def test_triangle_construction_test():
 def test_min_side_line_distance():
     """The nearest of the side lines' offsets, for points off the side lines,
     on one and on two (a vertex)."""
-    for t, points, _ in CASES:
-        for p in (*points, t.a, Point(*midpoint(t.b, t.c))):
+    for xy, points, _ in CASES:
+        a, b, c = _points(xy)
+        t = Triangle(Point(*a), Point(*b), Point(*c))
+        for p in (*points, a, _Vec(*midpoint(b, c))):
             expected = min(
-                abs(_offset_by_operators(line_through(*t.opposite(v)), p)) for v in "ABC"
+                abs(_offset_by_operators(line_through(*_opposite(xy, v)), p)) for v in "ABC"
             )
-            assert t.min_side_line_distance(p) == expected
-            assert min_side_line_distance_xy(t.xy, p.x, p.y) == expected
+            assert t.min_side_line_distance(Point(*p)) == expected
+            assert min_side_line_distance_xy(xy, p.x, p.y) == expected
 
 
 def test_line_at_project_and_reflect():
     """The foot (the point at the projection's parameter) and the mirror
     image of a point, on the side lines and a line through two points."""
-    for t, points, _ in CASES:
-        for line in (*(line_through(*t.opposite(v)) for v in "ABC"), line_through(*points)):
+    for xy, points, _ in CASES:
+        for line in (*(line_through(*_opposite(xy, v)) for v in "ABC"), line_through(*points)):
             for p in points:
-                assert Point(*project_xy(*line, *p)) == _project_by_operators(line, p)
-                assert Point(*reflect_xy(*line, *p)) == _reflect_by_operators(line, p)
+                assert project_xy(*line, *p) == _project_by_operators(line, p)
+                assert reflect_xy(*line, *p) == _reflect_by_operators(line, p)
 
 
 def test_triangle_angles_area_and_directed_angles():
-    for t, points, _ in CASES:
-        a, b, c = t.vertices
-        assert measures_xy(t.xy).angles == _angles_by_operators(t)
+    for xy, points, _ in CASES:
+        a, b, c = _points(xy)
+        assert measures_xy(xy).angles == _angles_by_operators(xy)
         for p in points:
             for q, r in ((a, b), (b, c), (c, a)):
                 assert directed_angle_xy(*p, *q, *r) == _directed_angle_by_operators(p, q, r)
         for v, (q, p, r) in zip("ABC", ((a, b, c), (b, c, a), (c, a, b))):
             # at A, from line AB to line AC
-            assert directed_angle_at_xy(t.xy, v) == _directed_angle_by_operators(p, q, r)
+            assert directed_angle_at_xy(xy, v) == _directed_angle_by_operators(p, q, r)
 
 
 # ---------------------------------------------------------------- written-out forms
@@ -569,20 +614,21 @@ def test_directed_angle_xy_is_its_calls():
 
 # ---------------------------------------------------------------- centers
 
-def _named_point_by_operators(t, role):
-    """Where ``role`` sits in ``t``: O, H and G by Point operators, the
-    others from their barycentric weights on the operator form's squared
-    sides; None for S_v and M_v at a right angle at v."""
-    sq = a2, b2, c2 = _squared_sides_by_operators(t)
+def _named_point_by_operators(xy, role):
+    """Where ``role`` sits in the triangle ``xy``: O, H and G by vector
+    operators, the others from their barycentric weights on the operator
+    form's squared sides; None for S_v and M_v at a right angle at v."""
+    sq = a2, b2, c2 = _squared_sides_by_operators(xy)
     name = role.role
     if name == "circumcenter":
-        return Point(*t.circumcenter_xy)
+        return _Vec(*circumcircle(*xy)[:2])
     if name == "orthocenter":
-        return _orthocenter_by_operators(t)
+        return _orthocenter_by_operators(xy)
     if name == "centroid":
-        return (t.a + t.b + t.c) / 3.0
+        a, b, c = _points(xy)
+        return (a + b + c) / 3.0
     if name == "incenter":
-        weights = list(t.side_lengths)
+        weights = list(side_lengths_xy(*xy))
     elif name == "first_brocard":
         weights = [c2 * a2, a2 * b2, b2 * c2]
     elif name == "second_brocard":
@@ -591,9 +637,9 @@ def _named_point_by_operators(t, role):
         i = "ABC".index(role.vertex)
         k = sq[(i + 1) % 3] + sq[(i + 2) % 3] - sq[i]
         if name == "excenter":
-            weights = list(t.side_lengths)
+            weights = list(side_lengths_xy(*xy))
             weights[i] *= -1.0
-        elif abs(_angles_by_operators(t)[i] - HALF_PI) < ANGLE_EPS:
+        elif abs(_angles_by_operators(xy)[i] - HALF_PI) < ANGLE_EPS:
             return None
         elif name == "s_role":
             weights = list(sq)
@@ -601,41 +647,46 @@ def _named_point_by_operators(t, role):
         else:
             weights = [k, k, k]
             weights[i] = sq[i]
-    return _from_barycentric_by_operators(t, *weights)
+    return _from_barycentric_by_operators(xy, *weights)
 
 
 def _named_points_by_locate_xy(m):
-    """``locate_xy`` of every row of ``NAMED_POINTS``, with None where it
-    raises ``RightAngleDegenerateError``."""
+    """``locate_xy`` of every row of ``NAMED_POINTS``: the class of what it
+    raises where it raises ``GeometryError`` (a right angle at the row's
+    vertex, a point at infinity) or ``ValueError`` (a location that is not
+    finite), else the location."""
     row = []
     for role, _ in NAMED_POINTS:
         try:
             row.append(locate_xy(m, role))
-        except RightAngleDegenerateError:
-            row.append(None)
+        except (GeometryError, ValueError) as exc:
+            row.append(type(exc))
     return row
 
 
 def test_squared_sides_isogonal_conjugate_and_every_named_point():
-    for t, points, _ in CASES:
-        m = measures_xy(t.xy)
-        # the measures, from coordinates, are the Triangle's floats and the
-        # operator forms'
-        assert m == (t.xy, t.side_lengths, _squared_sides_by_operators(t),
-                     _angles_by_operators(t), t.circumcenter_xy, t.circumradius)
+    for xy, points, _ in CASES:
+        m = measures_xy(xy)
+        # the measures, from coordinates, are side_lengths_xy's and
+        # circumcircle's floats and the operator forms'
+        ox, oy, r = circumcircle(*xy)
+        assert m == (xy, side_lengths_xy(*xy), _squared_sides_by_operators(xy),
+                     _angles_by_operators(xy), (ox, oy), r)
         p = points[0]
-        expected = _isogonal_conjugate_by_operators(t, p)
-        assert Point(*centers.isogonal_conjugate(m, *p)) == expected
+        expected = _isogonal_conjugate_by_operators(xy, p)
+        assert centers.isogonal_conjugate(m, *p) == expected
         # every location body against its operator form
         for (role, _), point in zip(NAMED_POINTS, _named_points_by_locate_xy(m)):
-            oracle = _named_point_by_operators(t, role)
-            assert point == (None if oracle is None else tuple(oracle)), role
+            oracle = _named_point_by_operators(xy, role)
+            expected = RightAngleDegenerateError if oracle is None else tuple(oracle)
+            assert point == expected, role
 
 
 def _pinned_table_hosts():
-    """The written-out hosts (scalene, isosceles at each apex, thin), and 300
+    """The written-out hosts (scalene, isosceles at each apex, thin), 300
     more: right-angled at each vertex in turn, equilateral, and acute hosts
-    scaled by 1e80 to 1e100, where the Brocard weights overflow."""
+    scaled by 1e80 to 1e100, where the Brocard weights overflow, and a host
+    so thin at C that the weights of excenter_C, S_C and M_C cancel."""
     rng = rng_for(0, "coordinate-forms", 9)
     hosts = list(HOSTS)
     for i in range(100):
@@ -648,39 +699,36 @@ def _pinned_table_hosts():
         hosts += [triangle_from_angles(rng, tuple(angles)),
                   triangle_from_angles(rng, (math.pi / 3,) * 3),
                   tuple(scale * c for c in random_acute_triangle(rng))]
-    return hosts
-
-
-def _table_outcome(f, m):
-    """The rows ``f`` gives for the measures ``m``, by repr, or the class and
-    message of what it raises: on thin hosts an excenter's weights sum to
-    zero."""
-    try:
-        return repr(list(f(m)))
-    except ZeroDivisionError as exc:
-        return type(exc), str(exc)
+    return hosts + [(0.0, 0.0, 1.0, 0.0, 0.5, 2e-9)]
 
 
 def test_named_points_xy_is_locate_xy_of_every_row():
     """named_points_xy, the whole table read from the bodies, against
-    locate_xy of each row by repr, with None exactly where locate_xy raises
-    RightAngleDegenerateError, and the same error where a row raises."""
-    nones, nans, outcomes = set(), 0, set()
+    locate_xy of each row: None exactly where locate_xy raises GeometryError
+    (RightAngleDegenerateError at a right angle, a point at infinity where
+    the weights cancel), a location that is not finite where it raises
+    ValueError, else the same location."""
+    right, infinite, nans = set(), set(), 0
     for xy in _pinned_table_hosts():
         try:
             m = measures_xy(xy)
         except (ValueError, GeometryError):
             continue
-        expected = _table_outcome(_named_points_by_locate_xy, m)
-        assert _table_outcome(centers.named_points_xy, m) == expected, xy
-        outcomes.add(expected[0] if isinstance(expected, tuple) else list)
-        if isinstance(expected, tuple):
-            continue
-        row = _named_points_by_locate_xy(m)
-        nones.update(label for (_, label), p in zip(NAMED_POINTS, row) if p is None)
-        nans += any(p is not None and math.isnan(p[0]) for p in row)
-    assert outcomes == {list, ZeroDivisionError}
-    assert nones == {f"{name}_{v}" for name in "SM" for v in "ABC"}
+        expected = _named_points_by_locate_xy(m)
+        for (_, label), p, e in zip(NAMED_POINTS, centers.named_points_xy(m), expected):
+            if e is RightAngleDegenerateError:
+                assert p is None, xy
+                right.add(label)
+            elif e is GeometryError:
+                assert p is None, xy
+                infinite.add(label)
+            elif e is ValueError:
+                assert not all(map(math.isfinite, p)), xy
+            else:
+                assert p == e, xy
+        nans += ValueError in expected
+    assert right == {f"{name}_{v}" for name in "SM" for v in "ABC"}
+    assert {"excenter_C", "S_C", "M_C"} <= infinite
     assert nans >= 50
 
 
@@ -690,21 +738,22 @@ def test_family_member_feet_and_triad_forms():
     """Each family vertex is its pedal foot (the side line's projection)
     moved by tan theta times the quarter-turned spoke; triad_xy and
     triad_params against their operator forms."""
-    for t, points, theta in CASES:
+    for xy, points, theta in CASES:
+        a, b, c = _points(xy)
         for p in points:
-            triad = family_member(t.xy, *p, theta)
-            feet = [_project_by_operators(line_through(*t.opposite(v)), p) for v in "ABC"]
+            triad = family_member(xy, *p, theta)
+            feet = [_project_by_operators(line_through(*_opposite(xy, v)), p) for v in "ABC"]
             assert list(_points(triad)) == [
                 _family_vertex_by_operators(p, f, theta) for f in feet
             ]
             x, y, z = _points(triad)
-            params = triad_params(t.xy, triad)
+            params = triad_params(xy, triad)
             assert params == (
-                _param_by_operators(x, t.b, t.c),
-                _param_by_operators(y, t.c, t.a),
-                _param_by_operators(z, t.a, t.b),
+                _param_by_operators(x, b, c),
+                _param_by_operators(y, c, a),
+                _param_by_operators(z, a, b),
             )
-            assert _points(triad_xy(t.xy, *params)) == _triad_points_by_operators(t, *params)
+            assert _points(triad_xy(xy, *params)) == _triad_points_by_operators(xy, *params)
 
 
 def test_triad_xy_and_miquel_residual():
@@ -712,20 +761,21 @@ def test_triad_xy_and_miquel_residual():
     miquel_residual against the radial offsets (distance to the center minus
     the radius) of the circles AYZ, BZX, CXY."""
     rng = rng_for(0, "coordinate-forms", 2)
-    for t, _, _ in CASES:
+    for host, _, _ in CASES:
+        a, b, c = _points(host)
         params = [rng.uniform(-1.0, 2.0) for _ in range(3)]
-        x, y, z = _triad_at_by_generator(t, *params)
-        xy = triad_xy(t.xy, *params)
+        x, y, z = _triad_at_by_generator(host, *params)
+        xy = triad_xy(host, *params)
         assert xy == (x.x, x.y, y.x, y.y, z.x, z.y)
         assert _points(checked_triad(xy)) == (x, y, z)
-        *rows, (mx, my) = miquel_xy(t.xy, xy)
-        circles = (circumcircle(*t.a, *y, *z), circumcircle(*t.b, *z, *x),
-                   circumcircle(*t.c, *x, *y))
-        expected = max(abs(Point(cx, cy).dist(Point(mx, my)) - r) for cx, cy, r in circles)
+        *rows, (mx, my) = miquel_xy(host, xy)
+        circles = (circumcircle(*a, *y, *z), circumcircle(*b, *z, *x),
+                   circumcircle(*c, *x, *y))
+        expected = max(abs(math.dist((cx, cy), (mx, my)) - r) for cx, cy, r in circles)
         assert miquel_residual(rows, mx, my) == expected
-        assert miquel_point(t.xy, checked_triad(xy)).residual == expected
+        assert miquel_point(host, checked_triad(xy)).residual == expected
     with pytest.raises(ValueError, match="^triad parameters must be finite$"):
-        triad_xy(CASES[0][0].xy, 0.5, math.inf, 0.5)
+        triad_xy(CASES[0][0], 0.5, math.inf, 0.5)
 
 
 def test_miquel_xy_mirrors_z_in_the_line_of_centers():
@@ -733,11 +783,11 @@ def test_miquel_xy_mirrors_z_in_the_line_of_centers():
     of AYZ and BZX, float for float, for family triads and for triads off
     the sides."""
     rng = rng_for(0, "coordinate-forms", 3)
-    for t, points, theta in CASES:
+    for host, points, theta in CASES:
         params = [rng.uniform(-1.0, 2.0) for _ in range(3)]
-        triads = [family_xy(t.xy, *p, theta)[0] for p in points]
-        for xy in (*triads, triad_xy(t.xy, *params)):
-            (ax, ay, _), (bx, by, _), _, point = miquel_xy(t.xy, xy)
+        triads = [family_xy(host, *p, theta)[0] for p in points]
+        for xy in (*triads, triad_xy(host, *params)):
+            (ax, ay, _), (bx, by, _), _, point = miquel_xy(host, xy)
             assert point == reflect_xy(*line_through((ax, ay), (bx, by)), xy[4], xy[5])
 
 
@@ -745,39 +795,41 @@ def test_contains_xy():
     """contains_xy against sign·(q2 − q1)×(p − q1) with the triangle's
     orientation, for both orientations, inside, outside, on an edge and at a
     vertex."""
-    for t, points, _ in CASES:
-        for host in (t, Triangle(t.a, t.c, t.b)):
-            edge_points = (Point(*midpoint(t.a, t.b)), Point(*midpoint(t.b, t.c)))
-            for p in (*points, *edge_points, t.a, t.c):
+    for xy, points, _ in CASES:
+        a, b, c = _points(xy)
+        for host in (xy, (*a, *c, *b)):
+            edge_points = (_Vec(*midpoint(a, b)), _Vec(*midpoint(b, c)))
+            for p in (*points, *edge_points, a, c):
                 inside = _contains_by_operators(host, p)
-                assert contains_xy(host.xy, p.x, p.y) is inside
-            assert contains_xy(host.xy, *points[0]) and not contains_xy(host.xy, *points[1])
+                assert contains_xy(host, p.x, p.y) is inside
+            assert contains_xy(host, *points[0]) and not contains_xy(host, *points[1])
 
 
 def test_sextet_and_miquel_angles():
     """cevian_angles_xy and miquel_angles_xy against directed_angle_xy of the
     points: the six directed angles at the vertices, then their pairwise
     sums reduced by half_turn."""
-    for t, points, _ in CASES:
-        a, b, c = t.vertices
+    for xy, points, _ in CASES:
+        a, b, c = _points(xy)
+        r = measures_xy(xy).circumradius
         for p in points:
             a1, a2 = directed_angle_xy(*p, *a, *c), directed_angle_xy(*b, *a, *p)
             b1, b2 = directed_angle_xy(*p, *b, *a), directed_angle_xy(*c, *b, *p)
             g1, g2 = directed_angle_xy(*p, *c, *b), directed_angle_xy(*a, *c, *p)
-            r = t.circumradius
-            assert cevian_angles_xy(t.xy, p.x, p.y, r, False) == (a1, b1, g1)
-            assert cevian_angles_xy(t.xy, p.x, p.y, r, True) == (a2, b2, g2)
+            assert cevian_angles_xy(xy, p.x, p.y, r, False) == (a1, b1, g1)
+            assert cevian_angles_xy(xy, p.x, p.y, r, True) == (a2, b2, g2)
             sums = (b1 + g2, g1 + a2, a1 + b2)
-            assert miquel_angles_xy(t.xy, p.x, p.y, r) == tuple(map(kernel.half_turn, sums))
+            assert miquel_angles_xy(xy, p.x, p.y, r) == tuple(map(kernel.half_turn, sums))
 
 
 def test_one_pedal_triangle():
     """The pedal triad's vertices are the side lines' projections of the
     point, float for float, for points off the side lines and on them."""
-    for t, points, _ in CASES:
-        for p in (*points, t.a, Point(*midpoint(t.b, t.c))):
-            feet = tuple(_project_by_operators(line_through(*t.opposite(v)), p) for v in "ABC")
-            assert _points(pedal_triad(t.xy, *p)) == feet
+    for xy, points, _ in CASES:
+        a, b, c = _points(xy)
+        for p in (*points, a, _Vec(*midpoint(b, c))):
+            feet = tuple(_project_by_operators(line_through(*_opposite(xy, v)), p) for v in "ABC")
+            assert _points(pedal_triad(xy, *p)) == feet
 
 
 def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):
@@ -792,19 +844,19 @@ def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):
         return result
 
     monkeypatch.setattr(chains, "miquel_xy", recording)
-    for t, points, theta in CASES:
+    for xy, points, theta in CASES:
         for p in points:
-            triad = family_member(t.xy, *p, theta)
-            rec = iterate_chain(t.xy, *p, 1, [theta])
+            triad = family_member(xy, *p, theta)
+            rec = iterate_chain(xy, *p, 1, [theta])
             assert rec.steps == (triad,)
-            assert drift_points == [miquel_point(t.xy, triad).point]
+            assert drift_points == [miquel_point(xy, triad).point]
             drift_points.clear()
 
 
 def _verdicts(t1, t2, tol):
     """(order, mirrored) or None, from classify_similarity and from the
     oracle."""
-    match = classify_similarity(t1.xy, t2.xy, tol)
+    match = classify_similarity(t1, t2, tol)
     oracle = _classify_by_label_lookup(t1, t2, tol)
     return (
         None if match is None else (match.order, match.mirrored),
@@ -816,9 +868,9 @@ def _verdicts(t1, t2, tol):
 # ratios; away from isosceles ties they give the same verdict
 @pytest.mark.parametrize("thetas", [None, (0.3, -0.5, 0.7, 0.1, -0.9, 0.4)])
 def test_classify_similarity_along_chains(thetas):
-    for t, points, _ in CASES[:200]:
-        rec = iterate_chain(t.xy, *points[0], 6, thetas)
-        tris = [_triangle(xy) for xy in (rec.seed, *rec.steps)]
+    for xy, points, _ in CASES[:200]:
+        rec = iterate_chain(xy, *points[0], 6, thetas)
+        tris = [rec.seed, *rec.steps]
         for i in range(len(tris)):
             for j in range(i + 1, len(tris)):
                 got, expected = _verdicts(tris[i], tris[j], 1e-6)
@@ -826,8 +878,9 @@ def test_classify_similarity_along_chains(thetas):
 
 
 def test_classify_similarity_on_catalog_pedal_shapes():
-    for t, _, _ in CASES:
-        for e in centers.eleven_point_catalog(t.xy):
-            shape = _triangle(pedal_triad(t.xy, *e.location))
-            got, expected = _verdicts(t, shape, PEDAL_SIMILARITY_TOL)
+    for xy, _, _ in CASES:
+        for e in centers.eleven_point_catalog(measures_xy(xy)):
+            shape = pedal_triad(xy, *e.location)
+            side_lengths_xy(*shape)  # a triangle, not three collinear points
+            got, expected = _verdicts(xy, shape, PEDAL_SIMILARITY_TOL)
             assert got == expected == (e.order, e.mirrored)

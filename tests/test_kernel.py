@@ -26,7 +26,6 @@ from miquel.kernel import (
     invert_xy,
     line_circle_intersections,
     line_through,
-    offset_xy,
     reflect_xy,
     second_intersection,
     unit_direction,
@@ -69,8 +68,9 @@ def _contains(t, p):
 def _is_isosceles_at(t, label, length_eps):
     """The two sides at ``label`` differ by less than ``length_eps`` times R."""
     i = "ABC".index(label)
-    lens = t.side_lengths
-    return abs(lens[(i + 1) % 3] - lens[(i + 2) % 3]) < length_eps * t.circumradius
+    m = measures_xy(t.xy)
+    lens = m.side_lengths
+    return abs(lens[(i + 1) % 3] - lens[(i + 2) % 3]) < length_eps * m.circumradius
 
 
 # a builder of each immutable value type, and the type's fields in order
@@ -79,7 +79,7 @@ VALUE_TYPES = [
     (_triangle, ("a", "b", "c")),
     (lambda: SpecialRole("s_role", "B"), ("role", "vertex")),
     (lambda: ChainRecord(_triangle().xy, (2.0, 1.0), ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0),),
-                         (_triangle().circumcircle, (0.5, 0.5, math.sqrt(0.5)))),
+                         (circumcircle(*_triangle().xy), (0.5, 0.5, math.sqrt(0.5)))),
      ("seed", "point", "steps", "circles")),
 ]
 
@@ -157,7 +157,7 @@ class TestCircumcircle:
 
 class TestCheckedCircle:
     """The checks of circumcircle and of miquel_point's circles: the center
-    first (Point's error), then the radius."""
+    first (checked_xy's error), then the radius."""
 
     @pytest.mark.parametrize(
         "circle, message",
@@ -185,7 +185,8 @@ class TestCheckedCircle:
     def test_passes_a_finite_circle_through(self):
         circle = circle_xy(0, 0, 4, 0, 1, 3)
         assert checked_circle(circle) is circle
-        assert circumcircle(0, 0, 4, 0, 1, 3) == circle == _triangle().circumcircle
+        m = measures_xy(_triangle().xy)
+        assert circumcircle(0, 0, 4, 0, 1, 3) == circle == (*m.circumcenter_xy, m.circumradius)
 
 
 class TestCircleCircle:
@@ -193,13 +194,13 @@ class TestCircleCircle:
         hits = circle_circle_intersections((0, 0, 1), (1, 0, 1))
         assert len(hits) == 2
         got = sorted(hits, key=lambda p: p.y)
-        assert got[1].dist(Point(0.5, SQ3 / 2)) < 1e-12
-        assert got[0].dist(Point(0.5, -SQ3 / 2)) < 1e-12
+        assert math.dist(got[1], (0.5, SQ3 / 2)) < 1e-12
+        assert math.dist(got[0], (0.5, -SQ3 / 2)) < 1e-12
 
     def test_external_tangency_single_point(self):
         hits = circle_circle_intersections((0, 0, 1), (2, 0, 1))
         assert len(hits) == 1
-        assert hits[0].dist(Point(1, 0)) < 1e-12
+        assert math.dist(hits[0], (1, 0)) < 1e-12
 
     def test_disjoint(self):
         assert circle_circle_intersections((0, 0, 1), (5, 0, 1)) == []
@@ -247,7 +248,7 @@ class TestDirectedAngle:
         rng = random.Random(3)
         for _ in range(200):
             p, q, r = (Point(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(3))
-            if min(p.dist(q), r.dist(q)) < 1e-6:
+            if min(math.dist(p, q), math.dist(r, q)) < 1e-6:
                 continue
             assert angle_distance(directed_angle(p, q, r), -directed_angle(r, q, p)) < 1e-12
 
@@ -257,7 +258,7 @@ class TestDirectedAngle:
         for _ in range(300):
             q = Point(rng.uniform(-4, 4), rng.uniform(-4, 4))
             p, r, s = (Point(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(3))
-            if min(p.dist(q), r.dist(q), s.dist(q)) < 1e-3:
+            if min(math.dist(p, q), math.dist(r, q), math.dist(s, q)) < 1e-3:
                 continue
             lhs = half_turn(directed_angle(p, q, r) + directed_angle(r, q, s))
             assert angle_distance(lhs, directed_angle(p, q, s)) < 1e-12
@@ -274,10 +275,10 @@ class TestDirectedAngle:
 
 class TestInversion:
     def test_radius_squared_over_distance(self):
-        assert _invert((0, 0, 1), Point(2, 0)).dist(Point(0.5, 0)) < 1e-12
+        assert math.dist(_invert((0, 0, 1), Point(2, 0)), (0.5, 0)) < 1e-12
 
     def test_fixed_on_circle(self):
-        assert _invert((0, 0, 1), Point(0, 1)).dist(Point(0, 1)) < 1e-12
+        assert math.dist(_invert((0, 0, 1), Point(0, 1)), (0, 1)) < 1e-12
 
     def test_center_rejected(self):
         with pytest.raises(GeometryError, match="^the center inverts to an infinite point$"):
@@ -290,18 +291,18 @@ class TestInversion:
             d = r * rng.uniform(0.1, 10.0)
             phi = rng.uniform(0, 2 * math.pi)
             p = Point(cx + d * math.cos(phi), cy + d * math.sin(phi))
-            assert _invert(c, _invert(c, p)).dist(p) < 1e-9 * r
+            assert math.dist(_invert(c, _invert(c, p)), p) < 1e-9 * r
 
 
 class TestReflection:
     def test_y_axis(self):
         axis = _line(Point(0, 0), Point(0, 1))
-        assert _reflect(axis, Point(1, 0)).dist(Point(-1, 0)) < 1e-12
-        assert _reflect(axis, Point(0, 5)).dist(Point(0, 5)) < 1e-12
+        assert math.dist(_reflect(axis, Point(1, 0)), (-1, 0)) < 1e-12
+        assert math.dist(_reflect(axis, Point(0, 5)), (0, 5)) < 1e-12
 
     def test_diagonal_swaps_coordinates(self):
         diag = _line(Point(0, 0), Point(1, 1))
-        assert _reflect(diag, Point(2, 0)).dist(Point(0, 2)) < 1e-12
+        assert math.dist(_reflect(diag, Point(2, 0)), (0, 2)) < 1e-12
 
     def test_involution_and_line_distances(self):
         rng = random.Random(17)
@@ -313,19 +314,19 @@ class TestReflection:
             axis = _line(anchor, d)
             p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
             q = _reflect(axis, p)
-            assert _reflect(axis, q).dist(p) < 1e-12
+            assert math.dist(_reflect(axis, q), p) < 1e-12
             ax, ay, ux, uy = axis
             for t in (-2.0, 0.0, 1.5):
                 on_line = Point(ax + t * ux, ay + t * uy)
-                ref = max(1.0, p.dist(on_line))
-                assert abs(p.dist(on_line) - q.dist(on_line)) < 1e-12 * ref
+                ref = max(1.0, math.dist(p, on_line))
+                assert abs(math.dist(p, on_line) - math.dist(q, on_line)) < 1e-12 * ref
 
 
 class TestSecondIntersection:
     def test_diameter(self):
         line = _line(Point(0, 0), Point(0, 1))
         res = Point(*second_intersection(line, (0, 0, 1), Point(0, 1)))
-        assert res.dist(Point(0, -1)) < 1e-12
+        assert math.dist(res, (0, -1)) < 1e-12
 
     def test_tangent_returns_known(self):
         line = _line(Point(0, 1), Point(1, 0))
@@ -343,7 +344,7 @@ class TestSecondIntersection:
         s = math.sqrt(2) / 2
         line = _line(Point(0, 0), Point(1, 1))
         res = Point(*second_intersection(line, (0, 0, 1), Point(s, s)))
-        assert res.dist(Point(-s, -s)) < 1e-12
+        assert math.dist(res, (-s, -s)) < 1e-12
 
     def test_known_must_lie_on_both(self):
         with pytest.raises(
@@ -393,7 +394,7 @@ class TestTriangle:
         # base angles of 6e-4 rad, yet the circumcircle is well defined:
         # R = abc / 4K with a = b = sqrt(0.25 + 9e-8), c = 1, K = 1.5e-4
         t = Triangle(Point(0, 0), Point(1, 0), Point(0.5, 3e-4))
-        assert abs(t.circumradius - (0.25 + 9e-8) / 6e-4) < 1e-9
+        assert abs(measures_xy(t.xy).circumradius - (0.25 + 9e-8) / 6e-4) < 1e-9
 
     def test_every_constructed_triangle_has_a_circumcircle(self):
         rng = random.Random(11)
@@ -403,15 +404,15 @@ class TestTriangle:
             b = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
             # c next to b, in any direction: some of these are collinear
             # for circumcircle
-            d = b.dist(a) * 10.0 ** rng.uniform(-12.0, -6.0)
+            d = math.dist(b, a) * 10.0 ** rng.uniform(-12.0, -6.0)
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            c = b + Point(d * math.cos(phi), d * math.sin(phi))
+            c = Point(b.x + d * math.cos(phi), b.y + d * math.sin(phi))
             try:
                 t = Triangle(a, b, c)
             except CollinearError:
                 continue
             built += 1
-            assert t.circumradius > 0.0
+            assert circumcircle(*t.xy)[2] > 0.0
         assert 0 < built < 10000
 
     def test_angles_sum(self):
@@ -439,18 +440,12 @@ class TestTriangle:
             assert not _contains(t, Point(0.75, 0.75))
 
 
-def test_line_offset_and_param_match_vector_form():
-    # the scalar forms do the vector forms' float operations in their order
+def test_line_through_is_anchored_at_its_first_point_with_a_unit_direction():
     rng = random.Random(5)
     for _ in range(200):
-        a, b, p = (Point(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(3))
-        line = line_through(a, b)
-        ax, ay, dx, dy = line
-        anchor, direction = Point(ax, ay), Point(dx, dy)
-        assert anchor == a and abs(math.hypot(*direction) - 1.0) < 1e-14
-        assert offset_xy(*line, p.x, p.y) == direction.cross(p - anchor)
-        # the parameter of p's foot, as the figures' infinite line reads it
-        assert (p.x - ax) * dx + (p.y - ay) * dy == (p - anchor).dot(direction)
+        a, b = (Point(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(2))
+        ax, ay, dx, dy = line_through(a, b)
+        assert Point(ax, ay) == a and abs(math.hypot(dx, dy) - 1.0) < 1e-14
     with pytest.raises(ValueError, match="^line direction must be a nonzero finite vector$"):
         line_through(a, a)
 

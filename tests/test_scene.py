@@ -10,8 +10,8 @@ GOOD = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2.0, 1.0], "triad": [0.3, 
 
 def test_parse_basic():
     spec = parse_scene(GOOD)
-    assert spec.triangle.a.x == 0.0
-    assert spec.point.y == 1.0
+    assert spec.measures.xy[0] == 0.0
+    assert spec.point[1] == 1.0
     assert spec.triad_params == (0.3, 0.4, 0.5)
     assert spec.theta == 0.25
 
@@ -19,8 +19,8 @@ def test_parse_basic():
 def test_full_precision_floats_survive():
     text = '{"A": [0.1234567890123456, -7.1e-12], "B": [4, 0], "C": [1, 3]}'
     spec = parse_scene(text)
-    assert spec.triangle.a.x == 0.1234567890123456
-    assert spec.triangle.a.y == -7.1e-12
+    assert spec.measures.xy[0] == 0.1234567890123456
+    assert spec.measures.xy[1] == -7.1e-12
 
 
 def test_unknown_field_rejected():
@@ -78,10 +78,10 @@ def test_options_validated():
 def test_range_limits_are_inclusive():
     m = MAX_COORDINATE
     spec = parse_scene(f'{{"A": [{-m!r}, {-m!r}], "B": [{m!r}, {-m!r}], "C": [0, {m!r}], "P": [0, 0]}}')
-    assert spec.triangle.b.x == m
+    assert spec.measures.xy[2] == m
     side = MIN_LONGEST_SIDE
     spec = parse_scene(f'{{"A": [0, 0], "B": [{side!r}, 0], "C": [{side / 2!r}, {side / 2!r}]}}')
-    assert max(spec.triangle.side_lengths) == side
+    assert max(spec.measures.side_lengths) == side
 
 
 @pytest.mark.parametrize(

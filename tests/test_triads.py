@@ -26,6 +26,7 @@ from miquel.kernel import (
     circle_circle_intersections,
     circle_xy,
     circumcircle,
+    corners_xy,
     directed_angle_at_xy,
     directed_angle_xy,
     half_turn,
@@ -131,21 +132,38 @@ def _simson(t, p):
 
 
 def _parity(t, p):
-    return containment_parity(t.xy, t.circumcircle, p.x, p.y)
+    return containment_parity(t.xy, _circle(t), p.x, p.y)
 
 
 def _equations(t, p, triad):
     return verify_miquel_equations(t.xy, p.x, p.y, triad)
 
 
-def _direction(line):
-    return Point(*line[2:])
+def _circle(t):
+    return circumcircle(*t.xy)
+
+
+def _radius(t) -> float:
+    return _circle(t)[2]
+
+
+def _opposite(t, label):
+    """The endpoints of the side of ``t`` opposite ``label``, in cyclic order."""
+    return corners_xy(t.xy, label)[1:]
+
+
+def _along(line, p, q) -> float:
+    """The component of p − q along the direction of ``line``."""
+    _, _, dx, dy = line
+    (px, py), (qx, qy) = p, q
+    return (px - qx) * dx + (py - qy) * dy
 
 
 def _offset_from(circle, p):
     """Signed radial offset of ``p``: distance to the center minus the radius."""
     cx, cy, r = circle
-    return math.hypot(cx - p.x, cy - p.y) - r
+    px, py = p
+    return math.hypot(cx - px, cy - py) - r
 
 
 class TestPedalTriad:
@@ -157,18 +175,18 @@ class TestPedalTriad:
         h = _locate(TSCA, H)
         ped = _pedal(TSCA, h)
         for foot, v in zip(_points(ped), "ABC"):
-            side = line_through(*TSCA.opposite(v))
+            side = line_through(*_opposite(TSCA, v))
             assert abs(_offset(side, foot)) < 1e-12
-            assert abs((foot - h).dot(_direction(side))) < 1e-12
+            assert abs(_along(side, foot, h)) < 1e-12
 
     def test_antipode_simson_on_hypotenuse_line(self):
         # antipode of the right-angle vertex: the feet collapse onto line BC
         sim = _simson(T345, Point(4, 3))
-        feet = sorted((Point(*f) for f in sim.feet), key=lambda p: p.x)
-        assert feet[0].dist(Point(0, 3)) < 1e-12
-        assert feet[1].dist(Point(64 / 25, 27 / 25)) < 1e-12
-        assert feet[2].dist(Point(4, 0)) < 1e-12
-        hypotenuse = line_through(*T345.opposite("A"))
+        feet = sorted(sim.feet, key=lambda f: f[0])
+        assert math.dist(feet[0], (0, 3)) < 1e-12
+        assert math.dist(feet[1], (64 / 25, 27 / 25)) < 1e-12
+        assert math.dist(feet[2], (4, 0)) < 1e-12
+        hypotenuse = line_through(*_opposite(T345, "A"))
         for f in sim.feet:
             assert abs(_offset(hypotenuse, f)) < 1e-12
         assert sim.max_deviation() < 1e-12
@@ -184,7 +202,7 @@ class TestPedalTriad:
         # A is on lines CA and AB, so two feet are A; the third is the foot of
         # the altitude from A
         sim = _simson(TSCA, TSCA.a)
-        foot = Point(*project_xy(*line_through(*TSCA.opposite("A")), *TSCA.a))
+        foot = Point(*project_xy(*line_through(*_opposite(TSCA, "A")), *TSCA.a))
         altitude = line_through(TSCA.a, foot)
         for f in sim.feet:
             assert abs(_offset(altitude, f)) < 1e-12
@@ -194,12 +212,12 @@ class TestPedalTriad:
         rng = rng_for(0, "pedal", 0)
         for _ in range(100):
             t = _triangle(random_triangle(rng))
-            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, _circle(t)))
             triad = _pedal(t, p)
             for foot, v in zip(_points(triad), "ABC"):
-                side = line_through(*t.opposite(v))
-                assert abs(_offset(side, foot)) < 1e-12 * t.circumradius
-                assert abs((foot - p).dot(_direction(side))) < 1e-12 * t.circumradius
+                side = line_through(*_opposite(t, v))
+                assert abs(_offset(side, foot)) < 1e-12 * _radius(t)
+                assert abs(_along(side, foot, p)) < 1e-12 * _radius(t)
 
 
 class TestTriadAt:
@@ -244,7 +262,7 @@ class TestMiquelPoint:
 
     def test_uniform_params_concurrency(self):
         res = _miquel(TSCA, _triad_at(TSCA, 0.3, 0.3, 0.3))
-        assert res.residual < 1e-9 * TSCA.circumradius
+        assert res.residual < 1e-9 * _radius(TSCA)
         # frozen regression value for the workhorse triangle
         assert math.dist(res.point, Point(1.7023121387283235, 0.6849710982658955)) < 1e-10
 
@@ -258,7 +276,7 @@ class TestMiquelPoint:
                 if abs(s) > 0.05 and abs(s - 1.0) > 0.05:
                     params.append(s)
             res = _miquel(t, _triad_at(t, *params))
-            assert res.residual < 1e-8 * t.circumradius
+            assert res.residual < 1e-8 * _radius(t)
 
     def test_circles_pass_through_expected_points(self):
         triad = _triad_at(TSCA, 0.4, 0.7, 0.2)
@@ -295,7 +313,7 @@ class TestMiquelPoint:
         triad = _triad_at(TSCA, 0.2, 0.8, 0.1716117818584988)
         res = _miquel(TSCA, triad)
         assert res.tangent
-        assert math.dist(res.point, _points(triad)[2]) < 1e-12 * TSCA.circumradius
+        assert math.dist(res.point, _points(triad)[2]) < 1e-12 * _radius(TSCA)
         assert not _miquel(TSCA, _triad_at(TSCA, 0.2, 0.8, 0.3)).tangent
 
 
@@ -317,11 +335,11 @@ class TestFamilyMember:
         rng = rng_for(0, "family", 0)
         for _ in range(500):
             t = _triangle(random_triangle(rng))
-            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, _circle(t)))
             theta = rng.uniform(-1.2, 1.2)
             fam = _family(t, p, theta)
             res = _miquel(t, fam)
-            assert math.dist(res.point, p) < 1e-8 * t.circumradius
+            assert math.dist(res.point, p) < 1e-8 * _radius(t)
             ped = _pedal(t, p)
             ratio = _triangle(fam).side_lengths[0] / _triangle(ped).side_lengths[0]
             assert abs(ratio - 1.0 / math.cos(theta)) < 1e-8 * (1.0 / math.cos(theta))
@@ -344,7 +362,7 @@ class TestFamilyMember:
         for th, tri in zip(thetas, tris):
             match = classify_similarity(ped.xy, tri.xy, tol)
             assert match is not None and match.order == (0, 1, 2)
-            scale = tri.circumradius / ped.circumradius
+            scale = _radius(tri) / _radius(ped)
             assert abs(scale - 1.0 / math.cos(th)) < 1e-8 / math.cos(th)
         for i in range(len(tris) - 1):
             match = classify_similarity(tris[i].xy, tris[i + 1].xy, tol)
@@ -358,7 +376,7 @@ class TestFamilyMember:
         for _ in range(20):
             t = _triangle(random_catalog_triangle(rng))
             host = shape_ratio(t.xy, (0, 1, 2))
-            for e in eleven_point_catalog(t.xy):
+            for e in eleven_point_catalog(measures_xy(t.xy)):
                 for theta in (-1.0, -0.4, 0.0, 0.3, 1.2):
                     member = _triangle(_family(t, Point(*e.location), theta))
                     gap = shape_gap(host, shape_ratio(member.xy, e.order), e.mirrored)
@@ -369,8 +387,9 @@ def _family_member_by_spoke_lines(t, p, theta):
     """Each spoke from p to its pedal foot, rotated and cut with its side line."""
     feet = []
     for v in "ABC":
-        side = line_through(*t.opposite(v))
-        sx, sy = Point(*project_xy(*side, p.x, p.y)) - p
+        side = line_through(*_opposite(t, v))
+        fx, fy = project_xy(*side, p.x, p.y)
+        sx, sy = fx - p.x, fy - p.y
         c, s = math.cos(theta), math.sin(theta)
         spoke = unit_direction(c * sx - s * sy, s * sx + c * sy)
         feet.append(line_line_intersection((p.x, p.y, *spoke), side))
@@ -381,7 +400,7 @@ def _miquel_point_by_radical_line(t, triad):
     """The hit of circles AYZ and BZX farther from Z, where both meet."""
     x, y, z = _points(triad)
     hits = circle_circle_intersections(circumcircle(*t.a, *y, *z), circumcircle(*t.b, *z, *x))
-    return max(hits, key=lambda q: q.dist(z))
+    return max(hits, key=lambda q: math.dist(q, z))
 
 
 class TestClosedFormsAgainstConstructions:
@@ -392,12 +411,12 @@ class TestClosedFormsAgainstConstructions:
             hosts.append(_triangle(random_acute_triangle(rng)))
             hosts.extend(_triangle(random_obtuse_at(rng, v)) for v in "ABC")
         for t in hosts:
-            r = t.circumradius
-            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
+            r = _radius(t)
+            p = Point(*random_point_in_circumdisk(rng, t.xy, _circle(t)))
             theta = rng.uniform(-1.2, 1.2)
             fam = _family(t, p, theta)
             for foot, oracle in zip(_points(fam), _family_member_by_spoke_lines(t, p, theta)):
-                assert foot.dist(oracle) < 1e-12 * r
+                assert math.dist(foot, oracle) < 1e-12 * r
             params = [rng.uniform(-1.0, 2.0) for _ in range(3)]
             for triad in (fam, _triad_at(t, *params)):
                 point = _miquel(t, triad).point
@@ -406,7 +425,7 @@ class TestClosedFormsAgainstConstructions:
 
 def _cevian_angles(t, p):
     """alpha1, beta1, gamma1 and alpha2, beta2, gamma2 of the point p."""
-    xy, r = t.xy, t.circumradius
+    xy, r = t.xy, _radius(t)
     return (cevian_angles_xy(xy, p.x, p.y, r, False),
             cevian_angles_xy(xy, p.x, p.y, r, True))
 
@@ -433,7 +452,7 @@ class TestAngleSextet:
         rng = rng_for(0, "sextet", 0)
         for _ in range(100):
             t = _triangle(random_triangle(rng))
-            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, _circle(t)))
             firsts, seconds = _cevian_angles(t, p)
             for first, second, v in zip(firsts, seconds, "ABC"):
                 assert angle_distance(first + second, directed_angle_at_xy(t.xy, v)) < 1e-12
@@ -441,11 +460,11 @@ class TestAngleSextet:
     def test_vertex_rejected(self):
         for second in (False, True):
             with pytest.raises(GeometryError, match="^the point coincides with a vertex$"):
-                cevian_angles_xy(TSCA.xy, 0.0, 0.0, TSCA.circumradius, second)
+                cevian_angles_xy(TSCA.xy, 0.0, 0.0, _radius(TSCA), second)
 
 
 def _miquel_angles(t, p):
-    return miquel_angles_xy(t.xy, p.x, p.y, t.circumradius)
+    return miquel_angles_xy(t.xy, p.x, p.y, _radius(t))
 
 
 class TestMiquelTriangleAngles:
@@ -471,7 +490,7 @@ class TestMiquelTriangleAngles:
         rng = rng_for(0, "lemma-angles", 0)
         for _ in range(200):
             t = _triangle(random_triangle(rng))
-            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, _circle(t)))
             ang_x, ang_y, ang_z = _miquel_angles(t, p)
             x, y, z = _points(_pedal(t, p))
             assert angle_distance(ang_x, _angle(y, x, z)) < 1e-8
@@ -496,7 +515,7 @@ class TestMiquelEquations:
         rng = rng_for(0, "equations", 0)
         for _ in range(500):
             t = _triangle(random_triangle(rng))
-            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, _circle(t)))
             theta = rng.uniform(-1.2, 1.2)
             assert _equations(t, p, _family(t, p, theta)) < 1e-9
 
@@ -531,16 +550,16 @@ class TestClassifySimilarity:
             t = _triangle(random_triangle(rng))
             s = rng.uniform(0.3, 3.0)
             phi = rng.uniform(0, 2 * math.pi)
-            shift = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            shift_x, shift_y = rng.uniform(-2, 2), rng.uniform(-2, 2)
             c, sn = math.cos(phi), math.sin(phi)
             moved = Triangle(*(
-                Point(c * d.x - sn * d.y, sn * d.x + c * d.y) * s + shift
-                for d in (v - t.a for v in t.vertices)
+                Point((c * dx - sn * dy) * s + shift_x, (sn * dx + c * dy) * s + shift_y)
+                for dx, dy in ((v.x - t.a.x, v.y - t.a.y) for v in (t.a, t.b, t.c))
             ))
             match = classify_similarity(t.xy, moved.xy, ANGLE_EPS)
             assert match is not None
             assert match.order == (0, 1, 2)
-            assert abs(moved.circumradius / t.circumradius - s) < 1e-9 * s
+            assert abs(_radius(moved) / _radius(t) - s) < 1e-9 * s
 
     def test_equilateral_tie_goes_to_abc(self):
         # all six correspondences fit EQUI, even against a relabeled copy;
@@ -582,8 +601,8 @@ class TestDetectSpecialRole:
     def test_automedian_centroid_is_median_role(self):
         # b² + c² = 2a² puts M_A on the centroid; the centroid is no candidate
         t = Triangle(Point(0, 0), Point(4, 0), Point(3, math.sqrt(23)))
-        g = (t.a + t.b + t.c) / 3.0
-        assert m_point(measures_xy(t.xy), "A").dist(g) < 1e-12 * t.circumradius
+        g = (t.a.x + t.b.x + t.c.x) / 3.0, (t.a.y + t.b.y + t.c.y) / 3.0
+        assert math.dist(m_point(measures_xy(t.xy), "A"), g) < 1e-12 * _radius(t)
         assert detect_special_role(measures_xy(t.xy), *g, LENGTH_EPS) == SpecialRole("m_role", "A")
 
     def test_generic_point_is_none(self):
@@ -616,13 +635,14 @@ class TestDetectSpecialRole:
         # the arc circle is built all the same
         t = Triangle(Point(0, 3e-6), Point(-1, 0), Point(1, 0))
         l = _locate(t, L)
-        cross, span = (t.c - t.b).cross(l - t.b), t.b.dist(t.c)
+        (bx, by), (cx, cy), (lx, ly) = t.b, t.c, l
+        cross, span = (cx - bx) * (ly - by) - (cy - by) * (lx - bx), math.dist(t.b, t.c)
         assert LENGTH_EPS * span**2 < abs(cross) <= CHAIN_DETECT_TOL * span**2
         arc = circumcircle(*t.b, *t.c, *l)
         # on the arc, away from every named point (the nearest, at x = 1/3,
         # is 0.27 from it; the band is 0.17)
         p = Point(0.6, arc[1] + math.sqrt(arc[2]**2 - 0.36))
-        assert abs(_offset_from(arc, p)) < LENGTH_EPS * t.circumradius
+        assert abs(_offset_from(arc, p)) < LENGTH_EPS * _radius(t)
         role = detect_special_role(measures_xy(t.xy), *p, CHAIN_DETECT_TOL)
         assert role == SpecialRole("q_role", "A")
 
@@ -641,7 +661,7 @@ class TestContainmentParity:
         rng = rng_for(0, "parity", 0)
         for _ in range(50):
             t = _triangle(random_triangle(rng))
-            p = Point(*random_exterior_point(rng, t.xy, t.circumcircle,
+            p = Point(*random_exterior_point(rng, t.xy, _circle(t),
                                              min_factor=2.0, max_factor=5.0))
             rep = _parity(t, p)
             assert not rep.inside_host and not rep.inside_miquel and rep.agree
@@ -653,12 +673,12 @@ class TestContainmentParity:
             p = (
                 Point(*random_interior_point(rng, t.xy))
                 if rng.random() < 0.5
-                else Point(*random_exterior_point(rng, t.xy, t.circumcircle,
+                else Point(*random_exterior_point(rng, t.xy, _circle(t),
                                                   min_factor=0.2, max_factor=4.0))
             )
-            if abs(_offset_from(t.circumcircle, p)) < 1e-3 * t.circumradius:
+            if abs(_offset_from(_circle(t), p)) < 1e-3 * _radius(t):
                 continue
-            if t.min_side_line_distance(p) < 1e-3 * t.circumradius:
+            if t.min_side_line_distance(p) < 1e-3 * _radius(t):
                 continue
             assert _parity(t, p).agree
 
@@ -668,7 +688,7 @@ class TestContainmentParity:
         with pytest.raises(
             GeometryError, match="^the pedal triple degenerates on the circumcircle$"
         ):
-            _parity(t, Point(*random_circumcircle_point(rng, t.xy, t.circumcircle)))
+            _parity(t, Point(*random_circumcircle_point(rng, t.xy, _circle(t))))
 
     def test_side_line_point_rejected(self):
         with pytest.raises(OnSideLineError):
@@ -683,13 +703,16 @@ class TestContainmentParity:
 
 def _orientation(t):
     """+1 when A, B, C turn counter-clockwise, else -1: the sign of the area."""
-    return 1 if 0.5 * (t.b - t.a).cross(t.c - t.a) > 0.0 else -1
+    (ax, ay), (bx, by), (cx, cy) = t.a, t.b, t.c
+    return 1 if 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) > 0.0 else -1
 
 
 def _contains_by_operators(t, p):
+    """p is on the inner side of each edge: sign·(q2 − q1)×(p − q1) > 0."""
     sign = _orientation(t)
     return all(
-        sign * (q2 - q1).cross(p - q1) > 0.0 for q1, q2 in ((t.a, t.b), (t.b, t.c), (t.c, t.a))
+        sign * ((q2.x - q1.x) * (p.y - q1.y) - (q2.y - q1.y) * (p.x - q1.x)) > 0.0
+        for q1, q2 in ((t.a, t.b), (t.b, t.c), (t.c, t.a))
     )
 
 
@@ -697,7 +720,7 @@ def _miquel_equations_by_objects(t, p, triad):
     """verify_miquel_equations on the object path: the point of
     miquel_point's MiquelResult and the host's directed_angle_at, each
     angle sum reduced by half_turn."""
-    if math.dist(_miquel(t, triad).point, p) > CONCURRENCY_BAND * t.circumradius:
+    if math.dist(_miquel(t, triad).point, p) > CONCURRENCY_BAND * _radius(t):
         raise GeometryError("the triad's concurrency point is not the given point")
     x, y, z = _points(triad)
     ang_a, ang_b, ang_c = (directed_angle_at_xy(t.xy, v) for v in "ABC")
@@ -711,8 +734,8 @@ def _miquel_equations_by_objects(t, p, triad):
 def _containment_parity_by_objects(t, p):
     """containment_parity on the object path: the checked pedal triad, its Triangle,
     Point differences and the host's min_side_line_distance."""
-    reject_side_lines(t.min_side_line_distance(p), t.circumradius)
-    if on_circle_xy(t.circumcircle, p.x, p.y):
+    reject_side_lines(t.min_side_line_distance(p), _radius(t))
+    if on_circle_xy(_circle(t), p.x, p.y):
         raise GeometryError("the pedal triple degenerates on the circumcircle")
     triad = _pedal(t, p)
     inside_host = _contains_by_operators(t, p)
@@ -739,10 +762,10 @@ def _trial_points(rng, t, i):
         return Point(*random_interior_point(rng, t.xy))
     if i % 3 == 1:
         while True:
-            p = Point(*random_point_in_circumdisk(rng, t.xy, t.circumcircle, line_margin=0.03))
+            p = Point(*random_point_in_circumdisk(rng, t.xy, _circle(t), line_margin=0.03))
             if not _contains_by_operators(t, p):
                 return p
-    return Point(*random_exterior_point(rng, t.xy, t.circumcircle, min_factor=1.05, max_factor=5.0))
+    return Point(*random_exterior_point(rng, t.xy, _circle(t), min_factor=1.05, max_factor=5.0))
 
 
 class TestCoordinatePathsAgainstObjects:
@@ -761,7 +784,7 @@ class TestCoordinatePathsAgainstObjects:
                 else _triad_at(t, *(rng.uniform(-1.0, 2.0) for _ in range(3)))
             )
             # p itself, and p moved just past the drift band
-            off = Point(p.x + 1.5 * CONCURRENCY_BAND * t.circumradius, p.y)
+            off = Point(p.x + 1.5 * CONCURRENCY_BAND * _radius(t), p.y)
             for q in (p, off):
                 expected = _outcome(_miquel_equations_by_objects, t, q, triad)
                 assert _outcome(_equations, t, q, triad) == expected
@@ -771,7 +794,7 @@ class TestCoordinatePathsAgainstObjects:
         for i in range(300):
             t = _triangle(random_triangle(rng))
             trial = _trial_points(rng, t, i)
-            on_circle = Point(*random_circumcircle_point(rng, t.xy, t.circumcircle))
+            on_circle = Point(*random_circumcircle_point(rng, t.xy, _circle(t)))
             for p in (trial, on_circle):
                 expected = _outcome(_containment_parity_by_objects, t, p)
                 assert _outcome(_parity, t, p) == expected
@@ -798,8 +821,8 @@ class TestSimson:
         rng = rng_for(0, "simson", 0)
         for _ in range(200):
             t = _triangle(random_triangle(rng))
-            p = Point(*random_circumcircle_point(rng, t.xy, t.circumcircle))
-            assert _simson(t, p).max_deviation() < 1e-9 * t.circumradius
+            p = Point(*random_circumcircle_point(rng, t.xy, _circle(t)))
+            assert _simson(t, p).max_deviation() < 1e-9 * _radius(t)
 
 
 class TestExteriorCatalogFeet:
@@ -810,8 +833,8 @@ class TestExteriorCatalogFeet:
         for _ in range(20):
             t = _triangle(random_catalog_triangle(rng))
             for v in "ABC":
-                q = Point(*invert_xy(t.circumcircle, *s_point(measures_xy(t.xy), v)))
-                assert t.min_side_line_distance(q) < 1e-9 * t.circumradius
+                q = Point(*invert_xy(_circle(t), *s_point(measures_xy(t.xy), v)))
+                assert t.min_side_line_distance(q) < 1e-9 * _radius(t)
                 shape = _triangle(_pedal(t, q))
                 match = classify_similarity(t.xy, shape.xy, 1e-7)
                 assert match is not None
