@@ -7,7 +7,7 @@ import math
 from functools import cached_property
 from typing import Sequence
 
-from .centers import measures_xy
+from .centers import Measures, measures_xy
 from .errors import DegenerateStepError, GeometryError
 from .kernel import (
     MAX_COORDINATE,
@@ -16,7 +16,6 @@ from .kernel import (
     Frozen,
     TriangleXY,
     circle_xy,
-    circumcircle,
     reject_side_lines,
     set_field,
     shape_gap,
@@ -44,13 +43,13 @@ MAX_CHAIN_STEPS = 12
 
 
 class ChainRecord(Frozen):
-    """A run of nested triad triangles sharing one concurrency point, all
-    on coordinates: the ``seed`` triangle, the ``point`` as an (x, y) pair.
+    """A run of nested triad triangles sharing one concurrency point: the
+    ``seed`` triangle's ``Measures``, the ``point`` as an (x, y) pair.
 
     ``steps[k]`` is the triangle after k+1 steps, as its six coordinates;
     its vertices are the triad points relabeled A = point on the old BC,
     B = on CA, C = on AB. ``circles`` are the circumcircles of the seed and
-    the steps as the chain computed them: the seed's ``circumcircle``, then
+    the steps as the chain computed them: the seed's measured one, then
     ``circle_xy``'s.
 
     ``roles`` are detected with ``CHAIN_DETECT_TOL`` on first read and
@@ -60,13 +59,13 @@ class ChainRecord(Frozen):
     """
 
     _fields = ("seed", "point", "steps", "circles")
-    seed: TriangleXY
+    seed: Measures
     point: tuple[float, float]
     steps: tuple[TriangleXY, ...]
     circles: tuple[CircleXY, ...]
 
     def __init__(
-        self, seed: TriangleXY, point: tuple[float, float], steps: tuple[TriangleXY, ...],
+        self, seed: Measures, point: tuple[float, float], steps: tuple[TriangleXY, ...],
         circles: tuple[CircleXY, ...],
     ) -> None:
         set_field(self, "seed", seed)
@@ -76,20 +75,21 @@ class ChainRecord(Frozen):
 
     @cached_property
     def roles(self) -> tuple[SpecialRole, ...]:
-        """The role ``point`` plays in the seed and in each step, each
-        measured on its kept circle, so no circumcircle is computed again."""
+        """The role ``point`` plays in the seed, on its measures, and in each
+        step, measured on its kept circle, so no circumcircle is computed again."""
         px, py = self.point
-        return tuple(
-            detect_special_role(measures_xy(xy, circle), px, py, CHAIN_DETECT_TOL)
-            for xy, circle in zip((self.seed, *self.steps), self.circles)
+        return (
+            detect_special_role(self.seed, px, py, CHAIN_DETECT_TOL),
+            *(detect_special_role(measures_xy(xy, circle), px, py, CHAIN_DETECT_TOL)
+              for xy, circle in zip(self.steps, self.circles[1:])),
         )
 
 
 def iterate_chain(
-    seed: TriangleXY, px: float, py: float, k: int, thetas: Sequence[float] | None = None
+    seed: Measures, px: float, py: float, k: int, thetas: Sequence[float] | None = None
 ) -> ChainRecord:
-    """Run ``k`` nesting steps from the triangle ``seed`` with fixed point
-    P = (px, py), at most ``MAX_CHAIN_STEPS``.
+    """Run ``k`` nesting steps from the triangle measured as ``seed`` with
+    fixed point P = (px, py), at most ``MAX_CHAIN_STEPS``.
 
     Step i takes the family member of the current triangle at rotation
     ``thetas[i]`` (default all zero: the pedal chain) and promotes its triad
@@ -98,10 +98,10 @@ def iterate_chain(
     on it. Each step triangle must stay inside the coordinate range that
     scenes are held to (``MAX_COORDINATE``, ``MIN_LONGEST_SIDE``).
 
-    The seed's circumcircle comes from ``circumcircle``, with its errors;
-    each step triangle is kept as its six floats and its circumcircle comes
-    from ``circle_xy``. No role is detected here: the record detects each
-    role with ``CHAIN_DETECT_TOL`` on first read.
+    The seed's circumcircle is the one ``seed`` holds, the floats of
+    ``circumcircle``; each step triangle is kept as its six floats and its
+    circumcircle comes from ``circle_xy``. No role is detected here: the
+    record detects each role with ``CHAIN_DETECT_TOL`` on first read.
 
     A step raises ``DegenerateStepError``, in this order: for a point on the
     circumcircle; wrapping, with the step number, what ``family_xy`` and
@@ -120,10 +120,10 @@ def iterate_chain(
         raise ValueError(f"theta schedule has {len(thetas)} entries for {k} steps")
     big = MAX_COORDINATE
     steps: list[TriangleXY] = []
-    host = seed
-    # the seed's circumcircle checks that its center and radius are finite;
-    # each step triangle lies inside the coordinate range, where they are
-    circle = circumcircle(*seed)
+    host = seed.xy
+    # measuring the seed checked that its center and radius are finite; each
+    # step triangle lies inside the coordinate range, where they are
+    circle = (*seed.circumcenter_xy, seed.circumradius)
     circles = [circle]
     for i, theta in enumerate(thetas):
         if on_circle_xy(circle, px, py):
@@ -163,7 +163,7 @@ def check_mod3_similarity(rec: ChainRecord) -> float:
     """The worst relative gap |r_j − r_i| / |r_i| between the shape ratios
     r = (B − A)/(C − A) of chain triangles i ≡ j (mod 3), which are directly
     similar, vertex for vertex; a mirrored or relabeled triangle is not."""
-    coords = [rec.seed, *rec.steps]
+    coords = [rec.seed.xy, *rec.steps]
     if len(coords) < 4:
         raise ValueError("need at least four triangles to compare mod-3 classes")
     ratios = [shape_ratio(xy, (0, 1, 2)) for xy in coords]

@@ -217,7 +217,7 @@ def cmd_chain(args) -> int:
     scene = _load_scene(args.infile)
     px, py = _require_point(scene, args.point)
     thetas = _parse_numbers(args.thetas, "--thetas", args.steps) if args.thetas else None
-    rec = iterate_chain(scene.measures.xy, px, py, args.steps, thetas=thetas)
+    rec = iterate_chain(scene.measures, px, py, args.steps, thetas=thetas)
     worst = check_mod3_similarity(rec) if args.steps >= 3 else None
     doc = {
         "steps": args.steps,

@@ -333,6 +333,10 @@ _INCENTER_ROW = next(
     i for i, (role, _) in enumerate(centers.NAMED_POINTS) if role.role == "incenter"
 )
 
+# detection's candidates: each row of ``centers.NAMED_POINTS`` but the centroid
+_CANDIDATE_ROWS = tuple((i, role) for i, (role, _) in enumerate(centers.NAMED_POINTS)
+                        if role.role != "centroid")
+
 
 def detect_special_role(m: Measures, px: float, py: float, length_eps: float) -> SpecialRole:
     """Which named center of the triangle measured as ``m``
@@ -353,15 +357,16 @@ def detect_special_role(m: Measures, px: float, py: float, length_eps: float) ->
     eps = length_eps * m.circumradius
     best_role, best_dist = NONE_ROLE, math.inf
     located = centers.named_points_xy(m)
-    for (role, _), loc in zip(centers.NAMED_POINTS, located):
-        if loc is None or role.role == "centroid":
+    p = px, py
+    for i, role in _CANDIDATE_ROWS:
+        loc = located[i]
+        if loc is None:
             continue
-        x, y = loc
-        d = math.hypot(x - px, y - py)
+        d = math.dist(loc, p)  # the floats of math.hypot(x - px, y - py)
         if d < best_dist:
             best_role, best_dist = role, d
         elif not d < math.inf:
-            checked_xy(x, y)  # a location that is not finite: rejected
+            checked_xy(*loc)  # a location that is not finite: rejected
     if best_dist < eps:
         return best_role
     ix, iy = located[_INCENTER_ROW]

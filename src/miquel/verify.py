@@ -78,8 +78,13 @@ class ClaimResult:
         self.tol = tol
         self.trials = 0
         self.max_residual = 0.0
-        self.worst: str | None = None
+        self._worst: tuple | None = None  # (i, t, p, note) of the worst trial
         self.informational = informational
+
+    @property
+    def worst(self) -> str | None:
+        """The witness of the worst trial, formatted when read."""
+        return None if self._worst is None else _witness(*self._worst)
 
     @property
     def passed(self) -> bool:
@@ -90,14 +95,14 @@ class ClaimResult:
         self, residual: float, i: int, t: TriangleXY, p=None, note: str = ""
     ) -> None:
         """Count trial ``i`` on host ``t`` (and point ``p``, an (x, y) pair);
-        its witness is formatted only when it is the new worst. A NaN residual
+        it is kept for ``worst`` when it is the new worst. A NaN residual
         fails the trial: it counts as ``inf``, so no NaN is reported."""
         self.trials += 1
         if math.isnan(residual):
             residual = math.inf
         if residual > self.max_residual:
             self.max_residual = residual
-            self.worst = _witness(i, t, p) + note
+            self._worst = i, t, p, note
 
     def add_bool(
         self, ok: bool, i: int, t: TriangleXY, p=None, note: str = ""
@@ -127,13 +132,13 @@ class SuiteReport:
         return rng_for(self.seed, self.suite, trial)
 
 
-def _witness(i: int, t: TriangleXY, p=None) -> str:
+def _witness(i: int, t: TriangleXY, p, note: str) -> str:
     ax, ay, bx, by, cx, cy = t
     core = f"trial {i}: A=({ax!r},{ay!r}) B=({bx!r},{by!r}) C=({cx!r},{cy!r})"
     if p is not None:
         px, py = p
         core += f" P=({px!r},{py!r})"
-    return core
+    return core + note
 
 
 def _pedal(t: TriangleXY, px: float, py: float) -> Measures:
@@ -486,14 +491,13 @@ def suite_theorem13(report: SuiteReport) -> None:
         conj.add(math.hypot(jx - tx, jy - ty) / m.circumradius, i, t, q)
 
 
-def _chain_points(rng, xy: TriangleXY) -> list[tuple[str, tuple[float, float]]]:
-    m = measures_xy(xy)
+def _chain_points(rng, m: Measures) -> list[tuple[str, tuple[float, float]]]:
     return [
         ("O", locate_xy(m, SpecialRole("circumcenter"))),
         ("H", locate_xy(m, SpecialRole("orthocenter"))),
         ("L", locate_xy(m, SpecialRole("incenter"))),
         ("brocard1", locate_xy(m, SpecialRole("first_brocard"))),
-        ("random", random_interior_point(rng, xy)),
+        ("random", random_interior_point(rng, m.xy)),
     ]
 
 
@@ -505,13 +509,14 @@ def suite_theorem14(report: SuiteReport) -> None:
     k = 9
     for i in range(report.trials):
         rng = report.rng(i)
-        xy = random_triangle(rng, min_angle=0.35, right_gap=0.1)
-        for name, p in _chain_points(rng, xy):
-            gap = check_mod3_similarity(iterate_chain(xy, *p, k))
-            default_sched.add(gap, i, xy, p, note=f" [{name}]")
-            thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(k)]
-            gap = check_mod3_similarity(iterate_chain(xy, *p, k, thetas=thetas))
-            random_sched.add(gap, i, xy, p, note=f" [{name}]")
+        m = measures_xy(random_triangle(rng, min_angle=0.35, right_gap=0.1))
+        draw = rng.random
+        for name, p in _chain_points(rng, m):
+            gap = check_mod3_similarity(iterate_chain(m, *p, k))
+            default_sched.add(gap, i, m.xy, p, note=f" [{name}]")
+            thetas = [-math.pi / 3 + (math.pi / 3 - -math.pi / 3) * draw() for _ in range(k)]
+            gap = check_mod3_similarity(iterate_chain(m, *p, k, thetas=thetas))
+            random_sched.add(gap, i, m.xy, p, note=f" [{name}]")
 
 
 # theorem15's correspondences: for each named point, chain triangle k against
@@ -531,7 +536,7 @@ SEED_CORRESPONDENCES = {
 def _seed_gaps(rec, name: str):
     """(k, gap) for each chain triangle k that ``SEED_CORRESPONDENCES`` pins
     for ``name``: its shape-ratio gap from the seed under that correspondence."""
-    seed = shape_ratio(rec.seed, (0, 1, 2))
+    seed = shape_ratio(rec.seed.xy, (0, 1, 2))
     for k, xy in enumerate(rec.steps, 1):
         if k % 3 in SEED_CORRESPONDENCES[name]:
             order, mirrored = SEED_CORRESPONDENCES[name][k % 3]
@@ -556,7 +561,7 @@ def suite_theorem15(report: SuiteReport) -> None:
 
         for which, name in (("first", "Ω₁"), ("second", "Ω₂")):
             px, py = locate_xy(m, SpecialRole(f"{which}_brocard"))
-            rec = iterate_chain(seed, px, py, k)
+            rec = iterate_chain(m, px, py, k)
             for _, gap in _seed_gaps(rec, name):
                 brocard_all.add(gap, i, seed, note=f" [{which}]")
             for xy, (*_, r) in zip((seed, *rec.steps), rec.circles):
@@ -569,10 +574,10 @@ def suite_theorem15(report: SuiteReport) -> None:
             (h_m_steps, "H", locate_xy(m, SpecialRole("orthocenter"))),
             (h_m_steps, f"M_{v}", locate_xy(m, SpecialRole("m_role", v))),
         ):
-            for step_idx, gap in _seed_gaps(iterate_chain(seed, *p, k), name):
+            for step_idx, gap in _seed_gaps(iterate_chain(m, *p, k), name):
                 claim.add(gap, i, seed, note=f" [k={step_idx}]")
 
-        rec = iterate_chain(seed, *random_interior_point(rng, seed), 2)
+        rec = iterate_chain(m, *random_interior_point(rng, seed), 2)
         # steps 1 and 2
         dissimilar = all(
             classify_similarity(seed, xy, CHAIN_SIMILARITY_TOL) is None for xy in rec.steps
@@ -595,12 +600,12 @@ def suite_corollary4(report: SuiteReport) -> None:
         v = VERTEX_LABELS[i % 3]
 
         o = locate_xy(m, SpecialRole("circumcenter"))
-        roles = iterate_chain(seed, *o, k).roles
+        roles = iterate_chain(m, *o, k).roles
         ok = roles[0].role == "circumcenter" and follows_role_cycle(roles)
         center_cycle.add_bool(ok, i, seed, note=" [O]")
 
         s = locate_xy(m, SpecialRole("s_role", v))
-        roles = iterate_chain(seed, *s, k).roles
+        roles = iterate_chain(m, *s, k).roles
         ok = (
             roles[0].role == "s_role"
             and follows_role_cycle(roles)
@@ -610,7 +615,7 @@ def suite_corollary4(report: SuiteReport) -> None:
 
         for which, role_name in (("first", "first_brocard"), ("second", "second_brocard")):
             p = locate_xy(m, SpecialRole(role_name))
-            rec = iterate_chain(seed, *p, k)
+            rec = iterate_chain(m, *p, k)
             brocard_fixed.add_bool(
                 all(r.role == role_name for r in rec.roles), i, seed, note=f" [{which}]"
             )

@@ -57,7 +57,7 @@ def _locate(t, role):
 
 def _triangles(rec):
     """The seed and the step triangles of ``rec``, as coordinates."""
-    return (rec.seed, *rec.steps)
+    return (rec.seed.xy, *rec.steps)
 
 
 def _radius(t):
@@ -66,7 +66,7 @@ def _radius(t):
 
 class TestIterateChain:
     def test_equilateral_medial_chain(self):
-        rec = iterate_chain(EQUI, 0.0, 0.0, 3)
+        rec = iterate_chain(measures_xy(EQUI), 0.0, 0.0, 3)
         for host, step in zip(_triangles(rec), rec.steps):
             # the pedal feet of the center are the side midpoints
             for v in "ABC":
@@ -80,20 +80,20 @@ class TestIterateChain:
             assert abs(scale - 0.5) < 1e-12
 
     def test_scalene_mod3_seed_similarity(self):
-        rec = iterate_chain(TSCA, *_locate(TSCA, O), 3)
-        match = classify_similarity(rec.seed, rec.steps[2], CHAIN_SIMILARITY_TOL)
+        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 3)
+        match = classify_similarity(rec.seed.xy, rec.steps[2], CHAIN_SIMILARITY_TOL)
         assert match is not None
 
     def test_circumcircle_point_collapses(self):
         rng = rng_for(0, "chains", 0)
         p = random_circumcircle_point(rng, TSCA, circumcircle(*TSCA))
         with pytest.raises(DegenerateStepError):
-            iterate_chain(TSCA, *p, 2)
+            iterate_chain(measures_xy(TSCA), *p, 2)
 
     def test_side_line_point_degenerates(self):
         # the midpoint of BC lies on a side line of the seed
         with pytest.raises(DegenerateStepError, match="step 0") as info:
-            iterate_chain(TSCA, *midpoint(TSCA[2:4], TSCA[4:6]), 3)
+            iterate_chain(measures_xy(TSCA), *midpoint(TSCA[2:4], TSCA[4:6]), 3)
         assert isinstance(info.value.__cause__, OnSideLineError)
 
     def test_collinear_step_triangle_degenerates(self):
@@ -110,12 +110,12 @@ class TestIterateChain:
             side_lengths_xy(*triad)
         message = "^step 0 degenerated: the three points are collinear within tolerance$"
         with pytest.raises(DegenerateStepError, match=message) as info:
-            iterate_chain(thin, *p, 1)
+            iterate_chain(measures_xy(thin), *p, 1)
         assert isinstance(info.value.__cause__, CollinearError)
 
     def test_miquel_point_fixed_along_chain(self):
         p = (1.4, 0.9)
-        rec = iterate_chain(TSCA, *p, 5)
+        rec = iterate_chain(measures_xy(TSCA), *p, 5)
         for host, step in zip(_triangles(rec), rec.steps):
             point = miquel_point(host, family_member(host, *p, 0.0)).point
             assert math.dist(point, p) < 1e-8 * _radius(step)
@@ -126,38 +126,38 @@ class TestIterateChain:
         # later steps would overflow
         t = (0.0, 0.0, 4e40, 0.0, 1e40, 3e40)
         p = (2e40, 1e40)
-        assert len(iterate_chain(t, *p, 3, [1.57] * 3).steps) == 3
+        assert len(iterate_chain(measures_xy(t), *p, 3, [1.57] * 3).steps) == 3
         with pytest.raises(DegenerateStepError, match="step 3 degenerated: .* out of range"):
-            iterate_chain(t, *p, 12, [1.57] * 12)
+            iterate_chain(measures_xy(t), *p, 12, [1.57] * 12)
 
     def test_chain_shrinking_below_the_coordinate_range_degenerates(self):
         # the medial chain halves the sides; step 4's longest side is
         # sqrt(3)·1e-49 / 32 < 1e-50
         tiny = tuple([c * 1e-49 for c in EQUI])
-        assert len(iterate_chain(tiny, 0.0, 0.0, 4).steps) == 4
+        assert len(iterate_chain(measures_xy(tiny), 0.0, 0.0, 4).steps) == 4
         with pytest.raises(DegenerateStepError, match="step 4 degenerated: .* out of range"):
-            iterate_chain(tiny, 0.0, 0.0, 5)
+            iterate_chain(measures_xy(tiny), 0.0, 0.0, 5)
 
     def test_bad_schedule_length_rejected(self):
         with pytest.raises(ValueError):
-            iterate_chain(TSCA, 1.4, 0.9, 3, thetas=[0.1, 0.2])
+            iterate_chain(measures_xy(TSCA), 1.4, 0.9, 3, thetas=[0.1, 0.2])
 
     def test_step_cap(self):
         assert MAX_CHAIN_STEPS == 12
-        rec = iterate_chain(TSCA, 1.4, 0.9, 12)
+        rec = iterate_chain(measures_xy(TSCA), 1.4, 0.9, 12)
         assert len(rec.steps) == 12
         with pytest.raises(ValueError, match="cap of 12 steps"):
-            iterate_chain(TSCA, 1.4, 0.9, 13)
+            iterate_chain(measures_xy(TSCA), 1.4, 0.9, 13)
 
 
 class TestMod3Similarity:
     def test_classes_partition(self):
-        rec = iterate_chain(TSCA, *_locate(TSCA, O), 6)
+        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 6)
         assert check_mod3_similarity(rec) < CHAIN_SIMILARITY_TOL
 
     def test_brocard_chain_everything_similar(self):
         p = _locate(TSCA, SpecialRole("first_brocard"))
-        rec = iterate_chain(TSCA, *p, 6)
+        rec = iterate_chain(measures_xy(TSCA), *p, 6)
         tris = _triangles(rec)
         for i in range(len(tris) - 1):
             assert classify_similarity(tris[i], tris[i + 1], CHAIN_SIMILARITY_TOL) is not None
@@ -165,12 +165,12 @@ class TestMod3Similarity:
     def test_circumcenter_chain_merges_first_two_classes(self):
         # the pedal triangle of the circumcenter is the medial triangle,
         # so classes k=0 and k=1 coincide
-        rec = iterate_chain(TSCA, *_locate(TSCA, O), 6)
+        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 6)
         tris = _triangles(rec)
         assert classify_similarity(tris[0], tris[1], CHAIN_SIMILARITY_TOL) is not None
 
     def test_generic_point_classes_distinct(self):
-        rec = iterate_chain(TSCA, 1.31, 0.87, 9)
+        rec = iterate_chain(measures_xy(TSCA), 1.31, 0.87, 9)
         assert check_mod3_similarity(rec) < CHAIN_SIMILARITY_TOL
         tris = _triangles(rec)
         for i in range(len(tris)):
@@ -184,7 +184,7 @@ class TestMod3Similarity:
             t = random_triangle(rng)
             p = random_interior_point(rng, t)
             thetas = [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(6)]
-            gap = check_mod3_similarity(iterate_chain(t, *p, 6, thetas=thetas))
+            gap = check_mod3_similarity(iterate_chain(measures_xy(t), *p, 6, thetas=thetas))
             assert gap < CHAIN_SIMILARITY_TOL
 
     @pytest.mark.parametrize(
@@ -196,17 +196,17 @@ class TestMod3Similarity:
         ids=["mirrored", "relabeled"],
     )
     def test_similar_but_not_vertex_for_vertex_fails(self, swap):
-        rec = iterate_chain(TSCA, 1.31, 0.87, 9)
+        rec = iterate_chain(measures_xy(TSCA), 1.31, 0.87, 9)
         bad = swap(*rec.steps[2])
         # a search over every vertex map and orientation accepts the swap
-        assert classify_similarity(rec.seed, bad, CHAIN_SIMILARITY_TOL) is not None
+        assert classify_similarity(rec.seed.xy, bad, CHAIN_SIMILARITY_TOL) is not None
         steps = (*rec.steps[:2], bad, *rec.steps[3:])
         bad_rec = ChainRecord(rec.seed, rec.point, steps, rec.circles)
         assert check_mod3_similarity(bad_rec) >= CHAIN_SIMILARITY_TOL
 
     def test_needs_four_triangles(self):
         with pytest.raises(ValueError):
-            check_mod3_similarity(iterate_chain(TSCA, 1.31, 0.87, 2))
+            check_mod3_similarity(iterate_chain(measures_xy(TSCA), 1.31, 0.87, 2))
 
 
 class TestSeedCorrespondences:
@@ -222,9 +222,9 @@ class TestSeedCorrespondences:
         # triangle 3 of every chain is checked against the seed vertex for
         # vertex, direct; a search over every vertex map and orientation
         # accepts the swapped triangle
-        rec = iterate_chain(TSCA, *_locate(TSCA, O), 6)
+        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 6)
         bad = swap(*rec.steps[2])
-        assert classify_similarity(rec.seed, bad, CHAIN_SIMILARITY_TOL) is not None
+        assert classify_similarity(rec.seed.xy, bad, CHAIN_SIMILARITY_TOL) is not None
 
         def swapped(seed, px, py, k, thetas=None):
             rec = iterate_chain(seed, px, py, k, thetas)
@@ -246,7 +246,7 @@ class TestSeedCorrespondences:
 
 class TestRoleCycles:
     def test_circumcenter_cycle(self):
-        roles = iterate_chain(TSCA, *_locate(TSCA, O), 4).roles
+        roles = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 4).roles
         names = [r.role for r in roles]
         assert names == ["circumcenter", "orthocenter", "incenter", "circumcenter", "orthocenter"]
         assert follows_role_cycle(roles)
@@ -254,20 +254,20 @@ class TestRoleCycles:
         assert not follows_role_cycle([*roles[:2], SpecialRole("none")])
 
     def test_symmedian_point_cycle(self):
-        rec = iterate_chain(TSCA, *_locate(TSCA, SpecialRole("s_role", "A")), 4)
+        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, SpecialRole("s_role", "A")), 4)
         roles = rec.roles
         assert [r.role for r in roles] == ["s_role", "m_role", "q_role", "s_role", "m_role"]
         assert all(r.vertex == "A" for r in roles)
 
     def test_brocard_fixed_role(self):
-        rec = iterate_chain(TSCA, *_locate(TSCA, SpecialRole("first_brocard")), 4)
+        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, SpecialRole("first_brocard")), 4)
         assert all(r.role == "first_brocard" for r in rec.roles)
-        rec2 = iterate_chain(TSCA, *_locate(TSCA, SpecialRole("second_brocard")), 4)
+        rec2 = iterate_chain(measures_xy(TSCA), *_locate(TSCA, SpecialRole("second_brocard")), 4)
         assert all(r.role == "second_brocard" for r in rec2.roles)
 
     def test_orthocenter_seed_includes_excenter_leg(self):
         tob = (0.0, 0.0, 4.0, 0.0, 1.6, 0.9)
-        rec = iterate_chain(tob, *_locate(tob, H), 5)
+        rec = iterate_chain(measures_xy(tob), *_locate(tob, H), 5)
         names = [r.role for r in rec.roles]
         assert names[0] == "orthocenter"
         assert names[1] in ("incenter", "excenter")
@@ -275,7 +275,7 @@ class TestRoleCycles:
         assert follows_role_cycle(rec.roles)
 
     def test_incenter_seed(self):
-        rec = iterate_chain(TSCA, *_locate(TSCA, L), 4)
+        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, L), 4)
         names = [r.role for r in rec.roles]
         assert names == ["incenter", "circumcenter", "orthocenter", "incenter", "circumcenter"]
 
@@ -284,7 +284,7 @@ class TestRoleCycles:
         for _ in range(10):
             t = random_triangle(rng)
             o = _locate(t, O)
-            rec = iterate_chain(t, *o, 6)
+            rec = iterate_chain(measures_xy(t), *o, 6)
             expect = {"circumcenter", "orthocenter", "incenter", "excenter"}
             for step, role in zip(rec.steps, rec.roles[1:]):
                 assert role.role in expect
@@ -304,14 +304,14 @@ class TestLazyRoles:
         return calls
 
     def test_unread_roles_cost_no_detection(self, detect_calls):
-        rec = iterate_chain(TSCA, *_locate(TSCA, O), 6)
+        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 6)
         check_mod3_similarity(rec)
         assert len(_triangles(rec)) == 7
         assert detect_calls == []
 
     def test_roles_detected_once_on_first_read(self, detect_calls):
         k = 5
-        rec = iterate_chain(TSCA, *_locate(TSCA, O), k)
+        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), k)
         assert detect_calls == []
         first = rec.roles
         assert len(first) == k + 1
@@ -322,10 +322,33 @@ class TestLazyRoles:
 
     def test_lazy_roles_match_explicit_detection(self):
         for p in (_locate(TSCA, O), _locate(TSCA, SpecialRole("s_role", "A")), (1.31, 0.87)):
-            rec = iterate_chain(TSCA, *p, 4)
+            rec = iterate_chain(measures_xy(TSCA), *p, 4)
             expect = [detect_special_role(measures_xy(t), *p, CHAIN_DETECT_TOL)
                       for t in _triangles(rec)]
             assert list(rec.roles) == expect
+
+    def test_roles_measure_each_step_once_and_the_seed_never(self, monkeypatch):
+        # the seed's role is detected on the Measures the chain was given;
+        # k + 1 roles take k fresh measures, one per step on its kept circle
+        measured, detected = [], []
+
+        def measuring(xy, circle=None):
+            measured.append((xy, circle))
+            return measures_xy(xy, circle)
+
+        def detecting(m, px, py, tol):
+            detected.append(m)
+            return detect_special_role(m, px, py, tol)
+
+        monkeypatch.setattr(miquel.chains, "measures_xy", measuring)
+        monkeypatch.setattr(miquel.chains, "detect_special_role", detecting)
+        k = 5
+        m = measures_xy(TSCA)
+        rec = iterate_chain(m, *_locate(TSCA, O), k)
+        assert rec.seed is m and measured == []
+        assert len(rec.roles) == k + 1
+        assert measured == list(zip(rec.steps, rec.circles[1:]))
+        assert detected[0] is m and len(detected) == k + 1
 
 
 class TestLazySteps:
@@ -347,17 +370,17 @@ class TestLazySteps:
 
     @pytest.mark.parametrize("thetas", [None, (0.3, -0.5, 0.7, 0.1, -0.9, 0.4, 0.2, -0.6, 0.8)])
     def test_unread_chain_builds_no_step_triangle(self, built, thetas):
-        rec = iterate_chain(TSCA, 1.31, 0.87, 9, thetas)
+        rec = iterate_chain(measures_xy(TSCA), 1.31, 0.87, 9, thetas)
         check_mod3_similarity(rec)
         steps = rec.steps
         assert len(steps) == 9
         assert all(len(s) == 6 and all(type(c) is float for c in s) for s in steps)
-        assert rec.seed == TSCA and rec.point == (1.31, 0.87)
+        assert rec.seed.xy == TSCA and rec.point == (1.31, 0.87)
         assert built == []
 
     def test_roles_are_detected_without_step_triangles(self, built):
         for p in (_locate(TSCA, O), _locate(TSCA, SpecialRole("s_role", "A")), (1.31, 0.87)):
-            rec = iterate_chain(TSCA, *p, 6)
+            rec = iterate_chain(measures_xy(TSCA), *p, 6)
             assert len(rec.roles) == 7
         assert built == []
 
@@ -378,26 +401,28 @@ class TestLazySteps:
 
         monkeypatch.setattr(miquel.chains, "on_circle_xy", recording)
         k = 6
-        rec = iterate_chain(TSCA, 1.31, 0.87, k, [0.2, -0.4, 0.1, 0.5, -0.3, 0.0])
+        rec = iterate_chain(measures_xy(TSCA), 1.31, 0.87, k, [0.2, -0.4, 0.1, 0.5, -0.3, 0.0])
         # the hosts of the k steps: the seed, then step triangles 0 to k-2
         assert [circumcircle(*t) for t in _triangles(rec)[:-1]] == used
 
 
 def test_kept_circles_are_the_circumcircles_and_roles_read_them():
     """Over 480 chains, pedal and rotated: the record keeps the seed's
-    circumcircle and each step's ``circle_xy``, and the roles it detects on
-    them are detection on each triangle measured afresh."""
+    measures, whose circle is the seed's ``circumcircle``, and each step's
+    ``circle_xy``, and the roles it detects on them are detection on each
+    triangle measured afresh."""
     rng = rng_for(0, "chains", 3)
     chains, names = 0, set()
     for i in range(60):
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
+        m = measures_xy(t)
         points = (_locate(t, O), _locate(t, SpecialRole("s_role", "ABC"[i % 3])),
                   _locate(t, SpecialRole("first_brocard")), random_interior_point(rng, t))
         for p in points:
             for thetas in (None, [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(6)]):
-                rec = iterate_chain(t, *p, 6, thetas)
+                rec = iterate_chain(m, *p, 6, thetas)
                 assert len(rec.circles) == 7
-                assert rec.circles[0] == circumcircle(*rec.seed)
+                assert rec.seed is m and rec.circles[0] == circumcircle(*m.xy)
                 for k in range(1, 7):
                     assert rec.circles[k] == circle_xy(*rec.steps[k - 1])
                 fresh = [detect_special_role(measures_xy(xy), *p, CHAIN_DETECT_TOL)
@@ -526,7 +551,7 @@ class TestExactCorrespondences:
                     assert ratios[j] == ratios[i]
             # the oracle runs the library's chain: same labels, same rotation sense
             rec = iterate_chain(
-                _float_triangle(host),
+                measures_xy(_float_triangle(host)),
                 float(p[0]),
                 float(p[1]),
                 9,

@@ -847,7 +847,7 @@ def test_chain_step_equals_family_member_and_miquel_point(monkeypatch):
     for xy, points, theta in CASES:
         for p in points:
             triad = family_member(xy, *p, theta)
-            rec = iterate_chain(xy, *p, 1, [theta])
+            rec = iterate_chain(measures_xy(xy), *p, 1, [theta])
             assert rec.steps == (triad,)
             assert drift_points == [miquel_point(xy, triad).point]
             drift_points.clear()
@@ -869,8 +869,8 @@ def _verdicts(t1, t2, tol):
 @pytest.mark.parametrize("thetas", [None, (0.3, -0.5, 0.7, 0.1, -0.9, 0.4)])
 def test_classify_similarity_along_chains(thetas):
     for xy, points, _ in CASES[:200]:
-        rec = iterate_chain(xy, *points[0], 6, thetas)
-        tris = [rec.seed, *rec.steps]
+        rec = iterate_chain(measures_xy(xy), *points[0], 6, thetas)
+        tris = [rec.seed.xy, *rec.steps]
         for i in range(len(tris)):
             for j in range(i + 1, len(tris)):
                 got, expected = _verdicts(tris[i], tris[j], 1e-6)

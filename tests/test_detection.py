@@ -198,10 +198,10 @@ def test_chain_triangles(seed, which, rotated):
     }[which]()
     thetas = [rng.uniform(-1.0, 1.0) for _ in range(6)] if rotated else None
     try:
-        rec = iterate_chain(t, *p, 6, thetas)
+        rec = iterate_chain(measures_xy(t), *p, 6, thetas)
     except DegenerateStepError:
         return
-    expect = [_detect_by_locate_xy(s, p, CHAIN_DETECT_TOL) for s in (rec.seed, *rec.steps)]
+    expect = [_detect_by_locate_xy(s, p, CHAIN_DETECT_TOL) for s in (rec.seed.xy, *rec.steps)]
     assert list(rec.roles) == expect
 
 

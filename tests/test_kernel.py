@@ -78,7 +78,8 @@ VALUE_TYPES = [
     (lambda: Point(0.5, 2.0), ("x", "y")),
     (_triangle, ("a", "b", "c")),
     (lambda: SpecialRole("s_role", "B"), ("role", "vertex")),
-    (lambda: ChainRecord(_triangle().xy, (2.0, 1.0), ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0),),
+    (lambda: ChainRecord(measures_xy(_triangle().xy), (2.0, 1.0),
+                         ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0),),
                          (circumcircle(*_triangle().xy), (0.5, 0.5, math.sqrt(0.5)))),
      ("seed", "point", "steps", "circles")),
 ]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from miquel import sampling
+from miquel import sampling, verify
 from miquel.centers import SpecialRole, is_scalene, locate_xy, measures_xy
 from miquel.errors import CollinearError
 from miquel.kernel import (HALF_PI, LENGTH_EPS, circumcircle, contains_xy,
@@ -246,3 +246,28 @@ def test_draws_match_the_uniform_oracle(name, monkeypatch):
     for seed, host in enumerate(hosts):
         rng = random.Random(f"{key}:{seed}")
         assert drawn[seed] == (oracle(rng, host), rng.getstate()), seed
+
+
+def test_theorem14_schedules_match_the_uniform_oracle(monkeypatch):
+    """theorem14 writes its schedules' rng.uniform(-pi/3, pi/3) out as the
+    samplers do: every rotation schedule it runs is the floats of the suite's
+    body with rng.uniform itself, drawn from the same generator state."""
+    schedules = []
+    chain = verify.iterate_chain
+
+    def recording(seed, px, py, k, thetas=None):
+        if thetas is not None:
+            schedules.append(list(thetas))
+        return chain(seed, px, py, k, thetas)
+
+    monkeypatch.setattr(verify, "iterate_chain", recording)
+    trials = 40
+    verify.run_suite("theorem14", 3, trials)
+    expected = []
+    for i in range(trials):
+        rng = rng_for(3, "theorem14", i)
+        m = measures_xy(random_triangle(rng, min_angle=0.35, right_gap=0.1))
+        for _ in verify._chain_points(rng, m):
+            expected.append([rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(9)])
+    assert len(schedules) == 5 * trials
+    assert schedules == expected

@@ -12,6 +12,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miquel.centers import measures_xy
 from miquel.chains import iterate_chain
 from miquel.errors import DegenerateStepError, GeometryError
 from miquel.kernel import (
@@ -66,7 +67,7 @@ def _outcome(step):
 
 
 def _assert_same_step(t, p, theta):
-    chain = _outcome(lambda: iterate_chain(t, *p, 1, [theta]).steps[0])
+    chain = _outcome(lambda: iterate_chain(measures_xy(t), *p, 1, [theta]).steps[0])
     assert chain == _outcome(lambda: _checked_step(t, p, theta))
     return chain
 

@@ -171,8 +171,8 @@ def test_informational_claim_without_trials_does_not_gate():
 
 
 # sha256 of every trial's claim name, residual repr and witness, in the order
-# the suite adds them, for each one-shot suite at seed 5 and its default trial
-# count. verify prints only each claim's worst residual; this pins them all.
+# the suite adds them, for each suite at seed 5 and its default trial count.
+# verify prints only each claim's worst residual; this pins them all.
 TRIAL_DIGESTS = {
     "theorem1": "c61f8f6f0aea4a98fe8f77e8c0881998650e5f1bd184af979cbbf1add6759dc6",
     "theorem2": "46989bfc89df8b8c7d8d2ef1ebed2c823a708963e62ff8554baa8417295e73da",
@@ -190,6 +190,9 @@ TRIAL_DIGESTS = {
     "lemma1": "f65f3d6abee9000516af27dd6d33017ec9155c6b7b562ee73baf7f14fc6e39be",
     "lemma2": "4495ca08dfbde3cee3804498b4e7978d1ce6e87d95bc38c44296261d76309cfb",
     "simson": "adc0e0f1eb8d7ae623e4f956d61d1a699c9da8f6acede1fe9a0d8e9abdee8aae",
+    "theorem14": "f1f05df64db5f28084ab58755e1737eb1fb231fd55ef82cae3491f07fef5e31b",
+    "theorem15": "2ee899f6724b126874490c5ca4585f5c981481f539f2aa50fde7f58b24f0aba2",
+    "corollary4": "d2304133de497a4165ba6050b0db20d4939ec8b46ca3997760715b860fb551d8",
 }
 
 
@@ -199,12 +202,34 @@ def test_every_trial_repeats_digit_for_digit(name, monkeypatch):
     add = ClaimResult.add
 
     def recorded(self, residual, i, t, p=None, note=""):
-        lines.append(f"{self.name} {residual!r} {_witness(i, t, p)}{note}")
+        lines.append(f"{self.name} {residual!r} {_witness(i, t, p, note)}")
         add(self, residual, i, t, p, note)
 
     monkeypatch.setattr(ClaimResult, "add", recorded)
     run_suite(name, 5)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRIAL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_worst_is_the_witness_of_the_first_worst_trial(name, monkeypatch):
+    """``worst`` is formatted when read, from the trial kept by ``add``: the
+    witness of the first trial that reached ``max_residual`` (a NaN counted
+    as ``inf``), and None while every residual is 0."""
+    added = []
+    add = ClaimResult.add
+
+    def recorded(self, residual, i, t, p=None, note=""):
+        added.append((self, math.inf if math.isnan(residual) else residual,
+                       _witness(i, t, p, note)))
+        add(self, residual, i, t, p, note)
+
+    monkeypatch.setattr(ClaimResult, "add", recorded)
+    rep = run_suite(name, 7, 4)
+    for c in rep.claims:
+        rows = [(residual, w) for claim, residual, w in added if claim is c]
+        assert len(rows) == c.trials
+        first = next((w for residual, w in rows if residual == c.max_residual), None)
+        assert c.worst == (first if c.max_residual > 0.0 else None)
 
 
 def test_theorem11_reduces_the_doubled_angle(monkeypatch):
