@@ -15,7 +15,6 @@ from .kernel import (
     LENGTH_EPS,
     VERTEX_LABELS,
     CircleXY,
-    Frozen,
     Point,
     TriangleXY,
     checked_xy,
@@ -23,28 +22,16 @@ from .kernel import (
     invert_xy,
     min_side_line_distance_xy,
     reject_side_lines,
-    set_field,
 )
 
-_ROLES_WITH_VERTEX = ("excenter", "s_role", "m_role", "q_role")
 
+class SpecialRole(NamedTuple):
+    """A named point of a triangle, with a vertex label A, B or C for the
+    names that come one per vertex (``excenter``, ``s_role``, ``m_role``,
+    ``q_role``) and None for every other."""
 
-class SpecialRole(Frozen):
-    """A named point of a triangle, with a vertex label for the names that
-    come one per vertex."""
-
-    _fields = ("role", "vertex")
     role: str
-    vertex: str | None
-
-    def __init__(self, role: str, vertex: str | None = None) -> None:
-        wants_vertex = role in _ROLES_WITH_VERTEX
-        if wants_vertex and vertex not in VERTEX_LABELS:
-            raise ValueError(f"{role} requires a vertex label A, B or C")
-        if not wants_vertex and vertex is not None:
-            raise ValueError(f"{role} does not take a vertex label")
-        set_field(self, "role", role)
-        set_field(self, "vertex", vertex)
+    vertex: str | None = None
 
     def __str__(self) -> str:
         return f"{self.role}({self.vertex})" if self.vertex else self.role

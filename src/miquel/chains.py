@@ -4,8 +4,7 @@ period-3 similarity bookkeeping, and the cyclic center-role recurrences."""
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .centers import Measures, measures_xy
 from .errors import DegenerateStepError, GeometryError
@@ -13,11 +12,9 @@ from .kernel import (
     MAX_COORDINATE,
     MIN_LONGEST_SIDE,
     CircleXY,
-    Frozen,
     TriangleXY,
     circle_xy,
     reject_side_lines,
-    set_field,
     shape_gap,
     shape_ratio,
 )
@@ -42,7 +39,7 @@ CHAIN_SIMILARITY_TOL = 1e-6
 MAX_CHAIN_STEPS = 12
 
 
-class ChainRecord(Frozen):
+class ChainRecord(NamedTuple):
     """A run of nested triad triangles sharing one concurrency point: the
     ``seed`` triangle's ``Measures``, the ``point`` as an (x, y) pair.
 
@@ -52,28 +49,18 @@ class ChainRecord(Frozen):
     the steps as the chain computed them: the seed's measured one, then
     ``circle_xy``'s.
 
-    ``roles`` are detected with ``CHAIN_DETECT_TOL`` on first read and
+    ``roles`` are detected with ``CHAIN_DETECT_TOL`` on each read, not
     cached, so a chain whose roles go unread costs no detection. A
     ``GeometryError`` from detection therefore surfaces at that read, not
     when the chain is built.
     """
 
-    _fields = ("seed", "point", "steps", "circles")
     seed: Measures
     point: tuple[float, float]
     steps: tuple[TriangleXY, ...]
     circles: tuple[CircleXY, ...]
 
-    def __init__(
-        self, seed: Measures, point: tuple[float, float], steps: tuple[TriangleXY, ...],
-        circles: tuple[CircleXY, ...],
-    ) -> None:
-        set_field(self, "seed", seed)
-        set_field(self, "point", point)
-        set_field(self, "steps", steps)
-        set_field(self, "circles", circles)
-
-    @cached_property
+    @property
     def roles(self) -> tuple[SpecialRole, ...]:
         """The role ``point`` plays in the seed, on its measures, and in each
         step, measured on its kept circle, so no circumcircle is computed again."""
@@ -101,7 +88,7 @@ def iterate_chain(
     The seed's circumcircle is the one ``seed`` holds, the floats of
     ``circumcircle``; each step triangle is kept as its six floats and its
     circumcircle comes from ``circle_xy``. No role is detected here: the
-    record detects each role with ``CHAIN_DETECT_TOL`` on first read.
+    record detects each role with ``CHAIN_DETECT_TOL`` on each read.
 
     A step raises ``DegenerateStepError``, in this order: for a point on the
     circumcircle; wrapping, with the step number, what ``family_xy`` and

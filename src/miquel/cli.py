@@ -397,13 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_number_lists(argv: list[str]) -> list[str]:
-    """``--point -5,0`` as ``--point=-5,0``, and so for ``--triad`` and
-    ``--thetas``: argparse reads a separate value with a leading minus as an
-    option."""
+    """``--point -5,0`` as ``--point=-5,0``, and so for ``--triad``, ``--thetas`` and,
+    given one number, ``--theta`` and ``--tolerance``: argparse reads a separate value
+    with a leading minus as an option. A list after ``--theta`` is left for ``chain`` to refuse."""
     out: list[str] = []
     for arg in argv:
-        if (out and out[-1] in ("--point", "--triad", "--thetas")
-                and arg[:1] == "-" and arg[:2] != "--"):
+        if out and arg[:1] == "-" and arg[:2] != "--" and (
+                out[-1] in ("--point", "--triad", "--thetas")
+                or out[-1] in ("--theta", "--tolerance") and "," not in arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

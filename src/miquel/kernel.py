@@ -37,6 +37,7 @@ MIN_LONGEST_SIDE = 1e-50
 set_field = object.__setattr__
 
 
+# only for Point and Triangle, pinned by bench/layers.py (COUNTED_CLASSES, METHODS) until it changes
 class Frozen:
     """Base of the immutable value types. A subclass lists its fields in
     ``_fields`` and sets each once in its ``__init__`` through ``set_field``;

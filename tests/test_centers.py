@@ -11,9 +11,11 @@ hit of the median), on acute and obtuse hosts at every vertex.
 """
 
 import math
+import sys
 
 import pytest
 
+from miquel import centers, triads
 from miquel.centers import (
     NAMED_POINTS,
     SpecialRole,
@@ -54,6 +56,7 @@ from miquel.sampling import (
     random_triangle,
     rng_for,
 )
+from miquel.verify import SUITES, run_suite
 
 O, H, G, L = (SpecialRole(r) for r in ("circumcenter", "orthocenter", "centroid", "incenter"))
 
@@ -205,18 +208,46 @@ class TestClassicCenters:
         with pytest.raises(RightAngleDegenerateError):
             _locate(T345, SpecialRole("s_role", "A"))
 
-    def test_role_vertex_labels_checked(self):
-        # per-vertex names need a vertex label, every other name takes none
-        for role, vertex in (
-            ("excenter", None),
-            ("q_role", None),
-            ("s_role", "D"),
-            ("circumcenter", "A"),
-            ("none", "B"),
-        ):
-            with pytest.raises(ValueError):
-                SpecialRole(role, vertex)
+    def test_role_str_names_its_vertex(self):
         assert str(SpecialRole("m_role", "C")) == "m_role(C)"
+        assert str(SpecialRole("incenter")) == "incenter"
+
+
+# the names that come one per vertex; every other name takes no vertex label
+_ROLES_WITH_VERTEX = {"excenter", "s_role", "m_role", "q_role"}
+
+
+def test_every_role_the_package_builds_has_a_vertex_exactly_where_its_name_takes_one(
+    monkeypatch,
+):
+    """``SpecialRole`` checks no label: every role of the tables, every role
+    located and every role detected while all suites run is well formed."""
+    roles = [role for role, _ in NAMED_POINTS] + list(centers._CATALOG_PERMS)
+    locate, detect = centers.locate_xy, triads.detect_special_role
+
+    def located(m, role):
+        roles.append(role)
+        return locate(m, role)
+
+    def detected(m, px, py, tol):
+        roles.append(detect(m, px, py, tol))
+        return roles[-1]
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("miquel.")]:
+        for attr, value in list(vars(module).items()):
+            if value is locate:
+                monkeypatch.setattr(module, attr, located)
+            elif value is detect:
+                monkeypatch.setattr(module, attr, detected)
+    for name in SUITES:
+        run_suite(name, 5, 3)
+    assert {r.role for r in roles} >= _ROLES_WITH_VERTEX
+    for r in roles:
+        assert type(r) is SpecialRole and type(r.role) is str
+        if r.role in _ROLES_WITH_VERTEX:
+            assert r.vertex in ("A", "B", "C"), r
+        else:
+            assert r.vertex is None, r
 
 
 def _median_reflection_foot(t, vertex: str):

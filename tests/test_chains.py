@@ -309,7 +309,7 @@ class TestLazyRoles:
         assert len(_triangles(rec)) == 7
         assert detect_calls == []
 
-    def test_roles_detected_once_on_first_read(self, detect_calls):
+    def test_roles_detected_on_each_read(self, detect_calls):
         k = 5
         rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), k)
         assert detect_calls == []
@@ -317,8 +317,10 @@ class TestLazyRoles:
         assert len(first) == k + 1
         assert len(detect_calls) == k + 1
         assert all(tol == CHAIN_DETECT_TOL for tol in detect_calls)
-        assert rec.roles is first
-        assert len(detect_calls) == k + 1
+        # not cached: a second read detects all k + 1 again, to the same roles
+        assert rec.roles == first
+        assert len(detect_calls) == 2 * (k + 1)
+        assert all(tol == CHAIN_DETECT_TOL for tol in detect_calls)
 
     def test_lazy_roles_match_explicit_detection(self):
         for p in (_locate(TSCA, O), _locate(TSCA, SpecialRole("s_role", "A")), (1.31, 0.87)):

@@ -277,6 +277,7 @@ def test_family_roundtrip(tri_file):
         ("family", "--point", "2,1", "--theta", "nan"),
         ("family", "--point", "2,1", "--theta", "inf"),
         ("chain", "--point", "2,1", "--steps", "3", "--thetas", "nan,0,0"),
+        ("family", "--point", "2,1", "--theta", "-inf"),
     ],
 )
 def test_non_finite_rotation_is_geometric_error(tri_file, argv):
@@ -395,6 +396,12 @@ def test_classify_tolerance_must_be_finite_and_positive(tri_file, value):
     res = run_cli("classify", "--in", tri_file, "--point", "3.3,0.2", f"--tolerance={value}")
     assert res.returncode == 2
     assert "finite and strictly positive" in res.stderr
+
+
+def test_negative_tolerance_in_exponent_form_reaches_its_check(tri_file):
+    res = run_cli("classify", "--in", tri_file, "--point", "3.3,0.2", "--tolerance", "-1e-9")
+    assert res.returncode == 2
+    assert res.stderr == "usage error: --tolerance must be finite and strictly positive\n"
 
 
 def test_exit_code_usage_error(tmp_path):
@@ -601,6 +608,8 @@ def test_geometric_error_names_its_class_and_collapse(tmp_path, scene, argv, lin
         (("family", "--theta", "0.2"), "--point", "-0.5,1"),
         # X on line BC beyond B
         (("miquel",), "--triad", "-0.2,0.5,0.5"),
+        # a negative number argparse does not read as one
+        (("family", "--point", "2,1"), "--theta", "-1e-3"),
     ],
 )
 def test_negative_values_read_as_with_equals(tri_file, argv, flag, value):

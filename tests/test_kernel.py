@@ -103,8 +103,12 @@ def test_value_types_are_frozen_and_compare_by_fields(make, fields):
     )
     assert copy.copy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
-    # a tuple of the same fields is not the value
-    assert value != values
+    if type(value) in (SpecialRole, ChainRecord):
+        # a NamedTuple: the tuple of its fields is the value
+        assert isinstance(value, tuple) and value == values
+    else:
+        # a tuple of the same fields is not the value
+        assert value != values
 
 
 class TestPoint:

@@ -171,33 +171,61 @@ def test_informational_claim_without_trials_does_not_gate():
 
 
 # sha256 of every trial's claim name, residual repr and witness, in the order
-# the suite adds them, for each suite at seed 5 and its default trial count.
-# verify prints only each claim's worst residual; this pins them all.
+# the suite adds them, for each suite at its default trial count, at seed 5
+# and at seed 9. verify prints only each claim's worst residual; this pins
+# them all.
 TRIAL_DIGESTS = {
-    "theorem1": "c61f8f6f0aea4a98fe8f77e8c0881998650e5f1bd184af979cbbf1add6759dc6",
-    "theorem2": "46989bfc89df8b8c7d8d2ef1ebed2c823a708963e62ff8554baa8417295e73da",
-    "theorem3": "60593855faae379bd28b57bfc000436c082f04301cdd0eeaf0ee5dc22b69766f",
-    "theorem4": "11392b42e016e7d3dc90f2a9505eef5c1df54e00df631a5f6234f2be9ee200e1",
-    "theorem5": "906a7be2ef3faab67ec539b3d15dcd85438c6bd98fcefd40110b41861d6142f7",
-    "theorem6": "208ee674bb8d29a0429383c93984b226b7a3e9c93f89f0c14f0d440369b604e8",
-    "theorem7": "b66d18cff41a43b3b03d78dda7165b6a22ec8ec9680f634669f4c45bb31ebc72",
-    "theorem8": "a86a3de66aa39b790f66d8a8e930cf25af540e3f250311e17953e47b49d5228e",
-    "theorem9": "56c53bbc3504ce02563c58ccde6b6a05a52bfc6182c56ebdeb6e03dbfdb1624a",
-    "theorem10": "f2442a640e9f8a372da81edd68ce9d72752702beca4249655cd8bf3f93c69d0c",
-    "theorem11": "7ca152716c84f02a09e20b087d3332ba573aa9ee370aff2c37b1456d59a6e221",
-    "theorem12": "87974abde39784d2a9f9e226416e93cc0ab91423d79e6386b4ca57f96282898b",
-    "theorem13": "e02e8a4d6a639d8ac9002e33c8b38e8224ce19105fba7454b7ff1787544f03c9",
-    "lemma1": "f65f3d6abee9000516af27dd6d33017ec9155c6b7b562ee73baf7f14fc6e39be",
-    "lemma2": "4495ca08dfbde3cee3804498b4e7978d1ce6e87d95bc38c44296261d76309cfb",
-    "simson": "adc0e0f1eb8d7ae623e4f956d61d1a699c9da8f6acede1fe9a0d8e9abdee8aae",
-    "theorem14": "f1f05df64db5f28084ab58755e1737eb1fb231fd55ef82cae3491f07fef5e31b",
-    "theorem15": "2ee899f6724b126874490c5ca4585f5c981481f539f2aa50fde7f58b24f0aba2",
-    "corollary4": "d2304133de497a4165ba6050b0db20d4939ec8b46ca3997760715b860fb551d8",
+    5: {
+        "theorem1": "c61f8f6f0aea4a98fe8f77e8c0881998650e5f1bd184af979cbbf1add6759dc6",
+        "theorem2": "46989bfc89df8b8c7d8d2ef1ebed2c823a708963e62ff8554baa8417295e73da",
+        "theorem3": "60593855faae379bd28b57bfc000436c082f04301cdd0eeaf0ee5dc22b69766f",
+        "theorem4": "11392b42e016e7d3dc90f2a9505eef5c1df54e00df631a5f6234f2be9ee200e1",
+        "theorem5": "906a7be2ef3faab67ec539b3d15dcd85438c6bd98fcefd40110b41861d6142f7",
+        "theorem6": "208ee674bb8d29a0429383c93984b226b7a3e9c93f89f0c14f0d440369b604e8",
+        "theorem7": "b66d18cff41a43b3b03d78dda7165b6a22ec8ec9680f634669f4c45bb31ebc72",
+        "theorem8": "a86a3de66aa39b790f66d8a8e930cf25af540e3f250311e17953e47b49d5228e",
+        "theorem9": "56c53bbc3504ce02563c58ccde6b6a05a52bfc6182c56ebdeb6e03dbfdb1624a",
+        "theorem10": "f2442a640e9f8a372da81edd68ce9d72752702beca4249655cd8bf3f93c69d0c",
+        "theorem11": "7ca152716c84f02a09e20b087d3332ba573aa9ee370aff2c37b1456d59a6e221",
+        "theorem12": "87974abde39784d2a9f9e226416e93cc0ab91423d79e6386b4ca57f96282898b",
+        "theorem13": "e02e8a4d6a639d8ac9002e33c8b38e8224ce19105fba7454b7ff1787544f03c9",
+        "lemma1": "f65f3d6abee9000516af27dd6d33017ec9155c6b7b562ee73baf7f14fc6e39be",
+        "lemma2": "4495ca08dfbde3cee3804498b4e7978d1ce6e87d95bc38c44296261d76309cfb",
+        "simson": "adc0e0f1eb8d7ae623e4f956d61d1a699c9da8f6acede1fe9a0d8e9abdee8aae",
+        "theorem14": "f1f05df64db5f28084ab58755e1737eb1fb231fd55ef82cae3491f07fef5e31b",
+        "theorem15": "2ee899f6724b126874490c5ca4585f5c981481f539f2aa50fde7f58b24f0aba2",
+        "corollary4": "d2304133de497a4165ba6050b0db20d4939ec8b46ca3997760715b860fb551d8",
+    },
+    9: {
+        "theorem1": "6638b2ccd13414d78f3112e236720f3e175af11af680c113f461f89efa1005f8",
+        "theorem2": "d76240f800edbbba3c27be939848418f6b92857041acff20f8eb55e911245757",
+        "theorem3": "962dda9217e6562704a57132495c301d769455925ce87e1efdc08ef8e538dd40",
+        "theorem4": "d753d77e397c6918d6ac5ad071b737ccd9bd39e287527bc47d0d2798cf811d58",
+        "theorem5": "720611db148ad4a8696afdd983e9e04de18f11516c4b1f5d7c357715856e3c73",
+        "theorem6": "efdaff20144548c4d5facd535fce579a8213ed19d25a749da7288d10c83575db",
+        "theorem7": "42048bfd160400d8d03097c63fab5af49d2d49130b9b85cc512d4c5ef6e96c3e",
+        "theorem8": "97427dac5abd9a21ea20466b1aecf9d68829b112b578ef260c5312a92ad0d019",
+        "theorem9": "f0f119f36dbfb6d513409ac7864a5724aed62c5e18ef69b8f6d1dd98476a8178",
+        "theorem10": "c6ad9ad62aeaae79e7c3b1d4b482a176384c8ffc23ced346a526740e233ef6d2",
+        "theorem11": "b7a9a4ad2467472416fca41065217d7ab267b56d1dc479f93d94250976b8d06a",
+        "theorem12": "9b781e12ecd75224a57d14c3000c463a7cd326ab4cc4cdcee4bc159af63f6802",
+        "theorem13": "ee1595b858742fba4d628fa76c41b7e1c292295d94c8bc6c705b43a7259abd06",
+        "lemma1": "d4db8ba4cc54fec47ffaa8a4ed44c49923efe2321e0ba395f6fe992a5f5a06b5",
+        "lemma2": "92394bc26466278700b9cecf3993bd0f31f9432c2d12af77238655b005deadbe",
+        "simson": "e23f891781be59e6e51c2ebd7f54363287e8caa6b25e5d944fb58a0b30fe6893",
+        "theorem14": "bc99c5f26dc061807c86eb238a693fc23ca6db6c64aa45124ccf218661040430",
+        "theorem15": "bee7c676ae1284c0fe41a7254de8b3944180c9a08a41305f6be2e10fab0d0873",
+        "corollary4": "2521c561ee3668f11fece7a0b84f42d2c8898f580e424bb0e2d7fd76a86f32a2",
+    },
 }
 
 
-@pytest.mark.parametrize("name", list(TRIAL_DIGESTS))
-def test_every_trial_repeats_digit_for_digit(name, monkeypatch):
+@pytest.mark.parametrize("seed, name", [
+    # the seed-5 cases keep their plain suite names
+    pytest.param(seed, name, id=name if seed == 5 else f"{name}-seed{seed}")
+    for seed, digests in TRIAL_DIGESTS.items() for name in digests
+])
+def test_every_trial_repeats_digit_for_digit(seed, name, monkeypatch):
     lines = []
     add = ClaimResult.add
 
@@ -206,8 +234,8 @@ def test_every_trial_repeats_digit_for_digit(name, monkeypatch):
         add(self, residual, i, t, p, note)
 
     monkeypatch.setattr(ClaimResult, "add", recorded)
-    run_suite(name, 5)
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRIAL_DIGESTS[name]
+    run_suite(name, seed)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRIAL_DIGESTS[seed][name]
 
 
 @pytest.mark.parametrize("name", list(SUITES))
