@@ -8,20 +8,21 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import CollinearError, GeometryError, RightAngleDegenerateError
+from .errors import GeometryError, RightAngleDegenerateError
 from .kernel import (
     ANGLE_EPS,
     HALF_PI,
     LENGTH_EPS,
     VERTEX_LABELS,
-    CircleXY,
     Point,
     TriangleXY,
+    checked_circle,
     checked_xy,
     corners_xy,
     invert_xy,
     min_side_line_distance_xy,
     reject_side_lines,
+    side_lengths_xy,
 )
 
 
@@ -50,36 +51,23 @@ class Measures(NamedTuple):
     circumradius: float
 
 
-def measures_xy(xy: TriangleXY, circle: CircleXY | None = None) -> Measures:
-    """The measures of the triangle ``xy``, with what ``side_lengths_xy`` and
-    ``circumcircle`` raise, in that order; a caller that holds that
-    circumcircle passes it as ``circle``. One pass with the float operations
-    of those two (a reversed difference negated), then the squared sides and
+def measures_xy(xy: TriangleXY) -> Measures:
+    """The measures of the triangle ``xy``: its side lengths and what they
+    raise from ``side_lengths_xy``, then its circumcircle with the floats of
+    ``circle_xy`` and what ``checked_circle`` raises, the squared sides, and
     each angle as atan2 of the cross and dot products of its legs."""
     ax, ay, bx, by, cx, cy = xy
+    la, lb, lc = side_lengths_xy(ax, ay, bx, by, cx, cy)
     q2x, q2y = bx - ax, by - ay
     q3x, q3y = cx - ax, cy - ay
-    if not math.isfinite(q2x + q2y + q3x + q3y):
-        checked_xy(q2x, q2y)
-        checked_xy(q3x, q3y)
     bcx, bcy = cx - bx, cy - by
-    la, lb, lc = math.hypot(bcx, bcy), math.hypot(q3x, q3y), math.hypot(q2x, q2y)
     cross = q2x * q3y - q2y * q3x
-    span = max(la, lb, lc)
-    if abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span:
-        raise CollinearError("degenerate triangle: collinear within tolerance")
     m2 = q2x * q2x + q2y * q2y
     m3 = q3x * q3x + q3y * q3y
-    if circle is None:
-        d = 2.0 * cross
-        ux = (m2 * q3y - m3 * q2y) / d
-        uy = (m3 * q2x - m2 * q3x) / d
-        ox, oy = checked_xy(ax + ux, ay + uy)
-        r = math.hypot(ux, uy)
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValueError(f"radius must be strictly positive, got {r}")
-    else:
-        ox, oy, r = circle
+    d = 2.0 * cross
+    ux = (m2 * q3y - m3 * q2y) / d
+    uy = (m3 * q2x - m2 * q3x) / d
+    ox, oy, r = checked_circle((ax + ux, ay + uy, math.hypot(ux, uy)))
     angles = (math.atan2(abs(cross), q2x * q3x + q2y * q3y),
               math.atan2(abs(bcy * q2x - bcx * q2y), -bcx * q2x - bcy * q2y),
               math.atan2(abs(q3x * bcy - q3y * bcx), q3x * bcx + q3y * bcy))

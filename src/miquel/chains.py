@@ -50,9 +50,10 @@ class ChainRecord(NamedTuple):
     ``circle_xy``'s.
 
     ``roles`` are detected with ``CHAIN_DETECT_TOL`` on each read, not
-    cached, so a chain whose roles go unread costs no detection. A
-    ``GeometryError`` from detection therefore surfaces at that read, not
-    when the chain is built.
+    cached, so a chain whose roles go unread costs no detection. Each step
+    is measured from its own coordinates (``measures_xy``), whose circle has
+    the floats of the kept one. A ``GeometryError`` from detection therefore
+    surfaces at that read, not when the chain is built.
     """
 
     seed: Measures
@@ -62,13 +63,13 @@ class ChainRecord(NamedTuple):
 
     @property
     def roles(self) -> tuple[SpecialRole, ...]:
-        """The role ``point`` plays in the seed, on its measures, and in each
-        step, measured on its kept circle, so no circumcircle is computed again."""
+        """The role ``point`` plays in the seed, on the measures it holds, and
+        in each step, measured afresh from its coordinates."""
         px, py = self.point
         return (
             detect_special_role(self.seed, px, py, CHAIN_DETECT_TOL),
-            *(detect_special_role(measures_xy(xy, circle), px, py, CHAIN_DETECT_TOL)
-              for xy, circle in zip(self.steps, self.circles[1:])),
+            *(detect_special_role(measures_xy(xy), px, py, CHAIN_DETECT_TOL)
+              for xy in self.steps),
         )
 
 

@@ -125,9 +125,10 @@ def angle_distance(u: float, v: float) -> float:
 # constructions, the chain step and the suites call on plain floats. Their
 # float operations and their order are pinned with == in
 # tests/test_coordinate_forms.py, as are the forms hot callers write out in
-# line (side_lengths_xy and circle_xy the collinearity test, circumcircle
-# checked_circle's, directed_angle_xy half_turn, centers.measures_xy four
-# forms), against the calls they replace, by its "written-out forms" tests.
+# line (side_lengths_xy and circle_xy the collinearity test, directed_angle_xy
+# half_turn, centers.measures_xy circle_xy's arithmetic, the squared sides and
+# the angles), against the calls they replace, by its "written-out forms"
+# tests. checked_circle is the one body of the circle check.
 
 # a circle on coordinates: (center x, center y, radius)
 CircleXY = tuple[float, float, float]
@@ -225,9 +226,11 @@ def circle_xy(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) 
 
 def checked_circle(circle: CircleXY) -> CircleXY:
     """``circle`` as it is, once its center is finite (else ``checked_xy``'s
-    ``ValueError``) and then its radius finite and positive."""
+    ``ValueError``, tested in line) and then its radius finite and positive:
+    the one body of the circle check."""
     cx, cy, r = circle
-    checked_xy(cx, cy)
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"non-finite coordinates {(cx, cy)}")
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"radius must be strictly positive, got {r}")
     return circle
@@ -235,13 +238,8 @@ def checked_circle(circle: CircleXY) -> CircleXY:
 
 def circumcircle(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) -> CircleXY:
     """The circle through three pairwise distinct, non-collinear points:
-    ``circle_xy`` with the errors of ``checked_circle``, tested in line."""
-    circle = ox, oy, r = circle_xy(x1, y1, x2, y2, x3, y3)
-    if not (math.isfinite(ox) and math.isfinite(oy)):
-        raise ValueError(f"non-finite coordinates {(ox, oy)}")
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"radius must be strictly positive, got {r}")
-    return circle
+    ``circle_xy``, checked by ``checked_circle``."""
+    return checked_circle(circle_xy(x1, y1, x2, y2, x3, y3))
 
 
 def shape_ratio(xy: TriangleXY, order: tuple[int, int, int]) -> complex:

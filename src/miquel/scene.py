@@ -88,6 +88,8 @@ def parse_scene(text: str) -> SceneSpec:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SceneError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SceneError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SceneError("scene must be a JSON object")
     unknown = set(doc) - set(_TOP_KEYS)

@@ -331,12 +331,12 @@ class TestLazyRoles:
 
     def test_roles_measure_each_step_once_and_the_seed_never(self, monkeypatch):
         # the seed's role is detected on the Measures the chain was given;
-        # k + 1 roles take k fresh measures, one per step on its kept circle
+        # k + 1 roles take k fresh measures, one per step from its coordinates
         measured, detected = [], []
 
-        def measuring(xy, circle=None):
-            measured.append((xy, circle))
-            return measures_xy(xy, circle)
+        def measuring(xy):
+            measured.append(xy)
+            return measures_xy(xy)
 
         def detecting(m, px, py, tol):
             detected.append(m)
@@ -349,7 +349,7 @@ class TestLazyRoles:
         rec = iterate_chain(m, *_locate(TSCA, O), k)
         assert rec.seed is m and measured == []
         assert len(rec.roles) == k + 1
-        assert measured == list(zip(rec.steps, rec.circles[1:]))
+        assert measured == list(rec.steps)
         assert detected[0] is m and len(detected) == k + 1
 
 

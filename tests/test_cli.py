@@ -446,6 +446,29 @@ def test_non_finite_scene_is_usage_error(tmp_path, command, scene):
     assert "non-finite coordinates" in res.stderr
 
 
+@pytest.mark.parametrize("scene", ['{"A": ' + "[" * 1100 + "]" * 1100 + "}",
+                                   "[" * 5000 + "]" * 5000])
+def test_deeply_nested_scene_is_usage_error(tmp_path, scene):
+    path = tmp_path / "deep.json"
+    path.write_text(scene)
+    res = run_cli("classify", "--in", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "usage error: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("centers",), ("classify",), ("miquel",), ("family",), ("chain",),
+     ("figure", "--elements", "circumcircle")],
+)
+def test_every_scene_reader_rejects_a_deeply_nested_scene(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    assert cli.main([argv[0], "--in", str(path), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", "usage error: invalid JSON: nested too deeply\n")
+
+
 def _scaled_scene(k: int) -> str:
     return f'{{"A": [0, 0], "B": [4e{k}, 0], "C": [1e{k}, 3e{k}]}}'
 

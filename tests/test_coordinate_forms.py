@@ -23,12 +23,13 @@ Theorem1 takes its triad from `triad_xy` and its residual from
 containment with `contains_xy`.
 
 Some hot forms write others out in line rather than call them:
-`centers.measures_xy` spells `side_lengths_xy`, `circumcircle` and the
-squared sides and interior angles (`_squared_sides_xy`, `_angles_xy` below)
-in one pass; `circumcircle` spells `checked_circle`'s tests, `circle_xy` and
-`side_lengths_xy` the collinearity test, `directed_angle_xy` `half_turn`.
-The tests under "written-out forms" pin each against the calls it replaced,
-in values and in what it raises.
+`centers.measures_xy` calls `side_lengths_xy` and `checked_circle` and
+spells `circle_xy`'s arithmetic and the squared sides and interior angles
+(`_squared_sides_xy`, `_angles_xy` below); `circle_xy` and `side_lengths_xy`
+each spell the collinearity test, `directed_angle_xy` `half_turn`.
+`checked_circle` is the one body of the circle check, which `circumcircle`
+calls. The tests under "written-out forms" pin each against the calls it
+replaced, in values and in what it raises.
 """
 
 import itertools
@@ -488,10 +489,10 @@ def _angles_xy(xy):
             _interior(ax - cx, ay - cy, bx - cx, by - cy))
 
 
-def _measures_by_calls(xy, circle=None):
-    """measures_xy as the composition of the forms it writes out."""
+def _measures_by_calls(xy):
+    """measures_xy as the composition of the forms it calls or writes out."""
     side_lengths = side_lengths_xy(*xy)
-    ox, oy, r = _circumcircle_by_calls(*xy) if circle is None else circle
+    ox, oy, r = _circumcircle_by_calls(*xy)
     return centers.Measures(xy, side_lengths, _squared_sides_xy(xy), _angles_xy(xy), (ox, oy), r)
 
 
@@ -568,17 +569,13 @@ HOSTS = _written_out_hosts()
 
 def test_measures_xy_is_its_composition():
     """measures_xy equals side_lengths_xy, circumcircle, _squared_sides_xy and
-    _angles_xy called in turn, with and without a passed circle, and raises
-    what they raise, in their order."""
+    _angles_xy called in turn, and raises what they raise, in their order."""
     raised = set()
     for xy in HOSTS + _degenerate_triples():
         expected = _result(_measures_by_calls, xy)
         assert _result(centers.measures_xy, xy) == expected
         if isinstance(expected, tuple):
             raised.add(expected)
-        for circle in ((0.5, -0.25, 2.0), (math.nan, 1.0, math.inf)):
-            expected = _result(_measures_by_calls, xy, circle)
-            assert _result(centers.measures_xy, xy, circle) == expected
     assert {kind for kind, _ in raised} == {CollinearError, ValueError}
     # a zero radius, a non-finite center, a non-finite vertex difference
     assert {"radius must be strictly positive, got 0.0", "non-finite coordinates (inf, inf)",

@@ -55,6 +55,16 @@ def test_invalid_json():
         parse_scene("{not json")
 
 
+# nested past the decoder's recursion limit
+DEEP_SCENES = ['{"A": ' + "[" * 1100 + "]" * 1100 + "}", "[" * 5000 + "]" * 5000]
+
+
+@pytest.mark.parametrize("text", DEEP_SCENES)
+def test_deeply_nested_json_is_scene_error(text):
+    with pytest.raises(SceneError, match="^invalid JSON: nested too deeply$"):
+        parse_scene(text)
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
