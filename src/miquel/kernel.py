@@ -226,11 +226,13 @@ def circle_xy(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) 
 
 def checked_circle(circle: CircleXY) -> CircleXY:
     """``circle`` as it is, once its center is finite (else ``checked_xy``'s
-    ``ValueError``, tested in line) and then its radius finite and positive:
-    the one body of the circle check."""
+    ``ValueError``) and then its radius finite and positive: the one body of
+    the circle check."""
     cx, cy, r = circle
+    # The center is tested in line and only a failure calls checked_xy: a call
+    # per check made verify-oneshot (22800 checks a pass) 1.2% slower.
     if not (math.isfinite(cx) and math.isfinite(cy)):
-        raise ValueError(f"non-finite coordinates {(cx, cy)}")
+        checked_xy(cx, cy)
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"radius must be strictly positive, got {r}")
     return circle

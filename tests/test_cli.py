@@ -446,8 +446,12 @@ def test_non_finite_scene_is_usage_error(tmp_path, command, scene):
     assert "non-finite coordinates" in res.stderr
 
 
-@pytest.mark.parametrize("scene", ['{"A": ' + "[" * 1100 + "]" * 1100 + "}",
-                                   "[" * 5000 + "]" * 5000])
+# nested far past the JSON decoder's recursion limit on every supported Python
+DEEP = 100_000
+
+
+@pytest.mark.parametrize("scene", ['{"A": ' + "[" * DEEP + "]" * DEEP + "}",
+                                   "[" * DEEP + "]" * DEEP], ids=["object", "array"])
 def test_deeply_nested_scene_is_usage_error(tmp_path, scene):
     path = tmp_path / "deep.json"
     path.write_text(scene)
@@ -464,7 +468,7 @@ def test_deeply_nested_scene_is_usage_error(tmp_path, scene):
 )
 def test_every_scene_reader_rejects_a_deeply_nested_scene(tmp_path, capsys, argv):
     path = tmp_path / "deep.json"
-    path.write_text("[" * 5000 + "]" * 5000)
+    path.write_text("[" * DEEP + "]" * DEEP)
     assert cli.main([argv[0], "--in", str(path), *argv[1:]]) == 2
     assert capsys.readouterr() == ("", "usage error: invalid JSON: nested too deeply\n")
 
