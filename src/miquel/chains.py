@@ -73,11 +73,21 @@ class ChainRecord(NamedTuple):
         )
 
 
+def checked_steps(k: int) -> int:
+    """``k`` as it is, once it is a chain length from 1 to ``MAX_CHAIN_STEPS``;
+    else a ``ValueError``: the one body of the step range."""
+    if k < 1:
+        raise ValueError("a chain needs at least one step")
+    if k > MAX_CHAIN_STEPS:
+        raise ValueError(f"chain length {k} exceeds the cap of {MAX_CHAIN_STEPS} steps")
+    return k
+
+
 def iterate_chain(
     seed: Measures, px: float, py: float, k: int, thetas: Sequence[float] | None = None
 ) -> ChainRecord:
     """Run ``k`` nesting steps from the triangle measured as ``seed`` with
-    fixed point P = (px, py), at most ``MAX_CHAIN_STEPS``.
+    fixed point P = (px, py), at most ``MAX_CHAIN_STEPS`` (``checked_steps``).
 
     Step i takes the family member of the current triangle at rotation
     ``thetas[i]`` (default all zero: the pedal chain) and promotes its triad
@@ -98,10 +108,7 @@ def iterate_chain(
     ``CollinearError`` of ``circle_xy`` for a collinear step triangle; and for
     a concurrency point drifted off P.
     """
-    if k < 1:
-        raise ValueError("a chain needs at least one step")
-    if k > MAX_CHAIN_STEPS:
-        raise ValueError(f"chain length {k} exceeds the cap of {MAX_CHAIN_STEPS} steps")
+    checked_steps(k)
     if thetas is None:
         thetas = (0.0,) * k
     elif len(thetas) != k:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 # process without a bytecode cache compiles every module it imports.
 from . import centers
 from .errors import GeometryError, RightAngleDegenerateError, SceneError
-from .kernel import min_side_line_distance_xy, reject_side_lines, side_lengths_xy
+from .kernel import corners_xy, min_side_line_distance_xy, reject_side_lines, side_lengths_xy
 from .scene import ELEMENTS, SceneSpec, parse_scene, point_in_range
 from .triads import (
     PEDAL_SIMILARITY_TOL,
@@ -42,13 +42,9 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 7
 
 
-def _num(v: float) -> str:
-    return repr(v)
-
-
 def _point_str(p: tuple[float, float]) -> str:
     x, y = p
-    return f"({_num(x)}, {_num(y)})"
+    return f"({x!r}, {y!r})"
 
 
 def _load_scene(path: str) -> SceneSpec:
@@ -182,7 +178,7 @@ def cmd_family(args) -> int:
     if not on_circle_xy((*m.circumcenter_xy, m.circumradius), px, py):
         ratio = side_lengths_xy(*triad)[0] / side_lengths_xy(*pedal_triad(m.xy, px, py))[0]
     u, v, w = triad_params(m.xy, triad)
-    x, y, z = triad[0:2], triad[2:4], triad[4:6]
+    x, y, z = corners_xy(triad, "A")
     mx, my = res.point
     doc = {
         "theta": theta,
@@ -198,29 +194,30 @@ def cmd_family(args) -> int:
     if args.json:
         print(json.dumps(doc))
     else:
-        print(f"theta          {_num(theta)}")
-        print(f"params         u={_num(u)} v={_num(v)} w={_num(w)}")
+        print(f"theta          {theta!r}")
+        print(f"params         u={u!r} v={v!r} w={w!r}")
         print(f"X              {_point_str(x)}")
         print(f"Y              {_point_str(y)}")
         print(f"Z              {_point_str(z)}")
         print(f"roundtrip      {doc['roundtrip_residual']:.3e}")
         if ratio is not None:
-            print(f"pedal ratio    {_num(ratio)}")
+            print(f"pedal ratio    {ratio!r}")
     return 0
 
 
 # ---------------------------------------------------------------- chain
 
 def cmd_chain(args) -> int:
-    from .chains import CHAIN_SIMILARITY_TOL, check_mod3_similarity, iterate_chain
+    from .chains import CHAIN_SIMILARITY_TOL, check_mod3_similarity, checked_steps, iterate_chain
 
     scene = _load_scene(args.infile)
     px, py = _require_point(scene, args.point)
-    thetas = _parse_numbers(args.thetas, "--thetas", args.steps) if args.thetas else None
-    rec = iterate_chain(scene.measures, px, py, args.steps, thetas=thetas)
-    worst = check_mod3_similarity(rec) if args.steps >= 3 else None
+    steps = checked_steps(args.steps)  # before the schedule, whose length it sets
+    thetas = _parse_numbers(args.thetas, "--thetas", steps) if args.thetas else None
+    rec = iterate_chain(scene.measures, px, py, steps, thetas=thetas)
+    worst = check_mod3_similarity(rec) if steps >= 3 else None
     doc = {
-        "steps": args.steps,
+        "steps": steps,
         "roles": [str(r) for r in rec.roles],
         "circumradii": [r for *_, r in rec.circles],
         "mod3_similar": None if worst is None else worst < CHAIN_SIMILARITY_TOL,
@@ -230,7 +227,7 @@ def cmd_chain(args) -> int:
         print(json.dumps(doc))
     else:
         for k, (role, r) in enumerate(zip(doc["roles"], doc["circumradii"])):
-            print(f"step {k:<3d} role={role:<18s} circumradius={_num(r)}")
+            print(f"step {k:<3d} role={role:<18s} circumradius={r!r}")
         if worst is not None:
             print(f"mod3 similarity {'holds' if doc['mod3_similar'] else 'FAILS'} "
                   f"(worst residual {worst:.3e})")

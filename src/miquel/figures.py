@@ -131,11 +131,11 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
             res = miquel_point(m.xy, triad)
             for k in res.circles:
                 canvas.circle(k)
-            for q, text in zip(_points(triad), ("X", "Y", "Z")):
+            for q, text in zip(corners_xy(triad, "A"), ("X", "Y", "Z")):
                 canvas.point(q, name(text), _AUX)
         elif element in ("pedal", "triad"):
             triad = _pedal_or_error(scene) if element == "pedal" else _scene_triad(scene)
-            points = _points(triad)
+            points = corners_xy(triad, "A")
             canvas.polygon(points, _AUX)
             for q, text in zip(points, ("X", "Y", "Z")):
                 canvas.point(q, name(text), _AUX)
@@ -153,18 +153,13 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
         elif element == "median-symmedian":
             _median_symmedian_layer(canvas, m, scene.options.get("vertex", "A"), name)
 
-    vertices = _points(m.xy)
+    vertices = corners_xy(m.xy, "A")
     canvas.polygon(vertices)
     for q, text in zip(vertices, ("A", "B", "C")):
         canvas.point(q, name(text))
     if p is not None:
         canvas.point(p, name("P"), _ACCENT)
     return canvas.document()
-
-
-def _points(xy: TriangleXY) -> tuple[tuple[float, float], ...]:
-    """The three vertices of ``xy`` as (x, y) pairs."""
-    return xy[0:2], xy[2:4], xy[4:6]
 
 
 def _scene_triad(scene: SceneSpec) -> TriangleXY:
@@ -194,7 +189,7 @@ def _median_symmedian_layer(canvas: _Canvas, m: Measures, vertex: str, name) -> 
     canvas.line(apex, e, _AUX)
     canvas.line(apex, centers.symmedian_foot(m, vertex), _AUX)
     canvas.line(apex, s_loc, _ACCENT)
-    if m.angles[kernel.VERTEX_LABELS.index(vertex)] < math.pi / 2.0:
+    if m.angles[kernel.VERTEX_LABELS.index(vertex)] < kernel.HALF_PI:
         f = second_intersection(line_through(apex, e), (*m.circumcenter_xy, m.circumradius), apex)
     else:
         (ax, ay), (bx, by), (cx, cy) = apex, b, c

@@ -81,8 +81,7 @@ class Point(Frozen):
     y: float
 
     def __init__(self, x: float, y: float) -> None:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite coordinates ({x}, {y})")
+        checked_xy(x, y)
         set_field(self, "x", x)
         set_field(self, "y", y)
 
@@ -93,8 +92,8 @@ class Point(Frozen):
 
 def checked_xy(*xy: float) -> tuple[float, ...]:
     """The coordinates ``xy`` of one or more points, as they are once all are
-    finite; else a ``ValueError`` naming them, for one point the message
-    ``Point`` gives."""
+    finite; else a ``ValueError`` naming them: the one body of the finiteness
+    check, which ``Point`` calls too."""
     if not all(map(math.isfinite, xy)):
         raise ValueError(f"non-finite coordinates {xy}")
     return xy

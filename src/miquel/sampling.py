@@ -101,13 +101,8 @@ def random_obtuse_at(rng: random.Random, vertex: str) -> TriangleXY:
         big = max(angles)
         if big < HALF_PI + 0.08:
             continue
-        order = sorted(range(3), key=lambda i: angles[i])
-        rolled = [0.0, 0.0, 0.0]
-        target = VERTEX_LABELS.index(vertex)
-        rolled[target] = big
-        rest = [angles[i] for i in order[:2]]
-        slots = [i for i in range(3) if i != target]
-        rolled[slots[0]], rolled[slots[1]] = rest[0], rest[1]
+        rolled = sorted(angles)[:2]
+        rolled.insert(VERTEX_LABELS.index(vertex), big)
         return triangle_from_angles(rng, tuple(rolled))
 
 
@@ -119,12 +114,8 @@ def random_isosceles(rng: random.Random, apex: str = "A") -> TriangleXY:
         apex_angle = math.pi - 2.0 * base
         if apex_angle < 0.2 or abs(apex_angle - base) < 0.05:
             continue
-        angles = [0.0, 0.0, 0.0]
-        i = VERTEX_LABELS.index(apex)
-        angles[i] = apex_angle
-        for j in range(3):
-            if j != i:
-                angles[j] = base
+        angles = [base, base]
+        angles.insert(VERTEX_LABELS.index(apex), apex_angle)
         return triangle_from_angles(rng, tuple(angles))
 
 

@@ -64,7 +64,7 @@ def _float(value: int | float, key: str) -> float:
 def point_in_range(x: float, y: float, key: str) -> tuple[float, float]:
     """The point (x, y), rejected unless both coordinates lie within
     ±``MAX_COORDINATE``."""
-    p = checked_xy(x, y)  # rejects non-finite coordinates first
+    p = checked_xy(x, y)  # rejects NaN and infinite coordinates first
     if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
         raise SceneError(
             f"{key} is out of range: coordinates must lie within ±{MAX_COORDINATE:.0e}"

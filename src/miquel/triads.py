@@ -26,6 +26,7 @@ from .kernel import (
     circle_xy,
     circumcircle,
     contains_xy,
+    corners_xy,
     directed_angle_xy,
     half_turn,
     line_through,
@@ -138,12 +139,11 @@ def pedal_triad(host: TriangleXY, px: float, py: float) -> TriangleXY:
 
 def simson_line(host: TriangleXY, px: float, py: float) -> SimsonLine:
     """The line through the collinear pedal feet of (px, py), a point inside
-    the degeneration band of the circumcircle of ``host``; it passes through
-    the two feet farthest apart."""
+    the degeneration band of the circumcircle of ``host``, checked by
+    ``checked_triad``; it passes through the two feet farthest apart."""
     if not on_circle_xy(circumcircle(*host), px, py):
         raise GeometryError("P is not on the circumcircle; no collapsed line")
-    xy, _ = family_xy(host, px, py, 0.0)
-    feet = tuple([checked_xy(xy[k], xy[k + 1]) for k in (0, 2, 4)])
+    feet = corners_xy(checked_triad(family_xy(host, px, py, 0.0)[0]), "A")
     anchor, far = max(
         ((feet[i], feet[j]) for i in range(3) for j in range(i + 1, 3)),
         key=lambda pair: math.dist(*pair),

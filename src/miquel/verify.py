@@ -22,6 +22,7 @@ from .chains import (
     iterate_chain,
 )
 from .kernel import (
+    HALF_PI,
     VERTEX_LABELS,
     TriangleXY,
     angle_distance,
@@ -66,7 +67,6 @@ from .triads import (
     miquel_angles_xy,
     miquel_residual,
     miquel_xy,
-    on_circle_xy,
     simson_line,
     triad_xy,
     verify_miquel_equations,
@@ -184,8 +184,7 @@ def suite_theorem2(report: SuiteReport) -> None:
         t = random_triangle(rng)
         px, py = p = random_point_in_circumdisk(rng, t, circumcircle(*t))
         theta = rng.uniform(-1.2, 1.2)
-        triad = checked_xy(*family_xy(t, px, py, theta)[0])
-        worst = verify_miquel_equations(t, px, py, triad)
+        worst = verify_miquel_equations(t, px, py, family_xy(t, px, py, theta)[0])
         equations.add(worst, i, t, p)
 
 
@@ -386,7 +385,7 @@ def suite_theorem9(report: SuiteReport) -> None:
         median = line_through(apex, e)
         r = m.circumradius
         on_median.add(abs(offset_xy(*median, px, py)) / r, i, t)
-        if m.angles[VERTEX_LABELS.index(v)] < math.pi / 2.0:
+        if m.angles[VERTEX_LABELS.index(v)] < HALF_PI:
             f = second_intersection(median, (*shape.circumcenter_xy, shape.circumradius), apex)
             midpoint_rel.add(abs(math.dist(e, p) - math.dist(e, f)) / r, i, t)
         else:
@@ -504,8 +503,8 @@ def _chain_points(rng, m: Measures) -> list[tuple[str, tuple[float, float]]]:
 def suite_theorem14(report: SuiteReport) -> None:
     """Chains: triangles with indices congruent mod 3 are directly similar,
     vertex for vertex, for the pedal and random rotation schedules."""
-    default_sched = report.claim("mod3-pedal-schedule", 1e-6)
-    random_sched = report.claim("mod3-random-schedule", 1e-6)
+    default_sched = report.claim("mod3-pedal-schedule", CHAIN_SIMILARITY_TOL)
+    random_sched = report.claim("mod3-random-schedule", CHAIN_SIMILARITY_TOL)
     k = 9
     for i in range(report.trials):
         rng = report.rng(i)
@@ -547,10 +546,10 @@ def suite_theorem15(report: SuiteReport) -> None:
     """Chain similarity-to-seed schedules, each step under its pinned
     correspondence: Brocard chains all similar; circumcenter and symmedian
     chains at steps 0,1 mod 3; orthocenter and median chains at 2,0 mod 3."""
-    brocard_all = report.claim("brocard-all-similar", 1e-6)
+    brocard_all = report.claim("brocard-all-similar", CHAIN_SIMILARITY_TOL)
     brocard_angles = report.claim("brocard-angle-fixed", 1e-7)
-    o_s_steps = report.claim("seed-similar-steps-0-1-mod3", 1e-6)
-    h_m_steps = report.claim("seed-similar-steps-2-0-mod3", 1e-6)
+    o_s_steps = report.claim("seed-similar-steps-0-1-mod3", CHAIN_SIMILARITY_TOL)
+    h_m_steps = report.claim("seed-similar-steps-2-0-mod3", CHAIN_SIMILARITY_TOL)
     generic = report.claim("generic-steps-1-2-dissimilar", 0.5, informational=True)
     k = 6
     for i in range(report.trials):
@@ -629,9 +628,6 @@ def suite_simson(report: SuiteReport) -> None:
         t = random_triangle(rng)
         circle = circumcircle(*t)
         p = random_circumcircle_point(rng, t, circle)
-        if not on_circle_xy(circle, *p):
-            collinear.add(1.0, i, t, p)
-            continue
         collinear.add(simson_line(t, *p).max_deviation() / circle[2], i, t, p)
 
 

@@ -149,6 +149,16 @@ class TestIterateChain:
         with pytest.raises(ValueError, match="cap of 12 steps"):
             iterate_chain(measures_xy(TSCA), 1.4, 0.9, 13)
 
+    # a step count out of range is reported before a schedule of the wrong length
+    @pytest.mark.parametrize("thetas", [None, [0.1]])
+    @pytest.mark.parametrize("k, message", [(0, "a chain needs at least one step"),
+                                            (-3, "a chain needs at least one step"),
+                                            (13, "chain length 13 exceeds the cap of 12 steps")])
+    def test_step_range(self, k, message, thetas):
+        with pytest.raises(ValueError) as info:
+            iterate_chain(measures_xy(TSCA), 1.4, 0.9, k, thetas=thetas)
+        assert str(info.value) == message
+
 
 class TestMod3Similarity:
     def test_classes_partition(self):

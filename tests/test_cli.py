@@ -592,6 +592,37 @@ def test_chain_step_cap_is_usage_error(tri_file):
     assert "cap" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "steps, message",
+    [("13", "chain length 13 exceeds the cap of 12 steps"),
+     ("-3", "a chain needs at least one step"),
+     ("0", "a chain needs at least one step")],
+)
+@pytest.mark.parametrize("thetas", [(), ("--thetas", "0.1")], ids=["pedal", "thetas"])
+def test_chain_step_range_is_checked_before_the_schedule(tri_file, steps, message, thetas):
+    res = run_cli("chain", "--in", tri_file, "--point", "2,1", "--steps", steps, *thetas)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "scene, message",
+    [
+        ("[]", "scene must be a JSON object"),
+        (TRI[:-1] + ', "theta": true}', "'theta' must be a number"),
+        (TRI[:-1] + ', "options": 3}', "'options' must be an object"),
+        (TRI[:-1] + ', "options": {"labels": 1}}', "'labels' must be a boolean"),
+        (TRI[:-1] + ', "options": {"vertex": "D"}}', "'vertex' must be A, B or C"),
+    ],
+)
+def test_scene_schema_rejection_is_one_usage_line(tmp_path, scene, message):
+    path = tmp_path / "scene.json"
+    path.write_text(scene)
+    res = run_cli("centers", "--in", str(path))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"usage error: {message}\n"
+
+
 SCENE_P = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2, 1]}'
 # a point on the circumcircle of tri.json, centered (2, 1) with radius √5
 ON_CIRCLE = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [4.23606797749979, 1]}'

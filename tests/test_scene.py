@@ -80,6 +80,24 @@ def test_duplicate_key_rejected(text, key):
         parse_scene(text)
 
 
+# each schema rejection no other test reaches, with its exact message
+TRI_FIELDS = '"A": [0, 0], "B": [4, 0], "C": [1, 3]'
+SCHEMA_REJECTIONS = [
+    ("[]", "scene must be a JSON object"),
+    (f'{{{TRI_FIELDS}, "theta": true}}', "'theta' must be a number"),
+    (f'{{{TRI_FIELDS}, "options": 3}}', "'options' must be an object"),
+    (f'{{{TRI_FIELDS}, "options": {{"labels": 1}}}}', "'labels' must be a boolean"),
+    (f'{{{TRI_FIELDS}, "options": {{"vertex": "D"}}}}', "'vertex' must be A, B or C"),
+]
+
+
+@pytest.mark.parametrize("text, message", SCHEMA_REJECTIONS)
+def test_schema_rejection_message(text, message):
+    with pytest.raises(SceneError) as info:
+        parse_scene(text)
+    assert str(info.value) == message
+
+
 def test_options_validated():
     spec = parse_scene('{"A": [0,0], "B": [4,0], "C": [1,3], "options": {"width": 800, "labels": false, "vertex": "B"}}')
     assert spec.options == {"width": 800, "labels": False, "vertex": "B"}

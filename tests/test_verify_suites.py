@@ -164,6 +164,26 @@ def test_claim_no_trial_reached_fails():
     assert not rep.passed
 
 
+# the claims that compare chain shapes with chains.CHAIN_SIMILARITY_TOL
+CHAIN_BAND_CLAIMS = {
+    "mod3-pedal-schedule", "mod3-random-schedule", "brocard-all-similar",
+    "seed-similar-steps-0-1-mod3", "seed-similar-steps-2-0-mod3",
+}
+
+
+def test_chain_claims_read_the_chain_band(monkeypatch):
+    def tolerances():
+        return {c.name: c.tol for name in ("theorem14", "theorem15")
+                for c in run_suite(name, 7, 1).claims}
+
+    own = tolerances()
+    monkeypatch.setattr("miquel.verify.CHAIN_SIMILARITY_TOL", 2e-6)
+    moved = tolerances()
+    assert moved.keys() == own.keys() and CHAIN_BAND_CLAIMS <= own.keys()
+    for name, tol in moved.items():
+        assert tol == (2e-6 if name in CHAIN_BAND_CLAIMS else own[name]), name
+
+
 def test_informational_claim_without_trials_does_not_gate():
     rep = run_suite("theorem15", 7, 1)
     rep.claim("never-reached", 1.0, informational=True)
