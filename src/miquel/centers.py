@@ -113,17 +113,12 @@ def _vertex_free_xy(m: Measures) -> tuple[tuple[float, float], ...]:
             first, second)
 
 
-def _excenter_xy(m: Measures, i: int) -> tuple[float, float] | None:
-    """The excenter opposite the vertex of index ``i``: the incenter's
-    weights with the i-th negated."""
-    wa, wb, wc = m.side_lengths
-    if i == 0:
-        wa = -wa
-    elif i == 1:
-        wb = -wb
-    else:
-        wc = -wc
-    return _barycentric_xy(m, wa, wb, wc)
+def _excenters_xy(m: Measures) -> tuple[tuple[float, float] | None, ...]:
+    """The excenters opposite A, B and C: the incenter's weights with the
+    one at that vertex negated."""
+    la, lb, lc = m.side_lengths
+    return (_barycentric_xy(m, -la, lb, lc), _barycentric_xy(m, la, -lb, lc),
+            _barycentric_xy(m, la, lb, -lc))
 
 
 def _s_m_xy(m: Measures, i: int) -> tuple[tuple[float, float] | None, ...] | None:
@@ -234,7 +229,7 @@ def locate_xy(m: Measures, role: SpecialRole) -> tuple[float, float]:
     if name in _VERTEX_FREE:
         loc = _vertex_free_xy(m)[_VERTEX_FREE[name]]
     elif name == "excenter":
-        loc = _excenter_xy(m, VERTEX_LABELS.index(role.vertex))
+        loc = _excenters_xy(m)[VERTEX_LABELS.index(role.vertex)]
     elif name in ("s_role", "m_role"):
         s_m = _s_m_xy(m, VERTEX_LABELS.index(role.vertex))
         if s_m is None:
@@ -259,8 +254,7 @@ def named_points_xy(m: Measures) -> tuple[tuple[float, float] | None, ...]:
     s_a, m_a = _s_m_xy(m, 0) or _NO_S_M
     s_b, m_b = _s_m_xy(m, 1) or _NO_S_M
     s_c, m_c = _s_m_xy(m, 2) or _NO_S_M
-    return (o, h, g, incenter, _excenter_xy(m, 0), _excenter_xy(m, 1), _excenter_xy(m, 2),
-            first, second, s_a, m_a, s_b, m_b, s_c, m_c)
+    return (o, h, g, incenter, *_excenters_xy(m), first, second, s_a, m_a, s_b, m_b, s_c, m_c)
 
 
 def isogonal_conjugate(m: Measures, px: float, py: float) -> tuple[float, float]:

@@ -20,17 +20,17 @@ from typing import TYPE_CHECKING
 # process without a bytecode cache compiles every module it imports.
 from . import centers
 from .errors import GeometryError, RightAngleDegenerateError, SceneError
-from .kernel import corners_xy, min_side_line_distance_xy, reject_side_lines, side_lengths_xy
+from .kernel import corners_xy, reject_side_lines, side_lengths_xy
 from .scene import ELEMENTS, SceneSpec, parse_scene, point_in_range
 from .triads import (
     PEDAL_SIMILARITY_TOL,
     checked_triad,
     classify_similarity,
     detect_special_role,
-    family_member,
+    family_xy,
     miquel_point,
     on_circle_xy,
-    pedal_triad,
+    pedal_shape_xy,
     simson_line,
     triad_params,
     triad_xy,
@@ -114,8 +114,7 @@ def cmd_classify(args) -> int:
         doc["pedal"] = "simson-line"
         doc["collinearity_deviation"] = simson_line(m.xy, px, py).max_deviation()
     else:
-        pedal = pedal_triad(m.xy, px, py)
-        side_lengths_xy(*pedal)  # the CollinearError of a collinear pedal triangle
+        pedal = pedal_shape_xy(m.xy, px, py)
         match = classify_similarity(m.xy, pedal, PEDAL_SIMILARITY_TOL)
         if match is None:
             doc["similar_to_host"] = False
@@ -171,12 +170,13 @@ def cmd_family(args) -> int:
     m = scene.measures
     px, py = _require_point(scene, args.point)
     theta = args.theta if args.theta is not None else (scene.theta or 0.0)
-    triad = family_member(m.xy, px, py, theta)
-    reject_side_lines(min_side_line_distance_xy(m.xy, px, py), m.circumradius)
+    triad, nearest = family_xy(m.xy, px, py, theta)
+    checked_triad(triad)
+    reject_side_lines(nearest, m.circumradius)
     res = miquel_point(m.xy, triad)
     ratio = None
     if not on_circle_xy((*m.circumcenter_xy, m.circumradius), px, py):
-        ratio = side_lengths_xy(*triad)[0] / side_lengths_xy(*pedal_triad(m.xy, px, py))[0]
+        ratio = side_lengths_xy(*triad)[0] / side_lengths_xy(*family_xy(m.xy, px, py, 0.0)[0])[0]
     u, v, w = triad_params(m.xy, triad)
     x, y, z = corners_xy(triad, "A")
     mx, my = res.point

@@ -12,7 +12,7 @@ from .errors import GeometryError, SceneError
 from .kernel import (CircleXY, LineXY, TriangleXY, checked_xy, circumcircle, corners_xy,
                      line_through, midpoint, second_intersection)
 from .scene import ELEMENTS, SceneSpec
-from .triads import (checked_triad, miquel_point, on_circle_xy, pedal_triad, simson_line,
+from .triads import (checked_triad, family_xy, miquel_point, on_circle_xy, simson_line,
                      triad_xy)
 
 _STROKE = "#1a1a1a"
@@ -124,6 +124,8 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
         return text if labels_on else None
 
     for element in chosen:
+        if element in ("pedal", "simson") and p is None:
+            raise SceneError(f"element '{element}' requires P")
         if element == "circumcircle":
             canvas.circle(circ)
         elif element == "miquel-circles":
@@ -134,14 +136,12 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
             for q, text in zip(corners_xy(triad, "A"), ("X", "Y", "Z")):
                 canvas.point(q, name(text), _AUX)
         elif element in ("pedal", "triad"):
-            triad = _pedal_or_error(scene) if element == "pedal" else _scene_triad(scene)
+            triad = _pedal(m, *p) if element == "pedal" else _scene_triad(scene)
             points = corners_xy(triad, "A")
             canvas.polygon(points, _AUX)
             for q, text in zip(points, ("X", "Y", "Z")):
                 canvas.point(q, name(text), _AUX)
         elif element == "simson":
-            if p is None:
-                raise SceneError("element 'simson' requires P")
             sim = simson_line(m.xy, *p)
             canvas.infinite_line(sim.line)
             for q in sim.feet:
@@ -165,18 +165,18 @@ def render_figure(scene: SceneSpec, elements: list[str]) -> str:
 def _scene_triad(scene: SceneSpec) -> TriangleXY:
     if scene.triad_params is not None:
         return checked_triad(triad_xy(scene.measures.xy, *scene.triad_params))
-    return _pedal_or_error(scene)
-
-
-def _pedal_or_error(scene: SceneSpec) -> TriangleXY:
     if scene.point is None:
         raise SceneError("this element requires P or triad parameters")
-    m = scene.measures
-    px, py = scene.point
-    kernel.reject_side_lines(kernel.min_side_line_distance_xy(m.xy, px, py), m.circumradius)
+    return _pedal(scene.measures, *scene.point)
+
+
+def _pedal(m: Measures, px: float, py: float) -> TriangleXY:
+    triad, nearest = family_xy(m.xy, px, py, 0.0)
+    checked_triad(triad)
+    kernel.reject_side_lines(nearest, m.circumradius)
     if on_circle_xy((*m.circumcenter_xy, m.circumradius), px, py):
         raise GeometryError("P sits on the circumcircle; select 'simson' instead")
-    return pedal_triad(m.xy, px, py)
+    return triad
 
 
 def _median_symmedian_layer(canvas: _Canvas, m: Measures, vertex: str, name) -> None:

@@ -18,6 +18,10 @@ from .kernel import (HALF_PI, VERTEX_LABELS, CircleXY, TriangleXY, checked_xy,
                      min_side_line_distance_xy, side_lengths_xy)
 
 
+# random_exterior_point's largest distance from the circumcenter, in radii
+EXTERIOR_REACH = 5.0
+
+
 def rng_for(seed: int, suite: str, index: int) -> random.Random:
     """Deterministic per-trial generator, independent of trial order."""
     return random.Random(f"{suite}:{seed}:{index}")
@@ -106,7 +110,7 @@ def random_obtuse_at(rng: random.Random, vertex: str) -> TriangleXY:
         return triangle_from_angles(rng, tuple(rolled))
 
 
-def random_isosceles(rng: random.Random, apex: str = "A") -> TriangleXY:
+def random_isosceles(rng: random.Random, apex: str) -> TriangleXY:
     """Isosceles at ``apex`` (the two adjacent sides equal), never
     equilateral, base angles at least 0.30."""
     while True:
@@ -149,17 +153,13 @@ def random_point_in_circumdisk(
 
 
 def random_exterior_point(
-    rng: random.Random,
-    t: TriangleXY,
-    circle: CircleXY,
-    min_factor: float = 1.1,
-    max_factor: float = 5.0,
+    rng: random.Random, t: TriangleXY, circle: CircleXY, min_factor: float = 1.1
 ) -> tuple[float, float]:
-    """Point outside ``circle``, the circumcircle of ``t``, at a bounded
-    distance from its center, off the side lines by 0.02 R."""
+    """Point outside ``circle``, the circumcircle of ``t``, at min_factor to
+    ``EXTERIOR_REACH`` radii from its center, off the side lines by 0.02 R."""
     ox, oy, radius = circle
     while True:
-        r = radius * rng.uniform(min_factor, max_factor)
+        r = radius * rng.uniform(min_factor, EXTERIOR_REACH)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         px, py = ox + r * math.cos(phi), oy + r * math.sin(phi)
         if min_side_line_distance_xy(t, px, py) < 0.02 * radius:

@@ -133,8 +133,17 @@ def on_circle_xy(circle: CircleXY, px: float, py: float) -> bool:
 def pedal_triad(host: TriangleXY, px: float, py: float) -> TriangleXY:
     """Perpendicular feet of (px, py) on the three side lines: the family
     member at theta = 0, defined for every point. On the circumcircle they
-    are collinear (``simson_line``)."""
+    are collinear (``simson_line``). Library API: the package itself reads
+    ``family_xy`` or ``pedal_shape_xy``."""
     return family_member(host, px, py, 0.0)
+
+
+def pedal_shape_xy(host: TriangleXY, px: float, py: float) -> TriangleXY:
+    """The pedal feet of (px, py), ``family_xy`` at theta = 0, refused as
+    ``side_lengths_xy`` refuses a triangle: collinear, or not finite."""
+    xy = family_xy(host, px, py, 0.0)[0]
+    side_lengths_xy(*xy)
+    return xy
 
 
 def simson_line(host: TriangleXY, px: float, py: float) -> SimsonLine:
@@ -204,7 +213,8 @@ def family_member(host: TriangleXY, px: float, py: float, theta: float) -> Trian
 
     theta = 0 is the pedal triad, and the triad triangle scales by
     1/cos(theta) relative to it. Defined for every point: on a side line
-    the vertex on that line is P itself.
+    the vertex on that line is P itself. Library API: the package itself
+    calls ``family_xy``, which also gives P's side-line distance.
     """
     return checked_triad(family_xy(host, px, py, theta)[0])
 
@@ -217,7 +227,8 @@ def family_xy(
     line, the pedal foot F of P moved along the side to
     F + tan(theta)·perp(F − P), where perp turns the spoke F − P a quarter
     turn counter-clockwise. Then P's distance from the nearest side line,
-    which the caller hands to ``reject_side_lines``."""
+    which the chain steps, ``containment_parity``, ``cmd_family`` and the
+    figures' pedal layer hand to ``reject_side_lines``."""
     # rejects NaN too: every comparison with NaN is false
     if not abs(theta) < HALF_PI - ANGLE_EPS:
         raise GeometryError(f"rotation {theta} not inside (-pi/2, pi/2)")

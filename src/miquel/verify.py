@@ -41,7 +41,6 @@ from .kernel import (
     second_intersection,
     shape_gap,
     shape_ratio,
-    side_lengths_xy,
 )
 from .sampling import (
     random_acute_triangle,
@@ -67,6 +66,7 @@ from .triads import (
     miquel_angles_xy,
     miquel_residual,
     miquel_xy,
+    pedal_shape_xy,
     simson_line,
     triad_xy,
     verify_miquel_equations,
@@ -147,13 +147,6 @@ def _pedal(t: TriangleXY, px: float, py: float) -> Measures:
     return measures_xy(family_xy(t, px, py, 0.0)[0])
 
 
-def _pedal_shape(t: TriangleXY, px: float, py: float) -> TriangleXY:
-    """The vertices of ``_pedal``, checked by ``side_lengths_xy``."""
-    xy = family_xy(t, px, py, 0.0)[0]
-    side_lengths_xy(*xy)
-    return xy
-
-
 def suite_theorem1(report: SuiteReport) -> None:
     """Three circles through a vertex and its adjacent triad points meet in
     one point, for triad points anywhere on the sides or their extensions."""
@@ -205,7 +198,7 @@ def suite_lemma1(report: SuiteReport) -> None:
                 if not contains_xy(t, *p):
                     break
         else:
-            p = random_exterior_point(rng, t, circle, min_factor=1.05, max_factor=5.0)
+            p = random_exterior_point(rng, t, circle, min_factor=1.05)
         rep = containment_parity(t, circle, *p)
         parity.add_bool(rep.agree, i, t, p)
         if rep.ray_angle_sum is not None:
@@ -245,7 +238,7 @@ def suite_theorem3(report: SuiteReport) -> None:
             if math.hypot(p[0] - ox, p[1] - oy) > 0.1 * radius:
                 break
         q = invert_xy(circle, *p)
-        r_p, r_q = (shape_ratio(_pedal_shape(t, *r), (0, 1, 2)) for r in (p, q))
+        r_p, r_q = (shape_ratio(pedal_shape_xy(t, *r), (0, 1, 2)) for r in (p, q))
         similar.add(shape_gap(r_p, r_q, True), i, t, p)
 
 
@@ -277,7 +270,7 @@ def suite_theorem4(report: SuiteReport) -> None:
         host = shape_ratio(t, (0, 1, 2))
         mirrored = []
         for e in cat:
-            shape = _pedal_shape(t, *e.location)
+            shape = pedal_shape_xy(t, *e.location)
             gap = shape_gap(host, shape_ratio(shape, e.order), e.mirrored)
             if e.inverse:
                 exterior_sim.add(gap, i, t, e.location)

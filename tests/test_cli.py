@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from miquel import cli, kernel
+from miquel import cli, kernel, triads
 from miquel.kernel import side_lengths_xy
 from miquel.scene import ELEMENTS
 from miquel.triads import PEDAL_SIMILARITY_TOL, classify_similarity
@@ -180,7 +180,7 @@ def test_every_correspondence_classified_and_printed(
     match = classify_similarity(host, copy, PEDAL_SIMILARITY_TOL)
     assert (match.order, match.mirrored) == (order, mirrored)
     # classify reports the copy as the pedal triangle of the scene's point
-    monkeypatch.setattr(cli, "pedal_triad", lambda host, px, py: copy)
+    monkeypatch.setattr(cli, "pedal_shape_xy", lambda host, px, py: copy)
     assert cli.main(["classify", "--in", tri_file, "--point", "2,1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["permutation"], doc["orientation"]) == (
@@ -269,6 +269,36 @@ def test_family_roundtrip(tri_file):
     res = run_cli("family", "--in", tri_file, "--point", "1.4,0.9", "--theta", "0.5", "--json")
     doc = json.loads(res.stdout)
     assert doc["roundtrip_residual"] < 1e-10
+
+
+def test_family_and_pedal_figure_read_the_side_line_distance_of_family_xy(
+    tmp_path, monkeypatch, capsys
+):
+    """``family`` and the figures' pedal layer take P's side-line distance
+    from ``family_xy``: no ``min_side_line_distance_xy`` call, and
+    ``family_xy`` twice for ``family`` (the member, then the pedal triangle
+    of its ratio) and once for the figure."""
+    import miquel.figures  # noqa: F401  (`figure` imports it; patched here first)
+
+    calls = {}
+    for real in (kernel.min_side_line_distance_xy, triads.family_xy):
+        name = real.__name__
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("miquel.") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "scene.json"
+    path.write_text('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [1.4, 0.9]}')
+    for argv, family_calls in ((["family", "--theta", "0.3"], 2),
+                               (["figure", "--elements", "pedal"], 1)):
+        calls.update(min_side_line_distance_xy=0, family_xy=0)
+        assert cli.main([argv[0], "--in", str(path), *argv[1:]]) == 0
+        assert calls == {"min_side_line_distance_xy": 0, "family_xy": family_calls}
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

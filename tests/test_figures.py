@@ -2,6 +2,7 @@
 
 import pytest
 
+from miquel import cli
 from miquel.errors import GeometryError, SceneError
 from miquel.figures import render_figure
 from miquel.scene import parse_scene
@@ -71,3 +72,35 @@ def test_viewbox_covers_exterior_point():
     view = svg.split('viewBox="')[1].split('"')[0]
     x0, y0, w, h = (float(v) for v in view.split())
     assert w > 20.0  # the far point stretched the bounding circle
+
+
+TRIAD_ONLY = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "triad": [0.3, 0.3, 0.3]}'
+BARE = '{"A": [0, 0], "B": [4, 0], "C": [1, 3]}'
+
+
+@pytest.mark.parametrize(
+    "scene, element, message",
+    [
+        (TRIAD_ONLY, "simson", "element 'simson' requires P"),
+        (TRIAD_ONLY, "pedal", "element 'pedal' requires P"),
+        (BARE, "triad", "this element requires P or triad parameters"),
+        (BARE, "miquel-circles", "this element requires P or triad parameters"),
+    ],
+    ids=["simson", "pedal", "triad", "miquel-circles"],
+)
+def test_missing_input_names_what_the_element_needs(tmp_path, capsys, scene, element, message):
+    """The layers that need P name P, even when the scene has triad
+    parameters; the triad layers fall back to P's pedal triad and name
+    both. Each is a usage error (exit 2) on one stderr line."""
+    with pytest.raises(SceneError, match=f"^{message}$"):
+        render_figure(parse_scene(scene), [element])
+    path = tmp_path / "scene.json"
+    path.write_text(scene)
+    assert cli.main(["figure", "--in", str(path), "--elements", element]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"usage error: {message}\n")
+
+
+def test_triad_scene_draws_without_p():
+    svg = render_figure(parse_scene(TRIAD_ONLY), ["triad", "miquel-circles"])
+    assert svg.count(">X<") == 2

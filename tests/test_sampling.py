@@ -217,7 +217,7 @@ _SAMPLERS = {
         lambda rng, host: random_exterior_point(rng, *host),
         lambda rng, host: _exterior_point_by_uniform(rng, *host)),
     "random_exterior_point_factors": (
-        lambda rng, host: random_exterior_point(rng, *host, 1.05, 5.0),
+        lambda rng, host: random_exterior_point(rng, *host, 1.05),
         lambda rng, host: _exterior_point_by_uniform(rng, *host, 1.05, 5.0)),
 }
 

@@ -56,9 +56,9 @@ def _vertex_free(k):
 
 
 def _excenter(monkeypatch, delta):
-    real = centers._excenter_xy
-    monkeypatch.setattr(centers, "_excenter_xy",
-                        lambda m, i: _moved(real(m, i), delta * m.circumradius))
+    real = centers._excenters_xy
+    monkeypatch.setattr(centers, "_excenters_xy",
+                        lambda m: tuple(_moved(e, delta * m.circumradius) for e in real(m)))
 
 
 def _family_x(monkeypatch, delta):

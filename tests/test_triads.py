@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from miquel import triads
+from miquel import sampling, triads
 from miquel.centers import (
     brocard_point,
     eleven_point_catalog,
@@ -661,20 +661,20 @@ class TestContainmentParity:
         rng = rng_for(0, "parity", 0)
         for _ in range(50):
             t = _triangle(random_triangle(rng))
-            p = Point(*random_exterior_point(rng, t.xy, _circle(t),
-                                             min_factor=2.0, max_factor=5.0))
+            p = Point(*random_exterior_point(rng, t.xy, _circle(t), min_factor=2.0))
             rep = _parity(t, p)
             assert not rep.inside_host and not rep.inside_miquel and rep.agree
 
-    def test_parity_everywhere(self):
+    def test_parity_everywhere(self, monkeypatch):
+        # points 0.2 to 4 circumradii from the circumcenter
+        monkeypatch.setattr(sampling, "EXTERIOR_REACH", 4.0)
         rng = rng_for(0, "parity", 1)
         for _ in range(300):
             t = _triangle(random_triangle(rng))
             p = (
                 Point(*random_interior_point(rng, t.xy))
                 if rng.random() < 0.5
-                else Point(*random_exterior_point(rng, t.xy, _circle(t),
-                                                  min_factor=0.2, max_factor=4.0))
+                else Point(*random_exterior_point(rng, t.xy, _circle(t), min_factor=0.2))
             )
             if abs(_offset_from(_circle(t), p)) < 1e-3 * _radius(t):
                 continue
@@ -765,7 +765,7 @@ def _trial_points(rng, t, i):
             p = Point(*random_point_in_circumdisk(rng, t.xy, _circle(t), line_margin=0.03))
             if not _contains_by_operators(t, p):
                 return p
-    return Point(*random_exterior_point(rng, t.xy, _circle(t), min_factor=1.05, max_factor=5.0))
+    return Point(*random_exterior_point(rng, t.xy, _circle(t), min_factor=1.05))
 
 
 class TestCoordinatePathsAgainstObjects:

@@ -25,8 +25,8 @@ from miquel.sampling import (
     random_point_in_circumdisk,
     rng_for,
 )
-from miquel.triads import pedal_triad
-from miquel.verify import SUITES, ClaimResult, _pedal, _pedal_shape, _witness, run_suite
+from miquel.triads import pedal_shape_xy, pedal_triad
+from miquel.verify import SUITES, ClaimResult, _pedal, _witness, run_suite
 
 
 def test_registry_names():
@@ -326,16 +326,16 @@ def test_shape_only_pedal_raises_as_measures_xy():
                   random_exterior_point(rng, t, circle),
                   random_circumcircle_point(rng, t, circle)):
             expected = _raised(_pedal, t, *p)
-            assert _raised(_pedal_shape, t, *p) == expected
+            assert _raised(pedal_shape_xy, t, *p) == expected
             if expected is None:
-                assert _pedal_shape(t, *p) == _pedal(t, *p).xy
+                assert pedal_shape_xy(t, *p) == _pedal(t, *p).xy
             raised.append(expected)
     assert raised.count((CollinearError, "degenerate triangle: collinear within tolerance")) == 300
     host = (-6e307, 0.0, 6e307, 0.0, 0.0, 6e307)
     nan_foot = (ValueError, "non-finite coordinates (nan, nan)")
-    assert _raised(_pedal_shape, host, 0.0, -1.7e308) == nan_foot
+    assert _raised(pedal_shape_xy, host, 0.0, -1.7e308) == nan_foot
     assert _raised(_pedal, host, 0.0, -1.7e308) == nan_foot
     # a pedal whose circumcircle alone overflows passes, as Triangle would
-    shape = _pedal_shape(host, 0.0, -1e308)
+    shape = pedal_shape_xy(host, 0.0, -1e308)
     assert Triangle(Point(*shape[0:2]), Point(*shape[2:4]), Point(*shape[4:6])).xy == shape
     assert _raised(_pedal, host, 0.0, -1e308) == nan_foot
