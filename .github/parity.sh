@@ -39,6 +39,10 @@ echo '{"A": [0, 0], "B": [4, 0], "C": [1.6, 0.9], "P": [1.5, 0.4], "triad": [0.3
 echo '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [4.23606797749979, 1], "options": {"vertex": "B"}}' > oncircle-b.json
 # a triad and no point
 echo '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "triad": [0.3, 0.3, 0.3]}' > triad-only.json
+# Y a hair from A: the Miquel circle AYZ just outside the collinearity
+# band (drawn) and just inside it (exit 1)
+echo '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "triad": [0.5, 0.9999999993, 0.5]}' > band-out.json
+echo '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "triad": [0.5, 0.9999999994, 0.5]}' > band-in.json
 # a finite triad parameter whose point X overflows
 echo '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "triad": [1e308, 0.3, 0.3]}' > huge-triad.json
 # scene.json drawn without labels at another width
@@ -202,6 +206,12 @@ run miquel-nan.txt miquel --in tri.json --triad nan,0.3,0.3
 # drawn and as construction circles (each exit 2)
 run miquel-huge.txt miquel --in tri.json --triad 1e308,0.3,0.3
 run huge-triad-miquel.txt miquel --in huge-triad.json
+# the Miquel circle AYZ just inside the collinearity band (exit 1)
+# and just outside it, as the command and drawn
+run miquel-band-in.txt miquel --in tri.json --triad 0.5,0.9999999994,0.5
+run miquel-band-out.txt miquel --in tri.json --triad 0.5,0.9999999993,0.5
+run band-out-circles.svg figure --in band-out.json --elements miquel-circles
+run band-in-circles.svg figure --in band-in.json --elements miquel-circles
 # the triad layers from the scene's triad with no point, and with
 # neither (exit 2)
 run triad-only-fig.svg figure --in triad-only.json --elements triad,miquel-circles

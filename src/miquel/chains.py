@@ -128,12 +128,14 @@ def iterate_chain(
             triad, nearest = family_xy(host, px, py, theta)
             reject_side_lines(nearest, r)
             xx, xy, yx, yy, zx, zy = triad
-            # every comparison with NaN is false, so NaN is out of range too
+            # every comparison with NaN is false, so NaN is out of range too;
+            # on finite coordinates, one side long enough is the longest one
             if not (
-                abs(xx) <= big and abs(xy) <= big and abs(yx) <= big
-                and abs(yy) <= big and abs(zx) <= big and abs(zy) <= big
-                and max(math.hypot(yx - xx, yy - xy), math.hypot(zx - yx, zy - yy),
-                        math.hypot(xx - zx, xy - zy)) >= MIN_LONGEST_SIDE
+                -big <= xx <= big and -big <= xy <= big and -big <= yx <= big
+                and -big <= yy <= big and -big <= zx <= big and -big <= zy <= big
+                and (math.hypot(yx - xx, yy - xy) >= MIN_LONGEST_SIDE
+                     or math.hypot(zx - yx, zy - yy) >= MIN_LONGEST_SIDE
+                     or math.hypot(xx - zx, xy - zy) >= MIN_LONGEST_SIDE)
             ):
                 raise DegenerateStepError(
                     "the triangle is out of range: its coordinates must lie within"

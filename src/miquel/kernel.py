@@ -208,16 +208,24 @@ def side_lengths_xy(
 def circle_xy(x1: float, y1: float, x2: float, y2: float, x3: float, y3: float) -> CircleXY:
     """Center and radius of the circle through three points, as
     (center x, center y, radius); raises ``CollinearError`` when the points
-    are collinear within tolerance."""
+    are collinear within tolerance: |cross| ≤ ``LENGTH_EPS``·span², span the
+    longest side. A margin pre-test on the squared legs m2 + m3 passes the
+    triples far from that band without the three side lengths; it decides
+    no triple the side-length test would call collinear."""
     q2x, q2y = x2 - x1, y2 - y1
     q3x, q3y = x3 - x1, y3 - y1
     cross = q2x * q3y - q2y * q3x
-    span = max(math.hypot(q2x, q2y), math.hypot(q3x, q3y), math.hypot(x3 - x2, y3 - y2))
-    if abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span:
-        raise CollinearError("the three points are collinear within tolerance")
-    d = 2.0 * cross
     m2 = q2x * q2x + q2y * q2y
     m3 = q3x * q3x + q3y * q3y
+    # span² ≤ 2·(m2 + m3), since |q3 − q2|² ≤ 2|q2|² + 2|q3|²; so past
+    # 4·LENGTH_EPS·(m2 + m3) the side-length test cannot fire, with a factor 2
+    # to spare over any rounding. NaN, or m2 + m3 overflowing, fails the
+    # comparison and takes the side-length test.
+    if not abs(cross) > 4.0 * LENGTH_EPS * (m2 + m3):
+        span = max(math.hypot(q2x, q2y), math.hypot(q3x, q3y), math.hypot(x3 - x2, y3 - y2))
+        if abs(2.0 * cross) <= 2.0 * LENGTH_EPS * span * span:
+            raise CollinearError("the three points are collinear within tolerance")
+    d = 2.0 * cross
     ux = (m2 * q3y - m3 * q2y) / d
     uy = (m3 * q2x - m2 * q3x) / d
     return x1 + ux, y1 + uy, math.hypot(ux, uy)

@@ -582,18 +582,39 @@ def test_measures_xy_is_its_composition():
             "non-finite coordinates (nan, 0.0)"} <= {message for _, message in raised}
 
 
+def _near_band_triples():
+    """Thin triples at scales 1e-150 to 1e150 whose cross product sits just
+    inside and just outside the collinearity band |cross| = LENGTH_EPS·span²,
+    and just inside and outside circle_xy's margin pre-test
+    |cross| = 4·LENGTH_EPS·(m2 + m3): the apex (s/2, h) of the base from
+    (0, 0) to (s, 0), once as the first vertex (m2 + m3 = s²/2, the margin's
+    tightest case) and once as the last (m2 + m3 = 5s²/4); each with
+    whether it is collinear."""
+    triples = []
+    for s in (1e-150, 1e-75, 1e-9, 1.0, 1e9, 1e75, 1e150):
+        for f in (0.999999, 1.000001, 1.999999, 2.000001, 4.999999, 5.000001):
+            h = f * LENGTH_EPS * s
+            triples += [((0.5 * s, h, 0.0, 0.0, s, 0.0), f < 1.0),
+                        ((0.0, 0.0, s, 0.0, 0.5 * s, -h), f < 1.0)]
+    return triples
+
+
 def test_circle_forms_are_their_calls():
     """circle_xy and circumcircle against their forms with the collinearity
-    test and checked_circle called, on the hosts, the degenerate triples and
-    each host's vertices with a triad point."""
+    test and checked_circle called, on the hosts, the degenerate triples, the
+    near-band triples and each one's first two vertices with the midpoint of
+    its first and last; the near-band triples give both verdicts."""
     outcomes = set()
-    for xy in HOSTS + _degenerate_triples():
+    near_band = _near_band_triples()
+    for xy in HOSTS + _degenerate_triples() + [xy for xy, _ in near_band]:
         for triple in (xy, (*xy[:4], *midpoint(xy[:2], xy[4:]))):
             assert _result(circle_xy, *triple) == _result(_circle_by_calls, *triple)
             expected = _result(_circumcircle_by_calls, *triple)
             assert _result(circumcircle, *triple) == expected
             outcomes.add(expected[0] if isinstance(expected, tuple) else float)
     assert outcomes == {float, CollinearError, ValueError}
+    for xy, collinear in near_band:
+        assert isinstance(_result(circle_xy, *xy), tuple) is collinear
 
 
 def test_directed_angle_xy_is_its_calls():

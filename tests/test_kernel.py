@@ -146,6 +146,18 @@ class TestCircumcircle:
         with pytest.raises(CollinearError):
             circumcircle(0, 0, 1, 0, 2, 0)
 
+    def test_side_lengths_only_near_the_collinearity_band(self, monkeypatch):
+        # a well-conditioned triple passes circle_xy's margin pre-test, so its
+        # one hypot is the radius; a thin one outside the band takes the
+        # three side lengths too
+        calls = []
+        hypot = math.hypot
+        monkeypatch.setattr(math, "hypot", lambda *v: calls.append(v) or hypot(*v))
+        assert circle_xy(0, 0, 4, 0, 1, 3) == (2.0, 1.0, hypot(2.0, 1.0))
+        assert len(calls) == 1
+        circle_xy(0, 0, 1, 0, 0.5, 2e-9)
+        assert len(calls) == 5
+
     def test_permutation_invariant(self):
         rng = random.Random(11)
         for _ in range(100):
