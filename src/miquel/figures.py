@@ -47,7 +47,7 @@ class _Canvas:
         self.labels: list[str] = []
         self.stroke = view_radius / 120.0
 
-    def line(self, a: tuple[float, float], b: tuple[float, float], color: str = _STROKE) -> None:
+    def line(self, a: tuple[float, float], b: tuple[float, float], color: str) -> None:
         self.shapes.append(
             f'<line x1="{_sx(a)}" y1="{_sy(a)}" x2="{_sx(b)}" y2="{_sy(b)}" '
             f'stroke="{color}" stroke-width="{_fmt(self.stroke)}"/>'

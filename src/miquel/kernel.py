@@ -124,10 +124,10 @@ def angle_distance(u: float, v: float) -> float:
 # constructions, the chain step and the suites call on plain floats. Their
 # float operations and their order are pinned with == in
 # tests/test_coordinate_forms.py, as are the forms hot callers write out in
-# line (side_lengths_xy and circle_xy the collinearity test, directed_angle_xy
-# half_turn, centers.measures_xy circle_xy's arithmetic, the squared sides and
-# the angles), against the calls they replace, by its "written-out forms"
-# tests. checked_circle is the one body of the circle check.
+# line (side_lengths_xy and circle_xy the collinearity test,
+# centers.measures_xy circle_xy's arithmetic, the squared sides and the
+# angles), against the calls they replace, by its "written-out forms" tests.
+# checked_circle is the one body of the circle check.
 
 # a circle on coordinates: (center x, center y, radius)
 CircleXY = tuple[float, float, float]
@@ -288,9 +288,8 @@ def directed_angle_xy(px: float, py: float, qx: float, qy: float, rx: float, ry:
     if scale == 0.0 or min(n_qp, n_qr) < LENGTH_EPS * scale:
         raise GeometryError("angle leg collapses onto the apex")
     # needs no finiteness check: the legs of finite points are finite or
-    # overflow to infinity, and atan2 of either is finite; half_turn in line
-    r = math.remainder(math.atan2(qry, qrx) - math.atan2(qpy, qpx), math.pi)
-    return r + math.pi if r <= -HALF_PI else r
+    # overflow to infinity, and atan2 of either is finite
+    return half_turn(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
 
 
 def corners_xy(xy: TriangleXY, label: str) -> tuple[tuple[float, float], ...]:

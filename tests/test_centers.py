@@ -15,6 +15,19 @@ import sys
 
 import pytest
 
+from helpers import (
+    EQUI,
+    T345,
+    TSCA,
+    circumradius,
+    directed_angle,
+    line_along,
+    locate,
+    offset,
+    offset_from,
+    reflect,
+    vertices,
+)
 from miquel import centers, triads
 from miquel.centers import (
     NAMED_POINTS,
@@ -22,7 +35,6 @@ from miquel.centers import (
     brocard_point,
     eleven_point_catalog,
     isogonal_conjugate,
-    locate_xy,
     m_point,
     measures_xy,
     s_point,
@@ -37,17 +49,13 @@ from miquel.kernel import (
     circumcircle,
     contains_xy,
     corners_xy,
-    directed_angle_xy,
     invert_xy,
     line_circle_intersections,
     line_line_intersection,
     line_through,
     midpoint,
-    offset_xy,
-    reflect_xy,
     second_intersection,
     side_lengths_xy,
-    unit_direction,
 )
 from miquel.sampling import (
     random_acute_triangle,
@@ -60,44 +68,16 @@ from miquel.verify import SUITES, run_suite
 
 O, H, G, L = (SpecialRole(r) for r in ("circumcenter", "orthocenter", "centroid", "incenter"))
 
-SQ3 = math.sqrt(3.0)
-T345 = (0, 0, 4, 0, 0, 3)
-TSCA = (0, 0, 4, 0, 1, 3)  # acute scalene
 TOBT = (0, 0, 4, 0, 1.6, 0.9)  # obtuse at C
-EQUI = (0, 1, -SQ3 / 2, -0.5, SQ3 / 2, -0.5)
 
-
-def _vertices(xy):
-    """A, B, C of the triangle ``xy``, as (x, y) pairs."""
-    return xy[0:2], xy[2:4], xy[4:6]
-
-
-def _radius(xy) -> float:
-    return circumcircle(*xy)[2]
-
-
-def _line(anchor, direction) -> LineXY:
-    """The line through ``anchor`` along ``direction``, normalized."""
-    return (*anchor, *unit_direction(*direction))
-
-
-def _offset(line: LineXY, p) -> float:
-    return offset_xy(*line, *p)
+# the named points' roles, by vertex or by which Brocard point
+S_ROLE, M_ROLE = ({v: SpecialRole(name, v) for v in "ABC"} for name in ("s_role", "m_role"))
+BROCARD = {which: SpecialRole(f"{which}_brocard") for which in ("first", "second")}
 
 
 def _side(line: LineXY, p) -> int:
-    off = _offset(line, p)
+    off = offset(line, p)
     return (off > 0.0) - (off < 0.0)
-
-
-def _reflect(line: LineXY, p):
-    return reflect_xy(*line, *p)
-
-
-def _offset_from(circle: CircleXY, p) -> float:
-    """Signed radial offset of ``p``: distance to the center minus the radius."""
-    cx, cy, r = circle
-    return math.dist((cx, cy), p) - r
 
 
 def _point_at(circle: CircleXY, angle: float):
@@ -110,21 +90,12 @@ def _m(xy):
     return measures_xy(xy)
 
 
-def _locate(xy, role: SpecialRole):
-    """Where ``role`` sits in ``xy`` (``locate_xy`` of ``xy`` measured)."""
-    return locate_xy(_m(xy), role)
-
-
 def _excenter(xy, v: str):
-    return _locate(xy, SpecialRole("excenter", v))
+    return locate(xy, SpecialRole("excenter", v))
 
 
 def _conjugate(xy, p):
     return isogonal_conjugate(_m(xy), *p)
-
-
-def _angle(p, q, r) -> float:
-    return directed_angle_xy(*p, *q, *r)
 
 
 def _barycentric(xy, wa: float, wb: float, wc: float):
@@ -136,43 +107,43 @@ def _barycentric(xy, wa: float, wb: float, wc: float):
 
 class TestClassicCenters:
     def test_345_circumcenter(self):
-        assert math.dist(_locate(T345, SpecialRole("circumcenter")), (2, 1.5)) < 1e-12
+        assert math.dist(locate(T345, SpecialRole("circumcenter")), (2, 1.5)) < 1e-12
 
     def test_345_orthocenter_is_right_vertex(self):
-        assert math.dist(_locate(T345, SpecialRole("orthocenter")), (0, 0)) < 1e-12
+        assert math.dist(locate(T345, SpecialRole("orthocenter")), (0, 0)) < 1e-12
 
     def test_345_incenter(self):
         # inradius (3+4-5)/2 = 1 with the legs on the axes
-        assert math.dist(_locate(T345, SpecialRole("incenter")), (1, 1)) < 1e-12
+        assert math.dist(locate(T345, SpecialRole("incenter")), (1, 1)) < 1e-12
 
     def test_circumcenter_equidistant(self):
         rng = rng_for(0, "classic", 0)
         for _ in range(50):
             t = random_triangle(rng)
-            o = _locate(t, O)
-            d = [math.dist(o, v) for v in _vertices(t)]
-            assert max(d) - min(d) < 1e-9 * _radius(t)
+            o = locate(t, O)
+            d = [math.dist(o, v) for v in vertices(t)]
+            assert max(d) - min(d) < 1e-9 * circumradius(t)
 
     def test_orthocenter_on_altitudes(self):
         rng = rng_for(0, "classic", 1)
         for _ in range(50):
             t = random_triangle(rng)
-            hx, hy = _locate(t, H)
+            hx, hy = locate(t, H)
             for v in "ABC":
                 (vx, vy), b, c = corners_xy(t, v)
                 _, _, dx, dy = line_through(b, c)
-                assert abs((hx - vx) * dx + (hy - vy) * dy) < 1e-9 * _radius(t)
+                assert abs((hx - vx) * dx + (hy - vy) * dy) < 1e-9 * circumradius(t)
 
     def test_incenter_and_excenters_equidistant_from_side_lines(self):
         rng = rng_for(0, "classic", 2)
         for _ in range(50):
             t = random_triangle(rng)
-            for center in [_locate(t, L)] + [_excenter(t, v) for v in "ABC"]:
-                offs = [abs(_offset(line_through(*corners_xy(t, v)[1:]), center)) for v in "ABC"]
-                assert max(offs) - min(offs) < 1e-9 * _radius(t)
+            for center in [locate(t, L)] + [_excenter(t, v) for v in "ABC"]:
+                offs = [abs(offset(line_through(*corners_xy(t, v)[1:]), center)) for v in "ABC"]
+                assert max(offs) - min(offs) < 1e-9 * circumradius(t)
 
     def test_centroid(self):
-        assert math.dist(_locate(T345, G), (4 / 3, 1)) < 1e-12
+        assert math.dist(locate(T345, G), (4 / 3, 1)) < 1e-12
 
     def test_locate_covers_table_and_rejects_roles_without_location(self):
         def excenter(t, v):
@@ -185,8 +156,8 @@ class TestClassicCenters:
             ox, oy = circumcircle(*t)[:2]
             return ax + bx + cx - 2.0 * ox, ay + by + cy - 2.0 * oy
 
-        # the classical centers written out, the named points by their Point
-        # functions
+        # the classical centers written out, the named points by the wrappers
+        # brocard_point, s_point and m_point
         functions = {
             "circumcenter": lambda t, v: circumcircle(*t)[:2],
             "orthocenter": orthocenter,
@@ -201,12 +172,14 @@ class TestClassicCenters:
         roles = [role for role, _ in NAMED_POINTS]
         assert len(set(roles)) == len(roles) == 15
         for role in roles:
-            assert _locate(TSCA, role) == functions[role.role](TSCA, role.vertex)
+            assert locate(TSCA, role) == functions[role.role](TSCA, role.vertex)
         for role in (SpecialRole("none"), SpecialRole("q_role", "A")):
             with pytest.raises(ValueError):
-                _locate(TSCA, role)
+                locate(TSCA, role)
         with pytest.raises(RightAngleDegenerateError):
-            _locate(T345, SpecialRole("s_role", "A"))
+            locate(T345, SpecialRole("s_role", "A"))
+        with pytest.raises(ValueError, match="^which must be 'first' or 'second'$"):
+            brocard_point(_m(TSCA), "third")
 
     def test_role_str_names_its_vertex(self):
         assert str(SpecialRole("m_role", "C")) == "m_role(C)"
@@ -256,8 +229,8 @@ def _median_reflection_foot(t, vertex: str):
     (ax, ay), (bx, by), (cx, cy) = apex, b, c
     db, dc = math.dist(b, apex), math.dist(c, apex)
     # the unit vectors from the apex to B and to C, summed
-    bisector = _line(apex, ((bx - ax) / db + (cx - ax) / dc, (by - ay) / db + (cy - ay) / dc))
-    mirrored = _reflect(bisector, midpoint(b, c))
+    bisector = line_along(apex, ((bx - ax) / db + (cx - ax) / dc, (by - ay) / db + (cy - ay) / dc))
+    mirrored = reflect(bisector, midpoint(b, c))
     return tuple(line_line_intersection(line_through(apex, mirrored), line_through(b, c)))
 
 
@@ -272,7 +245,7 @@ class TestSymmedianFoot:
     def test_squared_ratio_and_reflection_oracle(self):
         # frozen from the reflection oracle: D = (28/13, 24/13)
         d = symmedian_foot(_m(TSCA), "A")
-        a, b, c = _vertices(TSCA)
+        a, b, c = vertices(TSCA)
         assert math.dist(d, (28 / 13, 24 / 13)) < 1e-12
         assert math.dist(d, _median_reflection_foot(TSCA, "A")) < 1e-12
         ab = math.dist(a, b)
@@ -286,13 +259,13 @@ class TestSymmedianFoot:
             t = random_triangle(rng)
             for v in "ABC":
                 foot = symmedian_foot(_m(t), v)
-                assert math.dist(foot, _median_reflection_foot(t, v)) < 1e-9 * _radius(t)
+                assert math.dist(foot, _median_reflection_foot(t, v)) < 1e-9 * circumradius(t)
 
 
 def _brocard_grid_oracle(t, which: str):
     """Oracle: grid search minimizing the variance of the three angles,
     refined by pattern descent."""
-    a, b, c = _vertices(t)
+    a, b, c = vertices(t)
 
     def undirected(p, q, r) -> float:
         v1x, v1y, v2x, v2y = p[0] - q[0], p[1] - q[1], r[0] - q[0], r[1] - q[1]
@@ -316,7 +289,7 @@ def _brocard_grid_oracle(t, which: str):
             val = objective(p)
             if val < best_val:
                 best_val, best = val, p
-    r = _radius(t)
+    r = circumradius(t)
     step = r / n
     while step > 1e-13 * r:
         improved = False
@@ -333,51 +306,51 @@ def _brocard_grid_oracle(t, which: str):
 
 class TestBrocardPoints:
     def test_equilateral_center(self):
-        p = brocard_point(_m(EQUI), "first")
-        a, b, _ = _vertices(EQUI)
+        p = locate(EQUI, BROCARD["first"])
+        a, b, _ = vertices(EQUI)
         assert math.dist(p, (0, 0)) < 1e-12
-        assert abs(abs(_angle(b, a, p)) - math.pi / 6) < 1e-12
+        assert abs(abs(directed_angle(b, a, p)) - math.pi / 6) < 1e-12
 
     def test_frozen_grid_oracle_value(self):
         # frozen from the grid-search oracle on the workhorse triangle
-        p = brocard_point(_m(TSCA), "first")
+        p = locate(TSCA, BROCARD["first"])
         assert math.dist(p, (1.4012738853503175, 0.7643312101910834)) < 1e-12
         assert math.dist(p, _brocard_grid_oracle(TSCA, "first")) < 1e-10
 
     def test_second_against_oracle(self):
-        p = brocard_point(_m(TSCA), "second")
+        p = locate(TSCA, BROCARD["second"])
         assert math.dist(p, _brocard_grid_oracle(TSCA, "second")) < 1e-10
 
     def test_isosceles_mirror_pair(self):
         rng = rng_for(0, "brocard", 0)
         for _ in range(20):
             t = random_isosceles(rng, "A")
-            a, b, c = _vertices(t)
+            a, b, c = vertices(t)
             axis = line_through(a, midpoint(b, c))
-            first = brocard_point(_m(t), "first")
-            second = brocard_point(_m(t), "second")
-            assert math.dist(second, _reflect(axis, first)) < 1e-9 * _radius(t)
+            first = locate(t, BROCARD["first"])
+            second = locate(t, BROCARD["second"])
+            assert math.dist(second, reflect(axis, first)) < 1e-9 * circumradius(t)
 
     def test_angle_conditions_and_interiority(self):
         rng = rng_for(0, "brocard", 1)
         for _ in range(200):
             t = random_triangle(rng)
-            a, b, c = _vertices(t)
+            a, b, c = vertices(t)
             for which, legs in (
-                ("first", lambda p: (_angle(b, a, p), _angle(c, b, p), _angle(a, c, p))),
-                ("second", lambda p: (_angle(p, a, c), _angle(p, b, a), _angle(p, c, b))),
+                ("first", lambda p: ((b, a, p), (c, b, p), (a, c, p))),
+                ("second", lambda p: ((p, a, c), (p, b, a), (p, c, b))),
             ):
-                p = brocard_point(_m(t), which)
-                a1, a2, a3 = legs(p)
+                p = locate(t, BROCARD[which])
+                a1, a2, a3 = (directed_angle(*leg) for leg in legs(p))
                 assert angle_distance(a1, a2) < 1e-8
                 assert angle_distance(a2, a3) < 1e-8
-                assert contains_xy(t, p.x, p.y)
+                assert contains_xy(t, *p)
 
 
 def _arc_scan_oracle(t, vertex: str, steps: int = 400000):
     """Oracle: scan the arc of the circle through the opposite side's
     endpoints and the circumcenter for the symmedian crossing."""
-    o = _locate(t, O)
+    o = locate(t, O)
     apex, b, c = corners_xy(t, vertex)
     k = circumcircle(*b, *c, *o)
     sym = line_through(apex, symmedian_foot(_m(t), vertex))
@@ -388,7 +361,7 @@ def _arc_scan_oracle(t, vertex: str, steps: int = 400000):
         q = _point_at(k, 2.0 * math.pi * i / steps)
         if _side(base, q) != want:
             continue
-        val = abs(_offset(sym, q))
+        val = abs(offset(sym, q))
         if val < best_val:
             best_val, best = val, q
     return best
@@ -398,35 +371,35 @@ class TestSPoint:
     def test_equilateral_coincides_with_circumcenter(self):
         # circle through B, C, O has center (0,-1) and radius 1; the
         # symmedian x=0 meets its upper arc at the origin
-        assert math.dist(s_point(_m(EQUI), "A"), (0, 0)) < 1e-12
+        assert math.dist(locate(EQUI, S_ROLE["A"]), (0, 0)) < 1e-12
 
     def test_frozen_values_on_workhorse(self):
-        assert math.dist(s_point(_m(TSCA), "A"), (28 / 17, 24 / 17)) < 1e-12
-        assert math.dist(s_point(_m(TSCA), "C"), (1.3, 0.9)) < 1e-12
+        assert math.dist(locate(TSCA, S_ROLE["A"]), (28 / 17, 24 / 17)) < 1e-12
+        assert math.dist(locate(TSCA, S_ROLE["C"]), (1.3, 0.9)) < 1e-12
 
     def test_arc_scan_oracle(self):
-        p = s_point(_m(TSCA), "A")
-        assert math.dist(p, _arc_scan_oracle(TSCA, "A")) < 1e-4 * _radius(TSCA)
+        p = locate(TSCA, S_ROLE["A"])
+        assert math.dist(p, _arc_scan_oracle(TSCA, "A")) < 1e-4 * circumradius(TSCA)
 
     def test_directed_angle_postconditions(self):
         rng = rng_for(0, "spoint", 0)
         for _ in range(100):
             t = random_triangle(rng)
             for v in "ABC":
-                p = s_point(_m(t), v)
+                p = locate(t, S_ROLE[v])
                 apex, b, c = corners_xy(t, v)
-                ang = _angle(b, apex, c)
-                assert angle_distance(_angle(b, p, c), 2 * ang) < 1e-8
-                assert angle_distance(_angle(c, p, apex), -ang) < 1e-8
-                assert angle_distance(_angle(apex, p, b), -ang) < 1e-8
+                ang = directed_angle(b, apex, c)
+                assert angle_distance(directed_angle(b, p, c), 2 * ang) < 1e-8
+                assert angle_distance(directed_angle(c, p, apex), -ang) < 1e-8
+                assert angle_distance(directed_angle(apex, p, b), -ang) < 1e-8
 
     def test_lemma_ratio_cross_check(self):
         # BD/DC = BP/PC = (AB/AC)^2 where D is the symmedian-line crossing
         rng = rng_for(0, "spoint", 1)
         for _ in range(50):
             t = random_triangle(rng)
-            a, b, c = _vertices(t)
-            p = s_point(_m(t), "A")
+            a, b, c = vertices(t)
+            p = locate(t, S_ROLE["A"])
             d = symmedian_foot(_m(t), "A")
             lhs = math.dist(d, b) / math.dist(d, c)
             mid = math.dist(p, b) / math.dist(p, c)
@@ -438,75 +411,75 @@ class TestSPoint:
         rng = rng_for(0, "spoint", 2)
         for _ in range(50):
             t = random_triangle(rng)
-            p = s_point(_m(t), "B")
-            o = _locate(t, O)
+            p = locate(t, S_ROLE["B"])
+            o = locate(t, O)
             _, b, c = corners_xy(t, "B")
             k = circumcircle(*b, *c, *o)
-            assert abs(_offset_from(k, p)) < 1e-9 * _radius(t)
+            assert abs(offset_from(k, p)) < 1e-9 * circumradius(t)
             assert _side(line_through(b, c), p) == _side(line_through(b, c), o)
 
     def test_right_angle_degenerates(self):
         with pytest.raises(RightAngleDegenerateError):
-            s_point(_m(T345), "A")
+            locate(T345, S_ROLE["A"])
 
 
 class TestMPoint:
     def test_equilateral(self):
         # E=(0,-1/2), F=(0,-1), stepping the same distance back gives the origin
-        assert math.dist(m_point(_m(EQUI), "A"), (0, 0)) < 1e-12
+        assert math.dist(locate(EQUI, M_ROLE["A"]), (0, 0)) < 1e-12
 
     def test_acute_midpoint_relation(self):
         rng = rng_for(0, "mpoint", 0)
         for _ in range(50):
             t = random_triangle(rng)
-            r = _radius(t)
+            r = circumradius(t)
             for v in "ABC":
                 if _m(t).angles["ABC".index(v)] >= math.pi / 2:
                     continue
-                p = m_point(_m(t), v)
+                p = locate(t, M_ROLE[v])
                 apex, b, c = corners_xy(t, v)
                 e = midpoint(b, c)
                 median = line_through(apex, e)
                 f = second_intersection(median, circumcircle(*t), apex)
                 assert abs(math.dist(e, p) - math.dist(e, f)) < 1e-9 * r
-                assert abs(_offset(median, p)) < 1e-9 * r
+                assert abs(offset(median, p)) < 1e-9 * r
 
     def test_obtuse_frozen_value_and_circle_membership(self):
         # frozen from the parallelogram construction: M = (34/97, 360/97)
-        p = m_point(_m(TOBT), "C")
+        p = locate(TOBT, M_ROLE["C"])
         assert math.dist(p, (34 / 97, 360 / 97)) < 1e-12
         ax, ay, bx, by, cx, cy = TOBT
         k = circumcircle(ax + bx - cx, ay + by - cy, ax, ay, bx, by)
-        assert abs(_offset_from(k, p)) < 1e-12
+        assert abs(offset_from(k, p)) < 1e-12
 
     def test_obtuse_random_circle_membership(self):
         rng = rng_for(0, "mpoint", 1)
         for _ in range(50):
             t = random_obtuse_at(rng, "A")
-            p = m_point(_m(t), "A")
+            p = locate(t, M_ROLE["A"])
             ax, ay, bx, by, cx, cy = t
             k = circumcircle(bx + cx - ax, by + cy - ay, bx, by, cx, cy)
-            assert abs(_offset_from(k, p)) < 1e-8 * _radius(t)
+            assert abs(offset_from(k, p)) < 1e-8 * circumradius(t)
 
     def test_right_angle_degenerates(self):
         with pytest.raises(RightAngleDegenerateError):
-            m_point(_m(T345), "A")
+            locate(T345, M_ROLE["A"])
 
 
 def _tangent_circle(at, through, tangent: LineXY) -> CircleXY:
     """The circle through ``at`` and ``through`` tangent to ``tangent`` at ``at``."""
     _, _, dx, dy = tangent
     (ax, ay), (tx, ty) = at, through
-    normal = _line(at, (-dy, dx))
-    bisector = _line(midpoint(at, through), (ay - ty, tx - ax))
+    normal = line_along(at, (-dy, dx))
+    bisector = line_along(midpoint(at, through), (ay - ty, tx - ax))
     center = line_line_intersection(normal, bisector)
-    return (center.x, center.y, math.dist(center, at))
+    return (*center, math.dist(center, at))
 
 
 def _brocard_by_tangent_circles(t, which: str):
     """Oracle: the non-vertex meet of two circles through B, each tangent to
     a side at a vertex."""
-    a, b, c = _vertices(t)
+    a, b, c = vertices(t)
     if which == "first":
         c1 = _tangent_circle(b, a, line_through(b, c))
         c2 = _tangent_circle(c, b, line_through(c, a))
@@ -519,7 +492,7 @@ def _brocard_by_tangent_circles(t, which: str):
 def _s_point_by_arc(t, vertex: str):
     """Oracle: the symmedian's hit on the arc through the opposite side's
     endpoints on the circumcenter's side."""
-    o = _locate(t, O)
+    o = locate(t, O)
     apex, b, c = corners_xy(t, vertex)
     sym = line_through(apex, symmedian_foot(_m(t), vertex))
     base = line_through(b, c)
@@ -550,27 +523,27 @@ class TestClosedFormsAgainstConstructions:
             hosts.append(random_acute_triangle(rng))
             hosts.extend(random_obtuse_at(rng, v) for v in "ABC")
         for t in hosts:
-            r = _radius(t)
+            r = circumradius(t)
             for which in ("first", "second"):
                 oracle = _brocard_by_tangent_circles(t, which)
-                assert math.dist(brocard_point(_m(t), which), oracle) < 1e-12 * r
+                assert math.dist(locate(t, BROCARD[which]), oracle) < 1e-12 * r
             for v in "ABC":
-                assert math.dist(s_point(_m(t), v), _s_point_by_arc(t, v)) < 1e-12 * r
-                assert math.dist(m_point(_m(t), v), _m_point_by_median(t, v)) < 1e-12 * r
+                assert math.dist(locate(t, S_ROLE[v]), _s_point_by_arc(t, v)) < 1e-12 * r
+                assert math.dist(locate(t, M_ROLE[v]), _m_point_by_median(t, v)) < 1e-12 * r
 
 
 class TestIsogonalConjugate:
     def test_incenter_fixed(self):
-        l = _locate(TSCA, L)
+        l = locate(TSCA, L)
         assert math.dist(_conjugate(TSCA, l), l) < 1e-12
 
     def test_circumcenter_maps_to_orthocenter(self):
         rng = rng_for(0, "isogonal", 0)
         for _ in range(200):
             t = random_triangle(rng)
-            r = _radius(t)
-            assert math.dist(_conjugate(t, _locate(t, O)), _locate(t, H)) < 1e-8 * r
-            l = _locate(t, L)
+            r = circumradius(t)
+            assert math.dist(_conjugate(t, locate(t, O)), locate(t, H)) < 1e-8 * r
+            l = locate(t, L)
             assert math.dist(_conjugate(t, l), l) < 1e-8 * r
 
     def test_s_point_maps_to_m_point(self):
@@ -578,8 +551,8 @@ class TestIsogonalConjugate:
         for i in range(100):
             t = random_obtuse_at(rng, "A") if i % 2 else random_triangle(rng)
             for v in "ABC":
-                s, m = s_point(_m(t), v), m_point(_m(t), v)
-                assert math.dist(_conjugate(t, s), m) < 1e-8 * _radius(t)
+                s, m = locate(t, S_ROLE[v]), locate(t, M_ROLE[v])
+                assert math.dist(_conjugate(t, s), m) < 1e-8 * circumradius(t)
 
     def test_involution(self):
         rng = rng_for(0, "isogonal", 2)
@@ -593,7 +566,7 @@ class TestIsogonalConjugate:
                 back = _conjugate(t, q)
             except GeometryError:  # on a side line or the circumcircle
                 continue
-            assert math.dist(back, p) < 1e-8 * _radius(t)
+            assert math.dist(back, p) < 1e-8 * circumradius(t)
 
     def test_angle_mirror_equations(self):
         rng = rng_for(0, "isogonal", 3)
@@ -601,12 +574,12 @@ class TestIsogonalConjugate:
 
         for _ in range(100):
             t = random_triangle(rng)
-            a, b, c = _vertices(t)
+            a, b, c = vertices(t)
             p = random_interior_point(rng, t)
             q = _conjugate(t, p)
-            assert angle_distance(_angle(c, b, q), _angle(p, b, a)) < 1e-9
-            assert angle_distance(_angle(b, a, p), _angle(q, a, c)) < 1e-9
-            assert angle_distance(_angle(a, c, q), _angle(p, c, b)) < 1e-9
+            assert angle_distance(directed_angle(c, b, q), directed_angle(p, b, a)) < 1e-9
+            assert angle_distance(directed_angle(b, a, p), directed_angle(q, a, c)) < 1e-9
+            assert angle_distance(directed_angle(a, c, q), directed_angle(p, c, b)) < 1e-9
 
     def test_side_line_rejected(self):
         with pytest.raises(OnSideLineError):
@@ -638,8 +611,8 @@ class TestElevenPointCatalog:
         cat = eleven_point_catalog(_m(TSCA))
         circle = circumcircle(*TSCA)
         assert len(cat) == 11
-        inside = [e for e in cat if _offset_from(circle, e.location) < 0]
-        outside = [e for e in cat if _offset_from(circle, e.location) > 0]
+        inside = [e for e in cat if offset_from(circle, e.location) < 0]
+        outside = [e for e in cat if offset_from(circle, e.location) > 0]
         assert len(inside) == 6 and len(outside) == 5
         assert sum(e.inverse for e in cat) == 5
 
@@ -665,7 +638,7 @@ class TestElevenPointCatalog:
             pts = [e.location for e in cat]
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
-                    assert math.dist(pts[i], pts[j]) > 1e-6 * _radius(t)
+                    assert math.dist(pts[i], pts[j]) > 1e-6 * circumradius(t)
 
     def test_equilateral_rejected(self):
         with pytest.raises(GeometryError, match="^the catalog requires a scalene triangle$"):

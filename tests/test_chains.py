@@ -9,7 +9,8 @@ import pytest
 
 import miquel.chains
 import miquel.verify
-from miquel.centers import SpecialRole, eleven_point_catalog, locate_xy, measures_xy
+from helpers import EQUI, TSCA, circumradius, locate
+from miquel.centers import SpecialRole, eleven_point_catalog, measures_xy
 from miquel.chains import (
     CHAIN_DETECT_TOL,
     CHAIN_SIMILARITY_TOL,
@@ -22,7 +23,6 @@ from miquel.chains import (
 from miquel.errors import CollinearError, DegenerateStepError, OnSideLineError
 from miquel.kernel import (
     Triangle,
-    checked_xy,
     circle_xy,
     circumcircle,
     corners_xy,
@@ -44,24 +44,12 @@ from miquel.triads import (
 )
 from miquel.verify import SEED_CORRESPONDENCES, run_suite
 
-SQ3 = math.sqrt(3.0)
 O, H, L = (SpecialRole(r) for r in ("circumcenter", "orthocenter", "incenter"))
-TSCA = (0.0, 0.0, 4.0, 0.0, 1.0, 3.0)
-EQUI = (0.0, 1.0, -SQ3 / 2, -0.5, SQ3 / 2, -0.5)
-
-
-def _locate(t, role):
-    """Where ``role`` sits in the triangle ``t``, checked as the suites check it."""
-    return checked_xy(*locate_xy(measures_xy(t), role))
 
 
 def _triangles(rec):
     """The seed and the step triangles of ``rec``, as coordinates."""
     return (rec.seed.xy, *rec.steps)
-
-
-def _radius(t):
-    return circumcircle(*t)[2]
 
 
 class TestIterateChain:
@@ -76,11 +64,11 @@ class TestIterateChain:
         for i in range(3):
             match = classify_similarity(tris[i], tris[i + 1], CHAIN_SIMILARITY_TOL)
             assert match is not None
-            scale = _radius(tris[i + 1]) / _radius(tris[i])
+            scale = circumradius(tris[i + 1]) / circumradius(tris[i])
             assert abs(scale - 0.5) < 1e-12
 
     def test_scalene_mod3_seed_similarity(self):
-        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 3)
+        rec = iterate_chain(measures_xy(TSCA), *locate(TSCA, O), 3)
         match = classify_similarity(rec.seed.xy, rec.steps[2], CHAIN_SIMILARITY_TOL)
         assert match is not None
 
@@ -118,7 +106,7 @@ class TestIterateChain:
         rec = iterate_chain(measures_xy(TSCA), *p, 5)
         for host, step in zip(_triangles(rec), rec.steps):
             point = miquel_point(host, family_member(host, *p, 0.0)).point
-            assert math.dist(point, p) < 1e-8 * _radius(step)
+            assert math.dist(point, p) < 1e-8 * circumradius(step)
 
     def test_chain_leaving_the_coordinate_range_degenerates(self):
         # each step at theta = 1.57 stretches the triangle about 1256 times;
@@ -162,11 +150,11 @@ class TestIterateChain:
 
 class TestMod3Similarity:
     def test_classes_partition(self):
-        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 6)
+        rec = iterate_chain(measures_xy(TSCA), *locate(TSCA, O), 6)
         assert check_mod3_similarity(rec) < CHAIN_SIMILARITY_TOL
 
     def test_brocard_chain_everything_similar(self):
-        p = _locate(TSCA, SpecialRole("first_brocard"))
+        p = locate(TSCA, SpecialRole("first_brocard"))
         rec = iterate_chain(measures_xy(TSCA), *p, 6)
         tris = _triangles(rec)
         for i in range(len(tris) - 1):
@@ -175,7 +163,7 @@ class TestMod3Similarity:
     def test_circumcenter_chain_merges_first_two_classes(self):
         # the pedal triangle of the circumcenter is the medial triangle,
         # so classes k=0 and k=1 coincide
-        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 6)
+        rec = iterate_chain(measures_xy(TSCA), *locate(TSCA, O), 6)
         tris = _triangles(rec)
         assert classify_similarity(tris[0], tris[1], CHAIN_SIMILARITY_TOL) is not None
 
@@ -232,7 +220,7 @@ class TestSeedCorrespondences:
         # triangle 3 of every chain is checked against the seed vertex for
         # vertex, direct; a search over every vertex map and orientation
         # accepts the swapped triangle
-        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 6)
+        rec = iterate_chain(measures_xy(TSCA), *locate(TSCA, O), 6)
         bad = swap(*rec.steps[2])
         assert classify_similarity(rec.seed.xy, bad, CHAIN_SIMILARITY_TOL) is not None
 
@@ -256,7 +244,7 @@ class TestSeedCorrespondences:
 
 class TestRoleCycles:
     def test_circumcenter_cycle(self):
-        roles = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 4).roles
+        roles = iterate_chain(measures_xy(TSCA), *locate(TSCA, O), 4).roles
         names = [r.role for r in roles]
         assert names == ["circumcenter", "orthocenter", "incenter", "circumcenter", "orthocenter"]
         assert follows_role_cycle(roles)
@@ -264,20 +252,20 @@ class TestRoleCycles:
         assert not follows_role_cycle([*roles[:2], SpecialRole("none")])
 
     def test_symmedian_point_cycle(self):
-        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, SpecialRole("s_role", "A")), 4)
+        rec = iterate_chain(measures_xy(TSCA), *locate(TSCA, SpecialRole("s_role", "A")), 4)
         roles = rec.roles
         assert [r.role for r in roles] == ["s_role", "m_role", "q_role", "s_role", "m_role"]
         assert all(r.vertex == "A" for r in roles)
 
     def test_brocard_fixed_role(self):
-        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, SpecialRole("first_brocard")), 4)
+        rec = iterate_chain(measures_xy(TSCA), *locate(TSCA, SpecialRole("first_brocard")), 4)
         assert all(r.role == "first_brocard" for r in rec.roles)
-        rec2 = iterate_chain(measures_xy(TSCA), *_locate(TSCA, SpecialRole("second_brocard")), 4)
+        rec2 = iterate_chain(measures_xy(TSCA), *locate(TSCA, SpecialRole("second_brocard")), 4)
         assert all(r.role == "second_brocard" for r in rec2.roles)
 
     def test_orthocenter_seed_includes_excenter_leg(self):
         tob = (0.0, 0.0, 4.0, 0.0, 1.6, 0.9)
-        rec = iterate_chain(measures_xy(tob), *_locate(tob, H), 5)
+        rec = iterate_chain(measures_xy(tob), *locate(tob, H), 5)
         names = [r.role for r in rec.roles]
         assert names[0] == "orthocenter"
         assert names[1] in ("incenter", "excenter")
@@ -285,7 +273,7 @@ class TestRoleCycles:
         assert follows_role_cycle(rec.roles)
 
     def test_incenter_seed(self):
-        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, L), 4)
+        rec = iterate_chain(measures_xy(TSCA), *locate(TSCA, L), 4)
         names = [r.role for r in rec.roles]
         assert names == ["incenter", "circumcenter", "orthocenter", "incenter", "circumcenter"]
 
@@ -293,12 +281,12 @@ class TestRoleCycles:
         rng = rng_for(0, "chains", 2)
         for _ in range(10):
             t = random_triangle(rng)
-            o = _locate(t, O)
+            o = locate(t, O)
             rec = iterate_chain(measures_xy(t), *o, 6)
             expect = {"circumcenter", "orthocenter", "incenter", "excenter"}
             for step, role in zip(rec.steps, rec.roles[1:]):
                 assert role.role in expect
-                assert math.dist(_locate(step, role), o) < 1e-6 * _radius(step)
+                assert math.dist(locate(step, role), o) < 1e-6 * circumradius(step)
 
 
 class TestLazyRoles:
@@ -314,14 +302,14 @@ class TestLazyRoles:
         return calls
 
     def test_unread_roles_cost_no_detection(self, detect_calls):
-        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), 6)
+        rec = iterate_chain(measures_xy(TSCA), *locate(TSCA, O), 6)
         check_mod3_similarity(rec)
         assert len(_triangles(rec)) == 7
         assert detect_calls == []
 
     def test_roles_detected_on_each_read(self, detect_calls):
         k = 5
-        rec = iterate_chain(measures_xy(TSCA), *_locate(TSCA, O), k)
+        rec = iterate_chain(measures_xy(TSCA), *locate(TSCA, O), k)
         assert detect_calls == []
         first = rec.roles
         assert len(first) == k + 1
@@ -333,7 +321,7 @@ class TestLazyRoles:
         assert all(tol == CHAIN_DETECT_TOL for tol in detect_calls)
 
     def test_lazy_roles_match_explicit_detection(self):
-        for p in (_locate(TSCA, O), _locate(TSCA, SpecialRole("s_role", "A")), (1.31, 0.87)):
+        for p in (locate(TSCA, O), locate(TSCA, SpecialRole("s_role", "A")), (1.31, 0.87)):
             rec = iterate_chain(measures_xy(TSCA), *p, 4)
             expect = [detect_special_role(measures_xy(t), *p, CHAIN_DETECT_TOL)
                       for t in _triangles(rec)]
@@ -356,7 +344,7 @@ class TestLazyRoles:
         monkeypatch.setattr(miquel.chains, "detect_special_role", detecting)
         k = 5
         m = measures_xy(TSCA)
-        rec = iterate_chain(m, *_locate(TSCA, O), k)
+        rec = iterate_chain(m, *locate(TSCA, O), k)
         assert rec.seed is m and measured == []
         assert len(rec.roles) == k + 1
         assert measured == list(rec.steps)
@@ -391,7 +379,7 @@ class TestLazySteps:
         assert built == []
 
     def test_roles_are_detected_without_step_triangles(self, built):
-        for p in (_locate(TSCA, O), _locate(TSCA, SpecialRole("s_role", "A")), (1.31, 0.87)):
+        for p in (locate(TSCA, O), locate(TSCA, SpecialRole("s_role", "A")), (1.31, 0.87)):
             rec = iterate_chain(measures_xy(TSCA), *p, 6)
             assert len(rec.roles) == 7
         assert built == []
@@ -428,8 +416,8 @@ def test_kept_circles_are_the_circumcircles_and_roles_read_them():
     for i in range(60):
         t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         m = measures_xy(t)
-        points = (_locate(t, O), _locate(t, SpecialRole("s_role", "ABC"[i % 3])),
-                  _locate(t, SpecialRole("first_brocard")), random_interior_point(rng, t))
+        points = (locate(t, O), locate(t, SpecialRole("s_role", "ABC"[i % 3])),
+                  locate(t, SpecialRole("first_brocard")), random_interior_point(rng, t))
         for p in points:
             for thetas in (None, [rng.uniform(-math.pi / 3, math.pi / 3) for _ in range(6)]):
                 rec = iterate_chain(m, *p, 6, thetas)
@@ -540,7 +528,7 @@ def _float_triangle(tri):
 def _close(tri, t, tol):
     """Every exact vertex of ``tri`` within ``tol`` times the circumradius of
     the float triangle ``t`` of its vertex."""
-    r = _radius(t)
+    r = circumradius(t)
     return all(
         math.hypot(float(x) - t[k], float(y) - t[k + 1]) < tol * r
         for (x, y), k in zip(tri, (0, 2, 4))
@@ -589,7 +577,8 @@ class TestExactCorrespondences:
             mirrored_ratio = (seed_ratio[0], -seed_ratio[1])
             for name, (p, role) in _named_points(host).items():
                 t = _float_triangle(host)
-                assert math.dist(_locate(t, role), (float(p[0]), float(p[1]))) < 1e-10 * _radius(t)
+                point = (float(p[0]), float(p[1]))
+                assert math.dist(locate(t, role), point) < 1e-10 * circumradius(t)
                 tris = _exact_chain(host, p, [Fraction(0)] * 6)
                 for k in range(1, 7):
                     if k % 3 not in SEED_CORRESPONDENCES[name]:
@@ -656,7 +645,7 @@ class TestExactPedalCorrespondences:
                 p, _ = points[_CATALOG_NAMES.get(e.kind.role) or f"S_{e.kind.vertex}"]
                 if e.inverse:
                     p = _exact_inverse(host, p)
-                assert math.dist(e.location, (float(p[0]), float(p[1]))) < 1e-9 * _radius(t)
+                assert math.dist(e.location, (float(p[0]), float(p[1]))) < 1e-9 * circumradius(t)
 
     def test_catalog_correspondences(self):
         table = _catalog_table(HOSTS[0])

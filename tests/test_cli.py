@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,7 +15,14 @@ from miquel.kernel import side_lengths_xy
 from miquel.scene import ELEMENTS
 from miquel.triads import PEDAL_SIMILARITY_TOL, classify_similarity
 
-TRI = '{"A": [0, 0], "B": [4, 0], "C": [1, 3]}'
+PARITY_SH = pathlib.Path(__file__).resolve().parent.parent / ".github" / "parity.sh"
+# the scene documents that CI's parity job writes, by file name: each
+# `echo '...' > NAME.json` line of .github/parity.sh
+SCENES = {
+    name: text
+    for text, name in re.findall(r"^echo '(.*)' > (\S+)\.json$", PARITY_SH.read_text(), re.M)
+}
+TRI = SCENES["tri"]
 
 
 @pytest.fixture()
@@ -69,7 +78,7 @@ def test_centers_rows_in_order_with_right_angle_rows_degenerate(tmp_path):
 
 
 # so thin at C that the weights of excenter_C, S_C and M_C cancel
-THIN_AT_C = '{"A": [0, 0], "B": [1, 0], "C": [0.5, 2e-9]}'
+THIN_AT_C = SCENES["thin-iso"]
 
 
 @pytest.mark.parametrize(
@@ -97,27 +106,19 @@ def test_point_at_infinity_is_a_geometric_error(tmp_path, capsys):
     )
 
 
-# the scenes of the CI parity job, and the exit code of each run of
-# PIN_RUNS on each, in order
+# the exit code of each run of PIN_RUNS, in order, on scenes of the CI
+# parity job
 PARITY_SCENES = {
-    "tri": (TRI, "02020202022"),
-    "scene": ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2, 1], "triad": [0.3, 0.3, 0.3]}',
-              "00000000001"),
-    "right": ('{"A": [0, 0], "B": [4, 0], "C": [0, 3], "P": [1, 1], "triad": [0.2, 0.5, 0.7]}',
-              "00000000011"),
-    "side": ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2.5, 1.5], "triad": [0.3, 0.3, 0.3]}',
-             "00000101011"),
-    "obtuse": ('{"A": [0, 0], "B": [4, 0], "C": [1.6, 0.9], "P": [1.5, 0.4], '
-               '"triad": [0.3, 0.3, 0.3]}', "00000000001"),
-    "oncircle": ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [4.23606797749979, 1]}',
-                 "00020001010"),
-    "iso": ('{"A": [0, 4], "B": [-3, 0], "C": [3, 0]}', "02020202022"),
-    "obtuse-c": ('{"A": [0, 0], "B": [4, 0], "C": [1.6, 0.9], "P": [1.5, 0.4], '
-                 '"triad": [0.3, 0.3, 0.3], "options": {"vertex": "C"}}', "00000000001"),
-    "oncircle-b": ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [4.23606797749979, 1], '
-                   '"options": {"vertex": "B"}}', "00020001010"),
-    "huge-triad": ('{"A": [0, 0], "B": [4, 0], "C": [1, 3], "triad": [1e308, 0.3, 0.3]}',
-                   "02020202022"),
+    "tri": "02020202022",
+    "scene": "00000000001",
+    "right": "00000000011",
+    "side": "00000101011",
+    "obtuse": "00000000001",
+    "oncircle": "00020001010",
+    "iso": "02020202022",
+    "obtuse-c": "00000000001",
+    "oncircle-b": "00020001010",
+    "huge-triad": "02020202022",
 }
 PIN_RUNS = [
     ("centers",),
@@ -146,12 +147,11 @@ def test_subcommands_build_no_point_or_triangle(name, tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(kernel.Point, "__init__", refused)
     monkeypatch.setattr(kernel.Triangle, "__init__", refused)
-    text, codes = PARITY_SCENES[name]
     path = tmp_path / f"{name}.json"
-    path.write_text(text)
+    path.write_text(SCENES[name])
     got = "".join(str(cli.main([run[0], "--in", str(path), *run[1:]])) for run in PIN_RUNS)
     capsys.readouterr()
-    assert got == codes
+    assert got == PARITY_SCENES[name]
 
 
 def test_classify_circumcenter(tri_file):
@@ -655,7 +655,7 @@ def test_scene_schema_rejection_is_one_usage_line(tmp_path, scene, message):
 
 SCENE_P = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2, 1]}'
 # a point on the circumcircle of tri.json, centered (2, 1) with radius √5
-ON_CIRCLE = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [4.23606797749979, 1]}'
+ON_CIRCLE = SCENES["oncircle"]
 # a point on side BC of tri.json
 ON_SIDE = '{"A": [0, 0], "B": [4, 0], "C": [1, 3], "P": [2.5, 1.5]}'
 ON_SIDE_LINE = "OnSideLineError: the point lies on a side line of the triangle"

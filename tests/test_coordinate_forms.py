@@ -26,9 +26,9 @@ Some hot forms write others out in line rather than call them:
 `centers.measures_xy` calls `side_lengths_xy` and `checked_circle` and
 spells `circle_xy`'s arithmetic and the squared sides and interior angles
 (`_squared_sides_xy`, `_angles_xy` below); `circle_xy` and `side_lengths_xy`
-each spell the collinearity test, `directed_angle_xy` `half_turn`.
-`checked_circle` is the one body of the circle check, which `circumcircle`
-calls. The tests under "written-out forms" pin each against the calls it
+each spell the collinearity test. `checked_circle` is the one body of the
+circle check, which `circumcircle` calls, and `directed_angle_xy` calls
+`half_turn`. The tests under "written-out forms" pin each against the calls it
 replaced, in values and in what it raises.
 """
 
@@ -37,6 +37,7 @@ import math
 
 import pytest
 
+from helpers import contains_by_operators, opposite, orientation
 from miquel import centers, chains, kernel
 from miquel.centers import NAMED_POINTS, locate_xy, measures_xy
 from miquel.chains import iterate_chain
@@ -52,7 +53,6 @@ from miquel.kernel import (
     circle_xy,
     circumcircle,
     contains_xy,
-    corners_xy,
     directed_angle_at_xy,
     directed_angle_xy,
     line_through,
@@ -127,12 +127,6 @@ def _points(xy) -> tuple[_Vec, _Vec, _Vec]:
     """The three points of ``xy``, a TriangleXY: a host's A, B, C or a
     triad's X, Y, Z."""
     return _Vec(*xy[0:2]), _Vec(*xy[2:4]), _Vec(*xy[4:6])
-
-
-def _opposite(xy, label):
-    """The endpoints of the side of ``xy`` opposite ``label``, in cyclic
-    order."""
-    return corners_xy(xy, label)[1:]
 
 
 def _hosts_and_points():
@@ -299,20 +293,6 @@ def _triad_at_by_generator(host, u, v, w):
     )
 
 
-def _orientation(xy):
-    """+1 when A, B, C turn counter-clockwise, else -1: the sign of the area."""
-    a, b, c = _points(xy)
-    return 1 if 0.5 * (b - a).cross(c - a) > 0.0 else -1
-
-
-def _contains_by_operators(xy, p):
-    sign = _orientation(xy)
-    a, b, c = _points(xy)
-    return all(
-        sign * (q2 - q1).cross(p - q1) > 0.0 for q1, q2 in ((a, b), (b, c), (c, a))
-    )
-
-
 # the sign each vertex order gives the orientation: +1 for the rotations
 _PARITY = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (0, 2, 1): -1, (1, 0, 2): -1, (2, 1, 0): -1}
 
@@ -331,7 +311,7 @@ def _classify_by_label_lookup(t1, t2, angle_eps):
         ratio = sum(ratios) / 3.0
         score = residual + (max(ratios) - min(ratios)) / ratio
         if best is None or score < best[3]:
-            mirrored = _orientation(t1) != _orientation(t2) * _PARITY[order]
+            mirrored = orientation(t1) != orientation(t2) * _PARITY[order]
             best = (order, mirrored, ratio, score)
     return best
 
@@ -415,7 +395,7 @@ def test_min_side_line_distance():
         t = Triangle(Point(*a), Point(*b), Point(*c))
         for p in (*points, a, _Vec(*midpoint(b, c))):
             expected = min(
-                abs(_offset_by_operators(line_through(*_opposite(xy, v)), p)) for v in "ABC"
+                abs(_offset_by_operators(line_through(*opposite(xy, v)), p)) for v in "ABC"
             )
             assert t.min_side_line_distance(Point(*p)) == expected
             assert min_side_line_distance_xy(xy, p.x, p.y) == expected
@@ -425,7 +405,7 @@ def test_line_at_project_and_reflect():
     """The foot (the point at the projection's parameter) and the mirror
     image of a point, on the side lines and a line through two points."""
     for xy, points, _ in CASES:
-        for line in (*(line_through(*_opposite(xy, v)) for v in "ABC"), line_through(*points)):
+        for line in (*(line_through(*opposite(xy, v)) for v in "ABC"), line_through(*points)):
             for p in points:
                 assert project_xy(*line, *p) == _project_by_operators(line, p)
                 assert reflect_xy(*line, *p) == _reflect_by_operators(line, p)
@@ -760,7 +740,7 @@ def test_family_member_feet_and_triad_forms():
         a, b, c = _points(xy)
         for p in points:
             triad = family_member(xy, *p, theta)
-            feet = [_project_by_operators(line_through(*_opposite(xy, v)), p) for v in "ABC"]
+            feet = [_project_by_operators(line_through(*opposite(xy, v)), p) for v in "ABC"]
             assert list(_points(triad)) == [
                 _family_vertex_by_operators(p, f, theta) for f in feet
             ]
@@ -811,14 +791,15 @@ def test_miquel_xy_mirrors_z_in_the_line_of_centers():
 
 def test_contains_xy():
     """contains_xy against sign·(q2 − q1)×(p − q1) with the triangle's
-    orientation, for both orientations, inside, outside, on an edge and at a
-    vertex."""
+    orientation (``helpers.contains_by_operators``, which the containment
+    parity tests share), for both orientations, inside, outside, on an edge
+    and at a vertex."""
     for xy, points, _ in CASES:
         a, b, c = _points(xy)
         for host in (xy, (*a, *c, *b)):
             edge_points = (_Vec(*midpoint(a, b)), _Vec(*midpoint(b, c)))
             for p in (*points, *edge_points, a, c):
-                inside = _contains_by_operators(host, p)
+                inside = contains_by_operators(host, p)
                 assert contains_xy(host, p.x, p.y) is inside
             assert contains_xy(host, *points[0]) and not contains_xy(host, *points[1])
 
@@ -846,7 +827,7 @@ def test_one_pedal_triangle():
     for xy, points, _ in CASES:
         a, b, c = _points(xy)
         for p in (*points, a, _Vec(*midpoint(b, c))):
-            feet = tuple(_project_by_operators(line_through(*_opposite(xy, v)), p) for v in "ABC")
+            feet = tuple(_project_by_operators(line_through(*opposite(xy, v)), p) for v in "ABC")
             assert _points(pedal_triad(xy, *p)) == feet
 
 

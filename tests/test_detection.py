@@ -15,6 +15,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import locate
 from miquel.centers import NAMED_POINTS, SpecialRole, is_right, locate_xy, measures_xy
 from miquel.chains import CHAIN_DETECT_TOL, iterate_chain
 from miquel.errors import CollinearError, DegenerateStepError, RightAngleDegenerateError
@@ -54,7 +55,7 @@ def _detect_by_locate_xy(xy, p, length_eps):
         if d < best_dist:
             best_role, best_dist = role, d
         elif not d < math.inf:
-            Point(x, y)
+            checked_xy(x, y)
     if best_dist < eps:
         return best_role
     center = checked_xy(*locate_xy(t, SpecialRole("incenter")))
@@ -91,16 +92,11 @@ def _assert_same_role(t, p, length_eps):
     return got
 
 
-def _locate(t, role):
-    """Where ``role`` sits in the triangle ``t``, checked as the suites check it."""
-    return checked_xy(*locate_xy(measures_xy(t), role))
-
-
 def _named_points(t):
     points = []
     for role, _ in NAMED_POINTS:
         try:
-            points.append(_locate(t, role))
+            points.append(locate(t, role))
         except RightAngleDegenerateError:
             pass
     return points
@@ -110,7 +106,7 @@ def _arc_point(rng, t, apex):
     """A point on the circle through the base ends of ``apex`` and the
     incenter, on the arc between the base ends through the incenter."""
     _, b, c = corners_xy(t, apex)
-    center = _locate(t, SpecialRole("incenter"))
+    center = locate(t, SpecialRole("incenter"))
     return random_arc_point(rng, circumcircle(*b, *c, *center), b, c, center)
 
 
@@ -188,12 +184,12 @@ def test_chain_triangles(seed, which, rotated):
     t = random_triangle(rng, min_angle=0.35, right_gap=0.1)
     v = VERTEX_LABELS[seed % 3]
     p = {
-        "O": lambda: _locate(t, SpecialRole("circumcenter")),
-        "H": lambda: _locate(t, SpecialRole("orthocenter")),
-        "L": lambda: _locate(t, SpecialRole("incenter")),
-        "brocard": lambda: _locate(t, SpecialRole("first_brocard")),
-        "S": lambda: _locate(t, SpecialRole("s_role", v)),
-        "M": lambda: _locate(t, SpecialRole("m_role", v)),
+        "O": lambda: locate(t, SpecialRole("circumcenter")),
+        "H": lambda: locate(t, SpecialRole("orthocenter")),
+        "L": lambda: locate(t, SpecialRole("incenter")),
+        "brocard": lambda: locate(t, SpecialRole("first_brocard")),
+        "S": lambda: locate(t, SpecialRole("s_role", v)),
+        "M": lambda: locate(t, SpecialRole("m_role", v)),
         "random": lambda: random_interior_point(rng, t),
     }[which]()
     thetas = [rng.uniform(-1.0, 1.0) for _ in range(6)] if rotated else None
@@ -211,7 +207,7 @@ def test_equilateral_tie_goes_to_the_circumcenter(seed, length_eps):
     # O, H, L, both Brocard points and every S_v and M_v coincide; the first
     # in table order at the least distance wins
     t = triangle_from_angles(rng_for(seed, "detection", 4), (math.pi / 3,) * 3)
-    o = _locate(t, SpecialRole("circumcenter"))
+    o = locate(t, SpecialRole("circumcenter"))
     assert _assert_same_role(t, o, length_eps) == SpecialRole("circumcenter")
     for p in _named_points(t):
         _assert_same_role(t, p, length_eps)
@@ -228,7 +224,7 @@ def test_automedian_centroid_is_the_median_point(seed):
     t = triangle_from_angles(
         rng_for(seed, "detection", 5), (angle_a, angle_b, math.pi - angle_a - angle_b)
     )
-    g = _locate(t, SpecialRole("centroid"))
+    g = locate(t, SpecialRole("centroid"))
     assert _assert_same_role(t, g, CHAIN_DETECT_TOL) == SpecialRole("m_role", "A")
 
 

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from helpers import EQUI, SQ3, T345, TSCA, directed_angle, line_along, offset_from, reflect
 from miquel import kernel
 from miquel.centers import SpecialRole, is_right, is_scalene, measures_xy
 from miquel.chains import ChainRecord
@@ -21,54 +22,18 @@ from miquel.kernel import (
     circle_xy,
     circumcircle,
     contains_xy,
-    directed_angle_xy,
     half_turn,
     invert_xy,
     line_circle_intersections,
     line_through,
-    reflect_xy,
     second_intersection,
-    unit_direction,
 )
-
-SQ3 = math.sqrt(3.0)
-
-
-def _triangle():
-    return Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
-
-
-def _line(anchor, direction):
-    """The line through ``anchor`` along ``direction``, normalized."""
-    return (anchor.x, anchor.y, *unit_direction(direction.x, direction.y))
-
-
-def _offset_from(circle, p):
-    """Signed radial offset of ``p``: distance to the center minus the radius."""
-    cx, cy, r = circle
-    return math.hypot(cx - p.x, cy - p.y) - r
-
-
-def _reflect(line, p):
-    return Point(*reflect_xy(*line, p.x, p.y))
-
-
-def directed_angle(p, q, r):
-    return directed_angle_xy(*p, *q, *r)
-
-
-def _invert(c, p):
-    return Point(*invert_xy(c, p.x, p.y))
-
-
-def _contains(t, p):
-    return contains_xy(t.xy, p.x, p.y)
 
 
 def _is_isosceles_at(t, label, length_eps):
     """The two sides at ``label`` differ by less than ``length_eps`` times R."""
     i = "ABC".index(label)
-    m = measures_xy(t.xy)
+    m = measures_xy(t)
     lens = m.side_lengths
     return abs(lens[(i + 1) % 3] - lens[(i + 2) % 3]) < length_eps * m.circumradius
 
@@ -76,11 +41,11 @@ def _is_isosceles_at(t, label, length_eps):
 # a builder of each immutable value type, and the type's fields in order
 VALUE_TYPES = [
     (lambda: Point(0.5, 2.0), ("x", "y")),
-    (_triangle, ("a", "b", "c")),
+    (lambda: Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)), ("a", "b", "c")),
     (lambda: SpecialRole("s_role", "B"), ("role", "vertex")),
-    (lambda: ChainRecord(measures_xy(_triangle().xy), (2.0, 1.0),
+    (lambda: ChainRecord(measures_xy(TSCA), (2.0, 1.0),
                          ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0),),
-                         (circumcircle(*_triangle().xy), (0.5, 0.5, math.sqrt(0.5)))),
+                         (circumcircle(*TSCA), (0.5, 0.5, math.sqrt(0.5)))),
      ("seed", "point", "steps", "circles")),
 ]
 
@@ -138,7 +103,7 @@ class TestCircumcircle:
         assert abs(r - 2.5) < 1e-12
 
     def test_equilateral_layout(self):
-        cx, cy, r = circumcircle(0, 1, -SQ3 / 2, -0.5, SQ3 / 2, -0.5)
+        cx, cy, r = circumcircle(*EQUI)
         assert math.hypot(cx, cy) < 1e-12
         assert abs(r - 1.0) < 1e-12
 
@@ -161,7 +126,7 @@ class TestCircumcircle:
     def test_permutation_invariant(self):
         rng = random.Random(11)
         for _ in range(100):
-            pts = [Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
+            pts = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
             try:
                 bx, by, br = circumcircle(*pts[0], *pts[1], *pts[2])
             except CollinearError:
@@ -202,7 +167,7 @@ class TestCheckedCircle:
     def test_passes_a_finite_circle_through(self):
         circle = circle_xy(0, 0, 4, 0, 1, 3)
         assert checked_circle(circle) is circle
-        m = measures_xy(_triangle().xy)
+        m = measures_xy(TSCA)
         assert circumcircle(0, 0, 4, 0, 1, 3) == circle == (*m.circumcenter_xy, m.circumradius)
 
 
@@ -237,8 +202,8 @@ class TestCircleCircle:
                 continue
             for p in hits:
                 scale = max(c1[2], c2[2])
-                assert abs(_offset_from(c1, p)) < 1e-9 * scale
-                assert abs(_offset_from(c2, p)) < 1e-9 * scale
+                assert abs(offset_from(c1, p)) < 1e-9 * scale
+                assert abs(offset_from(c2, p)) < 1e-9 * scale
 
 
 class TestDirectedAngle:
@@ -246,25 +211,25 @@ class TestDirectedAngle:
     angle_distance."""
 
     def test_perpendicular(self):
-        d = directed_angle(Point(1, 0), Point(0, 0), Point(0, 1))
+        d = directed_angle((1, 0), (0, 0), (0, 1))
         assert abs(d - math.pi / 2) < 1e-12
 
     def test_same_line_is_zero(self):
-        d = directed_angle(Point(1, 0), Point(0, 0), Point(2, 0))
+        d = directed_angle((1, 0), (0, 0), (2, 0))
         assert abs(d) < 1e-12
 
     def test_quarter_between(self):
-        d = directed_angle(Point(1, 0), Point(0, 0), Point(1, 1))
+        d = directed_angle((1, 0), (0, 0), (1, 1))
         assert abs(d - math.pi / 4) < 1e-12
 
     def test_degenerate_leg(self):
         with pytest.raises(GeometryError, match="^angle leg collapses onto the apex$"):
-            directed_angle(Point(0, 0), Point(0, 0), Point(1, 1))
+            directed_angle((0, 0), (0, 0), (1, 1))
 
     def test_antisymmetry(self):
         rng = random.Random(3)
         for _ in range(200):
-            p, q, r = (Point(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(3))
+            p, q, r = ((rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(3))
             if min(math.dist(p, q), math.dist(r, q)) < 1e-6:
                 continue
             assert angle_distance(directed_angle(p, q, r), -directed_angle(r, q, p)) < 1e-12
@@ -273,8 +238,8 @@ class TestDirectedAngle:
         # angle(p,q,r) + angle(r,q,s) == angle(p,q,s) mod half turn
         rng = random.Random(5)
         for _ in range(300):
-            q = Point(rng.uniform(-4, 4), rng.uniform(-4, 4))
-            p, r, s = (Point(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(3))
+            q = (rng.uniform(-4, 4), rng.uniform(-4, 4))
+            p, r, s = ((rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(3))
             if min(math.dist(p, q), math.dist(r, q), math.dist(s, q)) < 1e-3:
                 continue
             lhs = half_turn(directed_angle(p, q, r) + directed_angle(r, q, s))
@@ -292,14 +257,14 @@ class TestDirectedAngle:
 
 class TestInversion:
     def test_radius_squared_over_distance(self):
-        assert math.dist(_invert((0, 0, 1), Point(2, 0)), (0.5, 0)) < 1e-12
+        assert math.dist(invert_xy((0, 0, 1), 2, 0), (0.5, 0)) < 1e-12
 
     def test_fixed_on_circle(self):
-        assert math.dist(_invert((0, 0, 1), Point(0, 1)), (0, 1)) < 1e-12
+        assert math.dist(invert_xy((0, 0, 1), 0, 1), (0, 1)) < 1e-12
 
     def test_center_rejected(self):
         with pytest.raises(GeometryError, match="^the center inverts to an infinite point$"):
-            _invert((0, 0, 1), Point(0, 0))
+            invert_xy((0, 0, 1), 0, 0)
 
     def test_involution(self):
         rng = random.Random(13)
@@ -307,46 +272,46 @@ class TestInversion:
             c = cx, cy, r = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.3, 2))
             d = r * rng.uniform(0.1, 10.0)
             phi = rng.uniform(0, 2 * math.pi)
-            p = Point(cx + d * math.cos(phi), cy + d * math.sin(phi))
-            assert math.dist(_invert(c, _invert(c, p)), p) < 1e-9 * r
+            p = (cx + d * math.cos(phi), cy + d * math.sin(phi))
+            assert math.dist(invert_xy(c, *invert_xy(c, *p)), p) < 1e-9 * r
 
 
 class TestReflection:
     def test_y_axis(self):
-        axis = _line(Point(0, 0), Point(0, 1))
-        assert math.dist(_reflect(axis, Point(1, 0)), (-1, 0)) < 1e-12
-        assert math.dist(_reflect(axis, Point(0, 5)), (0, 5)) < 1e-12
+        axis = line_along((0, 0), (0, 1))
+        assert math.dist(reflect(axis, (1, 0)), (-1, 0)) < 1e-12
+        assert math.dist(reflect(axis, (0, 5)), (0, 5)) < 1e-12
 
     def test_diagonal_swaps_coordinates(self):
-        diag = _line(Point(0, 0), Point(1, 1))
-        assert math.dist(_reflect(diag, Point(2, 0)), (0, 2)) < 1e-12
+        diag = line_along((0, 0), (1, 1))
+        assert math.dist(reflect(diag, (2, 0)), (0, 2)) < 1e-12
 
     def test_involution_and_line_distances(self):
         rng = random.Random(17)
         for _ in range(200):
-            anchor = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            d = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if math.hypot(d.x, d.y) < 1e-3:
+            anchor = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+            d = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+            if math.hypot(*d) < 1e-3:
                 continue
-            axis = _line(anchor, d)
-            p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            q = _reflect(axis, p)
-            assert math.dist(_reflect(axis, q), p) < 1e-12
+            axis = line_along(anchor, d)
+            p = (rng.uniform(-5, 5), rng.uniform(-5, 5))
+            q = reflect(axis, p)
+            assert math.dist(reflect(axis, q), p) < 1e-12
             ax, ay, ux, uy = axis
             for t in (-2.0, 0.0, 1.5):
-                on_line = Point(ax + t * ux, ay + t * uy)
+                on_line = (ax + t * ux, ay + t * uy)
                 ref = max(1.0, math.dist(p, on_line))
                 assert abs(math.dist(p, on_line) - math.dist(q, on_line)) < 1e-12 * ref
 
 
 class TestSecondIntersection:
     def test_diameter(self):
-        line = _line(Point(0, 0), Point(0, 1))
-        res = Point(*second_intersection(line, (0, 0, 1), Point(0, 1)))
+        line = line_along((0, 0), (0, 1))
+        res = second_intersection(line, (0, 0, 1), (0, 1))
         assert math.dist(res, (0, -1)) < 1e-12
 
     def test_tangent_returns_known(self):
-        line = _line(Point(0, 1), Point(1, 0))
+        line = line_along((0, 1), (1, 0))
         known = (0.0, 1.0)
         assert second_intersection(line, (0, 0, 1), known) == known
         # a tangent at a generic angle, anchored away from the contact point:
@@ -354,32 +319,30 @@ class TestSecondIntersection:
         # bits, so only the tangency rule returns ``known`` exactly
         c, s = math.cos(0.7), math.sin(0.7)
         known = (c, s)
-        line = _line(Point(c - 2.0 * s, s + 2.0 * c), Point(-s, c))
+        line = line_along((c - 2.0 * s, s + 2.0 * c), (-s, c))
         assert second_intersection(line, (0, 0, 1), known) == known
 
     def test_diagonal_diameter(self):
         s = math.sqrt(2) / 2
-        line = _line(Point(0, 0), Point(1, 1))
-        res = Point(*second_intersection(line, (0, 0, 1), Point(s, s)))
+        line = line_along((0, 0), (1, 1))
+        res = second_intersection(line, (0, 0, 1), (s, s))
         assert math.dist(res, (-s, -s)) < 1e-12
 
     def test_known_must_lie_on_both(self):
         with pytest.raises(
             GeometryError, match="^the known point is not on both the line and the circle$"
         ):
-            second_intersection(_line(Point(0, 0), Point(1, 0)), (0, 0, 1), Point(3, 3))
+            second_intersection(line_along((0, 0), (1, 0)), (0, 0, 1), (3, 3))
 
 
 class TestTriangleContains:
-    T = Triangle(Point(0, 0), Point(4, 0), Point(0, 3))
-
     def test_interior(self):
-        assert _contains(self.T, Point(1, 1)) is True
+        assert contains_xy(T345, 1, 1) is True
 
     def test_exterior(self):
-        assert _contains(self.T, Point(10, 10)) is False
+        assert contains_xy(T345, 10, 10) is False
         # the test is strict: a point on a side is not inside
-        assert _contains(self.T, Point(2, 0)) is False
+        assert contains_xy(T345, 2, 0) is False
 
 
 class TestTriangle:
@@ -437,39 +400,37 @@ class TestTriangle:
         assert abs(sum(t.angles) - math.pi) < 1e-12
 
     def test_predicates(self):
-        t345 = Triangle(Point(0, 0), Point(4, 0), Point(0, 3))
-        assert is_right(measures_xy(t345.xy))
-        assert is_scalene(measures_xy(t345.xy))
-        eq = Triangle(Point(0, 1), Point(-SQ3 / 2, -0.5), Point(SQ3 / 2, -0.5))
-        assert not is_scalene(measures_xy(eq.xy))
-        assert _is_isosceles_at(eq, "A", LENGTH_EPS)
-        iso = Triangle(Point(0, 2), Point(-1, 0), Point(1, 0))
+        assert is_right(measures_xy(T345))
+        assert is_scalene(measures_xy(T345))
+        assert not is_scalene(measures_xy(EQUI))
+        assert _is_isosceles_at(EQUI, "A", LENGTH_EPS)
+        iso = (0, 2, -1, 0, 1, 0)
         assert _is_isosceles_at(iso, "A", LENGTH_EPS)
         assert not _is_isosceles_at(iso, "B", LENGTH_EPS)
 
     def test_orientation_sign(self):
         # containment reads the sign of the area, so both turns of the same
         # vertices contain the same points
-        ccw = Triangle(Point(0, 0), Point(1, 0), Point(0, 1))
-        cw = Triangle(Point(0, 0), Point(0, 1), Point(1, 0))
+        ccw = (0, 0, 1, 0, 0, 1)
+        cw = (0, 0, 0, 1, 1, 0)
         for t in (ccw, cw):
-            assert _contains(t, Point(0.25, 0.25))
-            assert not _contains(t, Point(0.75, 0.75))
+            assert contains_xy(t, 0.25, 0.25)
+            assert not contains_xy(t, 0.75, 0.75)
 
 
 def test_line_through_is_anchored_at_its_first_point_with_a_unit_direction():
     rng = random.Random(5)
     for _ in range(200):
-        a, b = (Point(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(2))
+        a, b = ((rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(2))
         ax, ay, dx, dy = line_through(a, b)
-        assert Point(ax, ay) == a and abs(math.hypot(dx, dy) - 1.0) < 1e-14
+        assert (ax, ay) == a and abs(math.hypot(dx, dy) - 1.0) < 1e-14
     with pytest.raises(ValueError, match="^line direction must be a nonzero finite vector$"):
         line_through(a, a)
 
 
 def test_line_circle_intersections_on_circle():
     c = (1, 1, 2)
-    hits = line_circle_intersections(_line(Point(1, 1), Point(1, 0)), c)
+    hits = line_circle_intersections(line_along((1, 1), (1, 0)), c)
     assert len(hits) == 2
     for p in hits:
-        assert abs(_offset_from(c, p)) < 1e-12
+        assert abs(offset_from(c, p)) < 1e-12

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import offset_from
 from miquel import sampling, verify
 from miquel.centers import SpecialRole, is_scalene, locate_xy, measures_xy
 from miquel.errors import CollinearError
@@ -74,13 +75,6 @@ def test_isosceles_generator():
             assert abs(t.angles[(i + 1) % 3] - t.angles[(i + 2) % 3]) < 1e-12
 
 
-def _offset_from(circle, p):
-    """Signed radial offset of ``p``: distance to the center minus the radius."""
-    cx, cy, r = circle
-    px, py = p
-    return math.hypot(cx - px, cy - py) - r
-
-
 def test_point_generators_hit_their_regions():
     rng = rng_for(0, "sampling", 4)
     for _ in range(50):
@@ -90,11 +84,11 @@ def test_point_generators_hit_their_regions():
         p = random_interior_point(rng, t)
         assert contains_xy(t, *p)
         q = random_point_in_circumdisk(rng, t, circle)
-        assert _offset_from(circle, q) < 0.0
+        assert offset_from(circle, q) < 0.0
         x = random_exterior_point(rng, t, circle)
-        assert _offset_from(circle, x) > 0.0
+        assert offset_from(circle, x) > 0.0
         s = random_circumcircle_point(rng, t, circle)
-        assert abs(_offset_from(circle, s)) < 1e-12 * r
+        assert abs(offset_from(circle, s)) < 1e-12 * r
         assert min(math.dist(s, t[k:k + 2]) for k in (0, 2, 4)) > 0.01 * r
 
 
@@ -108,7 +102,7 @@ def test_arc_point_passes_through_via_side():
         l = locate_xy(measures_xy(t), SpecialRole("incenter"))
         arc = circumcircle(*b, *c, *l)
         p = random_arc_point(rng, arc, c, b, l)
-        assert abs(_offset_from(arc, p)) < 1e-12 * arc[2]
+        assert abs(offset_from(arc, p)) < 1e-12 * arc[2]
         # the arc through the incenter stays on the incenter's side of BC
         base = line_through(b, c)
         assert offset_xy(*base, *p) * offset_xy(*base, *l) > 0.0
