@@ -94,8 +94,9 @@ def checked_xy(*xy: float) -> tuple[float, ...]:
     """The coordinates ``xy`` of one or more points, as they are once all are
     finite; else a ``ValueError`` naming them: the one body of the finiteness
     check, which ``Point`` calls too."""
-    if not all(map(math.isfinite, xy)):
-        raise ValueError(f"non-finite coordinates {xy}")
+    for v in xy:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite coordinates {xy}")
     return xy
 
 
@@ -126,7 +127,10 @@ def angle_distance(u: float, v: float) -> float:
 # tests/test_coordinate_forms.py, as are the forms hot callers write out in
 # line (side_lengths_xy and circle_xy the collinearity test,
 # centers.measures_xy circle_xy's arithmetic, the squared sides and the
-# angles), against the calls they replace, by its "written-out forms" tests.
+# angles), against the calls they replace, by its "written-out forms" tests,
+# as are the margin pre-tests that skip a guard's hypots far from its band
+# (circle_xy's collinearity test, directed_angle_xy's leg test) and the loops
+# written out (checked_xy, contains_xy, triads.miquel_residual).
 # checked_circle is the one body of the circle check.
 
 # a circle on coordinates: (center x, center y, radius)
@@ -144,7 +148,7 @@ def unit_direction(dx: float, dy: float) -> tuple[float, float]:
     """A line's normalization rule: (dx, dy) divided by its length, or as it
     is when that length is within 1e-14 of 1."""
     n = math.hypot(dx, dy)
-    if n == 0.0 or not math.isfinite(n):
+    if not 0.0 < n < math.inf:  # hypot is never negative: rejects 0, inf and NaN
         raise ValueError("line direction must be a nonzero finite vector")
     if abs(n - 1.0) > 1e-14:
         return dx / n, dy / n
@@ -282,11 +286,19 @@ def directed_angle_xy(px: float, py: float, qx: float, qy: float, rx: float, ry:
     a leg collapses onto the apex."""
     qpx, qpy = px - qx, py - qy
     qrx, qry = rx - qx, ry - qy
-    n_qp = math.hypot(qpx, qpy)
-    n_qr = math.hypot(qrx, qry)
-    scale = max(n_qp, n_qr)
-    if scale == 0.0 or min(n_qp, n_qr) < LENGTH_EPS * scale:
-        raise GeometryError("angle leg collapses onto the apex")
+    m_qp = qpx * qpx + qpy * qpy
+    m_qr = qrx * qrx + qry * qry
+    # Squared legs above 1e-290 are normal floats within a few ulps of the
+    # true squares, so when each exceeds 4e-18 times the other the legs'
+    # ratio exceeds 2e-9, and the hypot test below, at LENGTH_EPS = 1e-9,
+    # cannot fire. NaN, overflow, underflow and zero fail the comparisons
+    # and take the hypot test.
+    if not (1e-290 < m_qp and 1e-290 < m_qr and 4e-18 * m_qr < m_qp and 4e-18 * m_qp < m_qr):
+        n_qp = math.hypot(qpx, qpy)
+        n_qr = math.hypot(qrx, qry)
+        scale = max(n_qp, n_qr)
+        if scale == 0.0 or min(n_qp, n_qr) < LENGTH_EPS * scale:
+            raise GeometryError("angle leg collapses onto the apex")
     # needs no finiteness check: the legs of finite points are finite or
     # overflow to infinity, and atan2 of either is finite
     return half_turn(math.atan2(qry, qrx) - math.atan2(qpy, qpx))
@@ -401,10 +413,9 @@ def contains_xy(xy: TriangleXY, px: float, py: float) -> bool:
     side of each edge AB, BC, CA, read with the sign of the triangle's area."""
     ax, ay, bx, by, cx, cy = xy
     sign = 1 if 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) > 0.0 else -1
-    return all(
-        sign * ((hx - tx) * (py - ty) - (hy - ty) * (px - tx)) > 0.0
-        for tx, ty, hx, hy in ((ax, ay, bx, by), (bx, by, cx, cy), (cx, cy, ax, ay))
-    )
+    return (sign * ((bx - ax) * (py - ay) - (by - ay) * (px - ax)) > 0.0
+            and sign * ((cx - bx) * (py - by) - (cy - by) * (px - bx)) > 0.0
+            and sign * ((ax - cx) * (py - cy) - (ay - cy) * (px - cx)) > 0.0)
 
 
 class Triangle(Frozen):

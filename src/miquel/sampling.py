@@ -22,9 +22,14 @@ from .kernel import (HALF_PI, VERTEX_LABELS, CircleXY, TriangleXY, checked_xy,
 EXTERIOR_REACH = 5.0
 
 
+def rng_key(seed: int, suite: str, index: int) -> str:
+    """The seed of trial ``index`` of ``suite`` at ``seed``."""
+    return f"{suite}:{seed}:{index}"
+
+
 def rng_for(seed: int, suite: str, index: int) -> random.Random:
     """Deterministic per-trial generator, independent of trial order."""
-    return random.Random(f"{suite}:{seed}:{index}")
+    return random.Random(rng_key(seed, suite, index))
 
 
 def _angles(

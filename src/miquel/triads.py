@@ -205,7 +205,9 @@ def miquel_residual(circles: list[CircleXY], mx: float, my: float) -> float:
     """``MiquelResult.residual``: the largest radial offset (distance to the
     center minus the radius) of the point (mx, my) from the circles of
     ``miquel_xy``, in absolute value."""
-    return max(abs(math.hypot(cx - mx, cy - my) - r) for cx, cy, r in circles)
+    (ax, ay, ra), (bx, by, rb), (cx, cy, rc) = circles
+    return max(abs(math.hypot(ax - mx, ay - my) - ra), abs(math.hypot(bx - mx, by - my) - rb),
+               abs(math.hypot(cx - mx, cy - my) - rc))
 
 
 def family_member(host: TriangleXY, px: float, py: float, theta: float) -> TriangleXY:

@@ -1,10 +1,12 @@
 """Seeded randomized verification suites, one per numbered claim.
 
 ``run_suite`` builds each ``SuiteReport`` and the suite fills it, drawing
-its randomness through ``SuiteReport.rng``, which keys ``sampling.rng_for``
-by (suite, seed, trial index), so reports are deterministic and trials could
-be evaluated in any order. A claim aggregates the worst residual over all
-trials and keeps the worst offending instance for reproduction.
+its randomness through ``SuiteReport.rng``. Each report keeps one generator
+and reseeds it per trial with ``sampling.rng_key`` of (suite, seed, trial
+index), which gives the draws of a fresh ``sampling.rng_for`` generator, so
+reports are deterministic and trials could be evaluated in any order. A
+claim aggregates the worst residual over all trials and keeps the worst
+offending instance for reproduction.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .sampling import (
     random_obtuse_at,
     random_point_in_circumdisk,
     random_triangle,
-    rng_for,
+    rng_key,
 )
 from .triads import (
     PEDAL_SIMILARITY_TOL,
@@ -117,6 +119,7 @@ class SuiteReport:
         self.trials = trials
         self.claims: list[ClaimResult] = []
         self.duration = 0.0
+        self._rng = random.Random()
 
     @property
     def passed(self) -> bool:
@@ -128,8 +131,11 @@ class SuiteReport:
         return c
 
     def rng(self, trial: int) -> random.Random:
-        """The generator of one trial, keyed by (suite, seed, trial)."""
-        return rng_for(self.seed, self.suite, trial)
+        """The generator of one trial, keyed by (suite, seed, trial): the
+        report's one generator, reseeded (which also clears its cached
+        ``gauss`` draw), valid until the next call."""
+        self._rng.seed(rng_key(self.seed, self.suite, trial))
+        return self._rng
 
 
 def _witness(i: int, t: TriangleXY, p, note: str) -> str:

@@ -28,8 +28,10 @@ spells `circle_xy`'s arithmetic and the squared sides and interior angles
 (`_squared_sides_xy`, `_angles_xy` below); `circle_xy` and `side_lengths_xy`
 each spell the collinearity test. `checked_circle` is the one body of the
 circle check, which `circumcircle` calls, and `directed_angle_xy` calls
-`half_turn`. The tests under "written-out forms" pin each against the calls it
-replaced, in values and in what it raises.
+`half_turn` and pre-tests its leg guard on the squared legs. `contains_xy`,
+`checked_xy` and `miquel_residual` write out the loops they once ran over
+generators. The tests under "written-out forms" pin each against the calls
+or the loops it replaced, in values and in what it raises.
 """
 
 import itertools
@@ -477,7 +479,8 @@ def _measures_by_calls(xy):
 
 
 def _directed_angle_by_calls(px, py, qx, qy, rx, ry):
-    """directed_angle_xy with its guard, calling half_turn."""
+    """directed_angle_xy with its guard's two hypots on every call, without
+    the squared-leg pre-test, calling half_turn."""
     qpx, qpy = px - qx, py - qy
     qrx, qry = rx - qx, ry - qy
     n_qp = math.hypot(qpx, qpy)
@@ -597,16 +600,44 @@ def test_circle_forms_are_their_calls():
         assert isinstance(_result(circle_xy, *xy), tuple) is collinear
 
 
+def _leg_triples():
+    """(p, q, r) triples whose legs q→p and q→r are 0.5e-9 to 2.5e-9 of each
+    other, straddling the guard's ratio 1e-9 and the pre-test's 2e-9, at leg
+    scales whose squares underflow (1e-200, 1e-160), stay normal (1e-150 to
+    1e150) or overflow (1e200), from an apex at the origin and off it; and
+    triples with a NaN coordinate."""
+    triples = []
+    for scale in (1e-200, 1e-160, 1e-150, 1e-9, 1.0, 1e9, 1e150, 1e200):
+        for ratio in (0.5e-9, 0.999999e-9, 1.000001e-9, 1.5e-9, 1.999999e-9, 2.000001e-9, 2.5e-9):
+            for q in ((0.0, 0.0), (0.3 * scale, -0.7 * scale)):
+                long_leg = (q[0] + 0.6 * scale, q[1] - 0.8 * scale)
+                short_leg = (q[0] - 0.28 * ratio * scale, q[1] + 0.96 * ratio * scale)
+                triples += [(long_leg, q, short_leg), (short_leg, q, long_leg)]
+    for k in range(6):
+        xy = [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+        xy[k] = math.nan
+        triples.append((xy[:2], xy[2:4], xy[4:]))
+    return triples
+
+
 def test_directed_angle_xy_is_its_calls():
-    """directed_angle_xy against its form calling half_turn, at each vertex
-    of the hosts, from the vertices to a far point, and with a collapsed leg;
-    the reduction's boundary -pi/2 itself maps to pi/2."""
+    """directed_angle_xy against its form with the two hypots on every call
+    (no squared-leg pre-test), calling half_turn: at each vertex of the
+    hosts, from the vertices to a far point, with a collapsed leg, and on the
+    leg triples, which give both verdicts; the reduction's boundary -pi/2
+    itself maps to pi/2."""
+    outcomes = set()
     for xy in HOSTS:
         a, b, c = xy[:2], xy[2:4], xy[4:]
         far = (1e300, -1e300)
         for p, q, r in ((b, a, c), (c, b, a), (a, c, b), (far, a, b), (a, b, far), (a, a, b)):
             assert _result(directed_angle_xy, *p, *q, *r) == _result(
                 _directed_angle_by_calls, *p, *q, *r)
+    for p, q, r in _leg_triples():
+        expected = _result(_directed_angle_by_calls, *p, *q, *r)
+        assert _result(directed_angle_xy, *p, *q, *r) == expected
+        outcomes.add(expected[0] if isinstance(expected, tuple) else float)
+    assert outcomes == {float, GeometryError}
     assert directed_angle_xy(0.0, 1.0, 0.0, 0.0, 1.0, 0.0) == HALF_PI
 
 
@@ -793,7 +824,9 @@ def test_contains_xy():
     """contains_xy against sign·(q2 − q1)×(p − q1) with the triangle's
     orientation (``helpers.contains_by_operators``, which the containment
     parity tests share), for both orientations, inside, outside, on an edge
-    and at a vertex."""
+    and at a vertex; and, on integer hosts, at points exactly on an edge line
+    (on the edge, at a vertex, on its extensions), where a zero cross product
+    reads False."""
     for xy, points, _ in CASES:
         a, b, c = _points(xy)
         for host in (xy, (*a, *c, *b)):
@@ -802,6 +835,69 @@ def test_contains_xy():
                 inside = contains_by_operators(host, p)
                 assert contains_xy(host, p.x, p.y) is inside
             assert contains_xy(host, *points[0]) and not contains_xy(host, *points[1])
+    for ax, ay, bx, by, cx, cy in ((0.0, 0.0, 4.0, 0.0, 0.0, 3.0), (0.0, 0.0, 4.0, 0.0, 1.0, 3.0)):
+        a, b, c = (ax, ay), (bx, by), (cx, cy)
+        on_lines = [(tx + s * (hx - tx), ty + s * (hy - ty))
+                    for (tx, ty), (hx, hy) in ((a, b), (b, c), (c, a)) for s in (-1.0, 0.0, 0.5, 2.0)]
+        for host in ((*a, *b, *c), (*a, *c, *b)):
+            for p in on_lines:
+                assert contains_xy(host, *p) is contains_by_operators(host, p) is False
+            assert contains_xy(host, 1.0, 0.5) is contains_by_operators(host, (1.0, 0.5)) is True
+
+
+def _miquel_residual_by_generator(circles, mx, my):
+    return max(abs(math.hypot(cx - mx, cy - my) - r) for cx, cy, r in circles)
+
+
+def test_miquel_residual_is_its_generator_form():
+    """miquel_residual's three written-out terms against the generator over
+    the circles, on the hosts' Miquel circles and with a NaN in each slot of
+    each circle and of the point (compared by repr: max keeps or skips a NaN
+    by its place)."""
+    rng = rng_for(0, "coordinate-forms", 5)
+    for host, _, _ in CASES:
+        *rows, (mx, my) = miquel_xy(host, triad_xy(host, *(rng.uniform(-1.0, 2.0) for _ in range(3))))
+        assert miquel_residual(rows, mx, my) == _miquel_residual_by_generator(rows, mx, my)
+    flat = [v for circle in rows for v in circle] + [mx, my]
+    for k in range(len(flat)):
+        values = flat[:k] + [math.nan] + flat[k + 1:]
+        circles, point = [tuple(values[i:i + 3]) for i in (0, 3, 6)], values[9:]
+        assert repr(miquel_residual(circles, *point)) == repr(
+            _miquel_residual_by_generator(circles, *point))
+
+
+def _checked_by_all(*xy):
+    if not all(map(math.isfinite, xy)):
+        raise ValueError(f"non-finite coordinates {xy}")
+    return xy
+
+
+def _raised_by(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_checked_xy_is_its_all_form():
+    """checked_xy's loop against all(map(math.isfinite, ...)), for 2, 4 and 6
+    coordinates with a NaN or an infinity in each slot: the same message,
+    naming every coordinate, and the same first failure, a ValueError even
+    when a non-number (a TypeError for isfinite) follows the bad value, and
+    the TypeError when one comes first."""
+    for n in (2, 4, 6):
+        finite = tuple(0.5 * k - 1.0 for k in range(n))
+        assert checked_xy(*finite) == _checked_by_all(*finite) == finite
+        for k in range(n):
+            for bad in (math.nan, math.inf, -math.inf):
+                xy = finite[:k] + (bad,) + finite[k + 1:]
+                expected = _raised_by(_checked_by_all, *xy)
+                assert expected == (ValueError, f"non-finite coordinates {xy}")
+                assert _raised_by(checked_xy, *xy) == expected
+                for later in (xy + ("x",), ("x",) + xy):
+                    assert _raised_by(checked_xy, *later) == _raised_by(_checked_by_all, *later)
+    assert _raised_by(checked_xy, math.nan, "x")[0] is ValueError
+    assert _raised_by(checked_xy, "x", math.nan)[0] is TypeError
 
 
 def test_sextet_and_miquel_angles():

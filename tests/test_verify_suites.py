@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -26,7 +27,7 @@ from miquel.sampling import (
     rng_for,
 )
 from miquel.triads import pedal_shape_xy, pedal_triad
-from miquel.verify import SUITES, ClaimResult, _pedal, _witness, run_suite
+from miquel.verify import SUITES, ClaimResult, SuiteReport, _pedal, _witness, run_suite
 
 
 def test_registry_names():
@@ -188,6 +189,25 @@ def test_informational_claim_without_trials_does_not_gate():
     rep = run_suite("theorem15", 7, 1)
     rep.claim("never-reached", 1.0, informational=True)
     assert rep.passed
+
+
+@pytest.mark.parametrize("name", ["theorem1", "lemma2"])
+def test_report_rng_draws_as_rng_for(name):
+    """SuiteReport.rng(i), the report's one generator reseeded, draws what a
+    fresh rng_for(seed, suite, i) draws, with the trials visited in shuffled
+    order; each trial ends on a gauss() draw, which leaves the generator's
+    second normal cached, and the next trial's first gauss() must not read
+    it."""
+    report = SuiteReport(name, 5, 60)
+    order = list(range(60))
+    random.Random(1).shuffle(order)
+    for i in order:
+        rng, fresh = report.rng(i), rng_for(5, name, i)
+        assert rng is report.rng(i)
+        draws = [rng.gauss(0.0, 1.0), rng.random(), rng.uniform(-1.0, 2.0), rng.gauss(0.0, 1.0),
+                 rng.gauss(0.0, 1.0)]
+        assert draws == [fresh.gauss(0.0, 1.0), fresh.random(), fresh.uniform(-1.0, 2.0),
+                         fresh.gauss(0.0, 1.0), fresh.gauss(0.0, 1.0)]
 
 
 # sha256 of every trial's claim name, residual repr and witness, in the order
