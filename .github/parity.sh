@@ -79,6 +79,10 @@ run verify.txt verify --suite all --seed 7
 run verify.json verify --suite all --seed 7 --json
 run verify-3.json verify --suite all --seed 3 --json
 run verify-11.json verify --suite all --seed 11 --json
+# every suite's first trial (exit 3: theorem6's obtuse claim is reached
+# only on odd trials), then its first reseed
+run verify-13-1.json verify --suite all --seed 13 --trials 1 --json
+run verify-13-2.json verify --suite all --seed 13 --trials 2 --json
 # no trial to run (exit 2)
 run verify-0.txt verify --suite theorem14 --trials 0
 # trial-count overrides at which every claim gets trials

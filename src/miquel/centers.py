@@ -18,6 +18,7 @@ from .kernel import (
     TriangleXY,
     checked_circle,
     checked_xy,
+    circle_xy,
     corners_xy,
     invert_xy,
     min_side_line_distance_xy,
@@ -53,25 +54,20 @@ class Measures(NamedTuple):
 
 def measures_xy(xy: TriangleXY) -> Measures:
     """The measures of the triangle ``xy``: its side lengths and what they
-    raise from ``side_lengths_xy``, then its circumcircle with the floats of
-    ``circle_xy`` and what ``checked_circle`` raises, the squared sides, and
-    each angle as atan2 of the cross and dot products of its legs."""
+    raise from ``side_lengths_xy``, then its circumcircle from ``circle_xy``,
+    checked by ``checked_circle``, the squared sides, and each angle as atan2
+    of the cross and dot products of its legs."""
     ax, ay, bx, by, cx, cy = xy
     la, lb, lc = side_lengths_xy(ax, ay, bx, by, cx, cy)
+    ox, oy, r = checked_circle(circle_xy(ax, ay, bx, by, cx, cy))
     q2x, q2y = bx - ax, by - ay
     q3x, q3y = cx - ax, cy - ay
     bcx, bcy = cx - bx, cy - by
-    cross = q2x * q3y - q2y * q3x
-    m2 = q2x * q2x + q2y * q2y
-    m3 = q3x * q3x + q3y * q3y
-    d = 2.0 * cross
-    ux = (m2 * q3y - m3 * q2y) / d
-    uy = (m3 * q2x - m2 * q3x) / d
-    ox, oy, r = checked_circle((ax + ux, ay + uy, math.hypot(ux, uy)))
-    angles = (math.atan2(abs(cross), q2x * q3x + q2y * q3y),
+    angles = (math.atan2(abs(q2x * q3y - q2y * q3x), q2x * q3x + q2y * q3y),
               math.atan2(abs(bcy * q2x - bcx * q2y), -bcx * q2x - bcy * q2y),
               math.atan2(abs(q3x * bcy - q3y * bcx), q3x * bcx + q3y * bcy))
-    return Measures(xy, (la, lb, lc), (bcx * bcx + bcy * bcy, m3, m2), angles, (ox, oy), r)
+    squared = (bcx * bcx + bcy * bcy, q3x * q3x + q3y * q3y, q2x * q2x + q2y * q2y)
+    return Measures(xy, (la, lb, lc), squared, angles, (ox, oy), r)
 
 
 def _barycentric_xy(m: Measures, wa: float, wb: float, wc: float) -> tuple[float, float] | None:

@@ -126,12 +126,12 @@ def angle_distance(u: float, v: float) -> float:
 # float operations and their order are pinned with == in
 # tests/test_coordinate_forms.py, as are the forms hot callers write out in
 # line (side_lengths_xy and circle_xy the collinearity test,
-# centers.measures_xy circle_xy's arithmetic, the squared sides and the
-# angles), against the calls they replace, by its "written-out forms" tests,
-# as are the margin pre-tests that skip a guard's hypots far from its band
-# (circle_xy's collinearity test, directed_angle_xy's leg test) and the loops
-# written out (checked_xy, contains_xy, triads.miquel_residual).
-# checked_circle is the one body of the circle check.
+# centers.measures_xy the squared sides and the angles), against the calls
+# they replace, by its "written-out forms" tests, as are the margin pre-tests
+# that skip a guard's hypots far from its band (circle_xy's collinearity
+# test, directed_angle_xy's leg test) and the loops written out (checked_xy,
+# contains_xy, triads.miquel_residual). checked_circle is the one body of
+# the circle check.
 
 # a circle on coordinates: (center x, center y, radius)
 CircleXY = tuple[float, float, float]
@@ -145,14 +145,11 @@ TriangleXY = tuple[float, float, float, float, float, float]
 
 
 def unit_direction(dx: float, dy: float) -> tuple[float, float]:
-    """A line's normalization rule: (dx, dy) divided by its length, or as it
-    is when that length is within 1e-14 of 1."""
+    """A line's normalization rule: (dx, dy) divided by its length."""
     n = math.hypot(dx, dy)
     if not 0.0 < n < math.inf:  # hypot is never negative: rejects 0, inf and NaN
         raise ValueError("line direction must be a nonzero finite vector")
-    if abs(n - 1.0) > 1e-14:
-        return dx / n, dy / n
-    return dx, dy
+    return dx / n, dy / n
 
 
 def offset_xy(ax: float, ay: float, dx: float, dy: float, px: float, py: float) -> float:

@@ -43,12 +43,10 @@ def _angles(
         c = math.pi - a - b
         if a < min_angle or b < min_angle or c < min_angle:
             continue
-        if pairwise_gap > 0.0 and (
-            abs(a - b) < pairwise_gap or abs(b - c) < pairwise_gap or abs(c - a) < pairwise_gap
-        ):
+        if abs(a - b) < pairwise_gap or abs(b - c) < pairwise_gap or abs(c - a) < pairwise_gap:
             continue
-        if right_gap > 0.0 and (abs(a - HALF_PI) < right_gap or abs(b - HALF_PI) < right_gap
-                                or abs(c - HALF_PI) < right_gap):
+        if (abs(a - HALF_PI) < right_gap or abs(b - HALF_PI) < right_gap
+                or abs(c - HALF_PI) < right_gap):
             continue
         return a, b, c
     raise RuntimeError("angle sampling failed to satisfy the constraints")

@@ -1,12 +1,11 @@
 """Seeded randomized verification suites, one per numbered claim.
 
-``run_suite`` builds each ``SuiteReport`` and the suite fills it, drawing
-its randomness through ``SuiteReport.rng``. Each report keeps one generator
-and reseeds it per trial with ``sampling.rng_key`` of (suite, seed, trial
-index), which gives the draws of a fresh ``sampling.rng_for`` generator, so
-reports are deterministic and trials could be evaluated in any order. A
-claim aggregates the worst residual over all trials and keeps the worst
-offending instance for reproduction.
+``run_suite`` builds each ``SuiteReport`` and the suite fills it, running
+its trials through ``SuiteReport.each_trial``: one generator, reseeded for
+each trial in order with ``sampling.rng_key`` of (suite, seed, trial index),
+which gives the draws of a fresh ``sampling.rng_for`` generator, so reports
+are deterministic. A claim aggregates the worst residual over all trials and
+keeps the worst offending instance for reproduction.
 """
 
 from __future__ import annotations
@@ -14,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Iterator
+from itertools import combinations
 
 from . import centers
 from .centers import Measures, isogonal_conjugate, locate_xy, measures_xy
@@ -119,7 +120,6 @@ class SuiteReport:
         self.trials = trials
         self.claims: list[ClaimResult] = []
         self.duration = 0.0
-        self._rng = random.Random()
 
     @property
     def passed(self) -> bool:
@@ -130,12 +130,14 @@ class SuiteReport:
         self.claims.append(c)
         return c
 
-    def rng(self, trial: int) -> random.Random:
-        """The generator of one trial, keyed by (suite, seed, trial): the
-        report's one generator, reseeded (which also clears its cached
-        ``gauss`` draw), valid until the next call."""
-        self._rng.seed(rng_key(self.seed, self.suite, trial))
-        return self._rng
+    def each_trial(self) -> Iterator[tuple[int, random.Random]]:
+        """Each trial index in order, with one generator reseeded for it by
+        ``sampling.rng_key`` of (suite, seed, index): reseeding also clears a
+        cached ``gauss`` draw, so it draws what ``sampling.rng_for`` would."""
+        rng = random.Random()
+        for i in range(self.trials):
+            rng.seed(rng_key(self.seed, self.suite, i))
+            yield i, rng
 
 
 def _witness(i: int, t: TriangleXY, p, note: str) -> str:
@@ -157,8 +159,7 @@ def suite_theorem1(report: SuiteReport) -> None:
     """Three circles through a vertex and its adjacent triad points meet in
     one point, for triad points anywhere on the sides or their extensions."""
     concurrency = report.claim("circle-concurrency", 1e-8)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         t = random_triangle(rng)
         params = []
         draw = rng.random
@@ -178,8 +179,7 @@ def suite_theorem2(report: SuiteReport) -> None:
     """Directed-angle identities at the concurrency point: A + X = BPC,
     B + Y = CPA, C + Z = APB, over random family members."""
     equations = report.claim("angle-equations", 1e-9)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         t = random_triangle(rng)
         px, py = p = random_point_in_circumdisk(rng, t, circumcircle(*t))
         theta = rng.uniform(-1.2, 1.2)
@@ -192,8 +192,7 @@ def suite_lemma1(report: SuiteReport) -> None:
     the pedal triangle of the same point."""
     parity = report.claim("containment-parity", 0.5)
     ray_sum = report.claim("interior-ray-turn", 1e-9)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         t = random_triangle(rng)
         circle = circumcircle(*t)
         if i % 2 == 0:
@@ -215,8 +214,7 @@ def suite_lemma2(report: SuiteReport) -> None:
     """The pedal-triangle angles equal the pairwise sums of the sextet
     angles, for points inside the circumcircle."""
     formulas = report.claim("sextet-angle-formulas", 1e-8)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         t = random_triangle(rng)
         circle = circumcircle(*t)
         px, py = p = random_point_in_circumdisk(rng, t, circle)
@@ -235,8 +233,7 @@ def suite_theorem3(report: SuiteReport) -> None:
     """Circumcircle-inverse points have mirrored pedal triangles, vertex for
     vertex."""
     similar = report.claim("inverse-pedal-similarity", 1e-7)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         t = random_triangle(rng)
         circle = ox, oy, radius = circumcircle(*t)
         while True:
@@ -257,21 +254,16 @@ def suite_theorem4(report: SuiteReport) -> None:
     counts = report.claim("six-interior-five-exterior", 0.5)
     distinct = report.claim("pairwise-distinct", 0.5)
     orientation_note = report.claim("orientation-split-observed", 0.5, informational=True)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         t = random_catalog_triangle(rng)
         m = measures_xy(t)
         cat = centers.eleven_point_catalog(m)
         r = m.circumradius
         offsets = [math.dist(m.circumcenter_xy, e.location) - r for e in cat]
-        inside = [e for e, off in zip(cat, offsets) if off < 0.0]
-        outside = [e for e, off in zip(cat, offsets) if off > 0.0]
-        counts.add_bool(len(inside) == 6 and len(outside) == 5, i, t)
-        min_pair = min(
-            math.dist(cat[a].location, cat[b].location)
-            for a in range(len(cat))
-            for b in range(a + 1, len(cat))
-        )
+        inside = sum(off < 0.0 for off in offsets)
+        outside = sum(off > 0.0 for off in offsets)
+        counts.add_bool(inside == 6 and outside == 5, i, t)
+        min_pair = min(math.dist(e.location, f.location) for e, f in combinations(cat, 2))
         distinct.add_bool(min_pair > 1e-6 * r, i, t)
         host = shape_ratio(t, (0, 1, 2))
         mirrored = []
@@ -293,8 +285,7 @@ def suite_theorem4(report: SuiteReport) -> None:
 def suite_theorem5(report: SuiteReport) -> None:
     """Circumcenter hosts: the point is the orthocenter of its pedal triangle."""
     claim = report.claim("orthocenter-of-pedal", 1e-8)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         t = random_triangle(rng)
         ox, oy, r = circumcircle(*t)
         hx, hy = locate_xy(_pedal(t, ox, oy), SpecialRole("orthocenter"))
@@ -307,8 +298,7 @@ def suite_theorem6(report: SuiteReport) -> None:
     for obtuse ones."""
     acute = report.claim("acute-incenter", 1e-8)
     obtuse = report.claim("obtuse-excenter", 1e-8)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         if i % 2 == 0:
             t = random_acute_triangle(rng)
             claim, role = acute, SpecialRole("incenter")
@@ -327,8 +317,7 @@ def suite_theorem7(report: SuiteReport) -> None:
     triangle."""
     from_in = report.claim("incenter-to-circumcenter", 1e-8)
     from_ex = report.claim("excenter-to-circumcenter", 1e-8)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         t = random_triangle(rng)
         m = measures_xy(t)
         for claim, role in ((from_in, SpecialRole("incenter")),
@@ -353,8 +342,7 @@ def suite_theorem8(report: SuiteReport) -> None:
     """Brocard points stay Brocard points of their pedal triangles."""
     position = report.claim("brocard-position", 1e-8)
     angles = report.claim("brocard-angle-condition", 1e-8)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         t = random_triangle(rng)
         which = "first" if i % 2 == 0 else "second"
         role = SpecialRole(f"{which}_brocard")
@@ -372,8 +360,7 @@ def suite_theorem9(report: SuiteReport) -> None:
     on_median = report.claim("on-pedal-median", 1e-7)
     midpoint_rel = report.claim("median-chord-midpoint", 1e-7)
     m_match = report.claim("median-point-match", 1e-7)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         m = measures_xy(t)
@@ -401,8 +388,7 @@ def suite_theorem10(report: SuiteReport) -> None:
     base_angles = report.claim("isosceles-base-angles", 1e-8)
     arc = report.claim("on-base-incenter-circle", 1e-8)
     parity = report.claim("containment-parity", 0.5)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         v = VERTEX_LABELS[i % 3]
         obtuse_case = bool(i % 2)
         t = random_obtuse_at(rng, v) if obtuse_case else random_acute_triangle(rng)
@@ -429,8 +415,7 @@ def suite_theorem11(report: SuiteReport) -> None:
     s_match = report.claim("s-point-match", 1e-7)
     double_angle = report.claim("double-angle-at-point", 1e-8)
     role = report.claim("role-detected", 0.5)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         v = VERTEX_LABELS[i % 3]
         t = random_isosceles(rng, v)
         m = measures_xy(t)
@@ -454,8 +439,7 @@ def suite_theorem12(report: SuiteReport) -> None:
     """The symmedian arc point and the median special point of each vertex
     are isogonal conjugates."""
     pair = report.claim("isogonal-pair", 1e-8)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         v = VERTEX_LABELS[i % 3]
         t = random_obtuse_at(rng, v) if i % 2 else random_acute_triangle(rng)
         m = measures_xy(t)
@@ -470,8 +454,7 @@ def suite_theorem13(report: SuiteReport) -> None:
     axis yields its isogonal conjugate (three mirrored angle equations)."""
     equations = report.claim("mirror-angle-equations", 1e-8)
     conj = report.claim("conjugate-position", 1e-8)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         t = random_isosceles(rng, "A")
         m = measures_xy(t)
         l = locate_xy(m, SpecialRole("incenter"))
@@ -505,8 +488,7 @@ def suite_theorem14(report: SuiteReport) -> None:
     default_sched = report.claim("mod3-pedal-schedule", CHAIN_SIMILARITY_TOL)
     random_sched = report.claim("mod3-random-schedule", CHAIN_SIMILARITY_TOL)
     k = 9
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         m = measures_xy(random_triangle(rng, min_angle=0.35, right_gap=0.1))
         draw = rng.random
         for name, p in _chain_points(rng, m):
@@ -551,8 +533,7 @@ def suite_theorem15(report: SuiteReport) -> None:
     h_m_steps = report.claim("seed-similar-steps-2-0-mod3", CHAIN_SIMILARITY_TOL)
     generic = report.claim("generic-steps-1-2-dissimilar", 0.5, informational=True)
     k = 6
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         seed = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         m = measures_xy(seed)
         v = VERTEX_LABELS[i % 3]
@@ -591,8 +572,7 @@ def suite_corollary4(report: SuiteReport) -> None:
     symmedian_cycle = report.claim("symmedian-role-cycle", 0.5)
     brocard_fixed = report.claim("brocard-role-fixed", 0.5)
     k = 6
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         seed = random_triangle(rng, min_angle=0.35, right_gap=0.1)
         m = measures_xy(seed)
         v = VERTEX_LABELS[i % 3]
@@ -622,8 +602,7 @@ def suite_corollary4(report: SuiteReport) -> None:
 def suite_simson(report: SuiteReport) -> None:
     """Points on the circumcircle: the three pedal feet are collinear."""
     collinear = report.claim("feet-collinear", 1e-9)
-    for i in range(report.trials):
-        rng = report.rng(i)
+    for i, rng in report.each_trial():
         t = random_triangle(rng)
         circle = circumcircle(*t)
         p = random_circumcircle_point(rng, t, circle)

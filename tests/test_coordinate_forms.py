@@ -23,8 +23,8 @@ Theorem1 takes its triad from `triad_xy` and its residual from
 containment with `contains_xy`.
 
 Some hot forms write others out in line rather than call them:
-`centers.measures_xy` calls `side_lengths_xy` and `checked_circle` and
-spells `circle_xy`'s arithmetic and the squared sides and interior angles
+`centers.measures_xy` calls `side_lengths_xy`, `circle_xy` and
+`checked_circle` and spells the squared sides and interior angles
 (`_squared_sides_xy`, `_angles_xy` below); `circle_xy` and `side_lengths_xy`
 each spell the collinearity test. `checked_circle` is the one body of the
 circle check, which `circumcircle` calls, and `directed_angle_xy` calls
@@ -183,8 +183,7 @@ def _outcome(f, *args):
 
 def _direction_by_operators(p, q):
     d = q - p
-    n = math.hypot(*d)
-    return d / n if abs(n - 1.0) > 1e-14 else d
+    return d / math.hypot(*d)
 
 
 def _anchor_and_direction(line):
@@ -345,6 +344,15 @@ def test_coordinate_helpers():
                 assert reflect_xy(*args) == _reflect_by_operators(line, p)
             cx, cy, r = circle_xy(a.x, a.y, b.x, b.y, p.x, p.y)
             assert ((cx, cy), r) == _circumcircle_by_operators(a, b, p)
+    # differences k ulp longer or shorter than 1 are divided too: 1 + k·ulp
+    # is the k-th float above 1, 1 - k·ulp/2 the k-th below
+    origin, ulp = _Vec(0.0, 0.0), math.ulp(1.0)
+    for k in (1, 2, 3, 45):
+        for n in (1.0 + k * ulp, 1.0 - k * ulp / 2):
+            for head in (_Vec(n, 0.0), _Vec(0.0, -n), _Vec(0.6 * n, 0.8 * n)):
+                d = unit_direction(*head)
+                assert d == _direction_by_operators(origin, head)
+                assert line_through(origin, head) == (0.0, 0.0, *d)
 
 
 def test_shape_ratio_and_gap():

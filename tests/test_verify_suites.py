@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import random
 
 import pytest
 
@@ -193,21 +192,20 @@ def test_informational_claim_without_trials_does_not_gate():
 
 @pytest.mark.parametrize("name", ["theorem1", "lemma2"])
 def test_report_rng_draws_as_rng_for(name):
-    """SuiteReport.rng(i), the report's one generator reseeded, draws what a
-    fresh rng_for(seed, suite, i) draws, with the trials visited in shuffled
-    order; each trial ends on a gauss() draw, which leaves the generator's
-    second normal cached, and the next trial's first gauss() must not read
-    it."""
-    report = SuiteReport(name, 5, 60)
-    order = list(range(60))
-    random.Random(1).shuffle(order)
-    for i in order:
-        rng, fresh = report.rng(i), rng_for(5, name, i)
-        assert rng is report.rng(i)
+    """SuiteReport.each_trial yields the trial indices in order, each with one
+    generator reseeded, which draws what a fresh rng_for(seed, suite, i)
+    draws; each trial ends on a gauss() draw, which
+    leaves the generator's second normal cached, and the next trial's first
+    gauss() must not read it."""
+    visited = []
+    for i, rng in SuiteReport(name, 5, 60).each_trial():
+        visited.append(i)
+        fresh = rng_for(5, name, i)
         draws = [rng.gauss(0.0, 1.0), rng.random(), rng.uniform(-1.0, 2.0), rng.gauss(0.0, 1.0),
                  rng.gauss(0.0, 1.0)]
         assert draws == [fresh.gauss(0.0, 1.0), fresh.random(), fresh.uniform(-1.0, 2.0),
                          fresh.gauss(0.0, 1.0), fresh.gauss(0.0, 1.0)]
+    assert visited == list(range(60))
 
 
 # sha256 of every trial's claim name, residual repr and witness, in the order
